@@ -11,7 +11,6 @@ from .spectral import (
     SpectralField,
     dealias,
     frac_stokes_apply,
-    helmholtz_inverse,
     infer_regime,
     inner,
     l2_norm,
@@ -24,14 +23,12 @@ from .spectral import (
 )
 from .operators import (
     RhsEval,
-    advect,
-    gradient,
     rhs_f,
     rhs_v,
-    stokes_project_alpha,
-    u_alpha,
+    stress_form_f,
     u_from_v,
     v_from_u,
+    v_nonlinearity,
 )
 from .integrator import (
     InitialData,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import RegimeViolationError
 from .operators import h1_alpha_pairing, rhs_f
@@ -100,7 +99,7 @@ def apriori_monitor(traj, params: Params) -> AprioriReport:
     t = np.array([r.t for r in traj.diag])
     nda = np.array([r.nDA for r in traj.diag])
     n1 = np.array([r.n1ps2 for r in traj.diag])
-    integral = float(trapezoid(n1**2, t)) if len(t) > 1 else 0.0
+    integral = float(np.trapezoid(n1**2, t)) if len(t) > 1 else 0.0
     return AprioriReport(
         sup_ratio=float(np.max(nda) / (nda[0] + _TINY)),
         dissipation_integral=integral,

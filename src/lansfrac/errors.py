@@ -67,5 +67,9 @@ class CorruptPayloadError(SnapshotError):
     pass
 
 
+class SnapshotMismatchError(SnapshotError):
+    """A restart snapshot's grid or header (alpha, nu, s) differs from the config."""
+
+
 class EmptyOutputError(LansfracError):
     """CSV emission called with nothing to write."""

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics
-from .errors import DivergedError, GridError
+from .errors import DivergedError, SnapshotMismatchError
 from .operators import rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
     GridSpec,
@@ -53,6 +53,9 @@ class StepScheme:
     cfl_safety: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("dt", "cfl_safety"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 < self.cfl_safety <= 1.0:
@@ -81,6 +84,10 @@ class InitialData:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown initial-data kind: {self.kind!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if self.decay_exponent is not None and not math.isfinite(self.decay_exponent):
+            raise ValueError(f"decay_exponent must be finite, got {self.decay_exponent}")
         if self.kind == "snapshot" and not self.path:
             raise ValueError("snapshot initial data needs a path")
 
@@ -98,6 +105,8 @@ class SimConfig:
     linear_only: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.snapshot_every < 1:
@@ -177,14 +186,20 @@ def _random_solenoidal_coeffs(
     return out
 
 
-def make_initial(initial: InitialData, grid: GridSpec) -> SpectralField:
-    """Realize an initial-data recipe as a solenoidal zero-mean field."""
+def make_initial(
+    initial: InitialData, grid: GridSpec, params: Params | None = None
+) -> SpectralField:
+    """Realize an initial-data recipe as a solenoidal zero-mean field.
+
+    A snapshot must match the grid and, when params is given, the alpha, nu
+    and s of its header; otherwise SnapshotMismatchError is raised.
+    """
     amp = initial.amplitude
     x = grid.x
     if initial.kind == "shear":
         phys = np.zeros((grid.dim,) + grid.shape)
         phys[0] = amp * np.sin(x[1])
-        return _from_phys(phys, grid)
+        return to_spectral(phys, grid)
     if initial.kind == "taylor-green":
         phys = np.zeros((grid.dim,) + grid.shape)
         if grid.dim == 2:
@@ -193,7 +208,7 @@ def make_initial(initial: InitialData, grid: GridSpec) -> SpectralField:
         else:
             phys[0] = amp * np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2])
             phys[1] = -amp * np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
-        return _from_phys(phys, grid)
+        return to_spectral(phys, grid)
     if initial.kind == "random-spectrum":
         p = initial.decay_exponent
         if p is None:
@@ -211,18 +226,21 @@ def make_initial(initial: InitialData, grid: GridSpec) -> SpectralField:
     if initial.kind == "snapshot":
         from .io import read_snapshot  # local import: io sits above the solver
 
-        field, _meta = read_snapshot(initial.path)
+        field, meta = read_snapshot(initial.path)
         if field.grid != grid:
-            raise GridError(
+            raise SnapshotMismatchError(
                 f"snapshot grid (dim={field.grid.dim}, N={field.grid.N}) does not "
                 f"match configured grid (dim={grid.dim}, N={grid.N})"
             )
+        if params is not None:
+            for name in ("alpha", "nu", "s"):
+                have, want = getattr(meta, name), getattr(params, name)
+                if have != want:
+                    raise SnapshotMismatchError(
+                        f"snapshot {name} = {have!r} does not match configured {name} = {want!r}"
+                    )
         return field * amp
     raise ValueError(f"unknown initial-data kind: {initial.kind!r}")
-
-
-def _from_phys(phys: np.ndarray, grid: GridSpec) -> SpectralField:
-    return to_spectral(phys, grid)
 
 
 class _Propagator:
@@ -315,7 +333,11 @@ def run(
     grid, params = config.grid, config.params
     alpha = params.alpha
 
-    u0 = initial_field if initial_field is not None else make_initial(config.initial, grid)
+    u0 = (
+        initial_field
+        if initial_field is not None
+        else make_initial(config.initial, grid, params)
+    )
     if config.galerkin_N is not None:
         u0 = galerkin_truncate(u0, config.galerkin_N)
     state = v_from_u(u0, alpha) if form == "v" else u0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,6 +127,13 @@ _KNOWN_KEYS = _REQUIRED_KEYS + (
 )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def parse_config(path: str | Path) -> SimConfig:
     """Parse a key = value config file into a validated SimConfig.
 
@@ -170,13 +178,13 @@ def parse_config(path: str | Path) -> SimConfig:
     n = take("N", int)
     grid = wrap("N", lambda: make_grid(dim, n))
 
-    alpha = take("alpha", float)
+    alpha = take("alpha", _finite_float)
     if alpha < 0:
         raise BadValueError("alpha", raw["alpha"][1], "alpha must be nonnegative")
-    nu = take("nu", float)
+    nu = take("nu", _finite_float)
     if nu <= 0:
         raise BadValueError("nu", raw["nu"][1], "nu must be positive")
-    s = take("s", float)
+    s = take("s", _finite_float)
     if not 0.0 < s < 1.0:
         raise BadValueError("s", raw["s"][1], "s must lie in (0, 1)")
     params = Params(alpha=alpha, nu=nu, s=s, regime=infer_regime(dim, s))
@@ -186,7 +194,7 @@ def parse_config(path: str | Path) -> SimConfig:
         kind = SchemeKind(scheme_name)
     except ValueError:
         raise BadValueError("scheme", raw["scheme"][1], f"unknown scheme {scheme_name!r}") from None
-    scheme = wrap("dt", lambda: StepScheme(kind=kind, dt=take("dt", float)))
+    scheme = wrap("dt", lambda: StepScheme(kind=kind, dt=take("dt", _finite_float)))
 
     init_spec = take("init", str)
     kind_name, _, snap_path = init_spec.partition(":")
@@ -197,9 +205,9 @@ def parse_config(path: str | Path) -> SimConfig:
         "init",
         lambda: InitialData(
             kind=kind_name,
-            amplitude=take("amplitude", float, 1.0),
+            amplitude=take("amplitude", _finite_float, 1.0),
             seed=take("seed", int, 0),
-            decay_exponent=take("decay_exponent", float),
+            decay_exponent=take("decay_exponent", _finite_float),
             band=take("band", int),
             path=snap_path.strip() or None,
         ),
@@ -211,7 +219,7 @@ def parse_config(path: str | Path) -> SimConfig:
             grid=grid,
             params=params,
             scheme=scheme,
-            t_end=take("t_end", float),
+            t_end=take("t_end", _finite_float),
             initial=initial,
             galerkin_N=take("galerkin_N", int),
             snapshot_every=take("snapshot_every", int, 1),

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import diagnostics
 from .errors import NoContractionError
@@ -61,7 +60,11 @@ class HolderClass:
 
 @dataclass
 class PicardState:
-    """History of the fixed-point iteration."""
+    """History of the fixed-point iteration.
+
+    iterates holds only the current sweep (the node fields of the returned
+    trajectory), as a one-element list; earlier sweeps are not kept.
+    """
 
     iterates: list[list[SpectralField]]
     increments_linf: list[float]   # sup_t ||u^(j) - u^(j-1)||_{D(A)}
@@ -166,7 +169,7 @@ def picard_solve(
         diffs = [nxt[i] - cur[i] for i in range(len(t_mesh))]
         inc_linf = max(norm_DAr(d, 1.0) for d in diffs)
         inc_prof = np.array([norm_DAr(frac_stokes_apply(d, sp2), 0.0) ** 2 for d in diffs])
-        inc_l2 = float(np.sqrt(trapezoid(inc_prof, t_mesh)))
+        inc_l2 = float(np.sqrt(np.trapezoid(inc_prof, t_mesh)))
 
         if state.increments_linf and not np.isfinite(inc_linf):
             raise NoContractionError("Picard increment became non-finite")
@@ -181,7 +184,7 @@ def picard_solve(
 
         state.increments_linf.append(inc_linf)
         state.increments_l2.append(inc_l2)
-        state.iterates.append(nxt)
+        state.iterates = [nxt]
         state.n_iter += 1
         cur = nxt
         if inc_linf < stop:

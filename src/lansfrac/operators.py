@@ -11,6 +11,16 @@ are formed pointwise in physical space with 2/3-dealiased inputs and outputs,
 so the discrete nonlinearity annihilates the H^1_alpha energy pairing to
 rounding for band-limited fields.
 
+Three implementations of the nonlinearity live here:
+
+- ``rhs_f``, the production kernel, evaluates f(u, u) in rotational
+  filtered-momentum form, -(1 + alpha^2 A)^{-1} P[(curl v) x u] with
+  v = (1 + alpha^2 A) u.
+- ``stress_form_f`` is the paper's gradient-stress definition of the
+  bilinear f; it is the reference the kernel is tested against.
+- ``v_nonlinearity`` is the transport + stretch form of the v-equation that
+  ``run(form="v")`` steps, the independent side of the u/v equivalence.
+
 Index conventions: (grad u)_{ij} = d_j u_i, matrix products contract adjacent
 indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 """
@@ -18,6 +28,7 @@ indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,17 +48,9 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class RhsEval:
-    """Value of f(u1, u2), optionally with the two pieces kept for diagnostics."""
+    """Value of f(u1, u2)."""
 
     f: SpectralField
-    advection: SpectralField | None = None
-    stress: SpectralField | None = None
-
-
-def gradient(field: SpectralField) -> np.ndarray:
-    """Spectral gradient tensor, shape (dim, dim) + grid: [i, j] = d_j u_i."""
-    grid = field.grid
-    return 1j * grid.k[np.newaxis, :] * field.coeffs[:, np.newaxis]
 
 
 def _dealiased(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -70,103 +73,120 @@ def _vel_grad_phys(u: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     return phys[:dim], phys[dim:].reshape((dim, dim) + grid.shape)
 
 
-def _advect_coeffs(vel: np.ndarray, grad: np.ndarray, grid: GridSpec) -> np.ndarray:
-    prod = np.einsum("j...,ij...->i...", vel, grad)
-    return _product_coeffs(prod, grid)
+@dataclass(frozen=True)
+class _RotationalTables:
+    """Per-mode multipliers of the rotational kernel for one (grid, alpha)."""
+
+    ikv: np.ndarray    # i k (1 + alpha^2 |k|^2) on the band: curl of v read off u
+    khat: np.ndarray   # k / |k|, zero at k = 0: the Leray projection
+    out: np.ndarray    # -(1 + alpha^2 |k|^2)^{-1} on the band, zero at k = 0 (mean pin)
 
 
-def _stress_tensor_phys(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("ik...,jk...->ij...", g1, g2)
-        + np.einsum("ik...,kj...->ij...", g1, g2)
-        - np.einsum("ki...,kj...->ij...", g1, g2)
+@lru_cache(maxsize=8)
+def _rotational_tables(grid: GridSpec, alpha: float) -> _RotationalTables:
+    helm = 1.0 + alpha**2 * grid.k2
+    mask = grid.dealias_mask
+    kabs = np.sqrt(grid.k2)
+    khat = grid.k / np.where(kabs > 0, kabs, 1.0)
+    out = np.where(mask, -1.0 / helm, 0.0)
+    out[(0,) * grid.dim] = 0.0
+    tables = _RotationalTables(ikv=1j * grid.k * (helm * mask), khat=khat, out=out)
+    for arr in (tables.ikv, tables.khat, tables.out):
+        arr.setflags(write=False)
+    return tables
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise a x b; a with one component is the scalar (2D) curl a e_z."""
+    if a.shape[0] == 1:
+        return np.stack([-a[0] * b[1], a[0] * b[0]])
+    return np.stack(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
     )
 
 
-def _stress_coeffs(tens_hat: np.ndarray, grid: GridSpec, alpha: float) -> np.ndarray:
-    div = np.einsum("j...,ij...->i...", 1j * grid.k, tens_hat)
-    return _dealiased(div, grid) * (alpha**2 / (1.0 + alpha**2 * grid.k2))
+def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
+    """f(u, u) = -(1 + alpha^2 A)^{-1} P[(curl v) x u], v = (1 + alpha^2 A) u.
 
+    This is the production nonlinearity, in rotational filtered-momentum form:
+    u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
+    removed by the projection. One call makes one stacked inverse transform
+    of the dealiased u and of curl v, and one forward transform of the cross
+    product: 3 + 2 fields in 2D (the curl is a scalar), 6 + 3 in 3D.
 
-def advect(u1: SpectralField, u2: SpectralField) -> SpectralField:
-    """Pseudo-spectral advection (u1 . grad) u2."""
-    _check_same_grid(u1, u2)
-    grid = u1.grid
-    vel = coeffs_to_phys(_dealiased(u1.coeffs, grid), grid.dim)
-    grad = coeffs_to_phys(_dealiased(gradient(u2), grid), grid.dim)
-    return SpectralField.from_coeffs(grid, _advect_coeffs(vel, grad, grid))
-
-
-def u_alpha(u1: SpectralField, u2: SpectralField, alpha: float) -> SpectralField:
-    """Averaged stress alpha^2 (1-alpha^2 Lap)^{-1} div[G1 G2^T + G1 G2 - G1^T G2]."""
-    _check_same_grid(u1, u2)
-    grid = u1.grid
-    g1 = coeffs_to_phys(_dealiased(gradient(u1), grid), grid.dim)
-    g2 = coeffs_to_phys(_dealiased(gradient(u2), grid), grid.dim)
-    tens_hat = phys_to_coeffs(_stress_tensor_phys(g1, g2), grid.dim)
-    return SpectralField.from_coeffs(grid, _stress_coeffs(tens_hat, grid, alpha))
-
-
-def stokes_project_alpha(w: SpectralField, alpha: float) -> SpectralField:
-    """Regularized Stokes projector; reduces to Leray projection on the torus."""
-    del alpha  # scalar multiplier (1 - alpha^2 Lap) commutes with the projection
-    return leray_project(w)
-
-
-def rhs_f(
-    u1: SpectralField,
-    u2: SpectralField,
-    params: Params,
-    keep_parts: bool = False,
-) -> RhsEval:
-    """f(u1, u2) = -P_alpha[u1.grad(u2) + U_alpha(u1, u2)]; solenoidal, zero-mean.
-
-    The transforms of both quadratic terms are batched, and the shared
-    gradient is reused when u1 and u2 are the same object (the common case
-    while stepping), so one evaluation costs two stacked FFT sweeps.
+    It equals the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)]
+    exactly only on the diagonal u1 = u2, which is every call the solver
+    makes. Off the diagonal it is the rotational polarization
+    -(1 + alpha^2 A)^{-1} P[u1.grad(v2) + (grad u1)^T v2], with u1 as the
+    velocity and v2 = (1 + alpha^2 A) u2; ``stress_form_f`` computes the
+    paper's bilinear form.
     """
     _check_same_grid(u1, u2)
     grid = u1.grid
     dim = grid.dim
-    vel1, g1 = _vel_grad_phys(u1)
-    if u2 is u1:
-        g2 = g1
+    tab = _rotational_tables(grid, params.alpha)
+    c = u2.coeffs
+    if dim == 2:
+        curl_hat = (tab.ikv[0] * c[1] - tab.ikv[1] * c[0])[np.newaxis]
     else:
-        g2 = coeffs_to_phys(_dealiased(gradient(u2), grid), dim)
+        curl_hat = _cross(tab.ikv, c)
+    phys = coeffs_to_phys(np.concatenate([_dealiased(u1.coeffs, grid), curl_hat]), dim)
+    prod_hat = phys_to_coeffs(_cross(phys[dim:], phys[:dim]), dim)
 
-    adv_phys = np.einsum("j...,ij...->i...", vel1, g2)
-    tens_phys = _stress_tensor_phys(g1, g2)
-    stacked = phys_to_coeffs(
-        np.concatenate([adv_phys, tens_phys.reshape((dim * dim,) + grid.shape)]),
-        dim,
-    )
-    adv_hat = _dealiased(stacked[:dim], grid)
-    stress_hat = _stress_coeffs(stacked[dim:].reshape((dim, dim) + grid.shape), grid, params.alpha)
-
-    # Projecting twice is a no-op analytically but keeps the divergence
-    # residual eps-relative to f itself even when the projection cancels
-    # almost all of the nonlinearity (shear-like flows).
-    out = -(leray_project(leray_project(SpectralField.from_coeffs(grid, adv_hat + stress_hat))))
-    # The mean is annihilated analytically (divergence structure);
-    # pin it to exactly zero so it cannot drift over long runs.
-    coeffs = np.array(out.coeffs)
-    coeffs[(slice(None),) + (0,) * dim] = 0.0
+    filtered = tab.out * prod_hat
+    coeffs = filtered - tab.khat * np.sum(tab.khat * filtered, axis=0)
+    # A second pass is a no-op analytically but keeps the divergence residual
+    # eps-relative to f itself when the projection removes almost all of the
+    # product, as it does near an oblique shear.
+    coeffs -= tab.khat * np.sum(tab.khat * coeffs, axis=0)
     f = SpectralField.from_coeffs(grid, coeffs)
     if __debug__ and np.all(np.isfinite(coeffs)):
         # stripped under python -O; f must be divergence-free and mean-free
         # unless the projection annihilated the nonlinearity entirely, in
         # which case f is rounding dust and has no certifiable direction.
         # Non-finite values are left to the integrator's divergence detector.
-        pre = float(np.sqrt(np.sum(np.abs(adv_hat + stress_hat) ** 2)))
+        pre = float(np.sqrt(np.sum(np.abs(filtered) ** 2)))
         post = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
         assert f.zero_mean and (f.solenoidal or post <= 1e-12 * max(pre, 1e-300))
-    if keep_parts:
-        return RhsEval(
-            f=f,
-            advection=SpectralField.from_coeffs(grid, adv_hat),
-            stress=SpectralField.from_coeffs(grid, stress_hat),
-        )
     return RhsEval(f=f)
+
+
+def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField:
+    """Oracle: the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)].
+
+    U_alpha(u1, u2) = alpha^2 (1 - alpha^2 Lap)^{-1} div[G1 G2^T + G1 G2 - G1^T G2]
+    with Gi = grad(ui), and P_alpha reduces to the Leray projection P on the
+    torus. This gradient-stress form is the paper's definition of the
+    bilinear f, off the diagonal too; it transforms 12 + 12 fields in 3D and
+    is kept as the independent reference for ``rhs_f``.
+    """
+    _check_same_grid(u1, u2)
+    grid = u1.grid
+    dim = grid.dim
+    vel1, g1 = _vel_grad_phys(u1)
+    g2 = g1 if u2 is u1 else _vel_grad_phys(u2)[1]
+    adv = np.einsum("j...,ij...->i...", vel1, g2)
+    tens = (
+        np.einsum("ik...,jk...->ij...", g1, g2)
+        + np.einsum("ik...,kj...->ij...", g1, g2)
+        - np.einsum("ki...,kj...->ij...", g1, g2)
+    )
+    stacked = phys_to_coeffs(
+        np.concatenate([adv, tens.reshape((dim * dim,) + grid.shape)]), dim
+    )
+    div = np.einsum(
+        "j...,ij...->i...", 1j * grid.k, stacked[dim:].reshape((dim, dim) + grid.shape)
+    )
+    alpha2 = params.alpha**2
+    hat = _dealiased(stacked[:dim] + div * (alpha2 / (1.0 + alpha2 * grid.k2)), grid)
+    # Projecting twice is a no-op analytically but keeps the divergence
+    # residual eps-relative to f itself even when the projection cancels
+    # almost all of the nonlinearity (shear-like flows).
+    out = -(leray_project(leray_project(SpectralField.from_coeffs(grid, hat))))
+    # The mean is annihilated analytically (divergence structure); pin it.
+    coeffs = np.array(out.coeffs)
+    coeffs[(slice(None),) + (0,) * dim] = 0.0
+    return SpectralField.from_coeffs(grid, coeffs)
 
 
 def h1_alpha_pairing(u: SpectralField, f: SpectralField, alpha: float) -> float:

@@ -2,11 +2,10 @@
 
 Fields live on the periodic box [0, 2pi)^dim and are stored as coefficients of
 the synthesis u(x) = sum_k uhat(k) exp(i k.x) with integer wavevectors k, so
-every operator here (Leray projection, fractional Stokes powers, Helmholtz
-inverse, dissipative semigroup) is a diagonal multiplier on the coefficient
-array. Norms and inner products carry the (2pi)^dim measure factor and
-therefore report physical L^2([0, 2pi]^dim) values; Parseval is exact for
-band-limited fields.
+every operator here (Leray projection, fractional Stokes powers, dissipative
+semigroup) is a diagonal multiplier on the coefficient array. Norms and
+inner products carry the (2pi)^dim measure factor and therefore report
+physical L^2([0, 2pi]^dim) values; Parseval is exact for band-limited fields.
 
 Everything is a pure function of its inputs; fields are immutable (the
 coefficient buffers are write-protected). Transforms go through scipy's
@@ -16,6 +15,7 @@ results are bitwise identical for any worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _field
 from enum import Enum
 from functools import cached_property
@@ -133,6 +133,9 @@ class Params:
     regime: Regime = Regime.UNRESTRICTED
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "nu", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.nu <= 0:
@@ -169,14 +172,12 @@ def _spatial_axes(dim: int) -> tuple[int, ...]:
 
 def phys_to_coeffs(phys: np.ndarray, dim: int) -> np.ndarray:
     """Fourier coefficients of a physical-space array (spatial axes last)."""
-    n_total = phys.shape[-1] ** dim
-    return _fft.fftn(phys, axes=_spatial_axes(dim), workers=-1) / n_total
+    return _fft.fftn(phys, axes=_spatial_axes(dim), norm="forward", workers=-1)
 
 
 def coeffs_to_phys(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Physical-space samples of coefficient arrays; imaginary part dropped."""
-    n_total = coeffs.shape[-1] ** dim
-    return _fft.ifftn(coeffs * n_total, axes=_spatial_axes(dim), workers=-1).real
+    return _fft.ifftn(coeffs, axes=_spatial_axes(dim), norm="forward", workers=-1).real
 
 
 def reflect_conj(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -328,11 +329,6 @@ def frac_stokes_apply(field: SpectralField, r: float) -> SpectralField:
         raise MeanModeError("A^r with r < 0 requires a zero-mean field")
     base = field if field.solenoidal else leray_project(field)
     return field.copy_with(base.coeffs * stokes_multiplier(field.grid.k2, r))
-
-
-def helmholtz_inverse(field: SpectralField, alpha: float) -> SpectralField:
-    """(1 - alpha^2 Laplacian)^{-1}: divide each mode by 1 + alpha^2 |k|^2."""
-    return field.copy_with(field.coeffs / (1.0 + alpha**2 * field.grid.k2))
 
 
 def semigroup_factor(grid: GridSpec, t: float, params: Params) -> np.ndarray:

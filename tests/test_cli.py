@@ -1,7 +1,15 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lansfrac import DiagRecord, Trajectory
 from lansfrac.cli import main
 from lansfrac.io import sha256_file
 
@@ -162,3 +170,79 @@ def test_manifest_echoes_regime(tmp_path):
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["regime"] == "global"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("nu", "nan"), ("dt", "nan"), ("t_end", "inf"), ("alpha", "inf"),
+     ("amplitude", "nan"), ("s", "-inf"), ("decay_exponent", "inf")],
+)
+def test_simulate_rejects_non_finite_values(tmp_path, capsys, key, value):
+    text = "\n".join(
+        line for line in SMALL_CFG.splitlines() if not line.startswith(f"{key} =")
+    )
+    cfg = write(tmp_path, f"{text}\n{key} = {value}\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def _first_snapshot(tmp_path, text):
+    out = tmp_path / "first"
+    assert main(["simulate", write(tmp_path, text, "first.cfg"), "--out-dir", str(out)]) == 0
+    return out / "snapshot_000000.flns"
+
+
+def test_restart_from_snapshot_with_other_alpha(tmp_path, capsys):
+    snap = _first_snapshot(tmp_path, SMALL_CFG.replace("alpha = 0.5", "alpha = 0.9"))
+    restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")
+    cfg = write(tmp_path, restart, "restart.cfg")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "alpha" in capsys.readouterr().err
+    cfg = write(tmp_path, restart.replace("alpha = 0.5", "alpha = 0.9"), "same.cfg")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "same")]) == 0
+
+
+def test_restart_from_snapshot_on_other_grid(tmp_path):
+    snap = _first_snapshot(tmp_path, SMALL_CFG)
+    restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")
+    cfg = write(tmp_path, restart.replace("N = 32", "N = 16"), "restart.cfg")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+# Random config text: a valid config followed by lines that override its keys
+# with numbers, non-finite spellings or junk, and by junk lines. N takes only
+# small or malformed values, so a config that parses never builds a large grid.
+_KEYS = ("dim", "alpha", "nu", "s", "dt", "t_end", "init", "scheme", "galerkin_N",
+         "snapshot_every", "amplitude", "seed", "decay_exponent", "band", "out_dir")
+_JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r="),
+                max_size=12)
+_VALUE = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "2", "3", "0.75", "1e-3",
+                     "shear", "random", "taylor-green", "snapshot:", "exp-euler"]),
+    _JUNK,
+)
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_KEYS), _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["8", "16", "7", "0", "-8", "1e2", "nan", ""]).map(lambda v: f"N = {v}"),
+    _JUNK,
+)
+
+
+def _one_step_trajectory(config, **_kwargs):
+    record = DiagRecord(t=0.0, E0=0.0, E1=0.0, D=0.0, nDA=0.0, n1ps2=0.0, cancel=0.0)
+    return Trajectory(times=np.array([0.0]), snapshots=[], diag=[record])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_LINE, max_size=20))
+def test_random_config_text_exits_zero_or_two(lines):
+    # only the config handling is under test: the time loop is replaced by a
+    # one-record trajectory, so an accepted config costs no solve
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(SMALL_CFG + "\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch("lansfrac.cli.run", _one_step_trajectory):
+            code = main(["simulate", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2)

@@ -21,6 +21,8 @@ from lansfrac import (
     semigroup_apply,
     step,
     suggest_dt,
+    to_physical,
+    to_spectral,
 )
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import _times_for
@@ -101,15 +103,20 @@ def test_galerkin_rejects_bad_cut(grid2):
 def test_galerkin_projection_order_irrelevant_for_band_limited(grid2, params):
     # open question: truncating after the full rhs equals projecting the
     # nonlinearity before the Stokes projector, since the cutoff commutes
-    # with every multiplier; band-limited data makes both sides exact
-    from lansfrac.operators import rhs_f
-    from lansfrac.spectral import leray_project
+    # with every multiplier; band-limited data makes both sides exact. The
+    # unprojected nonlinearity is (1 + a^2 A)^{-1} of the dealiased product
+    # (curl v) x u, formed here from physical samples.
+    from lansfrac.operators import rhs_f, u_from_v, v_from_u
+    from lansfrac.spectral import coeffs_to_phys, leray_project
 
     u = dealias(random_field(grid2, seed=4, band=5))
     cut = 7
     after = galerkin_truncate(rhs_f(u, u, params).f, cut)
-    ev = rhs_f(u, u, params, keep_parts=True)
-    before = -(leray_project(galerkin_truncate(ev.advection + ev.stress, cut)))
+    v = v_from_u(u, params.alpha).coeffs
+    w = coeffs_to_phys(1j * (grid2.k[0] * v[1] - grid2.k[1] * v[0]), 2)
+    vel = to_physical(u)
+    product = dealias(to_spectral(np.stack([-w * vel[1], w * vel[0]]), grid2))
+    before = -(leray_project(galerkin_truncate(u_from_v(product, params.alpha), cut)))
     assert rel_err(after.coeffs, before.coeffs) < 1e-13
 
 

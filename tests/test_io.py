@@ -244,12 +244,12 @@ def test_manifest_checksums_recomputable(tmp_path):
 
 def test_snapshot_initial_grid_mismatch(tmp_path, grid2):
     from lansfrac import InitialData, make_initial
-    from lansfrac.errors import GridError
+    from lansfrac.errors import SnapshotMismatchError
 
     u = random_field(grid2, seed=10)
     snap = tmp_path / "u0.flns"
     write_snapshot(u, META, snap)
-    with pytest.raises(GridError):
+    with pytest.raises(SnapshotMismatchError):
         make_initial(InitialData(kind="snapshot", path=str(snap)), make_grid(2, 64))
 
 

@@ -24,7 +24,7 @@ from lansfrac import (
 )
 from lansfrac.errors import NoContractionError
 from lansfrac.mild import _duhamel_sweep
-from lansfrac.operators import rhs_f
+from lansfrac.operators import stress_form_f
 from lansfrac.spectral import zero_field
 
 from conftest import random_field, rel_err, single_mode_field
@@ -250,7 +250,8 @@ def test_semigroup_difference_operator_norm_bound(grid2):
 
 def test_critical_bilinear_f_bound(grid2):
     # t^{1/2} ||f(w1,w2)(t)||_{D(A^{1-s/2})} / (R1 R2) stays bounded for
-    # semigroup class members
+    # semigroup class members; the bound is on the paper's bilinear f, which
+    # off the diagonal is the stress-form oracle
     p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
     u1 = dealias(random_field(grid2, seed=11, amplitude=1.0, decay=3.01))
     u2 = dealias(random_field(grid2, seed=12, amplitude=1.0, decay=3.01))
@@ -260,7 +261,7 @@ def test_critical_bilinear_f_bound(grid2):
     for t in np.geomspace(1e-3, 1.0, 24):
         w1 = semigroup_apply(u1, float(t), p)
         w2 = semigroup_apply(u2, float(t), p)
-        f = rhs_f(w1, w2, p).f
+        f = stress_form_f(w1, w2, p)
         sups.append(np.sqrt(t) * norm_DAr(f, 1.0 - p.s / 2.0) / (r1 * r2))
     assert np.all(np.isfinite(sups))
     assert max(sups) < 1.0  # measured ~0.0x for this ensemble; loose cap

@@ -1,4 +1,11 @@
-"""Nonlinear-term tests: hand-computed flows, FD oracles, cancellation."""
+"""Nonlinear-term tests: hand-computed flows, FD oracles, cancellation.
+
+rhs_f is the production kernel (rotational filtered-momentum form).
+stress_form_f is the paper's bilinear f in gradient-stress form: the
+transport u1.grad(u2) and the averaged stress U_alpha(u1, u2) built from the
+gradients of both arguments. The analytic and finite-difference checks of the
+gradient, the advection and U_alpha run through it.
+"""
 
 import numpy as np
 import pytest
@@ -6,10 +13,8 @@ import pytest
 from lansfrac import (
     InitialData,
     Params,
-    advect,
     dealias,
     frac_stokes_apply,
-    gradient,
     l2_norm,
     leray_project,
     make_grid,
@@ -17,16 +22,16 @@ from lansfrac import (
     norm_DAr,
     rhs_f,
     rhs_v,
-    stokes_project_alpha,
+    stress_form_f,
     to_physical,
     to_spectral,
-    u_alpha,
     u_from_v,
     v_from_u,
+    v_nonlinearity,
 )
-from lansfrac.errors import InconsistentPairError
+from lansfrac.errors import GridError, InconsistentPairError
 from lansfrac.operators import h1_alpha_pairing
-from lansfrac.spectral import SpectralField, coeffs_to_phys
+from lansfrac.spectral import SpectralField
 
 from conftest import embed_band_coeffs, random_band_block, random_field, rel_err
 
@@ -39,22 +44,20 @@ def taylor_green(grid, amplitude=1.0):
     return make_initial(InitialData(kind="taylor-green", amplitude=amplitude), grid)
 
 
-# ---------------------------------------------------------------- gradient
-
-def test_gradient_shear(grid2):
-    u = shear(grid2)
-    g = coeffs_to_phys(gradient(u), 2)
-    y = grid2.x[1]
-    assert np.max(np.abs(g[0, 1] - np.cos(y))) < 1e-13  # d_y u_1
-    for i, j in [(0, 0), (1, 0), (1, 1)]:
-        assert np.max(np.abs(g[i, j])) < 1e-13
+def cross_wave(grid):
+    """(0, sin x): paired with the shear (sin y, 0) it gives f in closed form."""
+    x = grid.x[0]
+    return to_spectral(np.stack([np.zeros_like(x), np.sin(x)]), grid)
 
 
-def test_gradient_constant_is_zero(grid2):
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
-    coeffs[:, 0, 0] = (1.0, 2.0)
-    f = SpectralField.from_coeffs(grid2, coeffs)
-    assert np.max(np.abs(gradient(f))) == 0.0
+def tg_profile(grid):
+    x, y = grid.x
+    return np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
+
+
+def stress_coefficient(alpha):
+    """U_alpha of a |k| = 1 gradient pair carries alpha^2 / (1 + 2 alpha^2)."""
+    return alpha**2 / (1 + 2 * alpha**2)
 
 
 def _fd_gradient(phys, dx):
@@ -63,142 +66,172 @@ def _fd_gradient(phys, dx):
     out = np.empty((dim, dim) + phys.shape[1:])
     for i in range(dim):
         for j in range(dim):
-            ax = j + 1
-            out[i, j] = (np.roll(phys[i], -1, axis=ax - 1) - np.roll(phys[i], 1, axis=ax - 1)) / (2 * dx)
+            out[i, j] = (np.roll(phys[i], -1, axis=j) - np.roll(phys[i], 1, axis=j)) / (2 * dx)
     return out
 
 
-def test_gradient_matches_fd_at_order_two():
-    block = random_band_block(2, 3, seed=5)
+def _fd_stress_form_f(u1, u2, alpha):
+    """f(u1, u2) with every derivative taken by centered differences.
+
+    The gradients and the stress divergence are second-order differences;
+    the Helmholtz inverse and the Leray projection are the exact multipliers.
+    """
+    g = u1.grid
+    p1, p2 = to_physical(u1), to_physical(u2)
+    g1, g2 = _fd_gradient(p1, g.dx), _fd_gradient(p2, g.dx)
+    adv = np.einsum("j...,ij...->i...", p1, g2)
+    tens = (
+        np.einsum("ik...,jk...->ij...", g1, g2)
+        + np.einsum("ik...,kj...->ij...", g1, g2)
+        - np.einsum("ki...,kj...->ij...", g1, g2)
+    )
+    div = np.empty_like(p1)
+    for i in range(g.dim):
+        div[i] = sum(
+            (np.roll(tens[i, j], -1, axis=j) - np.roll(tens[i, j], 1, axis=j)) / (2 * g.dx)
+            for j in range(g.dim)
+        )
+    stress = alpha**2 * u_from_v(to_spectral(div, g), alpha)
+    return -leray_project(to_spectral(adv, g) + stress)
+
+
+def _fd_error_ratio(alpha, seeds):
+    """FD-oracle error of stress_form_f at N = 32 over N = 64; 4 at order two."""
+    p = Params(alpha=alpha, nu=1.0, s=0.5)
     errs = []
     for n in (32, 64):
         g = make_grid(2, n)
-        u = embed_band_coeffs(block, g)
-        exact = coeffs_to_phys(gradient(u), 2)
-        fd = _fd_gradient(to_physical(u), g.dx)
-        errs.append(np.max(np.abs(fd - exact)))
-    ratio = errs[0] / errs[1]
+        u1, u2 = (embed_band_coeffs(random_band_block(2, 3, seed=sd), g) for sd in seeds)
+        diff = to_physical(stress_form_f(u1, u2, p)) - to_physical(_fd_stress_form_f(u1, u2, alpha))
+        errs.append(np.max(np.abs(diff)))
+    return errs[0] / errs[1]
+
+
+# ---------------------------------------------------------------- gradient
+
+def test_gradient_shear(grid2):
+    # grad(shear) has the single entry d_y u_1 = cos y; it enters the
+    # transport and the stress, and f comes out as a multiple of Taylor-Green
+    u, w = shear(grid2), cross_wave(grid2)
+    for alpha in (0.0, 0.5, 1.0):
+        p = Params(alpha=alpha, nu=1.0, s=0.5)
+        expect = 0.5 * (1 + stress_coefficient(alpha)) * tg_profile(grid2)
+        assert np.max(np.abs(to_physical(stress_form_f(u, w, p)) - expect)) < 1e-13
+        assert np.max(np.abs(to_physical(stress_form_f(w, u, p)) + expect)) < 1e-13
+
+
+def test_gradient_constant_is_zero(grid2, params):
+    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
+    coeffs[:, 0, 0] = (1.0, 2.0)
+    const = SpectralField.from_coeffs(grid2, coeffs)
+    u = random_field(grid2, seed=6)
+    assert np.max(np.abs(stress_form_f(u, const, params).coeffs)) == 0.0
+    assert np.max(np.abs(rhs_f(u, const, params).f.coeffs)) == 0.0
+
+
+def test_gradient_matches_fd_at_order_two():
+    # off the diagonal, so the gradients of both arguments are exercised
+    ratio = _fd_error_ratio(0.5, seeds=(5, 6))
     assert 3.3 < ratio < 4.7  # h^2 convergence under one halving
 
 
 # ----------------------------------------------------------------- advect
+# At alpha = 0 the stress vanishes and f(u1, u2) = -P[u1.grad(u2)].
+
+NO_ALPHA = Params(alpha=0.0, nu=1.0, s=0.5)
+
 
 def test_advect_shear_vanishes(grid2):
     u = shear(grid2)
-    assert l2_norm(advect(u, u)) < 1e-14
+    assert l2_norm(stress_form_f(u, u, NO_ALPHA)) < 1e-14
+    assert l2_norm(rhs_f(u, u, NO_ALPHA).f) < 1e-14
 
 
 def test_advect_taylor_green_analytic(grid2):
-    u = taylor_green(grid2)
-    adv = to_physical(advect(u, u))
+    # TG . grad(shear) = (-cos x sin y cos y, 0), projected onto its
+    # divergence-free part
+    f = to_physical(stress_form_f(taylor_green(grid2), shear(grid2), NO_ALPHA))
     x, y = grid2.x
-    assert np.max(np.abs(adv[0] - 0.5 * np.sin(2 * x))) < 1e-13
-    assert np.max(np.abs(adv[1] - 0.5 * np.sin(2 * y))) < 1e-13
+    assert np.max(np.abs(f[0] - 0.4 * np.cos(x) * np.sin(2 * y))) < 1e-13
+    assert np.max(np.abs(f[1] + 0.2 * np.sin(x) * np.cos(2 * y))) < 1e-13
 
 
 def test_advect_taylor_green_is_pure_gradient(grid2):
+    # 2D TG transport is grad(-(cos 2x + cos 2y)/4): the projection removes it
     u = taylor_green(grid2)
-    adv = advect(u, u)
-    assert l2_norm(leray_project(adv)) < 1e-12 * max(l2_norm(adv), 1.0)
-
-
-def _fd_advect(phys, dx):
-    g = _fd_gradient(phys, dx)
-    return np.einsum("j...,ij...->i...", phys, g)
+    assert l2_norm(stress_form_f(u, u, NO_ALPHA)) < 1e-12
+    assert l2_norm(rhs_f(u, u, NO_ALPHA).f) < 1e-12
 
 
 def test_advect_matches_fd_at_order_two():
-    block = random_band_block(2, 3, seed=9)
-    errs = []
-    for n in (32, 64):
-        g = make_grid(2, n)
-        u = embed_band_coeffs(block, g)
-        spec = to_physical(advect(u, u))
-        fd = _fd_advect(to_physical(u), g.dx)
-        errs.append(np.max(np.abs(fd - spec)))
-    ratio = errs[0] / errs[1]
+    ratio = _fd_error_ratio(0.0, seeds=(9, 9))
     assert 3.3 < ratio < 4.7
 
 
-def test_advect_grid_mismatch(grid2):
-    from lansfrac.errors import GridError
-
+def test_advect_grid_mismatch(grid2, params):
     w = random_field(make_grid(2, 16), seed=1)
     with pytest.raises(GridError):
-        advect(shear(grid2), w)
+        stress_form_f(shear(grid2), w, params)
+    with pytest.raises(GridError):
+        rhs_f(shear(grid2), w, params)
 
 
 # ---------------------------------------------------------------- u_alpha
+# U_alpha is the alpha-dependent part of stress_form_f: f(alpha) - f(0) = -P U_alpha.
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_u_alpha_shear_analytic(grid2, alpha):
-    u = shear(grid2)
-    out = to_physical(u_alpha(u, u, alpha))
-    y = grid2.x[1]
-    expect = alpha**2 / (1 + 4 * alpha**2) * np.sin(2 * y)
-    assert np.max(np.abs(out[1] - expect)) < 1e-13
-    assert np.max(np.abs(out[0])) < 1e-13
+    u, w = shear(grid2), cross_wave(grid2)
+    p = Params(alpha=alpha, nu=1.0, s=0.5)
+    stress = stress_form_f(u, w, p) - stress_form_f(u, w, NO_ALPHA)
+    expect = 0.5 * stress_coefficient(alpha) * tg_profile(grid2)
+    assert np.max(np.abs(to_physical(stress) - expect)) < 1e-13
 
 
 def test_u_alpha_zero_alpha(grid2):
-    u = taylor_green(grid2)
-    assert l2_norm(u_alpha(u, u, 0.0)) == 0.0
+    # at alpha = 0 only the transport is left: compare with the dealiased
+    # pseudo-spectral product built here from physical samples
+    u1 = dealias(random_field(grid2, seed=13))
+    u2 = dealias(random_field(grid2, seed=14))
+    vel = to_physical(u1)
+    grad = [to_physical(u2.copy_with(1j * grid2.k[j] * u2.coeffs)) for j in range(2)]
+    adv = dealias(to_spectral(sum(vel[j] * grad[j] for j in range(2)), grid2))
+    expect = -leray_project(adv)
+    assert rel_err(stress_form_f(u1, u2, NO_ALPHA).coeffs, expect.coeffs) < 1e-13
 
 
 def test_u_alpha_bilinear_scaling(grid2):
     u1 = random_field(grid2, seed=15)
     u2 = random_field(grid2, seed=16)
+    u3 = random_field(grid2, seed=17)
+    p = Params(alpha=0.6, nu=1.0, s=0.5)
     a = 3.7
-    left = u_alpha(a * u1, u2, 0.6)
-    right = u_alpha(u1, u2, 0.6)
-    assert rel_err(left.coeffs, a * right.coeffs) < 1e-12
-    left2 = u_alpha(u1, a * u2, 0.6)
-    assert rel_err(left2.coeffs, a * right.coeffs) < 1e-12
+    right = stress_form_f(u1, u2, p)
+    assert rel_err(stress_form_f(a * u1, u2, p).coeffs, a * right.coeffs) < 1e-12
+    assert rel_err(stress_form_f(u1, a * u2, p).coeffs, a * right.coeffs) < 1e-12
+    split = right + stress_form_f(u1, u3, p)
+    assert rel_err(stress_form_f(u1, u2 + u3, p).coeffs, split.coeffs) < 1e-12
 
 
 def test_u_alpha_matches_fd_at_order_two():
-    from lansfrac import helmholtz_inverse
-
-    block = random_band_block(2, 3, seed=17)
-    alpha = 0.5
-    errs = []
-    for n in (32, 64):
-        g = make_grid(2, n)
-        u = embed_band_coeffs(block, g)
-        spec = to_physical(u_alpha(u, u, alpha))
-        # FD oracle for the differential content: build the gradient-product
-        # tensor and its divergence by centered differences, then apply the
-        # exact diagonal Helmholtz inverse
-        gp = _fd_gradient(to_physical(u), g.dx)
-        tens = (
-            np.einsum("ik...,jk...->ij...", gp, gp)
-            + np.einsum("ik...,kj...->ij...", gp, gp)
-            - np.einsum("ki...,kj...->ij...", gp, gp)
-        )
-        div = np.empty_like(to_physical(u))
-        for i in range(2):
-            div[i] = sum(
-                (np.roll(tens[i, j], -1, axis=j) - np.roll(tens[i, j], 1, axis=j)) / (2 * g.dx)
-                for j in range(2)
-            )
-        fd = alpha**2 * to_physical(helmholtz_inverse(to_spectral(div, g), alpha))
-        errs.append(np.max(np.abs(fd - spec)))
-    ratio = errs[0] / errs[1]
+    ratio = _fd_error_ratio(0.5, seeds=(17, 17))
     assert 3.3 < ratio < 4.7
 
 
 # --------------------------------------------------------- Stokes projector
+# On the torus P_alpha is the Leray projection: (1 - alpha^2 Lap) is a scalar
+# multiplier and commutes with it.
 
 def test_stokes_projector_kills_compressive(grid2):
     from conftest import single_mode_field
 
     f = single_mode_field(grid2, (0, 2), (0, 1.0))
-    assert l2_norm(stokes_project_alpha(f, 0.5)) < 1e-14
+    assert l2_norm(leray_project(f)) < 1e-14
 
 
 def test_stokes_projector_fixes_solenoidal(grid2):
     u = random_field(grid2, seed=23)
-    assert rel_err(stokes_project_alpha(u, 0.5).coeffs, u.coeffs) < 1e-14
+    assert rel_err(leray_project(u).coeffs, u.coeffs) < 1e-14
 
 
 def test_stokes_projector_defining_relation(grid2):
@@ -208,10 +241,9 @@ def test_stokes_projector_defining_relation(grid2):
 
     w = random_hermitian_field(grid2, seed=24)
     alpha = 0.8
-    pw = stokes_project_alpha(w, alpha)
+    pw = leray_project(w)
     assert pw.solenoidal
-    mult = 1.0 + alpha**2 * grid2.k2
-    residual = SpectralField.from_coeffs(grid2, mult * (pw.coeffs - w.coeffs))
+    residual = v_from_u(pw - w, alpha)
     perp = leray_project(residual)
     # remove the k=0 part (projection leaves it, but the relation is modulo gradients)
     scale = np.max(np.abs(residual.coeffs))
@@ -233,12 +265,53 @@ def test_rhs_f_zero_field(grid2, params):
 
 
 def test_rhs_f_flags_and_parts(grid2, params):
+    # the parts of the paper's f (transport and averaged stress, recombined
+    # and projected by the oracle) give the rotational kernel's value
     u = dealias(random_field(grid2, seed=31))
-    ev = rhs_f(u, u, params, keep_parts=True)
-    assert ev.f.solenoidal and ev.f.zero_mean and ev.f.hermitian
-    assert ev.advection is not None and ev.stress is not None
-    recombined = -(leray_project(ev.advection + ev.stress))
-    assert rel_err(recombined.coeffs, ev.f.coeffs) < 1e-13
+    f = rhs_f(u, u, params).f
+    assert f.solenoidal and f.zero_mean and f.hermitian
+    assert rel_err(stress_form_f(u, u, params).coeffs, f.coeffs) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])
+def test_rhs_f_matches_both_oracles_on_the_diagonal(dim, n, alpha):
+    grid = make_grid(dim, n)
+    p = Params(alpha=alpha, nu=1.0, s=0.75)
+    for seed in (500, 501):
+        u = dealias(random_field(grid, seed=seed))
+        f = rhs_f(u, u, p).f
+        assert f.hermitian and f.solenoidal and f.zero_mean
+        assert rel_err(f.coeffs, stress_form_f(u, u, p).coeffs) <= 1e-13
+        v_form = u_from_v(v_nonlinearity(u, v_from_u(u, alpha)), alpha)
+        assert rel_err(f.coeffs, v_form.coeffs) <= 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(2, 64), (3, 16)])
+def test_rhs_f_near_oblique_shear_stays_solenoidal(dim, n):
+    # the projection removes almost all of (curl v) x u here; f must still be
+    # divergence-free relative to its own size
+    grid = make_grid(dim, n)
+    x = grid.x
+    phys = np.zeros((dim,) + grid.shape)
+    phys[0], phys[1] = np.sin(x[0] + 2 * x[1]), -0.5 * np.sin(x[0] + 2 * x[1])
+    base = to_spectral(phys, grid)
+    p = Params(alpha=0.5, nu=1.0, s=0.75)
+    for eps in (1e-3, 1e-5, 1e-7):
+        u = base + eps * dealias(random_field(grid, seed=3))
+        f = rhs_f(u, u, p).f
+        assert f.solenoidal and f.zero_mean
+
+
+def test_rhs_f_off_diagonal_is_the_rotational_polarization(grid2):
+    # -(1 + a^2 A)^{-1} P[u1.grad(v2) + (grad u1)^T v2] for (shear, (0, sin x)):
+    # only the transport survives, so the stress coefficient of the paper's
+    # f is replaced by the Helmholtz factor of v2
+    u, w = shear(grid2), cross_wave(grid2)
+    for alpha in (0.0, 0.5, 1.0):
+        p = Params(alpha=alpha, nu=1.0, s=0.5)
+        expect = 0.5 * (1 + alpha**2) / (1 + 2 * alpha**2) * tg_profile(grid2)
+        assert np.max(np.abs(to_physical(rhs_f(u, w, p).f) - expect)) < 1e-13
 
 
 def test_rhs_f_bilinear_in_each_argument(grid2, params):
@@ -258,13 +331,14 @@ FNORM_BOUND = 0.15  # measured max 0.014 over this fixed ensemble; 10x headroom
 
 def test_rhs_f_unified_spatial_bound(grid2):
     # ||f(u1,u2)||_{D(A^{1-s/2})} <= C ||u1||_{D(A)} ||A^{1/2} u2||_{D(A^{(2-s)/2})}
+    # for the paper's bilinear f, which off the diagonal is stress_form_f
     s = 0.6
     p = Params(alpha=0.5, nu=1.0, s=s)
     ratios = []
     for seed in range(10):
         u1 = dealias(random_field(grid2, seed=100 + seed))
         u2 = dealias(random_field(grid2, seed=200 + seed))
-        f = rhs_f(u1, u2, p).f
+        f = stress_form_f(u1, u2, p)
         num = norm_DAr(f, 1.0 - s / 2.0)
         den = norm_DAr(u1, 1.0) * norm_DAr(frac_stokes_apply(u2, 0.5), (2.0 - s) / 2.0)
         ratios.append(num / den)

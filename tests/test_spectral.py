@@ -9,7 +9,6 @@ from lansfrac import (
     Regime,
     dealias,
     frac_stokes_apply,
-    helmholtz_inverse,
     infer_regime,
     inner,
     l2_norm,
@@ -21,6 +20,7 @@ from lansfrac import (
     to_spectral,
 )
 from lansfrac.errors import GridError, MeanModeError, RegimeViolationError
+from lansfrac.operators import u_from_v
 from lansfrac.spectral import SpectralField, check_regime, stokes_multiplier
 
 from conftest import random_field, random_hermitian_field, rel_err, single_mode_field
@@ -188,24 +188,25 @@ def test_frac_stokes_projects_nonsolenoidal(grid2):
 
 
 # ------------------------------------------------------------- Helmholtz
+# (1 - alpha^2 Lap)^{-1} is u_from_v, the inverse of the filtered momentum map.
 
 def test_helmholtz_single_mode(grid2):
     f = single_mode_field(grid2, (0, 2), (1, 0))  # sin/cos 2y content
     for alpha in (0.3, 1.0):
-        out = helmholtz_inverse(f, alpha)
+        out = u_from_v(f, alpha)
         assert rel_err(out.coeffs, f.coeffs / (1 + 4 * alpha**2)) < 1e-14
 
 
 def test_helmholtz_alpha_zero_identity(grid2):
     f = random_hermitian_field(grid2, seed=31)
-    assert np.array_equal(helmholtz_inverse(f, 0.0).coeffs, f.coeffs)
+    assert np.array_equal(u_from_v(f, 0.0).coeffs, f.coeffs)
 
 
 def test_helmholtz_inverse_pair(grid2):
     f = random_hermitian_field(grid2, seed=32)
     alpha = 0.7
     forward = f.copy_with(f.coeffs * (1.0 + alpha**2 * grid2.k2))
-    assert rel_err(helmholtz_inverse(forward, alpha).coeffs, f.coeffs) < 1e-12
+    assert rel_err(u_from_v(forward, alpha).coeffs, f.coeffs) < 1e-12
 
 
 # -------------------------------------------------------------- semigroup
@@ -332,7 +333,7 @@ def test_leray_commutes_with_multipliers(grid2, params):
     f = random_hermitian_field(grid2, seed=71)
     pairs = [
         (lambda w: frac_stokes_apply(w, 0.6), "stokes"),
-        (lambda w: helmholtz_inverse(w, 0.8), "helmholtz"),
+        (lambda w: u_from_v(w, 0.8), "helmholtz"),
         (lambda w: semigroup_apply(w, 0.2, params), "semigroup"),
     ]
     for op, _name in pairs:
