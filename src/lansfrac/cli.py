@@ -186,8 +186,11 @@ def _cmd_oracle_compare(args) -> int:
     mw = _ManifestWriter(config)
 
     dt = config.scheme.dt
+    try:
+        stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
+    except ValueError as exc:
+        raise ConfigError(f"oracle-compare --T {T}: {exc}") from None
     n = max(8, int(round(T / dt)))
-    stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
     traj = run(stepper_cfg)
     u0 = traj.snapshots[0]
     holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)

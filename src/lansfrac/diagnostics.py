@@ -7,19 +7,22 @@ functions never raise on "bad physics"; they return numbers and let the caller
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import RegimeViolationError
 from .operators import h1_alpha_pairing, rhs_f
 from .spectral import (
+    GridSpec,
     Params,
     Regime,
     SpectralField,
-    frac_stokes_apply,
-    l2_norm,
+    mode_dot,
     norm_DAr,
+    stokes_multiplier,
 )
 
 _TINY = 1e-300
@@ -44,22 +47,42 @@ class DiagRecord:
     cancel: float
 
 
+@lru_cache(maxsize=8)
+def _record_table(grid: GridSpec, alpha: float, s: float) -> np.ndarray:
+    """(5, modes) weights of E0, E1, D, ||u||_{D(A)}^2 and ||A^{1+s/2} u||^2.
+
+    Each is sum_k w(k) |uhat(k)|^2 for a solenoidal u, with w(k) the mode's
+    Stokes multipliers times its multiplicity and the L^2 measure.
+    """
+    k2, a2 = grid.k2, alpha**2
+    rows = np.stack(
+        [
+            np.ones_like(k2),
+            1.0 + a2 * k2,
+            stokes_multiplier(k2, s) + a2 * stokes_multiplier(k2, 1.0 + s),
+            stokes_multiplier(k2, 2.0) + 1.0,
+            stokes_multiplier(k2, 2.0 + s),
+        ]
+    )
+    table = (grid.measure * grid.weight * rows).reshape(5, -1)
+    table.setflags(write=False)
+    return table
+
+
 def record(
     u: SpectralField,
     params: Params,
     t: float,
     f: SpectralField | None = None,
 ) -> DiagRecord:
-    """Diagnostics for one state; pass f = f(u, u) if already evaluated."""
-    a2 = params.alpha**2
-    e0 = l2_norm(u) ** 2
-    e1 = e0 + a2 * l2_norm(frac_stokes_apply(u, 0.5)) ** 2
-    diss = (
-        l2_norm(frac_stokes_apply(u, params.s / 2.0)) ** 2
-        + a2 * l2_norm(frac_stokes_apply(u, (1.0 + params.s) / 2.0)) ** 2
-    )
-    nda = norm_DAr(u, 1.0)
-    n1ps2 = l2_norm(frac_stokes_apply(u, 1.0 + params.s / 2.0))
+    """Diagnostics for one state; pass f = f(u, u) if already evaluated.
+
+    u is read as solenoidal, as every field the solver makes is: the five
+    energies are one weighted sum over |uhat(k)|^2 each.
+    """
+    table = _record_table(u.grid, params.alpha, params.s)
+    e0, e1, diss, nda_sq, n1ps2_sq = map(float, table @ mode_dot(u.coeffs, u.coeffs).ravel())
+    nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
     if f is None:
         f = rhs_f(u, u, params).f
     cancel = abs(h1_alpha_pairing(u, f, params.alpha)) / (nda**3 + _TINY)
@@ -172,5 +195,5 @@ def spectrum(u: SpectralField) -> np.ndarray:
     """
     grid = u.grid
     shells = np.floor(np.sqrt(grid.k2)).astype(int)
-    weights = 0.5 * grid.measure * np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    weights = 0.5 * grid.measure * grid.weight * mode_dot(u.coeffs, u.coeffs)
     return np.bincount(shells.ravel(), weights=weights.ravel())

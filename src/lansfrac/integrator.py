@@ -25,6 +25,7 @@ from .spectral import (
     GridSpec,
     Params,
     SpectralField,
+    half_spectrum,
     leray_project,
     norm_DAr,
     reflect_conj,
@@ -37,6 +38,7 @@ from .spectral import (
 PHI_SWITCH = 1e-4
 DT_CAP = 1.0
 BLOWUP_FACTOR = 1e6
+MAX_STEPS = 2**53  # above it dt * i no longer tells consecutive steps apart
 
 
 class SchemeKind(Enum):
@@ -109,6 +111,11 @@ class SimConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if self.t_end / self.scheme.dt > MAX_STEPS:
+            raise ValueError(
+                f"t_end / dt = {self.t_end / self.scheme.dt:.3g} steps exceeds 2**53, "
+                "the largest step count float64 step times can index"
+            )
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.galerkin_N is not None and not 1 <= self.galerkin_N <= self.grid.N // 2:
@@ -174,8 +181,10 @@ def _random_solenoidal_coeffs(
     shape = (grid.dim,) + grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # Hermitize, project, then pin the per-mode vector modulus to the target
-    # spectrum; every step preserves the conjugate symmetry.
-    herm = 0.5 * (raw + reflect_conj(raw, grid.dim))
+    # spectrum; every step preserves the conjugate symmetry. The draws fill
+    # the full spectrum and the half is kept, so a seed's field does not
+    # depend on the storage layout.
+    herm = half_spectrum(0.5 * (raw + reflect_conj(raw, grid.dim)))
     proj = leray_project(SpectralField.from_coeffs(grid, herm)).coeffs
     modulus = np.sqrt(np.sum(np.abs(proj) ** 2, axis=0))
     target = stokes_multiplier(grid.k2, -decay_exponent / 2.0)
@@ -302,17 +311,21 @@ def suggest_dt(
     return min(DT_CAP, cfl_safety * grid.dx / umax)
 
 
-def _times_for(t_end: float, dt: float) -> np.ndarray:
-    """Step times covering [0, t_end], uniform at dt with an exact final point."""
+def _step_count(t_end: float, dt: float) -> int:
+    """Steps covering [0, t_end], uniform at dt except a shorter last one.
+
+    Step i ends at ``_step_time(i, n, t_end, dt)``: dt * i, and exactly t_end
+    for the last step i = n.
+    """
     if t_end == 0.0:
-        return np.array([0.0])
-    n = int(np.floor(t_end / dt + 1e-9))
-    times = dt * np.arange(n + 1)
-    if t_end - times[-1] > 1e-9 * max(dt, t_end):
-        times = np.append(times, t_end)
-    else:
-        times[-1] = t_end
-    return times
+        return 0
+    n = math.floor(t_end / dt + 1e-9)
+    return n + 1 if t_end - dt * n > 1e-9 * max(dt, t_end) else n
+
+
+def _step_time(i: int, n: int, t_end: float, dt: float) -> float:
+    """End time of step i of n (see _step_count)."""
+    return t_end if i == n else dt * i
 
 
 def run(
@@ -349,7 +362,8 @@ def run(
     else:
         f_eval = lambda w: rhs_f(w, w, params).f
 
-    times = _times_for(config.t_end, config.scheme.dt)
+    dt = config.scheme.dt
+    n_steps = _step_count(config.t_end, dt)
     guard0 = norm_DAr(u0, 1.0)
 
     snapshots = [state]
@@ -372,15 +386,17 @@ def run(
     if on_snapshot is not None:
         on_snapshot(state, 0.0)
 
-    for i in range(len(times) - 1):
-        h = float(times[i + 1] - times[i])
+    t = 0.0
+    for i in range(n_steps):
+        t_next = _step_time(i + 1, n_steps, config.t_end, dt)
+        h = t_next - t
         key = round(h, 15)
         if key not in props:
             props[key] = _Propagator(grid, params, h)
         state = _advance(state, props[key], config.scheme.kind, f_eval, f_u=f_cur)
         if config.galerkin_N is not None:
             state = galerkin_truncate(state, config.galerkin_N)
-        t = float(times[i + 1])
+        t = t_next
 
         if not (state.hermitian and state.solenoidal and state.zero_mean):
             raise DivergedError(
@@ -392,7 +408,7 @@ def run(
 
         f_cur = f_eval(state)
         record_at(state, t, f_cur)
-        last = i + 1 == len(times) - 1
+        last = i + 1 == n_steps
         if (i + 1) % config.snapshot_every == 0 or last:
             snapshots.append(state)
             snap_times.append(t)

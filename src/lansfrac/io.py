@@ -4,7 +4,12 @@ The config grammar is deliberately line-oriented ``key = value`` with ``#``
 comments: zero-dependency parsing and diff-friendly experiment records. The
 snapshot format is a fixed little-endian header (magic "FLNS", version 1)
 followed by the raw complex coefficient payload, components outermost,
-k-indices in FFT-standard order.
+k-indices in FFT-standard order. The payload is the full spectrum: the writer
+expands the stored half spectrum and the reader checks the whole payload for
+conjugate symmetry before it keeps the half.
+
+Every output file is written to a temporary file beside it and renamed over
+it, so a failed write leaves the previous file untouched.
 """
 
 from __future__ import annotations
@@ -13,23 +18,35 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     BadMagicError,
     BadValueError,
+    ConfigError,
     CorruptPayloadError,
     EmptyOutputError,
+    GridError,
     MissingKeyError,
     VersionMismatchError,
 )
 from .integrator import InitialData, SchemeKind, SimConfig, StepScheme
-from .spectral import Params, SpectralField, infer_regime, make_grid, measure_flags
+from .spectral import (
+    HERMITIAN_TOL,
+    Params,
+    SpectralField,
+    full_spectrum,
+    half_spectrum,
+    infer_regime,
+    make_grid,
+    measure_flags,
+)
 
 SNAPSHOT_MAGIC = b"FLNS"
 SNAPSHOT_VERSION = 1
@@ -44,8 +61,22 @@ class SnapshotMeta:
     t: float
 
 
+def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
+    """Write chunks to a temporary file beside path, then rename it to path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -> None:
-    """Write header + complex128 coefficient payload; bit-exact round trip."""
+    """Write header + full-spectrum complex128 payload; bit-exact round trip."""
     grid = field.grid
     header = _HEADER.pack(
         SNAPSHOT_MAGIC,
@@ -57,14 +88,12 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
         meta.s,
         meta.t,
     )
-    payload = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    full = np.ascontiguousarray(full_spectrum(field.coeffs, grid.dim), dtype="<c16")
+    _write_atomic(path, (header, full.data))
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
-    """Read and validate a snapshot: magic, version, payload size, realness."""
+    """Read and validate a snapshot: magic, version, grid, payload size, realness."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise CorruptPayloadError(f"{path}: file shorter than header")
@@ -73,18 +102,29 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise VersionMismatchError(f"{path}: format version {version} != {SNAPSHOT_VERSION}")
-    grid = make_grid(int(dim), int(n))
+    if dim not in (2, 3):
+        raise CorruptPayloadError(f"{path}: header dim {dim} is not 2 or 3")
     expected = dim * n**dim * 16
     payload = blob[_HEADER.size :]
     if len(payload) != expected:
         raise CorruptPayloadError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    coeffs = np.frombuffer(payload, dtype="<c16").reshape((dim,) + grid.shape)
+    try:
+        grid = make_grid(dim, n)
+    except GridError as exc:
+        raise CorruptPayloadError(f"{path}: header grid: {exc}") from None
+    full = np.frombuffer(payload, dtype="<c16").astype(np.complex128, copy=False)
+    full = full.reshape((dim,) + grid.shape)
+    coeffs = half_spectrum(full)
+    # The payload is real iff its kept k_last = 0 and Nyquist planes match
+    # their own mirrors and its discarded half mirrors the kept one.
     herm, _, _ = measure_flags(grid, coeffs)
-    if not herm:
-        raise CorruptPayloadError(f"{path}: coefficients violate hermitian symmetry")
-    field = SpectralField.from_coeffs(grid, coeffs.astype(np.complex128))
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.max(np.abs(full_spectrum(coeffs, dim) - full))
+        if not (herm and drift <= HERMITIAN_TOL * np.max(np.abs(full))):
+            raise CorruptPayloadError(f"{path}: coefficients violate hermitian symmetry")
+    field = SpectralField.from_coeffs(grid, coeffs)
     return field, SnapshotMeta(alpha=alpha, nu=nu, s=s, t=t)
 
 
@@ -111,7 +151,7 @@ def emit_csv(rows: Sequence[Any], path: str | Path) -> None:
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join(_format_value(get(row, n)) for n in names))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, ["\n".join(lines).encode() + b"\n"])
 
 
 _REQUIRED_KEYS = ("dim", "N", "alpha", "nu", "s", "dt", "t_end", "init")
@@ -140,8 +180,16 @@ def parse_config(path: str | Path) -> SimConfig:
     The admissibility regime is inferred from (dim, s) and recorded on the
     returned Params; command-level range gating is the CLI's job.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    except IsADirectoryError:
+        raise ConfigError(f"config {path} is a directory, not a file") from None
     raw: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -276,4 +324,5 @@ def config_echo(config: SimConfig) -> dict[str, Any]:
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
+    text = json.dumps(dataclasses.asdict(manifest), indent=2) + "\n"
+    _write_atomic(path, [text.encode()])

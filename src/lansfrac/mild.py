@@ -103,11 +103,11 @@ def duhamel_integral(
     grid = f_samples[0].grid
     if idx == 0:
         return SpectralField.from_coeffs(
-            grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+            grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
         )
     sub = t_mesh[: idx + 1]
     w = _trapezoid_weights(sub)
-    acc = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    acc = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for j in range(idx + 1):
         fac = semigroup_factor(grid, float(t_eval - sub[j]), params)
         acc += w[j] * fac * f_samples[j].coeffs
@@ -122,7 +122,7 @@ def _duhamel_sweep(
     Uses the semigroup property to update the running integral; identical to
     calling duhamel_integral at every node, at O(mesh) instead of O(mesh^2).
     """
-    out = [np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)]
+    out = [np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)]
     for i in range(1, len(t_mesh)):
         h = float(t_mesh[i] - t_mesh[i - 1])
         e = semigroup_factor(grid, h, params)

@@ -7,6 +7,12 @@ semigroup) is a diagonal multiplier on the coefficient array. Norms and
 inner products carry the (2pi)^dim measure factor and therefore report
 physical L^2([0, 2pi]^dim) values; Parseval is exact for band-limited fields.
 
+Fields are real, so only the half spectrum is stored: the ``rfftn`` layout,
+shape (dim, N, ..., N, N/2+1), with the last wavevector component running over
+0..N/2. Each stored mode with 0 < k_last < N/2 stands for itself and its
+conjugate mirror -k, so every sum over modes carries the multiplicity
+``GridSpec.weight`` (2 there, 1 on the k_last = 0 and k_last = N/2 planes).
+
 Everything is a pure function of its inputs; fields are immutable (the
 coefficient buffers are write-protected). Transforms go through scipy's
 pocketfft with ``workers=-1``: the batched 1-D transforms are independent, so
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as _field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as _fft
@@ -59,8 +65,12 @@ class GridSpec:
     dim : int
         Spatial dimension, 2 or 3.
     N : int
-        Modes per axis; must be even and at least 8. Wavevector components for
-        each axis run over the integers [-N/2, N/2).
+        Modes per axis; must be even and at least 8. Wavevector components
+        run over the integers [-N/2, N/2) on every axis but the last, and over
+        0..N/2 on the last (the half spectrum).
+
+    k2, dealias_mask, weight and each component of k have the half-spectrum
+    shape ``spectral_shape``; ``shape`` and x describe the physical grid.
     """
 
     dim: int
@@ -68,6 +78,7 @@ class GridSpec:
     k: np.ndarray = _field(init=False, repr=False, compare=False)
     k2: np.ndarray = _field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = _field(init=False, repr=False, compare=False)
+    weight: np.ndarray = _field(init=False, repr=False, compare=False)
     x: np.ndarray = _field(init=False, repr=False, compare=False)
 
     period = TWO_PI
@@ -81,22 +92,33 @@ class GridSpec:
             raise GridError(f"N must be at least 8, got {self.N}")
 
         k1 = np.fft.fftfreq(self.N) * self.N  # 0, 1, ..., N/2-1, -N/2, ..., -1
-        axes = np.meshgrid(*([k1] * self.dim), indexing="ij")
+        k_last = np.arange(self.N // 2 + 1)    # 0, 1, ..., N/2
+        axes = np.meshgrid(*([k1] * (self.dim - 1)), k_last, indexing="ij")
         k = np.stack(axes).astype(np.float64)
         k2 = np.sum(k * k, axis=0)
         # 2/3 rule: zero every mode with any |k_i| >= N/3.
         mask = np.all(np.abs(k) < self.N / 3.0, axis=0)
+        w_last = np.full(self.N // 2 + 1, 2.0)
+        w_last[[0, -1]] = 1.0  # the k_last = 0 and Nyquist planes hold their own mirrors
+        weight = np.ascontiguousarray(np.broadcast_to(w_last, k2.shape))
 
         x1 = np.arange(self.N) * (TWO_PI / self.N)
         x = np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
 
-        for name, arr in (("k", k), ("k2", k2), ("dealias_mask", mask), ("x", x)):
+        tables = (("k", k), ("k2", k2), ("dealias_mask", mask), ("weight", weight), ("x", x))
+        for name, arr in tables:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
+        """Physical grid shape, (N,) * dim."""
         return (self.N,) * self.dim
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Half-spectrum shape, (N,) * (dim - 1) + (N/2 + 1,)."""
+        return (self.N,) * (self.dim - 1) + (self.N // 2 + 1,)
 
     @property
     def dx(self) -> float:
@@ -171,31 +193,72 @@ def _spatial_axes(dim: int) -> tuple[int, ...]:
 
 
 def phys_to_coeffs(phys: np.ndarray, dim: int) -> np.ndarray:
-    """Fourier coefficients of a physical-space array (spatial axes last)."""
-    return _fft.fftn(phys, axes=_spatial_axes(dim), norm="forward", workers=-1)
+    """Half-spectrum Fourier coefficients of a real array (spatial axes last)."""
+    return _fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward", workers=-1)
 
 
 def coeffs_to_phys(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Physical-space samples of coefficient arrays; imaginary part dropped."""
-    return _fft.ifftn(coeffs, axes=_spatial_axes(dim), norm="forward", workers=-1).real
+    """Real samples of half-spectrum arrays.
+
+    Whatever part of the k_last = 0 and Nyquist planes does not match its own
+    conjugate mirror is dropped silently; the hermitian flag detects it.
+    """
+    n = coeffs.shape[-dim]
+    return _fft.irfftn(
+        coeffs, s=(n,) * dim, axes=_spatial_axes(dim), norm="forward", workers=-1
+    )
+
+
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a(-k) along the given axes of an fftn-ordered array."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
 
 
 def reflect_conj(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """conj(a(-k)): equals a(k) exactly iff the physical field is real."""
-    out = coeffs
-    for ax in _spatial_axes(dim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return np.conj(out)
+    """conj(a(-k)) over the last dim axes of a full (fftn-layout) spectrum.
+
+    It equals a(k) exactly iff the physical field is real.
+    """
+    return np.conj(_reflect(coeffs, range(-dim, 0)))
+
+
+def full_spectrum(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """The full fftn-layout spectrum of a half spectrum, mirror half by symmetry."""
+    n = coeffs.shape[-dim]
+    tail = coeffs[..., n // 2 - 1 : 0 : -1]  # k_last = N/2-1, ..., 1
+    mirror = np.conj(_reflect(tail, range(-dim, -1)))  # k_last = N/2+1, ..., N-1
+    return np.concatenate([coeffs, mirror], axis=-1)
+
+
+def half_spectrum(full: np.ndarray) -> np.ndarray:
+    """The stored half (k_last = 0..N/2) of a full fftn-layout spectrum."""
+    return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
+
+
+def mode_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_i conj(a_i(k)) b_i(k) per mode of two (components,) + modes arrays."""
+    shape = a.shape
+    a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    b = np.ascontiguousarray(b, dtype=np.complex128).view(np.float64)
+    terms = np.einsum("ij,ij->j", a.reshape(shape[0], -1), b.reshape(shape[0], -1))
+    return (terms[0::2] + terms[1::2]).reshape(shape[1:])  # real and imaginary terms
+
+
+def mode_sum(grid: "GridSpec", per_mode: np.ndarray) -> float:
+    """Sum of a per-mode quantity over the full spectrum: sum_k w(k) q(k)."""
+    return float(np.dot(grid.weight.ravel(), per_mode.ravel()))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Divergence-free vector field stored as Fourier coefficients.
 
-    coeffs has shape (dim,) + (N,)*dim. The boolean flags (hermitian,
-    solenoidal, zero_mean) are measured from the coefficients, not declared;
-    measurement is deferred to first access and cached, so reading a flag is
-    always a checked invariant.
+    coeffs has the half-spectrum shape (dim,) + grid.spectral_shape. The
+    boolean flags (hermitian, solenoidal, zero_mean) are measured from the
+    coefficients, not declared; measurement is deferred to first access and
+    cached, so reading a flag is always a checked invariant.
     """
 
     grid: GridSpec
@@ -204,10 +267,10 @@ class SpectralField:
     @classmethod
     def from_coeffs(cls, grid: GridSpec, coeffs: np.ndarray) -> "SpectralField":
         coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (grid.dim,) + grid.shape:
+        if coeffs.shape != (grid.dim,) + grid.spectral_shape:
             raise GridError(
                 f"coefficient shape {coeffs.shape} does not match grid "
-                f"{(grid.dim,) + grid.shape}"
+                f"{(grid.dim,) + grid.spectral_shape}"
             )
         coeffs.setflags(write=False)
         return cls(grid, coeffs)
@@ -249,15 +312,22 @@ class SpectralField:
 
 
 def measure_flags(grid: GridSpec, coeffs: np.ndarray) -> tuple[bool, bool, bool]:
-    """Measure (hermitian, solenoidal, zero_mean) for a coefficient array."""
+    """Measure (hermitian, solenoidal, zero_mean) for a coefficient array.
+
+    A half spectrum can hold a non-real part only on its k_last = 0 and
+    Nyquist planes, each of which must match its own conjugate mirror, so the
+    hermitian flag compares those two planes alone.
+    """
     scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
     if scale == 0.0:
         return True, True, True
     if not np.all(np.isfinite(coeffs)):
         return False, False, False
-    herm = float(np.max(np.abs(reflect_conj(coeffs, grid.dim) - coeffs)))
+    planes = coeffs[..., [0, -1]]
+    mirror = np.conj(_reflect(planes, range(-grid.dim, -1)))
+    herm = float(np.max(np.abs(mirror - planes)))
     kdot = np.einsum("i...,i...->...", grid.k, coeffs)
-    glob = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+    glob = float(np.sqrt(mode_sum(grid, mode_dot(coeffs, coeffs))))
     sol = float(np.max(np.abs(kdot)))
     mean = float(np.max(np.abs(coeffs[(slice(None),) + (0,) * grid.dim])))
     return (
@@ -274,7 +344,7 @@ def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
 
 def zero_field(grid: GridSpec) -> SpectralField:
     return SpectralField.from_coeffs(
-        grid, np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+        grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     )
 
 
@@ -297,13 +367,14 @@ def to_spectral(phys: np.ndarray, grid: GridSpec) -> SpectralField:
 
 def l2_norm(field: SpectralField) -> float:
     """Physical L^2([0,2pi]^dim) norm."""
-    return float(np.sqrt(field.grid.measure * np.sum(np.abs(field.coeffs) ** 2)))
+    grid = field.grid
+    return float(np.sqrt(grid.measure * mode_sum(grid, mode_dot(field.coeffs, field.coeffs))))
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
     """L^2 inner product of two real fields."""
     _check_same_grid(f, g)
-    return float(f.grid.measure * np.sum(np.conj(f.coeffs) * g.coeffs).real)
+    return f.grid.measure * mode_sum(f.grid, mode_dot(f.coeffs, g.coeffs))
 
 
 def leray_project(field: SpectralField) -> SpectralField:
@@ -323,17 +394,25 @@ def stokes_multiplier(k2: np.ndarray, r: float) -> np.ndarray:
         return np.where(k2 > 0, np.exp(r * np.log(np.where(k2 > 0, k2, 1.0))), 0.0)
 
 
+@lru_cache(maxsize=16)
+def _stokes_table(grid: GridSpec, r: float) -> np.ndarray:
+    """stokes_multiplier(grid.k2, r), computed once per (grid, r)."""
+    table = stokes_multiplier(grid.k2, r)
+    table.setflags(write=False)
+    return table
+
+
 def frac_stokes_apply(field: SpectralField, r: float) -> SpectralField:
     """Fractional Stokes power A^r: Leray projection times the |k|^{2r} multiplier."""
     if r < 0 and not field.zero_mean:
         raise MeanModeError("A^r with r < 0 requires a zero-mean field")
     base = field if field.solenoidal else leray_project(field)
-    return field.copy_with(base.coeffs * stokes_multiplier(field.grid.k2, r))
+    return field.copy_with(base.coeffs * _stokes_table(field.grid, r))
 
 
 def semigroup_factor(grid: GridSpec, t: float, params: Params) -> np.ndarray:
     """Per-mode multiplier exp(-nu t |k|^{2s}) of the dissipative semigroup."""
-    return np.exp(-params.nu * t * stokes_multiplier(grid.k2, params.s))
+    return np.exp(-params.nu * t * _stokes_table(grid, params.s))
 
 
 def semigroup_apply(field: SpectralField, t: float, params: Params) -> SpectralField:
@@ -350,11 +429,11 @@ def norm_DAr(field: SpectralField, r: float | NormSpec) -> float:
     if r == 0.0:
         return l2_norm(field)
     grid = field.grid
-    w = np.abs(field.coeffs) ** 2
-    a_part = grid.measure * np.sum(stokes_multiplier(grid.k2, 2.0 * r) * w)
+    w = mode_dot(field.coeffs, field.coeffs)
+    a_part = grid.measure * mode_sum(grid, _stokes_table(grid, 2.0 * r) * w)
     if r < 0:
         return float(np.sqrt(a_part))
-    return float(np.sqrt(a_part + grid.measure * np.sum(w)))
+    return float(np.sqrt(a_part + grid.measure * mode_sum(grid, w)))
 
 
 def dealias(field: SpectralField) -> SpectralField:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lansfrac import GridSpec, InitialData, Params, Regime, SpectralField, make_grid, make_initial
-from lansfrac.spectral import reflect_conj
+from lansfrac.spectral import full_spectrum, half_spectrum, reflect_conj
 
 
 @pytest.fixture(scope="session")
@@ -55,11 +55,14 @@ def single_mode_field(grid: GridSpec, k: tuple, vec: tuple) -> SpectralField:
     for comp, amp in enumerate(vec):
         coeffs[(comp,) + idx] = amp
     coeffs = 0.5 * (coeffs + reflect_conj(coeffs, grid.dim))
-    return SpectralField.from_coeffs(grid, coeffs)
+    return SpectralField.from_coeffs(grid, half_spectrum(coeffs))
 
 
 def embed_band_coeffs(block: np.ndarray, grid: GridSpec) -> SpectralField:
-    """Place a (dim, 2b+1, ..., 2b+1) coefficient block (k in [-b, b]) on a grid."""
+    """Place a (dim, 2b+1, ..., 2b+1) coefficient block (k in [-b, b]) on a grid.
+
+    The block is in the full layout; the field keeps its half spectrum.
+    """
     dim = grid.dim
     b = (block.shape[-1] - 1) // 2
     coeffs = np.zeros((dim,) + grid.shape, dtype=np.complex128)
@@ -73,7 +76,7 @@ def embed_band_coeffs(block: np.ndarray, grid: GridSpec) -> SpectralField:
             for j in rng:
                 for l in rng:
                     coeffs[:, i % grid.N, j % grid.N, l % grid.N] = block[:, i + b, j + b, l + b]
-    return SpectralField.from_coeffs(grid, coeffs)
+    return SpectralField.from_coeffs(grid, half_spectrum(coeffs))
 
 
 def random_band_block(dim: int, b: int, seed: int) -> np.ndarray:
@@ -85,18 +88,19 @@ def random_band_block(dim: int, b: int, seed: int) -> np.ndarray:
     n = 4 * b + 4  # scratch grid comfortably holding the band
     scratch = make_grid(dim, max(8, n + n % 2))
     f = random_field(scratch, seed=seed, band=b, decay=1.0)
+    full = full_spectrum(f.coeffs, dim)
     width = 2 * b + 1
     block = np.zeros((dim,) + (width,) * dim, dtype=np.complex128)
     rng = range(-b, b + 1)
     if dim == 2:
         for i in rng:
             for j in rng:
-                block[:, i + b, j + b] = f.coeffs[:, i % scratch.N, j % scratch.N]
+                block[:, i + b, j + b] = full[:, i % scratch.N, j % scratch.N]
     else:
         for i in rng:
             for j in rng:
                 for l in rng:
-                    block[:, i + b, j + b, l + b] = f.coeffs[:, i % scratch.N, j % scratch.N, l % scratch.N]
+                    block[:, i + b, j + b, l + b] = full[:, i % scratch.N, j % scratch.N, l % scratch.N]
     return block
 
 

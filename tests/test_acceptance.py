@@ -51,21 +51,25 @@ def cfg(grid, p, dt, t_end, init=None, **kw):
 
 
 def embed_to(u: SpectralField, fine) -> SpectralField:
-    """Zero-pad a coarse-grid field onto a finer grid (same continuum field)."""
+    """Zero-pad a coarse-grid field onto a finer grid (same continuum field).
+
+    Both are half spectra: the last axis keeps k_last = 0..b only.
+    """
     coarse = u.grid
     b = coarse.N // 2 - 1
-    out = np.zeros((fine.dim,) + fine.shape, dtype=np.complex128)
+    out = np.zeros((fine.dim,) + fine.spectral_shape, dtype=np.complex128)
     rng = list(range(0, b + 1)) + list(range(-b, 0))
+    last = range(0, b + 1)
     if coarse.dim == 2:
         for i in rng:
-            for j in rng:
-                out[:, i % fine.N, j % fine.N] = u.coeffs[:, i % coarse.N, j % coarse.N]
+            for j in last:
+                out[:, i % fine.N, j] = u.coeffs[:, i % coarse.N, j]
     else:
         for i in rng:
             for j in rng:
-                for k in rng:
-                    out[:, i % fine.N, j % fine.N, k % fine.N] = u.coeffs[
-                        :, i % coarse.N, j % coarse.N, k % coarse.N
+                for k in last:
+                    out[:, i % fine.N, j % fine.N, k] = u.coeffs[
+                        :, i % coarse.N, j % coarse.N, k
                     ]
     return SpectralField.from_coeffs(fine, out)
 

@@ -186,6 +186,31 @@ def test_simulate_rejects_non_finite_values(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_simulate_rejects_step_count_float64_cannot_index(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_CFG.replace("t_end = 0.05", "t_end = 1e300"))
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "t_end" in capsys.readouterr().err
+
+
+def test_oracle_compare_rejects_horizon_float64_cannot_step(tmp_path, capsys):
+    text = SMALL_CFG.replace("t_end = 0.05", "t_end = 0").replace("dt = 2e-3", "dt = 1e-300")
+    cfg = write(tmp_path, text)
+    assert main(["oracle-compare", cfg, "--T", "0.1", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "2**53" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(SMALL_CFG.encode() + b"# caf\xe9\n")
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_config_path_is_a_directory_exits_two(tmp_path, capsys):
+    assert main(["simulate", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "directory" in capsys.readouterr().err
+
+
 def _first_snapshot(tmp_path, text):
     out = tmp_path / "first"
     assert main(["simulate", write(tmp_path, text, "first.cfg"), "--out-dir", str(out)]) == 0

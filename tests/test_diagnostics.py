@@ -13,6 +13,7 @@ from lansfrac import (
     apriori_monitor,
     dealias,
     energy_balance_residual,
+    frac_stokes_apply,
     holder_quotients,
     l2_norm,
     make_grid,
@@ -22,6 +23,7 @@ from lansfrac import (
     run,
     smoothing_rate,
     spectrum,
+    to_physical,
 )
 from lansfrac.errors import RegimeViolationError
 from lansfrac.integrator import Trajectory
@@ -55,6 +57,33 @@ def test_record_shear_values(grid2):
     assert abs(rec.n1ps2 - np.pi * np.sqrt(2)) < 1e-12
     assert rec.t == 0.3
     assert rec.E1 >= rec.E0
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_record_matches_the_multiplier_definitions(dim, n):
+    # the one-pass table against one Stokes power and one norm per quantity
+    g = make_grid(dim, n)
+    p = Params(alpha=0.7, nu=1.0, s=0.6)
+    a2 = p.alpha**2
+    for seed in (27, 28):
+        u = random_field(g, seed=seed, decay=1.5)
+        rec = record(u, p, 0.0)
+
+        def sq(r):
+            return l2_norm(frac_stokes_apply(u, r)) ** 2
+
+        expect = {
+            "E0": l2_norm(u) ** 2,
+            "E1": l2_norm(u) ** 2 + a2 * sq(0.5),
+            "D": sq(p.s / 2.0) + a2 * sq((1.0 + p.s) / 2.0),
+            "nDA": norm_DAr(u, 1.0),
+            "n1ps2": l2_norm(frac_stokes_apply(u, 1.0 + p.s / 2.0)),
+        }
+        for name, value in expect.items():
+            assert abs(getattr(rec, name) - value) <= 1e-13 * value, name
+        # and E0 against the quadrature of the physical samples
+        quad = float(np.sum(to_physical(u) ** 2) * g.dx**dim)
+        assert abs(rec.E0 - quad) <= 1e-13 * quad
 
 
 def test_record_zero_field(grid2, params):

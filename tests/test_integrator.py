@@ -25,7 +25,7 @@ from lansfrac import (
     to_spectral,
 )
 from lansfrac.errors import DivergedError
-from lansfrac.integrator import _times_for
+from lansfrac.integrator import _step_count, _step_time
 from lansfrac.spectral import stokes_multiplier
 
 from conftest import random_field, rel_err
@@ -309,11 +309,28 @@ def test_run_divergence_detection(grid2):
         run(config(grid2, p, dt=0.5, t_end=50.0, init=init))
 
 
+def _step_times(t_end, dt):
+    n = _step_count(t_end, dt)
+    return [0.0] + [_step_time(i, n, t_end, dt) for i in range(1, n + 1)]
+
+
 def test_times_for_partial_final_step():
-    t = _times_for(1.0, 0.3)
+    t = _step_times(1.0, 0.3)
     assert np.allclose(t, [0.0, 0.3, 0.6, 0.9, 1.0])
-    t2 = _times_for(1.0, 1e-3)
+    t2 = _step_times(1.0, 1e-3)
     assert len(t2) == 1001 and t2[-1] == 1.0
+    assert t2[500] == 500 * 1e-3  # uniform steps are dt * i, not a running sum
+    assert _step_times(0.0, 1e-3) == [0.0]
+    # a step count float64 still indexes costs no memory to count
+    assert _step_count(2.0**52, 1.0) == 2**52
+
+
+def test_sim_config_rejects_step_counts_float64_cannot_index(grid2, params):
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        config(grid2, params, dt=1e-3, t_end=1e300)
+    with pytest.raises(ValueError):
+        config(grid2, params, dt=1e-300, t_end=1e300)  # t_end / dt overflows to inf
+    config(grid2, params, dt=1.0, t_end=2.0**53)
 
 
 # ------------------------------------------------------------- v-form runs

@@ -1,17 +1,23 @@
 """Snapshot format, CSV emission, config parsing, manifest checksums."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lansfrac import DiagRecord, Regime, SchemeKind, make_grid
+import lansfrac.io as lio
+from lansfrac import DiagRecord, Regime, SchemeKind, make_grid, to_physical
 from lansfrac.errors import (
     BadMagicError,
     BadValueError,
+    ConfigError,
     CorruptPayloadError,
     EmptyOutputError,
     MissingKeyError,
+    SnapshotError,
     VersionMismatchError,
 )
 from lansfrac.io import (
@@ -21,12 +27,19 @@ from lansfrac.io import (
     parse_config,
     read_snapshot,
     sha256_file,
+    write_manifest,
     write_snapshot,
 )
 
 from conftest import random_field
 
 META = SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=1.25)
+
+# Format-v1 snapshots written by the full-spectrum code that preceded the
+# half-spectrum layout: N = 8, the coefficients of seeded standard-normal
+# samples (np.random.default_rng(dim).standard_normal((dim,) + (8,) * dim)).
+DATA = Path(__file__).parent / "data"
+V1_FIXTURES = {2: DATA / "v1_2d_n8.flns", 3: DATA / "v1_3d_n8.flns"}
 
 
 # ---------------------------------------------------------------- snapshots
@@ -104,6 +117,82 @@ def test_snapshot_hermitian_violation(tmp_path, grid2):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptPayloadError):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_v1_fixture_round_trips_byte_for_byte(tmp_path, dim):
+    field, meta = read_snapshot(V1_FIXTURES[dim])
+    assert field.grid == make_grid(dim, 8) and field.hermitian
+    path = tmp_path / "again.flns"
+    write_snapshot(field, meta, path)
+    assert path.read_bytes() == V1_FIXTURES[dim].read_bytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_v1_fixture_holds_its_seeded_samples(dim):
+    field, meta = read_snapshot(V1_FIXTURES[dim])
+    samples = np.random.default_rng(dim).standard_normal((dim,) + (8,) * dim)
+    assert np.max(np.abs(to_physical(field) - samples)) < 1e-13
+    assert (meta.alpha, meta.nu) == (0.5, 0.1)
+
+
+def _corrupt(path, index, delta):
+    """Add delta to one coefficient of a snapshot's full-spectrum payload."""
+    field, _ = read_snapshot(path)
+    shape = (field.grid.dim,) + field.grid.shape
+    blob = bytearray(path.read_bytes())
+    off = 48 + 16 * int(np.ravel_multi_index(index, shape))
+    re, im = struct.unpack_from("<2d", blob, off)
+    struct.pack_into("<2d", blob, off, re + delta.real, im + delta.imag)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        (1, 3, 9),    # discarded half: its mirror (-3, -9) is kept unchanged
+        (0, 5, 0),    # k_last = 0 plane: its mirror (-5, 0) is in the same plane
+        (1, 2, 8),    # Nyquist plane
+    ],
+)
+def test_snapshot_asymmetry_anywhere_is_rejected(tmp_path, index):
+    u = random_field(make_grid(2, 16), seed=8)
+    path = tmp_path / "field.flns"
+    write_snapshot(u, META, path)
+    _corrupt(path, index, 0.5 + 0.5j)
+    with pytest.raises(CorruptPayloadError):
+        read_snapshot(path)
+
+
+_HEADER_BYTES = 48
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    edits=st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, _HEADER_BYTES - 1), st.integers(0, 2**20)),
+            st.integers(0, 255),
+        ),
+        max_size=6,
+    ),
+    cut=st.one_of(st.none(), st.integers(0, 2**20)),
+)
+def test_mutated_or_truncated_snapshot_raises_only_snapshot_error(dim, edits, cut):
+    blob = bytearray(V1_FIXTURES[dim].read_bytes())
+    for offset, value in edits:
+        blob[offset % len(blob)] = value
+    if cut is not None:
+        blob = blob[: cut % (len(blob) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.flns"
+        path.write_bytes(bytes(blob))
+        try:
+            field, _ = read_snapshot(path)
+        except SnapshotError:
+            return
+    assert field.hermitian  # whatever is accepted is a real field
 
 
 # ---------------------------------------------------------------------- CSV
@@ -240,6 +329,69 @@ def test_manifest_checksums_recomputable(tmp_path):
     m.add_output(path)
     assert m.outputs[0]["sha256"] == sha256_file(path)
     assert m.outputs[0]["bytes"] == path.stat().st_size
+
+
+class _ShortWrite:
+    """A file that takes a few bytes and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(bytes(data)[:5])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _fail_replace(src, dst):
+    raise OSError(5, "Input/output error")
+
+
+@pytest.mark.parametrize("failure", ["short-write", "rename"])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, grid2, failure):
+    u = random_field(grid2, seed=12)
+    manifest = RunManifest(
+        config={}, version="0", started="", finished="", wall_seconds=0.0, outputs=[]
+    )
+    writers = {
+        "u.flns": lambda path, scale: write_snapshot(scale * u, META, path),
+        "d.csv": lambda path, scale: emit_csv([{"x": scale}], path),
+        "manifest.json": lambda path, scale: write_manifest(
+            RunManifest(**{**manifest.__dict__, "wall_seconds": scale}), path
+        ),
+    }
+    for name, write in writers.items():
+        write(tmp_path / name, 1.0)
+    before = {name: (tmp_path / name).read_bytes() for name in writers}
+
+    if failure == "short-write":
+        real_open = open
+        monkeypatch.setattr(
+            lio, "open", lambda path, mode: _ShortWrite(real_open(path, mode)), raising=False
+        )
+    else:
+        monkeypatch.setattr(lio.os, "replace", _fail_replace)
+    for name, write in writers.items():
+        with pytest.raises(OSError):
+            write(tmp_path / name, 2.0)
+    monkeypatch.undo()
+
+    assert {name: (tmp_path / name).read_bytes() for name in writers} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+
+
+def test_parse_config_unreadable_text_is_a_config_error(tmp_path):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(MINIMAL.encode() + b"# na\xefve\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        parse_config(latin1)
+    with pytest.raises(ConfigError, match="directory"):
+        parse_config(tmp_path)
 
 
 def test_snapshot_initial_grid_mismatch(tmp_path, grid2):

@@ -121,7 +121,7 @@ def test_gradient_shear(grid2):
 
 
 def test_gradient_constant_is_zero(grid2, params):
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
+    coeffs = np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128)
     coeffs[:, 0, 0] = (1.0, 2.0)
     const = SpectralField.from_coeffs(grid2, coeffs)
     u = random_field(grid2, seed=6)

@@ -31,12 +31,37 @@ from conftest import random_field, random_hermitian_field, rel_err, single_mode_
 def test_make_grid_basic():
     g = make_grid(2, 8)
     assert g.shape == (8, 8)
-    assert g.k.shape == (2, 8, 8)
-    # wavevector components run over [-N/2, N/2)
-    assert g.k.min() == -4 and g.k.max() == 3
+    assert g.spectral_shape == (8, 5)
+    assert g.k.shape == (2, 8, 5)
+    # components run over [-N/2, N/2) on the first axis, 0..N/2 on the last
+    assert g.k[0].min() == -4 and g.k[0].max() == 3
+    assert g.k[1].min() == 0 and g.k[1].max() == 4
     g3 = make_grid(3, 16)
-    assert g3.k2.shape == (16, 16, 16)
-    assert g3.k2.size == 4096
+    assert g3.k2.shape == (16, 16, 9)
+    assert g3.k2.size == 2304
+    assert g3.x.shape == (3, 16, 16, 16)
+
+
+@pytest.mark.parametrize("dim,N", [(2, 8), (2, 32), (3, 16)])
+def test_grid_weight_counts_every_full_mode_once(dim, N):
+    g = make_grid(dim, N)
+    assert g.weight.shape == g.spectral_shape
+    assert np.sum(g.weight) == N**dim
+    k_last = g.k[-1]
+    assert np.all(g.weight[(k_last == 0) | (k_last == N // 2)] == 1.0)
+    assert np.all(g.weight[(k_last > 0) & (k_last < N // 2)] == 2.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_full_spectrum_matches_fftn(dim):
+    from lansfrac.spectral import full_spectrum, half_spectrum
+
+    g = make_grid(dim, 10)
+    phys = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
+    full = np.fft.fftn(phys, axes=tuple(range(1, dim + 1))) / g.N**dim
+    half = to_spectral(phys, g).coeffs
+    assert rel_err(half, half_spectrum(full)) < 1e-14
+    assert rel_err(full_spectrum(half, dim), full) < 1e-14
 
 
 @pytest.mark.parametrize("dim,N", [(2, 7), (2, 9), (3, 15)])
@@ -57,10 +82,10 @@ def test_make_grid_rejects_tiny_and_bad_dim():
 # ------------------------------------------------------------ transforms
 
 def test_single_mode_synthesis(grid2):
-    # uhat_1 at (0,1) = -i/2 and (0,-1) = +i/2 synthesizes u_1 = sin y
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
+    # uhat_1 at (0,1) = -i/2 synthesizes u_1 = sin y: its mirror (0,-1) = +i/2
+    # is implied by the half spectrum
+    coeffs = np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128)
     coeffs[0, 0, 1] = -0.5j
-    coeffs[0, 0, -1] = 0.5j
     f = SpectralField.from_coeffs(grid2, coeffs)
     phys = to_physical(f)
     y = grid2.x[1]
@@ -95,12 +120,28 @@ def test_parseval_random(grid2, seed):
 
 
 def test_to_physical_requires_hermitian(grid2):
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
-    coeffs[0, 1, 2] = 1.0  # no conjugate partner
+    # only the k_last = 0 plane can hold a mode without its conjugate partner
+    coeffs = np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128)
+    coeffs[0, 1, 0] = 1.0  # (1, 0) set, its mirror (-1, 0) left empty
     f = SpectralField.from_coeffs(grid2, coeffs)
     assert not f.hermitian
     with pytest.raises(ValueError):
         to_physical(f)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hermitian_flag_checks_both_self_mirrored_planes(dim):
+    g = make_grid(dim, 16)
+    u = random_hermitian_field(g, seed=dim)
+    assert u.hermitian
+    for col in (0, g.N // 2):
+        coeffs = np.array(u.coeffs)
+        coeffs[(0, 3) + (0,) * (dim - 2) + (col,)] += 1j  # one mode, not its mirror
+        assert not SpectralField.from_coeffs(g, coeffs).hermitian
+    # an interior mode has its mirror implied, so any value there is real
+    coeffs = np.array(u.coeffs)
+    coeffs[(0, 3) + (0,) * (dim - 2) + (2,)] += 1j
+    assert SpectralField.from_coeffs(g, coeffs).hermitian
 
 
 def test_to_spectral_shape_mismatch(grid2):
@@ -113,8 +154,8 @@ def test_to_spectral_shape_mismatch(grid2):
 def test_leray_kills_gradient_modes(grid2):
     # uhat(k) = k g(k) for a few modes -> projected to zero
     rng = np.random.default_rng(5)
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
-    for k in [(1, 2), (3, -1), (-2, 4)]:
+    coeffs = np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128)
+    for k in [(1, 2), (-3, 1), (-2, 4)]:
         g = rng.standard_normal() + 1j * rng.standard_normal()
         coeffs[:, k[0] % 32, k[1] % 32] = np.array(k) * g
     f = SpectralField.from_coeffs(grid2, coeffs)
@@ -143,7 +184,7 @@ def test_leray_idempotent_and_self_adjoint(grid2):
 
 def test_leray_mode_zero_untouched(grid2):
     rng = np.random.default_rng(13)
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
+    coeffs = np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128)
     coeffs[:, 0, 0] = rng.standard_normal(2)
     f = SpectralField.from_coeffs(grid2, coeffs)
     assert np.array_equal(leray_project(f).coeffs[:, 0, 0], coeffs[:, 0, 0])
@@ -179,10 +220,10 @@ def test_frac_stokes_negative_power_needs_zero_mean(grid2):
 
 
 def test_frac_stokes_projects_nonsolenoidal(grid2):
-    # A^s = P |k|^{2s} P: applying to a gradient field yields zero
-    coeffs = np.zeros((2,) + grid2.shape, dtype=np.complex128)
-    coeffs[:, 2 % 32, 1 % 32] = (2.0, 1.0)
-    coeffs[:, -2 % 32, -1 % 32] = (2.0, 1.0)
+    # A^s = P |k|^{2s} P: applying to a gradient field yields zero; the
+    # mirror mode (-2, -1) carries the conjugate (2, 1), also parallel to k
+    coeffs = np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128)
+    coeffs[:, 2, 1] = (2.0, 1.0)
     f = SpectralField.from_coeffs(grid2, coeffs)
     assert l2_norm(frac_stokes_apply(f, 0.5)) < 1e-13
 
@@ -287,7 +328,8 @@ def test_norm_dar_monotonicity(grid2):
         np.sqrt(
             grid2.measure
             * np.sum(
-                (np.maximum(grid2.k2, 0.0) ** (2 * r) + (1.0 if r > 0 else 0.0))
+                grid2.weight
+                * (np.maximum(grid2.k2, 0.0) ** (2 * r) + (1.0 if r > 0 else 0.0))
                 * np.abs(u.coeffs) ** 2
             )
         )
