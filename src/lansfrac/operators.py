@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InconsistentPairError
 from .spectral import (
+    BandPlan,
     GridSpec,
     Params,
     SpectralField,
@@ -74,36 +75,67 @@ def _vel_grad_phys(u: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     return phys[:dim], phys[dim:].reshape((dim, dim) + grid.shape)
 
 
-@dataclass(frozen=True)
-class _RotationalTables:
-    """Per-mode multipliers of the rotational kernel for one (grid, alpha)."""
+class _KernelWorkspace:
+    """Multipliers and buffers of the rotational kernel for one (grid, alpha).
 
-    ikv: np.ndarray    # i k (1 + alpha^2 |k|^2) on the band: curl of v read off u
-    khat: np.ndarray   # k / |k|, zero at k = 0: the Leray projection
-    out: np.ndarray    # -(1 + alpha^2 |k|^2)^{-1} on the band, zero at k = 0 (mean pin)
+    Everything lives on the band block (see ``BandPlan``): the dealiased band
+    is the whole block, so dealiasing is the gather itself. Every call of
+    ``rhs_f`` on this (grid, alpha) reuses the same buffers, so the workspace
+    is not re-entrant; lansfrac starts no threads.
+    """
+
+    def __init__(self, grid: GridSpec, alpha: float):
+        dim = grid.dim
+        n_curl = 1 if dim == 2 else 3
+        self.plan = plan = BandPlan(grid, inverse_fields=dim + n_curl, forward_fields=dim)
+        k, k2 = plan.gather(grid.k), plan.gather(grid.k2)
+        helm = 1.0 + alpha**2 * k2
+        kabs = np.sqrt(k2)
+        self.ikv = 1j * k * helm  # curl of v read off u
+        self.khat = k / np.where(kabs > 0, kabs, 1.0)  # the Leray projection
+        self.out = -1.0 / helm  # the output filter, with the mean pinned to zero
+        self.out[(0,) * dim] = 0.0
+        for table in (self.ikv, self.khat, self.out):
+            table.setflags(write=False)
+
+        cplx, block = np.complex128, plan.block_shape
+        self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u1, curl v2
+        self.u2 = np.empty((dim,) + block, cplx)
+        self.filtered = np.empty((dim,) + block, cplx)
+        self.projected = np.empty((dim,) + block, cplx)
+        self.terms = np.empty((dim,) + block, cplx)
+        self.dot = np.empty(block, cplx)
+        self.cross = np.empty((dim,) + grid.shape)
+        self.cross_tmp = np.empty(grid.shape)
+
+    def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = a - khat (khat . a): one pass of the Leray projection; out may be a."""
+        np.multiply(self.khat, a, out=self.terms)
+        np.sum(self.terms, axis=0, out=self.dot)
+        np.multiply(self.khat, self.dot, out=self.terms)
+        return np.subtract(a, self.terms, out=out)
 
 
 @lru_cache(maxsize=8)
-def _rotational_tables(grid: GridSpec, alpha: float) -> _RotationalTables:
-    helm = 1.0 + alpha**2 * grid.k2
-    mask = grid.dealias_mask
-    kabs = np.sqrt(grid.k2)
-    khat = grid.k / np.where(kabs > 0, kabs, 1.0)
-    out = np.where(mask, -1.0 / helm, 0.0)
-    out[(0,) * grid.dim] = 0.0
-    tables = _RotationalTables(ikv=1j * grid.k * (helm * mask), khat=khat, out=out)
-    for arr in (tables.ikv, tables.khat, tables.out):
-        arr.setflags(write=False)
-    return tables
+def _kernel_workspace(grid: GridSpec, alpha: float) -> _KernelWorkspace:
+    return _KernelWorkspace(grid, alpha)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise a x b; a with one component is the scalar (2D) curl a e_z."""
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Pointwise a x b into out, with tmp one component of scratch.
+
+    a with one component is the scalar (2D) curl a e_z; two 2D vectors give
+    the scalar a_0 b_1 - a_1 b_0 in out[0].
+    """
     if a.shape[0] == 1:
-        return np.stack([-a[0] * b[1], a[0] * b[0]])
-    return np.stack(
-        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    )
+        np.negative(np.multiply(a[0], b[1], out=out[0]), out=out[0])
+        np.multiply(a[0], b[0], out=out[1])
+        return out
+    pairs = ((0, 1),) if a.shape[0] == 2 else ((1, 2), (2, 0), (0, 1))
+    for o, (i, j) in zip(out, pairs):
+        np.multiply(a[i], b[j], out=o)
+        np.subtract(o, np.multiply(a[j], b[i], out=tmp), out=o)
+    return out
 
 
 def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
@@ -113,7 +145,10 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
     u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
     removed by the projection. One call makes one stacked inverse transform
     of the dealiased u and of curl v, and one forward transform of the cross
-    product: 3 + 2 fields in 2D (the curl is a scalar), 6 + 3 in 3D.
+    product: 3 + 2 fields in 2D (the curl is a scalar), 6 + 3 in 3D. Both are
+    band-pruned transforms, and every per-mode step runs on the band block,
+    in the buffers of a cached per-(grid, alpha) workspace; a call allocates
+    only the f it returns.
 
     It equals the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)]
     exactly only on the diagonal u1 = u2, which is every call the solver
@@ -125,31 +160,36 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
     _check_same_grid(u1, u2)
     grid = u1.grid
     dim = grid.dim
-    tab = _rotational_tables(grid, params.alpha)
-    c = u2.coeffs
-    if dim == 2:
-        curl_hat = (tab.ikv[0] * c[1] - tab.ikv[1] * c[0])[np.newaxis]
-    else:
-        curl_hat = _cross(tab.ikv, c)
-    phys = coeffs_to_phys(np.concatenate([_dealiased(u1.coeffs, grid), curl_hat]), dim)
-    prod_hat = phys_to_coeffs(_cross(phys[dim:], phys[:dim]), dim)
+    ws = _kernel_workspace(grid, params.alpha)
+    plan, stack = ws.plan, ws.stack
+    u_band = plan.gather(u1.coeffs, out=stack[:dim])
+    c = u_band if u2 is u1 else plan.gather(u2.coeffs, out=ws.u2)
+    _cross(ws.ikv, c, stack[dim:], ws.dot)
+    phys = coeffs_to_phys(stack, dim, band=plan)
+    prod = phys_to_coeffs(_cross(phys[dim:], phys[:dim], ws.cross, ws.cross_tmp), dim, band=plan)
 
-    filtered = tab.out * prod_hat
-    coeffs = filtered - tab.khat * np.sum(tab.khat * filtered, axis=0)
+    filtered = np.multiply(ws.out, prod, out=ws.filtered)
     # A second pass is a no-op analytically but keeps the divergence residual
     # eps-relative to f itself when the projection removes almost all of the
     # product, as it does near an oblique shear.
-    coeffs -= tab.khat * np.sum(tab.khat * coeffs, axis=0)
-    f = SpectralField.from_coeffs(grid, coeffs)
-    if __debug__ and np.all(np.isfinite(coeffs)):
+    projected = ws.project(ws.project(filtered, ws.projected), ws.projected)
+    f = _band_field(grid, plan, projected)
+    if __debug__ and np.all(np.isfinite(projected)):
         # stripped under python -O; f must be divergence-free and mean-free
         # unless the projection annihilated the nonlinearity entirely, in
         # which case f is rounding dust and has no certifiable direction.
         # Non-finite values are left to the integrator's divergence detector.
         assert f.zero_mean and (
-            f.solenoidal or l2_norm(f) <= 1e-12 * max(l2_norm(f.copy_with(filtered)), 1e-300)
+            f.solenoidal
+            or l2_norm(f) <= 1e-12 * max(l2_norm(_band_field(grid, plan, filtered)), 1e-300)
         )
     return RhsEval(f=f)
+
+
+def _band_field(grid: GridSpec, plan: BandPlan, block: np.ndarray) -> SpectralField:
+    """The field whose band modes are a band block and whose other modes are zero."""
+    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, np.complex128)
+    return SpectralField.from_coeffs(grid, plan.scatter(block, coeffs))
 
 
 def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField:

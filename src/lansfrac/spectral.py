@@ -14,20 +14,20 @@ conjugate mirror -k, so every sum over modes carries the multiplicity
 ``GridSpec.weight`` (2 there, 1 on the k_last = 0 and k_last = N/2 planes).
 
 Everything is a pure function of its inputs; fields are immutable (the
-coefficient buffers are write-protected). Transforms go through scipy's
-pocketfft with ``workers=-1``: the batched 1-D transforms are independent, so
-results are bitwise identical for any worker count.
+coefficient buffers are write-protected). Transforms go through ``numpy.fft``.
+A ``BandPlan`` transforms only the band block, the modes the 2/3 rule keeps,
+one axis at a time into persistent buffers; it is the nonlinear kernel's path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as _field
 from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import GridError, MeanModeError, RegimeViolationError
 
@@ -192,21 +192,141 @@ def _spatial_axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
 
 
-def phys_to_coeffs(phys: np.ndarray, dim: int) -> np.ndarray:
-    """Half-spectrum Fourier coefficients of a real array (spatial axes last)."""
-    return _fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward", workers=-1)
+def phys_to_coeffs(
+    phys: np.ndarray, dim: int, *, band: "BandPlan | None" = None
+) -> np.ndarray:
+    """Half-spectrum Fourier coefficients of a real array (spatial axes last).
+
+    With ``band``, only the band block is computed, into the plan's buffer.
+    """
+    if band is not None:
+        return band._forward(phys)
+    return np.fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward")
 
 
-def coeffs_to_phys(coeffs: np.ndarray, dim: int) -> np.ndarray:
+def coeffs_to_phys(
+    coeffs: np.ndarray, dim: int, *, band: "BandPlan | None" = None
+) -> np.ndarray:
     """Real samples of half-spectrum arrays.
 
     Whatever part of the k_last = 0 and Nyquist planes does not match its own
-    conjugate mirror is dropped silently; the hermitian flag detects it.
+    conjugate mirror is dropped silently; the hermitian flag detects it. With
+    ``band``, coeffs is a band block and the samples land in the plan's buffer.
     """
+    if band is not None:
+        return band._inverse(coeffs)
     n = coeffs.shape[-dim]
-    return _fft.irfftn(
-        coeffs, s=(n,) * dim, axes=_spatial_axes(dim), norm="forward", workers=-1
-    )
+    return np.fft.irfftn(coeffs, s=(n,) * dim, axes=_spatial_axes(dim), norm="forward")
+
+
+def _along(axis: int, index) -> tuple:
+    """Index tuple selecting ``index`` along the negative axis ``axis``."""
+    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
+
+
+class BandPlan:
+    """Band-pruned transforms of stacked fields on one grid, with their buffers.
+
+    The band block of a half-spectrum array holds the modes with every
+    |k_i| <= b = ``grid.band_limit``, the only ones the 2/3 rule keeps. It has
+    shape ``block_shape`` = (2b+1,) * (dim-1) + (b+1,), and each complex axis
+    runs over k = 0..b, -b..-1. ``coeffs_to_phys(block, dim, band=plan)``
+    and ``phys_to_coeffs(phys, dim, band=plan)`` transform one axis at a time
+    with ``numpy.fft`` and ``out=``; on the complex axes they transform only
+    the lines the band reaches. The inverse runs axis -dim, ..., -2, then the
+    real axis, as ``irfftn`` does, and matches it bit for bit; the forward
+    runs the same passes in reverse order (the axis -2 pass on every line
+    first, where its strides are short) and matches ``rfftn`` to rounding.
+
+    Both return a buffer of the plan that the next call overwrites, so a plan
+    is not re-entrant. No call passes information to the next: the inverse's
+    zero-padded inputs hold zeros outside the band that no call writes, and
+    every other region a call reads is rewritten earlier in that call.
+    """
+
+    def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
+        N, b, dim = grid.N, grid.band_limit, grid.dim
+        self.grid = grid
+        self.block_shape = (2 * b + 1,) * (dim - 1) + (b + 1,)
+        # (block, full) index pairs of the two halves of a complex axis.
+        self._halves = (
+            (slice(0, b + 1), slice(0, b + 1)),
+            (slice(b + 1, 2 * b + 1), slice(N - b, N)),
+        )
+        last = slice(0, b + 1)
+        self._slabs = []  # (block, full) index pairs of the band's 2^(dim-1) slabs
+        for pairs in itertools.product(self._halves, repeat=dim - 1):
+            blk, full = zip(*pairs)
+            self._slabs.append(((Ellipsis,) + blk + (last,), (Ellipsis,) + full + (last,)))
+        cplx = np.complex128
+        lines = (N,) * (dim - 1) + (b + 1,)
+        scratch = np.empty((max(inverse_fields, forward_fields),) + lines, cplx)
+        # Inverse: pass j reads _pad[j], full length on axes -dim .. -dim+j.
+        self._pad = [
+            np.zeros(
+                (inverse_fields,) + (N,) * (j + 1) + (2 * b + 1,) * (dim - 2 - j) + (b + 1,),
+                cplx,
+            )
+            for j in range(dim - 1)
+        ]
+        self._lines = scratch[:inverse_fields]
+        self._phys = np.empty((inverse_fields,) + grid.shape)
+        # Forward: pass j writes _fwd[j], band-compact on axes -2 .. -1-j.
+        self._half = np.empty((forward_fields,) + grid.spectral_shape, cplx)
+        self._fwd = [scratch[:forward_fields]] + [
+            np.empty(
+                (forward_fields,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx
+            )
+            for j in range(1, dim - 1)
+        ]
+        self._block = np.empty((forward_fields,) + self.block_shape, cplx)
+
+    def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The band block of a half-spectrum array (any leading axes)."""
+        if out is None:
+            out = np.empty(full.shape[: -self.grid.dim] + self.block_shape, full.dtype)
+        for blk, src in self._slabs:
+            out[blk] = full[src]
+        return out
+
+    def scatter(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write a band block into the band modes of a half-spectrum array."""
+        for blk, dst in self._slabs:
+            out[dst] = block[blk]
+        return out
+
+    def _inverse(self, block: np.ndarray) -> np.ndarray:
+        dim, N = self.grid.dim, self.grid.N
+        src = self._pad[0]
+        for blk, full in self._halves:
+            src[_along(-dim, full)] = block[_along(-dim, blk)]
+        for j, ax in enumerate(range(-dim, -2)):
+            dst = self._pad[j + 1]
+            for blk, full in self._halves:
+                np.fft.ifft(
+                    src[_along(ax + 1, blk)], axis=ax, norm="forward",
+                    out=dst[_along(ax + 1, full)],
+                )
+            src = dst
+        np.fft.ifft(src, axis=-2, norm="forward", out=self._lines)
+        return np.fft.irfft(self._lines, n=N, axis=-1, norm="forward", out=self._phys)
+
+    def _forward(self, phys: np.ndarray) -> np.ndarray:
+        dim, b = self.grid.dim, self.grid.band_limit
+        np.fft.rfft(phys, axis=-1, norm="forward", out=self._half)
+        src = self._fwd[0]
+        np.fft.fft(self._half[..., : b + 1], axis=-2, norm="forward", out=src)
+        for j, ax in enumerate(range(-3, -dim - 1, -1), start=1):
+            dst = self._fwd[j]
+            for blk, full in self._halves:
+                np.fft.fft(
+                    src[_along(ax + 1, full)], axis=ax, norm="forward",
+                    out=dst[_along(ax + 1, blk)],
+                )
+            src = dst
+        for blk, full in self._halves:
+            self._block[_along(-dim, blk)] = src[_along(-dim, full)]
+        return self._block
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -377,12 +497,26 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     return f.grid.measure * mode_sum(f.grid, mode_dot(f.coeffs, g.coeffs))
 
 
+@lru_cache(maxsize=8)
+def _leray_divisor(grid: GridSpec) -> np.ndarray:
+    """|k|^2 with the k = 0 mode sent to 1, computed once per grid."""
+    table = np.where(grid.k2 > 0, grid.k2, 1.0)
+    table.setflags(write=False)
+    return table
+
+
 def leray_project(field: SpectralField) -> SpectralField:
-    """Remove the k-parallel (gradient) part of every mode; mode 0 untouched."""
+    """Remove the k-parallel (gradient) part of every mode; mode 0 untouched.
+
+    Nyquist modes (some k_i = -N/2, or k_last = N/2) are zeroed. The k table
+    is not odd there, so a mode and its stored conjugate mirror would get
+    different projectors, and a real field would come out non-real.
+    """
     grid = field.grid
     kdot = np.einsum("i...,i...->...", grid.k, field.coeffs)
-    k2safe = np.where(grid.k2 > 0, grid.k2, 1.0)
-    out = field.coeffs - grid.k * (kdot / k2safe)
+    out = field.coeffs - grid.k * (kdot / _leray_divisor(grid))
+    for axis in range(-grid.dim, 0):
+        out[_along(axis, grid.N // 2)] = 0.0
     zero = (slice(None),) + (0,) * grid.dim
     out[zero] = field.coeffs[zero]
     return field.copy_with(out)

@@ -49,6 +49,18 @@ def test_unknown_subcommand_usage_exit(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    import lansfrac
+
+    code = "import sys, lansfrac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {"PYTHONPATH": str(Path(lansfrac.__file__).parents[1]), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_missing_config_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
 

@@ -374,3 +374,15 @@ def test_step_overflow_raises_diverged(grid2, params):
     huge = 1e200 * random_field(grid2, seed=99)
     with pytest.raises(DivergedError):
         step(huge, params, StepScheme(dt=1.0))
+
+
+def test_run_blowup_guard_names_step_and_time(grid2, params, monkeypatch):
+    # the guard reads ||u||_{D(A)} from the step's diagnostics record; with a
+    # factor below one, the first step already counts as a blow-up
+    import lansfrac.integrator as integrator
+
+    monkeypatch.setattr(integrator, "BLOWUP_FACTOR", 0.5)
+    cfg = config(grid2, params, dt=1e-2, t_end=0.05, init=InitialData(kind="taylor-green"))
+    with pytest.raises(DivergedError, match=r"D\(A\) norm blew up at step 1") as info:
+        run(cfg)
+    assert (info.value.step, info.value.t) == (1, 1e-2)

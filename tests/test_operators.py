@@ -30,7 +30,7 @@ from lansfrac import (
     v_nonlinearity,
 )
 from lansfrac.errors import GridError, InconsistentPairError
-from lansfrac.operators import h1_alpha_pairing
+from lansfrac.operators import _kernel_workspace, h1_alpha_pairing
 from lansfrac.spectral import SpectralField
 
 from conftest import embed_band_coeffs, random_band_block, random_field, rel_err
@@ -312,6 +312,75 @@ def test_rhs_f_off_diagonal_is_the_rotational_polarization(grid2):
         p = Params(alpha=alpha, nu=1.0, s=0.5)
         expect = 0.5 * (1 + alpha**2) / (1 + 2 * alpha**2) * tg_profile(grid2)
         assert np.max(np.abs(to_physical(rhs_f(u, w, p).f) - expect)) < 1e-13
+
+
+def _unpruned_rotational_f(u: SpectralField, alpha: float) -> np.ndarray:
+    """The rotational kernel on full half spectra with unpruned transforms."""
+    grid = u.grid
+    dim, k, mask = grid.dim, grid.k, grid.dealias_mask
+    helm = 1.0 + alpha**2 * grid.k2
+    ikv = 1j * k * (helm * mask)
+    c = u.coeffs
+    if dim == 2:
+        curl = (ikv[0] * c[1] - ikv[1] * c[0])[np.newaxis]
+    else:
+        curl = np.stack([ikv[1] * c[2] - ikv[2] * c[1], ikv[2] * c[0] - ikv[0] * c[2],
+                         ikv[0] * c[1] - ikv[1] * c[0]])
+    axes = tuple(range(-dim, 0))
+    phys = np.fft.irfftn(np.concatenate([c * mask, curl]), s=grid.shape, axes=axes,
+                         norm="forward")
+    w, vel = phys[dim:], phys[:dim]
+    if dim == 2:
+        prod = np.stack([-w[0] * vel[1], w[0] * vel[0]])
+    else:
+        prod = np.stack([w[1] * vel[2] - w[2] * vel[1], w[2] * vel[0] - w[0] * vel[2],
+                         w[0] * vel[1] - w[1] * vel[0]])
+    out = np.where(mask, -1.0 / helm, 0.0)
+    out[(0,) * dim] = 0.0
+    filtered = out * np.fft.rfftn(prod, axes=axes, norm="forward")
+    kabs = np.sqrt(grid.k2)
+    khat = k / np.where(kabs > 0, kabs, 1.0)
+    once = filtered - khat * np.sum(khat * filtered, axis=0)
+    return once - khat * np.sum(khat * once, axis=0)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 48)])
+def test_rhs_f_matches_the_unpruned_kernel(dim, n):
+    # the band block, the pruned transforms and the in-place passes change
+    # no more than rounding against the same kernel on full arrays
+    grid = make_grid(dim, n)
+    for alpha, seed in ((0.0, 0), (0.5, 1), (1.0, 2)):
+        u = make_initial(InitialData(kind="random-spectrum", seed=seed), grid)
+        f = rhs_f(u, u, Params(alpha=alpha, nu=1.0, s=0.75)).f
+        assert rel_err(f.coeffs, _unpruned_rotational_f(u, alpha)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_rhs_f_workspace_carries_no_state_between_calls(dim, n):
+    grid = make_grid(dim, n)
+    p = Params(alpha=0.5, nu=1.0, s=0.75)
+    a, b = random_field(grid, seed=40), random_field(grid, seed=41)
+    coeffs = np.array(a.coeffs)
+    coeffs[0][(slice(1, 3),) * dim] = np.nan
+    coeffs[1][(slice(1, 3),) * dim] = np.inf
+    bad = SpectralField.from_coeffs(grid, coeffs)
+    _kernel_workspace.cache_clear()
+    fresh = rhs_f(b, b, p).f.coeffs.tobytes()
+    first = _kernel_workspace(grid, p.alpha)
+    earlier_calls = [
+        lambda: rhs_f(a, a, p),
+        lambda: rhs_f(a, b, p),
+        lambda: rhs_f(b, a, p),
+        lambda: rhs_f(bad, bad, p),
+        lambda: rhs_f(a, bad, p),
+        # more (grid, alpha) keys than the cache holds evict b's workspace
+        lambda: [rhs_f(a, a, Params(alpha=0.05 + 0.1 * i, nu=1.0, s=0.75)) for i in range(9)],
+    ]
+    for call in earlier_calls:
+        with np.errstate(all="ignore"):
+            call()
+        assert rhs_f(b, b, p).f.coeffs.tobytes() == fresh
+    assert _kernel_workspace(grid, p.alpha) is not first  # it was evicted and rebuilt
 
 
 def test_rhs_f_bilinear_in_each_argument(grid2, params):

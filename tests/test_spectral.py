@@ -21,7 +21,14 @@ from lansfrac import (
 )
 from lansfrac.errors import GridError, MeanModeError, RegimeViolationError
 from lansfrac.operators import u_from_v
-from lansfrac.spectral import SpectralField, check_regime, stokes_multiplier
+from lansfrac.spectral import (
+    BandPlan,
+    SpectralField,
+    check_regime,
+    coeffs_to_phys,
+    phys_to_coeffs,
+    stokes_multiplier,
+)
 
 from conftest import random_field, random_hermitian_field, rel_err, single_mode_field
 
@@ -149,6 +156,23 @@ def test_to_spectral_shape_mismatch(grid2):
         to_spectral(np.zeros((2, 8, 8)), grid2)
 
 
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 48)])
+def test_band_plan_matches_full_transforms(dim, n):
+    grid = make_grid(dim, n)
+    plan = BandPlan(grid, inverse_fields=dim + 1, forward_fields=dim)
+    rng = np.random.default_rng(n + dim)
+    for _ in range(2):  # the second round reads buffers the first one wrote
+        spectra = phys_to_coeffs(rng.standard_normal((dim + 1,) + grid.shape), dim)
+        spectra *= grid.dealias_mask  # random dealiased hermitian half spectra
+        block = plan.gather(spectra)
+        assert np.array_equal(plan.scatter(block, np.zeros_like(spectra)), spectra)
+        pruned = coeffs_to_phys(block, dim, band=plan)
+        assert rel_err(pruned, coeffs_to_phys(spectra, dim)) <= 1e-14
+        samples = rng.standard_normal((dim,) + grid.shape)
+        band = phys_to_coeffs(samples, dim, band=plan)
+        assert rel_err(band, plan.gather(phys_to_coeffs(samples, dim))) <= 1e-14
+
+
 # ---------------------------------------------------------- Leray projection
 
 def test_leray_kills_gradient_modes(grid2):
@@ -188,6 +212,27 @@ def test_leray_mode_zero_untouched(grid2):
     coeffs[:, 0, 0] = rng.standard_normal(2)
     f = SpectralField.from_coeffs(grid2, coeffs)
     assert np.array_equal(leray_project(f).coeffs[:, 0, 0], coeffs[:, 0, 0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_leray_keeps_real_fields_real(dim):
+    # seeded standard-normal samples have content on the Nyquist modes, where
+    # the k table is not odd; the projection must still give a real field
+    grid = make_grid(dim, 16)
+    x = np.random.default_rng(0).standard_normal((dim,) + grid.shape)
+    p = leray_project(to_spectral(x, grid))
+    assert p.hermitian and p.solenoidal
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_leray_of_dealiased_fields_is_unchanged(dim, n):
+    # the Nyquist treatment touches no mode a dealiased field can hold
+    grid = make_grid(dim, n)
+    f = dealias(random_hermitian_field(grid, seed=21))
+    kdot = np.einsum("i...,i...->...", grid.k, f.coeffs)
+    expect = f.coeffs - grid.k * (kdot / np.where(grid.k2 > 0, grid.k2, 1.0))
+    expect[(slice(None),) + (0,) * dim] = f.coeffs[(slice(None),) + (0,) * dim]
+    assert np.array_equal(leray_project(f).coeffs, expect)
 
 
 # --------------------------------------------------- fractional Stokes powers
