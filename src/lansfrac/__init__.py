@@ -22,7 +22,6 @@ from .spectral import (
     to_spectral,
 )
 from .operators import (
-    RhsEval,
     rhs_f,
     rhs_v,
     stress_form_f,

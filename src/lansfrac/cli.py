@@ -319,14 +319,14 @@ def _cmd_ops_test(args) -> int:
     ub = dealias(rand_field(grid, rng_seed + 99))
     v = v_from_u(ub, params.alpha)
     lhs = v_from_u(
-        rhs_f(ub, ub, params).f - params.nu * frac_stokes_apply(ub, params.s),
+        rhs_f(ub, ub, params) - params.nu * frac_stokes_apply(ub, params.s),
         params.alpha,
     )
     rhs = rhs_v(ub, v, params)
     checks.append(("u/v form consistency", _rel(lhs.coeffs - rhs.coeffs, rhs.coeffs), 1e-8))
 
     shear = make_initial(InitialData(kind="shear"), grid)
-    fs = rhs_f(shear, shear, params).f
+    fs = rhs_f(shear, shear, params)
     checks.append(("shear is f-free", l2_norm(fs) / l2_norm(shear), 1e-13))
 
     failed = 0

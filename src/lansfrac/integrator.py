@@ -304,7 +304,7 @@ def step(
     if h == 0.0:
         return u
     prop = _Propagator(u.grid, params, h)
-    return _advance(u, prop, scheme.kind, lambda w: rhs_f(w, w, params).f)
+    return _advance(u, prop, scheme.kind, lambda w: rhs_f(w, w, params))
 
 
 def suggest_dt(
@@ -345,8 +345,9 @@ def run(
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Raises DivergedError if coefficients stop being
-    finite, an invariant flag (real / solenoidal / zero-mean) breaks, or the
-    D(A) norm exceeds 1e6 times its initial value.
+    finite, an invariant flag (real / solenoidal / zero-mean) of the state
+    breaks, f(u, u) fails the post-condition ``rhs_f`` checks, or the D(A)
+    norm exceeds 1e6 times its initial value.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -367,7 +368,7 @@ def run(
     elif form == "v":
         f_eval = lambda w: v_nonlinearity(u_from_v(w, alpha), w)
     else:
-        f_eval = lambda w: rhs_f(w, w, params).f
+        f_eval = lambda w: rhs_f(w, w, params)
 
     dt = config.scheme.dt
     n_steps = _step_count(config.t_end, dt)

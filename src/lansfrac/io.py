@@ -20,6 +20,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -282,9 +283,19 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def run_environment() -> dict[str, str]:
+    """Versions of the interpreter and of numpy that a run uses.
+
+    The Python version is read off ``sys.version``, as ``platform`` does;
+    importing ``platform`` would add milliseconds to every command.
+    """
+    return {"python": sys.version.split()[0], "numpy": np.__version__}
+
+
 @dataclass
 class RunManifest:
-    """Record of one CLI invocation: config echo, version, outputs + checksums."""
+    """Record of one CLI invocation: config echo, version, outputs + checksums,
+    and the environment (Python and numpy versions)."""
 
     config: dict[str, Any]
     version: str
@@ -292,6 +303,7 @@ class RunManifest:
     finished: str
     wall_seconds: float
     outputs: list[dict[str, Any]]
+    environment: dict[str, str] = dataclasses.field(default_factory=run_environment)
 
     def add_output(self, path: str | Path) -> None:
         p = Path(path)

@@ -68,7 +68,6 @@ class PicardState:
 
     iterates: list[list[SpectralField]]
     increments_linf: list[float]   # sup_t ||u^(j) - u^(j-1)||_{D(A)}
-    increments_l2: list[float]     # L^2_T(D(A^{1+s/2})) norms of the increments
     converged: bool
     n_iter: int
 
@@ -153,23 +152,17 @@ def picard_solve(
 
     scale = norm_DAr(u0, 1.0)
     stop = tol * max(scale, 1e-30)
-    state = PicardState(
-        iterates=[cur], increments_linf=[], increments_l2=[], converged=False, n_iter=0
-    )
-    sp2 = 1.0 + params.s / 2.0
+    state = PicardState(iterates=[cur], increments_linf=[], converged=False, n_iter=0)
     bad_streak = 0
 
     for _ in range(max_iter):
-        f_coeffs = [rhs_f(w, w, params).f.coeffs for w in cur]
+        f_coeffs = [rhs_f(w, w, params).coeffs for w in cur]
         duh = _duhamel_sweep(f_coeffs, t_mesh, params, grid)
         nxt = [
             SpectralField.from_coeffs(grid, free[i] + duh[i])
             for i in range(len(t_mesh))
         ]
-        diffs = [nxt[i] - cur[i] for i in range(len(t_mesh))]
-        inc_linf = max(norm_DAr(d, 1.0) for d in diffs)
-        inc_prof = np.array([norm_DAr(frac_stokes_apply(d, sp2), 0.0) ** 2 for d in diffs])
-        inc_l2 = float(np.sqrt(np.trapezoid(inc_prof, t_mesh)))
+        inc_linf = max(norm_DAr(nxt[i] - cur[i], 1.0) for i in range(len(t_mesh)))
 
         if state.increments_linf and not np.isfinite(inc_linf):
             raise NoContractionError("Picard increment became non-finite")
@@ -183,7 +176,6 @@ def picard_solve(
             bad_streak = 0
 
         state.increments_linf.append(inc_linf)
-        state.increments_l2.append(inc_l2)
         state.iterates = [nxt]
         state.n_iter += 1
         cur = nxt

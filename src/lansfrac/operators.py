@@ -27,13 +27,15 @@ indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InconsistentPairError
+from .errors import DivergedError, InconsistentPairError
 from .spectral import (
+    MEAN_TOL,
+    SOLENOIDAL_TOL,
     BandPlan,
     GridSpec,
     Params,
@@ -42,17 +44,14 @@ from .spectral import (
     coeffs_to_phys,
     frac_stokes_apply,
     inner,
-    l2_norm,
     leray_project,
+    mode_dot,
     phys_to_coeffs,
 )
 
-
-@dataclass(frozen=True)
-class RhsEval:
-    """Value of f(u1, u2)."""
-
-    f: SpectralField
+# f counts as annihilated by the projection, and so exempt from the
+# solenoidal check, when ||f|| <= ESCAPE_TOL ||filtered product||.
+ESCAPE_TOL = 1e-12
 
 
 def _dealiased(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -95,7 +94,8 @@ class _KernelWorkspace:
         self.khat = k / np.where(kabs > 0, kabs, 1.0)  # the Leray projection
         self.out = -1.0 / helm  # the output filter, with the mean pinned to zero
         self.out[(0,) * dim] = 0.0
-        for table in (self.ikv, self.khat, self.out):
+        self.k, self.weight = k, plan.gather(grid.weight)  # the post-condition of f
+        for table in (self.ikv, self.khat, self.out, self.k, self.weight):
             table.setflags(write=False)
 
         cplx, block = np.complex128, plan.block_shape
@@ -114,6 +114,34 @@ class _KernelWorkspace:
         np.sum(self.terms, axis=0, out=self.dot)
         np.multiply(self.khat, self.dot, out=self.terms)
         return np.subtract(a, self.terms, out=out)
+
+    def _sq_norm(self, a: np.ndarray) -> float:
+        """sum_k w(k) |a(k)|^2 over a band block: ||field||^2 / measure."""
+        return float(np.einsum("i,i->", self.weight.ravel(), mode_dot(a, a).ravel()))
+
+    def violation(self, f: np.ndarray, filtered: np.ndarray) -> str | None:
+        """Which post-condition the band block f of f(u, u) breaks, or None.
+
+        The field that is f on the band and zero elsewhere must have the
+        zero_mean and solenoidal flags of ``measure_flags``, with the same
+        tolerances. It is exempt from the solenoidal one when
+        ||f|| <= ESCAPE_TOL ||filtered||: then the projection annihilated the
+        product and f is rounding dust with no certifiable direction.
+        Non-finite values pass; they are left to the divergence detector.
+        """
+        scale = float(np.max(np.abs(f)))
+        if scale == 0.0 or not math.isfinite(scale):
+            return None
+        if float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)]))) > MEAN_TOL * scale:
+            return "carries a mean"
+        np.multiply(self.k, f, out=self.terms)
+        kdot = np.sum(self.terms, axis=0, out=self.dot)
+        norm = math.sqrt(self._sq_norm(f))
+        if float(np.max(np.abs(kdot))) <= SOLENOIDAL_TOL * norm:
+            return None
+        if norm <= ESCAPE_TOL * math.sqrt(self._sq_norm(filtered)):
+            return None
+        return "is not solenoidal"
 
 
 @lru_cache(maxsize=8)
@@ -138,7 +166,7 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np
     return out
 
 
-def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
+def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField:
     """f(u, u) = -(1 + alpha^2 A)^{-1} P[(curl v) x u], v = (1 + alpha^2 A) u.
 
     This is the production nonlinearity, in rotational filtered-momentum form:
@@ -149,6 +177,11 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
     band-pruned transforms, and every per-mode step runs on the band block,
     in the buffers of a cached per-(grid, alpha) workspace; a call allocates
     only the f it returns.
+
+    f is certified on the band block before it is returned: mean-free and
+    solenoidal (see ``_KernelWorkspace.violation``). f is zero outside the
+    block, so the check decides what ``measure_flags`` of f would. It is an
+    explicit test, kept under ``python -O``; a broken f raises DivergedError.
 
     It equals the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)]
     exactly only on the diagonal u1 = u2, which is every call the solver
@@ -173,17 +206,10 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> RhsEval:
     # eps-relative to f itself when the projection removes almost all of the
     # product, as it does near an oblique shear.
     projected = ws.project(ws.project(filtered, ws.projected), ws.projected)
-    f = _band_field(grid, plan, projected)
-    if __debug__ and np.all(np.isfinite(projected)):
-        # stripped under python -O; f must be divergence-free and mean-free
-        # unless the projection annihilated the nonlinearity entirely, in
-        # which case f is rounding dust and has no certifiable direction.
-        # Non-finite values are left to the integrator's divergence detector.
-        assert f.zero_mean and (
-            f.solenoidal
-            or l2_norm(f) <= 1e-12 * max(l2_norm(_band_field(grid, plan, filtered)), 1e-300)
-        )
-    return RhsEval(f=f)
+    problem = ws.violation(projected, filtered)
+    if problem is not None:
+        raise DivergedError(f"the nonlinearity f(u, u) {problem}")
+    return _band_field(grid, plan, projected)
 
 
 def _band_field(grid: GridSpec, plan: BandPlan, block: np.ndarray) -> SpectralField:

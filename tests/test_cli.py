@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import json
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -49,16 +52,55 @@ def test_unknown_subcommand_usage_exit(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_import_loads_no_scipy():
-    import subprocess
-    import sys
-
+def _package_env() -> dict[str, str]:
     import lansfrac
 
+    return {"PYTHONPATH": str(Path(lansfrac.__file__).parents[1]), "PATH": ""}
+
+
+def test_import_loads_no_scipy():
     code = "import sys, lansfrac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {"PYTHONPATH": str(Path(lansfrac.__file__).parents[1]), "PATH": ""}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
+    )
     assert out.stdout.strip() == "[]"
+
+
+# Runs the CLI with the nonlinear kernel's Leray projection replaced by the
+# identity, so every f(u, u) keeps the gradient part of the product.
+_CORRUPT_KERNEL = """\
+import sys
+
+import numpy as np
+
+from lansfrac import cli, operators
+
+operators._KernelWorkspace.project = lambda self, a, out: np.copyto(out, a) or out
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags,command",
+    [
+        ([], ["simulate"]),
+        (["-O"], ["oracle-compare", "--T", "0.1"]),
+        (["-O"], ["holder", "--beta", "0.25"]),  # runs Picard alone, no stepper
+    ],
+)
+def test_corrupted_kernel_exits_three_with_one_line(tmp_path, flags, command):
+    # the post-condition of f is an explicit check: it reports a broken
+    # kernel as a divergence (exit 3, no traceback), also under python -O
+    driver = tmp_path / "corrupt.py"
+    driver.write_text(_CORRUPT_KERNEL)
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
+    argv = [command[0], cfg, *command[1:], "--out-dir", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, *flags, str(driver), *argv],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["diverged: the nonlinearity f(u, u) is not solenoidal"]
 
 
 def test_missing_config_file(tmp_path):
@@ -174,6 +216,17 @@ def test_simulate_seed_override_changes_output(tmp_path):
         assert main(["simulate", cfg, "--out-dir", str(out), "--seed", seed]) == 0
         hashes.append(sha256_file(out / "diagnostics.csv"))
     assert hashes[0] != hashes[1]
+
+
+def test_manifest_records_the_environment(tmp_path):
+    cfg = write(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def test_manifest_echoes_regime(tmp_path):

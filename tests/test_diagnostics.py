@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
     InitialData,
@@ -27,6 +28,7 @@ from lansfrac import (
 )
 from lansfrac.errors import RegimeViolationError
 from lansfrac.integrator import Trajectory
+from lansfrac.operators import h1_alpha_pairing, rhs_f, v_from_u
 from lansfrac.spectral import zero_field
 
 from conftest import random_field
@@ -96,6 +98,33 @@ def test_record_cancellation_residual(grid2_64):
     for seed in (1, 2, 3):
         u = dealias(random_field(grid2_64, seed=seed))
         assert record(u, p, 0.0).cancel < 1e-10
+
+
+_GRIDS = {case: make_grid(*case) for case in ((2, 16), (2, 32), (3, 8), (3, 16))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_GRIDS)),
+    seed=st.integers(0, 2**31),
+    band_frac=st.floats(0.0, 1.0),
+    amplitude=st.floats(1e-3, 1e3),
+    alpha=st.floats(0.0, 2.0),
+)
+def test_record_cancel_is_the_h1_alpha_pairing(case, seed, band_frac, amplitude, alpha):
+    # record's cancel is |<(1 + alpha^2 A) u, f>| / ||u||_{D(A)}^3 for any f,
+    # and for f = f(u, u) on a random band-limited u it cancels to rounding
+    grid = _GRIDS[case]
+    band = 1 + round(band_frac * (grid.band_limit - 1))
+    p = Params(alpha=alpha, nu=1.0, s=0.75)
+    u = random_field(grid, seed=seed, amplitude=amplitude, band=band)
+    g = random_field(grid, seed=seed + 1, amplitude=amplitude, band=band)
+    nda3 = norm_DAr(u, 1.0) ** 3
+    for f in (g, rhs_f(u, u, p)):
+        scale = l2_norm(v_from_u(u, alpha)) * l2_norm(f) / nda3
+        expect = abs(h1_alpha_pairing(u, f, alpha)) / nda3
+        assert abs(record(u, p, 0.0, f=f).cancel - expect) <= 1e-13 * scale
+    assert record(u, p, 0.0).cancel < 1e-10
 
 
 # ------------------------------------------------------- energy balance

@@ -111,7 +111,7 @@ def test_galerkin_projection_order_irrelevant_for_band_limited(grid2, params):
 
     u = dealias(random_field(grid2, seed=4, band=5))
     cut = 7
-    after = galerkin_truncate(rhs_f(u, u, params).f, cut)
+    after = galerkin_truncate(rhs_f(u, u, params), cut)
     v = v_from_u(u, params.alpha).coeffs
     w = coeffs_to_phys(1j * (grid2.k[0] * v[1] - grid2.k[1] * v[0]), 2)
     vel = to_physical(u)

@@ -9,6 +9,7 @@ gradient, the advection and U_alpha run through it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
     InitialData,
@@ -29,9 +30,9 @@ from lansfrac import (
     v_from_u,
     v_nonlinearity,
 )
-from lansfrac.errors import GridError, InconsistentPairError
-from lansfrac.operators import _kernel_workspace, h1_alpha_pairing
-from lansfrac.spectral import SpectralField
+from lansfrac.errors import DivergedError, GridError, InconsistentPairError
+from lansfrac.operators import ESCAPE_TOL, _band_field, _kernel_workspace, h1_alpha_pairing
+from lansfrac.spectral import SpectralField, measure_flags
 
 from conftest import embed_band_coeffs, random_band_block, random_field, rel_err
 
@@ -126,7 +127,7 @@ def test_gradient_constant_is_zero(grid2, params):
     const = SpectralField.from_coeffs(grid2, coeffs)
     u = random_field(grid2, seed=6)
     assert np.max(np.abs(stress_form_f(u, const, params).coeffs)) == 0.0
-    assert np.max(np.abs(rhs_f(u, const, params).f.coeffs)) == 0.0
+    assert np.max(np.abs(rhs_f(u, const, params).coeffs)) == 0.0
 
 
 def test_gradient_matches_fd_at_order_two():
@@ -144,7 +145,7 @@ NO_ALPHA = Params(alpha=0.0, nu=1.0, s=0.5)
 def test_advect_shear_vanishes(grid2):
     u = shear(grid2)
     assert l2_norm(stress_form_f(u, u, NO_ALPHA)) < 1e-14
-    assert l2_norm(rhs_f(u, u, NO_ALPHA).f) < 1e-14
+    assert l2_norm(rhs_f(u, u, NO_ALPHA)) < 1e-14
 
 
 def test_advect_taylor_green_analytic(grid2):
@@ -160,7 +161,7 @@ def test_advect_taylor_green_is_pure_gradient(grid2):
     # 2D TG transport is grad(-(cos 2x + cos 2y)/4): the projection removes it
     u = taylor_green(grid2)
     assert l2_norm(stress_form_f(u, u, NO_ALPHA)) < 1e-12
-    assert l2_norm(rhs_f(u, u, NO_ALPHA).f) < 1e-12
+    assert l2_norm(rhs_f(u, u, NO_ALPHA)) < 1e-12
 
 
 def test_advect_matches_fd_at_order_two():
@@ -254,21 +255,21 @@ def test_stokes_projector_defining_relation(grid2):
 
 def test_rhs_f_shear_vanishes(grid2, params):
     u = shear(grid2)
-    assert l2_norm(rhs_f(u, u, params).f) < 1e-13
+    assert l2_norm(rhs_f(u, u, params)) < 1e-13
 
 
 def test_rhs_f_zero_field(grid2, params):
     from lansfrac.spectral import zero_field
 
     z = zero_field(grid2)
-    assert l2_norm(rhs_f(z, z, params).f) == 0.0
+    assert l2_norm(rhs_f(z, z, params)) == 0.0
 
 
 def test_rhs_f_flags_and_parts(grid2, params):
     # the parts of the paper's f (transport and averaged stress, recombined
     # and projected by the oracle) give the rotational kernel's value
     u = dealias(random_field(grid2, seed=31))
-    f = rhs_f(u, u, params).f
+    f = rhs_f(u, u, params)
     assert f.solenoidal and f.zero_mean and f.hermitian
     assert rel_err(stress_form_f(u, u, params).coeffs, f.coeffs) < 1e-13
 
@@ -280,7 +281,7 @@ def test_rhs_f_matches_both_oracles_on_the_diagonal(dim, n, alpha):
     p = Params(alpha=alpha, nu=1.0, s=0.75)
     for seed in (500, 501):
         u = dealias(random_field(grid, seed=seed))
-        f = rhs_f(u, u, p).f
+        f = rhs_f(u, u, p)
         assert f.hermitian and f.solenoidal and f.zero_mean
         assert rel_err(f.coeffs, stress_form_f(u, u, p).coeffs) <= 1e-13
         v_form = u_from_v(v_nonlinearity(u, v_from_u(u, alpha)), alpha)
@@ -299,7 +300,7 @@ def test_rhs_f_near_oblique_shear_stays_solenoidal(dim, n):
     p = Params(alpha=0.5, nu=1.0, s=0.75)
     for eps in (1e-3, 1e-5, 1e-7):
         u = base + eps * dealias(random_field(grid, seed=3))
-        f = rhs_f(u, u, p).f
+        f = rhs_f(u, u, p)
         assert f.solenoidal and f.zero_mean
 
 
@@ -311,7 +312,7 @@ def test_rhs_f_off_diagonal_is_the_rotational_polarization(grid2):
     for alpha in (0.0, 0.5, 1.0):
         p = Params(alpha=alpha, nu=1.0, s=0.5)
         expect = 0.5 * (1 + alpha**2) / (1 + 2 * alpha**2) * tg_profile(grid2)
-        assert np.max(np.abs(to_physical(rhs_f(u, w, p).f) - expect)) < 1e-13
+        assert np.max(np.abs(to_physical(rhs_f(u, w, p)) - expect)) < 1e-13
 
 
 def _unpruned_rotational_f(u: SpectralField, alpha: float) -> np.ndarray:
@@ -351,7 +352,7 @@ def test_rhs_f_matches_the_unpruned_kernel(dim, n):
     grid = make_grid(dim, n)
     for alpha, seed in ((0.0, 0), (0.5, 1), (1.0, 2)):
         u = make_initial(InitialData(kind="random-spectrum", seed=seed), grid)
-        f = rhs_f(u, u, Params(alpha=alpha, nu=1.0, s=0.75)).f
+        f = rhs_f(u, u, Params(alpha=alpha, nu=1.0, s=0.75))
         assert rel_err(f.coeffs, _unpruned_rotational_f(u, alpha)) <= 1e-14
 
 
@@ -365,7 +366,7 @@ def test_rhs_f_workspace_carries_no_state_between_calls(dim, n):
     coeffs[1][(slice(1, 3),) * dim] = np.inf
     bad = SpectralField.from_coeffs(grid, coeffs)
     _kernel_workspace.cache_clear()
-    fresh = rhs_f(b, b, p).f.coeffs.tobytes()
+    fresh = rhs_f(b, b, p).coeffs.tobytes()
     first = _kernel_workspace(grid, p.alpha)
     earlier_calls = [
         lambda: rhs_f(a, a, p),
@@ -379,8 +380,58 @@ def test_rhs_f_workspace_carries_no_state_between_calls(dim, n):
     for call in earlier_calls:
         with np.errstate(all="ignore"):
             call()
-        assert rhs_f(b, b, p).f.coeffs.tobytes() == fresh
+        assert rhs_f(b, b, p).coeffs.tobytes() == fresh
     assert _kernel_workspace(grid, p.alpha) is not first  # it was evicted and rebuilt
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from([(2, 16), (2, 32), (3, 8), (3, 16)]),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["solenoidal", "divergent", "mean", "zero", "dust"]),
+    exponent=st.integers(-30, 30),
+)
+def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
+    # the post-condition rhs_f checks on its band block decides as the flags
+    # of the full-spectrum field that is the block on the band and zero
+    # elsewhere do: mean-free, and solenoidal or dust against the product
+    dim, n = case
+    grid = make_grid(dim, n)
+    ws = _kernel_workspace(grid, 0.5)
+    rng = np.random.default_rng(seed)
+    shape = (dim,) + ws.plan.block_shape
+    filtered = 10.0**exponent * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    block = ws.project(filtered, np.empty_like(filtered))
+    if kind == "divergent":
+        block = filtered.copy()
+    elif kind == "zero":
+        block[...] = 0.0
+    elif kind == "dust":
+        block = 0.1 * ESCAPE_TOL * filtered
+    if kind != "mean":
+        block[(slice(None),) + (0,) * dim] = 0.0
+
+    f = _band_field(grid, ws.plan, block)
+    _herm, sol, mean_free = measure_flags(grid, f.coeffs)
+    dust = l2_norm(f) <= ESCAPE_TOL * l2_norm(_band_field(grid, ws.plan, filtered))
+    problem = ws.violation(block, filtered)
+    assert (problem is None) == (mean_free and (sol or dust))
+    assert (problem is None) == (kind in ("solenoidal", "zero", "dust"))
+    if problem is not None:
+        assert problem == ("carries a mean" if not mean_free else "is not solenoidal")
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_rhs_f_raises_when_its_projection_is_broken(monkeypatch, dim, n):
+    # an explicit check, not an assert: it holds under python -O as well
+    grid = make_grid(dim, n)
+    u = random_field(grid, seed=45)
+    p = Params(alpha=0.5, nu=1.0, s=0.75)
+    monkeypatch.setattr(
+        type(_kernel_workspace(grid, p.alpha)), "project", lambda self, a, out: np.copyto(out, a) or out
+    )
+    with pytest.raises(DivergedError, match="is not solenoidal"):
+        rhs_f(u, u, p)
 
 
 def test_rhs_f_bilinear_in_each_argument(grid2, params):
@@ -388,10 +439,10 @@ def test_rhs_f_bilinear_in_each_argument(grid2, params):
     u2 = random_field(grid2, seed=33)
     u3 = random_field(grid2, seed=34)
     a = 2.5
-    f_scaled = rhs_f(a * u1, u2, params).f
-    assert rel_err(f_scaled.coeffs, a * rhs_f(u1, u2, params).f.coeffs) < 1e-12
-    f_sum = rhs_f(u1, u2 + u3, params).f
-    split = rhs_f(u1, u2, params).f + rhs_f(u1, u3, params).f
+    f_scaled = rhs_f(a * u1, u2, params)
+    assert rel_err(f_scaled.coeffs, a * rhs_f(u1, u2, params).coeffs) < 1e-12
+    f_sum = rhs_f(u1, u2 + u3, params)
+    split = rhs_f(u1, u2, params) + rhs_f(u1, u3, params)
     assert rel_err(f_sum.coeffs, split.coeffs) < 1e-12
 
 
@@ -422,7 +473,7 @@ def test_cancellation_2d(grid2_64, alpha):
     p = Params(alpha=alpha, nu=1.0, s=0.5)
     for seed in range(5):
         u = dealias(random_field(grid2_64, seed=300 + seed))
-        f = rhs_f(u, u, p).f
+        f = rhs_f(u, u, p)
         resid = abs(h1_alpha_pairing(u, f, alpha)) / norm_DAr(u, 1.0) ** 3
         assert resid < 1e-10
 
@@ -431,7 +482,7 @@ def test_cancellation_3d(grid3):
     p = Params(alpha=0.5, nu=1.0, s=0.75)
     for seed in range(3):
         u = dealias(random_field(grid3, seed=400 + seed))
-        f = rhs_f(u, u, p).f
+        f = rhs_f(u, u, p)
         resid = abs(h1_alpha_pairing(u, f, p.alpha)) / norm_DAr(u, 1.0) ** 3
         assert resid < 1e-10
 
@@ -479,6 +530,6 @@ def test_uv_form_consistency(grid2, seed):
     p = Params(alpha=0.6, nu=0.9, s=0.7)
     u = dealias(random_field(grid2, seed=seed))
     v = v_from_u(u, p.alpha)
-    lhs = v_from_u(rhs_f(u, u, p).f - p.nu * frac_stokes_apply(u, p.s), p.alpha)
+    lhs = v_from_u(rhs_f(u, u, p) - p.nu * frac_stokes_apply(u, p.s), p.alpha)
     rhs = rhs_v(u, v, p)
     assert rel_err(lhs.coeffs, rhs.coeffs) < 1e-8

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
     NormSpec,
@@ -342,6 +343,58 @@ def test_semigroup_smoothing_constant(grid2, sigma, s):
             stokes_multiplier(grid2.k2, sigma) * np.exp(-nu * t * stokes_multiplier(grid2.k2, s))
         )
         assert lhs * (nu * t) ** (sigma / s) <= bound * (1 + 1e-12)
+
+
+# ------------------------------------------- properties on random fields
+#
+# Each example draws a grid, a band width and a seed, and builds a real
+# field on that band from seeded normal samples: not solenoidal, with a mean.
+
+_GRIDS = {case: make_grid(*case) for case in ((2, 16), (2, 32), (3, 8), (3, 16))}
+
+
+@st.composite
+def band_limited_fields(draw):
+    grid = _GRIDS[draw(st.sampled_from(sorted(_GRIDS)))]
+    band = draw(st.integers(1, grid.band_limit))
+    f = random_hermitian_field(grid, seed=draw(st.integers(0, 2**32 - 1)))
+    return f.copy_with(f.coeffs * (np.max(np.abs(grid.k), axis=0) <= band))
+
+
+_PARAMS = st.builds(
+    Params,
+    alpha=st.floats(0.0, 2.0),
+    nu=st.floats(1e-3, 2.0),
+    s=st.floats(0.05, 0.95),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=band_limited_fields())
+def test_leray_idempotent_on_random_fields(f):
+    pf = leray_project(f)
+    assert pf.hermitian and pf.solenoidal
+    assert rel_err(leray_project(pf).coeffs, pf.coeffs) < 1e-12
+    zero = (slice(None),) + (0,) * f.grid.dim
+    assert np.array_equal(pf.coeffs[zero], f.coeffs[zero])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=band_limited_fields(), p=_PARAMS, t1=st.floats(0.0, 2.0), t2=st.floats(0.0, 2.0))
+def test_semigroup_composes_on_random_fields(f, p, t1, t2):
+    two = semigroup_apply(semigroup_apply(f, t1, p), t2, p)
+    assert rel_err(two.coeffs, semigroup_apply(f, t1 + t2, p).coeffs) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=band_limited_fields(), r1=st.floats(-0.5, 1.0), r2=st.floats(-0.5, 1.0))
+def test_stokes_powers_compose_on_random_fields(f, r1, r2):
+    coeffs = np.array(f.coeffs)
+    coeffs[(slice(None),) + (0,) * f.grid.dim] = 0.0  # negative powers need zero mean
+    u = f.copy_with(coeffs)
+    two = frac_stokes_apply(frac_stokes_apply(u, r1), r2)
+    one = frac_stokes_apply(u, r1 + r2)
+    assert rel_err(two.coeffs, one.coeffs) < 1e-12
 
 
 # ------------------------------------------------------------------ norms
