@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .spectral import (
     GridSpec,
-    NormSpec,
     Params,
     Regime,
     SpectralField,
@@ -40,13 +39,10 @@ from .integrator import (
     phi_functions,
     run,
     run_pair_uniqueness,
-    step,
-    suggest_dt,
 )
 from .mild import (
     HolderClass,
     PicardState,
-    duhamel_integral,
     holder_membership,
     picard_solve,
     semigroup_class_check,
@@ -56,7 +52,6 @@ from .diagnostics import (
     RateFit,
     apriori_monitor,
     energy_balance_residual,
-    holder_quotients,
     record,
     smoothing_rate,
     spectrum,

@@ -199,15 +199,15 @@ def _cmd_oracle_compare(args) -> int:
     )
 
     rows = []
-    worst = 0.0
     for t, w in zip(oracle_traj.times, oracle_traj.snapshots):
         j = int(np.argmin(np.abs(traj.times - t)))
         if abs(traj.times[j] - t) > 1e-9 * max(1.0, T):
             continue
         ref = norm_DAr(traj.snapshots[j], 1.0)
         diff = norm_DAr(traj.snapshots[j] - w, 1.0) / max(ref, 1e-30)
-        worst = max(worst, diff)
         rows.append({"t": float(t), "nDA_stepper": ref, "rel_diff": diff})
+    # np.max keeps a nan, where Python's max would drop one after the first row
+    worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))
     path = out / "oracle.csv"
     emit_csv(rows, path)
     mw.manifest.add_output(path)

@@ -175,23 +175,6 @@ def smoothing_rate(
     return RateFit(window=(lo, hi), slope=float(slope), r=r, expected=-r / s, residual=resid)
 
 
-def holder_quotients(traj, beta: float, s: float, tol: float = 1.0):
-    """Weighted-Hoelder quotient report in the critical case (dim, s) = (2, 1/2).
-
-    Delegates to the mild-solution membership check with the amplitude scale
-    R = ||u(0)||_{D(A)}, so the reported minimal feasible R/||u0|| is the
-    measured class constant.
-    """
-    from . import mild  # local import: mild builds on the integrator
-
-    grid = traj.snapshots[0].grid
-    if grid.dim != 2 or abs(s - 0.5) > 1e-12:
-        raise RegimeViolationError("holder quotients require (dim, s) = (2, 1/2)")
-    r0 = norm_DAr(traj.snapshots[0], 1.0)
-    holder = mild.HolderClass(R=max(r0, _TINY), beta=beta, T=float(traj.times[-1]), tol=tol)
-    return mild.holder_membership(traj, holder, s)
-
-
 def spectrum(u: SpectralField) -> np.ndarray:
     """Shell-averaged energy E(kappa) = 1/2 sum_{kappa <= |k| < kappa+1} |uhat|^2.
 

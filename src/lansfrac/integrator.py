@@ -30,13 +30,11 @@ from .spectral import (
     norm_DAr,
     reflect_conj,
     stokes_multiplier,
-    to_physical,
     to_spectral,
     zero_field,
 )
 
 PHI_SWITCH = 1e-4
-DT_CAP = 1.0
 BLOWUP_FACTOR = 1e6
 MAX_STEPS = 2**53  # above it dt * i no longer tells consecutive steps apart
 
@@ -48,20 +46,16 @@ class SchemeKind(Enum):
 
 @dataclass(frozen=True)
 class StepScheme:
-    """Time-stepping choice; dt is fixed (suggest_dt is advisory only)."""
+    """Time-stepping choice; dt is fixed."""
 
     kind: SchemeKind = SchemeKind.ETD2RK
     dt: float = 1e-3
-    cfl_safety: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("dt", "cfl_safety"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
 
 
 @dataclass(frozen=True)
@@ -289,33 +283,6 @@ def _advance(
     if not np.all(np.isfinite(out.coeffs)):
         raise DivergedError("non-finite coefficients after step")
     return out
-
-
-def step(
-    u: SpectralField,
-    params: Params,
-    scheme: StepScheme,
-    dt: float | None = None,
-) -> SpectralField:
-    """Advance one step of the u-form equation; dt = 0 is the identity."""
-    h = scheme.dt if dt is None else dt
-    if h < 0:
-        raise ValueError(f"dt must be nonnegative, got {h}")
-    if h == 0.0:
-        return u
-    prop = _Propagator(u.grid, params, h)
-    return _advance(u, prop, scheme.kind, lambda w: rhs_f(w, w, params))
-
-
-def suggest_dt(
-    u: SpectralField, grid: GridSpec, params: Params, cfl_safety: float
-) -> float:
-    """Advisory advective CFL step: cfl * dx / max|u|, capped at 1."""
-    del params  # the stiff linear part is integrated exactly; no diffusive cap
-    umax = float(np.max(np.abs(to_physical(u))))
-    if umax == 0.0:
-        return DT_CAP
-    return min(DT_CAP, cfl_safety * grid.dx / umax)
 
 
 def _step_count(t_end: float, dt: float) -> int:

@@ -14,11 +14,11 @@ pass/fail against unquantified theoretical ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
 from .errors import NoContractionError
 from .integrator import Trajectory
 from .operators import rhs_f
@@ -62,8 +62,9 @@ class HolderClass:
 class PicardState:
     """History of the fixed-point iteration.
 
-    iterates holds only the current sweep (the node fields of the returned
-    trajectory), as a one-element list; earlier sweeps are not kept.
+    The sweeps stream through one iterate stack, so only the last iterate
+    exists: iterates holds it as a one-element list, the node fields of the
+    returned trajectory, which are read-only views of that stack.
     """
 
     iterates: list[list[SpectralField]]
@@ -72,61 +73,40 @@ class PicardState:
     n_iter: int
 
 
-def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(t)
-    d = np.diff(t)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
-
-
-def duhamel_integral(
-    f_samples: list[SpectralField],
-    t_mesh: np.ndarray,
-    t_eval: float,
-    params: Params,
-) -> SpectralField:
-    """Trapezoid quadrature of int_0^{t_eval} e^{-(t-tau) nu A^s} f(tau) dtau.
-
-    t_eval must be a mesh node; the semigroup factor is exact per node, so the
-    error is the O(mesh^2) quadrature error of the smooth integrand alone.
-    """
-    t_mesh = np.asarray(t_mesh, dtype=float)
-    if len(t_mesh) == 0:
-        raise ValueError("empty quadrature mesh")
-    if len(f_samples) != len(t_mesh):
-        raise ValueError("f_samples and t_mesh lengths differ")
-    idx = int(np.argmin(np.abs(t_mesh - t_eval)))
-    if abs(t_mesh[idx] - t_eval) > 1e-12 * max(1.0, abs(t_eval)):
-        raise ValueError(f"t_eval = {t_eval} is not a mesh node")
-    grid = f_samples[0].grid
-    if idx == 0:
-        return SpectralField.from_coeffs(
-            grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-        )
-    sub = t_mesh[: idx + 1]
-    w = _trapezoid_weights(sub)
-    acc = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-    for j in range(idx + 1):
-        fac = semigroup_factor(grid, float(t_eval - sub[j]), params)
-        acc += w[j] * fac * f_samples[j].coeffs
-    return SpectralField.from_coeffs(grid, acc)
-
-
 def _duhamel_sweep(
-    f_coeffs: list[np.ndarray], t_mesh: np.ndarray, params: Params, grid
-) -> list[np.ndarray]:
-    """All node values of the Duhamel integral in one left-to-right pass.
+    stack: np.ndarray, u0: SpectralField, t_mesh: np.ndarray, params: Params
+) -> float:
+    """One Picard sweep, left to right through the iterate stack, in place.
 
-    Uses the semigroup property to update the running integral; identical to
-    calling duhamel_integral at every node, at O(mesh) instead of O(mesh^2).
+    At node i: f_i = f(u_i, u_i) of the previous iterate (node i is not yet
+    overwritten, so this is a Jacobi sweep), the running Duhamel integral
+    advances by the semigroup property, acc <- e^{-h nu A^s}(acc + h/2 f_{i-1})
+    + h/2 f_i (composite trapezoid with the exact factor at every node), and
+    node i becomes e^{-t_i nu A^s} u0 + acc. Returns the sup over the nodes of
+    the D(A) increment; a non-finite increment raises NoContractionError.
     """
-    out = [np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)]
-    for i in range(1, len(t_mesh)):
-        h = float(t_mesh[i] - t_mesh[i - 1])
-        e = semigroup_factor(grid, h, params)
-        out.append(e * (out[-1] + 0.5 * h * f_coeffs[i - 1]) + 0.5 * h * f_coeffs[i])
-    return out
+    grid = u0.grid
+    acc = np.zeros_like(stack[0])
+    work = np.empty_like(acc)
+    f_prev = None
+    sup = 0.0
+    for i, t in enumerate(t_mesh):
+        node = SpectralField.from_coeffs(grid, stack[i])  # read only before node i is written
+        f_i = rhs_f(node, node, params).coeffs
+        if i > 0:
+            h = float(t - t_mesh[i - 1])
+            np.add(acc, np.multiply(0.5 * h, f_prev, out=work), out=acc)
+            np.multiply(semigroup_factor(grid, h, params), acc, out=acc)
+            np.add(acc, np.multiply(0.5 * h, f_i, out=work), out=acc)
+        nxt = np.multiply(u0.coeffs, semigroup_factor(grid, float(t), params), out=work)
+        np.add(nxt, acc, out=nxt)
+        inc = norm_DAr(SpectralField.from_coeffs(grid, nxt - stack[i]), 1.0)
+        if not math.isfinite(inc):
+            raise NoContractionError(f"Picard increment became non-finite at t = {t:g}")
+        sup = max(sup, inc)
+        stack[i] = nxt
+        f_prev = f_i
+    return sup
 
 
 def picard_solve(
@@ -139,34 +119,30 @@ def picard_solve(
 ) -> tuple[Trajectory, PicardState]:
     """Fixed-point iteration u^(j+1) = e^{-t nu A^s} u0 + Duhamel(f(u^(j), u^(j))).
 
-    Stops once the sup-in-time D(A) increment drops below tol * ||u0||_{D(A)}
-    (absolute fallback for u0 = 0) or after max_iter sweeps. Raises
-    NoContractionError if the increment fails to decrease three times in a
-    row, which is the observable signature of data too large for the
-    contraction.
+    Starts from the free trajectory e^{-t nu A^s} u0 and runs each sweep
+    through one (mesh_size + 1, dim) + spectral_shape iterate stack (see
+    _duhamel_sweep). Stops once the sup-in-time D(A) increment drops below
+    tol * ||u0||_{D(A)} (absolute fallback for u0 = 0) or after max_iter
+    sweeps. Raises NoContractionError if an increment is non-finite or fails
+    to decrease three times in a row, which is the observable signature of
+    data too large for the contraction. The returned trajectory carries no
+    diagnostics records; its node fields are read-only views of the stack.
     """
     grid = u0.grid
     t_mesh = np.linspace(0.0, holder.T, mesh_size + 1)
-    free = [semigroup_apply(u0, float(t), params).coeffs for t in t_mesh]
-    cur = [SpectralField.from_coeffs(grid, c) for c in free]
+    stack = np.empty((len(t_mesh), grid.dim) + grid.spectral_shape, dtype=np.complex128)
+    for i, t in enumerate(t_mesh):
+        np.multiply(u0.coeffs, semigroup_factor(grid, float(t), params), out=stack[i])
 
     scale = norm_DAr(u0, 1.0)
     stop = tol * max(scale, 1e-30)
-    state = PicardState(iterates=[cur], increments_linf=[], converged=False, n_iter=0)
+    increments: list[float] = []
+    converged = False
     bad_streak = 0
 
     for _ in range(max_iter):
-        f_coeffs = [rhs_f(w, w, params).coeffs for w in cur]
-        duh = _duhamel_sweep(f_coeffs, t_mesh, params, grid)
-        nxt = [
-            SpectralField.from_coeffs(grid, free[i] + duh[i])
-            for i in range(len(t_mesh))
-        ]
-        inc_linf = max(norm_DAr(nxt[i] - cur[i], 1.0) for i in range(len(t_mesh)))
-
-        if state.increments_linf and not np.isfinite(inc_linf):
-            raise NoContractionError("Picard increment became non-finite")
-        if state.increments_linf and inc_linf >= state.increments_linf[-1]:
+        inc_linf = _duhamel_sweep(stack, u0, t_mesh, params)
+        if increments and inc_linf >= increments[-1]:
             bad_streak += 1
             if bad_streak >= 3:
                 raise NoContractionError(
@@ -174,21 +150,22 @@ def picard_solve(
                 )
         else:
             bad_streak = 0
-
-        state.increments_linf.append(inc_linf)
-        state.iterates = [nxt]
-        state.n_iter += 1
-        cur = nxt
+        increments.append(inc_linf)
         if inc_linf < stop:
-            state.converged = True
+            converged = True
             break
 
-    diag = [
-        diagnostics.record(cur[i], params, float(t_mesh[i]))
-        for i in range(len(t_mesh))
-    ]
-    traj = Trajectory(times=t_mesh, snapshots=cur, diag=diag, form="u")
-    return traj, state
+    # Views only now: a SpectralField caches its flags, so none may see the
+    # stack while a sweep still writes it.
+    stack.setflags(write=False)
+    nodes = [SpectralField.from_coeffs(grid, node) for node in stack]
+    state = PicardState(
+        iterates=[nodes],
+        increments_linf=increments,
+        converged=converged,
+        n_iter=len(increments),
+    )
+    return Trajectory(times=t_mesh, snapshots=nodes, diag=[], form="u"), state
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GridError, MeanModeError, RegimeViolationError
+from .errors import GridError, MeanModeError
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,28 +164,6 @@ class Params:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
-
-
-def check_regime(params: Params, dim: int) -> None:
-    """Verify the declared regime is admissible for (dim, s)."""
-    s = params.s
-    if params.regime is Regime.GLOBAL_RANGE and not dim / 4.0 <= s < 1.0:
-        raise RegimeViolationError(
-            f"GlobalRange requires s in [{dim/4.0}, 1) for dim={dim}, got s={s}"
-        )
-    if params.regime is Regime.LOCAL_RANGE and not 0.5 <= s < 1.0:
-        raise RegimeViolationError(f"LocalRange requires s in [1/2, 1), got s={s}")
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Order r >= 0 of a D(A^r) norm request."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"NormSpec order must be nonnegative, got {self.r}")
 
 
 def _spatial_axes(dim: int) -> tuple[int, ...]:
@@ -560,10 +538,8 @@ def semigroup_apply(field: SpectralField, t: float, params: Params) -> SpectralF
     return field.copy_with(field.coeffs * semigroup_factor(field.grid, t, params))
 
 
-def norm_DAr(field: SpectralField, r: float | NormSpec) -> float:
+def norm_DAr(field: SpectralField, r: float) -> float:
     """D(A^r) norm: (||A^r f||^2 + ||f||^2 1_{r>0})^{1/2}; r = 0 is plain L^2."""
-    if isinstance(r, NormSpec):
-        r = r.r
     if r == 0.0:
         return l2_norm(field)
     grid = field.grid

@@ -39,6 +39,20 @@ def random_field(grid: GridSpec, seed: int = 0, amplitude: float = 1.0, band=Non
     )
 
 
+def nan_at_last_picard_node(monkeypatch, nodes: int) -> None:
+    """Make Picard's f return nan at the last of its mesh nodes, every sweep."""
+    import lansfrac.mild as mild
+
+    real, calls = mild.rhs_f, []
+
+    def f(u1, u2, params):
+        calls.append(None)
+        out = real(u1, u2, params)
+        return out.copy_with(out.coeffs * np.nan) if len(calls) % nodes == 0 else out
+
+    monkeypatch.setattr(mild, "rhs_f", f)
+
+
 def random_hermitian_field(grid: GridSpec, seed: int = 0) -> SpectralField:
     """Random real (hermitian) field, NOT solenoidal and with a mean part."""
     rng = np.random.default_rng(seed)

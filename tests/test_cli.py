@@ -16,6 +16,8 @@ from lansfrac import DiagRecord, Trajectory
 from lansfrac.cli import main
 from lansfrac.io import sha256_file
 
+from conftest import nan_at_last_picard_node
+
 SHEAR_CFG = """
 dim = 2
 N = 32
@@ -182,6 +184,34 @@ def test_oracle_compare_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["oracle-compare", cfg, "--T", "0.1", "--out-dir", str(out)]) == 0
     assert (out / "oracle.csv").exists()
+
+
+def test_oracle_compare_non_finite_picard_node_fails(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
+    nan_at_last_picard_node(monkeypatch, nodes=21)  # --T 0.02 at dt = 1e-3: 20 intervals
+    assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("check failed:") and "non-finite" in err[0]
+
+
+def test_oracle_compare_sup_keeps_a_nan(tmp_path, capsys, monkeypatch):
+    # a nan in the last row must not be dropped by the sup over the rows
+    import lansfrac.mild as mild
+
+    real = mild.picard_solve
+
+    def picard_with_nan_end(*args, **kwargs):
+        traj, state = real(*args, **kwargs)
+        *head, last = traj.snapshots
+        nodes = head + [last.copy_with(np.full_like(last.coeffs, np.nan))]
+        return Trajectory(times=traj.times, snapshots=nodes, diag=[]), state
+
+    monkeypatch.setattr(mild, "picard_solve", picard_with_nan_end)
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 1
+    assert "sup rel diff nan" in capsys.readouterr().out
+    assert (out / "oracle.csv").read_text().splitlines()[-1].endswith(",nan")
 
 
 def test_holder_subcommand(tmp_path):

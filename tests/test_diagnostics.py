@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
+    HolderClass,
     InitialData,
     Params,
     Regime,
@@ -15,17 +16,20 @@ from lansfrac import (
     dealias,
     energy_balance_residual,
     frac_stokes_apply,
-    holder_quotients,
+    holder_membership,
     l2_norm,
     make_grid,
     make_initial,
     norm_DAr,
     record,
     run,
+    semigroup_apply,
+    semigroup_class_check,
     smoothing_rate,
     spectrum,
     to_physical,
 )
+from lansfrac.cli import main
 from lansfrac.errors import RegimeViolationError
 from lansfrac.integrator import Trajectory
 from lansfrac.operators import h1_alpha_pairing, rhs_f, v_from_u
@@ -231,36 +235,45 @@ def test_smoothing_empty_window(grid2, params):
 
 
 # -------------------------------------------------------- holder quotients
+# The weighted-Hoelder quotients of a trajectory come from holder_membership
+# with R = ||u(0)||_{D(A)} and T the last sample time, as the holder command
+# forms them; that command also gates the critical case (dim, s) = (2, 1/2).
+
+def _quotients(traj, beta, s):
+    r0 = max(norm_DAr(traj.snapshots[0], 1.0), 1e-300)
+    return holder_membership(traj, HolderClass(R=r0, beta=beta, T=float(traj.times[-1])), s)
+
 
 def test_holder_quotients_zero_data(grid2):
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
     times = np.linspace(0, 1, 17)
     snaps = [zero_field(grid2) for _ in times]
     traj = Trajectory(times=times, snapshots=snaps, diag=[])
-    rep = holder_quotients(traj, beta=0.25, s=0.5)
+    rep = _quotients(traj, beta=0.25, s=0.5)
     assert rep.minimal_R == 0.0
 
 
 def test_holder_quotients_semigroup_matches_class_check(grid2):
-    from lansfrac import HolderClass, semigroup_apply, semigroup_class_check
-
     p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
     u0 = dealias(random_field(grid2, seed=25, amplitude=1e-2))
     times = np.concatenate(([0.0], np.geomspace(1e-3, 1.0, 64)))
     snaps = [semigroup_apply(u0, float(t), p) for t in times]
     traj = Trajectory(times=times, snapshots=snaps, diag=[])
-    rep = holder_quotients(traj, beta=0.25, s=0.5)
+    rep = _quotients(traj, beta=0.25, s=0.5)
     ref = semigroup_class_check(
         u0, p, HolderClass(R=norm_DAr(u0, 1.0), beta=0.25, T=1.0)
     )
     assert abs(rep.minimal_R - ref.minimal_R) <= 0.15 * ref.minimal_R
 
 
-def test_holder_quotients_wrong_regime(grid2, grid3):
-    p = Params(alpha=0.5, nu=0.5, s=0.75, regime=Regime.GLOBAL_RANGE)
-    traj = run(config(grid2, p, dt=1e-2, t_end=0.1))
-    with pytest.raises(RegimeViolationError):
-        holder_quotients(traj, beta=0.25, s=0.75)
+def test_holder_quotients_wrong_regime(tmp_path, capsys):
+    for dim, s in ((2, 0.75), (3, 0.5)):
+        cfg = tmp_path / f"d{dim}.cfg"
+        cfg.write_text(
+            f"dim = {dim}\nN = 8\nalpha = 0.5\nnu = 0.5\ns = {s}\n"
+            "dt = 1e-2\nt_end = 0.1\ninit = shear\n"
+        )
+        assert main(["holder", str(cfg), "--beta", "0.25", "--out-dir", str(tmp_path)]) == 2
+        assert "critical case dim=2, s=1/2" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- spectrum

@@ -12,20 +12,18 @@ from lansfrac import (
     StepScheme,
     dealias,
     galerkin_truncate,
-    make_grid,
     make_initial,
     norm_DAr,
     phi_functions,
+    rhs_f,
     run,
     run_pair_uniqueness,
     semigroup_apply,
-    step,
-    suggest_dt,
     to_physical,
     to_spectral,
 )
 from lansfrac.errors import DivergedError
-from lansfrac.integrator import _step_count, _step_time
+from lansfrac.integrator import _Propagator, _advance, _step_count, _step_time
 from lansfrac.spectral import stokes_multiplier
 
 from conftest import random_field, rel_err
@@ -122,18 +120,24 @@ def test_galerkin_projection_order_irrelevant_for_band_limited(grid2, params):
 
 # ------------------------------------------------------------------- step
 
+def _step(u, params, dt, kind=SchemeKind.ETD2RK):
+    """One step of the u-form equation, as run takes it."""
+    return _advance(u, _Propagator(u.grid, params, dt), kind, lambda w: rhs_f(w, w, params))
+
+
 def test_step_shear_exact_any_dt(grid2):
     p = Params(alpha=0.5, nu=1.3, s=0.75, regime=Regime.GLOBAL_RANGE)
     u = make_initial(InitialData(kind="shear"), grid2)
     for dt in (0.3, 0.05):
-        out = step(u, p, StepScheme(dt=dt))
+        out = _step(u, p, dt)
         assert rel_err(out.coeffs, np.exp(-p.nu * dt) * u.coeffs) < 1e-13
 
 
 def test_step_dt_zero_identity(grid2, params):
+    # a zero-length step (E = 1, zero weights) leaves every coefficient as it was
     u = random_field(grid2, seed=5)
-    out = step(u, params, StepScheme(dt=1.0), dt=0.0)
-    assert out is u
+    for kind in SchemeKind:
+        assert np.array_equal(_step(u, params, 0.0, kind).coeffs, u.coeffs)
 
 
 def _self_convergence_order(grid, kind):
@@ -183,28 +187,6 @@ def test_run_taylor_green_2d_exact_solution(grid2):
     expect = np.exp(-p.nu * 0.5 * 2.0**p.s)
     err = norm_DAr(traj.snapshots[-1] - expect * tg, 1.0) / norm_DAr(tg, 1.0)
     assert err < 1e-10
-
-
-# -------------------------------------------------------------- suggest_dt
-
-def test_suggest_dt_zero_field(grid2, params):
-    from lansfrac.spectral import zero_field
-
-    assert suggest_dt(zero_field(grid2), grid2, params, 0.5) == 1.0
-
-
-def test_suggest_dt_shear_formula(params):
-    g = make_grid(2, 64)
-    u = make_initial(InitialData(kind="shear"), g)
-    dt = suggest_dt(u, g, params, 0.8)
-    assert abs(dt - 0.8 * (2 * np.pi / 64)) < 1e-12
-
-
-def test_suggest_dt_amplitude_scaling(grid2, params):
-    u = make_initial(InitialData(kind="shear"), grid2)
-    d1 = suggest_dt(u, grid2, params, 1.0)
-    d2 = suggest_dt(2.0 * u, grid2, params, 1.0)
-    assert abs(d1 - 2 * d2) < 1e-12
 
 
 # ------------------------------------------------------------ initial data
@@ -373,7 +355,7 @@ def test_uniqueness_growth_stable_under_dt_halving(grid2):
 def test_step_overflow_raises_diverged(grid2, params):
     huge = 1e200 * random_field(grid2, seed=99)
     with pytest.raises(DivergedError):
-        step(huge, params, StepScheme(dt=1.0))
+        _step(huge, params, 1.0)
 
 
 def test_run_blowup_guard_names_step_and_time(grid2, params, monkeypatch):

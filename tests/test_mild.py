@@ -1,5 +1,7 @@
 """Mild-solution (Duhamel/Picard) oracle and class-membership tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,15 @@ from lansfrac import (
     Regime,
     SchemeKind,
     SimConfig,
+    SpectralField,
     StepScheme,
     dealias,
-    duhamel_integral,
     holder_membership,
     l2_norm,
     make_initial,
     norm_DAr,
     picard_solve,
+    rhs_f,
     run,
     semigroup_apply,
     semigroup_class_check,
@@ -25,12 +28,51 @@ from lansfrac import (
 from lansfrac.errors import NoContractionError
 from lansfrac.mild import _duhamel_sweep
 from lansfrac.operators import stress_form_f
-from lansfrac.spectral import zero_field
+from lansfrac.spectral import semigroup_factor, zero_field
 
-from conftest import random_field, rel_err, single_mode_field
+from conftest import nan_at_last_picard_node, random_field, rel_err, single_mode_field
 
 
 # --------------------------------------------------------- Duhamel integral
+
+def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    w = np.zeros_like(t)
+    d = np.diff(t)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
+
+
+def duhamel_integral(
+    f_samples: list[SpectralField],
+    t_mesh: np.ndarray,
+    t_eval: float,
+    params: Params,
+) -> SpectralField:
+    """Reference: trapezoid quadrature of int_0^t_eval e^{-(t-tau) nu A^s} f(tau) dtau.
+
+    Sums every node directly, O(mesh^2) over a whole mesh, against which the
+    running integral of ``_duhamel_sweep`` is checked. t_eval must be a mesh
+    node; the semigroup factor is exact per node, so the error is the
+    O(mesh^2) quadrature error of the smooth integrand alone.
+    """
+    t_mesh = np.asarray(t_mesh, dtype=float)
+    if len(t_mesh) == 0:
+        raise ValueError("empty quadrature mesh")
+    if len(f_samples) != len(t_mesh):
+        raise ValueError("f_samples and t_mesh lengths differ")
+    idx = int(np.argmin(np.abs(t_mesh - t_eval)))
+    if abs(t_mesh[idx] - t_eval) > 1e-12 * max(1.0, abs(t_eval)):
+        raise ValueError(f"t_eval = {t_eval} is not a mesh node")
+    grid = f_samples[0].grid
+    acc = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    sub = t_mesh[: idx + 1]
+    w = _trapezoid_weights(sub)
+    for j in range(idx + 1):
+        fac = semigroup_factor(grid, float(t_eval - sub[j]), params)
+        acc += w[j] * fac * f_samples[j].coeffs
+    return SpectralField.from_coeffs(grid, acc)
+
 
 def test_duhamel_zero_f(grid2, params):
     mesh = np.linspace(0.0, 0.5, 9)
@@ -81,12 +123,18 @@ def test_duhamel_linearity(grid2, params):
 
 
 def test_duhamel_sweep_matches_direct(grid2, params):
+    # one sweep from the free trajectory: node i becomes free_i plus the
+    # Duhamel integral of f along the free trajectory, summed directly
+    u0 = dealias(random_field(grid2, seed=70, amplitude=2.0))
     mesh = np.linspace(0.0, 0.3, 13)
-    fs = [random_field(grid2, seed=70 + i) for i in range(13)]
-    sweep = _duhamel_sweep([f.coeffs for f in fs], mesh, params, grid2)
-    for i in (1, 5, 12):
-        direct = duhamel_integral(fs, mesh, float(mesh[i]), params)
-        assert rel_err(sweep[i], direct.coeffs) < 1e-12
+    free = [semigroup_apply(u0, float(t), params) for t in mesh]
+    stack = np.stack([w.coeffs for w in free])
+    _duhamel_sweep(stack, u0, mesh, params)
+    fs = [rhs_f(w, w, params) for w in free]
+    assert max(l2_norm(f) for f in fs) > 0.01 * l2_norm(u0)
+    for i, t in enumerate(mesh):
+        direct = free[i].coeffs + duhamel_integral(fs, mesh, float(t), params).coeffs
+        assert rel_err(stack[i], direct) < 1e-12
 
 
 # ------------------------------------------------------------ Picard solve
@@ -129,6 +177,48 @@ def test_picard_no_contraction_for_large_data(grid2):
     u0 = dealias(random_field(grid2, seed=6, amplitude=300.0))
     with pytest.raises(NoContractionError):
         picard_solve(u0, p, holder_for(u0, T=1.0), mesh_size=16, max_iter=12)
+
+
+def test_picard_non_finite_node_is_no_contraction(grid2, monkeypatch):
+    # node 0's increment is 0.0, so a sup that starts there must not let a
+    # later nan through as convergence
+    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
+    nan_at_last_picard_node(monkeypatch, nodes=17)
+    with pytest.raises(NoContractionError, match="non-finite"):
+        picard_solve(u0, p, holder_for(u0, T=0.1), mesh_size=16)
+
+
+def test_picard_holds_one_iterate_stack(grid2):
+    # the sweeps stream through one (mesh + 1)-node stack; the traced peak
+    # (stack, running integral, f at two nodes and per-node temporaries) must
+    # stay near it, where keeping whole-mesh lists of f and of the next
+    # iterate costs several stacks
+    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
+    holder = holder_for(u0, T=0.1)
+    picard_solve(u0, p, holder, mesh_size=4)  # warm the kernel workspace and tables
+    mesh = 32
+    stack_bytes = (mesh + 1) * u0.coeffs.nbytes
+    tracemalloc.start()
+    try:
+        traj, state = picard_solve(u0, p, holder, mesh_size=mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.converged and len(traj.snapshots) == mesh + 1
+    assert peak <= 1.5 * stack_bytes, peak / stack_bytes
+
+
+def test_picard_nodes_are_read_only(grid2, params):
+    u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
+    traj, state = picard_solve(u0, params, holder_for(u0, T=0.1), mesh_size=8)
+    assert state.iterates == [traj.snapshots] and traj.diag == []
+    for w in (traj.snapshots[0], traj.snapshots[-1]):
+        with pytest.raises(ValueError):
+            w.coeffs[0, 1, 1] = 1.0
+        with pytest.raises(ValueError):
+            w.coeffs.setflags(write=True)
 
 
 def test_picard_matches_stepper_small_data(grid2):

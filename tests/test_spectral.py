@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
-    NormSpec,
     Params,
     Regime,
     dealias,
@@ -20,12 +19,12 @@ from lansfrac import (
     to_physical,
     to_spectral,
 )
-from lansfrac.errors import GridError, MeanModeError, RegimeViolationError
+from lansfrac.errors import GridError, MeanModeError
+from lansfrac.io import parse_config
 from lansfrac.operators import u_from_v
 from lansfrac.spectral import (
     BandPlan,
     SpectralField,
-    check_regime,
     coeffs_to_phys,
     phys_to_coeffs,
     stokes_multiplier,
@@ -440,10 +439,12 @@ def test_norm_dar_monotonicity(grid2):
     assert all(norms[i + 1] >= norms[i] - 1e-12 for i in range(len(norms) - 1))
 
 
-def test_norm_spec_validation():
-    with pytest.raises(ValueError):
-        NormSpec(-0.5)
-    assert NormSpec(1.5).r == 1.5
+def test_norm_dar_negative_order_is_the_stokes_part(grid2):
+    # r < 0 drops the L^2 part: ||f||_{D(A^r)} = ||A^r f|| on zero-mean fields
+    u = random_field(grid2, seed=83)
+    for r in (-0.5, -0.25):
+        expect = l2_norm(frac_stokes_apply(u, r))
+        assert abs(norm_DAr(u, r) - expect) <= 1e-13 * expect
 
 
 # ---------------------------------------------------------------- dealias
@@ -502,11 +503,17 @@ def test_infer_regime():
     assert infer_regime(3, 0.2) is Regime.UNRESTRICTED
 
 
-def test_check_regime():
-    p = Params(alpha=0.5, nu=1.0, s=0.6, regime=Regime.GLOBAL_RANGE)
-    check_regime(p, 2)
-    with pytest.raises(RegimeViolationError):
-        check_regime(p, 3)
+def test_check_regime(tmp_path):
+    # s = 0.6 is in the global range for dim 2 and only in the local one for
+    # dim 3; a config's params carry the regime infer_regime finds
+    for dim, regime in ((2, Regime.GLOBAL_RANGE), (3, Regime.LOCAL_RANGE)):
+        assert infer_regime(dim, 0.6) is regime
+        cfg = tmp_path / f"d{dim}.cfg"
+        cfg.write_text(
+            f"dim = {dim}\nN = 8\nalpha = 0.5\nnu = 1\ns = 0.6\n"
+            "dt = 1e-3\nt_end = 0\ninit = shear\n"
+        )
+        assert parse_config(cfg).params.regime is regime
 
 
 # ------------------------------------------------------- field arithmetic
