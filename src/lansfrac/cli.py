@@ -26,7 +26,7 @@ from .errors import (
     RegimeViolationError,
     SnapshotError,
 )
-from .integrator import InitialData, SimConfig, make_initial, run
+from .integrator import InitialData, SimConfig, _step_count, make_initial, run
 from .io import (
     RunManifest,
     SnapshotMeta,
@@ -119,7 +119,7 @@ def _cmd_simulate(args) -> int:
     emit_csv(traj.diag, diag_path)
     mw.manifest.add_output(diag_path)
     mw.finish(out)
-    print(f"simulate: {len(traj.times)} snapshots, t_end={config.t_end}")
+    print(f"simulate: {index['n']} snapshots, t_end={config.t_end}")
     return 0
 
 
@@ -190,21 +190,23 @@ def _cmd_oracle_compare(args) -> int:
         stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
     except ValueError as exc:
         raise ConfigError(f"oracle-compare --T {T}: {exc}") from None
-    n = max(8, int(round(T / dt)))
+    n = _step_count(T, dt)
+    if abs(T - n * dt) > 1e-9 * max(dt, T):
+        raise ConfigError(f"oracle-compare --T {T} is not a multiple of dt = {dt}")
+    # The Picard mesh refines the stepper's n steps m-fold, to at least 8
+    # intervals, so that every stepper time is a mesh node.
+    m = -(-8 // n)
     traj = run(stepper_cfg)
     u0 = traj.snapshots[0]
     holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
     oracle_traj, state = mild.picard_solve(
-        u0, config.params, holder, mesh_size=n, max_iter=10
+        u0, config.params, holder, mesh_size=n * m, max_iter=10
     )
 
     rows = []
-    for t, w in zip(oracle_traj.times, oracle_traj.snapshots):
-        j = int(np.argmin(np.abs(traj.times - t)))
-        if abs(traj.times[j] - t) > 1e-9 * max(1.0, T):
-            continue
-        ref = norm_DAr(traj.snapshots[j], 1.0)
-        diff = norm_DAr(traj.snapshots[j] - w, 1.0) / max(ref, 1e-30)
+    for u, t, w in zip(traj.snapshots, oracle_traj.times[::m], oracle_traj.snapshots[::m]):
+        ref = norm_DAr(u, 1.0)
+        diff = norm_DAr(u - w, 1.0) / max(ref, 1e-30)
         rows.append({"t": float(t), "nDA_stepper": ref, "rel_diff": diff})
     # np.max keeps a nan, where Python's max would drop one after the first row
     worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))

@@ -120,7 +120,8 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshot series plus dense per-step diagnostics."""
+    """Snapshot series (empty when ``run`` streamed it to a sink) plus dense
+    per-step diagnostics."""
 
     times: np.ndarray
     snapshots: list[SpectralField]
@@ -310,6 +311,13 @@ def run(
 ) -> Trajectory:
     """March the configured problem to t_end, recording diagnostics each step.
 
+    A snapshot is taken at t = 0, every ``snapshot_every`` steps and at t_end,
+    and goes to exactly one consumer: ``on_snapshot(field, t)`` when it is
+    given, else the returned Trajectory. So a run with a sink holds no fields
+    (its ``times`` and ``snapshots`` are empty), and its memory does not grow
+    with the number of steps or snapshots. The t = 0 snapshot is taken right
+    after the first f and diagnostics record.
+
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Raises DivergedError if coefficients stop being
     finite, an invariant flag (real / solenoidal / zero-mean) of the state
@@ -340,8 +348,13 @@ def run(
     dt = config.scheme.dt
     n_steps = _step_count(config.t_end, dt)
 
-    snapshots = [state]
-    snap_times = [0.0]
+    snapshots: list[SpectralField] = []
+    snap_times: list[float] = []
+    if on_snapshot is None:
+        def on_snapshot(w: SpectralField, t: float) -> None:
+            snapshots.append(w)
+            snap_times.append(t)
+
     diag: list[diagnostics.DiagRecord] = []
     props: dict[float, _Propagator] = {}
 
@@ -358,8 +371,7 @@ def run(
     f_cur = f_eval(state)
     record_at(state, 0.0, f_cur)
     guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-    if on_snapshot is not None:
-        on_snapshot(state, 0.0)
+    on_snapshot(state, 0.0)
 
     t = 0.0
     for i in range(n_steps):
@@ -384,10 +396,7 @@ def run(
             raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
         last = i + 1 == n_steps
         if (i + 1) % config.snapshot_every == 0 or last:
-            snapshots.append(state)
-            snap_times.append(t)
-            if on_snapshot is not None:
-                on_snapshot(state, t)
+            on_snapshot(state, t)
 
     return Trajectory(
         times=np.array(snap_times), snapshots=snapshots, diag=diag, form=form

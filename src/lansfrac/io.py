@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -77,7 +78,10 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> Non
 
 
 def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -> None:
-    """Write header + full-spectrum complex128 payload; bit-exact round trip."""
+    """Write header + full-spectrum complex128 payload; bit-exact round trip.
+
+    The payload is expanded and written one component at a time.
+    """
     grid = field.grid
     header = _HEADER.pack(
         SNAPSHOT_MAGIC,
@@ -89,16 +93,23 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
         meta.s,
         meta.t,
     )
-    full = np.ascontiguousarray(full_spectrum(field.coeffs, grid.dim), dtype="<c16")
-    _write_atomic(path, (header, full.data))
+    components = (
+        np.ascontiguousarray(full_spectrum(c, grid.dim), dtype="<c16").data
+        for c in field.coeffs
+    )
+    _write_atomic(path, itertools.chain((header,), components))
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
-    """Read and validate a snapshot: magic, version, grid, payload size, realness."""
+    """Read and validate a snapshot: magic, version, grid, payload size, realness.
+
+    The payload is read as a view into the file's bytes, and its discarded
+    half is checked one component at a time.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise CorruptPayloadError(f"{path}: file shorter than header")
-    magic, version, dim, n, alpha, nu, s, t = _HEADER.unpack(blob[: _HEADER.size])
+    magic, version, dim, n, alpha, nu, s, t = _HEADER.unpack_from(blob)
     if magic != SNAPSHOT_MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
@@ -106,24 +117,24 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
     if dim not in (2, 3):
         raise CorruptPayloadError(f"{path}: header dim {dim} is not 2 or 3")
     expected = dim * n**dim * 16
-    payload = blob[_HEADER.size :]
-    if len(payload) != expected:
+    if len(blob) - _HEADER.size != expected:
         raise CorruptPayloadError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
+            f"{path}: payload is {len(blob) - _HEADER.size} bytes, expected {expected}"
         )
     try:
         grid = make_grid(dim, n)
     except GridError as exc:
         raise CorruptPayloadError(f"{path}: header grid: {exc}") from None
-    full = np.frombuffer(payload, dtype="<c16").astype(np.complex128, copy=False)
-    full = full.reshape((dim,) + grid.shape)
+    full = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    full = full.astype(np.complex128, copy=False).reshape((dim,) + grid.shape)
     coeffs = half_spectrum(full)
     # The payload is real iff its kept k_last = 0 and Nyquist planes match
     # their own mirrors and its discarded half mirrors the kept one.
     herm, _, _ = measure_flags(grid, coeffs)
     with np.errstate(invalid="ignore", over="ignore"):
-        drift = np.max(np.abs(full_spectrum(coeffs, dim) - full))
-        if not (herm and drift <= HERMITIAN_TOL * np.max(np.abs(full))):
+        drift = np.max([np.max(np.abs(full_spectrum(c, dim) - f)) for c, f in zip(coeffs, full)])
+        peak = np.max([np.max(np.abs(f)) for f in full])
+        if not (herm and drift <= HERMITIAN_TOL * peak):
             raise CorruptPayloadError(f"{path}: coefficients violate hermitian symmetry")
     field = SpectralField.from_coeffs(grid, coeffs)
     return field, SnapshotMeta(alpha=alpha, nu=nu, s=s, t=t)
@@ -278,8 +289,12 @@ def parse_config(path: str | Path) -> SimConfig:
 
 
 def sha256_file(path: str | Path) -> str:
+    """Hex sha256 of a file, read 1 MiB at a time into one buffer."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb", buffering=0) as fh:
+        buf = memoryview(bytearray(min(2**20, os.fstat(fh.fileno()).st_size)))
+        while size := fh.readinto(buf):
+            h.update(buf[:size])
     return h.hexdigest()
 
 

@@ -38,6 +38,10 @@ HERMITIAN_TOL = 1e-12
 SOLENOIDAL_TOL = 1e-12
 MEAN_TOL = 1e-12
 
+# Bytes of one chunk's line buffer in a BandPlan transform: a field's
+# intermediate buffers then stay within a 2 MiB L2 cache.
+LINE_BUDGET = 2**20
+
 
 class Regime(Enum):
     """Which hypothesis set the parameters are certified for."""
@@ -70,7 +74,8 @@ class GridSpec:
         0..N/2 on the last (the half spectrum).
 
     k2, dealias_mask, weight and each component of k have the half-spectrum
-    shape ``spectral_shape``; ``shape`` and x describe the physical grid.
+    shape ``spectral_shape``; ``shape`` and x describe the physical grid. x is
+    built on first use: only analytic initial data reads it.
     """
 
     dim: int
@@ -79,7 +84,6 @@ class GridSpec:
     k2: np.ndarray = _field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = _field(init=False, repr=False, compare=False)
     weight: np.ndarray = _field(init=False, repr=False, compare=False)
-    x: np.ndarray = _field(init=False, repr=False, compare=False)
 
     period = TWO_PI
 
@@ -102,13 +106,18 @@ class GridSpec:
         w_last[[0, -1]] = 1.0  # the k_last = 0 and Nyquist planes hold their own mirrors
         weight = np.ascontiguousarray(np.broadcast_to(w_last, k2.shape))
 
-        x1 = np.arange(self.N) * (TWO_PI / self.N)
-        x = np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
-
-        tables = (("k", k), ("k2", k2), ("dealias_mask", mask), ("weight", weight), ("x", x))
+        tables = (("k", k), ("k2", k2), ("dealias_mask", mask), ("weight", weight))
         for name, arr in tables:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Physical sample points, shape (dim,) + (N,)*dim; read-only."""
+        x1 = np.arange(self.N) * (TWO_PI / self.N)
+        x = np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
+        x.setflags(write=False)
+        return x
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,8 +144,9 @@ class GridSpec:
         return TWO_PI**self.dim
 
 
+@lru_cache(maxsize=8)
 def make_grid(dim: int, N: int) -> GridSpec:
-    """Build a validated torus grid with its wavevector tables."""
+    """The validated torus grid with its wavevector tables, one per (dim, N)."""
     return GridSpec(dim, N)
 
 
@@ -216,6 +226,14 @@ class BandPlan:
     runs the same passes in reverse order (the axis -2 pass on every line
     first, where its strides are short) and matches ``rfftn`` to rounding.
 
+    A stack is transformed ``chunk`` fields at a time, the most whose line
+    buffer (N,) * (dim-1) + (b+1,) complex values fits in ``LINE_BUDGET``
+    bytes, and at least one. So the intermediate buffers (the zero-padded
+    inputs, the lines and the forward passes) hold one chunk, and only the
+    samples and the block, which the caller reads whole, hold the stack.
+    Every line is transformed on its own, so the chunk size does not change
+    a bit of the result.
+
     Both return a buffer of the plan that the next call overwrites, so a plan
     is not re-entrant. No call passes information to the next: the inverse's
     zero-padded inputs hold zeros outside the band that no call writes, and
@@ -238,23 +256,21 @@ class BandPlan:
             self._slabs.append(((Ellipsis,) + blk + (last,), (Ellipsis,) + full + (last,)))
         cplx = np.complex128
         lines = (N,) * (dim - 1) + (b + 1,)
-        scratch = np.empty((max(inverse_fields, forward_fields),) + lines, cplx)
+        per_field = math.prod(lines) * np.dtype(cplx).itemsize
+        self.chunk = max(1, LINE_BUDGET // per_field)
+        inv, fwd = min(self.chunk, inverse_fields), min(self.chunk, forward_fields)
+        scratch = np.empty((max(inv, fwd),) + lines, cplx)
         # Inverse: pass j reads _pad[j], full length on axes -dim .. -dim+j.
         self._pad = [
-            np.zeros(
-                (inverse_fields,) + (N,) * (j + 1) + (2 * b + 1,) * (dim - 2 - j) + (b + 1,),
-                cplx,
-            )
+            np.zeros((inv,) + (N,) * (j + 1) + (2 * b + 1,) * (dim - 2 - j) + (b + 1,), cplx)
             for j in range(dim - 1)
         ]
-        self._lines = scratch[:inverse_fields]
+        self._lines = scratch[:inv]
         self._phys = np.empty((inverse_fields,) + grid.shape)
         # Forward: pass j writes _fwd[j], band-compact on axes -2 .. -1-j.
-        self._half = np.empty((forward_fields,) + grid.spectral_shape, cplx)
-        self._fwd = [scratch[:forward_fields]] + [
-            np.empty(
-                (forward_fields,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx
-            )
+        self._half = np.empty((fwd,) + grid.spectral_shape, cplx)
+        self._fwd = [scratch[:fwd]] + [
+            np.empty((fwd,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx)
             for j in range(1, dim - 1)
         ]
         self._block = np.empty((forward_fields,) + self.block_shape, cplx)
@@ -274,37 +290,44 @@ class BandPlan:
         return out
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
-        dim, N = self.grid.dim, self.grid.N
-        src = self._pad[0]
-        for blk, full in self._halves:
-            src[_along(-dim, full)] = block[_along(-dim, blk)]
-        for j, ax in enumerate(range(-dim, -2)):
-            dst = self._pad[j + 1]
+        dim, N, c = self.grid.dim, self.grid.N, self.chunk
+        for start in range(0, len(block), c):
+            part = block[start : start + c]
+            m = len(part)
+            src = self._pad[0][:m]
             for blk, full in self._halves:
-                np.fft.ifft(
-                    src[_along(ax + 1, blk)], axis=ax, norm="forward",
-                    out=dst[_along(ax + 1, full)],
-                )
-            src = dst
-        np.fft.ifft(src, axis=-2, norm="forward", out=self._lines)
-        return np.fft.irfft(self._lines, n=N, axis=-1, norm="forward", out=self._phys)
+                src[_along(-dim, full)] = part[_along(-dim, blk)]
+            for j, ax in enumerate(range(-dim, -2)):
+                dst = self._pad[j + 1][:m]
+                for blk, full in self._halves:
+                    np.fft.ifft(
+                        src[_along(ax + 1, blk)], axis=ax, norm="forward",
+                        out=dst[_along(ax + 1, full)],
+                    )
+                src = dst
+            lines = np.fft.ifft(src, axis=-2, norm="forward", out=self._lines[:m])
+            np.fft.irfft(lines, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
+        return self._phys[: len(block)]
 
     def _forward(self, phys: np.ndarray) -> np.ndarray:
-        dim, b = self.grid.dim, self.grid.band_limit
-        np.fft.rfft(phys, axis=-1, norm="forward", out=self._half)
-        src = self._fwd[0]
-        np.fft.fft(self._half[..., : b + 1], axis=-2, norm="forward", out=src)
-        for j, ax in enumerate(range(-3, -dim - 1, -1), start=1):
-            dst = self._fwd[j]
+        dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
+        for start in range(0, len(phys), c):
+            part = phys[start : start + c]
+            m = len(part)
+            half = np.fft.rfft(part, axis=-1, norm="forward", out=self._half[:m])
+            src = np.fft.fft(half[..., : b + 1], axis=-2, norm="forward", out=self._fwd[0][:m])
+            for j, ax in enumerate(range(-3, -dim - 1, -1), start=1):
+                dst = self._fwd[j][:m]
+                for blk, full in self._halves:
+                    np.fft.fft(
+                        src[_along(ax + 1, full)], axis=ax, norm="forward",
+                        out=dst[_along(ax + 1, blk)],
+                    )
+                src = dst
+            out = self._block[start : start + m]
             for blk, full in self._halves:
-                np.fft.fft(
-                    src[_along(ax + 1, full)], axis=ax, norm="forward",
-                    out=dst[_along(ax + 1, blk)],
-                )
-            src = dst
-        for blk, full in self._halves:
-            self._block[_along(-dim, blk)] = src[_along(-dim, full)]
-        return self._block
+                out[_along(-dim, blk)] = src[_along(-dim, full)]
+        return self._block[: len(phys)]
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:

@@ -109,13 +109,14 @@ def test_missing_config_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_simulate_writes_outputs_and_manifest(tmp_path):
+def test_simulate_writes_outputs_and_manifest(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_CFG)
     out = tmp_path / "out"
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
     assert (out / "diagnostics.csv").exists()
     snaps = sorted(out.glob("snapshot_*.flns"))
     assert len(snaps) >= 2
+    assert capsys.readouterr().out.startswith(f"simulate: {len(snaps)} snapshots,")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["N"] == 32
     for entry in manifest["outputs"]:
@@ -184,6 +185,27 @@ def test_oracle_compare_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["oracle-compare", cfg, "--T", "0.1", "--out-dir", str(out)]) == 0
     assert (out / "oracle.csv").exists()
+
+
+def test_oracle_compare_checks_every_stepper_time(tmp_path):
+    # 3 steps of dt = 3e-3: the Picard mesh is refined to 9 intervals, so
+    # each stepper time is a node; a mesh of 8 would meet only t = 0 and T.
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 3e-3"))
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.009", "--out-dir", str(out)]) == 0
+    lines = (out / "oracle.csv").read_text().splitlines()
+    times = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(times) == 4 and np.allclose(times, [0.0, 3e-3, 6e-3, 9e-3], rtol=0, atol=1e-15)
+
+
+def test_oracle_compare_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 3e-3"))
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "0.1" in err[0] and "0.003" in err[0]
+    assert not (out / "oracle.csv").exists()
 
 
 def test_oracle_compare_non_finite_picard_node_fails(tmp_path, capsys, monkeypatch):

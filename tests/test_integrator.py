@@ -1,5 +1,7 @@
 """Stepper and run-loop tests: exactness, convergence order, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,40 @@ def test_run_snapshot_cadence(grid2, params):
     assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
     assert len(traj.snapshots) == 5
     assert len(traj.diag) == 11
+
+
+def test_run_streams_snapshots_to_the_sink(grid2, params):
+    cfg = config(grid2, params, dt=0.1, t_end=1.0, snapshot_every=3)
+    seen = []
+    traj = run(cfg, on_snapshot=lambda w, t: seen.append((t, w)))
+    assert np.allclose([t for t, _ in seen], [0.0, 0.3, 0.6, 0.9, 1.0])
+    assert len(traj.times) == 0 and traj.snapshots == []  # the sink had them
+    assert len(traj.diag) == 11
+    held = run(cfg)
+    assert np.array_equal(held.times, [t for t, _ in seen])
+    for kept, (_, streamed) in zip(held.snapshots, seen):
+        assert np.array_equal(kept.coeffs, streamed.coeffs)
+
+
+def test_run_with_a_sink_holds_no_fields(grid3):
+    # A snapshot every step, streamed to a sink that keeps nothing: the
+    # traced peak of the run does not grow with the number of steps.
+    p = Params(alpha=0.5, nu=0.1, s=0.75, regime=Regime.GLOBAL_RANGE)
+    init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
+
+    def traced_peak(steps: int) -> int:
+        cfg = config(grid3, p, dt=1e-3, t_end=steps * 1e-3, init=init)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(cfg, on_snapshot=lambda w, t: None)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2)  # builds the cached kernel workspace and tables
+    field = 16 * grid3.dim * np.prod(grid3.spectral_shape)
+    assert traced_peak(40) - traced_peak(10) < field
 
 
 def test_run_galerkin_consistency_band_limited(grid2):

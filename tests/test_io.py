@@ -1,7 +1,9 @@
 """Snapshot format, CSV emission, config parsing, manifest checksums."""
 
+import hashlib
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +318,42 @@ def test_parse_snapshot_init_path(tmp_path, grid2):
 
     u0 = make_initial(cfg.initial, cfg.grid)
     assert np.array_equal(u0.coeffs, u.coeffs)
+
+
+def test_restart_field_has_the_config_grid(tmp_path):
+    snap = tmp_path / "u0.flns"
+    write_snapshot(random_field(make_grid(3, 16), seed=4), META, snap)
+    text = MINIMAL.replace("init = taylor-green", f"init = snapshot:{snap}")
+    text = text.replace("dim = 2", "dim = 3").replace("N = 64", "N = 16")
+    cfg = parse_config(write_config(tmp_path, text))
+    from lansfrac import make_initial
+
+    assert make_initial(cfg.initial, cfg.grid).grid is cfg.grid
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
+    # Traced peaks in units of the payload (a 5.3 MB full spectrum at 3D N=48):
+    # the read holds the file's bytes and the half spectrum it keeps, the
+    # write one expanded component, and the hash one 1 MiB chunk.
+    u = random_field(make_grid(3, 48), seed=5)
+    path = tmp_path / "big.flns"
+    write_snapshot(u, META, path)
+    payload = path.stat().st_size - struct.calcsize("<4s3I4d")
+    assert _traced_peak(lambda: write_snapshot(u, META, path)) <= 1.0 * payload
+    assert _traced_peak(lambda: read_snapshot(path)) <= 2.5 * payload
+    assert _traced_peak(lambda: sha256_file(path)) <= 0.25 * payload
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert np.array_equal(read_snapshot(path)[0].coeffs, u.coeffs)
 
 
 # ----------------------------------------------------------------- manifest

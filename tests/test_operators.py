@@ -356,6 +356,30 @@ def test_rhs_f_matches_the_unpruned_kernel(dim, n):
         assert rel_err(f.coeffs, _unpruned_rotational_f(u, alpha)) <= 1e-14
 
 
+def _live_bytes(*owners) -> int:
+    """Bytes of the distinct arrays (views counted once) the owners' attributes hold."""
+    bases = {}
+    for owner in owners:
+        for value in vars(owner).values():
+            for arr in value if isinstance(value, list) else [value]:
+                if isinstance(arr, np.ndarray):
+                    while isinstance(arr.base, np.ndarray):
+                        arr = arr.base
+                    bases[id(arr)] = arr.nbytes
+    return sum(bases.values())
+
+
+def test_kernel_workspace_holds_a_few_fields():
+    # At 3D N=48 one field's line buffer exceeds the plan's budget, so its
+    # transforms hold one field's intermediate buffers; the samples and the
+    # band blocks of the stack make up the rest.
+    grid = make_grid(3, 48)
+    ws = _kernel_workspace(grid, 0.5)
+    field = 16 * grid.dim * np.prod(grid.spectral_shape)
+    assert ws.plan.chunk == 1
+    assert _live_bytes(ws, ws.plan) <= 8 * field
+
+
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
 def test_rhs_f_workspace_carries_no_state_between_calls(dim, n):
     grid = make_grid(dim, n)

@@ -86,6 +86,24 @@ def test_make_grid_rejects_tiny_and_bad_dim():
         make_grid(1, 16)
 
 
+def test_make_grid_builds_one_grid_per_shape():
+    assert make_grid(3, 16) is make_grid(3, 16)
+    assert make_grid(2, 16) is not make_grid(3, 16)
+
+
+@pytest.mark.parametrize("dim,N", [(2, 8), (3, 16)])
+def test_grid_x_holds_the_sample_points_read_only(dim, N):
+    x = make_grid(dim, N).x
+    x1 = np.arange(N) * (2.0 * np.pi / N)
+    for axis in range(dim):
+        shape = [1] * dim
+        shape[axis] = N
+        assert np.array_equal(x[axis], np.broadcast_to(x1.reshape(shape), (N,) * dim))
+    assert make_grid(dim, N).x is x
+    with pytest.raises(ValueError):
+        x[0, 0] = 1.0
+
+
 # ------------------------------------------------------------ transforms
 
 def test_single_mode_synthesis(grid2):
@@ -156,13 +174,19 @@ def test_to_spectral_shape_mismatch(grid2):
         to_spectral(np.zeros((2, 8, 8)), grid2)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 48)])
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 32), (3, 48)])
 def test_band_plan_matches_full_transforms(dim, n):
+    # Stacks of 2 dim fields in and dim out, as in the 3D kernel. At 3D N=32
+    # the plan transforms 5 fields at a time, so the inverse ends in a short chunk.
     grid = make_grid(dim, n)
-    plan = BandPlan(grid, inverse_fields=dim + 1, forward_fields=dim)
+    fields = 2 * dim
+    plan = BandPlan(grid, inverse_fields=fields, forward_fields=dim)
+    single = BandPlan(grid, inverse_fields=1, forward_fields=1)
+    if (dim, n) == (3, 32):
+        assert plan.chunk == 5
     rng = np.random.default_rng(n + dim)
     for _ in range(2):  # the second round reads buffers the first one wrote
-        spectra = phys_to_coeffs(rng.standard_normal((dim + 1,) + grid.shape), dim)
+        spectra = phys_to_coeffs(rng.standard_normal((fields,) + grid.shape), dim)
         spectra *= grid.dealias_mask  # random dealiased hermitian half spectra
         block = plan.gather(spectra)
         assert np.array_equal(plan.scatter(block, np.zeros_like(spectra)), spectra)
@@ -171,6 +195,13 @@ def test_band_plan_matches_full_transforms(dim, n):
         samples = rng.standard_normal((dim,) + grid.shape)
         band = phys_to_coeffs(samples, dim, band=plan)
         assert rel_err(band, plan.gather(phys_to_coeffs(samples, dim))) <= 1e-14
+        # Chunking does not change a bit: each field alone gives the same.
+        for i in range(fields):
+            alone = coeffs_to_phys(block[i : i + 1], dim, band=single)
+            assert np.array_equal(alone[0], pruned[i])
+        for i in range(dim):
+            alone = phys_to_coeffs(samples[i : i + 1], dim, band=single)
+            assert np.array_equal(alone[0], band[i])
 
 
 # ---------------------------------------------------------- Leray projection
