@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -26,7 +27,7 @@ from .errors import (
     RegimeViolationError,
     SnapshotError,
 )
-from .integrator import InitialData, SimConfig, _step_count, make_initial, run
+from .integrator import InitialData, SimConfig, Trajectory, _step_count, make_initial, run
 from .io import (
     RunManifest,
     SnapshotMeta,
@@ -128,7 +129,7 @@ def _cmd_verify_energy(args) -> int:
     _require_global(config, "verify-energy")
     out = _out_dir(config)
     mw = _ManifestWriter(config)
-    traj = run(config)
+    traj = run(config, on_snapshot=lambda field, t: None)  # reads only the records
     residuals = diagnostics.energy_balance_residual(traj, config.params)
     rows = [
         {"t": rec.t, "residual": float(res)}
@@ -149,10 +150,19 @@ def _cmd_smoothing(args) -> int:
     config = dataclasses.replace(config, snapshot_every=1)
     out = _out_dir(config)
     mw = _ManifestWriter(config)
-    traj = run(config)
-    s = config.params.s
     window = (2.0 * config.scheme.dt, 0.1)
-    fit = diagnostics.smoothing_rate(traj, args.r, s, window=window)
+    times: list[float] = []
+    fields: list[SpectralField] = []
+
+    def keep_window(field: SpectralField, t: float) -> None:
+        # the fit reads no snapshot after its window ends
+        if t <= window[1]:
+            times.append(t)
+            fields.append(field)
+
+    traj = run(config, on_snapshot=keep_window)
+    kept = Trajectory(times=np.array(times), snapshots=fields, diag=traj.diag)
+    fit = diagnostics.smoothing_rate(kept, args.r, config.params.s, window=window)
     rows = [
         {
             "t_min": fit.window[0],
@@ -344,6 +354,33 @@ def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(diff))) / (denom if denom > 0 else 1.0)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _beta(text: str) -> float:
+    """argparse type: a Hoelder exponent in (0, 1/2), as HolderClass requires."""
+    value = _finite(text)
+    if not 0.0 < value < 0.5:
+        raise argparse.ArgumentTypeError(f"{text!r} does not lie in (0, 1/2)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lansfrac",
@@ -356,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         if tol_default is not None:
-            p.add_argument("--tol", type=float, default=tol_default)
+            p.add_argument("--tol", type=_tolerance, default=tol_default)
 
     p = sub.add_parser("simulate", help="run and write snapshots + diagnostics")
     common(p)
@@ -368,17 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smoothing", help="instantaneous smoothing-rate fit")
     common(p, tol_default=0.15)
-    p.add_argument("--r", type=float, required=True, help="extra Stokes order probed")
+    p.add_argument("--r", type=_finite, required=True, help="extra Stokes order probed")
     p.set_defaults(func=_cmd_smoothing)
 
     p = sub.add_parser("oracle-compare", help="stepper vs Picard mild solution")
     common(p, tol_default=1e-5)
-    p.add_argument("--T", type=float, required=True, help="comparison horizon")
+    p.add_argument("--T", type=_finite, required=True, help="comparison horizon")
     p.set_defaults(func=_cmd_oracle_compare)
 
     p = sub.add_parser("holder", help="critical-case weighted-Hoelder quotients")
     common(p)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_beta, required=True)
     p.set_defaults(func=_cmd_holder)
 
     p = sub.add_parser("ops-test", help="operator unit battery incl. cancellation")

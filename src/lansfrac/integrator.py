@@ -12,9 +12,9 @@ per step through ``galerkin_N``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class Trajectory:
     per-step diagnostics."""
 
     times: np.ndarray
-    snapshots: list[SpectralField]
+    snapshots: Sequence[SpectralField]
     diag: list[diagnostics.DiagRecord]
     form: str = "u"
 

@@ -15,17 +15,21 @@ pass/fail against unquantified theoretical ones.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoContractionError
 from .integrator import Trajectory
-from .operators import rhs_f
+from .operators import band_plan, rhs_f, rhs_f_band
 from .spectral import (
+    BandPlan,
     Params,
     SpectralField,
+    _stokes_table,
     frac_stokes_apply,
+    mode_dot,
     norm_DAr,
     semigroup_apply,
     semigroup_factor,
@@ -62,51 +66,118 @@ class HolderClass:
 class PicardState:
     """History of the fixed-point iteration.
 
-    The sweeps stream through one iterate stack, so only the last iterate
-    exists: iterates holds it as a one-element list, the node fields of the
-    returned trajectory, which are read-only views of that stack.
+    The sweeps stream through one band-block iterate stack, so only the last
+    iterate exists: iterates holds it as a one-element list, the node
+    sequence of the returned trajectory (see ``PicardNodes``).
     """
 
-    iterates: list[list[SpectralField]]
+    iterates: list[Sequence[SpectralField]]
     increments_linf: list[float]   # sup_t ||u^(j) - u^(j-1)||_{D(A)}
     converged: bool
     n_iter: int
 
 
-def _duhamel_sweep(
-    stack: np.ndarray, u0: SpectralField, t_mesh: np.ndarray, params: Params
-) -> float:
-    """One Picard sweep, left to right through the iterate stack, in place.
+class _BandSolve:
+    """u0, f at node 0 and the multipliers of one Picard solve, on the band block.
 
-    At node i: f_i = f(u_i, u_i) of the previous iterate (node i is not yet
-    overwritten, so this is a Jacobi sweep), the running Duhamel integral
-    advances by the semigroup property, acc <- e^{-h nu A^s}(acc + h/2 f_{i-1})
-    + h/2 f_i (composite trapezoid with the exact factor at every node), and
-    node i becomes e^{-t_i nu A^s} u0 + acc. Returns the sup over the nodes of
-    the D(A) increment; a non-finite increment raises NoContractionError.
+    f has no modes outside the band block (see ``BandPlan``), so there every
+    Picard node is the free field u0 e^{-t nu A^s}, and only the block is
+    iterated. Each table is gathered once per solve; node 0 is u0 in every
+    iterate, so its f is taken once, from ``rhs_f``.
     """
-    grid = u0.grid
+
+    def __init__(self, u0: SpectralField, params: Params):
+        grid = u0.grid
+        self.grid, self.params = grid, params
+        self.plan = plan = band_plan(grid, params.alpha)
+        self.u0 = plan.gather(u0.coeffs)
+        self.f0 = plan.gather(rhs_f(u0, u0, params).coeffs)
+        self.stokes = plan.gather(_stokes_table(grid, params.s))
+        self.da = plan.gather(_stokes_table(grid, 2.0))
+        self.weight = plan.gather(grid.weight).ravel()
+
+    def factor(self, t: float) -> np.ndarray:
+        """``semigroup_factor`` on the block: exp(-nu t |k|^{2s})."""
+        return np.exp(-self.params.nu * t * self.stokes)
+
+    def norm_DA(self, block: np.ndarray) -> float:
+        """``norm_DAr(field, 1.0)`` of the field that is block on the band, zero elsewhere."""
+        w = mode_dot(block, block)
+        m = self.grid.measure
+        a_part = m * float(np.einsum("i,i->", self.weight, (self.da * w).ravel()))
+        return float(np.sqrt(a_part + m * float(np.einsum("i,i->", self.weight, w.ravel()))))
+
+
+def _duhamel_sweep(stack: np.ndarray, band: _BandSolve, t_mesh: np.ndarray) -> float:
+    """One Picard sweep, left to right through the band-block iterate stack, in place.
+
+    At node i >= 1 the running Duhamel integral advances by the semigroup
+    property, acc <- e^{-h nu A^s}(acc + h/2 f_{i-1}) + h/2 f_i (composite
+    trapezoid with the exact factor at every node), where f_i = f(u_i, u_i)
+    of the previous iterate (node i is not yet overwritten, so this is a
+    Jacobi sweep), and node i becomes u0 e^{-t_i nu A^s} + acc. Node 0 is u0
+    and is left as it is. Returns the sup over the nodes of the D(A)
+    increment; a non-finite increment raises NoContractionError.
+    """
+    grid, params = band.grid, band.params
     acc = np.zeros_like(stack[0])
     work = np.empty_like(acc)
-    f_prev = None
+    diff = np.empty_like(acc)
+    f = band.f0.copy()  # f at the previous node
     sup = 0.0
-    for i, t in enumerate(t_mesh):
-        node = SpectralField.from_coeffs(grid, stack[i])  # read only before node i is written
-        f_i = rhs_f(node, node, params).coeffs
-        if i > 0:
-            h = float(t - t_mesh[i - 1])
-            np.add(acc, np.multiply(0.5 * h, f_prev, out=work), out=acc)
-            np.multiply(semigroup_factor(grid, h, params), acc, out=acc)
-            np.add(acc, np.multiply(0.5 * h, f_i, out=work), out=acc)
-        nxt = np.multiply(u0.coeffs, semigroup_factor(grid, float(t), params), out=work)
+    for i in range(1, len(t_mesh)):
+        t = float(t_mesh[i])
+        h = float(t_mesh[i] - t_mesh[i - 1])
+        np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
+        np.multiply(band.factor(h), acc, out=acc)
+        f = rhs_f_band(grid, stack[i], params, out=f)
+        np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
+        nxt = np.multiply(band.u0, band.factor(t), out=work)
         np.add(nxt, acc, out=nxt)
-        inc = norm_DAr(SpectralField.from_coeffs(grid, nxt - stack[i]), 1.0)
+        inc = band.norm_DA(np.subtract(nxt, stack[i], out=diff))
         if not math.isfinite(inc):
             raise NoContractionError(f"Picard increment became non-finite at t = {t:g}")
         sup = max(sup, inc)
         stack[i] = nxt
-        f_prev = f_i
     return sup
+
+
+class PicardNodes(Sequence[SpectralField]):
+    """The read-only nodes of a Picard solve, each built when it is accessed.
+
+    Node i is the free field u0 e^{-t_i nu A^s} with the band block of the
+    iterate written into its band modes. Indexing and iteration build one
+    field per access, and a slice is another such sequence, so no full-spectrum
+    node list is ever held. Each node's coefficients are a view of a read-only
+    buffer of its own.
+    """
+
+    def __init__(
+        self,
+        u0: SpectralField,
+        params: Params,
+        times: np.ndarray,
+        stack: np.ndarray,
+        plan: BandPlan,
+        index: range | None = None,
+    ):
+        self._u0, self._params, self._times = u0, params, times
+        self._stack, self._plan = stack, plan
+        self._index = range(len(times)) if index is None else index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            args = (self._u0, self._params, self._times, self._stack, self._plan)
+            return PicardNodes(*args, index=self._index[key])
+        i = self._index[key]
+        grid = self._u0.grid
+        coeffs = self._u0.coeffs * semigroup_factor(grid, float(self._times[i]), self._params)
+        self._plan.scatter(self._stack[i], coeffs)
+        coeffs.setflags(write=False)
+        return SpectralField.from_coeffs(grid, coeffs[...])
 
 
 def picard_solve(
@@ -120,19 +191,21 @@ def picard_solve(
     """Fixed-point iteration u^(j+1) = e^{-t nu A^s} u0 + Duhamel(f(u^(j), u^(j))).
 
     Starts from the free trajectory e^{-t nu A^s} u0 and runs each sweep
-    through one (mesh_size + 1, dim) + spectral_shape iterate stack (see
-    _duhamel_sweep). Stops once the sup-in-time D(A) increment drops below
-    tol * ||u0||_{D(A)} (absolute fallback for u0 = 0) or after max_iter
-    sweeps. Raises NoContractionError if an increment is non-finite or fails
-    to decrease three times in a row, which is the observable signature of
-    data too large for the contraction. The returned trajectory carries no
-    diagnostics records; its node fields are read-only views of the stack.
+    through one (mesh_size + 1, dim) + block_shape iterate stack that holds
+    the band block of every node (see _duhamel_sweep). Stops once the
+    sup-in-time D(A) increment drops below tol * ||u0||_{D(A)} (absolute
+    fallback for u0 = 0) or after max_iter sweeps. Raises NoContractionError
+    if an increment is non-finite or fails to decrease three times in a row,
+    which is the observable signature of data too large for the contraction.
+    The returned trajectory carries no diagnostics records; its snapshots are
+    a ``PicardNodes`` sequence, which builds each full node on access.
     """
     grid = u0.grid
     t_mesh = np.linspace(0.0, holder.T, mesh_size + 1)
-    stack = np.empty((len(t_mesh), grid.dim) + grid.spectral_shape, dtype=np.complex128)
+    band = _BandSolve(u0, params)
+    stack = np.empty((len(t_mesh), grid.dim) + band.plan.block_shape, dtype=np.complex128)
     for i, t in enumerate(t_mesh):
-        np.multiply(u0.coeffs, semigroup_factor(grid, float(t), params), out=stack[i])
+        np.multiply(band.u0, band.factor(float(t)), out=stack[i])
 
     scale = norm_DAr(u0, 1.0)
     stop = tol * max(scale, 1e-30)
@@ -141,7 +214,7 @@ def picard_solve(
     bad_streak = 0
 
     for _ in range(max_iter):
-        inc_linf = _duhamel_sweep(stack, u0, t_mesh, params)
+        inc_linf = _duhamel_sweep(stack, band, t_mesh)
         if increments and inc_linf >= increments[-1]:
             bad_streak += 1
             if bad_streak >= 3:
@@ -155,10 +228,8 @@ def picard_solve(
             converged = True
             break
 
-    # Views only now: a SpectralField caches its flags, so none may see the
-    # stack while a sweep still writes it.
     stack.setflags(write=False)
-    nodes = [SpectralField.from_coeffs(grid, node) for node in stack]
+    nodes = PicardNodes(u0, params, t_mesh, stack, band.plan)
     state = PicardState(
         iterates=[nodes],
         increments_linf=increments,

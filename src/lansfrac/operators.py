@@ -15,7 +15,8 @@ Three implementations of the nonlinearity live here:
 
 - ``rhs_f``, the production kernel, evaluates f(u, u) in rotational
   filtered-momentum form, -(1 + alpha^2 A)^{-1} P[(curl v) x u] with
-  v = (1 + alpha^2 A) u.
+  v = (1 + alpha^2 A) u. Its arithmetic is ``rhs_f_band``, which maps band
+  blocks to band blocks; the Picard oracle calls that kernel directly.
 - ``stress_form_f`` is the paper's gradient-stress definition of the
   bilinear f; it is the reference the kernel is tested against.
 - ``v_nonlinearity`` is the transport + stretch form of the v-equation that
@@ -79,7 +80,7 @@ class _KernelWorkspace:
 
     Everything lives on the band block (see ``BandPlan``): the dealiased band
     is the whole block, so dealiasing is the gather itself. Every call of
-    ``rhs_f`` on this (grid, alpha) reuses the same buffers, so the workspace
+    ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
     is not re-entrant; lansfrac starts no threads.
     """
 
@@ -100,6 +101,7 @@ class _KernelWorkspace:
 
         cplx, block = np.complex128, plan.block_shape
         self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u1, curl v2
+        self.u_in = self.stack[:dim]  # the kernel's u1, gathered or copied in place
         self.u2 = np.empty((dim,) + block, cplx)
         self.filtered = np.empty((dim,) + block, cplx)
         self.projected = np.empty((dim,) + block, cplx)
@@ -171,17 +173,9 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField
 
     This is the production nonlinearity, in rotational filtered-momentum form:
     u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
-    removed by the projection. One call makes one stacked inverse transform
-    of the dealiased u and of curl v, and one forward transform of the cross
-    product: 3 + 2 fields in 2D (the curl is a scalar), 6 + 3 in 3D. Both are
-    band-pruned transforms, and every per-mode step runs on the band block,
-    in the buffers of a cached per-(grid, alpha) workspace; a call allocates
-    only the f it returns.
-
-    f is certified on the band block before it is returned: mean-free and
-    solenoidal (see ``_KernelWorkspace.violation``). f is zero outside the
-    block, so the check decides what ``measure_flags`` of f would. It is an
-    explicit test, kept under ``python -O``; a broken f raises DivergedError.
+    removed by the projection. It gathers the band blocks of u1 and u2, runs
+    ``rhs_f_band`` on them and scatters the result, so it allocates only the
+    f it returns. f is zero outside the band block.
 
     It equals the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)]
     exactly only on the diagonal u1 = u2, which is every call the solver
@@ -192,12 +186,46 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField
     """
     _check_same_grid(u1, u2)
     grid = u1.grid
+    ws = _kernel_workspace(grid, params.alpha)
+    u_band = ws.plan.gather(u1.coeffs, out=ws.u_in)
+    c_band = None if u2 is u1 else ws.plan.gather(u2.coeffs, out=ws.u2)
+    return _band_field(grid, ws.plan, rhs_f_band(grid, u_band, params, c_band))
+
+
+def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
+    """The plan ``rhs_f_band`` runs on; its gather and scatter fix the block layout."""
+    return _kernel_workspace(grid, alpha).plan
+
+
+def rhs_f_band(
+    grid: GridSpec,
+    u1: np.ndarray,
+    params: Params,
+    u2: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The kernel of ``rhs_f``: f(u1, u2) from and to band blocks.
+
+    u1 and u2 are the band blocks (see ``BandPlan``) of the two arguments;
+    u2 = None is the diagonal u2 = u1. One call makes one stacked inverse
+    transform of the dealiased u and of curl v, and one forward transform of
+    the cross product: 3 + 2 fields in 2D (the curl is a scalar), 6 + 3 in
+    3D. Both are band-pruned transforms, and every per-mode step runs on the
+    band block in the buffers of a cached per-(grid, alpha) workspace. f is
+    written into out, or without it into a workspace buffer that the next
+    call on this (grid, alpha) overwrites.
+
+    f is certified on the band block before it is returned: mean-free and
+    solenoidal (see ``_KernelWorkspace.violation``). f is zero outside the
+    block, so the check decides what ``measure_flags`` of f would. It is an
+    explicit test, kept under ``python -O``; a broken f raises DivergedError.
+    """
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
     plan, stack = ws.plan, ws.stack
-    u_band = plan.gather(u1.coeffs, out=stack[:dim])
-    c = u_band if u2 is u1 else plan.gather(u2.coeffs, out=ws.u2)
-    _cross(ws.ikv, c, stack[dim:], ws.dot)
+    if u1 is not ws.u_in:
+        np.copyto(ws.u_in, u1)
+    _cross(ws.ikv, ws.u_in if u2 is None else u2, stack[dim:], ws.dot)
     phys = coeffs_to_phys(stack, dim, band=plan)
     prod = phys_to_coeffs(_cross(phys[dim:], phys[:dim], ws.cross, ws.cross_tmp), dim, band=plan)
 
@@ -205,11 +233,12 @@ def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField
     # A second pass is a no-op analytically but keeps the divergence residual
     # eps-relative to f itself when the projection removes almost all of the
     # product, as it does near an oblique shear.
-    projected = ws.project(ws.project(filtered, ws.projected), ws.projected)
+    out = ws.projected if out is None else out
+    projected = ws.project(ws.project(filtered, ws.projected), out)
     problem = ws.violation(projected, filtered)
     if problem is not None:
         raise DivergedError(f"the nonlinearity f(u, u) {problem}")
-    return _band_field(grid, plan, projected)
+    return projected
 
 
 def _band_field(grid: GridSpec, plan: BandPlan, block: np.ndarray) -> SpectralField:

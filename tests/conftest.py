@@ -40,17 +40,23 @@ def random_field(grid: GridSpec, seed: int = 0, amplitude: float = 1.0, band=Non
 
 
 def nan_at_last_picard_node(monkeypatch, nodes: int) -> None:
-    """Make Picard's f return nan at the last of its mesh nodes, every sweep."""
+    """Make Picard's f return nan at the last of its mesh nodes, every sweep.
+
+    A sweep calls the band kernel once per node but node 0, whose f is taken
+    once per solve.
+    """
     import lansfrac.mild as mild
 
-    real, calls = mild.rhs_f, []
+    real, calls = mild.rhs_f_band, []
 
-    def f(u1, u2, params):
+    def f(*args, **kwargs):
         calls.append(None)
-        out = real(u1, u2, params)
-        return out.copy_with(out.coeffs * np.nan) if len(calls) % nodes == 0 else out
+        out = real(*args, **kwargs)
+        if len(calls) % (nodes - 1) == 0:
+            out[...] = np.nan
+        return out
 
-    monkeypatch.setattr(mild, "rhs_f", f)
+    monkeypatch.setattr(mild, "rhs_f_band", f)
 
 
 def random_hermitian_field(grid: GridSpec, seed: int = 0) -> SpectralField:

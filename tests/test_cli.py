@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -241,6 +242,67 @@ def test_holder_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["holder", cfg, "--beta", "0.25", "--out-dir", str(out)]) == 0
     assert (out / "holder.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("holder", "--beta", "0.7"),
+        ("holder", "--beta", "0.5"),
+        ("holder", "--beta", "0"),
+        ("holder", "--beta", "nan"),
+        ("holder", "--beta", "one"),
+        ("verify-energy", "--tol", "nan"),
+        ("verify-energy", "--tol", "-1e-6"),
+        ("oracle-compare", "--tol", "nan"),
+        ("oracle-compare", "--tol", "inf"),
+        ("smoothing", "--r", "nan"),
+        ("smoothing", "--r", "-inf"),
+        ("smoothing", "--tol", "-0.1"),
+    ],
+)
+def test_bad_flag_values_exit_two(tmp_path, capsys, command, flag, value):
+    cfg = write(tmp_path, SMALL_CFG)
+    required = {"holder": ["--beta", "0.25"], "oracle-compare": ["--T", "0.004"],
+                "smoothing": ["--r", "0.375"]}.get(command, [])
+    if flag in required:
+        required = []
+    argv = [command, cfg, "--out-dir", str(tmp_path / "out"), *required, f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-energy", "smoothing"])
+def test_long_run_commands_hold_no_snapshots(tmp_path, command):
+    # verify-energy reads only the diagnostics records, and smoothing no
+    # snapshot after its fit window ends (t = 0.1), so from t_end 0.2 to 1.0
+    # the peak may grow by the 80 extra records alone, under one field (the
+    # energy identity of dt = 1e-2 holds to 1.4e-6, so its --tol is widened)
+    extra = ["--r", "0.375"] if command == "smoothing" else ["--tol", "1e-4"]
+
+    def peak(t_end: float) -> int:
+        text = (
+            SMALL_CFG.replace("N = 32", "N = 64")
+            .replace("s = 0.5", "s = 0.75")
+            .replace("nu = 0.5", "nu = 0.1")
+            .replace("dt = 2e-3", "dt = 1e-2")
+            .replace("amplitude = 0.01", "amplitude = 0.5")
+            .replace("t_end = 0.05", f"t_end = {t_end}")
+        )
+        cfg = write(tmp_path, text, name=f"t{t_end}.cfg")
+        tracemalloc.start()
+        try:
+            assert main([command, cfg, "--out-dir", str(tmp_path / "out"), *extra]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.2)  # warm the grid, kernel and propagator caches
+    field_bytes = 2 * 64 * 33 * 16
+    growth = peak(1.0) - peak(0.2)
+    assert growth < field_bytes, growth / field_bytes
 
 
 def test_holder_wrong_regime(tmp_path):

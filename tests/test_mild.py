@@ -17,6 +17,7 @@ from lansfrac import (
     dealias,
     holder_membership,
     l2_norm,
+    make_grid,
     make_initial,
     norm_DAr,
     picard_solve,
@@ -26,8 +27,8 @@ from lansfrac import (
     semigroup_class_check,
 )
 from lansfrac.errors import NoContractionError
-from lansfrac.mild import _duhamel_sweep
-from lansfrac.operators import stress_form_f
+from lansfrac.mild import PicardNodes, _BandSolve, _duhamel_sweep
+from lansfrac.operators import band_plan, stress_form_f
 from lansfrac.spectral import semigroup_factor, zero_field
 
 from conftest import nan_at_last_picard_node, random_field, rel_err, single_mode_field
@@ -127,14 +128,82 @@ def test_duhamel_sweep_matches_direct(grid2, params):
     # Duhamel integral of f along the free trajectory, summed directly
     u0 = dealias(random_field(grid2, seed=70, amplitude=2.0))
     mesh = np.linspace(0.0, 0.3, 13)
+    band = _BandSolve(u0, params)
     free = [semigroup_apply(u0, float(t), params) for t in mesh]
-    stack = np.stack([w.coeffs for w in free])
-    _duhamel_sweep(stack, u0, mesh, params)
+    stack = np.stack([band.plan.gather(w.coeffs) for w in free])
+    _duhamel_sweep(stack, band, mesh)
     fs = [rhs_f(w, w, params) for w in free]
     assert max(l2_norm(f) for f in fs) > 0.01 * l2_norm(u0)
     for i, t in enumerate(mesh):
         direct = free[i].coeffs + duhamel_integral(fs, mesh, float(t), params).coeffs
-        assert rel_err(stack[i], direct) < 1e-12
+        assert rel_err(stack[i], band.plan.gather(direct)) < 1e-12
+
+
+def full_spectrum_sweep(
+    stack: np.ndarray, u0: SpectralField, t_mesh: np.ndarray, params: Params
+) -> float:
+    """Reference: one Picard sweep with every node on the whole half spectrum.
+
+    This is the sweep ``_duhamel_sweep`` replaced, which iterates the band
+    block alone; the arithmetic per mode is the same, so the nodes must agree
+    bit for bit.
+    """
+    grid = u0.grid
+    acc = np.zeros_like(stack[0])
+    work = np.empty_like(acc)
+    f_prev = None
+    sup = 0.0
+    for i, t in enumerate(t_mesh):
+        node = SpectralField.from_coeffs(grid, stack[i])
+        f_i = rhs_f(node, node, params).coeffs
+        if i > 0:
+            h = float(t - t_mesh[i - 1])
+            np.add(acc, np.multiply(0.5 * h, f_prev, out=work), out=acc)
+            np.multiply(semigroup_factor(grid, h, params), acc, out=acc)
+            np.add(acc, np.multiply(0.5 * h, f_i, out=work), out=acc)
+        nxt = np.multiply(u0.coeffs, semigroup_factor(grid, float(t), params), out=work)
+        np.add(nxt, acc, out=nxt)
+        sup = max(sup, norm_DAr(SpectralField.from_coeffs(grid, nxt - stack[i]), 1.0))
+        stack[i] = nxt
+        f_prev = f_i
+    return sup
+
+
+def full_spectrum_picard(u0, params, T, mesh_size, tol=1e-12, max_iter=12):
+    """Reference: ``picard_solve``'s iteration on full-spectrum nodes.
+
+    Returns the node stack and the sup increment of every sweep.
+    """
+    grid = u0.grid
+    t_mesh = np.linspace(0.0, T, mesh_size + 1)
+    stack = np.stack([u0.coeffs * semigroup_factor(grid, float(t), params) for t in t_mesh])
+    stop = tol * max(norm_DAr(u0, 1.0), 1e-30)
+    increments = []
+    for _ in range(max_iter):
+        increments.append(full_spectrum_sweep(stack, u0, t_mesh, params))
+        if increments[-1] < stop:
+            break
+    return stack, increments
+
+
+@pytest.mark.parametrize(
+    "dim,n,s,band",
+    [(2, 32, 0.5, 15), (2, 128, 0.5, None), (3, 16, 0.75, None)],
+)
+def test_picard_band_nodes_equal_the_full_spectrum_sweep(dim, n, s, band):
+    # band 15 puts modes of u0 outside the band block, where every node is
+    # the free field
+    grid = make_grid(dim, n)
+    p = Params(alpha=0.5, nu=0.5, s=s, regime=Regime.GLOBAL_RANGE)
+    u0 = random_field(grid, seed=31, amplitude=0.05, band=band)
+    mesh = 8 if dim == 3 else 12
+    ref_stack, ref_incs = full_spectrum_picard(u0, p, 0.1, mesh)
+    traj, state = picard_solve(u0, p, holder_for(u0, T=0.1), mesh_size=mesh)
+    assert state.n_iter == len(ref_incs) > 2
+    assert np.allclose(state.increments_linf, ref_incs, rtol=1e-12, atol=0.0)
+    assert len(traj.snapshots) == mesh + 1
+    for node, ref in zip(traj.snapshots, ref_stack, strict=True):
+        assert np.array_equal(node.coeffs, ref)
 
 
 # ------------------------------------------------------------ Picard solve
@@ -190,16 +259,17 @@ def test_picard_non_finite_node_is_no_contraction(grid2, monkeypatch):
 
 
 def test_picard_holds_one_iterate_stack(grid2):
-    # the sweeps stream through one (mesh + 1)-node stack; the traced peak
-    # (stack, running integral, f at two nodes and per-node temporaries) must
-    # stay near it, where keeping whole-mesh lists of f and of the next
-    # iterate costs several stacks
+    # the sweeps stream through one (mesh + 1)-node stack of band blocks; the
+    # traced peak (stack, running integral, f and per-node temporaries on the
+    # block) must stay near it, where a full-spectrum stack alone costs 2.3
+    # band stacks at N = 32 and whole-mesh lists of f several more
     p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
     holder = holder_for(u0, T=0.1)
     picard_solve(u0, p, holder, mesh_size=4)  # warm the kernel workspace and tables
     mesh = 32
-    stack_bytes = (mesh + 1) * u0.coeffs.nbytes
+    block = band_plan(grid2, p.alpha).block_shape
+    stack_bytes = (mesh + 1) * grid2.dim * int(np.prod(block)) * 16
     tracemalloc.start()
     try:
         traj, state = picard_solve(u0, p, holder, mesh_size=mesh)
@@ -219,6 +289,21 @@ def test_picard_nodes_are_read_only(grid2, params):
             w.coeffs[0, 1, 1] = 1.0
         with pytest.raises(ValueError):
             w.coeffs.setflags(write=True)
+
+
+def test_picard_node_slices_are_lazy_sequences(grid2, params):
+    u0 = random_field(grid2, seed=7, amplitude=1e-2)
+    traj, _ = picard_solve(u0, params, holder_for(u0, T=0.1), mesh_size=8)
+    nodes = traj.snapshots
+    every = nodes[1::3]
+    assert isinstance(every, PicardNodes) and len(every) == 3
+    assert isinstance(every[::-1], PicardNodes) and len(nodes[20:]) == 0
+    for got, i in zip(every, range(1, 9, 3), strict=True):
+        assert np.array_equal(got.coeffs, nodes[i].coeffs)
+    assert np.array_equal(every[-1].coeffs, nodes[7].coeffs)
+    assert np.array_equal(nodes[-9].coeffs, u0.coeffs)
+    with pytest.raises(IndexError):
+        nodes[9]
 
 
 def test_picard_matches_stepper_small_data(grid2):
