@@ -268,17 +268,17 @@ def _advance(
     """One exponential step; f_u may pass in the already-evaluated f(u).
 
     The stage and the ETD2RK update are formed with ``out=`` in two arrays.
+    w1 f(u) and f(stage) are temporaries, so neither outlives its one use:
+    w1 f(u) is freed before the stage's f is evaluated.
     """
     if f_u is None:
         f_u = f_eval(u)
     stage_c = np.multiply(prop.E, u.coeffs)
-    work = np.multiply(prop.w1, f_u.coeffs)
-    stage = u.copy_with(np.add(stage_c, work, out=stage_c))
+    stage = u.copy_with(np.add(stage_c, np.multiply(prop.w1, f_u.coeffs), out=stage_c))
     if kind is SchemeKind.EXP_EULER:
         out = stage
     else:
-        f_stage = f_eval(stage)
-        np.subtract(f_stage.coeffs, f_u.coeffs, out=work)
+        work = np.subtract(f_eval(stage).coeffs, f_u.coeffs)
         np.multiply(prop.w2, work, out=work)
         out = stage.copy_with(np.add(stage.coeffs, work, out=work))
     if not np.all(np.isfinite(out.coeffs)):
@@ -329,14 +329,18 @@ def run(
     grid, params = config.grid, config.params
     alpha = params.alpha
 
-    u0 = (
+    # state is the run's only reference to its start, so that the initial
+    # field can be freed once the first step has replaced it
+    state = (
         initial_field
         if initial_field is not None
         else make_initial(config.initial, grid, params)
     )
+    del initial_field
     if config.galerkin_N is not None:
-        u0 = galerkin_truncate(u0, config.galerkin_N)
-    state = v_from_u(u0, alpha) if form == "v" else u0
+        state = galerkin_truncate(state, config.galerkin_N)
+    if form == "v":
+        state = v_from_u(state, alpha)
 
     if config.linear_only:
         f_eval: Callable[[SpectralField], SpectralField] = lambda w: zero_field(grid)

@@ -44,6 +44,10 @@ amplitude = 0.01
 seed = 11
 """
 
+# flags a command needs besides its config, with values valid for SMALL_CFG
+REQUIRED_FLAGS = {"holder": ["--beta", "0.25"], "oracle-compare": ["--T", "0.004"],
+                  "smoothing": ["--r", "0.375"]}
+
 
 def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -237,6 +241,113 @@ def test_oracle_compare_sup_keeps_a_nan(tmp_path, capsys, monkeypatch):
     assert (out / "oracle.csv").read_text().splitlines()[-1].endswith(",nan")
 
 
+def _held_oracle_rows(config, T: float) -> tuple[list[dict], list]:
+    """oracle-compare's rows from a run that holds its whole snapshots (no sink).
+
+    The reference for the band-block holding of ``_cmd_oracle_compare``: the
+    same stepper, Picard solve and norms, on the fields the run returns.
+    """
+    import dataclasses
+
+    from lansfrac import mild
+    from lansfrac.integrator import _step_count, run
+    from lansfrac.spectral import norm_DAr
+
+    traj = run(dataclasses.replace(config, t_end=T, snapshot_every=1))
+    n = _step_count(T, config.scheme.dt)
+    m = -(-8 // n)
+    u0 = traj.snapshots[0]
+    holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
+    oracle, _ = mild.picard_solve(u0, config.params, holder, mesh_size=n * m, max_iter=10)
+    rows = []
+    for u, t, w in zip(traj.snapshots, oracle.times[::m], oracle.snapshots[::m]):
+        ref = norm_DAr(u, 1.0)
+        rows.append({"t": float(t), "nDA_stepper": ref,
+                     "rel_diff": norm_DAr(u - w, 1.0) / max(ref, 1e-30)})
+    return rows, traj.snapshots
+
+
+@pytest.mark.parametrize("init,blocks", [("random-spectrum", True), ("taylor-green", False)])
+def test_oracle_compare_rows_equal_a_held_run(tmp_path, init, blocks):
+    # random-spectrum snapshots after t = 0 are +0.0 outside the band and are
+    # held as band blocks; taylor-green comes from physical samples, so every
+    # mode carries rounding noise and every snapshot is held whole. Either
+    # way the CSV is the one the whole snapshots give, byte for byte.
+    from lansfrac import cli
+    from lansfrac.io import emit_csv, parse_config
+    from lansfrac.operators import band_plan
+
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3")
+                .replace("random-spectrum", init))
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 0
+    config = parse_config(cfg)
+    rows, snapshots = _held_oracle_rows(config, 0.02)
+    emit_csv(rows, tmp_path / "reference.csv")
+    assert (out / "oracle.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    plan = band_plan(config.grid, config.params.alpha)
+    kinds = [cli._band_or_whole(u, plan).shape[1:] == plan.block_shape for u in snapshots]
+    assert kinds[1:] == [blocks] * (len(snapshots) - 1)
+    for u in snapshots:
+        rebuilt = cli._rebuilt(cli._band_or_whole(u, plan), plan, config.grid)
+        assert rebuilt.coeffs.tobytes() == u.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("value", [-0.0, 1e-300, -1e-300])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_a_snapshot_with_anything_but_plus_zero_outside_the_band_is_held_whole(
+    grid2_64, value, part
+):
+    from lansfrac import cli
+    from lansfrac.operators import band_plan
+    from lansfrac.spectral import SpectralField
+
+    from conftest import random_field
+
+    plan = band_plan(grid2_64, 0.5)
+    shape = (grid2_64.dim,) + grid2_64.spectral_shape
+    block = plan.gather(random_field(grid2_64, seed=4).coeffs)
+    banded = plan.scatter(block, np.zeros(shape, complex))  # +0.0 outside the band
+    held = cli._band_or_whole(SpectralField.from_coeffs(grid2_64, banded), plan)
+    assert held.shape[1:] == plan.block_shape
+    assert cli._rebuilt(held, plan, grid2_64).coeffs.tobytes() == banded.tobytes()
+
+    coeffs = banded.copy()
+    mode = coeffs[1, grid2_64.N // 2, 3:4]  # k = (N/2, 3), outside the band
+    getattr(mode, part)[...] = value
+    marked = SpectralField.from_coeffs(grid2_64, coeffs)
+    held = cli._band_or_whole(marked, plan)
+    assert held.shape == shape
+    assert cli._rebuilt(held, plan, grid2_64).coeffs.tobytes() == coeffs.tobytes()
+
+
+def test_oracle_compare_holds_band_blocks(tmp_path):
+    # From 4 to 8 steps the Picard mesh stays at 8 intervals (m = 2, then
+    # 1), so the peak grows by the 4 added stepper snapshots alone. Each is
+    # held as its band block, a share of one field; a whole field per
+    # snapshot would add 1.
+    from lansfrac.operators import band_plan
+    from lansfrac.spectral import make_grid
+
+    cfg = write(tmp_path, SMALL_CFG.replace("N = 32", "N = 64").replace("dt = 2e-3", "dt = 1e-3"))
+
+    def peak(T: str) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["oracle-compare", cfg, "--T", T, "--out-dir", str(tmp_path / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0.004")  # warm the grid, kernel and propagator caches
+    grid = make_grid(2, 64)
+    share = np.prod(band_plan(grid, 0.5).block_shape) / np.prod(grid.spectral_shape)
+    field = 16 * grid.dim * np.prod(grid.spectral_shape)
+    per_snapshot = (peak("0.008") - peak("0.004")) / 4 / field
+    assert per_snapshot <= share + 0.1, (per_snapshot, share)
+
+
 def test_holder_subcommand(tmp_path):
     cfg = write(tmp_path, SMALL_CFG.replace("t_end = 0.05", "t_end = 1"))
     out = tmp_path / "out"
@@ -263,8 +374,7 @@ def test_holder_subcommand(tmp_path):
 )
 def test_bad_flag_values_exit_two(tmp_path, capsys, command, flag, value):
     cfg = write(tmp_path, SMALL_CFG)
-    required = {"holder": ["--beta", "0.25"], "oracle-compare": ["--T", "0.004"],
-                "smoothing": ["--r", "0.375"]}.get(command, [])
+    required = REQUIRED_FLAGS.get(command, [])
     if flag in required:
         required = []
     argv = [command, cfg, "--out-dir", str(tmp_path / "out"), *required, f"{flag}={value}"]
@@ -272,6 +382,22 @@ def test_bad_flag_values_exit_two(tmp_path, capsys, command, flag, value):
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "verify-energy", "smoothing", "oracle-compare", "holder"]
+)
+@pytest.mark.parametrize("below", [False, True])
+def test_an_out_dir_that_cannot_be_made_exits_two(tmp_path, capsys, command, below):
+    # --out-dir names an existing file, or a path below one
+    cfg = write(tmp_path, SMALL_CFG)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    assert main([command, cfg, "--out-dir", str(out), *REQUIRED_FLAGS.get(command, [])]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(out) in err[0]
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["verify-energy", "smoothing"])
