@@ -405,6 +405,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: an int >= 0, as numpy's generator seeds must be."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _beta(text: str) -> float:
     """argparse type: a Hoelder exponent in (0, 1/2), as HolderClass requires."""
     value = _finite(text)
@@ -423,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tol_default=None):
         p.add_argument("config", help="path to key=value config file")
         p.add_argument("--out-dir", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=_seed, default=None, help="seed override")
         if tol_default is not None:
             p.add_argument("--tol", type=_tolerance, default=tol_default)
 
@@ -452,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ops-test", help="operator unit battery incl. cancellation")
     p.add_argument("config", nargs="?", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--fields", type=int, default=6, help="random fields per check")
     p.set_defaults(func=_cmd_ops_test)
 

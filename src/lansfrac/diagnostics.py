@@ -1,4 +1,4 @@
-"""Measured quantities: energies, balance residuals, bound monitors, rate fits.
+"""Measured quantities: energies, balance residuals, rate fits.
 
 Everything here is a pure reader of fields or trajectories. Report-style
 functions never raise on "bad physics"; they return numbers and let the caller
@@ -13,12 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RegimeViolationError
 from .operators import rhs_f
 from .spectral import (
     GridSpec,
     Params,
-    Regime,
     SpectralField,
     mode_dot,
     norm_DAr,
@@ -111,30 +109,6 @@ def energy_balance_residual(traj, params: Params) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AprioriReport:
-    """Measured constants of the global-solution bound."""
-
-    sup_ratio: float            # sup_t ||u||_{D(A)} / ||u_0||_{D(A)}
-    dissipation_integral: float  # int ||A^{1+s/2} u||^2 dt
-    initial_nDA: float
-
-
-def apriori_monitor(traj, params: Params) -> AprioriReport:
-    """Check material of the global bound; requires the global regime."""
-    if params.regime is not Regime.GLOBAL_RANGE:
-        raise RegimeViolationError("a priori bound monitor requires GlobalRange")
-    t = np.array([r.t for r in traj.diag])
-    nda = np.array([r.nDA for r in traj.diag])
-    n1 = np.array([r.n1ps2 for r in traj.diag])
-    integral = float(np.trapezoid(n1**2, t)) if len(t) > 1 else 0.0
-    return AprioriReport(
-        sup_ratio=float(np.max(nda) / (nda[0] + _TINY)),
-        dissipation_integral=integral,
-        initial_nDA=float(nda[0]),
-    )
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Log-log envelope fit of ||u(t)||_{D(A^{1+r})} near t = 0+."""
 
@@ -174,13 +148,3 @@ def smoothing_rate(
     resid = float(np.sqrt(np.mean((logn - (slope * logt + intercept)) ** 2)))
     return RateFit(window=(lo, hi), slope=float(slope), r=r, expected=-r / s, residual=resid)
 
-
-def spectrum(u: SpectralField) -> np.ndarray:
-    """Shell-averaged energy E(kappa) = 1/2 sum_{kappa <= |k| < kappa+1} |uhat|^2.
-
-    Sums (with the L^2 measure weight) to E0/2.
-    """
-    grid = u.grid
-    shells = np.floor(np.sqrt(grid.k2)).astype(int)
-    weights = 0.5 * grid.measure * grid.weight * mode_dot(u.coeffs, u.coeffs)
-    return np.bincount(shells.ravel(), weights=weights.ravel())

@@ -80,6 +80,8 @@ class InitialData:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown initial-data kind: {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.decay_exponent is not None and not math.isfinite(self.decay_exponent):
@@ -126,7 +128,6 @@ class Trajectory:
     times: np.ndarray
     snapshots: Sequence[SpectralField]
     diag: list[diagnostics.DiagRecord]
-    form: str = "u"
 
 
 def phi_functions(z):
@@ -184,8 +185,9 @@ def _random_solenoidal_coeffs(
     modulus = np.sqrt(np.sum(np.abs(proj) ** 2, axis=0))
     target = stokes_multiplier(grid.k2, -decay_exponent / 2.0)
     keep = np.max(np.abs(grid.k), axis=0) <= band
-    scale = np.where(modulus > 1e-30, target * keep / np.where(modulus > 1e-30, modulus, 1.0), 0.0)
-    out = proj * scale
+    scale = np.where(modulus > 1e-30, target / np.where(modulus > 1e-30, modulus, 1.0), 0.0)
+    # +0.0 outside the band, as a dealiased field has (proj * 0.0 can be -0.0)
+    out = np.where(keep, proj * scale, 0.0)
     out[(slice(None),) + (0,) * grid.dim] = 0.0
     return out
 
@@ -402,82 +404,4 @@ def run(
         if (i + 1) % config.snapshot_every == 0 or last:
             on_snapshot(state, t)
 
-    return Trajectory(
-        times=np.array(snap_times), snapshots=snapshots, diag=diag, form=form
-    )
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Two-run separation growth against the Gronwall-shaped envelope."""
-
-    times: np.ndarray
-    growth: np.ndarray          # ||w(t)||_{D(A)} / ||w(0)||_{D(A)}
-    dissipation: np.ndarray     # int_0^t ||A^{1+s/2} u||^2 dtau / nu
-    c_fit: float
-    max_growth: float
-    final_growth: float
-    envelope_dev: float         # max of log(growth) - c_fit * dissipation
-    identical: bool
-
-
-def run_pair_uniqueness(
-    config: SimConfig, perturbation_scale: float, perturbation_seed: int = 777
-) -> UniquenessReport:
-    """Run the trajectory and a perturbed copy; measure separation growth."""
-    if perturbation_scale < 0:
-        raise ValueError("perturbation_scale must be nonnegative")
-    base = run(config)
-    u0 = base.snapshots[0]
-
-    if perturbation_scale == 0.0:
-        other = run(config)
-        identical = all(
-            np.array_equal(a.coeffs, b.coeffs)
-            for a, b in zip(base.snapshots, other.snapshots)
-        )
-        n = len(base.times)
-        return UniquenessReport(
-            times=np.array(base.times),
-            growth=np.ones(n),
-            dissipation=np.zeros(n),
-            c_fit=0.0,
-            max_growth=1.0,
-            final_growth=1.0,
-            envelope_dev=0.0,
-            identical=identical,
-        )
-
-    delta = make_initial(
-        InitialData(
-            kind="random-spectrum",
-            amplitude=perturbation_scale * norm_DAr(u0, 1.0),
-            seed=perturbation_seed,
-        ),
-        config.grid,
-    )
-    pert = run(config, initial_field=u0 + delta)
-
-    w0 = norm_DAr(pert.snapshots[0] - base.snapshots[0], 1.0)
-    growth = np.array(
-        [norm_DAr(a - b, 1.0) / w0 for a, b in zip(pert.snapshots, base.snapshots)]
-    )
-    dt_diag = np.array([r.t for r in base.diag])
-    n1sq = np.array([r.n1ps2**2 for r in base.diag])
-    cum = diagnostics._cumtrapz(n1sq, dt_diag) / config.params.nu
-    dissipation = np.interp(base.times, dt_diag, cum)
-
-    logg = np.log(np.maximum(growth, 1e-300))
-    denom = float(np.sum(dissipation**2))
-    c_fit = float(np.sum(dissipation * logg) / denom) if denom > 0 else 0.0
-    dev = float(np.max(logg - c_fit * dissipation))
-    return UniquenessReport(
-        times=np.array(base.times),
-        growth=growth,
-        dissipation=dissipation,
-        c_fit=c_fit,
-        max_growth=float(np.max(growth)),
-        final_growth=float(growth[-1]),
-        envelope_dev=dev,
-        identical=False,
-    )
+    return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

@@ -36,6 +36,7 @@ from .errors import (
     EmptyOutputError,
     GridError,
     MissingKeyError,
+    SnapshotError,
     VersionMismatchError,
 )
 from .integrator import InitialData, SchemeKind, SimConfig, StepScheme
@@ -106,7 +107,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
     The payload is read as a view into the file's bytes, and its discarded
     half is checked one component at a time.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except IsADirectoryError:
+        raise SnapshotError(f"snapshot {path} is a directory, not a file") from None
     if len(blob) < _HEADER.size:
         raise CorruptPayloadError(f"{path}: file shorter than header")
     magic, version, dim, n, alpha, nu, s, t = _HEADER.unpack_from(blob)
@@ -179,6 +183,19 @@ _KNOWN_KEYS = _REQUIRED_KEYS + (
 )
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """A converter of text to an int in [lo, hi] (hi None: no upper end)."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"lie in [{lo}, {hi}]" if hi is not None else f"be >= {lo}"
+            raise ValueError(f"must {bounds}, got {value}")
+        return value
+
+    return convert
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -228,6 +245,8 @@ def parse_config(path: str | Path) -> SimConfig:
     def wrap(key: str, builder):
         try:
             return builder()
+        except BadValueError:
+            raise  # from a ``take`` inside builder, and so already under its own key
         except Exception as exc:
             lineno = raw[key][1] if key in raw else 0
             raise BadValueError(key, lineno, str(exc)) from None
@@ -266,9 +285,9 @@ def parse_config(path: str | Path) -> SimConfig:
         lambda: InitialData(
             kind=kind_name,
             amplitude=take("amplitude", _finite_float, 1.0),
-            seed=take("seed", int, 0),
+            seed=take("seed", _int_in(0), 0),
             decay_exponent=take("decay_exponent", _finite_float),
-            band=take("band", int),
+            band=take("band", _int_in(1, n // 2 - 1)),
             path=snap_path.strip() or None,
         ),
     )
@@ -281,8 +300,8 @@ def parse_config(path: str | Path) -> SimConfig:
             scheme=scheme,
             t_end=take("t_end", _finite_float),
             initial=initial,
-            galerkin_N=take("galerkin_N", int),
-            snapshot_every=take("snapshot_every", int, 1),
+            galerkin_N=take("galerkin_N", _int_in(1, n // 2)),
+            snapshot_every=take("snapshot_every", _int_in(1), 1),
             out_dir=take("out_dir", str),
         ),
     )

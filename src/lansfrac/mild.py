@@ -236,7 +236,7 @@ def picard_solve(
         converged=converged,
         n_iter=len(increments),
     )
-    return Trajectory(times=t_mesh, snapshots=nodes, diag=[], form="u"), state
+    return Trajectory(times=t_mesh, snapshots=nodes, diag=[]), state
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,6 @@ class ClassReport:
     sup_holder_smooth: float    # h^{-beta} t^{beta+1/2} ||A^{s/2}(w(t+h)-w(t))||_{D(A)} / R
     minimal_R: float
     member: bool
-    n_t: int
-    n_pairs: int
 
 
 def _holder_lattice(times: np.ndarray, T: float, n_t: int) -> list[int]:
@@ -294,7 +292,6 @@ def _quotients_from_samples(
 
     q3 = 0.0
     q4 = 0.0
-    n_pairs = 0
     for i in t_idx:
         t = times[i]
         hs = [t / 16.0, t / 8.0, t / 4.0, t / 2.0]
@@ -309,7 +306,6 @@ def _quotients_from_samples(
             h_eff = times[j] - t
             if h_eff <= 0:
                 continue
-            n_pairs += 1
             dw = fields[j] - fields[i]
             q3 = max(q3, h_eff ** (-beta) * t**beta * norm_DAr(dw, 1.0) / r_scale)
             q4 = max(
@@ -329,8 +325,6 @@ def _quotients_from_samples(
         sup_holder_smooth=q4,
         minimal_R=minimal,
         member=all(q <= holder.tol for q in sups),
-        n_t=len(t_idx),
-        n_pairs=n_pairs,
     )
 
 

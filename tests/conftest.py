@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from lansfrac import GridSpec, InitialData, Params, Regime, SpectralField, make_grid, make_initial
-from lansfrac.spectral import full_spectrum, half_spectrum, reflect_conj
+from lansfrac import InitialData, Params, Regime, make_grid, make_initial
+from lansfrac.spectral import (
+    GridSpec,
+    SpectralField,
+    full_spectrum,
+    half_spectrum,
+    reflect_conj,
+)
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +69,7 @@ def random_hermitian_field(grid: GridSpec, seed: int = 0) -> SpectralField:
     """Random real (hermitian) field, NOT solenoidal and with a mean part."""
     rng = np.random.default_rng(seed)
     phys = rng.standard_normal((grid.dim,) + grid.shape)
-    from lansfrac import to_spectral
+    from lansfrac.spectral import to_spectral
 
     return to_spectral(phys, grid)
 

@@ -109,7 +109,8 @@ def test_criterion_03_energy_identity():
     init = InitialData(kind="taylor-green")
     res = []
     for dt in (5e-4, 2.5e-4):
-        traj = run(cfg(grid, p, dt=dt, t_end=1.0, init=init))
+        # the residual reads only the diagnostics, so no snapshot is held
+        traj = run(cfg(grid, p, dt=dt, t_end=1.0, init=init), on_snapshot=lambda field, t: None)
         res.append(float(np.max(energy_balance_residual(traj, p))))
     ratio = res[0] / res[1]
     ok = res[0] <= 1e-6 and 3.0 <= ratio <= 5.0

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lansfrac import DiagRecord, Trajectory
 from lansfrac.cli import main
+from lansfrac.diagnostics import DiagRecord
+from lansfrac.integrator import Trajectory
 from lansfrac.io import sha256_file
 
 from conftest import nan_at_last_picard_node
@@ -269,8 +270,8 @@ def _held_oracle_rows(config, T: float) -> tuple[list[dict], list]:
 
 @pytest.mark.parametrize("init,blocks", [("random-spectrum", True), ("taylor-green", False)])
 def test_oracle_compare_rows_equal_a_held_run(tmp_path, init, blocks):
-    # random-spectrum snapshots after t = 0 are +0.0 outside the band and are
-    # held as band blocks; taylor-green comes from physical samples, so every
+    # random-spectrum snapshots, t = 0 included, are +0.0 outside the band and
+    # are held as band blocks; taylor-green comes from physical samples, so every
     # mode carries rounding noise and every snapshot is held whole. Either
     # way the CSV is the one the whole snapshots give, byte for byte.
     from lansfrac import cli
@@ -288,7 +289,7 @@ def test_oracle_compare_rows_equal_a_held_run(tmp_path, init, blocks):
 
     plan = band_plan(config.grid, config.params.alpha)
     kinds = [cli._band_or_whole(u, plan).shape[1:] == plan.block_shape for u in snapshots]
-    assert kinds[1:] == [blocks] * (len(snapshots) - 1)
+    assert kinds == [blocks] * len(snapshots)
     for u in snapshots:
         rebuilt = cli._rebuilt(cli._band_or_whole(u, plan), plan, config.grid)
         assert rebuilt.coeffs.tobytes() == u.coeffs.tobytes()
@@ -370,6 +371,8 @@ def test_holder_subcommand(tmp_path):
         ("smoothing", "--r", "nan"),
         ("smoothing", "--r", "-inf"),
         ("smoothing", "--tol", "-0.1"),
+        ("simulate", "--seed", "-1"),
+        ("ops-test", "--seed", "-1"),
     ],
 )
 def test_bad_flag_values_exit_two(tmp_path, capsys, command, flag, value):
@@ -377,7 +380,9 @@ def test_bad_flag_values_exit_two(tmp_path, capsys, command, flag, value):
     required = REQUIRED_FLAGS.get(command, [])
     if flag in required:
         required = []
-    argv = [command, cfg, "--out-dir", str(tmp_path / "out"), *required, f"{flag}={value}"]
+    if command != "ops-test":  # the one command that writes no output
+        required = ["--out-dir", str(tmp_path / "out"), *required]
+    argv = [command, cfg, *required, f"{flag}={value}"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
@@ -480,7 +485,8 @@ def test_manifest_echoes_regime(tmp_path):
 @pytest.mark.parametrize(
     "key,value",
     [("nu", "nan"), ("dt", "nan"), ("t_end", "inf"), ("alpha", "inf"),
-     ("amplitude", "nan"), ("s", "-inf"), ("decay_exponent", "inf")],
+     ("amplitude", "nan"), ("s", "-inf"), ("decay_exponent", "inf"),
+     ("seed", "-1"), ("band", "16")],
 )
 def test_simulate_rejects_non_finite_values(tmp_path, capsys, key, value):
     text = "\n".join(
@@ -488,7 +494,8 @@ def test_simulate_rejects_non_finite_values(tmp_path, capsys, key, value):
     )
     cfg = write(tmp_path, f"{text}\n{key} = {value}\n")
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad value for '{key}'") and err.count("\n") == 1
 
 
 def test_simulate_rejects_step_count_float64_cannot_index(tmp_path, capsys):
@@ -530,6 +537,14 @@ def test_restart_from_snapshot_with_other_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
     cfg = write(tmp_path, restart.replace("alpha = 0.5", "alpha = 0.9"), "same.cfg")
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "same")]) == 0
+
+
+def test_snapshot_path_is_a_directory_exits_two(tmp_path, capsys):
+    restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{tmp_path}")
+    cfg = write(tmp_path, restart, "restart.cfg")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: snapshot {tmp_path} is a directory, not a file\n"
 
 
 def test_restart_from_snapshot_on_other_grid(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lansfrac.io as lio
-from lansfrac import DiagRecord, Regime, SchemeKind, make_grid, to_physical
+from lansfrac import Regime, SchemeKind, make_grid
+from lansfrac.diagnostics import DiagRecord
 from lansfrac.errors import (
     BadMagicError,
     BadValueError,
@@ -32,6 +33,7 @@ from lansfrac.io import (
     write_manifest,
     write_snapshot,
 )
+from lansfrac.spectral import to_physical
 
 from conftest import random_field
 
@@ -272,6 +274,17 @@ def test_parse_bad_value_reports_key_and_line(tmp_path):
     with pytest.raises(BadValueError) as err:
         parse_config(write_config(tmp_path, text))
     assert err.value.key == "nu" and err.value.line > 0
+    # each key is reported under its own name and line, also where the value
+    # is checked while the config object it belongs to is built; MINIMAL has
+    # N = 64, so band must lie in [1, 31] and galerkin_N in [1, 32]
+    line = MINIMAL.count("\n") + 1
+    for key, value in [("snapshot_every", "0"), ("snapshot_every", "x"),
+                       ("galerkin_N", "33"), ("galerkin_N", "0"), ("galerkin_N", "x"),
+                       ("band", "32"), ("band", "0"), ("seed", "-1")]:
+        with pytest.raises(BadValueError) as err:
+            parse_config(write_config(tmp_path, f"{MINIMAL}{key} = {value}\n"))
+        assert (err.value.key, err.value.line) == (key, line), (key, value)
+        assert str(err.value).startswith(f"bad value for '{key}' (line {line}): ")
 
 
 def test_parse_unknown_key(tmp_path):

@@ -12,11 +12,9 @@ from lansfrac import (
     Regime,
     SchemeKind,
     SimConfig,
-    SpectralField,
     StepScheme,
     dealias,
     holder_membership,
-    l2_norm,
     make_grid,
     make_initial,
     norm_DAr,
@@ -24,12 +22,11 @@ from lansfrac import (
     rhs_f,
     run,
     semigroup_apply,
-    semigroup_class_check,
 )
 from lansfrac.errors import NoContractionError
-from lansfrac.mild import PicardNodes, _BandSolve, _duhamel_sweep
+from lansfrac.mild import PicardNodes, _BandSolve, _duhamel_sweep, semigroup_class_check
 from lansfrac.operators import band_plan, stress_form_f
-from lansfrac.spectral import semigroup_factor, zero_field
+from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor, zero_field
 
 from conftest import nan_at_last_picard_node, random_field, rel_err, single_mode_field
 

@@ -15,24 +15,32 @@ from lansfrac import (
     InitialData,
     Params,
     dealias,
-    frac_stokes_apply,
-    l2_norm,
-    leray_project,
     make_grid,
     make_initial,
     norm_DAr,
     rhs_f,
+    u_from_v,
+)
+from lansfrac.errors import DivergedError, GridError, InconsistentPairError
+from lansfrac.operators import (
+    ESCAPE_TOL,
+    _band_field,
+    _kernel_workspace,
+    h1_alpha_pairing,
     rhs_v,
     stress_form_f,
-    to_physical,
-    to_spectral,
-    u_from_v,
     v_from_u,
     v_nonlinearity,
 )
-from lansfrac.errors import DivergedError, GridError, InconsistentPairError
-from lansfrac.operators import ESCAPE_TOL, _band_field, _kernel_workspace, h1_alpha_pairing
-from lansfrac.spectral import SpectralField, measure_flags
+from lansfrac.spectral import (
+    SpectralField,
+    frac_stokes_apply,
+    l2_norm,
+    leray_project,
+    measure_flags,
+    to_physical,
+    to_spectral,
+)
 
 from conftest import embed_band_coeffs, random_band_block, random_field, rel_err
 

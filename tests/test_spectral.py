@@ -4,21 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lansfrac import (
-    Params,
-    Regime,
-    dealias,
-    frac_stokes_apply,
-    infer_regime,
-    inner,
-    l2_norm,
-    leray_project,
-    make_grid,
-    norm_DAr,
-    semigroup_apply,
-    to_physical,
-    to_spectral,
-)
+from lansfrac import Params, Regime, dealias, make_grid, norm_DAr, semigroup_apply
 from lansfrac.errors import GridError, MeanModeError
 from lansfrac.io import parse_config
 from lansfrac.operators import u_from_v
@@ -26,8 +12,15 @@ from lansfrac.spectral import (
     BandPlan,
     SpectralField,
     coeffs_to_phys,
+    frac_stokes_apply,
+    infer_regime,
+    inner,
+    l2_norm,
+    leray_project,
     phys_to_coeffs,
     stokes_multiplier,
+    to_physical,
+    to_spectral,
 )
 
 from conftest import random_field, random_hermitian_field, rel_err, single_mode_field
