@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 # submodule.
 from .spectral import (
     Params,
-    Regime,
     dealias,
     make_grid,
     norm_DAr,

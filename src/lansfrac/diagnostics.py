@@ -85,7 +85,7 @@ def record(
     e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
     nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
     if f is None:
-        f = rhs_f(u, u, params)
+        f = rhs_f(u, params)
     pairing = float(np.einsum("i,i->", table[1], mode_dot(u.coeffs, f.coeffs).ravel()))
     cancel = abs(pairing) / (nda**3 + _TINY)
     return DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
@@ -123,24 +123,20 @@ def smoothing_rate(
     traj,
     r: float,
     s: float,
-    window: tuple[float, float] | None = None,
-    n_samples: int = 32,
+    window: tuple[float, float],
 ) -> RateFit:
     """Least-squares slope of log ||u(t)||_{D(A^{1+r})} vs log t over the window.
 
-    Snapshot times are subsampled log-uniformly inside the window so the fit
-    is not biased toward late times by a linear recording cadence.
+    Snapshot times are subsampled log-uniformly (32 targets) inside the window
+    so the fit is not biased toward late times by a linear recording cadence.
     """
     times = np.asarray(traj.times, dtype=float)
-    if window is None:
-        spacing = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
-        window = (2.0 * spacing, 0.1)
     lo, hi = window
     sel = [i for i, t in enumerate(times) if lo <= t <= hi and t > 0]
     if len(sel) < 2:
         raise ValueError(f"smoothing-rate window {window} contains <2 samples")
     in_window = np.array(sel)
-    targets = np.geomspace(max(lo, times[in_window[0]]), times[in_window[-1]], n_samples)
+    targets = np.geomspace(max(lo, times[in_window[0]]), times[in_window[-1]], 32)
     picked = sorted({int(in_window[np.argmin(np.abs(times[in_window] - tt))]) for tt in targets})
     logt = np.log([times[i] for i in picked])
     logn = np.log([norm_DAr(traj.snapshots[i], 1.0 + r) + _TINY for i in picked])

@@ -13,10 +13,6 @@ class MeanModeError(LansfracError):
     """Negative Stokes power requested on a field with nonzero mean mode."""
 
 
-class InconsistentPairError(LansfracError):
-    """(u, v) handed to the v-form right-hand side do not satisfy v = (1 + a^2 A) u."""
-
-
 class DivergedError(LansfracError):
     """Time integration produced non-finite values or unbounded growth."""
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import diagnostics
-from .errors import DivergedError, SnapshotMismatchError
+from .errors import ConfigError, DivergedError, SnapshotMismatchError
 from .operators import rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
     GridSpec,
@@ -223,9 +223,12 @@ def make_initial(
         band = initial.band if initial.band is not None else grid.band_limit
         if not 1 <= band <= grid.N // 2 - 1:
             raise ValueError(f"random-spectrum band must lie in [1, N/2-1], got {band}")
-        coeffs = _random_solenoidal_coeffs(grid, p, initial.seed, band)
-        u = SpectralField.from_coeffs(grid, coeffs)
-        nda = norm_DAr(u, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _random_solenoidal_coeffs(grid, p, initial.seed, band)
+            u = SpectralField.from_coeffs(grid, coeffs)
+            nda = norm_DAr(u, 1.0)
+        if not math.isfinite(nda):
+            raise ConfigError(f"decay_exponent = {p!r} overflows the random-spectrum field")
         if nda == 0.0:
             raise ValueError("random-spectrum initial data came out empty")
         return u * (amp / nda)
@@ -265,27 +268,21 @@ def _advance(
     prop: _Propagator,
     kind: SchemeKind,
     f_eval: Callable[[SpectralField], SpectralField],
-    f_u: SpectralField | None = None,
+    f_u: SpectralField,
 ) -> SpectralField:
-    """One exponential step; f_u may pass in the already-evaluated f(u).
+    """One exponential step from u, with f_u = f(u) already evaluated.
 
     The stage and the ETD2RK update are formed with ``out=`` in two arrays.
     w1 f(u) and f(stage) are temporaries, so neither outlives its one use:
-    w1 f(u) is freed before the stage's f is evaluated.
+    w1 f(u) is freed before the stage's f is evaluated. ``run`` checks the result.
     """
-    if f_u is None:
-        f_u = f_eval(u)
     stage_c = np.multiply(prop.E, u.coeffs)
     stage = u.copy_with(np.add(stage_c, np.multiply(prop.w1, f_u.coeffs), out=stage_c))
     if kind is SchemeKind.EXP_EULER:
-        out = stage
-    else:
-        work = np.subtract(f_eval(stage).coeffs, f_u.coeffs)
-        np.multiply(prop.w2, work, out=work)
-        out = stage.copy_with(np.add(stage.coeffs, work, out=work))
-    if not np.all(np.isfinite(out.coeffs)):
-        raise DivergedError("non-finite coefficients after step")
-    return out
+        return stage
+    work = np.subtract(f_eval(stage).coeffs, f_u.coeffs)
+    np.multiply(prop.w2, work, out=work)
+    return stage.copy_with(np.add(stage.coeffs, work, out=work))
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -321,10 +318,11 @@ def run(
     after the first f and diagnostics record.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
-    snapshots then hold v. Raises DivergedError if coefficients stop being
-    finite, an invariant flag (real / solenoidal / zero-mean) of the state
-    breaks, f(u, u) fails the post-condition ``rhs_f`` checks, or the D(A)
-    norm exceeds 1e6 times its initial value.
+    snapshots then hold v. Raises DivergedError, with the step and its end
+    time, if an invariant flag (real / solenoidal / zero-mean) of the new
+    state breaks, which a non-finite coefficient does, or if the D(A) norm
+    exceeds 1e6 times its initial value. It also raises it, without them,
+    if f(u, u) fails the post-condition ``rhs_f`` checks.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -349,7 +347,7 @@ def run(
     elif form == "v":
         f_eval = lambda w: v_nonlinearity(u_from_v(w, alpha), w)
     else:
-        f_eval = lambda w: rhs_f(w, w, params)
+        f_eval = lambda w: rhs_f(w, params)
 
     dt = config.scheme.dt
     n_steps = _step_count(config.t_end, dt)
@@ -386,7 +384,7 @@ def run(
         key = round(h, 15)
         if key not in props:
             props[key] = _Propagator(grid, params, h)
-        state = _advance(state, props[key], config.scheme.kind, f_eval, f_u=f_cur)
+        state = _advance(state, props[key], config.scheme.kind, f_eval, f_cur)
         if config.galerkin_N is not None:
             state = galerkin_truncate(state, config.galerkin_N)
         t = t_next

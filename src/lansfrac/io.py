@@ -101,16 +101,26 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
     _write_atomic(path, itertools.chain((header,), components))
 
 
+def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
+    """Bytes of an input file; FileNotFoundError if it is missing, error if unreadable."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise
+    except IsADirectoryError:
+        raise error(f"{what} {path} is a directory, not a file") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {what} {str(path)!r}: {reason}") from None
+
+
 def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
     """Read and validate a snapshot: magic, version, grid, payload size, realness.
 
     The payload is read as a view into the file's bytes, and its discarded
     half is checked one component at a time.
     """
-    try:
-        blob = Path(path).read_bytes()
-    except IsADirectoryError:
-        raise SnapshotError(f"snapshot {path} is a directory, not a file") from None
+    blob = _read_input(path, "snapshot", SnapshotError)
     if len(blob) < _HEADER.size:
         raise CorruptPayloadError(f"{path}: file shorter than header")
     magic, version, dim, n, alpha, nu, s, t = _HEADER.unpack_from(blob)
@@ -206,17 +216,15 @@ def _finite_float(text: str) -> float:
 def parse_config(path: str | Path) -> SimConfig:
     """Parse a key = value config file into a validated SimConfig.
 
-    The admissibility regime is inferred from (dim, s) and recorded on the
-    returned Params; command-level range gating is the CLI's job.
+    Command-level range gating, by the regime ``infer_regime`` finds for
+    (dim, s), is the CLI's job.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_input(path, "config", ConfigError).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"config {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
-    except IsADirectoryError:
-        raise ConfigError(f"config {path} is a directory, not a file") from None
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -266,7 +274,7 @@ def parse_config(path: str | Path) -> SimConfig:
     s = take("s", _finite_float)
     if not 0.0 < s < 1.0:
         raise BadValueError("s", raw["s"][1], "s must lie in (0, 1)")
-    params = Params(alpha=alpha, nu=nu, s=s, regime=infer_regime(dim, s))
+    params = Params(alpha=alpha, nu=nu, s=s)
 
     scheme_name = take("scheme", str, "etd2rk").lower()
     try:
@@ -354,7 +362,7 @@ def config_echo(config: SimConfig) -> dict[str, Any]:
         "alpha": config.params.alpha,
         "nu": config.params.nu,
         "s": config.params.s,
-        "regime": config.params.regime.value,
+        "regime": infer_regime(config.grid.dim, config.params.s).value,
         "scheme": config.scheme.kind.value,
         "dt": config.scheme.dt,
         "t_end": config.t_end,

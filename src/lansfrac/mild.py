@@ -40,16 +40,11 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class HolderClass:
-    """Parameters (R, beta, T) of the weighted-Hoelder trajectory class.
-
-    tol is a relative slack multiplier (>= 1) applied when deciding
-    membership from sampled quotients.
-    """
+    """Parameters (R, beta, T) of the weighted-Hoelder trajectory class."""
 
     R: float
     beta: float
     T: float
-    tol: float = 1.0
 
     def __post_init__(self) -> None:
         if self.R < 0:
@@ -58,8 +53,6 @@ class HolderClass:
             raise ValueError(f"beta must lie in (0, 1/2), got {self.beta}")
         if not 0.0 < self.T <= 1.0:
             raise ValueError(f"T must lie in (0, 1], got {self.T}")
-        if self.tol < 1.0:
-            raise ValueError("tol is a slack multiplier and must be >= 1")
 
 
 @dataclass
@@ -91,7 +84,7 @@ class _BandSolve:
         self.grid, self.params = grid, params
         self.plan = plan = band_plan(grid, params.alpha)
         self.u0 = plan.gather(u0.coeffs)
-        self.f0 = plan.gather(rhs_f(u0, u0, params).coeffs)
+        self.f0 = plan.gather(rhs_f(u0, params).coeffs)
         self.stokes = plan.gather(_stokes_table(grid, params.s))
         self.da = plan.gather(_stokes_table(grid, 2.0))
         self.weight = plan.gather(grid.weight).ravel()
@@ -244,7 +237,7 @@ class ClassReport:
     """Sampled weighted quotients of the four class conditions, normalized by R.
 
     minimal_R is the smallest amplitude constant that would make every sampled
-    quotient <= 1; member reports whether the declared (R, tol) pair holds.
+    quotient <= 1; member reports whether the declared R is such a constant.
     """
 
     sup_amplitude: float        # ||w(t)||_{D(A)} / R
@@ -324,7 +317,7 @@ def _quotients_from_samples(
         sup_holder_da=q3,
         sup_holder_smooth=q4,
         minimal_R=minimal,
-        member=all(q <= holder.tol for q in sups),
+        member=all(q <= 1.0 for q in sups),
     )
 
 

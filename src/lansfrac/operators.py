@@ -13,12 +13,12 @@ rounding for band-limited fields.
 
 Three implementations of the nonlinearity live here:
 
-- ``rhs_f``, the production kernel, evaluates f(u, u) in rotational
-  filtered-momentum form, -(1 + alpha^2 A)^{-1} P[(curl v) x u] with
-  v = (1 + alpha^2 A) u. Its arithmetic is ``rhs_f_band``, which maps band
-  blocks to band blocks; the Picard oracle calls that kernel directly.
+- ``rhs_f``, the production kernel, evaluates the diagonal f(u, u) only, in
+  rotational filtered-momentum form, -(1 + alpha^2 A)^{-1} P[(curl v) x u]
+  with v = (1 + alpha^2 A) u. Its arithmetic is ``rhs_f_band``, which maps
+  band blocks to band blocks; the Picard oracle calls that kernel directly.
 - ``stress_form_f`` is the paper's gradient-stress definition of the
-  bilinear f; it is the reference the kernel is tested against.
+  bilinear f(u1, u2); it is the reference the kernel is tested against.
 - ``v_nonlinearity`` is the transport + stretch form of the v-equation that
   ``run(form="v")`` steps, the independent side of the u/v equivalence.
 
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergedError, InconsistentPairError
+from .errors import DivergedError
 from .spectral import (
     MEAN_TOL,
     SOLENOIDAL_TOL,
@@ -43,7 +43,6 @@ from .spectral import (
     SpectralField,
     _check_same_grid,
     coeffs_to_phys,
-    frac_stokes_apply,
     inner,
     leray_project,
     mode_dot,
@@ -100,9 +99,8 @@ class _KernelWorkspace:
             table.setflags(write=False)
 
         cplx, block = np.complex128, plan.block_shape
-        self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u1, curl v2
-        self.u_in = self.stack[:dim]  # the kernel's u1, gathered or copied in place
-        self.u2 = np.empty((dim,) + block, cplx)
+        self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u, curl v
+        self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
         self.filtered = np.empty((dim,) + block, cplx)
         self.projected = np.empty((dim,) + block, cplx)
         self.terms = np.empty((dim,) + block, cplx)
@@ -168,28 +166,19 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np
     return out
 
 
-def rhs_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField:
+def rhs_f(u: SpectralField, params: Params) -> SpectralField:
     """f(u, u) = -(1 + alpha^2 A)^{-1} P[(curl v) x u], v = (1 + alpha^2 A) u.
 
     This is the production nonlinearity, in rotational filtered-momentum form:
     u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
-    removed by the projection. It gathers the band blocks of u1 and u2, runs
-    ``rhs_f_band`` on them and scatters the result, so it allocates only the
+    removed by the projection. It gathers the band block of u, runs
+    ``rhs_f_band`` on it and scatters the result, so it allocates only the
     f it returns. f is zero outside the band block.
-
-    It equals the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)]
-    exactly only on the diagonal u1 = u2, which is every call the solver
-    makes. Off the diagonal it is the rotational polarization
-    -(1 + alpha^2 A)^{-1} P[u1.grad(v2) + (grad u1)^T v2], with u1 as the
-    velocity and v2 = (1 + alpha^2 A) u2; ``stress_form_f`` computes the
-    paper's bilinear form.
     """
-    _check_same_grid(u1, u2)
-    grid = u1.grid
+    grid = u.grid
     ws = _kernel_workspace(grid, params.alpha)
-    u_band = ws.plan.gather(u1.coeffs, out=ws.u_in)
-    c_band = None if u2 is u1 else ws.plan.gather(u2.coeffs, out=ws.u2)
-    return _band_field(grid, ws.plan, rhs_f_band(grid, u_band, params, c_band))
+    u_band = ws.plan.gather(u.coeffs, out=ws.u_in)
+    return _band_field(grid, ws.plan, rhs_f_band(grid, u_band, params))
 
 
 def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
@@ -199,21 +188,19 @@ def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
 
 def rhs_f_band(
     grid: GridSpec,
-    u1: np.ndarray,
+    u: np.ndarray,
     params: Params,
-    u2: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The kernel of ``rhs_f``: f(u1, u2) from and to band blocks.
+    """The kernel of ``rhs_f``: f(u, u) from and to band blocks.
 
-    u1 and u2 are the band blocks (see ``BandPlan``) of the two arguments;
-    u2 = None is the diagonal u2 = u1. One call makes one stacked inverse
-    transform of the dealiased u and of curl v, and one forward transform of
-    the cross product: 3 + 2 fields in 2D (the curl is a scalar), 6 + 3 in
-    3D. Both are band-pruned transforms, and every per-mode step runs on the
-    band block in the buffers of a cached per-(grid, alpha) workspace. f is
-    written into out, or without it into a workspace buffer that the next
-    call on this (grid, alpha) overwrites.
+    u is the band block (see ``BandPlan``) of the field. One call makes one
+    stacked inverse transform of the dealiased u and of curl v, and one
+    forward transform of the cross product: 3 + 2 fields in 2D (the curl is a
+    scalar), 6 + 3 in 3D. Both are band-pruned transforms, and every per-mode
+    step runs on the band block in the buffers of a cached per-(grid, alpha)
+    workspace. f is written into out, or without it into a workspace buffer
+    that the next call on this (grid, alpha) overwrites.
 
     f is certified on the band block before it is returned: mean-free and
     solenoidal (see ``_KernelWorkspace.violation``). f is zero outside the
@@ -223,9 +210,9 @@ def rhs_f_band(
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
     plan, stack = ws.plan, ws.stack
-    if u1 is not ws.u_in:
-        np.copyto(ws.u_in, u1)
-    _cross(ws.ikv, ws.u_in if u2 is None else u2, stack[dim:], ws.dot)
+    if u is not ws.u_in:
+        np.copyto(ws.u_in, u)
+    _cross(ws.ikv, ws.u_in, stack[dim:], ws.dot)
     phys = coeffs_to_phys(stack, dim, band=plan)
     prod = phys_to_coeffs(_cross(phys[dim:], phys[:dim], ws.cross, ws.cross_tmp), dim, band=plan)
 
@@ -289,8 +276,7 @@ def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> Spect
 
 def h1_alpha_pairing(u: SpectralField, f: SpectralField, alpha: float) -> float:
     """Energy pairing <(1 + alpha^2 A) u, f>; vanishes when f = f(u, u)."""
-    w = u.copy_with(u.coeffs * (1.0 + alpha**2 * u.grid.k2))
-    return inner(w, f)
+    return inner(v_from_u(u, alpha), f)
 
 
 def v_from_u(u: SpectralField, alpha: float) -> SpectralField:
@@ -301,9 +287,6 @@ def v_from_u(u: SpectralField, alpha: float) -> SpectralField:
 def u_from_v(v: SpectralField, alpha: float) -> SpectralField:
     """Inverse of v_from_u."""
     return v.copy_with(v.coeffs / (1.0 + alpha**2 * v.grid.k2))
-
-
-PAIR_TOL = 1e-8
 
 
 def v_nonlinearity(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -320,12 +303,3 @@ def v_nonlinearity(u: SpectralField, v: SpectralField) -> SpectralField:
     coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
     return SpectralField.from_coeffs(grid, coeffs)
 
-
-def rhs_v(u: SpectralField, v: SpectralField, params: Params) -> SpectralField:
-    """Right-hand side of the v-form: -nu A^s v - P[u.grad(v) + (grad u)^T v]."""
-    _check_same_grid(u, v)
-    expected = v_from_u(u, params.alpha)
-    scale = float(np.max(np.abs(v.coeffs))) or 1.0
-    if float(np.max(np.abs(expected.coeffs - v.coeffs))) > PAIR_TOL * scale:
-        raise InconsistentPairError("v does not match (1 + alpha^2 A) u")
-    return v_nonlinearity(u, v) - params.nu * frac_stokes_apply(v, params.s)

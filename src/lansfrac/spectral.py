@@ -85,8 +85,6 @@ class GridSpec:
     dealias_mask: np.ndarray = _field(init=False, repr=False, compare=False)
     weight: np.ndarray = _field(init=False, repr=False, compare=False)
 
-    period = TWO_PI
-
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
             raise GridError(f"dim must be 2 or 3, got {self.dim}")
@@ -162,7 +160,6 @@ class Params:
     alpha: float
     nu: float
     s: float
-    regime: Regime = Regime.UNRESTRICTED
 
     def __post_init__(self) -> None:
         for name in ("alpha", "nu", "s"):

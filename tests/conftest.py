@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lansfrac import InitialData, Params, Regime, make_grid, make_initial
+from lansfrac import InitialData, Params, make_grid, make_initial
 from lansfrac.spectral import (
     GridSpec,
     SpectralField,
@@ -28,7 +28,7 @@ def grid3():
 
 @pytest.fixture
 def params():
-    return Params(alpha=0.5, nu=1.0, s=0.5, regime=Regime.GLOBAL_RANGE)
+    return Params(alpha=0.5, nu=1.0, s=0.5)
 
 
 def random_field(grid: GridSpec, seed: int = 0, amplitude: float = 1.0, band=None, decay=2.0):

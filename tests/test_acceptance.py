@@ -10,7 +10,6 @@ from lansfrac import (
     HolderClass,
     InitialData,
     Params,
-    Regime,
     SchemeKind,
     SimConfig,
     StepScheme,
@@ -80,7 +79,7 @@ def test_criterion_01_exact_shear_reproduction():
     worst = 0.0
     for s in (0.5, 0.75):
         for alpha in (0.0, 0.5, 1.0):
-            p = Params(alpha=alpha, nu=1.0, s=s, regime=Regime.GLOBAL_RANGE)
+            p = Params(alpha=alpha, nu=1.0, s=s)
             traj = run(cfg(grid, p, dt=1e-3, t_end=1.0), initial_field=u0)
             err = norm_DAr(traj.snapshots[-1] - np.exp(-1.0) * u0, 1.0) / norm_DAr(u0, 1.0)
             worst = max(worst, err)
@@ -93,19 +92,19 @@ def test_criterion_02_nonlinear_cancellation():
     g2 = make_grid(2, 64)
     for seed in range(50):
         u = dealias(random_field(g2, seed=1000 + seed))
-        f = rhs_f(u, u, p)
+        f = rhs_f(u, p)
         worst = max(worst, abs(h1_alpha_pairing(u, f, p.alpha)) / norm_DAr(u, 1.0) ** 3)
     g3 = make_grid(3, 32)
     for seed in range(50):
         u = dealias(random_field(g3, seed=2000 + seed))
-        f = rhs_f(u, u, p)
+        f = rhs_f(u, p)
         worst = max(worst, abs(h1_alpha_pairing(u, f, p.alpha)) / norm_DAr(u, 1.0) ** 3)
     verdict(2, worst <= 1e-10, f"max normalized pairing residual {worst:.3e} over 100 fields")
 
 
 def test_criterion_03_energy_identity():
     grid = make_grid(2, 64)
-    p = Params(alpha=0.5, nu=0.1, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.5)
     init = InitialData(kind="taylor-green")
     res = []
     for dt in (5e-4, 2.5e-4):
@@ -119,7 +118,7 @@ def test_criterion_03_energy_identity():
 
 def test_criterion_04_linear_exactness():
     grid = make_grid(2, 32)
-    p = Params(alpha=0.5, nu=0.8, s=0.6, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.8, s=0.6)
     u0 = random_field(grid, seed=3000)
     decay = np.exp(-p.nu * 1.0 * stokes_multiplier(grid.k2, p.s))
     worst = 0.0
@@ -132,7 +131,7 @@ def test_criterion_04_linear_exactness():
 
 def test_criterion_05_oracle_equivalence():
     grid = make_grid(2, 32)
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid, seed=42, amplitude=1e-2))
     T = 0.1
     stepper = run(
@@ -161,7 +160,7 @@ def test_criterion_05_oracle_equivalence():
 def test_criterion_06_apriori_bound():
     results = []
     for dim, s, n_coarse in ((2, 0.5, 32), (3, 0.75, 16)):
-        p = Params(alpha=0.5, nu=0.2, s=s, regime=Regime.GLOBAL_RANGE)
+        p = Params(alpha=0.5, nu=0.2, s=s)
         coarse = make_grid(dim, n_coarse)
         fine = make_grid(dim, 2 * n_coarse)
         band = coarse.band_limit
@@ -184,7 +183,7 @@ def test_criterion_06_apriori_bound():
 
 def test_criterion_07_smoothing_rate():
     grid = make_grid(2, 128)
-    p = Params(alpha=0.5, nu=0.05, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.05, s=0.75)
     init = InitialData(
         kind="random-spectrum", amplitude=0.5, seed=7, decay_exponent=3.01
     )
@@ -202,7 +201,7 @@ def test_criterion_07_smoothing_rate():
 
 def test_criterion_08_critical_holder_class():
     grid = make_grid(2, 32)
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     # borderline-D(A) spectrum: the weighted quotients genuinely sample the
     # t^{-1/2} and Hoelder weights instead of being dwarfed by the amplitude
     u0 = dealias(random_field(grid, seed=8, amplitude=1e-2, decay=3.01))
@@ -249,7 +248,7 @@ def test_criterion_08_critical_holder_class():
 
 def test_criterion_09_uv_form_equivalence():
     grid = make_grid(2, 32)
-    p = Params(alpha=0.5, nu=0.2, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.2, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=1e-2, seed=9)
     u_run = run(cfg(grid, p, dt=1e-3, t_end=1.0, init=init))
     v_run = run(cfg(grid, p, dt=1e-3, t_end=1.0, init=init), form="v")
@@ -259,7 +258,7 @@ def test_criterion_09_uv_form_equivalence():
 
 
 def test_criterion_10_spectral_convergence():
-    p = Params(alpha=0.5, nu=0.05, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.05, s=0.75)
 
     def smooth_mix(g):
         tg = make_initial(InitialData(kind="taylor-green"), g)

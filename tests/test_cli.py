@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lansfrac.cli import main
 from lansfrac.diagnostics import DiagRecord
-from lansfrac.integrator import Trajectory
+from lansfrac.integrator import Trajectory, make_initial
 from lansfrac.io import sha256_file
 
 from conftest import nan_at_last_picard_node
@@ -547,6 +547,32 @@ def test_snapshot_path_is_a_directory_exits_two(tmp_path, capsys):
     assert err == f"error: snapshot {tmp_path} is a directory, not a file\n"
 
 
+@pytest.mark.parametrize(
+    "what,name,reason",
+    [("config", "file/x.cfg", "Not a directory"), ("snapshot", "file/x", "Not a directory"),
+     ("snapshot", "a\0b", "embedded null byte")],
+)
+def test_an_unreadable_input_path_exits_two(tmp_path, capsys, what, name, reason):
+    # a path below a file, or with a NUL byte: one error line, no traceback
+    (tmp_path / "file").write_text("not a directory\n")
+    path = f"{tmp_path}/{name}"
+    cfg = path
+    if what == "snapshot":
+        restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{path}")
+        cfg = write(tmp_path, restart)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {what} {path!r}: {reason}\n"
+
+
+def test_a_random_field_that_overflows_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, SMALL_CFG + "decay_exponent = -1000\n")
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: decay_exponent = -1000.0 ") and err.count("\n") == 1
+    assert not list(out.glob("*.flns"))
+
+
 def test_restart_from_snapshot_on_other_grid(tmp_path):
     snap = _first_snapshot(tmp_path, SMALL_CFG)
     restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")
@@ -576,6 +602,7 @@ _LINE = st.one_of(
 
 
 def _one_step_trajectory(config, **_kwargs):
+    make_initial(config.initial, config.grid, config.params)  # its errors are bad input too
     record = DiagRecord(t=0.0, E0=0.0, E1=0.0, D=0.0, nDA=0.0, n1ps2=0.0, cancel=0.0)
     return Trajectory(times=np.array([0.0]), snapshots=[], diag=[record])
 
@@ -583,8 +610,9 @@ def _one_step_trajectory(config, **_kwargs):
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(_LINE, max_size=20))
 def test_random_config_text_exits_zero_or_two(lines):
-    # only the config handling is under test: the time loop is replaced by a
-    # one-record trajectory, so an accepted config costs no solve
+    # only the config handling and the initial data are under test: the time
+    # loop is replaced by a one-record trajectory, so an accepted config costs
+    # no solve
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(SMALL_CFG + "\n".join(lines) + "\n", encoding="utf-8")

@@ -8,7 +8,6 @@ from lansfrac import (
     HolderClass,
     InitialData,
     Params,
-    Regime,
     SchemeKind,
     SimConfig,
     StepScheme,
@@ -118,7 +117,7 @@ def test_record_cancel_is_the_h1_alpha_pairing(case, seed, band_frac, amplitude,
     u = random_field(grid, seed=seed, amplitude=amplitude, band=band)
     g = random_field(grid, seed=seed + 1, amplitude=amplitude, band=band)
     nda3 = norm_DAr(u, 1.0) ** 3
-    for f in (g, rhs_f(u, u, p)):
+    for f in (g, rhs_f(u, p)):
         scale = l2_norm(v_from_u(u, alpha)) * l2_norm(f) / nda3
         expect = abs(h1_alpha_pairing(u, f, alpha)) / nda3
         assert abs(record(u, p, 0.0, f=f).cancel - expect) <= 1e-13 * scale
@@ -129,7 +128,7 @@ def test_record_cancel_is_the_h1_alpha_pairing(case, seed, band_frac, amplitude,
 
 def test_energy_balance_shear_trapezoid_limited(grid2):
     # exact solution: the only residual is the trapezoid error of int D dt
-    p = Params(alpha=0.5, nu=0.1, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.5)
     traj = run(config(grid2, p, dt=1e-3, t_end=1.0))
     res = energy_balance_residual(traj, p)
     assert np.max(res) < 1e-8
@@ -143,7 +142,7 @@ def test_energy_balance_needs_two_records(grid2, params):
 
 def test_energy_balance_order_two_convergence(grid2):
     # random data (TG is f-free in 2D): residual should shrink ~4x per halving
-    p = Params(alpha=0.5, nu=0.1, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.5)
     u0 = dealias(random_field(grid2, seed=21, amplitude=1.0, decay=2.0, band=8))
     res = []
     for dt in (2e-3, 1e-3):
@@ -154,7 +153,7 @@ def test_energy_balance_order_two_convergence(grid2):
 
 
 def test_energy_monotone_decay(grid2):
-    p = Params(alpha=0.5, nu=0.2, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.2, s=0.5)
     u0 = dealias(random_field(grid2, seed=22, amplitude=1.0))
     traj = run(config(grid2, p, dt=2e-3, t_end=0.3), initial_field=u0)
     e1 = [r.E1 for r in traj.diag]
@@ -171,13 +170,13 @@ def _sup_ratio(traj):
 
 
 def test_apriori_shear_constant_one(grid2):
-    p = Params(alpha=0.5, nu=1.0, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=1.0, s=0.5)
     traj = run(config(grid2, p, dt=2e-3, t_end=0.5))
     assert abs(_sup_ratio(traj) - 1.0) < 1e-12  # pure decay peaks at t = 0
 
 
 def test_apriori_small_data_stable_under_refinement():
-    p = Params(alpha=0.5, nu=0.2, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.2, s=0.5)
     sups = []
     for n in (32, 64):
         g = make_grid(2, n)
@@ -190,7 +189,7 @@ def test_apriori_small_data_stable_under_refinement():
 # --------------------------------------------------------- smoothing rate
 
 def test_smoothing_smooth_data_flat(grid2):
-    p = Params(alpha=0.5, nu=0.1, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="taylor-green", amplitude=0.5)
     traj = run(config(grid2, p, dt=1e-3, t_end=0.12, init=init))
     fit = smoothing_rate(traj, r=p.s / 2, s=p.s, window=(2e-3, 0.1))
@@ -198,7 +197,7 @@ def test_smoothing_smooth_data_flat(grid2):
 
 
 def test_smoothing_r0_flat_rough_data(grid2_64):
-    p = Params(alpha=0.5, nu=0.1, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.5, seed=24, decay_exponent=3.01)
     traj = run(config(grid2_64, p, dt=1e-3, t_end=0.12, init=init))
     fit0 = smoothing_rate(traj, r=0.0, s=p.s, window=(2e-3, 0.1))
@@ -234,7 +233,7 @@ def test_holder_quotients_zero_data(grid2):
 
 
 def test_holder_quotients_semigroup_matches_class_check(grid2):
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=25, amplitude=1e-2))
     times = np.concatenate(([0.0], np.geomspace(1e-3, 1.0, 64)))
     snaps = [semigroup_apply(u0, float(t), p) for t in times]

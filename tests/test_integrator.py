@@ -8,7 +8,6 @@ import pytest
 from lansfrac import (
     InitialData,
     Params,
-    Regime,
     SchemeKind,
     SimConfig,
     StepScheme,
@@ -114,7 +113,7 @@ def test_galerkin_projection_order_irrelevant_for_band_limited(grid2, params):
 
     u = dealias(random_field(grid2, seed=4, band=5))
     cut = 7
-    after = galerkin_truncate(rhs_f(u, u, params), cut)
+    after = galerkin_truncate(rhs_f(u, params), cut)
     v = v_from_u(u, params.alpha).coeffs
     w = coeffs_to_phys(1j * (grid2.k[0] * v[1] - grid2.k[1] * v[0]), 2)
     vel = to_physical(u)
@@ -127,11 +126,12 @@ def test_galerkin_projection_order_irrelevant_for_band_limited(grid2, params):
 
 def _step(u, params, dt, kind=SchemeKind.ETD2RK):
     """One step of the u-form equation, as run takes it."""
-    return _advance(u, _Propagator(u.grid, params, dt), kind, lambda w: rhs_f(w, w, params))
+    f_eval = lambda w: rhs_f(w, params)
+    return _advance(u, _Propagator(u.grid, params, dt), kind, f_eval, f_eval(u))
 
 
 def test_step_shear_exact_any_dt(grid2):
-    p = Params(alpha=0.5, nu=1.3, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=1.3, s=0.75)
     u = make_initial(InitialData(kind="shear"), grid2)
     for dt in (0.3, 0.05):
         out = _step(u, p, dt)
@@ -149,7 +149,7 @@ def _self_convergence_order(grid, kind):
     # Richardson: order = log2(|u_dt - u_dt/2| / |u_dt/2 - u_dt/4|). Data must
     # have an active nonlinearity: 2D Taylor-Green is f-free (see the exactness
     # test below), so a band-limited random field is used instead.
-    p = Params(alpha=0.5, nu=0.05, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.05, s=0.75)
     u0 = dealias(random_field(grid, seed=20, amplitude=2.0, decay=2.0, band=8))
     finals = []
     for dt in (2e-2, 1e-2, 5e-3):
@@ -172,7 +172,7 @@ def test_exp_euler_self_convergence_order(grid2):
 
 def test_etd2rk_convergence_order_3d_taylor_green(grid3):
     # in 3D the Taylor-Green nonlinearity survives the projection
-    p = Params(alpha=0.5, nu=0.05, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.05, s=0.75)
     finals = []
     for dt in (2e-2, 1e-2, 5e-3):
         traj = run(config(grid3, p, dt=dt, t_end=0.2, init=InitialData(kind="taylor-green")))
@@ -186,7 +186,7 @@ def test_etd2rk_convergence_order_3d_taylor_green(grid3):
 def test_run_taylor_green_2d_exact_solution(grid2):
     # advection and averaged stress of 2D TG are both pure gradients, so TG
     # decays exactly by the semigroup on the |k|^2 = 2 shell
-    p = Params(alpha=0.5, nu=0.4, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.4, s=0.75)
     tg = make_initial(InitialData(kind="taylor-green"), grid2)
     traj = run(config(grid2, p, dt=5e-3, t_end=0.5, init=InitialData(kind="taylor-green")))
     expect = np.exp(-p.nu * 0.5 * 2.0**p.s)
@@ -235,7 +235,7 @@ def test_random_spectrum_seeded_determinism(grid2):
 # -------------------------------------------------------------------- run
 
 def test_run_shear_exact_decay(grid2):
-    p = Params(alpha=0.5, nu=1.0, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=1.0, s=0.5)
     traj = run(config(grid2, p, dt=1e-3, t_end=1.0))
     u0, uT = traj.snapshots[0], traj.snapshots[-1]
     err = norm_DAr(uT - np.exp(-1.0) * u0, 1.0) / norm_DAr(u0, 1.0)
@@ -251,7 +251,7 @@ def test_run_t_end_zero(grid2, params):
 def test_run_linear_exactness_per_mode(grid2):
     # with the nonlinearity disabled every mode decays by exp(-nu t |k|^{2s})
     # regardless of the dt partition
-    p = Params(alpha=0.5, nu=0.8, s=0.6, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.8, s=0.6)
     u0 = random_field(grid2, seed=11)
     for dt in (0.7, 0.13, 0.01):
         traj = run(config(grid2, p, dt=dt, t_end=1.0, linear_only=True), initial_field=u0)
@@ -260,7 +260,7 @@ def test_run_linear_exactness_per_mode(grid2):
 
 
 def test_run_taylor_green_bounded(grid2):
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     traj = run(config(grid2, p, dt=2e-3, t_end=0.5, init=InitialData(kind="taylor-green")))
     ndas = [r.nDA for r in traj.diag]
     assert max(ndas) <= ndas[0] * (1 + 1e-8)  # decaying flow
@@ -292,7 +292,7 @@ def test_run_streams_snapshots_to_the_sink(grid2, params):
 def test_run_with_a_sink_holds_no_fields(grid3):
     # A snapshot every step, streamed to a sink that keeps nothing: the
     # traced peak of the run does not grow with the number of steps.
-    p = Params(alpha=0.5, nu=0.1, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
 
     def traced_peak(steps: int) -> int:
@@ -314,7 +314,7 @@ def test_run_frees_its_initial_field(grid3):
     # After the first step the run holds no reference to its initial field,
     # and _advance drops w1 f(u) before the stage's f: the traced peak of a
     # 10-step run stays under 7 fields (7.6 when both were held).
-    p = Params(alpha=0.5, nu=0.1, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
 
     def traced_peak(steps: int) -> int:
@@ -336,7 +336,7 @@ def test_run_frees_its_initial_field(grid3):
 def test_run_galerkin_consistency_band_limited(grid2):
     # data supported inside the dealias cutoff: truncating at the band is a
     # no-op because products are dealiased below it anyway
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=12, band=grid2.band_limit))
     plain = run(config(grid2, p, dt=5e-3, t_end=0.1), initial_field=u0)
     cut = run(
@@ -347,7 +347,7 @@ def test_run_galerkin_consistency_band_limited(grid2):
 
 
 def test_run_divergence_detection(grid2):
-    p = Params(alpha=0.1, nu=1e-6, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.1, nu=1e-6, s=0.5)
     init = InitialData(kind="random-spectrum", amplitude=1e5, seed=13)
     with pytest.raises(DivergedError):
         run(config(grid2, p, dt=0.5, t_end=50.0, init=init))
@@ -382,7 +382,7 @@ def test_sim_config_rejects_step_counts_float64_cannot_index(grid2, params):
 def test_run_v_form_matches_u_form(grid2):
     from lansfrac import u_from_v
 
-    p = Params(alpha=0.5, nu=0.2, s=0.75, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.2, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.05, seed=14)
     ut = run(config(grid2, p, dt=5e-3, t_end=0.5, init=init))
     vt = run(config(grid2, p, dt=5e-3, t_end=0.5, init=init), form="v")
@@ -433,14 +433,14 @@ def test_uniqueness_zero_perturbation_identical(grid2, params):
 
 
 def test_uniqueness_shear_perturbation_decays(grid2):
-    p = Params(alpha=0.5, nu=1.0, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=1.0, s=0.5)
     growth, _, c_fit = _separation_growth(config(grid2, p, dt=2e-3, t_end=0.3), 1e-8)
     assert np.max(growth) <= 1.0 + 1e-6
     assert np.isfinite(c_fit)
 
 
 def test_uniqueness_growth_stable_under_dt_halving(grid2):
-    p = Params(alpha=0.5, nu=0.3, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.3, s=0.5)
     init = InitialData(kind="taylor-green", amplitude=0.5)
     g1 = _separation_growth(config(grid2, p, dt=4e-3, t_end=0.3, init=init), 1e-6)[0][-1]
     g2 = _separation_growth(config(grid2, p, dt=2e-3, t_end=0.3, init=init), 1e-6)[0][-1]
@@ -448,9 +448,12 @@ def test_uniqueness_growth_stable_under_dt_halving(grid2):
 
 
 def test_step_overflow_raises_diverged(grid2, params):
+    # the step itself checks nothing; run's flag check of the new state
+    # catches the non-finite coefficients and names the step and its time
     huge = 1e200 * random_field(grid2, seed=99)
-    with pytest.raises(DivergedError):
-        _step(huge, params, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError) as info:
+        run(config(grid2, params, dt=1.0, t_end=3.0), initial_field=huge)
+    assert (info.value.step, info.value.t) == (1, 1.0)
 
 
 def test_run_blowup_guard_names_step_and_time(grid2, params, monkeypatch):

@@ -9,7 +9,6 @@ from lansfrac import (
     HolderClass,
     InitialData,
     Params,
-    Regime,
     SchemeKind,
     SimConfig,
     StepScheme,
@@ -129,7 +128,7 @@ def test_duhamel_sweep_matches_direct(grid2, params):
     free = [semigroup_apply(u0, float(t), params) for t in mesh]
     stack = np.stack([band.plan.gather(w.coeffs) for w in free])
     _duhamel_sweep(stack, band, mesh)
-    fs = [rhs_f(w, w, params) for w in free]
+    fs = [rhs_f(w, params) for w in free]
     assert max(l2_norm(f) for f in fs) > 0.01 * l2_norm(u0)
     for i, t in enumerate(mesh):
         direct = free[i].coeffs + duhamel_integral(fs, mesh, float(t), params).coeffs
@@ -152,7 +151,7 @@ def full_spectrum_sweep(
     sup = 0.0
     for i, t in enumerate(t_mesh):
         node = SpectralField.from_coeffs(grid, stack[i])
-        f_i = rhs_f(node, node, params).coeffs
+        f_i = rhs_f(node, params).coeffs
         if i > 0:
             h = float(t - t_mesh[i - 1])
             np.add(acc, np.multiply(0.5 * h, f_prev, out=work), out=acc)
@@ -191,7 +190,7 @@ def test_picard_band_nodes_equal_the_full_spectrum_sweep(dim, n, s, band):
     # band 15 puts modes of u0 outside the band block, where every node is
     # the free field
     grid = make_grid(dim, n)
-    p = Params(alpha=0.5, nu=0.5, s=s, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=s)
     u0 = random_field(grid, seed=31, amplitude=0.05, band=band)
     mesh = 8 if dim == 3 else 12
     ref_stack, ref_incs = full_spectrum_picard(u0, p, 0.1, mesh)
@@ -205,8 +204,8 @@ def test_picard_band_nodes_equal_the_full_spectrum_sweep(dim, n, s, band):
 
 # ------------------------------------------------------------ Picard solve
 
-def holder_for(u0, beta=0.25, T=1.0, tol=2.0):
-    return HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=beta, T=T, tol=tol)
+def holder_for(u0, beta=0.25, T=1.0):
+    return HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=beta, T=T)
 
 
 def test_picard_zero_data(grid2, params):
@@ -219,7 +218,7 @@ def test_picard_zero_data(grid2, params):
 def test_picard_shear_converges_fast(grid2):
     # f vanishes along the shear path, so the first sweep reproduces the
     # semigroup solution up to quadrature-level noise
-    p = Params(alpha=0.5, nu=1.0, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=1.0, s=0.5)
     u0 = make_initial(InitialData(kind="shear", amplitude=1e-2), grid2)
     traj, state = picard_solve(u0, p, holder_for(u0, T=0.5), mesh_size=32)
     assert state.converged and state.n_iter <= 3
@@ -229,7 +228,7 @@ def test_picard_shear_converges_fast(grid2):
 
 
 def test_picard_small_data_geometric_increments(grid2):
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=5, amplitude=0.05))
     traj, state = picard_solve(u0, p, holder_for(u0, T=1.0), mesh_size=32, tol=1e-14)
     incs = state.increments_linf
@@ -239,7 +238,7 @@ def test_picard_small_data_geometric_increments(grid2):
 
 
 def test_picard_no_contraction_for_large_data(grid2):
-    p = Params(alpha=0.2, nu=0.05, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.2, nu=0.05, s=0.5)
     u0 = dealias(random_field(grid2, seed=6, amplitude=300.0))
     with pytest.raises(NoContractionError):
         picard_solve(u0, p, holder_for(u0, T=1.0), mesh_size=16, max_iter=12)
@@ -248,7 +247,7 @@ def test_picard_no_contraction_for_large_data(grid2):
 def test_picard_non_finite_node_is_no_contraction(grid2, monkeypatch):
     # node 0's increment is 0.0, so a sup that starts there must not let a
     # later nan through as convergence
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
     nan_at_last_picard_node(monkeypatch, nodes=17)
     with pytest.raises(NoContractionError, match="non-finite"):
@@ -260,7 +259,7 @@ def test_picard_holds_one_iterate_stack(grid2):
     # traced peak (stack, running integral, f and per-node temporaries on the
     # block) must stay near it, where a full-spectrum stack alone costs 2.3
     # band stacks at N = 32 and whole-mesh lists of f several more
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
     holder = holder_for(u0, T=0.1)
     picard_solve(u0, p, holder, mesh_size=4)  # warm the kernel workspace and tables
@@ -305,7 +304,7 @@ def test_picard_node_slices_are_lazy_sequences(grid2, params):
 
 def test_picard_matches_stepper_small_data(grid2):
     # oracle equivalence on a short horizon: completely different numerics
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
     T = 0.1
     cfg = SimConfig(
@@ -350,7 +349,7 @@ def test_semigroup_class_single_mode_smoothing_constant(grid2):
 
 
 def test_semigroup_class_rough_data_stable(grid2_64):
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = random_field(grid2_64, seed=8, amplitude=1.0, decay=3.01)
     holder = holder_for(u0)
     coarse = semigroup_class_check(u0, p, holder, n_t=16)
@@ -371,7 +370,7 @@ def test_holder_membership_zero_trajectory(grid2, params):
 
 def test_holder_membership_semigroup_consistency(grid2):
     # a sampled semigroup trajectory must reproduce the exact-sampler report
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=9, amplitude=1.0, decay=3.01))
     holder = holder_for(u0)
     from lansfrac.integrator import Trajectory
@@ -386,7 +385,7 @@ def test_holder_membership_semigroup_consistency(grid2):
 
 def test_holder_membership_picard_critical_case(grid2):
     # full nonlinear small-data trajectory at (dim, s) = (2, 1/2)
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=10, amplitude=1e-2))
     holder = holder_for(u0, beta=0.25, T=1.0)
     traj, state = picard_solve(u0, p, holder, mesh_size=64)
@@ -423,7 +422,7 @@ def test_critical_bilinear_f_bound(grid2):
     # t^{1/2} ||f(w1,w2)(t)||_{D(A^{1-s/2})} / (R1 R2) stays bounded for
     # semigroup class members; the bound is on the paper's bilinear f, which
     # off the diagonal is the stress-form oracle
-    p = Params(alpha=0.5, nu=0.5, s=0.5, regime=Regime.GLOBAL_RANGE)
+    p = Params(alpha=0.5, nu=0.5, s=0.5)
     u1 = dealias(random_field(grid2, seed=11, amplitude=1.0, decay=3.01))
     u2 = dealias(random_field(grid2, seed=12, amplitude=1.0, decay=3.01))
     r1 = semigroup_class_check(u1, p, holder_for(u1)).minimal_R

@@ -1,6 +1,7 @@
 """Nonlinear-term tests: hand-computed flows, FD oracles, cancellation.
 
-rhs_f is the production kernel (rotational filtered-momentum form).
+rhs_f is the production kernel (rotational filtered-momentum form); it
+evaluates f on the diagonal only, f(u, u).
 stress_form_f is the paper's bilinear f in gradient-stress form: the
 transport u1.grad(u2) and the averaged stress U_alpha(u1, u2) built from the
 gradients of both arguments. The analytic and finite-difference checks of the
@@ -21,13 +22,12 @@ from lansfrac import (
     rhs_f,
     u_from_v,
 )
-from lansfrac.errors import DivergedError, GridError, InconsistentPairError
+from lansfrac.errors import DivergedError, GridError
 from lansfrac.operators import (
     ESCAPE_TOL,
     _band_field,
     _kernel_workspace,
     h1_alpha_pairing,
-    rhs_v,
     stress_form_f,
     v_from_u,
     v_nonlinearity,
@@ -135,7 +135,7 @@ def test_gradient_constant_is_zero(grid2, params):
     const = SpectralField.from_coeffs(grid2, coeffs)
     u = random_field(grid2, seed=6)
     assert np.max(np.abs(stress_form_f(u, const, params).coeffs)) == 0.0
-    assert np.max(np.abs(rhs_f(u, const, params).coeffs)) == 0.0
+    assert np.max(np.abs(rhs_f(const, params).coeffs)) == 0.0
 
 
 def test_gradient_matches_fd_at_order_two():
@@ -153,7 +153,7 @@ NO_ALPHA = Params(alpha=0.0, nu=1.0, s=0.5)
 def test_advect_shear_vanishes(grid2):
     u = shear(grid2)
     assert l2_norm(stress_form_f(u, u, NO_ALPHA)) < 1e-14
-    assert l2_norm(rhs_f(u, u, NO_ALPHA)) < 1e-14
+    assert l2_norm(rhs_f(u, NO_ALPHA)) < 1e-14
 
 
 def test_advect_taylor_green_analytic(grid2):
@@ -169,7 +169,7 @@ def test_advect_taylor_green_is_pure_gradient(grid2):
     # 2D TG transport is grad(-(cos 2x + cos 2y)/4): the projection removes it
     u = taylor_green(grid2)
     assert l2_norm(stress_form_f(u, u, NO_ALPHA)) < 1e-12
-    assert l2_norm(rhs_f(u, u, NO_ALPHA)) < 1e-12
+    assert l2_norm(rhs_f(u, NO_ALPHA)) < 1e-12
 
 
 def test_advect_matches_fd_at_order_two():
@@ -181,8 +181,6 @@ def test_advect_grid_mismatch(grid2, params):
     w = random_field(make_grid(2, 16), seed=1)
     with pytest.raises(GridError):
         stress_form_f(shear(grid2), w, params)
-    with pytest.raises(GridError):
-        rhs_f(shear(grid2), w, params)
 
 
 # ---------------------------------------------------------------- u_alpha
@@ -263,21 +261,21 @@ def test_stokes_projector_defining_relation(grid2):
 
 def test_rhs_f_shear_vanishes(grid2, params):
     u = shear(grid2)
-    assert l2_norm(rhs_f(u, u, params)) < 1e-13
+    assert l2_norm(rhs_f(u, params)) < 1e-13
 
 
 def test_rhs_f_zero_field(grid2, params):
     from lansfrac.spectral import zero_field
 
     z = zero_field(grid2)
-    assert l2_norm(rhs_f(z, z, params)) == 0.0
+    assert l2_norm(rhs_f(z, params)) == 0.0
 
 
 def test_rhs_f_flags_and_parts(grid2, params):
     # the parts of the paper's f (transport and averaged stress, recombined
     # and projected by the oracle) give the rotational kernel's value
     u = dealias(random_field(grid2, seed=31))
-    f = rhs_f(u, u, params)
+    f = rhs_f(u, params)
     assert f.solenoidal and f.zero_mean and f.hermitian
     assert rel_err(stress_form_f(u, u, params).coeffs, f.coeffs) < 1e-13
 
@@ -289,7 +287,7 @@ def test_rhs_f_matches_both_oracles_on_the_diagonal(dim, n, alpha):
     p = Params(alpha=alpha, nu=1.0, s=0.75)
     for seed in (500, 501):
         u = dealias(random_field(grid, seed=seed))
-        f = rhs_f(u, u, p)
+        f = rhs_f(u, p)
         assert f.hermitian and f.solenoidal and f.zero_mean
         assert rel_err(f.coeffs, stress_form_f(u, u, p).coeffs) <= 1e-13
         v_form = u_from_v(v_nonlinearity(u, v_from_u(u, alpha)), alpha)
@@ -308,19 +306,8 @@ def test_rhs_f_near_oblique_shear_stays_solenoidal(dim, n):
     p = Params(alpha=0.5, nu=1.0, s=0.75)
     for eps in (1e-3, 1e-5, 1e-7):
         u = base + eps * dealias(random_field(grid, seed=3))
-        f = rhs_f(u, u, p)
+        f = rhs_f(u, p)
         assert f.solenoidal and f.zero_mean
-
-
-def test_rhs_f_off_diagonal_is_the_rotational_polarization(grid2):
-    # -(1 + a^2 A)^{-1} P[u1.grad(v2) + (grad u1)^T v2] for (shear, (0, sin x)):
-    # only the transport survives, so the stress coefficient of the paper's
-    # f is replaced by the Helmholtz factor of v2
-    u, w = shear(grid2), cross_wave(grid2)
-    for alpha in (0.0, 0.5, 1.0):
-        p = Params(alpha=alpha, nu=1.0, s=0.5)
-        expect = 0.5 * (1 + alpha**2) / (1 + 2 * alpha**2) * tg_profile(grid2)
-        assert np.max(np.abs(to_physical(rhs_f(u, w, p)) - expect)) < 1e-13
 
 
 def _unpruned_rotational_f(u: SpectralField, alpha: float) -> np.ndarray:
@@ -360,7 +347,7 @@ def test_rhs_f_matches_the_unpruned_kernel(dim, n):
     grid = make_grid(dim, n)
     for alpha, seed in ((0.0, 0), (0.5, 1), (1.0, 2)):
         u = make_initial(InitialData(kind="random-spectrum", seed=seed), grid)
-        f = rhs_f(u, u, Params(alpha=alpha, nu=1.0, s=0.75))
+        f = rhs_f(u, Params(alpha=alpha, nu=1.0, s=0.75))
         assert rel_err(f.coeffs, _unpruned_rotational_f(u, alpha)) <= 1e-14
 
 
@@ -398,21 +385,18 @@ def test_rhs_f_workspace_carries_no_state_between_calls(dim, n):
     coeffs[1][(slice(1, 3),) * dim] = np.inf
     bad = SpectralField.from_coeffs(grid, coeffs)
     _kernel_workspace.cache_clear()
-    fresh = rhs_f(b, b, p).coeffs.tobytes()
+    fresh = rhs_f(b, p).coeffs.tobytes()
     first = _kernel_workspace(grid, p.alpha)
     earlier_calls = [
-        lambda: rhs_f(a, a, p),
-        lambda: rhs_f(a, b, p),
-        lambda: rhs_f(b, a, p),
-        lambda: rhs_f(bad, bad, p),
-        lambda: rhs_f(a, bad, p),
+        lambda: rhs_f(a, p),
+        lambda: rhs_f(bad, p),
         # more (grid, alpha) keys than the cache holds evict b's workspace
-        lambda: [rhs_f(a, a, Params(alpha=0.05 + 0.1 * i, nu=1.0, s=0.75)) for i in range(9)],
+        lambda: [rhs_f(a, Params(alpha=0.05 + 0.1 * i, nu=1.0, s=0.75)) for i in range(9)],
     ]
     for call in earlier_calls:
         with np.errstate(all="ignore"):
             call()
-        assert rhs_f(b, b, p).coeffs.tobytes() == fresh
+        assert rhs_f(b, p).coeffs.tobytes() == fresh
     assert _kernel_workspace(grid, p.alpha) is not first  # it was evicted and rebuilt
 
 
@@ -463,19 +447,7 @@ def test_rhs_f_raises_when_its_projection_is_broken(monkeypatch, dim, n):
         type(_kernel_workspace(grid, p.alpha)), "project", lambda self, a, out: np.copyto(out, a) or out
     )
     with pytest.raises(DivergedError, match="is not solenoidal"):
-        rhs_f(u, u, p)
-
-
-def test_rhs_f_bilinear_in_each_argument(grid2, params):
-    u1 = random_field(grid2, seed=32)
-    u2 = random_field(grid2, seed=33)
-    u3 = random_field(grid2, seed=34)
-    a = 2.5
-    f_scaled = rhs_f(a * u1, u2, params)
-    assert rel_err(f_scaled.coeffs, a * rhs_f(u1, u2, params).coeffs) < 1e-12
-    f_sum = rhs_f(u1, u2 + u3, params)
-    split = rhs_f(u1, u2, params) + rhs_f(u1, u3, params)
-    assert rel_err(f_sum.coeffs, split.coeffs) < 1e-12
+        rhs_f(u, p)
 
 
 FNORM_BOUND = 0.15  # measured max 0.014 over this fixed ensemble; 10x headroom
@@ -505,7 +477,7 @@ def test_cancellation_2d(grid2_64, alpha):
     p = Params(alpha=alpha, nu=1.0, s=0.5)
     for seed in range(5):
         u = dealias(random_field(grid2_64, seed=300 + seed))
-        f = rhs_f(u, u, p)
+        f = rhs_f(u, p)
         resid = abs(h1_alpha_pairing(u, f, alpha)) / norm_DAr(u, 1.0) ** 3
         assert resid < 1e-10
 
@@ -514,7 +486,7 @@ def test_cancellation_3d(grid3):
     p = Params(alpha=0.5, nu=1.0, s=0.75)
     for seed in range(3):
         u = dealias(random_field(grid3, seed=400 + seed))
-        f = rhs_f(u, u, p)
+        f = rhs_f(u, p)
         resid = abs(h1_alpha_pairing(u, f, p.alpha)) / norm_DAr(u, 1.0) ** 3
         assert resid < 1e-10
 
@@ -535,33 +507,33 @@ def test_uv_inverse_pair(grid2):
     assert np.array_equal(v_from_u(u, 0.0).coeffs, u.coeffs)
 
 
-def test_rhs_v_shear_pure_decay(grid2):
+def v_form_rhs(u, v, p):
+    """The v-form right-hand side -nu A^s v - P[u.grad(v) + (grad u)^T v]."""
+    return v_nonlinearity(u, v) - p.nu * frac_stokes_apply(v, p.s)
+
+
+def test_v_nonlinearity_shear_pure_decay(grid2):
     p = Params(alpha=0.5, nu=0.7, s=0.5)
     u = shear(grid2)
     v = v_from_u(u, p.alpha)
-    out = rhs_v(u, v, p)
+    out = v_form_rhs(u, v, p)
     assert rel_err(out.coeffs, -p.nu * v.coeffs) < 1e-13  # |k| = 1
 
 
-def test_rhs_v_zero(grid2, params):
+def test_v_nonlinearity_zero(grid2, params):
     from lansfrac.spectral import zero_field
 
     z = zero_field(grid2)
-    assert l2_norm(rhs_v(z, z, params)) == 0.0
-
-
-def test_rhs_v_inconsistent_pair(grid2, params):
-    u = random_field(grid2, seed=42)
-    with pytest.raises(InconsistentPairError):
-        rhs_v(u, 2.0 * v_from_u(u, params.alpha), params)
+    assert l2_norm(v_nonlinearity(z, z)) == 0.0
 
 
 @pytest.mark.parametrize("seed", [43, 44])
 def test_uv_form_consistency(grid2, seed):
-    # (1 + a^2 A)(u-form rhs) = rhs_v(u, v) for band-limited fields
+    # (1 + a^2 A)(u-form rhs) = v-form rhs at v = (1 + a^2 A) u for
+    # band-limited fields
     p = Params(alpha=0.6, nu=0.9, s=0.7)
     u = dealias(random_field(grid2, seed=seed))
     v = v_from_u(u, p.alpha)
-    lhs = v_from_u(rhs_f(u, u, p) - p.nu * frac_stokes_apply(u, p.s), p.alpha)
-    rhs = rhs_v(u, v, p)
+    lhs = v_from_u(rhs_f(u, p) - p.nu * frac_stokes_apply(u, p.s), p.alpha)
+    rhs = v_form_rhs(u, v, p)
     assert rel_err(lhs.coeffs, rhs.coeffs) < 1e-8

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lansfrac import Params, Regime, dealias, make_grid, norm_DAr, semigroup_apply
+from lansfrac import Params, dealias, make_grid, norm_DAr, semigroup_apply
 from lansfrac.errors import GridError, MeanModeError
-from lansfrac.io import parse_config
+from lansfrac.io import config_echo, parse_config
 from lansfrac.operators import u_from_v
 from lansfrac.spectral import (
     BandPlan,
+    Regime,
     SpectralField,
     coeffs_to_phys,
     frac_stokes_apply,
@@ -529,7 +530,7 @@ def test_infer_regime():
 
 def test_check_regime(tmp_path):
     # s = 0.6 is in the global range for dim 2 and only in the local one for
-    # dim 3; a config's params carry the regime infer_regime finds
+    # dim 3; a config's manifest echo carries the regime infer_regime finds
     for dim, regime in ((2, Regime.GLOBAL_RANGE), (3, Regime.LOCAL_RANGE)):
         assert infer_regime(dim, 0.6) is regime
         cfg = tmp_path / f"d{dim}.cfg"
@@ -537,7 +538,7 @@ def test_check_regime(tmp_path):
             f"dim = {dim}\nN = 8\nalpha = 0.5\nnu = 1\ns = 0.6\n"
             "dt = 1e-3\nt_end = 0\ninit = shear\n"
         )
-        assert parse_config(cfg).params.regime is regime
+        assert config_echo(parse_config(cfg))["regime"] == regime.value
 
 
 # ------------------------------------------------------- field arithmetic
