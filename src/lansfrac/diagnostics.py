@@ -13,11 +13,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import rhs_f
+from .operators import band_plan, rhs_f
 from .spectral import (
+    HERMITIAN_TOL,
+    MEAN_TOL,
+    SOLENOIDAL_TOL,
     GridSpec,
     Params,
     SpectralField,
+    _reflect,
     mode_dot,
     norm_DAr,
     stokes_multiplier,
@@ -45,14 +49,15 @@ class DiagRecord:
     cancel: float
 
 
-@lru_cache(maxsize=8)
-def _record_table(grid: GridSpec, alpha: float, s: float) -> np.ndarray:
+def _record_rows(
+    k2: np.ndarray, weight: np.ndarray, measure: float, alpha: float, s: float
+) -> np.ndarray:
     """(5, modes) weights of E0, E1, D, ||u||_{D(A)}^2 and ||A^{1+s/2} u||^2.
 
     Each is sum_k w(k) |uhat(k)|^2 for a solenoidal u, with w(k) the mode's
     Stokes multipliers times its multiplicity and the L^2 measure.
     """
-    k2, a2 = grid.k2, alpha**2
+    a2 = alpha**2
     rows = np.stack(
         [
             np.ones_like(k2),
@@ -62,9 +67,83 @@ def _record_table(grid: GridSpec, alpha: float, s: float) -> np.ndarray:
             stokes_multiplier(k2, 2.0 + s),
         ]
     )
-    table = (grid.measure * grid.weight * rows).reshape(5, -1)
-    table.setflags(write=False)
-    return table
+    return (measure * weight * rows).reshape(5, -1)
+
+
+@dataclass(frozen=True, eq=False)
+class AuditTables:
+    """The per-mode tables ``audit`` reads, in one coefficient layout.
+
+    rows holds the record's five weights per mode (its E0 row is the measure
+    times the multiplicity), k the wavevectors, and planes the last-axis
+    indices of the planes that must match their own conjugate mirrors: the
+    k_last = 0 and Nyquist planes of the half spectrum, and only the
+    k_last = 0 plane of a band block, which holds no Nyquist mode.
+    """
+
+    rows: np.ndarray
+    k: np.ndarray
+    planes: tuple[int, ...]
+    measure: float
+
+
+@lru_cache(maxsize=8)
+def audit_tables(grid: GridSpec, alpha: float, s: float, band: bool) -> AuditTables:
+    """The audit's tables on the band block (``band_plan``) or the half spectrum."""
+    if band:
+        plan = band_plan(grid, alpha)
+        k, k2, weight = plan.gather(grid.k), plan.gather(grid.k2), plan.gather(grid.weight)
+        planes: tuple[int, ...] = (0,)
+    else:
+        k, k2, weight, planes = grid.k, grid.k2, grid.weight, (0, -1)
+    rows = _record_rows(k2, weight, grid.measure, alpha, s)
+    for table in (rows, k):
+        table.setflags(write=False)
+    return AuditTables(rows=rows, k=k, planes=planes, measure=grid.measure)
+
+
+def audit(
+    u: np.ndarray, f: np.ndarray, tables: AuditTables, t: float
+) -> tuple[tuple[bool, bool, bool], DiagRecord]:
+    """One pass over a state: its invariant flags and its diagnostics record.
+
+    u and f = f(u, u) are coefficient arrays in the layout of ``tables``. The
+    flags are ``measure_flags``' (hermitian, solenoidal, zero_mean) of the
+    field that is u there and zero elsewhere, with its tolerances. |uhat|^2
+    is formed once and gives all five energies; the solenoidal scale is read
+    off E0, and so is finiteness: a nan or inf coefficient carries into E0,
+    whose weight is positive on every mode, and an E0 that overflows is a
+    blow-up. The energy pairing <(1 + alpha^2 A) u, f> is the E1 row's sum
+    over Re conj(uhat) fhat. The sums run in ``np.einsum``'s own loops, not
+    through BLAS.
+    """
+    energies = np.einsum("ij,j->i", tables.rows, mode_dot(u, u).ravel())
+    e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
+    nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
+    pairing = float(np.einsum("i,i->", tables.rows[1], mode_dot(u, f).ravel()))
+    # numpy's power gives inf where Python's raises OverflowError
+    cancel = abs(pairing) / float(np.float64(nda) ** 3 + _TINY)
+    rec = DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
+    return _flags(u, e0, tables), rec
+
+
+def _flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, bool]:
+    scale = float(np.max(np.abs(u)))
+    if scale == 0.0:
+        return True, True, True
+    if not math.isfinite(e0):
+        return False, False, False
+    planes = u[..., list(tables.planes)]
+    mirror = np.conj(_reflect(planes, range(-(u.ndim - 1), -1)))
+    herm = float(np.max(np.abs(mirror - planes)))
+    sol = float(np.max(np.abs(np.einsum("i...,i...->...", tables.k, u))))
+    glob = math.sqrt(e0 / tables.measure)
+    mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)])))
+    return (
+        herm <= HERMITIAN_TOL * scale,
+        sol <= SOLENOIDAL_TOL * glob,
+        mean <= MEAN_TOL * scale,
+    )
 
 
 def record(
@@ -75,20 +154,13 @@ def record(
 ) -> DiagRecord:
     """Diagnostics for one state; pass f = f(u, u) if already evaluated.
 
-    u is read as solenoidal, as every field the solver makes is: the five
-    energies are one weighted sum over |uhat(k)|^2 each, and the energy
-    pairing <(1 + alpha^2 A) u, f> is the E1 row's sum over Re conj(uhat) fhat.
-    The sums run in ``np.einsum``'s own loops, not through BLAS.
+    This is ``audit`` on the half spectrum, without its flags. u is read as
+    solenoidal, as every field the solver makes is.
     """
-    table = _record_table(u.grid, params.alpha, params.s)
-    energies = np.einsum("ij,j->i", table, mode_dot(u.coeffs, u.coeffs).ravel())
-    e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
-    nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
     if f is None:
         f = rhs_f(u, params)
-    pairing = float(np.einsum("i,i->", table[1], mode_dot(u.coeffs, f.coeffs).ravel()))
-    cancel = abs(pairing) / (nda**3 + _TINY)
-    return DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
+    tables = audit_tables(u.grid, params.alpha, params.s, False)
+    return audit(u.coeffs, f.coeffs, tables, t)[1]
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

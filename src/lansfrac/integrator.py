@@ -20,8 +20,9 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ConfigError, DivergedError, SnapshotMismatchError
-from .operators import rhs_f, u_from_v, v_from_u, v_nonlinearity
+from .operators import band_plan, rhs_f, rhs_f_band, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
+    BandPlan,
     GridSpec,
     Params,
     SpectralField,
@@ -31,7 +32,6 @@ from .spectral import (
     reflect_conj,
     stokes_multiplier,
     to_spectral,
-    zero_field,
 )
 
 PHI_SWITCH = 1e-4
@@ -253,10 +253,10 @@ def make_initial(
 
 
 class _Propagator:
-    """Cached per-mode weights of one exponential step of size dt."""
+    """Per-mode weights of one exponential step of size dt, on a layout's k2 table."""
 
-    def __init__(self, grid: GridSpec, params: Params, dt: float):
-        z = -params.nu * dt * stokes_multiplier(grid.k2, params.s)
+    def __init__(self, k2: np.ndarray, params: Params, dt: float):
+        z = -params.nu * dt * stokes_multiplier(k2, params.s)
         phi1, phi2 = phi_functions(z)
         self.E = np.exp(z)
         self.w1 = dt * phi1
@@ -264,25 +264,72 @@ class _Propagator:
 
 
 def _advance(
-    u: SpectralField,
+    u: np.ndarray,
     prop: _Propagator,
     kind: SchemeKind,
-    f_eval: Callable[[SpectralField], SpectralField],
-    f_u: SpectralField,
-) -> SpectralField:
-    """One exponential step from u, with f_u = f(u) already evaluated.
+    f_eval: Callable[[np.ndarray], np.ndarray],
+    f_u: np.ndarray,
+) -> np.ndarray:
+    """One exponential step from the coefficients u, with f_u = f(u) already evaluated.
 
-    The stage and the ETD2RK update are formed with ``out=`` in two arrays.
-    w1 f(u) and f(stage) are temporaries, so neither outlives its one use:
-    w1 f(u) is freed before the stage's f is evaluated. ``run`` checks the result.
+    u, f_u and the weights of prop share one layout (see ``_Layout``). The
+    stage and the ETD2RK update are formed with ``out=`` in two new arrays.
+    w1 f(u) and f(stage) - f(u) are temporaries, so w1 f(u) is freed before
+    the stage's f is evaluated. ``run`` checks the result.
     """
-    stage_c = np.multiply(prop.E, u.coeffs)
-    stage = u.copy_with(np.add(stage_c, np.multiply(prop.w1, f_u.coeffs), out=stage_c))
+    stage = np.multiply(prop.E, u)
+    np.add(stage, np.multiply(prop.w1, f_u), out=stage)
     if kind is SchemeKind.EXP_EULER:
         return stage
-    work = np.subtract(f_eval(stage).coeffs, f_u.coeffs)
+    work = np.subtract(f_eval(stage), f_u)
     np.multiply(prop.w2, work, out=work)
-    return stage.copy_with(np.add(stage.coeffs, work, out=work))
+    return np.add(stage, work, out=work)
+
+
+class _Layout:
+    """The coefficients a run steps: the band block, or the whole half spectrum.
+
+    The 2/3-dealiased f(u, u) maps the band block (see ``BandPlan``) to
+    itself, so a state that is zero outside the block stays zero there for
+    the whole run. ``run`` then steps only the block: the state, f, the step's
+    arrays, the propagator weights, the Galerkin mask, the v-form factor and
+    the audit's tables all hold just the band modes, and a full field is
+    built only for a snapshot. Any other state keeps the whole half spectrum.
+    """
+
+    def __init__(self, grid: GridSpec, params: Params, plan: BandPlan | None):
+        self.grid, self.plan = grid, plan
+        self.audit = diagnostics.audit_tables(grid, params.alpha, params.s, plan is not None)
+
+    def table(self, full: np.ndarray) -> np.ndarray:
+        """A half-spectrum array (any leading axes) in this layout."""
+        return full if self.plan is None else self.plan.gather(full)
+
+    def field(self, coeffs: np.ndarray) -> SpectralField:
+        """The field that is coeffs on this layout's modes and zero elsewhere."""
+        if self.plan is not None:
+            grid = self.grid
+            full = np.zeros((grid.dim,) + grid.spectral_shape, np.complex128)
+            coeffs = self.plan.scatter(coeffs, full)
+        return SpectralField.from_coeffs(self.grid, coeffs)
+
+
+def _layout_of(state: SpectralField, params: Params) -> tuple[_Layout, np.ndarray]:
+    """The layout a run from state steps in, and state's coefficients there.
+
+    The band block is chosen when no mode outside it is non-zero by value,
+    so -0.0 counts as zero and nan does not.
+    """
+    plan = band_plan(state.grid, params.alpha)
+    block = plan.gather(state.coeffs)
+    if np.count_nonzero(state.coeffs) == np.count_nonzero(block):
+        return _Layout(state.grid, params, plan), block
+    return _Layout(state.grid, params, None), state.coeffs
+
+
+# A step on a blown-up state over- or underflows on the way; the audit that
+# follows reports that state as a DivergedError, so numpy need not warn.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -314,40 +361,65 @@ def run(
     and goes to exactly one consumer: ``on_snapshot(field, t)`` when it is
     given, else the returned Trajectory. So a run with a sink holds no fields
     (its ``times`` and ``snapshots`` are empty), and its memory does not grow
-    with the number of steps or snapshots. The t = 0 snapshot is taken right
-    after the first f and diagnostics record.
+    with the number of steps or snapshots. The t = 0 snapshot is the start
+    state itself, taken right after the first f and diagnostics record.
+
+    The run steps in the layout its start state picks (see ``_Layout``): a
+    band-limited start is stepped on the band block, and each later snapshot
+    is its block scattered into zeros, the same bytes the whole half
+    spectrum would hold. Each step calls ``_advance`` once.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
-    snapshots then hold v. Raises DivergedError, with the step and its end
-    time, if an invariant flag (real / solenoidal / zero-mean) of the new
-    state breaks, which a non-finite coefficient does, or if the D(A) norm
-    exceeds 1e6 times its initial value. It also raises it, without them,
-    if f(u, u) fails the post-condition ``rhs_f`` checks.
+    snapshots then hold v. Each new state gets one ``diagnostics.audit`` of
+    u. Raises DivergedError, with the step and its end time, if an invariant
+    flag (real / solenoidal / zero-mean) of that state breaks, which a
+    non-finite coefficient does, or if the D(A) norm exceeds 1e6 times its
+    initial value. It also raises it, without them, if f(u, u) fails the
+    post-condition ``rhs_f_band`` checks.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
     grid, params = config.grid, config.params
     alpha = params.alpha
 
-    # state is the run's only reference to its start, so that the initial
-    # field can be freed once the first step has replaced it
-    state = (
+    # start is the run's only reference to its initial field, so that the
+    # field can be freed once the t = 0 snapshot (band) or the first step
+    # (whole half spectrum) no longer needs it
+    start = (
         initial_field
         if initial_field is not None
         else make_initial(config.initial, grid, params)
     )
     del initial_field
     if config.galerkin_N is not None:
-        state = galerkin_truncate(state, config.galerkin_N)
+        start = galerkin_truncate(start, config.galerkin_N)
     if form == "v":
-        state = v_from_u(state, alpha)
+        start = v_from_u(start, alpha)
+    layout, state = _layout_of(start, params)
 
+    shape = state.shape
     if config.linear_only:
-        f_eval: Callable[[SpectralField], SpectralField] = lambda w: zero_field(grid)
+        zero = np.zeros(shape, np.complex128)
+        zero.setflags(write=False)
+        f_new = f_step = lambda w: zero
     elif form == "v":
-        f_eval = lambda w: v_nonlinearity(u_from_v(w, alpha), w)
+        def f_new(w: np.ndarray) -> np.ndarray:
+            v = layout.field(w)
+            return layout.table(v_nonlinearity(u_from_v(v, alpha), v).coeffs)
+
+        f_step = f_new
+    elif layout.plan is None:
+        f_new = f_step = lambda w: rhs_f(SpectralField.from_coeffs(grid, w), params).coeffs
     else:
-        f_eval = lambda w: rhs_f(w, params)
+        # f(u) and f(stage) land in two blocks of the loop's own
+        f_cur_buf, f_stage_buf = np.empty(shape, np.complex128), np.empty(shape, np.complex128)
+        f_new = lambda w: rhs_f_band(grid, w, params, out=f_cur_buf)
+        f_step = lambda w: rhs_f_band(grid, w, params, out=f_stage_buf)
+    k2 = layout.table(grid.k2)
+    helm = 1.0 + alpha**2 * k2 if form == "v" else None
+    mask = None
+    if config.galerkin_N is not None:
+        mask = layout.table(np.max(np.abs(grid.k), axis=0) <= config.galerkin_N)
 
     dt = config.scheme.dt
     n_steps = _step_count(config.t_end, dt)
@@ -362,20 +434,19 @@ def run(
     diag: list[diagnostics.DiagRecord] = []
     props: dict[float, _Propagator] = {}
 
-    def record_at(w: SpectralField, t: float, f_w: SpectralField) -> None:
-        if form == "v":
-            u = u_from_v(w, alpha)
-            f_u = u_from_v(f_w, alpha)  # exact conjugacy of the two forms
-        else:
-            u, f_u = w, f_w
-        if config.linear_only:
-            f_u = zero_field(grid)
-        diag.append(diagnostics.record(u, params, t, f=f_u))
+    def audit(w: np.ndarray, f_w: np.ndarray, t: float) -> tuple[bool, bool, bool]:
+        if helm is not None:
+            w, f_w = w / helm, f_w / helm  # u and f(u): exact conjugacy of the forms
+        flags, rec = diagnostics.audit(w, f_w, layout.audit, t)
+        diag.append(rec)
+        return flags
 
-    f_cur = f_eval(state)
-    record_at(state, 0.0, f_cur)
+    with np.errstate(**_QUIET):
+        f_cur = f_new(state)
+        audit(state, f_cur, 0.0)
     guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-    on_snapshot(state, 0.0)
+    on_snapshot(start, 0.0)
+    del start
 
     t = 0.0
     for i in range(n_steps):
@@ -383,23 +454,23 @@ def run(
         h = t_next - t
         key = round(h, 15)
         if key not in props:
-            props[key] = _Propagator(grid, params, h)
-        state = _advance(state, props[key], config.scheme.kind, f_eval, f_cur)
-        if config.galerkin_N is not None:
-            state = galerkin_truncate(state, config.galerkin_N)
+            props[key] = _Propagator(k2, params, h)
+        with np.errstate(**_QUIET):
+            state = _advance(state, props[key], config.scheme.kind, f_step, f_cur)
+            if mask is not None:
+                np.multiply(state, mask, out=state)
+            f_cur = f_new(state)
+            flags = audit(state, f_cur, t_next)
         t = t_next
 
-        if not (state.hermitian and state.solenoidal and state.zero_mean):
+        if not all(flags):
             raise DivergedError(
                 f"field invariant broken at step {i + 1}", step=i + 1, t=t
             )
-
-        f_cur = f_eval(state)
-        record_at(state, t, f_cur)
         if diag[-1].nDA > guard:
             raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
         last = i + 1 == n_steps
         if (i + 1) % config.snapshot_every == 0 or last:
-            on_snapshot(state, t)
+            on_snapshot(layout.field(state), t)
 
     return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

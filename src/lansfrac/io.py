@@ -44,6 +44,7 @@ from .spectral import (
     HERMITIAN_TOL,
     Params,
     SpectralField,
+    full_rows,
     full_spectrum,
     half_spectrum,
     infer_regime,
@@ -54,6 +55,8 @@ from .spectral import (
 SNAPSHOT_MAGIC = b"FLNS"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4s3I4d")  # magic, version, dim, N, alpha, nu, s, t
+# Bytes of full-spectrum rows that write_snapshot builds at a time.
+WRITE_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,9 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> Non
 def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -> None:
     """Write header + full-spectrum complex128 payload; bit-exact round trip.
 
-    The payload is expanded and written one component at a time.
+    The payload is expanded and written a few rows (indices of the first
+    wavevector axis) of one component at a time, at most ``WRITE_BUDGET``
+    bytes, so that no whole component of the full spectrum is ever built.
     """
     grid = field.grid
     header = _HEADER.pack(
@@ -94,11 +99,14 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
         meta.s,
         meta.t,
     )
-    components = (
-        np.ascontiguousarray(full_spectrum(c, grid.dim), dtype="<c16").data
+    n = grid.N
+    step = max(1, WRITE_BUDGET // (16 * n ** (grid.dim - 1)))
+    chunks = (
+        np.ascontiguousarray(full_rows(c, i, min(i + step, n), grid.dim), dtype="<c16").data
         for c in field.coeffs
+        for i in range(0, n, step)
     )
-    _write_atomic(path, itertools.chain((header,), components))
+    _write_atomic(path, itertools.chain((header,), chunks))
 
 
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:

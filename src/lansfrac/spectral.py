@@ -231,10 +231,17 @@ class BandPlan:
     Every line is transformed on its own, so the chunk size does not change
     a bit of the result.
 
+    The inverse's last pass is an ``irfft`` over a half-spectrum buffer
+    (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the
+    inverse zeroes the rest, so numpy pads no line itself. That buffer is the
+    one the forward's ``rfft`` writes.
+
     Both return a buffer of the plan that the next call overwrites, so a plan
     is not re-entrant. No call passes information to the next: the inverse's
-    zero-padded inputs hold zeros outside the band that no call writes, and
-    every other region a call reads is rewritten earlier in that call.
+    zero-padded inputs hold zeros outside the band that no call writes, the
+    inverse zeroes the tail columns of the half-spectrum buffer that the
+    forward fills, and every other region a call reads is rewritten earlier
+    in that call.
     """
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
@@ -256,17 +263,16 @@ class BandPlan:
         per_field = math.prod(lines) * np.dtype(cplx).itemsize
         self.chunk = max(1, LINE_BUDGET // per_field)
         inv, fwd = min(self.chunk, inverse_fields), min(self.chunk, forward_fields)
-        scratch = np.empty((max(inv, fwd),) + lines, cplx)
         # Inverse: pass j reads _pad[j], full length on axes -dim .. -dim+j.
         self._pad = [
             np.zeros((inv,) + (N,) * (j + 1) + (2 * b + 1,) * (dim - 2 - j) + (b + 1,), cplx)
             for j in range(dim - 1)
         ]
-        self._lines = scratch[:inv]
         self._phys = np.empty((inverse_fields,) + grid.shape)
+        # The inverse's last pass reads _half and the forward's first writes it.
+        self._half = np.empty((max(inv, fwd),) + grid.spectral_shape, cplx)
         # Forward: pass j writes _fwd[j], band-compact on axes -2 .. -1-j.
-        self._half = np.empty((fwd,) + grid.spectral_shape, cplx)
-        self._fwd = [scratch[:fwd]] + [
+        self._fwd = [np.empty((fwd,) + lines, cplx)] + [
             np.empty((fwd,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx)
             for j in range(1, dim - 1)
         ]
@@ -287,7 +293,7 @@ class BandPlan:
         return out
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
-        dim, N, c = self.grid.dim, self.grid.N, self.chunk
+        dim, N, b, c = self.grid.dim, self.grid.N, self.grid.band_limit, self.chunk
         for start in range(0, len(block), c):
             part = block[start : start + c]
             m = len(part)
@@ -302,8 +308,10 @@ class BandPlan:
                         out=dst[_along(ax + 1, full)],
                     )
                 src = dst
-            lines = np.fft.ifft(src, axis=-2, norm="forward", out=self._lines[:m])
-            np.fft.irfft(lines, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
+            half = self._half[:m]
+            half[..., b + 1 :] = 0.0
+            np.fft.ifft(src, axis=-2, norm="forward", out=half[..., : b + 1])
+            np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
         return self._phys[: len(block)]
 
     def _forward(self, phys: np.ndarray) -> np.ndarray:
@@ -348,6 +356,19 @@ def full_spectrum(coeffs: np.ndarray, dim: int) -> np.ndarray:
     tail = coeffs[..., n // 2 - 1 : 0 : -1]  # k_last = N/2-1, ..., 1
     mirror = np.conj(_reflect(tail, range(-dim, -1)))  # k_last = N/2+1, ..., N-1
     return np.concatenate([coeffs, mirror], axis=-1)
+
+
+def full_rows(coeffs: np.ndarray, start: int, stop: int, dim: int) -> np.ndarray:
+    """``full_spectrum(coeffs, dim)[start:stop]`` of one component's half spectrum.
+
+    It builds only those rows (indices of the first wavevector axis): the
+    mirror of row i lies in row -i.
+    """
+    n = coeffs.shape[0]
+    rows = -np.arange(start, stop) % n
+    tail = coeffs[rows, ..., n // 2 - 1 : 0 : -1]
+    mirror = np.conj(_reflect(tail, range(-(dim - 1), -1)))
+    return np.concatenate([coeffs[start:stop], mirror], axis=-1)
 
 
 def half_spectrum(full: np.ndarray) -> np.ndarray:

@@ -453,6 +453,21 @@ def test_diverged_exit_code(tmp_path):
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 3
 
 
+@pytest.mark.parametrize("amplitude", ["1e308", "1e150"])
+def test_overflowing_run_exits_three_with_one_line(tmp_path, amplitude):
+    # The first step overflows. numpy warns about none of it: the audit of
+    # that step's state is what reports the fault. With 1e150 the record's
+    # nDA^3 overflowed in Python float arithmetic and ended in a traceback.
+    text = SMALL_CFG.replace("N = 32", "N = 16")
+    cfg = write(tmp_path, text.replace("amplitude = 0.01", f"amplitude = {amplitude}"))
+    out = subprocess.run(
+        [sys.executable, "-m", "lansfrac.cli", "simulate", cfg, "--out-dir", str(tmp_path / "out")],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["diverged: field invariant broken at step 1"]
+
+
 def test_simulate_seed_override_changes_output(tmp_path):
     cfg = write(tmp_path, SMALL_CFG)
     hashes = []

@@ -1,9 +1,11 @@
 """Stepper and run-loop tests: exactness, convergence order, invariants."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
     InitialData,
@@ -12,23 +14,34 @@ from lansfrac import (
     SimConfig,
     StepScheme,
     dealias,
+    make_grid,
     make_initial,
     norm_DAr,
     rhs_f,
     run,
     semigroup_apply,
 )
-from lansfrac.diagnostics import _cumtrapz
+from lansfrac import integrator
+from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
     _Propagator,
     _advance,
+    _layout_of,
     _step_count,
     _step_time,
     galerkin_truncate,
     phi_functions,
 )
-from lansfrac.spectral import stokes_multiplier, to_physical, to_spectral
+from lansfrac.operators import band_plan, u_from_v, v_from_u, v_nonlinearity
+from lansfrac.spectral import (
+    SpectralField,
+    measure_flags,
+    mode_dot,
+    stokes_multiplier,
+    to_physical,
+    to_spectral,
+)
 
 from conftest import random_field, rel_err
 
@@ -125,9 +138,10 @@ def test_galerkin_projection_order_irrelevant_for_band_limited(grid2, params):
 # ------------------------------------------------------------------- step
 
 def _step(u, params, dt, kind=SchemeKind.ETD2RK):
-    """One step of the u-form equation, as run takes it."""
-    f_eval = lambda w: rhs_f(w, params)
-    return _advance(u, _Propagator(u.grid, params, dt), kind, f_eval, f_eval(u))
+    """One step of the u-form equation on the whole half spectrum."""
+    f_eval = lambda w: rhs_f(SpectralField.from_coeffs(u.grid, w), params).coeffs
+    prop = _Propagator(u.grid.k2, params, dt)
+    return u.copy_with(_advance(u.coeffs, prop, kind, f_eval, f_eval(u.coeffs)))
 
 
 def test_step_shear_exact_any_dt(grid2):
@@ -466,3 +480,360 @@ def test_run_blowup_guard_names_step_and_time(grid2, params, monkeypatch):
     with pytest.raises(DivergedError, match=r"D\(A\) norm blew up at step 1") as info:
         run(cfg)
     assert (info.value.step, info.value.t) == (1, 1e-2)
+
+
+# ------------------------------------- run against the whole-spectrum loop
+
+def _reference_record(u, f, params, t):
+    """The diagnostics record as the whole-spectrum loop formed it."""
+    grid = u.grid
+    k2, a2 = grid.k2, params.alpha**2
+    rows = np.stack(
+        [
+            np.ones_like(k2),
+            1.0 + a2 * k2,
+            stokes_multiplier(k2, params.s) + a2 * stokes_multiplier(k2, 1.0 + params.s),
+            stokes_multiplier(k2, 2.0) + 1.0,
+            stokes_multiplier(k2, 2.0 + params.s),
+        ]
+    )
+    table = (grid.measure * grid.weight * rows).reshape(5, -1)
+    energies = np.einsum("ij,j->i", table, mode_dot(u.coeffs, u.coeffs).ravel())
+    e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
+    nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
+    pairing = float(np.einsum("i,i->", table[1], mode_dot(u.coeffs, f.coeffs).ravel()))
+    cancel = abs(pairing) / (nda**3 + 1e-300)
+    return DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
+
+
+def _full_spectrum_run(cfg, start, form="u"):
+    """Reference: the run loop that stepped the whole half spectrum of every state.
+
+    Each step is formed on SpectralFields over the half spectrum, the
+    Galerkin cutoff is ``galerkin_truncate``, every new state's flags are the
+    field's ``measure_flags``, and the record is ``_reference_record``.
+    Returns the snapshot times, the snapshots and the records.
+    """
+    grid, params, kind = cfg.grid, cfg.params, cfg.scheme.kind
+    alpha = params.alpha
+    if cfg.galerkin_N is not None:
+        start = galerkin_truncate(start, cfg.galerkin_N)
+    if form == "v":
+        start = v_from_u(start, alpha)
+    zero = SpectralField.from_coeffs(grid, np.zeros((grid.dim,) + grid.spectral_shape, complex))
+    if cfg.linear_only:
+        f_eval = lambda w: zero
+    elif form == "v":
+        f_eval = lambda w: v_nonlinearity(u_from_v(w, alpha), w)
+    else:
+        f_eval = lambda w: rhs_f(w, params)
+
+    weights = {}  # per step length, rounded as run rounds it
+
+    def advance(u, h, f_u):
+        key = round(h, 15)
+        if key not in weights:
+            z = -params.nu * h * stokes_multiplier(grid.k2, params.s)
+            phi1, phi2 = phi_functions(z)
+            weights[key] = np.exp(z), h * phi1, h * phi2
+        E, w1, w2 = weights[key]
+        stage_c = np.multiply(E, u.coeffs)
+        stage = u.copy_with(np.add(stage_c, np.multiply(w1, f_u.coeffs), out=stage_c))
+        if kind is SchemeKind.EXP_EULER:
+            return stage
+        work = np.subtract(f_eval(stage).coeffs, f_u.coeffs)
+        np.multiply(w2, work, out=work)
+        return stage.copy_with(np.add(stage.coeffs, work, out=work))
+
+    def record(w, f_w, t):
+        if form == "v":
+            w, f_w = u_from_v(w, alpha), u_from_v(f_w, alpha)
+        return _reference_record(w, zero if cfg.linear_only else f_w, params, t)
+
+    state, f_cur = start, f_eval(start)
+    diag = [record(state, f_cur, 0.0)]
+    times, snaps = [0.0], [state]
+    n = _step_count(cfg.t_end, cfg.scheme.dt)
+    t = 0.0
+    for i in range(n):
+        t_next = _step_time(i + 1, n, cfg.t_end, cfg.scheme.dt)
+        state = advance(state, t_next - t, f_cur)
+        if cfg.galerkin_N is not None:
+            state = galerkin_truncate(state, cfg.galerkin_N)
+        t = t_next
+        if not (state.hermitian and state.solenoidal and state.zero_mean):
+            raise DivergedError(f"field invariant broken at step {i + 1}", step=i + 1, t=t)
+        f_cur = f_eval(state)
+        diag.append(record(state, f_cur, t))
+        if (i + 1) % cfg.snapshot_every == 0 or i + 1 == n:
+            times.append(t)
+            snaps.append(state)
+    return times, snaps, diag
+
+
+_RECORD_FIELDS = ("E0", "E1", "D", "nDA", "n1ps2")
+
+
+def _check_against_reference(cfg, u0, form="u", band=True):
+    """run matches ``_full_spectrum_run``: the same snapshot bytes, t = 0 included.
+
+    On the whole half spectrum the records are the same numbers too. On the
+    band block the sums run over the block alone, so the five energies agree
+    to 1e-13 relative, and the normalized pairing, a rounding residual on
+    both sides, to 1e-13 absolute.
+    """
+    plan = band_plan(cfg.grid, cfg.params.alpha)
+    assert bool(np.count_nonzero(u0.coeffs) == np.count_nonzero(plan.gather(u0.coeffs))) == band
+    times, snaps, diag = _full_spectrum_run(cfg, u0, form)
+    traj = run(cfg, initial_field=u0, form=form)
+    assert list(traj.times) == times
+    assert [w.coeffs.tobytes() for w in traj.snapshots] == [w.coeffs.tobytes() for w in snaps]
+    assert len(traj.diag) == len(diag)
+    if not band:
+        assert traj.diag == diag
+        return
+    for got, want in zip(traj.diag, diag):
+        assert got.t == want.t
+        for name in _RECORD_FIELDS:
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * getattr(want, name)
+        assert abs(got.cancel - want.cancel) <= 1e-13
+
+
+_P = Params(alpha=0.5, nu=0.2, s=0.75)
+_RANDOM = InitialData(kind="random-spectrum", amplitude=0.5, seed=21)
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"galerkin_N": 6}, {"linear_only": True}, {"form": "v"}],
+    ids=["plain", "galerkin", "linear", "v-form"],
+)
+def test_band_run_matches_the_whole_spectrum_loop(grid2, kind, options):
+    options = dict(options)
+    form = options.pop("form", "u")
+    cfg = config(grid2, _P, dt=7e-3, t_end=0.1, init=_RANDOM, kind=kind, snapshot_every=4,
+                 **options)
+    _check_against_reference(cfg, make_initial(_RANDOM, grid2), form)
+
+
+@pytest.mark.parametrize("form", ["u", "v"])
+def test_band_run_of_dealiased_data_matches_the_whole_spectrum_loop(grid2, form):
+    # dealias leaves -0.0 on modes outside the band; they count as zero, and
+    # the first step turns them into +0.0 on both sides
+    u0 = dealias(random_field(grid2, seed=22, band=grid2.N // 2 - 1))
+    assert np.signbit(u0.coeffs[~np.broadcast_to(grid2.dealias_mask, u0.coeffs.shape)].real).any()
+    cfg = config(grid2, _P, dt=5e-3, t_end=0.04, snapshot_every=1)
+    _check_against_reference(cfg, u0, form)
+
+
+def test_band_run_3d_matches_the_whole_spectrum_loop(grid3):
+    init = InitialData(kind="random-spectrum", amplitude=1.0, seed=23)
+    cfg = config(grid3, _P, dt=1e-2, t_end=0.05, init=init, snapshot_every=2)
+    _check_against_reference(cfg, make_initial(init, grid3))
+
+
+@pytest.mark.parametrize(
+    "init",
+    [
+        InitialData(kind="taylor-green"),
+        InitialData(kind="shear"),
+        InitialData(kind="random-spectrum", amplitude=0.5, seed=24, band=15),
+    ],
+    ids=["taylor-green", "shear", "wide-band"],
+)
+def test_whole_spectrum_run_matches_the_old_loop(grid2, init):
+    cfg = config(grid2, _P, dt=7e-3, t_end=0.05, init=init, snapshot_every=3)
+    _check_against_reference(cfg, make_initial(init, grid2), band=False)
+
+
+def test_whole_spectrum_run_3d_matches_the_old_loop(grid3):
+    init = InitialData(kind="taylor-green", amplitude=2.0)
+    cfg = config(grid3, _P, dt=1e-2, t_end=0.04, init=init)
+    _check_against_reference(cfg, make_initial(init, grid3), band=False)
+
+
+# ---------------------------------------------------------- the run's layout
+
+def test_layout_is_the_band_block_when_no_mode_outside_it_is_non_zero(grid2):
+    plan = band_plan(grid2, _P.alpha)
+    u0 = make_initial(_RANDOM, grid2)
+    layout, state = _layout_of(u0, _P)
+    assert layout.plan is plan and np.array_equal(state, plan.gather(u0.coeffs))
+    assert np.array_equal(layout.field(state).coeffs, u0.coeffs)
+    # -0.0 outside the band counts as zero
+    assert _layout_of(dealias(random_field(grid2, seed=25, band=15)), _P)[0].plan is plan
+    # a nan, or any non-zero mode outside the band, keeps the whole half spectrum
+    for value in (np.nan, 1e-300):
+        coeffs = np.array(u0.coeffs)
+        coeffs[0, 1, grid2.N // 2] = value
+        layout, state = _layout_of(SpectralField.from_coeffs(grid2, coeffs), _P)
+        assert layout.plan is None and state is layout.field(state).coeffs
+    tg = make_initial(InitialData(kind="taylor-green"), grid2)
+    assert _layout_of(tg, _P)[0].plan is None
+
+
+@pytest.mark.parametrize(
+    "init", [_RANDOM, InitialData(kind="taylor-green")], ids=["band", "whole"]
+)
+def test_run_calls_advance_once_per_step_through_the_module_name(grid2, monkeypatch, init):
+    # the benchmark takes its set-up/solve boundary at the first call of
+    # integrator._advance, patched at that module-global name
+    calls = []
+    real = integrator._advance
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "_advance", counted)
+    cfg = config(grid2, _P, dt=7e-3, t_end=0.1, init=init)
+    run(cfg, on_snapshot=lambda w, t: None)
+    assert len(calls) == _step_count(0.1, 7e-3) == 15
+
+
+def _plant(fault, grid):
+    """A function that plants one fault in the coefficients of a state.
+
+    Mode k with 0 <= k_i <= b has the index k in both layouts.
+    """
+    dim, n_half = grid.dim, grid.N // 2
+
+    def planted(u):
+        u = np.array(u)
+        c = 1e-3 * float(np.max(np.abs(u)))
+        if fault == "nan":
+            u[(0,) + (1, 2, 1)[:dim]] = np.nan
+        elif fault == "inf":
+            u[(1,) + (2, 1, 1)[:dim]] = np.inf
+        elif fault == "mean":
+            u[(0,) + (0,) * dim] += c
+        elif fault == "divergent mode":  # u(k) += c k breaks k . u = 0
+            k = (1, 2, 1)[:dim]
+            u[(slice(None),) + k] += c * np.array(k)
+        elif fault == "k_last = 0 plane":  # a solenoidal mode that is not its mirror's conjugate
+            u[(1, 1) + (0,) * (dim - 1)] += 1j * c
+        elif fault == "Nyquist plane":  # ditto at k = (1, ..., N/2), perpendicular to k
+            k = (1,) * (dim - 1) + (n_half,)
+            u[(0,) + k] += 1j * c * n_half
+            u[(dim - 1,) + k] -= 1j * c
+        return u
+
+    return planted
+
+
+_FAULTS = ["nan", "inf", "mean", "divergent mode", "k_last = 0 plane"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "init,fault",
+    [(_RANDOM, f) for f in _FAULTS]
+    + [(InitialData(kind="taylor-green"), f) for f in _FAULTS + ["Nyquist plane"]],
+    ids=[f"band-{f}" for f in _FAULTS] + [f"whole-{f}" for f in _FAULTS + ["Nyquist plane"]],
+)
+def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
+    # a fault planted in the state of step 2 fails that state's audit, which
+    # names step 2 and its end time, as the flag check of the old loop did
+    grid = make_grid(dim, 16)
+    plant, real, calls = _plant(fault, grid), integrator._advance, []
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return plant(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(integrator, "_advance", faulty)
+    cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=init)
+    with pytest.raises(DivergedError, match="field invariant broken at step 2") as info:
+        run(cfg, on_snapshot=lambda w, t: None)
+    assert (info.value.step, info.value.t) == (2, 2e-2)
+
+
+_SIZES = (0.0, 1e-15, 1e-9, 1e-3)  # planted faults well below or above the 1e-12 tolerances
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**16),
+    fault=st.sampled_from(["none", "nan", "inf", "mean", "divergent mode", "k_last = 0 plane",
+                           "zero"]),
+    size=st.sampled_from(_SIZES),
+    mode=st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 5)),
+)
+def test_audit_flags_equal_measure_flags(dim, seed, fault, size, mode):
+    grid = make_grid(dim, 16)
+    plan = band_plan(grid, _P.alpha)
+    u = np.array(random_field(grid, seed=seed).coeffs)
+    c = size * float(np.max(np.abs(u)))
+    k = mode[-dim:]
+    idx = tuple(ki % grid.N for ki in k)
+    if fault == "nan" and size:
+        u[(0,) + idx] = np.nan
+    elif fault == "inf" and size:
+        u[(dim - 1,) + idx] = -np.inf
+    elif fault == "mean":
+        u[(1,) + (0,) * dim] += c
+    elif fault == "divergent mode":
+        u[(slice(None),) + idx] += c * np.array(k)
+    elif fault == "k_last = 0 plane":
+        u[(0,) + idx[:-1] + (0,)] += 1j * c  # its mirror stays as it was
+    elif fault == "zero":
+        u[...] = 0.0
+    block = plan.gather(u)
+    scattered = plan.scatter(block, np.zeros_like(u))
+    for coeffs, band in ((block, True), (scattered, False)):
+        f = np.zeros_like(coeffs)
+        flags, _ = audit(coeffs, f, audit_tables(grid, _P.alpha, _P.s, band), 0.0)
+        assert flags == measure_flags(grid, scattered)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    size=st.sampled_from(_SIZES),
+    row=st.integers(0, 15),
+    component=st.integers(0, 1),
+)
+def test_audit_flags_equal_measure_flags_on_the_nyquist_plane(seed, size, row, component):
+    # only the whole half spectrum holds a Nyquist plane
+    grid = make_grid(2, 16)
+    u = np.array(make_initial(InitialData(kind="random-spectrum", seed=seed, band=7), grid).coeffs)
+    u[component, row, -1] += 1j * size * float(np.max(np.abs(u)))
+    flags, _ = audit(u, np.zeros_like(u), audit_tables(grid, _P.alpha, _P.s, False), 0.0)
+    assert flags == measure_flags(grid, u)
+
+
+def test_band_run_holds_only_blocks_while_it_steps(grid3, monkeypatch):
+    # On the band block a 3D run holds its state, f and the stage's f as
+    # blocks, and builds one full field for its last snapshot. The whole
+    # half spectrum held two full fields at every step and peaked at 5.6.
+    p = Params(alpha=0.5, nu=0.1, s=0.75)
+    init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
+    u0 = make_initial(init, grid3)
+    plan = band_plan(grid3, p.alpha)
+    field = 16 * grid3.dim * np.prod(grid3.spectral_shape)
+    block = 16 * grid3.dim * np.prod(plan.block_shape)
+    real, held = integrator._advance, []
+
+    def traced(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    def traced_run(steps: int) -> tuple[int, int]:
+        cfg = config(grid3, p, dt=1e-3, t_end=steps * 1e-3, init=init, snapshot_every=100)
+        held.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(cfg, initial_field=u0, on_snapshot=lambda w, t: None)
+            return max(held) - base, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(integrator, "_advance", traced)
+    traced_run(2)  # builds the cached kernel workspace and tables
+    most_held, peak = traced_run(10)
+    assert most_held < 5 * block, most_held / block
+    assert peak < field + 5 * block, (peak - field) / block
