@@ -201,12 +201,12 @@ def make_initial(
     and s of its header; otherwise SnapshotMismatchError is raised.
     """
     amp = initial.amplitude
-    x = grid.x
     if initial.kind == "shear":
         phys = np.zeros((grid.dim,) + grid.shape)
-        phys[0] = amp * np.sin(x[1])
+        phys[0] = amp * np.sin(grid.x[1])
         return to_spectral(phys, grid)
     if initial.kind == "taylor-green":
+        x = grid.x
         phys = np.zeros((grid.dim,) + grid.shape)
         if grid.dim == 2:
             phys[0] = amp * np.sin(x[0]) * np.cos(x[1])
@@ -275,7 +275,9 @@ def _advance(
     u, f_u and the weights of prop share one layout (see ``_Layout``). The
     stage and the ETD2RK update are formed with ``out=`` in two new arrays.
     w1 f(u) and f(stage) - f(u) are temporaries, so w1 f(u) is freed before
-    the stage's f is evaluated. ``run`` checks the result.
+    the stage's f is evaluated. f(stage) is read once, right away, so
+    f_eval may return a buffer that its next call overwrites. ``run`` checks
+    the result.
     """
     stage = np.multiply(prop.E, u)
     np.add(stage, np.multiply(prop.w1, f_u), out=stage)
@@ -411,10 +413,11 @@ def run(
     elif layout.plan is None:
         f_new = f_step = lambda w: rhs_f(SpectralField.from_coeffs(grid, w), params).coeffs
     else:
-        # f(u) and f(stage) land in two blocks of the loop's own
-        f_cur_buf, f_stage_buf = np.empty(shape, np.complex128), np.empty(shape, np.complex128)
+        # f(u) lands in a block of the loop's own; f(stage) in the kernel's
+        # output buffer, which _advance reads before the next kernel call
+        f_cur_buf = np.empty(shape, np.complex128)
         f_new = lambda w: rhs_f_band(grid, w, params, out=f_cur_buf)
-        f_step = lambda w: rhs_f_band(grid, w, params, out=f_stage_buf)
+        f_step = lambda w: rhs_f_band(grid, w, params)
     k2 = layout.table(grid.k2)
     helm = 1.0 + alpha**2 * k2 if form == "v" else None
     mask = None

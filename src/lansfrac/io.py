@@ -45,7 +45,6 @@ from .spectral import (
     Params,
     SpectralField,
     full_rows,
-    full_spectrum,
     half_spectrum,
     infer_regime,
     make_grid,
@@ -55,7 +54,7 @@ from .spectral import (
 SNAPSHOT_MAGIC = b"FLNS"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4s3I4d")  # magic, version, dim, N, alpha, nu, s, t
-# Bytes of full-spectrum rows that write_snapshot builds at a time.
+# Bytes of full-spectrum rows that write_snapshot and read_snapshot build at a time.
 WRITE_BUDGET = 2**18
 
 
@@ -99,14 +98,18 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
         meta.s,
         meta.t,
     )
-    n = grid.N
-    step = max(1, WRITE_BUDGET // (16 * n ** (grid.dim - 1)))
     chunks = (
-        np.ascontiguousarray(full_rows(c, i, min(i + step, n), grid.dim), dtype="<c16").data
+        np.ascontiguousarray(full_rows(c, i, j, grid.dim), dtype="<c16").data
         for c in field.coeffs
-        for i in range(0, n, step)
+        for i, j in _row_chunks(grid.dim, grid.N)
     )
     _write_atomic(path, itertools.chain((header,), chunks))
+
+
+def _row_chunks(dim: int, n: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive runs of rows with at most WRITE_BUDGET full-spectrum bytes."""
+    step = max(1, WRITE_BUDGET // (16 * n ** (dim - 1)))
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
@@ -126,7 +129,9 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
     """Read and validate a snapshot: magic, version, grid, payload size, realness.
 
     The payload is read as a view into the file's bytes, and its discarded
-    half is checked one component at a time.
+    half is checked against the kept one at most ``WRITE_BUDGET`` bytes of
+    full-spectrum rows at a time (``spectral.full_rows``), so that no whole
+    component of the full spectrum is built.
     """
     blob = _read_input(path, "snapshot", SnapshotError)
     if len(blob) < _HEADER.size:
@@ -154,8 +159,15 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
     # their own mirrors and its discarded half mirrors the kept one.
     herm, _, _ = measure_flags(grid, coeffs)
     with np.errstate(invalid="ignore", over="ignore"):
-        drift = np.max([np.max(np.abs(full_spectrum(c, dim) - f)) for c, f in zip(coeffs, full)])
-        peak = np.max([np.max(np.abs(f)) for f in full])
+        # np.max, not max, so that a nan anywhere in the payload makes both nan
+        drift, peak = np.max(
+            [
+                (np.max(np.abs(full_rows(c, i, j, dim) - f[i:j])), np.max(np.abs(f[i:j])))
+                for c, f in zip(coeffs, full)
+                for i, j in _row_chunks(dim, n)
+            ],
+            axis=0,
+        )
         if not (herm and drift <= HERMITIAN_TOL * peak):
             raise CorruptPayloadError(f"{path}: coefficients violate hermitian symmetry")
     field = SpectralField.from_coeffs(grid, coeffs)

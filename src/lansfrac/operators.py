@@ -101,11 +101,12 @@ class _KernelWorkspace:
         cplx, block = np.complex128, plan.block_shape
         self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u, curl v
         self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
-        self.filtered = np.empty((dim,) + block, cplx)
+        self.filtered = np.empty((dim,) + block, cplx)  # the product's block, filtered in place
         self.projected = np.empty((dim,) + block, cplx)
         self.terms = np.empty((dim,) + block, cplx)
         self.dot = np.empty(block, cplx)
-        self.cross = np.empty((dim,) + grid.shape)
+        # the cross product is formed one forward chunk of components at a time
+        self.cross = np.empty((min(plan.chunk, dim),) + grid.shape)
         self.cross_tmp = np.empty(grid.shape)
 
     def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -149,20 +150,28 @@ def _kernel_workspace(grid: GridSpec, alpha: float) -> _KernelWorkspace:
     return _KernelWorkspace(grid, alpha)
 
 
-def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Pointwise a x b into out, with tmp one component of scratch.
+# (i, j) of each component a_i b_j - a_j b_i of a x b, by the components of a
+_CROSS_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
 
-    a with one component is the scalar (2D) curl a e_z; two 2D vectors give
-    the scalar a_0 b_1 - a_1 b_0 in out[0].
+
+def _cross(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray, first: int = 0
+) -> np.ndarray:
+    """Components first, first + 1, ... of the pointwise a x b into the rows of out.
+
+    tmp is one component of scratch. a with one component is the scalar (2D)
+    curl a e_z, and (a e_z) x b = (-a b_1, a b_0); two 2D vectors give the
+    scalar a_0 b_1 - a_1 b_0 as component 0.
     """
-    if a.shape[0] == 1:
-        np.negative(np.multiply(a[0], b[1], out=out[0]), out=out[0])
-        np.multiply(a[0], b[0], out=out[1])
-        return out
-    pairs = ((0, 1),) if a.shape[0] == 2 else ((1, 2), (2, 0), (0, 1))
-    for o, (i, j) in zip(out, pairs):
-        np.multiply(a[i], b[j], out=o)
-        np.subtract(o, np.multiply(a[j], b[i], out=tmp), out=o)
+    for o, row in enumerate(out, start=first):
+        if a.shape[0] == 1:
+            np.multiply(a[0], b[1 - o], out=row)
+            if o == 0:
+                np.negative(row, out=row)
+        else:
+            i, j = _CROSS_PAIRS[a.shape[0]][o]
+            np.multiply(a[i], b[j], out=row)
+            np.subtract(row, np.multiply(a[j], b[i], out=tmp), out=row)
     return out
 
 
@@ -195,12 +204,15 @@ def rhs_f_band(
     """The kernel of ``rhs_f``: f(u, u) from and to band blocks.
 
     u is the band block (see ``BandPlan``) of the field. One call makes one
-    stacked inverse transform of the dealiased u and of curl v, and one
-    forward transform of the cross product: 3 + 2 fields in 2D (the curl is a
-    scalar), 6 + 3 in 3D. Both are band-pruned transforms, and every per-mode
-    step runs on the band block in the buffers of a cached per-(grid, alpha)
-    workspace. f is written into out, or without it into a workspace buffer
-    that the next call on this (grid, alpha) overwrites.
+    stacked inverse transform of the dealiased u and of curl v, and forward
+    transforms of the cross product: 3 + 2 fields in 2D (the curl is a
+    scalar), 6 + 3 in 3D. The cross product is formed one chunk of the plan
+    (``BandPlan.chunk`` components) at a time, and each chunk is transformed
+    into its rows of the block before the next is formed, so the workspace
+    holds one chunk of it. Both are band-pruned transforms, and every
+    per-mode step runs on the band block in the buffers of a cached
+    per-(grid, alpha) workspace. f is written into out, or without it into a
+    workspace buffer that the next call on this (grid, alpha) overwrites.
 
     f is certified on the band block before it is returned: mean-free and
     solenoidal (see ``_KernelWorkspace.violation``). f is zero outside the
@@ -214,9 +226,13 @@ def rhs_f_band(
         np.copyto(ws.u_in, u)
     _cross(ws.ikv, ws.u_in, stack[dim:], ws.dot)
     phys = coeffs_to_phys(stack, dim, band=plan)
-    prod = phys_to_coeffs(_cross(phys[dim:], phys[:dim], ws.cross, ws.cross_tmp), dim, band=plan)
+    filtered, c = ws.filtered, len(ws.cross)
+    for first in range(0, dim, c):
+        part = ws.cross[: min(c, dim - first)]
+        _cross(phys[dim:], phys[:dim], part, ws.cross_tmp, first)
+        phys_to_coeffs(part, dim, band=plan, out=filtered[first : first + len(part)])
 
-    filtered = np.multiply(ws.out, prod, out=ws.filtered)
+    np.multiply(ws.out, filtered, out=filtered)
     # A second pass is a no-op analytically but keeps the divergence residual
     # eps-relative to f itself when the projection removes almost all of the
     # product, as it does near an oblique shear.

@@ -178,15 +178,20 @@ def _spatial_axes(dim: int) -> tuple[int, ...]:
 
 
 def phys_to_coeffs(
-    phys: np.ndarray, dim: int, *, band: "BandPlan | None" = None
+    phys: np.ndarray,
+    dim: int,
+    *,
+    band: "BandPlan | None" = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Half-spectrum Fourier coefficients of a real array (spatial axes last).
 
-    With ``band``, only the band block is computed, into the plan's buffer.
+    With ``band``, only the band block is computed. The result is written
+    into out when it is given, else into a new array.
     """
     if band is not None:
-        return band._forward(phys)
-    return np.fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward")
+        return band._forward(phys, out)
+    return np.fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward", out=out)
 
 
 def coeffs_to_phys(
@@ -227,21 +232,22 @@ class BandPlan:
     buffer (N,) * (dim-1) + (b+1,) complex values fits in ``LINE_BUDGET``
     bytes, and at least one. So the intermediate buffers (the zero-padded
     inputs, the lines and the forward passes) hold one chunk, and only the
-    samples and the block, which the caller reads whole, hold the stack.
-    Every line is transformed on its own, so the chunk size does not change
-    a bit of the result.
+    inverse's samples, which the caller reads whole, hold the stack. The
+    forward writes its block into the caller's array, so a caller can hand
+    it a stack one chunk at a time. Every line is transformed on its own, so
+    the chunk size does not change a bit of the result.
 
     The inverse's last pass is an ``irfft`` over a half-spectrum buffer
     (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the
     inverse zeroes the rest, so numpy pads no line itself. That buffer is the
     one the forward's ``rfft`` writes.
 
-    Both return a buffer of the plan that the next call overwrites, so a plan
-    is not re-entrant. No call passes information to the next: the inverse's
-    zero-padded inputs hold zeros outside the band that no call writes, the
-    inverse zeroes the tail columns of the half-spectrum buffer that the
-    forward fills, and every other region a call reads is rewritten earlier
-    in that call.
+    The inverse returns a buffer of the plan that the next call overwrites,
+    so a plan is not re-entrant. No call passes information to the next:
+    the inverse's zero-padded inputs hold zeros outside the band that no
+    call writes, the inverse zeroes the tail columns of the half-spectrum
+    buffer that the forward fills, and every other region a call reads is
+    rewritten earlier in that call.
     """
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
@@ -276,7 +282,6 @@ class BandPlan:
             np.empty((fwd,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx)
             for j in range(1, dim - 1)
         ]
-        self._block = np.empty((forward_fields,) + self.block_shape, cplx)
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band block of a half-spectrum array (any leading axes)."""
@@ -314,8 +319,10 @@ class BandPlan:
             np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
         return self._phys[: len(block)]
 
-    def _forward(self, phys: np.ndarray) -> np.ndarray:
+    def _forward(self, phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
+        if out is None:
+            out = np.empty((len(phys),) + self.block_shape, np.complex128)
         for start in range(0, len(phys), c):
             part = phys[start : start + c]
             m = len(part)
@@ -329,10 +336,10 @@ class BandPlan:
                         out=dst[_along(ax + 1, blk)],
                     )
                 src = dst
-            out = self._block[start : start + m]
+            rows = out[start : start + m]
             for blk, full in self._halves:
-                out[_along(-dim, blk)] = src[_along(-dim, full)]
-        return self._block[: len(phys)]
+                rows[_along(-dim, blk)] = src[_along(-dim, full)]
+        return out
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -350,19 +357,12 @@ def reflect_conj(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return np.conj(_reflect(coeffs, range(-dim, 0)))
 
 
-def full_spectrum(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """The full fftn-layout spectrum of a half spectrum, mirror half by symmetry."""
-    n = coeffs.shape[-dim]
-    tail = coeffs[..., n // 2 - 1 : 0 : -1]  # k_last = N/2-1, ..., 1
-    mirror = np.conj(_reflect(tail, range(-dim, -1)))  # k_last = N/2+1, ..., N-1
-    return np.concatenate([coeffs, mirror], axis=-1)
-
-
 def full_rows(coeffs: np.ndarray, start: int, stop: int, dim: int) -> np.ndarray:
-    """``full_spectrum(coeffs, dim)[start:stop]`` of one component's half spectrum.
+    """Rows start:stop of the full fftn-layout spectrum of one component's half spectrum.
 
-    It builds only those rows (indices of the first wavevector axis): the
-    mirror of row i lies in row -i.
+    The full spectrum's last axis runs over k_last = 0..N-1, its columns past
+    N/2 filled by conjugate symmetry. Only the requested rows (indices of the
+    first wavevector axis) are built: the mirror of row i lies in row -i.
     """
     n = coeffs.shape[0]
     rows = -np.arange(start, stop) % n

@@ -5,10 +5,21 @@ from lansfrac import InitialData, Params, make_grid, make_initial
 from lansfrac.spectral import (
     GridSpec,
     SpectralField,
-    full_spectrum,
+    _reflect,
     half_spectrum,
     reflect_conj,
 )
+
+
+def full_spectrum(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Reference: the full fftn-layout spectrum of a half spectrum, mirror half by symmetry.
+
+    ``spectral.full_rows`` builds a few of its rows at a time.
+    """
+    n = coeffs.shape[-dim]
+    tail = coeffs[..., n // 2 - 1 : 0 : -1]  # k_last = N/2-1, ..., 1
+    mirror = np.conj(_reflect(tail, range(-dim, -1)))  # k_last = N/2+1, ..., N-1
+    return np.concatenate([coeffs, mirror], axis=-1)
 
 
 @pytest.fixture(scope="session")

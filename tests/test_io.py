@@ -169,6 +169,20 @@ def test_snapshot_asymmetry_anywhere_is_rejected(tmp_path, index):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("delta", [0.5 + 0.5j, complex(np.nan, 0.0)], ids=["asymmetric", "nan"])
+def test_snapshot_fault_in_a_middle_row_chunk_is_rejected(tmp_path, monkeypatch, delta):
+    # The discarded half is checked a few rows at a time. A fault there, in a
+    # row chunk between the first and the last, is one the flags of the kept
+    # half cannot see; a nan is caught only because np.max propagates it.
+    grid = make_grid(3, 16)
+    monkeypatch.setattr(lio, "WRITE_BUDGET", 2 * 16 * 16**2)  # two full rows a chunk
+    path = tmp_path / "field.flns"
+    write_snapshot(random_field(grid, seed=9), META, path)
+    _corrupt(path, (2, 7, 3, 11), delta)  # row 7: the fourth of 8 chunks; k_last 11 > N/2
+    with pytest.raises(CorruptPayloadError, match="hermitian"):
+        read_snapshot(path)
+
+
 _HEADER_BYTES = 48
 
 
@@ -368,6 +382,24 @@ def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
     assert _traced_peak(lambda: sha256_file(path)) <= 0.25 * payload
     assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
     assert np.array_equal(read_snapshot(path)[0].coeffs, u.coeffs)
+
+
+def test_snapshot_read_checks_the_discarded_half_a_row_chunk_at_a_time(tmp_path, monkeypatch):
+    # Beyond the file's bytes and the half it keeps, the symmetry check holds
+    # one row chunk's temporaries, not a whole component of the full
+    # spectrum (which took it to about 1.5 components). The flags of the kept
+    # half are stubbed out: on their own they cost about one kept half and
+    # would hide the check's peak.
+    grid = make_grid(3, 32)
+    u = random_field(grid, seed=6)
+    path = tmp_path / "field.flns"
+    write_snapshot(u, META, path)
+    monkeypatch.setattr(lio, "WRITE_BUDGET", 16 * grid.N ** (grid.dim - 1))  # one full row
+    monkeypatch.setattr(lio, "measure_flags", lambda grid, coeffs: (True, True, True))
+    component = 16 * grid.N**grid.dim
+    extra = _traced_peak(lambda: read_snapshot(path)) - path.stat().st_size - u.coeffs.nbytes
+    assert extra <= 0.25 * component, extra / component
+    assert read_snapshot(path)[0].coeffs.tobytes() == u.coeffs.tobytes()
 
 
 # ----------------------------------------------------------------- manifest

@@ -8,6 +8,8 @@ gradients of both arguments. The analytic and finite-difference checks of the
 gradient, the advection and U_alpha run through it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,22 +24,28 @@ from lansfrac import (
     rhs_f,
     u_from_v,
 )
+from lansfrac import operators
 from lansfrac.errors import DivergedError, GridError
 from lansfrac.operators import (
     ESCAPE_TOL,
     _band_field,
+    _cross,
     _kernel_workspace,
+    band_plan,
     h1_alpha_pairing,
+    rhs_f_band,
     stress_form_f,
     v_from_u,
     v_nonlinearity,
 )
 from lansfrac.spectral import (
     SpectralField,
+    coeffs_to_phys,
     frac_stokes_apply,
     l2_norm,
     leray_project,
     measure_flags,
+    phys_to_coeffs,
     to_physical,
     to_spectral,
 )
@@ -351,6 +359,60 @@ def test_rhs_f_matches_the_unpruned_kernel(dim, n):
         assert rel_err(f.coeffs, _unpruned_rotational_f(u, alpha)) <= 1e-14
 
 
+def _whole_stack_rhs_f_band(grid, u, params):
+    """Reference: rhs_f_band with the whole cross product formed before one
+    forward transform of all its components, in arrays of its own."""
+    dim = grid.dim
+    ws = _kernel_workspace(grid, params.alpha)
+    plan = ws.plan
+    stack = np.empty((dim + (1 if dim == 2 else 3),) + plan.block_shape, np.complex128)
+    stack[:dim] = u
+    _cross(ws.ikv, u, stack[dim:], np.empty(plan.block_shape, np.complex128))
+    phys = np.array(coeffs_to_phys(stack, dim, band=plan))
+    prod = _cross(phys[dim:], phys[:dim], np.empty((dim,) + grid.shape), np.empty(grid.shape))
+    filtered = ws.out * phys_to_coeffs(prod, dim, band=plan)
+    return ws.project(ws.project(filtered, np.empty_like(filtered)), np.empty_like(filtered))
+
+
+# (dim, N, components per forward chunk): 2D N=128 transforms both in one
+# chunk; 3D N=40 has a chunk boundary between its second and third component
+_STREAMED_CASES = [(2, 128, 2), (3, 48, 1), (3, 40, 2)]
+
+
+@pytest.mark.parametrize("dim,n,per_chunk", _STREAMED_CASES)
+def test_streamed_cross_product_equals_the_whole_stack(dim, n, per_chunk):
+    grid = make_grid(dim, n)
+    for alpha, seed in ((0.0, 3), (0.5, 4)):
+        p = Params(alpha=alpha, nu=1.0, s=0.75)
+        ws = _kernel_workspace(grid, alpha)
+        assert min(ws.plan.chunk, dim) == per_chunk
+        assert ws.cross.shape == (per_chunk,) + grid.shape  # one chunk of the product
+        u = ws.plan.gather(make_initial(InitialData(kind="random-spectrum", seed=seed), grid).coeffs)
+        ref = _whole_stack_rhs_f_band(grid, u, p)
+        assert rhs_f_band(grid, u, p).tobytes() == ref.tobytes()
+        assert rhs_f_band(grid, u, p, out=np.empty_like(u)).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim,n,per_chunk", _STREAMED_CASES)
+def test_the_kernel_forward_transforms_through_phys_to_coeffs(monkeypatch, dim, n, per_chunk):
+    # perfbench/layers.py times the forward transform by patching this name;
+    # the streamed product calls it once per chunk, on every component once
+    grid = make_grid(dim, n)
+    p = Params(alpha=0.5, nu=1.0, s=0.75)
+    u = band_plan(grid, p.alpha).gather(random_field(grid, seed=46).coeffs)
+    real, fields = operators.phys_to_coeffs, []
+
+    def counted(phys, *args, **kwargs):
+        fields.append(len(phys))
+        return real(phys, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "phys_to_coeffs", counted)
+    for calls in (1, 2):
+        rhs_f_band(grid, u, p)
+        assert len(fields) == calls * math.ceil(dim / per_chunk)
+        assert sum(fields) == calls * dim
+
+
 def _live_bytes(*owners) -> int:
     """Bytes of the distinct arrays (views counted once) the owners' attributes hold."""
     bases = {}
@@ -366,13 +428,15 @@ def _live_bytes(*owners) -> int:
 
 def test_kernel_workspace_holds_a_few_fields():
     # At 3D N=48 one field's line buffer exceeds the plan's budget, so its
-    # transforms hold one field's intermediate buffers; the samples and the
-    # band blocks of the stack make up the rest.
+    # transforms hold one field's intermediate buffers and the cross product
+    # one component and its scratch; the samples and the band blocks of the
+    # stack make up the rest: 5.6 fields' bytes. The whole cross product and
+    # a forward block of the plan's own took it to 6.5.
     grid = make_grid(3, 48)
     ws = _kernel_workspace(grid, 0.5)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
     assert ws.plan.chunk == 1
-    assert _live_bytes(ws, ws.plan) <= 8 * field
+    assert _live_bytes(ws, ws.plan) <= 6 * field
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -437,9 +501,10 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
         assert problem == ("carries a mean" if not mean_free else "is not solenoidal")
 
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 40)])
 def test_rhs_f_raises_when_its_projection_is_broken(monkeypatch, dim, n):
-    # an explicit check, not an assert: it holds under python -O as well
+    # an explicit check, not an assert: it holds under python -O as well, and
+    # whether f lands in the workspace's buffer (rhs_f) or in the caller's out
     grid = make_grid(dim, n)
     u = random_field(grid, seed=45)
     p = Params(alpha=0.5, nu=1.0, s=0.75)
@@ -448,6 +513,9 @@ def test_rhs_f_raises_when_its_projection_is_broken(monkeypatch, dim, n):
     )
     with pytest.raises(DivergedError, match="is not solenoidal"):
         rhs_f(u, p)
+    block = band_plan(grid, p.alpha).gather(u.coeffs)
+    with pytest.raises(DivergedError, match="is not solenoidal"):
+        rhs_f_band(grid, block, p, out=np.empty_like(block))
 
 
 FNORM_BOUND = 0.15  # measured max 0.014 over this fixed ensemble; 10x headroom

@@ -24,7 +24,7 @@ from lansfrac.spectral import (
     to_spectral,
 )
 
-from conftest import random_field, random_hermitian_field, rel_err, single_mode_field
+from conftest import full_spectrum, random_field, random_hermitian_field, rel_err, single_mode_field
 
 
 # ---------------------------------------------------------------- grids
@@ -55,7 +55,7 @@ def test_grid_weight_counts_every_full_mode_once(dim, N):
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 8), (3, 16)])
 def test_full_rows_are_rows_of_the_full_spectrum(dim, n):
-    from lansfrac.spectral import full_rows, full_spectrum
+    from lansfrac.spectral import full_rows
 
     rng = np.random.default_rng(n + dim)
     shape = (n,) * (dim - 1) + (n // 2 + 1,)
@@ -67,7 +67,7 @@ def test_full_rows_are_rows_of_the_full_spectrum(dim, n):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_full_spectrum_matches_fftn(dim):
-    from lansfrac.spectral import full_spectrum, half_spectrum
+    from lansfrac.spectral import half_spectrum
 
     g = make_grid(dim, 10)
     phys = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
