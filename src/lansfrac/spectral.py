@@ -14,9 +14,15 @@ conjugate mirror -k, so every sum over modes carries the multiplicity
 ``GridSpec.weight`` (2 there, 1 on the k_last = 0 and k_last = N/2 planes).
 
 Everything is a pure function of its inputs; fields are immutable (the
-coefficient buffers are write-protected). Transforms go through ``numpy.fft``.
-A ``BandPlan`` transforms only the band block, the modes the 2/3 rule keeps,
-one axis at a time into persistent buffers; it is the nonlinear kernel's path.
+coefficient buffers are write-protected). Full transforms go through
+``numpy.fft``. A ``BandPlan`` transforms only the band block, the modes the
+2/3 rule keeps, one axis at a time into persistent buffers; it is the
+nonlinear kernel's path. On grids with N <= ``GEMM_MAX_N`` (64) each of its
+passes is a dense DFT matrix product (BLAS GEMM), which matches
+``irfftn``/``rfftn`` to rounding; on larger grids it runs pruned FFT passes,
+whose inverse matches ``irfftn`` bit for bit. At 3D N=48 the products halve
+a kernel call's transforms; at 2D N=128 the two tie, and at 2D N=256 the
+FFT passes win.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ MEAN_TOL = 1e-12
 # Bytes of one chunk's line buffer in a BandPlan transform: a field's
 # intermediate buffers then stay within a 2 MiB L2 cache.
 LINE_BUDGET = 2**20
+
+# Grids with N at most this run their band transforms as dense DFT matrix
+# products (BLAS GEMM); larger grids run pruned FFT passes (see BandPlan).
+GEMM_MAX_N = 64
 
 
 class Regime(Enum):
@@ -187,7 +197,8 @@ def phys_to_coeffs(
     """Half-spectrum Fourier coefficients of a real array (spatial axes last).
 
     With ``band``, only the band block is computed. The result is written
-    into out when it is given, else into a new array.
+    into out when it is given (C-contiguous with ``band``), else into a new
+    array.
     """
     if band is not None:
         return band._forward(phys, out)
@@ -221,30 +232,57 @@ class BandPlan:
     |k_i| <= b = ``grid.band_limit``, the only ones the 2/3 rule keeps. It has
     shape ``block_shape`` = (2b+1,) * (dim-1) + (b+1,), and each complex axis
     runs over k = 0..b, -b..-1. ``coeffs_to_phys(block, dim, band=plan)``
-    and ``phys_to_coeffs(phys, dim, band=plan)`` transform one axis at a time
-    with ``numpy.fft`` and ``out=``; on the complex axes they transform only
-    the lines the band reaches. The inverse runs axis -dim, ..., -2, then the
-    real axis, as ``irfftn`` does, and matches it bit for bit; the forward
-    runs the same passes in reverse order (the axis -2 pass on every line
-    first, where its strides are short) and matches ``rfftn`` to rounding.
+    and ``phys_to_coeffs(phys, dim, band=plan)`` run one of two algorithms,
+    picked from the grid size:
 
-    A stack is transformed ``chunk`` fields at a time, the most whose line
-    buffer (N,) * (dim-1) + (b+1,) complex values fits in ``LINE_BUDGET``
-    bytes, and at least one. So the intermediate buffers (the zero-padded
-    inputs, the lines and the forward passes) hold one chunk, and only the
-    inverse's samples, which the caller reads whole, hold the stack. The
-    forward writes its block into the caller's array, so a caller can hand
-    it a stack one chunk at a time. Every line is transformed on its own, so
-    the chunk size does not change a bit of the result.
+    - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N``). Each pass is
+      one ``np.matmul`` (BLAS GEMM) with ``out=`` against a constant DFT
+      matrix: ``_ec`` (N x 2b+1) of exp(i k n 2pi/N) for the complex axes,
+      and a real matrix ``_r`` that acts on the float64 view of the
+      half-spectrum axis. The rows of ``_r`` hold cos and -sin with weight 1
+      at k = 0 and 2 above, so the imaginary part of k = 0 is ignored, as
+      ``irfft`` ignores it.
+      The phases come from the integer k n mod N. The inverse runs axis -2,
+      then axis -3 (3D), then the real axis; the forward runs the same
+      passes in reverse with the conjugate matrices over N. Both match
+      ``irfftn``/``rfftn`` to rounding (about 1e-15 relative), not bit for
+      bit.
+    - **Pruned FFT passes** (larger grids). One axis at a time with
+      ``numpy.fft`` and ``out=``; on the complex axes only the lines the
+      band reaches are transformed. The inverse runs axis -dim, ..., -2,
+      then the real axis, as ``irfftn`` does, and matches it bit for bit;
+      the forward runs the same passes in reverse order (the axis -2 pass
+      on every line first, where its strides are short) and matches
+      ``rfftn`` to rounding.
 
-    The inverse's last pass is an ``irfft`` over a half-spectrum buffer
+    For short pruned lines the products win. At 3D N=48 (b = 15) a kernel
+    call's inverse of 6 fields takes 2.9-3.4 ms with products against
+    5.8-6.4 ms with FFT passes, and its forward of 3 fields 1.5-1.9 against
+    2.8-3.4 ms (best of 7 x 50 calls on a 2-core VM). At 2D N=128 whole
+    kernel calls tie (1.08-1.15 ms with products, 1.06-1.20 ms with FFT
+    passes, medians of 300), and at 2D N=256 the FFT passes win (3.9-4.0
+    against 5.4 ms), hence the crossover.
+
+    ``chunk`` is the most fields whose line buffer (N,) * (dim-1) + (b+1,)
+    complex values fits in ``LINE_BUDGET`` bytes, and at least one. The FFT
+    passes transform a stack ``chunk`` fields at a time, so their
+    intermediate buffers (the zero-padded inputs, the lines and the forward
+    passes) hold one chunk; the products transform one field at a time, so
+    theirs hold one field. Only the inverse's samples, which the caller
+    reads whole, hold the stack. The forward writes its block into the
+    caller's array (C-contiguous rows), so a caller can hand it a stack
+    ``chunk`` fields at a time. Every line, or every field, is transformed
+    on its own with calls of one shape, so the stack size does not change a
+    bit of the result.
+
+    The FFT inverse's last pass is an ``irfft`` over a half-spectrum buffer
     (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the
     inverse zeroes the rest, so numpy pads no line itself. That buffer is the
     one the forward's ``rfft`` writes.
 
     The inverse returns a buffer of the plan that the next call overwrites,
     so a plan is not re-entrant. No call passes information to the next:
-    the inverse's zero-padded inputs hold zeros outside the band that no
+    the FFT inverse's zero-padded inputs hold zeros outside the band that no
     call writes, the inverse zeroes the tail columns of the half-spectrum
     buffer that the forward fills, and every other region a call reads is
     rewritten earlier in that call.
@@ -268,13 +306,17 @@ class BandPlan:
         lines = (N,) * (dim - 1) + (b + 1,)
         per_field = math.prod(lines) * np.dtype(cplx).itemsize
         self.chunk = max(1, LINE_BUDGET // per_field)
+        self._phys = np.empty((inverse_fields,) + grid.shape)
+        self.gemm = N <= GEMM_MAX_N
+        if self.gemm:
+            self._init_gemm()
+            return
         inv, fwd = min(self.chunk, inverse_fields), min(self.chunk, forward_fields)
         # Inverse: pass j reads _pad[j], full length on axes -dim .. -dim+j.
         self._pad = [
             np.zeros((inv,) + (N,) * (j + 1) + (2 * b + 1,) * (dim - 2 - j) + (b + 1,), cplx)
             for j in range(dim - 1)
         ]
-        self._phys = np.empty((inverse_fields,) + grid.shape)
         # The inverse's last pass reads _half and the forward's first writes it.
         self._half = np.empty((max(inv, fwd),) + grid.spectral_shape, cplx)
         # Forward: pass j writes _fwd[j], band-compact on axes -2 .. -1-j.
@@ -282,6 +324,25 @@ class BandPlan:
             np.empty((fwd,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx)
             for j in range(1, dim - 1)
         ]
+
+    def _init_gemm(self) -> None:
+        N, b, dim = self.grid.N, self.grid.band_limit, self.grid.dim
+        n = np.arange(N)
+        phase = (TWO_PI / N) * (np.outer(n, np.r_[0 : b + 1, -b:0]) % N)
+        self._ec = np.cos(phase) + 1j * np.sin(phase)  # (N, 2b+1)
+        self._fc = np.ascontiguousarray(np.conj(self._ec).T) / N  # (2b+1, N)
+        phase = (TWO_PI / N) * (np.outer(np.arange(b + 1), n) % N)  # (b+1, N)
+        weight = np.full((b + 1, 1), 2.0)
+        weight[0] = 1.0
+        self._r = np.empty((2 * (b + 1), N))  # real view of the half axis -> samples
+        self._r[0::2], self._r[1::2] = weight * np.cos(phase), -weight * np.sin(phase)
+        self._fr = np.empty((N, 2 * (b + 1)))  # samples -> real view of the half axis
+        self._fr[:, 0::2], self._fr[:, 1::2] = np.cos(phase).T / N, -np.sin(phase).T / N
+        # One field's passes: _mid holds the half axis at full length on the
+        # complex axes, _lines (3D) the passes between the block and _mid.
+        self._mid = np.empty((N,) * (dim - 1) + (b + 1,), np.complex128)
+        if dim == 3:
+            self._lines = np.empty((2 * b + 1) * N * (b + 1), np.complex128)
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band block of a half-spectrum array (any leading axes)."""
@@ -298,6 +359,8 @@ class BandPlan:
         return out
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
+        if self.gemm:
+            return self._inverse_gemm(block)
         dim, N, b, c = self.grid.dim, self.grid.N, self.grid.band_limit, self.chunk
         for start in range(0, len(block), c):
             part = block[start : start + c]
@@ -319,10 +382,25 @@ class BandPlan:
             np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
         return self._phys[: len(block)]
 
+    def _inverse_gemm(self, block: np.ndarray) -> np.ndarray:
+        N, ec, mid = self.grid.N, self._ec, self._mid
+        half = mid.view(np.float64).reshape(-1, len(self._r))
+        for f, blk in enumerate(block):
+            if self.grid.dim == 3:
+                lines = self._lines.reshape(len(blk), N, -1)
+                np.matmul(ec, blk, out=lines)  # axis -2, one product per k_0
+                np.matmul(ec, lines.reshape(len(blk), -1), out=mid.reshape(N, -1))
+            else:
+                np.matmul(ec, blk, out=mid)
+            np.matmul(half, self._r, out=self._phys[f].reshape(-1, N))
+        return self._phys[: len(block)]
+
     def _forward(self, phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
         if out is None:
             out = np.empty((len(phys),) + self.block_shape, np.complex128)
+        if self.gemm:
+            return self._forward_gemm(phys, out)
+        dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
         for start in range(0, len(phys), c):
             part = phys[start : start + c]
             m = len(part)
@@ -339,6 +417,21 @@ class BandPlan:
             rows = out[start : start + m]
             for blk, full in self._halves:
                 rows[_along(-dim, blk)] = src[_along(-dim, full)]
+        return out
+
+    def _forward_gemm(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not out.flags.c_contiguous:  # a reshape below would write into a copy
+            raise ValueError("the band forward transform needs a C-contiguous out")
+        N, fc, mid = self.grid.N, self._fc, self._mid
+        half = mid.view(np.float64).reshape(-1, self._fr.shape[1])
+        for f, samples in enumerate(phys):
+            np.matmul(samples.reshape(-1, N), self._fr, out=half)
+            if self.grid.dim == 3:
+                lines = self._lines.reshape(N, len(fc), -1)
+                np.matmul(fc, mid, out=lines)  # axis -2, one product per n_0
+                np.matmul(fc, lines.reshape(N, -1), out=out[f].reshape(len(fc), -1))
+            else:
+                np.matmul(fc, mid, out=out[f])
         return out
 
 

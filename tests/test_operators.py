@@ -9,6 +9,10 @@ gradient, the advection and U_alpha run through it.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,16 +431,48 @@ def _live_bytes(*owners) -> int:
 
 
 def test_kernel_workspace_holds_a_few_fields():
-    # At 3D N=48 one field's line buffer exceeds the plan's budget, so its
-    # transforms hold one field's intermediate buffers and the cross product
-    # one component and its scratch; the samples and the band blocks of the
-    # stack make up the rest: 5.6 fields' bytes. The whole cross product and
-    # a forward block of the plan's own took it to 6.5.
+    # At 3D N=48 the plan runs matrix products, one field at a time: it holds
+    # its DFT matrices and one field's passes, no FFT buffers, and the cross
+    # product one component and its scratch (one field's line buffer exceeds
+    # the budget); the samples and the band blocks of the stack make up the
+    # rest: 5.0 fields' bytes. Pruned FFT passes took it to 5.6; with the
+    # FFT buffers allocated as well, the matrix products would exceed 6.
     grid = make_grid(3, 48)
     ws = _kernel_workspace(grid, 0.5)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
     assert ws.plan.chunk == 1
     assert _live_bytes(ws, ws.plan) <= 6 * field
+
+
+_KERNEL_DIGEST = """\
+import hashlib
+from lansfrac import InitialData, Params, make_grid, make_initial
+from lansfrac.operators import band_plan, rhs_f_band
+for n in (16, 48):
+    grid, p = make_grid(3, n), Params(alpha=0.5, nu=1.0, s=0.75)
+    u = make_initial(InitialData(kind="random-spectrum", seed=7), grid)
+    f = rhs_f_band(grid, band_plan(grid, p.alpha).gather(u.coeffs), p)
+    print(n, hashlib.sha256(f.tobytes()).hexdigest())
+"""
+
+
+def test_the_kernel_gives_the_same_bytes_on_one_blas_thread():
+    # The matrix-product transforms run in OpenBLAS, which may split a
+    # product over its own threads; a split never reorders a sum, so one
+    # thread and the default pool give the same bits.
+    import lansfrac
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(lansfrac.__file__).parents[1])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _KERNEL_DIGEST], env=env | extra,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert len(digests[0].splitlines()) == 2
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])

@@ -180,16 +180,27 @@ def test_to_spectral_shape_mismatch(grid2):
         to_spectral(np.zeros((2, 8, 8)), grid2)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 32), (3, 48)])
+# The grids whose plans run matrix products (N <= 64); they match irfftn to
+# rounding. The others run FFT passes, which match it bit for bit. At 2D
+# N=240 the FFT plan transforms 3 fields at a time, so its inverse ends in a
+# short chunk; at 3D N=32 the GEMM plan's chunk is 5, but it transforms one
+# field at a time.
+_GEMM_GRIDS = {(2, 32), (2, 64), (3, 16), (3, 32), (3, 48)}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (2, 128), (2, 240), (3, 16), (3, 32), (3, 48)])
 def test_band_plan_matches_full_transforms(dim, n):
-    # Stacks of 2 dim fields in and dim out, as in the 3D kernel. At 3D N=32
-    # the plan transforms 5 fields at a time, so the inverse ends in a short chunk.
+    # Stacks of 2 dim fields in and dim out, as in the 3D kernel.
     grid = make_grid(dim, n)
     fields = 2 * dim
     plan = BandPlan(grid, inverse_fields=fields, forward_fields=dim)
     single = BandPlan(grid, inverse_fields=1, forward_fields=1)
+    gemm = (dim, n) in _GEMM_GRIDS
+    assert plan.gemm == gemm
     if (dim, n) == (3, 32):
         assert plan.chunk == 5
+    if (dim, n) == (2, 240):
+        assert plan.chunk == 3
     rng = np.random.default_rng(n + dim)
     for _ in range(2):  # the second round reads buffers the first one wrote
         spectra = phys_to_coeffs(rng.standard_normal((fields,) + grid.shape), dim)
@@ -197,12 +208,20 @@ def test_band_plan_matches_full_transforms(dim, n):
         block = plan.gather(spectra)
         assert np.array_equal(plan.scatter(block, np.zeros_like(spectra)), spectra)
         pruned = coeffs_to_phys(block, dim, band=plan)
-        # bit for bit, also after a forward call has filled the buffer
-        # whose zero tail the inverse's last pass reads
-        assert np.array_equal(pruned, coeffs_to_phys(spectra, dim))
+        full = coeffs_to_phys(spectra, dim)
+        if gemm:
+            assert rel_err(pruned, full) <= 1e-14
+        else:
+            # bit for bit, also after a forward call has filled the buffer
+            # whose zero tail the inverse's last pass reads
+            assert np.array_equal(pruned, full)
         samples = rng.standard_normal((dim,) + grid.shape)
         band = phys_to_coeffs(samples, dim, band=plan)
         assert rel_err(band, plan.gather(phys_to_coeffs(samples, dim))) <= 1e-14
+        if gemm:  # its passes write into reshaped rows of out, never a copy
+            strided = np.empty((2 * dim,) + plan.block_shape, np.complex128)[::2]
+            with pytest.raises(ValueError, match="C-contiguous"):
+                phys_to_coeffs(samples, dim, band=plan, out=strided)
         # Chunking does not change a bit: each field alone gives the same.
         for i in range(fields):
             alone = coeffs_to_phys(block[i : i + 1], dim, band=single)
