@@ -15,13 +15,10 @@ import numpy as np
 
 from .operators import band_plan, rhs_f
 from .spectral import (
-    HERMITIAN_TOL,
-    MEAN_TOL,
-    SOLENOIDAL_TOL,
     GridSpec,
     Params,
     SpectralField,
-    _reflect,
+    invariant_flags,
     mode_dot,
     norm_DAr,
     stokes_multiplier,
@@ -72,59 +69,73 @@ def _record_rows(
 
 @dataclass(frozen=True, eq=False)
 class AuditTables:
-    """The per-mode tables ``audit`` reads, in one coefficient layout.
+    """The per-mode tables ``audit`` reads on the band block (``band_plan``).
 
     rows holds the record's five weights per mode (its E0 row is the measure
-    times the multiplicity), k the wavevectors, and planes the last-axis
-    indices of the planes that must match their own conjugate mirrors: the
-    k_last = 0 and Nyquist planes of the half spectrum, and only the
-    k_last = 0 plane of a band block, which holds no Nyquist mode.
+    times the multiplicity) and k the wavevectors. Only the k_last = 0 plane
+    of a block must match its own conjugate mirror: a block holds no Nyquist
+    plane.
     """
 
     rows: np.ndarray
     k: np.ndarray
-    planes: tuple[int, ...]
     measure: float
 
 
 @lru_cache(maxsize=8)
-def audit_tables(grid: GridSpec, alpha: float, s: float, band: bool) -> AuditTables:
-    """The audit's tables on the band block (``band_plan``) or the half spectrum."""
-    if band:
-        plan = band_plan(grid, alpha)
-        k, k2, weight = plan.gather(grid.k), plan.gather(grid.k2), plan.gather(grid.weight)
-        planes: tuple[int, ...] = (0,)
-    else:
-        k, k2, weight, planes = grid.k, grid.k2, grid.weight, (0, -1)
-    rows = _record_rows(k2, weight, grid.measure, alpha, s)
+def audit_tables(grid: GridSpec, alpha: float, s: float) -> AuditTables:
+    """The audit's tables on the band block of ``band_plan(grid, alpha)``."""
+    plan = band_plan(grid, alpha)
+    rows = _record_rows(
+        plan.gather(grid.k2), plan.gather(grid.weight), grid.measure, alpha, s
+    )
+    k = plan.gather(grid.k)
     for table in (rows, k):
         table.setflags(write=False)
-    return AuditTables(rows=rows, k=k, planes=planes, measure=grid.measure)
+    return AuditTables(rows=rows, k=k, measure=grid.measure)
+
+
+def tail_rows(grid: GridSpec, alpha: float, s: float, modes: np.ndarray) -> np.ndarray:
+    """The record's five weights, (5, n), of the half-spectrum modes at flat indices modes."""
+    k2, weight = grid.k2.ravel()[modes], grid.weight.ravel()[modes]
+    return _record_rows(k2, weight, grid.measure, alpha, s)
 
 
 def audit(
-    u: np.ndarray, f: np.ndarray, tables: AuditTables, t: float
+    u: np.ndarray,
+    f: np.ndarray,
+    tables: AuditTables,
+    t: float,
+    tail: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[tuple[bool, bool, bool], DiagRecord]:
-    """One pass over a state: its invariant flags and its diagnostics record.
+    """One pass over a state: its block's invariant flags and its diagnostics record.
 
-    u and f = f(u, u) are coefficient arrays in the layout of ``tables``. The
-    flags are ``measure_flags``' (hermitian, solenoidal, zero_mean) of the
-    field that is u there and zero elsewhere, with its tolerances. |uhat|^2
-    is formed once and gives all five energies; the solenoidal scale is read
-    off E0, and so is finiteness: a nan or inf coefficient carries into E0,
-    whose weight is positive on every mode, and an E0 that overflows is a
-    blow-up. The energy pairing <(1 + alpha^2 A) u, f> is the E1 row's sum
-    over Re conj(uhat) fhat. The sums run in ``np.einsum``'s own loops, not
-    through BLAS.
+    u and f = f(u, u) are band blocks. tail, when given, holds the
+    ``tail_rows`` and the (dim, n) values of the state's modes outside the
+    block (``BandPlan.split``), where f is zero: their energies are added to
+    the block's, and the pairing is the block's.
+
+    The flags are ``measure_flags``' (hermitian, solenoidal, zero_mean) of
+    the field that is u on the block and zero elsewhere, with its
+    tolerances. |uhat|^2 is formed once and gives all five energies; the
+    solenoidal scale is read off the block's E0, and so is finiteness: a nan
+    or inf coefficient carries into E0, whose weight is positive on every
+    mode, and an E0 that overflows is a blow-up. The energy pairing
+    <(1 + alpha^2 A) u, f> is the E1 row's sum over Re conj(uhat) fhat. The
+    sums run in ``np.einsum``'s own loops, not through BLAS.
     """
     energies = np.einsum("ij,j->i", tables.rows, mode_dot(u, u).ravel())
+    e0_block = float(energies[0])
+    if tail is not None:
+        rows, values = tail
+        energies += np.einsum("ij,j->i", rows, mode_dot(values, values))
     e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
     nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
     pairing = float(np.einsum("i,i->", tables.rows[1], mode_dot(u, f).ravel()))
     # numpy's power gives inf where Python's raises OverflowError
     cancel = abs(pairing) / float(np.float64(nda) ** 3 + _TINY)
     rec = DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
-    return _flags(u, e0, tables), rec
+    return _flags(u, e0_block, tables), rec
 
 
 def _flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, bool]:
@@ -133,17 +144,7 @@ def _flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, b
         return True, True, True
     if not math.isfinite(e0):
         return False, False, False
-    planes = u[..., list(tables.planes)]
-    mirror = np.conj(_reflect(planes, range(-(u.ndim - 1), -1)))
-    herm = float(np.max(np.abs(mirror - planes)))
-    sol = float(np.max(np.abs(np.einsum("i...,i...->...", tables.k, u))))
-    glob = math.sqrt(e0 / tables.measure)
-    mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)])))
-    return (
-        herm <= HERMITIAN_TOL * scale,
-        sol <= SOLENOIDAL_TOL * glob,
-        mean <= MEAN_TOL * scale,
-    )
+    return invariant_flags(u, tables.k, (0,), scale, math.sqrt(e0 / tables.measure))
 
 
 def record(
@@ -154,13 +155,17 @@ def record(
 ) -> DiagRecord:
     """Diagnostics for one state; pass f = f(u, u) if already evaluated.
 
-    This is ``audit`` on the half spectrum, without its flags. u is read as
-    solenoidal, as every field the solver makes is.
+    This is ``audit`` of u's band block and tail, as ``run`` audits a state,
+    without its flags. f is read on the band block, the only modes f(u, u)
+    reaches. u is read as solenoidal, as every field the solver makes is.
     """
     if f is None:
         f = rhs_f(u, params)
-    tables = audit_tables(u.grid, params.alpha, params.s, False)
-    return audit(u.coeffs, f.coeffs, tables, t)[1]
+    grid, alpha, s = u.grid, params.alpha, params.s
+    plan = band_plan(grid, alpha)
+    block, modes, values = plan.split(u.coeffs)
+    tail = None if values is None else (tail_rows(grid, alpha, s, modes), values)
+    return audit(block, plan.gather(f.coeffs), audit_tables(grid, alpha, s), t, tail)[1]
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -20,14 +20,15 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ConfigError, DivergedError, SnapshotMismatchError
-from .operators import band_plan, rhs_f, rhs_f_band, u_from_v, v_from_u, v_nonlinearity
+from .operators import band_plan, rhs_f_band, u_from_v, v_from_u, v_nonlinearity
+from .operators import rhs_f  # noqa: F401  the benchmark's tracer patches integrator.rhs_f
 from .spectral import (
-    BandPlan,
     GridSpec,
     Params,
     SpectralField,
     half_spectrum,
     leray_project,
+    measure_flags,
     norm_DAr,
     reflect_conj,
     stokes_multiplier,
@@ -253,7 +254,7 @@ def make_initial(
 
 
 class _Propagator:
-    """Per-mode weights of one exponential step of size dt, on a layout's k2 table."""
+    """Per-mode weights of one exponential step of size dt, on a k2 table."""
 
     def __init__(self, k2: np.ndarray, params: Params, dt: float):
         z = -params.nu * dt * stokes_multiplier(k2, params.s)
@@ -289,44 +290,32 @@ def _advance(
 
 
 class _Layout:
-    """The coefficients a run steps: the band block, or the whole half spectrum.
+    """The coefficients a run steps: the band block, plus a linear tail.
 
-    The 2/3-dealiased f(u, u) maps the band block (see ``BandPlan``) to
-    itself, so a state that is zero outside the block stays zero there for
-    the whole run. ``run`` then steps only the block: the state, f, the step's
-    arrays, the propagator weights, the Galerkin mask, the v-form factor and
-    the audit's tables all hold just the band modes, and a full field is
-    built only for a snapshot. Any other state keeps the whole half spectrum.
+    The 2/3-dealiased f(u, u) reads and writes only the band block (see
+    ``BandPlan``; Orszag 1971), so on every other mode the exponential step
+    is E u + w1 0 + w2 0, the exact linear semigroup. ``run`` steps the
+    block: the state, f, the step's arrays, the propagator weights, the
+    Galerkin mask, the v-form factor and the audit's tables hold just the
+    band modes. The tail is the start's non-zero modes outside the block
+    (``BandPlan.split``; the Galerkin cutoff is taken before, so it keeps
+    them all): ``modes`` holds their flat indices, and ``run`` their values,
+    which only the propagator touches, as tail = E tail + 0.0. A full field
+    is built only for a snapshot.
     """
 
-    def __init__(self, grid: GridSpec, params: Params, plan: BandPlan | None):
-        self.grid, self.plan = grid, plan
-        self.audit = diagnostics.audit_tables(grid, params.alpha, params.s, plan is not None)
+    def __init__(self, grid: GridSpec, params: Params, modes: np.ndarray):
+        self.grid, self.modes = grid, modes
+        self.plan = band_plan(grid, params.alpha)
+        self.audit = diagnostics.audit_tables(grid, params.alpha, params.s)
 
-    def table(self, full: np.ndarray) -> np.ndarray:
-        """A half-spectrum array (any leading axes) in this layout."""
-        return full if self.plan is None else self.plan.gather(full)
-
-    def field(self, coeffs: np.ndarray) -> SpectralField:
-        """The field that is coeffs on this layout's modes and zero elsewhere."""
-        if self.plan is not None:
-            grid = self.grid
-            full = np.zeros((grid.dim,) + grid.spectral_shape, np.complex128)
-            coeffs = self.plan.scatter(coeffs, full)
-        return SpectralField.from_coeffs(self.grid, coeffs)
-
-
-def _layout_of(state: SpectralField, params: Params) -> tuple[_Layout, np.ndarray]:
-    """The layout a run from state steps in, and state's coefficients there.
-
-    The band block is chosen when no mode outside it is non-zero by value,
-    so -0.0 counts as zero and nan does not.
-    """
-    plan = band_plan(state.grid, params.alpha)
-    block = plan.gather(state.coeffs)
-    if np.count_nonzero(state.coeffs) == np.count_nonzero(block):
-        return _Layout(state.grid, params, plan), block
-    return _Layout(state.grid, params, None), state.coeffs
+    def field(self, block: np.ndarray, tail: np.ndarray | None = None) -> SpectralField:
+        """The field that is block on the band, tail on its modes and zero elsewhere."""
+        grid = self.grid
+        full = self.plan.scatter(block, np.zeros((grid.dim,) + grid.spectral_shape, complex))
+        if tail is not None:
+            full.reshape(grid.dim, -1)[:, self.modes] = tail
+        return SpectralField.from_coeffs(grid, full)
 
 
 # A step on a blown-up state over- or underflows on the way; the audit that
@@ -366,18 +355,24 @@ def run(
     with the number of steps or snapshots. The t = 0 snapshot is the start
     state itself, taken right after the first f and diagnostics record.
 
-    The run steps in the layout its start state picks (see ``_Layout``): a
-    band-limited start is stepped on the band block, and each later snapshot
-    is its block scattered into zeros, the same bytes the whole half
-    spectrum would hold. Each step calls ``_advance`` once.
+    The run has one layout (see ``_Layout``): it steps the band block of its
+    start state and carries the start's other non-zero modes as a tail that
+    only the propagator touches. Each later snapshot is the block and the
+    tail written into zeros: the bytes a whole-spectrum step gives, but for
+    the sign of zeros a Galerkin cutoff leaves in v-form ExpEuler runs.
+    Each step calls ``_advance`` once.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
-    snapshots then hold v. Each new state gets one ``diagnostics.audit`` of
-    u. Raises DivergedError, with the step and its end time, if an invariant
-    flag (real / solenoidal / zero-mean) of that state breaks, which a
-    non-finite coefficient does, or if the D(A) norm exceeds 1e6 times its
-    initial value. It also raises it, without them, if f(u, u) fails the
-    post-condition ``rhs_f_band`` checks.
+    snapshots then hold v. Each state gets one ``diagnostics.audit`` of u,
+    whose record sums block and tail. Raises DivergedError, with the step
+    and its end time, if an invariant flag (real / solenoidal / zero-mean)
+    of that state's block breaks, which a non-finite coefficient does, or if
+    the D(A) norm exceeds 1e6 times its initial value. The start is step 0,
+    checked before any snapshot: its block by the audit and, with a tail,
+    all of it by ``measure_flags``. E is real and even, so the tail stays
+    real, solenoidal and mean-free and needs no later check. DivergedError
+    is also raised, without them, if f(u, u) fails the post-condition
+    ``rhs_f_band`` checks.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -385,8 +380,7 @@ def run(
     alpha = params.alpha
 
     # start is the run's only reference to its initial field, so that the
-    # field can be freed once the t = 0 snapshot (band) or the first step
-    # (whole half spectrum) no longer needs it
+    # field can be freed once the t = 0 snapshot no longer needs it
     start = (
         initial_field
         if initial_field is not None
@@ -397,7 +391,9 @@ def run(
         start = galerkin_truncate(start, config.galerkin_N)
     if form == "v":
         start = v_from_u(start, alpha)
-    layout, state = _layout_of(start, params)
+    plan = band_plan(grid, alpha)
+    state, modes, tail = plan.split(start.coeffs)
+    layout = _Layout(grid, params, modes)
 
     shape = state.shape
     if config.linear_only:
@@ -407,22 +403,27 @@ def run(
     elif form == "v":
         def f_new(w: np.ndarray) -> np.ndarray:
             v = layout.field(w)
-            return layout.table(v_nonlinearity(u_from_v(v, alpha), v).coeffs)
+            return plan.gather(v_nonlinearity(u_from_v(v, alpha), v).coeffs)
 
         f_step = f_new
-    elif layout.plan is None:
-        f_new = f_step = lambda w: rhs_f(SpectralField.from_coeffs(grid, w), params).coeffs
     else:
         # f(u) lands in a block of the loop's own; f(stage) in the kernel's
         # output buffer, which _advance reads before the next kernel call
         f_cur_buf = np.empty(shape, np.complex128)
         f_new = lambda w: rhs_f_band(grid, w, params, out=f_cur_buf)
         f_step = lambda w: rhs_f_band(grid, w, params)
-    k2 = layout.table(grid.k2)
+    k2 = plan.gather(grid.k2)
     helm = 1.0 + alpha**2 * k2 if form == "v" else None
     mask = None
     if config.galerkin_N is not None:
-        mask = layout.table(np.max(np.abs(grid.k), axis=0) <= config.galerkin_N)
+        mask = plan.gather(np.max(np.abs(grid.k), axis=0) <= config.galerkin_N)
+    audit_tail = None
+    if tail is not None:
+        k2_tail = grid.k2.ravel()[modes]
+        rows = diagnostics.tail_rows(grid, alpha, params.s, modes)
+        if form == "v":  # the energies of u = v / (1 + alpha^2 |k|^2)
+            rows = rows / (1.0 + alpha**2 * k2_tail) ** 2
+        audit_tail = (rows, tail)  # the tail is stepped in place
 
     dt = config.scheme.dt
     n_steps = _step_count(config.t_end, dt)
@@ -435,18 +436,25 @@ def run(
             snap_times.append(t)
 
     diag: list[diagnostics.DiagRecord] = []
-    props: dict[float, _Propagator] = {}
+    props: dict[float, tuple[_Propagator, np.ndarray | None]] = {}  # with E on the tail
 
     def audit(w: np.ndarray, f_w: np.ndarray, t: float) -> tuple[bool, bool, bool]:
         if helm is not None:
             w, f_w = w / helm, f_w / helm  # u and f(u): exact conjugacy of the forms
-        flags, rec = diagnostics.audit(w, f_w, layout.audit, t)
+        flags, rec = diagnostics.audit(w, f_w, layout.audit, t, audit_tail)
         diag.append(rec)
         return flags
 
     with np.errstate(**_QUIET):
         f_cur = f_new(state)
-        audit(state, f_cur, 0.0)
+        flags = audit(state, f_cur, 0.0)
+        if math.isinf(diag[0].E0) and np.isfinite(state).all():
+            # finite coefficients whose E0 overflows: a blow-up the steps report
+            flags = (True, True, True)
+        if tail is not None:
+            flags += measure_flags(grid, start.coeffs)
+    if not all(flags):
+        raise DivergedError("field invariant broken at step 0", step=0, t=0.0)
     guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
     on_snapshot(start, 0.0)
     del start
@@ -457,9 +465,13 @@ def run(
         h = t_next - t
         key = round(h, 15)
         if key not in props:
-            props[key] = _Propagator(k2, params, h)
+            e_tail = None if tail is None else _Propagator(k2_tail, params, h).E
+            props[key] = _Propagator(k2, params, h), e_tail
+        prop, e_tail = props[key]
         with np.errstate(**_QUIET):
-            state = _advance(state, props[key], config.scheme.kind, f_step, f_cur)
+            state = _advance(state, prop, config.scheme.kind, f_step, f_cur)
+            if tail is not None:
+                np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
             if mask is not None:
                 np.multiply(state, mask, out=state)
             f_cur = f_new(state)
@@ -474,6 +486,6 @@ def run(
             raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
         last = i + 1 == n_steps
         if (i + 1) % config.snapshot_every == 0 or last:
-            on_snapshot(layout.field(state), t)
+            on_snapshot(layout.field(state, tail), t)
 
     return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

@@ -126,7 +126,11 @@ def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
-    """Read and validate a snapshot: magic, version, grid, payload size, realness.
+    """Read and validate a snapshot: magic, version, grid, payload size, and a state.
+
+    The field must be a solver state: finite, real (hermitian), solenoidal
+    and mean-free, each to ``measure_flags``' tolerances; a payload that
+    breaks one raises CorruptPayloadError naming it.
 
     The payload is read as a view into the file's bytes, and its discarded
     half is checked against the kept one at most ``WRITE_BUDGET`` bytes of
@@ -157,7 +161,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
     coeffs = half_spectrum(full)
     # The payload is real iff its kept k_last = 0 and Nyquist planes match
     # their own mirrors and its discarded half mirrors the kept one.
-    herm, _, _ = measure_flags(grid, coeffs)
+    herm, sol, mean = measure_flags(grid, coeffs)
+    # measure_flags fails all three flags of a non-finite field
+    if not (herm or sol or mean) and not np.isfinite(coeffs).all():
+        raise CorruptPayloadError(f"{path}: field is not finite")
     with np.errstate(invalid="ignore", over="ignore"):
         # np.max, not max, so that a nan anywhere in the payload makes both nan
         drift, peak = np.max(
@@ -169,7 +176,11 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
             axis=0,
         )
         if not (herm and drift <= HERMITIAN_TOL * peak):
-            raise CorruptPayloadError(f"{path}: coefficients violate hermitian symmetry")
+            raise CorruptPayloadError(f"{path}: field violates hermitian symmetry")
+    if not sol:
+        raise CorruptPayloadError(f"{path}: field is not solenoidal (not divergence-free)")
+    if not mean:
+        raise CorruptPayloadError(f"{path}: field carries a mean (is not mean-free)")
     field = SpectralField.from_coeffs(grid, coeffs)
     return field, SnapshotMeta(alpha=alpha, nu=nu, s=s, t=t)
 

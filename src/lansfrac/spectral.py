@@ -358,6 +358,24 @@ class BandPlan:
             out[dst] = block[blk]
         return out
 
+    def split(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The band block of a (dim,) + spectral_shape array, and its tail.
+
+        The tail is full's modes outside the block that are non-zero by value
+        (so -0.0 counts as zero and nan does not): their flat indices into
+        ``grid.spectral_shape``, and their values, shape (dim, n), or None
+        when there are none. ``np.count_nonzero`` of full and of its block
+        decides that first, so a band-limited array costs no full-size
+        temporary.
+        """
+        block = self.gather(full)
+        if np.count_nonzero(full) == np.count_nonzero(block):
+            return block, np.empty(0, np.intp), None
+        outside = np.any(full != 0, axis=0)
+        self.scatter(np.zeros(self.block_shape, bool), outside)
+        modes = np.flatnonzero(outside)
+        return block, modes, full.reshape(len(full), -1)[:, modes]
+
     def _inverse(self, block: np.ndarray) -> np.ndarray:
         if self.gemm:
             return self._inverse_gemm(block)
@@ -559,13 +577,24 @@ def measure_flags(grid: GridSpec, coeffs: np.ndarray) -> tuple[bool, bool, bool]
         return True, True, True
     if not np.all(np.isfinite(coeffs)):
         return False, False, False
-    planes = coeffs[..., [0, -1]]
-    mirror = np.conj(_reflect(planes, range(-grid.dim, -1)))
-    herm = float(np.max(np.abs(mirror - planes)))
-    kdot = np.einsum("i...,i...->...", grid.k, coeffs)
     glob = float(np.sqrt(mode_sum(grid, mode_dot(coeffs, coeffs))))
-    sol = float(np.max(np.abs(kdot)))
-    mean = float(np.max(np.abs(coeffs[(slice(None),) + (0,) * grid.dim])))
+    return invariant_flags(coeffs, grid.k, (0, -1), scale, glob)
+
+
+def invariant_flags(
+    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float, glob: float
+) -> tuple[bool, bool, bool]:
+    """(hermitian, solenoidal, zero_mean) of finite coefficients u, in any layout.
+
+    k holds u's wavevectors, and planes the last-axis indices of the planes
+    that must match their own conjugate mirrors. The hermitian and mean
+    tolerances are relative to scale = max |u|, the solenoidal one to glob,
+    the L^2 norm of u over sqrt(measure).
+    """
+    p = u[..., list(planes)]
+    herm = float(np.max(np.abs(np.conj(_reflect(p, range(-(u.ndim - 1), -1))) - p)))
+    sol = float(np.max(np.abs(np.einsum("i...,i...->...", k, u))))
+    mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)])))
     return (
         herm <= HERMITIAN_TOL * scale,
         sol <= SOLENOIDAL_TOL * glob,

@@ -588,6 +588,22 @@ def test_a_random_field_that_overflows_exits_two(tmp_path, capsys):
     assert not list(out.glob("*.flns"))
 
 
+def test_restart_from_a_snapshot_with_a_mean_exits_two(tmp_path, capsys):
+    # the reader rejects the payload: one error line, no diverged run, no output
+    from lansfrac.io import read_snapshot, write_snapshot
+
+    snap = _first_snapshot(tmp_path, SMALL_CFG)
+    field, meta = read_snapshot(snap)
+    coeffs = np.array(field.coeffs)
+    coeffs[0, 0, 0] = 1e-3
+    write_snapshot(field.copy_with(coeffs), meta, snap)
+    restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")
+    out = tmp_path / "out"
+    assert main(["simulate", write(tmp_path, restart, "restart.cfg"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {snap}: field carries a mean (is not mean-free)\n"
+    assert not list(out.iterdir())
+
+
 def test_restart_from_snapshot_on_other_grid(tmp_path):
     snap = _first_snapshot(tmp_path, SMALL_CFG)
     restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")

@@ -25,9 +25,9 @@ from lansfrac import integrator
 from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
+    _Layout,
     _Propagator,
     _advance,
-    _layout_of,
     _step_count,
     _step_time,
     galerkin_truncate,
@@ -575,24 +575,22 @@ def _full_spectrum_run(cfg, start, form="u"):
 _RECORD_FIELDS = ("E0", "E1", "D", "nDA", "n1ps2")
 
 
-def _check_against_reference(cfg, u0, form="u", band=True):
+def _check_against_reference(cfg, u0, form="u", tail=False):
     """run matches ``_full_spectrum_run``: the same snapshot bytes, t = 0 included.
 
-    On the whole half spectrum the records are the same numbers too. On the
-    band block the sums run over the block alone, so the five energies agree
-    to 1e-13 relative, and the normalized pairing, a rounding residual on
-    both sides, to 1e-13 absolute.
+    The records sum over the band block and the tail, in another order than
+    the whole half spectrum's sums, so the five energies agree to 1e-13
+    relative, and the normalized pairing, a rounding residual on both sides,
+    to 1e-13 absolute. tail says whether u0 has non-zero modes outside the
+    band.
     """
     plan = band_plan(cfg.grid, cfg.params.alpha)
-    assert bool(np.count_nonzero(u0.coeffs) == np.count_nonzero(plan.gather(u0.coeffs))) == band
+    assert bool(np.count_nonzero(u0.coeffs) != np.count_nonzero(plan.gather(u0.coeffs))) == tail
     times, snaps, diag = _full_spectrum_run(cfg, u0, form)
     traj = run(cfg, initial_field=u0, form=form)
     assert list(traj.times) == times
     assert [w.coeffs.tobytes() for w in traj.snapshots] == [w.coeffs.tobytes() for w in snaps]
     assert len(traj.diag) == len(diag)
-    if not band:
-        assert traj.diag == diag
-        return
     for got, want in zip(traj.diag, diag):
         assert got.t == want.t
         for name in _RECORD_FIELDS:
@@ -645,33 +643,83 @@ def test_band_run_3d_matches_the_whole_spectrum_loop(grid3):
 )
 def test_whole_spectrum_run_matches_the_old_loop(grid2, init):
     cfg = config(grid2, _P, dt=7e-3, t_end=0.05, init=init, snapshot_every=3)
-    _check_against_reference(cfg, make_initial(init, grid2), band=False)
+    _check_against_reference(cfg, make_initial(init, grid2), tail=True)
 
 
 def test_whole_spectrum_run_3d_matches_the_old_loop(grid3):
     init = InitialData(kind="taylor-green", amplitude=2.0)
     cfg = config(grid3, _P, dt=1e-2, t_end=0.04, init=init)
-    _check_against_reference(cfg, make_initial(init, grid3), band=False)
+    _check_against_reference(cfg, make_initial(init, grid3), tail=True)
 
 
-# ---------------------------------------------------------- the run's layout
+_TAIL_SIZES = [1.0, 1e-8, 1e-300, 5e-324]  # down to the smallest subnormal
 
-def test_layout_is_the_band_block_when_no_mode_outside_it_is_non_zero(grid2):
+
+@settings(max_examples=24, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**16),
+    size=st.sampled_from(_TAIL_SIZES),
+    kind=st.sampled_from(list(SchemeKind)),
+    galerkin=st.booleans(),
+    form=st.sampled_from(["u", "v"]),
+)
+def test_tail_run_matches_the_whole_spectrum_loop(dim, seed, size, kind, galerkin, form):
+    # a random band-limited field plus a random solenoidal hermitian tail
+    # outside the band, scaled down as far as subnormal
+    grid = make_grid(dim, 16 if dim == 2 else 8)
+    plan, b = band_plan(grid, _P.alpha), grid.band_limit
+    body = random_field(grid, seed=seed, band=b).coeffs
+    wide = random_field(grid, seed=seed + 1, band=grid.N // 2 - 1).coeffs * size
+    plan.scatter(np.zeros((dim,) + plan.block_shape, complex), wide)
+    u0 = SpectralField.from_coeffs(grid, body + wide)
+    options = {"galerkin_N": b + 1} if galerkin else {}
+    cfg = config(grid, _P, dt=1e-2, t_end=0.03, kind=kind, snapshot_every=1, **options)
+    times, snaps, _ = _full_spectrum_run(cfg, u0, form)
+    traj = run(cfg, initial_field=u0, form=form)
+    assert list(traj.times) == times
+    for got, want in zip(traj.snapshots, snaps):
+        if form == "u":
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        else:
+            # f of the v-form is +-0.0 off the band, so a zero there may
+            # differ in sign: on a mode the Galerkin cutoff of the start left
+            # at -0.0, or a tail mode that underflows; no value may differ
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+# ------------------------------------------------------------ the run's tail
+
+def test_tail_holds_the_start_modes_outside_the_band_that_are_non_zero(grid2):
     plan = band_plan(grid2, _P.alpha)
+    outside = ~np.broadcast_to(grid2.dealias_mask, (grid2.dim,) + grid2.spectral_shape)
     u0 = make_initial(_RANDOM, grid2)
-    layout, state = _layout_of(u0, _P)
-    assert layout.plan is plan and np.array_equal(state, plan.gather(u0.coeffs))
-    assert np.array_equal(layout.field(state).coeffs, u0.coeffs)
+    block, modes, tail = plan.split(u0.coeffs)
+    assert np.array_equal(block, plan.gather(u0.coeffs))
+    assert tail is None and modes.size == 0
+    assert _Layout(grid2, _P, modes).field(block).coeffs.tobytes() == u0.coeffs.tobytes()
     # -0.0 outside the band counts as zero
-    assert _layout_of(dealias(random_field(grid2, seed=25, band=15)), _P)[0].plan is plan
-    # a nan, or any non-zero mode outside the band, keeps the whole half spectrum
-    for value in (np.nan, 1e-300):
-        coeffs = np.array(u0.coeffs)
-        coeffs[0, 1, grid2.N // 2] = value
-        layout, state = _layout_of(SpectralField.from_coeffs(grid2, coeffs), _P)
-        assert layout.plan is None and state is layout.field(state).coeffs
+    dealiased = dealias(random_field(grid2, seed=25, band=15))
+    assert np.signbit(dealiased.coeffs[outside].real).any()
+    assert plan.split(dealiased.coeffs)[2] is None
+    # the rounding dust of taylor-green data is the tail, and the field is
+    # the block and the tail written into zeros
     tg = make_initial(InitialData(kind="taylor-green"), grid2)
-    assert _layout_of(tg, _P)[0].plan is None
+    block, modes, tail = plan.split(tg.coeffs)
+    dust = np.flatnonzero(np.any((tg.coeffs != 0) & outside, axis=0))
+    assert dust.size > 0 and np.array_equal(modes, dust)
+    assert np.array_equal(tail, tg.coeffs.reshape(2, -1)[:, dust])
+    field = _Layout(grid2, _P, modes).field(block, tail)
+    assert field.coeffs.tobytes() == tg.coeffs.tobytes()
+    # a nan outside the band lands in the tail, and the run raises at step 0
+    coeffs = np.array(u0.coeffs)
+    coeffs[0, 1, grid2.N // 2] = np.nan
+    nan_start = SpectralField.from_coeffs(grid2, coeffs)
+    _, modes, tail = plan.split(nan_start.coeffs)
+    assert modes.size == 1 and np.isnan(tail[0, 0])
+    with pytest.raises(DivergedError, match="field invariant broken at step 0") as info:
+        run(config(grid2, _P, dt=1e-2, t_end=0.05), initial_field=nan_start)
+    assert (info.value.step, info.value.t) == (0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -696,7 +744,8 @@ def test_run_calls_advance_once_per_step_through_the_module_name(grid2, monkeypa
 def _plant(fault, grid):
     """A function that plants one fault in the coefficients of a state.
 
-    Mode k with 0 <= k_i <= b has the index k in both layouts.
+    Mode k with 0 <= k_i <= b has the index k in the band block and in the
+    half spectrum; the Nyquist plane exists only in the half spectrum.
     """
     dim, n_half = grid.dim, grid.N // 2
 
@@ -724,14 +773,14 @@ def _plant(fault, grid):
 
 
 _FAULTS = ["nan", "inf", "mean", "divergent mode", "k_last = 0 plane"]
+_TG = InitialData(kind="taylor-green")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "init,fault",
-    [(_RANDOM, f) for f in _FAULTS]
-    + [(InitialData(kind="taylor-green"), f) for f in _FAULTS + ["Nyquist plane"]],
-    ids=[f"band-{f}" for f in _FAULTS] + [f"whole-{f}" for f in _FAULTS + ["Nyquist plane"]],
+    [(_RANDOM, f) for f in _FAULTS] + [(_TG, f) for f in _FAULTS],
+    ids=[f"band-{f}" for f in _FAULTS] + [f"whole-{f}" for f in _FAULTS],
 )
 def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
     # a fault planted in the state of step 2 fails that state's audit, which
@@ -749,6 +798,25 @@ def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
     with pytest.raises(DivergedError, match="field invariant broken at step 2") as info:
         run(cfg, on_snapshot=lambda w, t: None)
     assert (info.value.step, info.value.t) == (2, 2e-2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "init,fault",
+    [(i, f) for i in (_RANDOM, _TG) for f in _FAULTS + ["Nyquist plane"]],
+    ids=[f"{i}-{f}" for i in ("band", "whole") for f in _FAULTS + ["Nyquist plane"]],
+)
+def test_planted_start_fault_raises_at_step_0(dim, init, fault):
+    # a start state that breaks an invariant, in its band block or in its
+    # tail, raises before its first step and before any snapshot
+    grid = make_grid(dim, 16)
+    u0 = make_initial(init, grid)
+    bad = SpectralField.from_coeffs(grid, _plant(fault, grid)(u0.coeffs))
+    snaps = []
+    cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=init)
+    with pytest.raises(DivergedError, match="field invariant broken at step 0") as info:
+        run(cfg, initial_field=bad, on_snapshot=lambda w, t: snaps.append(t))
+    assert (info.value.step, info.value.t, snaps) == (0, 0.0, [])
 
 
 _SIZES = (0.0, 1e-15, 1e-9, 1e-3)  # planted faults well below or above the 1e-12 tolerances
@@ -784,10 +852,8 @@ def test_audit_flags_equal_measure_flags(dim, seed, fault, size, mode):
         u[...] = 0.0
     block = plan.gather(u)
     scattered = plan.scatter(block, np.zeros_like(u))
-    for coeffs, band in ((block, True), (scattered, False)):
-        f = np.zeros_like(coeffs)
-        flags, _ = audit(coeffs, f, audit_tables(grid, _P.alpha, _P.s, band), 0.0)
-        assert flags == measure_flags(grid, scattered)
+    flags, _ = audit(block, np.zeros_like(block), audit_tables(grid, _P.alpha, _P.s), 0.0)
+    assert flags == measure_flags(grid, scattered)
 
 
 @settings(max_examples=30, deadline=None)
@@ -797,13 +863,18 @@ def test_audit_flags_equal_measure_flags(dim, seed, fault, size, mode):
     row=st.integers(0, 15),
     component=st.integers(0, 1),
 )
-def test_audit_flags_equal_measure_flags_on_the_nyquist_plane(seed, size, row, component):
-    # only the whole half spectrum holds a Nyquist plane
+def test_start_check_equals_measure_flags_on_the_nyquist_plane(seed, size, row, component):
+    # only the tail reaches the Nyquist plane; run checks a start with a
+    # tail whole, so it raises at step 0 exactly when measure_flags fails
     grid = make_grid(2, 16)
     u = np.array(make_initial(InitialData(kind="random-spectrum", seed=seed, band=7), grid).coeffs)
     u[component, row, -1] += 1j * size * float(np.max(np.abs(u)))
-    flags, _ = audit(u, np.zeros_like(u), audit_tables(grid, _P.alpha, _P.s, False), 0.0)
-    assert flags == measure_flags(grid, u)
+    try:
+        run(config(grid, _P, dt=1e-2, t_end=0.0), initial_field=SpectralField.from_coeffs(grid, u))
+        broken = False
+    except DivergedError as exc:
+        broken = (exc.step, exc.t) == (0, 0.0)
+    assert broken == (not all(measure_flags(grid, u)))
 
 
 def test_band_run_holds_only_blocks_while_it_steps(grid3, monkeypatch):

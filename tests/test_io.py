@@ -34,7 +34,7 @@ from lansfrac.io import (
     write_manifest,
     write_snapshot,
 )
-from lansfrac.spectral import to_physical
+from lansfrac.spectral import SpectralField, to_physical
 
 from conftest import random_field
 
@@ -133,11 +133,25 @@ def test_v1_fixture_round_trips_byte_for_byte(tmp_path, dim):
     assert path.read_bytes() == V1_FIXTURES[dim].read_bytes()
 
 
+def _solenoidal_samples(samples: np.ndarray) -> np.ndarray:
+    """The samples' Leray projection, without mean or Nyquist modes, by numpy.fft alone."""
+    dim, n = samples.ndim - 1, samples.shape[-1]
+    axes = tuple(range(1, dim + 1))
+    hat = np.fft.fftn(samples, axes=axes)
+    k = np.stack(np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n)] * dim, indexing="ij"))
+    k2 = np.sum(k**2, axis=0)
+    hat -= k * np.sum(k * hat, axis=0) / np.where(k2 > 0, k2, 1.0)
+    hat[:, np.any(np.abs(k) == n // 2, axis=0) | (k2 == 0)] = 0.0
+    return np.fft.ifftn(hat, axes=axes).real
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_v1_fixture_holds_its_seeded_samples(dim):
+    # the fixture holds seeded standard-normal samples, made a solver state:
+    # Leray-projected, without mean and Nyquist modes
     field, meta = read_snapshot(V1_FIXTURES[dim])
     samples = np.random.default_rng(dim).standard_normal((dim,) + (8,) * dim)
-    assert np.max(np.abs(to_physical(field) - samples)) < 1e-13
+    assert np.max(np.abs(to_physical(field) - _solenoidal_samples(samples))) < 1e-13
     assert (meta.alpha, meta.nu) == (0.5, 0.1)
 
 
@@ -180,6 +194,34 @@ def test_snapshot_fault_in_a_middle_row_chunk_is_rejected(tmp_path, monkeypatch,
     write_snapshot(random_field(grid, seed=9), META, path)
     _corrupt(path, (2, 7, 3, 11), delta)  # row 7: the fourth of 8 chunks; k_last 11 > N/2
     with pytest.raises(CorruptPayloadError, match="hermitian"):
+        read_snapshot(path)
+
+
+def _plant_in_snapshot(path, fault):
+    """Rewrite a 2D snapshot's kept half with one fault that keeps it real."""
+    field, meta = read_snapshot(path)
+    c = np.array(field.coeffs)
+    if fault == "not finite":
+        c[0, 3, 2] = np.nan
+    elif fault == "violates hermitian symmetry":
+        c[1, 3, 0] += 0.5j  # its mirror (-3, 0) is kept unchanged
+    elif fault == "not solenoidal":
+        c[:, 3, 2] += 0.5 * np.array([3.0, 2.0])  # k . u != 0, realness kept
+    elif fault == "carries a mean":
+        c[0, 0, 0] = 0.5
+    lio.write_snapshot(SpectralField.from_coeffs(field.grid, c), meta, path)
+
+
+_INVARIANTS = ["not finite", "violates hermitian symmetry", "not solenoidal", "carries a mean"]
+
+
+@pytest.mark.parametrize("fault", _INVARIANTS)
+def test_snapshot_that_breaks_an_invariant_is_rejected(tmp_path, fault):
+    # a snapshot is a solver state: finite, real, solenoidal and mean-free
+    path = tmp_path / "field.flns"
+    write_snapshot(random_field(make_grid(2, 16), seed=10), META, path)
+    _plant_in_snapshot(path, fault)
+    with pytest.raises(CorruptPayloadError, match=fault):
         read_snapshot(path)
 
 
