@@ -162,12 +162,13 @@ def phi_functions(z):
 
 
 def galerkin_truncate(field: SpectralField, N_cut: int) -> SpectralField:
-    """Sharp spectral cutoff: zero all modes with max_i |k_i| > N_cut."""
+    """Sharp spectral cutoff: set all modes with max_i |k_i| > N_cut to +0.0."""
     if N_cut < 1:
         raise ValueError(f"N_cut must be >= 1, got {N_cut}")
     grid = field.grid
     mask = np.max(np.abs(grid.k), axis=0) <= N_cut
-    return field.copy_with(field.coeffs * mask)
+    # np.where, not coeffs * mask, which leaves -0.0 where a cut part is negative
+    return field.copy_with(np.where(mask, field.coeffs, 0.0))
 
 
 def _random_solenoidal_coeffs(
@@ -358,9 +359,9 @@ def run(
     The run has one layout (see ``_Layout``): it steps the band block of its
     start state and carries the start's other non-zero modes as a tail that
     only the propagator touches. Each later snapshot is the block and the
-    tail written into zeros: the bytes a whole-spectrum step gives, but for
-    the sign of zeros a Galerkin cutoff leaves in v-form ExpEuler runs.
-    Each step calls ``_advance`` once.
+    tail written into zeros: the bytes a whole-spectrum step gives. A
+    Galerkin cutoff sets its cut modes to +0.0. Each step calls ``_advance``
+    once.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Each state gets one ``diagnostics.audit`` of u,
@@ -414,9 +415,9 @@ def run(
         f_step = lambda w: rhs_f_band(grid, w, params)
     k2 = plan.gather(grid.k2)
     helm = 1.0 + alpha**2 * k2 if form == "v" else None
-    mask = None
+    cut = None  # the block's modes the Galerkin cutoff sets to +0.0
     if config.galerkin_N is not None:
-        mask = plan.gather(np.max(np.abs(grid.k), axis=0) <= config.galerkin_N)
+        cut = plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
     audit_tail = None
     if tail is not None:
         k2_tail = grid.k2.ravel()[modes]
@@ -472,8 +473,8 @@ def run(
             state = _advance(state, prop, config.scheme.kind, f_step, f_cur)
             if tail is not None:
                 np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
-            if mask is not None:
-                np.multiply(state, mask, out=state)
+            if cut is not None:
+                np.copyto(state, 0.0, where=cut)
             f_cur = f_new(state)
             flags = audit(state, f_cur, t_next)
         t = t_next

@@ -2,11 +2,10 @@
 
 The config grammar is deliberately line-oriented ``key = value`` with ``#``
 comments: zero-dependency parsing and diff-friendly experiment records. The
-snapshot format is a fixed little-endian header (magic "FLNS", version 1)
-followed by the raw complex coefficient payload, components outermost,
-k-indices in FFT-standard order. The payload is the full spectrum: the writer
-expands the stored half spectrum and the reader checks the whole payload for
-conjugate symmetry before it keeps the half.
+snapshot format is a fixed little-endian header (magic "FLNS", version 2)
+followed by the raw complex coefficient payload: the stored ``rfftn`` half
+spectrum ``SpectralField.coeffs`` as it is, shape (dim, N, ..., N, N/2 + 1),
+components outermost, k-indices in FFT-standard order.
 
 Every output file is written to a temporary file beside it and renamed over
 it, so a failed write leaves the previous file untouched.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -41,21 +39,16 @@ from .errors import (
 )
 from .integrator import InitialData, SchemeKind, SimConfig, StepScheme
 from .spectral import (
-    HERMITIAN_TOL,
     Params,
     SpectralField,
-    full_rows,
-    half_spectrum,
     infer_regime,
     make_grid,
     measure_flags,
 )
 
 SNAPSHOT_MAGIC = b"FLNS"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4s3I4d")  # magic, version, dim, N, alpha, nu, s, t
-# Bytes of full-spectrum rows that write_snapshot and read_snapshot build at a time.
-WRITE_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -81,11 +74,9 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> Non
 
 
 def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -> None:
-    """Write header + full-spectrum complex128 payload; bit-exact round trip.
+    """Write header + half-spectrum complex128 payload; bit-exact round trip.
 
-    The payload is expanded and written a few rows (indices of the first
-    wavevector axis) of one component at a time, at most ``WRITE_BUDGET``
-    bytes, so that no whole component of the full spectrum is ever built.
+    The payload is ``field.coeffs`` itself, written from its own buffer.
     """
     grid = field.grid
     header = _HEADER.pack(
@@ -98,18 +89,7 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
         meta.s,
         meta.t,
     )
-    chunks = (
-        np.ascontiguousarray(full_rows(c, i, j, grid.dim), dtype="<c16").data
-        for c in field.coeffs
-        for i, j in _row_chunks(grid.dim, grid.N)
-    )
-    _write_atomic(path, itertools.chain((header,), chunks))
-
-
-def _row_chunks(dim: int, n: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive runs of rows with at most WRITE_BUDGET full-spectrum bytes."""
-    step = max(1, WRITE_BUDGET // (16 * n ** (dim - 1)))
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
+    _write_atomic(path, (header, np.ascontiguousarray(field.coeffs, dtype="<c16").data))
 
 
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
@@ -130,12 +110,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
 
     The field must be a solver state: finite, real (hermitian), solenoidal
     and mean-free, each to ``measure_flags``' tolerances; a payload that
-    breaks one raises CorruptPayloadError naming it.
-
-    The payload is read as a view into the file's bytes, and its discarded
-    half is checked against the kept one at most ``WRITE_BUDGET`` bytes of
-    full-spectrum rows at a time (``spectral.full_rows``), so that no whole
-    component of the full spectrum is built.
+    breaks one raises CorruptPayloadError naming it. A half spectrum is real
+    iff its k_last = 0 and Nyquist planes match their own conjugate mirrors,
+    which is what the hermitian flag compares. The field's coefficients are
+    a view into the file's bytes.
     """
     blob = _read_input(path, "snapshot", SnapshotError)
     if len(blob) < _HEADER.size:
@@ -147,7 +125,7 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         raise VersionMismatchError(f"{path}: format version {version} != {SNAPSHOT_VERSION}")
     if dim not in (2, 3):
         raise CorruptPayloadError(f"{path}: header dim {dim} is not 2 or 3")
-    expected = dim * n**dim * 16
+    expected = dim * n ** (dim - 1) * (n // 2 + 1) * 16
     if len(blob) - _HEADER.size != expected:
         raise CorruptPayloadError(
             f"{path}: payload is {len(blob) - _HEADER.size} bytes, expected {expected}"
@@ -156,27 +134,14 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         grid = make_grid(dim, n)
     except GridError as exc:
         raise CorruptPayloadError(f"{path}: header grid: {exc}") from None
-    full = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    full = full.astype(np.complex128, copy=False).reshape((dim,) + grid.shape)
-    coeffs = half_spectrum(full)
-    # The payload is real iff its kept k_last = 0 and Nyquist planes match
-    # their own mirrors and its discarded half mirrors the kept one.
+    coeffs = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
+    coeffs = coeffs.astype(np.complex128, copy=False).reshape((dim,) + grid.spectral_shape)
     herm, sol, mean = measure_flags(grid, coeffs)
     # measure_flags fails all three flags of a non-finite field
     if not (herm or sol or mean) and not np.isfinite(coeffs).all():
         raise CorruptPayloadError(f"{path}: field is not finite")
-    with np.errstate(invalid="ignore", over="ignore"):
-        # np.max, not max, so that a nan anywhere in the payload makes both nan
-        drift, peak = np.max(
-            [
-                (np.max(np.abs(full_rows(c, i, j, dim) - f[i:j])), np.max(np.abs(f[i:j])))
-                for c, f in zip(coeffs, full)
-                for i, j in _row_chunks(dim, n)
-            ],
-            axis=0,
-        )
-        if not (herm and drift <= HERMITIAN_TOL * peak):
-            raise CorruptPayloadError(f"{path}: field violates hermitian symmetry")
+    if not herm:
+        raise CorruptPayloadError(f"{path}: field violates hermitian symmetry")
     if not sol:
         raise CorruptPayloadError(f"{path}: field is not solenoidal (not divergence-free)")
     if not mean:
@@ -347,10 +312,10 @@ def parse_config(path: str | Path) -> SimConfig:
 
 
 def sha256_file(path: str | Path) -> str:
-    """Hex sha256 of a file, read 1 MiB at a time into one buffer."""
+    """Hex sha256 of a file, read 256 KiB at a time into one buffer."""
     h = hashlib.sha256()
     with open(path, "rb", buffering=0) as fh:
-        buf = memoryview(bytearray(min(2**20, os.fstat(fh.fileno()).st_size)))
+        buf = memoryview(bytearray(min(2**18, os.fstat(fh.fileno()).st_size)))
         while size := fh.readinto(buf):
             h.update(buf[:size])
     return h.hexdigest()

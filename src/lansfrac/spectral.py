@@ -468,20 +468,6 @@ def reflect_conj(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return np.conj(_reflect(coeffs, range(-dim, 0)))
 
 
-def full_rows(coeffs: np.ndarray, start: int, stop: int, dim: int) -> np.ndarray:
-    """Rows start:stop of the full fftn-layout spectrum of one component's half spectrum.
-
-    The full spectrum's last axis runs over k_last = 0..N-1, its columns past
-    N/2 filled by conjugate symmetry. Only the requested rows (indices of the
-    first wavevector axis) are built: the mirror of row i lies in row -i.
-    """
-    n = coeffs.shape[0]
-    rows = -np.arange(start, stop) % n
-    tail = coeffs[rows, ..., n // 2 - 1 : 0 : -1]
-    mirror = np.conj(_reflect(tail, range(-(dim - 1), -1)))
-    return np.concatenate([coeffs[start:stop], mirror], axis=-1)
-
-
 def half_spectrum(full: np.ndarray) -> np.ndarray:
     """The stored half (k_last = 0..N/2) of a full fftn-layout spectrum."""
     return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])

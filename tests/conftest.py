@@ -12,10 +12,7 @@ from lansfrac.spectral import (
 
 
 def full_spectrum(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Reference: the full fftn-layout spectrum of a half spectrum, mirror half by symmetry.
-
-    ``spectral.full_rows`` builds a few of its rows at a time.
-    """
+    """Reference: the full fftn-layout spectrum of a half spectrum, mirror half by symmetry."""
     n = coeffs.shape[-dim]
     tail = coeffs[..., n // 2 - 1 : 0 : -1]  # k_last = N/2-1, ..., 1
     mirror = np.conj(_reflect(tail, range(-dim, -1)))  # k_last = N/2+1, ..., N-1

@@ -604,6 +604,17 @@ def test_restart_from_a_snapshot_with_a_mean_exits_two(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_restart_from_a_format_v1_snapshot_exits_two(tmp_path, capsys):
+    # format v1 (the full spectrum) is no longer read; README says how to convert it
+    snap = Path(__file__).parent / "data" / "v1_2d_n8.flns"
+    restart = SMALL_CFG.replace("N = 32", "N = 8").replace("nu = 0.5", "nu = 0.1")
+    restart = restart.replace("init = random-spectrum", f"init = snapshot:{snap}")
+    out = tmp_path / "out"
+    assert main(["simulate", write(tmp_path, restart, "restart.cfg"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {snap}: format version 1 != 2\n"
+    assert not list(out.iterdir())
+
+
 def test_restart_from_snapshot_on_other_grid(tmp_path):
     snap = _first_snapshot(tmp_path, SMALL_CFG)
     restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")

@@ -361,6 +361,26 @@ def test_run_galerkin_consistency_band_limited(grid2):
     assert rel_err(cut.snapshots[-1].coeffs, plain.snapshots[-1].coeffs) < 1e-12
 
 
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("form", ["u", "v"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_galerkin_cut_modes_are_plus_zero_in_every_snapshot(dim, form, kind):
+    # a cut mode is +0.0, all bits clear, whatever the sign of the part that
+    # was cut or of f there; snapshots are written as they are stored
+    grid = make_grid(dim, 16 if dim == 2 else 8)
+    init = InitialData(kind="random-spectrum", amplitude=0.5, seed=26, band=grid.N // 2 - 1)
+    cfg = config(grid, Params(alpha=0.5, nu=0.2, s=0.75), dt=1e-2, t_end=0.03, init=init,
+                 kind=kind, snapshot_every=1, galerkin_N=grid.band_limit - 1)
+    cut = np.max(np.abs(grid.k), axis=0) > cfg.galerkin_N
+    cut_parts = make_initial(init, grid).coeffs[:, cut]
+    assert np.signbit(np.stack([cut_parts.real, cut_parts.imag])).any()  # -0.0 by a mask product
+    traj = run(cfg, form=form)
+    assert len(traj.snapshots) == 4
+    for snap in traj.snapshots:
+        assert np.count_nonzero(np.ascontiguousarray(snap.coeffs[:, cut]).view(np.uint64)) == 0
+        assert np.count_nonzero(snap.coeffs[:, ~cut]) > 0
+
+
 def test_run_divergence_detection(grid2):
     p = Params(alpha=0.1, nu=1e-6, s=0.5)
     init = InitialData(kind="random-spectrum", amplitude=1e5, seed=13)
@@ -683,8 +703,7 @@ def test_tail_run_matches_the_whole_spectrum_loop(dim, seed, size, kind, galerki
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
         else:
             # f of the v-form is +-0.0 off the band, so a zero there may
-            # differ in sign: on a mode the Galerkin cutoff of the start left
-            # at -0.0, or a tail mode that underflows; no value may differ
+            # differ in sign on a tail mode that underflows; no value may differ
             assert np.array_equal(got.coeffs, want.coeffs)
 
 

@@ -40,11 +40,14 @@ from conftest import random_field
 
 META = SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=1.25)
 
-# Format-v1 snapshots written by the full-spectrum code that preceded the
-# half-spectrum layout: N = 8, the coefficients of seeded standard-normal
-# samples (np.random.default_rng(dim).standard_normal((dim,) + (8,) * dim)).
+# Format-v1 snapshots (full spectrum) written by the full-spectrum code that
+# preceded the half-spectrum layout: N = 8, the coefficients of seeded
+# standard-normal samples (np.random.default_rng(dim).standard_normal((dim,)
+# + (8,) * dim)). The format-v2 fixtures (half spectrum) are the same
+# snapshots, converted by README's recipe.
 DATA = Path(__file__).parent / "data"
 V1_FIXTURES = {2: DATA / "v1_2d_n8.flns", 3: DATA / "v1_3d_n8.flns"}
+V2_FIXTURES = {2: DATA / "v2_2d_n8.flns", 3: DATA / "v2_3d_n8.flns"}
 
 
 # ---------------------------------------------------------------- snapshots
@@ -73,10 +76,11 @@ def test_snapshot_header_layout(tmp_path, grid2):
     write_snapshot(u, META, path)
     blob = path.read_bytes()
     magic, version, dim, n = struct.unpack_from("<4s3I", blob)
-    assert magic == b"FLNS" and version == 1 and dim == 2 and n == 32
+    assert magic == b"FLNS" and version == 2 and dim == 2 and n == 32
     alpha, nu, s, t = struct.unpack_from("<4d", blob, 16)
     assert (alpha, nu, s, t) == (0.5, 0.1, 0.75, 1.25)
-    assert len(blob) == 16 + 32 + 2 * 32 * 32 * 16
+    assert len(blob) == 16 + 32 + 2 * 32 * (32 // 2 + 1) * 16  # the half spectrum
+    assert blob[48:] == u.coeffs.astype("<c16").tobytes()
 
 
 def test_snapshot_truncated_payload(tmp_path, grid2):
@@ -116,21 +120,47 @@ def test_snapshot_hermitian_violation(tmp_path, grid2):
     path = tmp_path / "field.flns"
     write_snapshot(u, META, path)
     blob = bytearray(path.read_bytes())
-    # corrupt one coefficient so conjugate symmetry breaks
-    off = len(blob) - 16 * 5
+    # corrupt one coefficient so conjugate symmetry breaks: the last one, on
+    # the Nyquist plane, whose mirror (k_0 = 1) is kept unchanged
+    off = len(blob) - 16
     struct.pack_into("<2d", blob, off, 1e6, -1e6)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptPayloadError):
+    with pytest.raises(CorruptPayloadError, match="hermitian"):
         read_snapshot(path)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_v1_fixture_round_trips_byte_for_byte(tmp_path, dim):
-    field, meta = read_snapshot(V1_FIXTURES[dim])
+def test_v2_fixture_round_trips_byte_for_byte(tmp_path, dim):
+    field, meta = read_snapshot(V2_FIXTURES[dim])
     assert field.grid == make_grid(dim, 8) and field.hermitian
     path = tmp_path / "again.flns"
     write_snapshot(field, meta, path)
-    assert path.read_bytes() == V1_FIXTURES[dim].read_bytes()
+    assert path.read_bytes() == V2_FIXTURES[dim].read_bytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_v1_fixture_raises_version_mismatch(dim):
+    with pytest.raises(VersionMismatchError, match="format version 1 != 2"):
+        read_snapshot(V1_FIXTURES[dim])
+
+
+def _readme_recipe():
+    """The v1 -> v2 conversion function of README's snapshot section, defined here."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    code = next(block.split("```", 1)[0] for block in text.split("```python\n")[1:]
+                if "def v1_to_v2(" in block)
+    scope: dict = {}
+    exec(code, scope)
+    return scope["v1_to_v2"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_readme_recipe_converts_the_v1_fixtures_to_the_v2_ones(tmp_path, dim):
+    path = tmp_path / "converted.flns"
+    _readme_recipe()(V1_FIXTURES[dim], path)
+    assert path.read_bytes() == V2_FIXTURES[dim].read_bytes()
+    field, _ = read_snapshot(path)
+    assert field.grid == make_grid(dim, 8)
 
 
 def _solenoidal_samples(samples: np.ndarray) -> np.ndarray:
@@ -146,19 +176,19 @@ def _solenoidal_samples(samples: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_v1_fixture_holds_its_seeded_samples(dim):
+def test_v2_fixture_holds_its_seeded_samples(dim):
     # the fixture holds seeded standard-normal samples, made a solver state:
     # Leray-projected, without mean and Nyquist modes
-    field, meta = read_snapshot(V1_FIXTURES[dim])
+    field, meta = read_snapshot(V2_FIXTURES[dim])
     samples = np.random.default_rng(dim).standard_normal((dim,) + (8,) * dim)
     assert np.max(np.abs(to_physical(field) - _solenoidal_samples(samples))) < 1e-13
     assert (meta.alpha, meta.nu) == (0.5, 0.1)
 
 
 def _corrupt(path, index, delta):
-    """Add delta to one coefficient of a snapshot's full-spectrum payload."""
+    """Add delta to one coefficient of a snapshot's half-spectrum payload."""
     field, _ = read_snapshot(path)
-    shape = (field.grid.dim,) + field.grid.shape
+    shape = (field.grid.dim,) + field.grid.spectral_shape
     blob = bytearray(path.read_bytes())
     off = 48 + 16 * int(np.ravel_multi_index(index, shape))
     re, im = struct.unpack_from("<2d", blob, off)
@@ -169,31 +199,18 @@ def _corrupt(path, index, delta):
 @pytest.mark.parametrize(
     "index",
     [
-        (1, 3, 9),    # discarded half: its mirror (-3, -9) is kept unchanged
         (0, 5, 0),    # k_last = 0 plane: its mirror (-5, 0) is in the same plane
         (1, 2, 8),    # Nyquist plane
     ],
+    ids=["k_last-0-plane", "nyquist-plane"],
 )
 def test_snapshot_asymmetry_anywhere_is_rejected(tmp_path, index):
+    # the only coefficients of a half spectrum that have a mirror to break
     u = random_field(make_grid(2, 16), seed=8)
     path = tmp_path / "field.flns"
     write_snapshot(u, META, path)
     _corrupt(path, index, 0.5 + 0.5j)
     with pytest.raises(CorruptPayloadError):
-        read_snapshot(path)
-
-
-@pytest.mark.parametrize("delta", [0.5 + 0.5j, complex(np.nan, 0.0)], ids=["asymmetric", "nan"])
-def test_snapshot_fault_in_a_middle_row_chunk_is_rejected(tmp_path, monkeypatch, delta):
-    # The discarded half is checked a few rows at a time. A fault there, in a
-    # row chunk between the first and the last, is one the flags of the kept
-    # half cannot see; a nan is caught only because np.max propagates it.
-    grid = make_grid(3, 16)
-    monkeypatch.setattr(lio, "WRITE_BUDGET", 2 * 16 * 16**2)  # two full rows a chunk
-    path = tmp_path / "field.flns"
-    write_snapshot(random_field(grid, seed=9), META, path)
-    _corrupt(path, (2, 7, 3, 11), delta)  # row 7: the fourth of 8 chunks; k_last 11 > N/2
-    with pytest.raises(CorruptPayloadError, match="hermitian"):
         read_snapshot(path)
 
 
@@ -230,7 +247,7 @@ _HEADER_BYTES = 48
 
 @settings(max_examples=200, deadline=None)
 @given(
-    dim=st.sampled_from([2, 3]),
+    fixture=st.sampled_from([*V1_FIXTURES.values(), *V2_FIXTURES.values()]),
     edits=st.lists(
         st.tuples(
             st.one_of(st.integers(0, _HEADER_BYTES - 1), st.integers(0, 2**20)),
@@ -240,8 +257,8 @@ _HEADER_BYTES = 48
     ),
     cut=st.one_of(st.none(), st.integers(0, 2**20)),
 )
-def test_mutated_or_truncated_snapshot_raises_only_snapshot_error(dim, edits, cut):
-    blob = bytearray(V1_FIXTURES[dim].read_bytes())
+def test_mutated_or_truncated_snapshot_raises_only_snapshot_error(fixture, edits, cut):
+    blob = bytearray(fixture.read_bytes())
     for offset, value in edits:
         blob[offset % len(blob)] = value
     if cut is not None:
@@ -412,9 +429,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
-    # Traced peaks in units of the payload (a 5.3 MB full spectrum at 3D N=48):
-    # the read holds the file's bytes and the half spectrum it keeps, the
-    # write one expanded component, and the hash one 1 MiB chunk.
+    # Traced peaks in units of the payload (a 2.76 MB half spectrum at 3D
+    # N=48): the read holds the file's bytes, which the field views, and the
+    # flags' temporaries; the write holds the header, and the hash one
+    # 256 KiB chunk.
     u = random_field(make_grid(3, 48), seed=5)
     path = tmp_path / "big.flns"
     write_snapshot(u, META, path)
@@ -424,24 +442,6 @@ def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
     assert _traced_peak(lambda: sha256_file(path)) <= 0.25 * payload
     assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
     assert np.array_equal(read_snapshot(path)[0].coeffs, u.coeffs)
-
-
-def test_snapshot_read_checks_the_discarded_half_a_row_chunk_at_a_time(tmp_path, monkeypatch):
-    # Beyond the file's bytes and the half it keeps, the symmetry check holds
-    # one row chunk's temporaries, not a whole component of the full
-    # spectrum (which took it to about 1.5 components). The flags of the kept
-    # half are stubbed out: on their own they cost about one kept half and
-    # would hide the check's peak.
-    grid = make_grid(3, 32)
-    u = random_field(grid, seed=6)
-    path = tmp_path / "field.flns"
-    write_snapshot(u, META, path)
-    monkeypatch.setattr(lio, "WRITE_BUDGET", 16 * grid.N ** (grid.dim - 1))  # one full row
-    monkeypatch.setattr(lio, "measure_flags", lambda grid, coeffs: (True, True, True))
-    component = 16 * grid.N**grid.dim
-    extra = _traced_peak(lambda: read_snapshot(path)) - path.stat().st_size - u.coeffs.nbytes
-    assert extra <= 0.25 * component, extra / component
-    assert read_snapshot(path)[0].coeffs.tobytes() == u.coeffs.tobytes()
 
 
 # ----------------------------------------------------------------- manifest

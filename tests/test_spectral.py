@@ -53,18 +53,6 @@ def test_grid_weight_counts_every_full_mode_once(dim, N):
     assert np.all(g.weight[(k_last > 0) & (k_last < N // 2)] == 2.0)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (3, 8), (3, 16)])
-def test_full_rows_are_rows_of_the_full_spectrum(dim, n):
-    from lansfrac.spectral import full_rows
-
-    rng = np.random.default_rng(n + dim)
-    shape = (n,) * (dim - 1) + (n // 2 + 1,)
-    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    full = full_spectrum(half, dim)
-    for start, stop in ((0, 1), (0, n), (1, 4), (n - 3, n), (n // 2, n // 2 + 1)):
-        assert full_rows(half, start, stop, dim).tobytes() == full[start:stop].tobytes()
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_full_spectrum_matches_fftn(dim):
     from lansfrac.spectral import half_spectrum
