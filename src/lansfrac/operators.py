@@ -17,6 +17,8 @@ Three implementations of the nonlinearity live here:
   rotational filtered-momentum form, -(1 + alpha^2 A)^{-1} P[(curl v) x u]
   with v = (1 + alpha^2 A) u. Its arithmetic is ``rhs_f_band``, which maps
   band blocks to band blocks; the Picard oracle calls that kernel directly.
+  It filters and projects in one curl-curl pass, so the divergence of f
+  rounds relative to f itself and its solenoidal check needs no exemption.
 - ``stress_form_f`` is the paper's gradient-stress definition of the
   bilinear f(u1, u2); it is the reference the kernel is tested against.
 - ``v_nonlinearity`` is the transport + stretch form of the v-equation that
@@ -48,10 +50,6 @@ from .spectral import (
     mode_dot,
     phys_to_coeffs,
 )
-
-# f counts as annihilated by the projection, and so exempt from the
-# solenoidal check, when ||f|| <= ESCAPE_TOL ||filtered product||.
-ESCAPE_TOL = 1e-12
 
 
 def _dealiased(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -90,45 +88,47 @@ class _KernelWorkspace:
         self.plan = plan = BandPlan(grid, inverse_fields=dim + n_curl, forward_fields=dim)
         k, k2 = plan.gather(grid.k), plan.gather(grid.k2)
         helm = 1.0 + alpha**2 * k2
-        kabs = np.sqrt(k2)
         self.ikv = 1j * k * helm  # curl of v read off u
-        self.khat = k / np.where(kabs > 0, kabs, 1.0)  # the Leray projection
-        self.out = -1.0 / helm  # the output filter, with the mean pinned to zero
-        self.out[(0,) * dim] = 0.0
-        self.k, self.weight = k, plan.gather(grid.weight)  # the post-condition of f
-        for table in (self.ikv, self.khat, self.out, self.k, self.weight):
+        # the output filter over the |k|^2 of the projection, mean pinned to zero
+        self.filter = -1.0 / (helm * np.where(k2 > 0, k2, 1.0))
+        self.filter[(0,) * dim] = 0.0
+        self.k, self.weight = k, plan.gather(grid.weight)
+        for table in (self.ikv, self.filter, self.k, self.weight):
             table.setflags(write=False)
 
         cplx, block = np.complex128, plan.block_shape
         self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u, curl v
         self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
-        self.filtered = np.empty((dim,) + block, cplx)  # the product's block, filtered in place
-        self.projected = np.empty((dim,) + block, cplx)
+        self.product = np.empty((dim,) + block, cplx)  # the cross product's block, f in place
         self.terms = np.empty((dim,) + block, cplx)
+        self.k_cross = self.terms[:n_curl]  # k x a in the projection
         self.dot = np.empty(block, cplx)
         # the cross product is formed one forward chunk of components at a time
         self.cross = np.empty((min(plan.chunk, dim),) + grid.shape)
         self.cross_tmp = np.empty(grid.shape)
 
     def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = a - khat (khat . a): one pass of the Leray projection; out may be a."""
-        np.multiply(self.khat, a, out=self.terms)
-        np.sum(self.terms, axis=0, out=self.dot)
-        np.multiply(self.khat, self.dot, out=self.terms)
-        return np.subtract(a, self.terms, out=out)
+        """out = (filter (k x a)) x k = -(1 + alpha^2 A)^{-1} P a; out may be a.
+
+        This is P in curl-curl form: -k x (k x a) / |k|^2 in 3D, and
+        k_perp (k_perp . a) / |k|^2 in 2D, where k x a is the scalar
+        k_0 a_1 - k_1 a_0. It ends in a cross product with the integer k, so
+        k . out rounds relative to out, however much of a P removes.
+        """
+        kxa = _cross(self.k, a, self.k_cross, self.dot)
+        np.multiply(self.filter, kxa, out=kxa)
+        return _cross(kxa, self.k, out, self.dot)
 
     def _sq_norm(self, a: np.ndarray) -> float:
         """sum_k w(k) |a(k)|^2 over a band block: ||field||^2 / measure."""
         return float(np.einsum("i,i->", self.weight.ravel(), mode_dot(a, a).ravel()))
 
-    def violation(self, f: np.ndarray, filtered: np.ndarray) -> str | None:
+    def violation(self, f: np.ndarray) -> str | None:
         """Which post-condition the band block f of f(u, u) breaks, or None.
 
         The field that is f on the band and zero elsewhere must have the
         zero_mean and solenoidal flags of ``measure_flags``, with the same
-        tolerances. It is exempt from the solenoidal one when
-        ||f|| <= ESCAPE_TOL ||filtered||: then the projection annihilated the
-        product and f is rounding dust with no certifiable direction.
+        tolerances, whatever share of the product the projection removed.
         Non-finite values pass; they are left to the divergence detector.
         """
         scale = float(np.max(np.abs(f)))
@@ -138,12 +138,9 @@ class _KernelWorkspace:
             return "carries a mean"
         np.multiply(self.k, f, out=self.terms)
         kdot = np.sum(self.terms, axis=0, out=self.dot)
-        norm = math.sqrt(self._sq_norm(f))
-        if float(np.max(np.abs(kdot))) <= SOLENOIDAL_TOL * norm:
-            return None
-        if norm <= ESCAPE_TOL * math.sqrt(self._sq_norm(filtered)):
-            return None
-        return "is not solenoidal"
+        if float(np.max(np.abs(kdot))) > SOLENOIDAL_TOL * math.sqrt(self._sq_norm(f)):
+            return "is not solenoidal"
+        return None
 
 
 @lru_cache(maxsize=8)
@@ -212,13 +209,15 @@ def rhs_f_band(
     into its rows of the block before the next is formed, so the workspace
     holds one chunk of it. Both are band-pruned transforms, and every
     per-mode step runs on the band block in the buffers of a cached
-    per-(grid, alpha) workspace. f is written into out, or without it into a
+    per-(grid, alpha) workspace, where the output filter and the projection
+    are one curl-curl pass. f is written into out, or without it into a
     workspace buffer that the next call on this (grid, alpha) overwrites.
 
     f is certified on the band block before it is returned: mean-free and
-    solenoidal (see ``_KernelWorkspace.violation``). f is zero outside the
-    block, so the check decides what ``measure_flags`` of f would. It is an
-    explicit test, kept under ``python -O``; a broken f raises DivergedError.
+    solenoidal, with no exemption (see ``_KernelWorkspace.violation``). f is
+    zero outside the block, so the check decides what ``measure_flags`` of f
+    would. It is an explicit test, kept under ``python -O``; a broken f
+    raises DivergedError.
     """
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
@@ -227,19 +226,14 @@ def rhs_f_band(
         np.copyto(ws.u_in, u)
     _cross(ws.ikv, ws.u_in, stack[dim:], ws.dot)
     phys = coeffs_to_phys(stack, dim, band=plan)
-    filtered, c = ws.filtered, len(ws.cross)
+    product, c = ws.product, len(ws.cross)
     for first in range(0, dim, c):
         part = ws.cross[: min(c, dim - first)]
         _cross(phys[dim:], phys[:dim], part, ws.cross_tmp, first)
-        phys_to_coeffs(part, dim, band=plan, out=filtered[first : first + len(part)])
+        phys_to_coeffs(part, dim, band=plan, out=product[first : first + len(part)])
 
-    np.multiply(ws.out, filtered, out=filtered)
-    # A second pass is a no-op analytically but keeps the divergence residual
-    # eps-relative to f itself when the projection removes almost all of the
-    # product, as it does near an oblique shear.
-    out = ws.projected if out is None else out
-    projected = ws.project(ws.project(filtered, ws.projected), out)
-    problem = ws.violation(projected, filtered)
+    projected = ws.project(product, product if out is None else out)
+    problem = ws.violation(projected)
     if problem is not None:
         raise DivergedError(f"the nonlinearity f(u, u) {problem}")
     return projected
@@ -281,9 +275,9 @@ def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> Spect
     )
     alpha2 = params.alpha**2
     hat = _dealiased(stacked[:dim] + div * (alpha2 / (1.0 + alpha2 * grid.k2)), grid)
-    # Projecting twice is a no-op analytically but keeps the divergence
-    # residual eps-relative to f itself even when the projection cancels
-    # almost all of the nonlinearity (shear-like flows).
+    # Two passes, kept as the oracle's own form independent of the kernel's:
+    # the second is a no-op analytically but keeps the divergence residual
+    # eps-relative to f even when the projection cancels almost all of it.
     out = -(leray_project(leray_project(SpectralField.from_coeffs(grid, hat))))
     # The mean is annihilated analytically (divergence structure); pin it.
     coeffs = np.array(out.coeffs)
@@ -315,6 +309,7 @@ def v_nonlinearity(u: SpectralField, v: SpectralField) -> SpectralField:
     transport = np.einsum("j...,ij...->i...", uphys, gv)
     stretch = np.einsum("ji...,j...->i...", gu, vphys)
     hat = _product_coeffs(transport + stretch, grid)
+    # two passes, kept as the oracle's own form (see stress_form_f)
     out = -1.0 * leray_project(leray_project(SpectralField.from_coeffs(grid, hat)))
     coeffs = np.array(out.coeffs)
     coeffs[(slice(None),) + (0,) * grid.dim] = 0.0

@@ -74,8 +74,9 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# Runs the CLI with the nonlinear kernel's Leray projection replaced by the
-# identity, so every f(u, u) keeps the gradient part of the product.
+# Runs the CLI with the nonlinear kernel's one filter-and-projection pass
+# replaced by the identity, so every f(u, u) keeps the gradient part of the
+# product.
 _CORRUPT_KERNEL = """\
 import sys
 
