@@ -4,7 +4,9 @@ holder, ops-test.
 Exit codes: 0 ok, 1 a property check failed, 2 usage/config problems
 (including admissibility-range violations), 3 runtime divergence. The energy,
 smoothing, oracle and holder subcommands exist so CI can gate directly on the
-model's analytic properties.
+model's analytic properties. oracle-compare runs the Picard oracle in one
+forked worker process (POSIX ``os.fork``) while the stepper runs in this one,
+and leaves no process behind on any exit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ from .errors import (
     RegimeViolationError,
     SnapshotError,
 )
-from .integrator import InitialData, SimConfig, Trajectory, _step_count, make_initial, run
+from .integrator import (
+    InitialData,
+    SimConfig,
+    Trajectory,
+    _step_count,
+    galerkin_truncate,
+    make_initial,
+    run,
+)
 from .io import (
     RunManifest,
     SnapshotMeta,
@@ -213,16 +223,21 @@ def _cmd_oracle_compare(args) -> int:
     # The Picard mesh refines the stepper's n steps m-fold, to at least 8
     # intervals, so that every stepper time is a mesh node.
     m = -(-8 // n)
-    # Picard runs after the stepper, so the stepper's snapshots are held until
-    # the comparison; each is held as its band block where that loses no bit.
+    # Both sides start from the stepper's t = 0 state: the Galerkin cutoff
+    # that run takes is idempotent, bit for bit.
+    u0 = make_initial(config.initial, config.grid, config.params)
+    if config.galerkin_N is not None:
+        u0 = galerkin_truncate(u0, config.galerkin_N)
+    holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
+    # Picard runs in a forked worker while the stepper runs here. The stepper's
+    # snapshots are held until the comparison, each as its band block where
+    # that loses no bit.
     plan = band_plan(config.grid, config.params.alpha)
     held: list[np.ndarray] = []
-    run(stepper_cfg, on_snapshot=lambda field, t: held.append(_band_or_whole(field, plan)))
-    u0 = _rebuilt(held[0], plan, config.grid)
-    holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
-    oracle_traj, state = mild.picard_solve(
-        u0, config.params, holder, mesh_size=n * m, max_iter=10
-    )
+    with mild.picard_worker(u0, config.params, holder, mesh_size=n * m, max_iter=10) as picard:
+        run(stepper_cfg, initial_field=u0,
+            on_snapshot=lambda field, t: held.append(_band_or_whole(field, plan)))
+        oracle_traj, state = picard.result()
 
     rows = []
     for coeffs, t, w in zip(held, oracle_traj.times[::m], oracle_traj.snapshots[::m]):

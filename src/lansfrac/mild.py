@@ -10,21 +10,31 @@ between the two is a genuine cross-check. The membership checks quantify the
 weighted amplitude/smoothing/Hoelder conditions of the refined solution class
 over a sampled (t, h) lattice and report minimal feasible constants instead of
 pass/fail against unquantified theoretical ones.
+
+``picard_worker`` runs one ``picard_solve`` in a forked process (POSIX
+``os.fork``), so the oracle can run while its caller steps the same problem.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import mmap
+import os
+import pickle
+import signal
+import warnings
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoContractionError
+from .errors import LansfracError, NoContractionError
 from .integrator import Trajectory
 from .operators import band_plan, rhs_f, rhs_f_band
 from .spectral import (
     BandPlan,
+    GridSpec,
     Params,
     SpectralField,
     _stokes_table,
@@ -180,6 +190,7 @@ def picard_solve(
     mesh_size: int = 64,
     max_iter: int = 12,
     tol: float = 1e-12,
+    out: np.ndarray | None = None,
 ) -> tuple[Trajectory, PicardState]:
     """Fixed-point iteration u^(j+1) = e^{-t nu A^s} u0 + Duhamel(f(u^(j), u^(j))).
 
@@ -192,11 +203,20 @@ def picard_solve(
     which is the observable signature of data too large for the contraction.
     The returned trajectory carries no diagnostics records; its snapshots are
     a ``PicardNodes`` sequence, which builds each full node on access.
+
+    out, when given, is the complex128 iterate stack to iterate in, of shape
+    ``picard_stack_shape(u0.grid, params, mesh_size)``; the solve writes every
+    element of it and leaves it read-only.
     """
-    grid = u0.grid
     t_mesh = np.linspace(0.0, holder.T, mesh_size + 1)
     band = _BandSolve(u0, params)
-    stack = np.empty((len(t_mesh), grid.dim) + band.plan.block_shape, dtype=np.complex128)
+    shape = picard_stack_shape(u0.grid, params, mesh_size)
+    if out is None:
+        stack = np.empty(shape, dtype=np.complex128)
+    elif out.shape != shape or out.dtype != np.complex128:
+        raise ValueError(f"out must be a complex128 array of shape {shape}, got {out.dtype} {out.shape}")
+    else:
+        stack = out
     for i, t in enumerate(t_mesh):
         np.multiply(band.u0, band.factor(float(t)), out=stack[i])
 
@@ -221,8 +241,25 @@ def picard_solve(
             converged = True
             break
 
+    return _solution(u0, params, t_mesh, stack, increments, converged)
+
+
+def picard_stack_shape(grid: GridSpec, params: Params, mesh_size: int) -> tuple[int, ...]:
+    """Shape of the iterate stack of ``picard_solve``: (mesh_size + 1, dim) + band block."""
+    return (mesh_size + 1, grid.dim) + band_plan(grid, params.alpha).block_shape
+
+
+def _solution(
+    u0: SpectralField,
+    params: Params,
+    t_mesh: np.ndarray,
+    stack: np.ndarray,
+    increments: list[float],
+    converged: bool,
+) -> tuple[Trajectory, PicardState]:
+    """The trajectory and state of a finished solve, read-only nodes over its stack."""
     stack.setflags(write=False)
-    nodes = PicardNodes(u0, params, t_mesh, stack, band.plan)
+    nodes = PicardNodes(u0, params, t_mesh, stack, band_plan(u0.grid, params.alpha))
     state = PicardState(
         iterates=[nodes],
         increments_linf=increments,
@@ -230,6 +267,96 @@ def picard_solve(
         n_iter=len(increments),
     )
     return Trajectory(times=t_mesh, snapshots=nodes, diag=[]), state
+
+
+class PicardWorker:
+    """The parent's handle on the forked process of ``picard_worker``."""
+
+    def __init__(self, pid: int, pipe, u0: SpectralField, params: Params, stack: np.ndarray):
+        self._pid, self._pipe = pid, pipe
+        self._u0, self._params, self._stack = u0, params, stack
+
+    def result(self) -> tuple[Trajectory, PicardState]:
+        """Wait for the worker and return what ``picard_solve`` returned in it.
+
+        The worker's warnings are issued here, then the exception it raised,
+        if any, is raised here. A worker that ends without a whole reply
+        raises LansfracError.
+        """
+        reply = self._pipe.read()
+        self._pipe.close()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:  # the worker exits 0 only after it has sent its reply
+            how = f"by signal {-code}" if code < 0 else f"with status {code}"
+            raise LansfracError(f"the Picard process ended {how} before it sent a result")
+        caught, answer = pickle.loads(reply)
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if isinstance(answer, BaseException):
+            raise answer
+        t_mesh, increments, converged = answer
+        return _solution(self._u0, self._params, t_mesh, self._stack, increments, converged)
+
+    def close(self) -> None:
+        """Kill and reap the worker unless ``result`` has reaped it."""
+        self._pipe.close()
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+@contextmanager
+def picard_worker(
+    u0: SpectralField,
+    params: Params,
+    holder: HolderClass,
+    mesh_size: int = 64,
+    max_iter: int = 12,
+) -> Iterator[PicardWorker]:
+    """Run ``picard_solve`` in one forked process while the with block runs.
+
+    The iterate stack lives in an anonymous shared mapping that the worker
+    iterates in (``out=``), so the nodes reach the parent without a copy;
+    the worker sends back only the mesh, the increments and the converged
+    flag, or the exception it raised, with the warnings it caught, through
+    a pipe. ``PicardWorker.result`` waits for them. Leaving the block
+    without a result kills and reaps the worker. Needs ``os.fork`` (POSIX).
+    """
+    shape = picard_stack_shape(u0.grid, params, mesh_size)
+    buffer = mmap.mmap(-1, 16 * math.prod(shape))
+    stack = np.ndarray(shape, np.complex128, buffer)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        _serve(write, u0, params, holder, mesh_size, max_iter, stack)
+    os.close(write)
+    worker = PicardWorker(pid, os.fdopen(read, "rb"), u0, params, stack)
+    try:
+        yield worker
+    finally:
+        worker.close()
+
+
+def _serve(write: int, u0, params, holder, mesh_size, max_iter, stack) -> None:
+    """The worker process: solve into stack, send the reply, exit. Never returns."""
+    status = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                traj, state = picard_solve(u0, params, holder, mesh_size, max_iter, out=stack)
+                answer = (traj.times, state.increments_linf, state.converged)
+            except BaseException as exc:  # raised again by the parent
+                answer = exc
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps((caught, answer)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True)

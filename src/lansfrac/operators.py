@@ -78,8 +78,9 @@ class _KernelWorkspace:
     Everything lives on the band block (see ``BandPlan``): the dealiased band
     is the whole block, so dealiasing is the gather itself. Every call of
     ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
-    is not re-entrant. lansfrac starts no threads of its own; OpenBLAS may split
-    the band transforms' matrix products over its pool (see ``BandPlan``).
+    is not re-entrant. lansfrac starts no threads of its own; a forked process
+    (``mild.picard_worker``) has a copy of its own. OpenBLAS may split the
+    band transforms' matrix products over its pool (see ``BandPlan``).
     """
 
     def __init__(self, grid: GridSpec, alpha: float):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ def full_spectrum(coeffs: np.ndarray, dim: int) -> np.ndarray:
     tail = coeffs[..., n // 2 - 1 : 0 : -1]  # k_last = N/2-1, ..., 1
     mirror = np.conj(_reflect(tail, range(-dim, -1)))  # k_last = N/2+1, ..., N-1
     return np.concatenate([coeffs, mirror], axis=-1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else pid})")
 
 
 @pytest.fixture(scope="session")

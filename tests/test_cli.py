@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import json
+import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -63,7 +67,11 @@ def test_unknown_subcommand_usage_exit(capsys):
 def _package_env() -> dict[str, str]:
     import lansfrac
 
-    return {"PYTHONPATH": str(Path(lansfrac.__file__).parents[1]), "PATH": ""}
+    return {
+        "PYTHONPATH": str(Path(lansfrac.__file__).parents[1]),
+        "PATH": "",
+        "PYTHONDONTWRITEBYTECODE": "1",  # leave no __pycache__ in the source tree
+    }
 
 
 def test_import_loads_no_scipy():
@@ -224,16 +232,17 @@ def test_oracle_compare_non_finite_picard_node_fails(tmp_path, capsys, monkeypat
 
 
 def test_oracle_compare_sup_keeps_a_nan(tmp_path, capsys, monkeypatch):
-    # a nan in the last row must not be dropped by the sup over the rows
+    # a nan in the last row must not be dropped by the sup over the rows; the
+    # worker plants it in the last node of the stack it shares with the parent
     import lansfrac.mild as mild
 
     real = mild.picard_solve
 
-    def picard_with_nan_end(*args, **kwargs):
-        traj, state = real(*args, **kwargs)
-        *head, last = traj.snapshots
-        nodes = head + [last.copy_with(np.full_like(last.coeffs, np.nan))]
-        return Trajectory(times=traj.times, snapshots=nodes, diag=[]), state
+    def picard_with_nan_end(*args, out, **kwargs):
+        result = real(*args, out=out, **kwargs)
+        out.setflags(write=True)
+        out[-1] = np.nan
+        return result
 
     monkeypatch.setattr(mild, "picard_solve", picard_with_nan_end)
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
@@ -241,6 +250,76 @@ def test_oracle_compare_sup_keeps_a_nan(tmp_path, capsys, monkeypatch):
     assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 1
     assert "sup rel diff nan" in capsys.readouterr().out
     assert (out / "oracle.csv").read_text().splitlines()[-1].endswith(",nan")
+
+
+def test_oracle_compare_kills_the_picard_worker_when_the_stepper_diverges(
+    tmp_path, capsys, monkeypatch
+):
+    # the stepper's first step overflows while the worker still runs; the
+    # worker is killed and reaped (conftest checks that no child is left)
+    import lansfrac.mild as mild
+
+    monkeypatch.setattr(mild, "picard_solve", lambda *args, **kwargs: time.sleep(60))
+    real_waitpid, statuses = os.waitpid, []
+
+    def waitpid(pid, options):
+        reaped, status = real_waitpid(pid, options)
+        statuses.append(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    text = SMALL_CFG.replace("N = 32", "N = 16").replace("amplitude = 0.01", "amplitude = 1e150")
+    cfg = write(tmp_path, text)
+    assert main(["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["diverged: field invariant broken at step 1"]
+    assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+    assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
+
+
+def test_oracle_compare_reports_a_picard_worker_killed_by_a_signal(tmp_path, capsys, monkeypatch):
+    import lansfrac.mild as mild
+
+    monkeypatch.setattr(
+        mild, "picard_solve", lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    cfg = write(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"check failed: the Picard process ended by signal {int(signal.SIGKILL)} "
+        "before it sent a result"
+    ]
+    assert not (out / "oracle.csv").exists()
+
+
+def test_oracle_compare_issues_the_picard_workers_warnings(tmp_path, monkeypatch):
+    import lansfrac.mild as mild
+
+    real = mild.picard_solve
+
+    def warning_picard(*args, **kwargs):
+        warnings.warn("a warning in the worker", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mild, "picard_solve", warning_picard)
+    cfg = write(tmp_path, SMALL_CFG)
+    with pytest.warns(RuntimeWarning, match="a warning in the worker"):
+        assert main(["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_oracle_compare_of_overflowing_data_exits_three_with_one_line(tmp_path):
+    # the stepper's first step overflows; the Picard worker, which overflows
+    # too and warns, is killed with its warnings unsent
+    text = SMALL_CFG.replace("N = 32", "N = 16").replace("amplitude = 0.01", "amplitude = 1e308")
+    cfg = write(tmp_path, text)
+    out = subprocess.run(
+        [sys.executable, "-m", "lansfrac.cli", "oracle-compare", cfg, "--T", "0.004",
+         "--out-dir", str(tmp_path / "out")],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == ["diverged: field invariant broken at step 1"]
 
 
 def _held_oracle_rows(config, T: float) -> tuple[list[dict], list]:
@@ -294,6 +373,18 @@ def test_oracle_compare_rows_equal_a_held_run(tmp_path, init, blocks):
     for u in snapshots:
         rebuilt = cli._rebuilt(cli._band_or_whole(u, plan), plan, config.grid)
         assert rebuilt.coeffs.tobytes() == u.coeffs.tobytes()
+
+
+def test_oracle_compare_starts_picard_from_the_galerkin_cut_start(tmp_path):
+    # run cuts its start at galerkin_N, and Picard starts from that cut field
+    from lansfrac.io import emit_csv, parse_config
+
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3") + "galerkin_N = 6\n")
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 0
+    rows, _ = _held_oracle_rows(parse_config(cfg), 0.02)
+    emit_csv(rows, tmp_path / "reference.csv")
+    assert (out / "oracle.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", [-0.0, 1e-300, -1e-300])

@@ -23,7 +23,14 @@ from lansfrac import (
     semigroup_apply,
 )
 from lansfrac.errors import NoContractionError
-from lansfrac.mild import PicardNodes, _BandSolve, _duhamel_sweep, semigroup_class_check
+from lansfrac.mild import (
+    PicardNodes,
+    _BandSolve,
+    _duhamel_sweep,
+    picard_stack_shape,
+    picard_worker,
+    semigroup_class_check,
+)
 from lansfrac.operators import band_plan, stress_form_f
 from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor, zero_field
 
@@ -300,6 +307,36 @@ def test_picard_node_slices_are_lazy_sequences(grid2, params):
     assert np.array_equal(nodes[-9].coeffs, u0.coeffs)
     with pytest.raises(IndexError):
         nodes[9]
+
+
+def test_picard_solve_into_a_callers_buffer_is_bit_identical(grid2, params):
+    u0 = random_field(grid2, seed=7, amplitude=1e-2)
+    holder = holder_for(u0, T=0.1)
+    traj, state = picard_solve(u0, params, holder, mesh_size=8)
+    out = np.full(picard_stack_shape(grid2, params, 8), np.nan, complex)
+    _, state_out = picard_solve(u0, params, holder, mesh_size=8, out=out)
+    plan = band_plan(grid2, params.alpha)
+    own = np.stack([plan.gather(w.coeffs) for w in traj.snapshots])
+    assert out.tobytes() == own.tobytes() and not out.flags.writeable
+    assert state_out.increments_linf == state.increments_linf
+    nodes = PicardNodes(u0, params, traj.times, out, plan)
+    for mine, theirs in zip(nodes, traj.snapshots, strict=True):
+        assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        picard_solve(u0, params, holder, mesh_size=8, out=np.empty_like(out[1:]))
+
+
+def test_picard_worker_returns_the_in_process_solve(grid2, params):
+    u0 = random_field(grid2, seed=7, amplitude=1e-2)
+    holder = holder_for(u0, T=0.1)
+    traj, state = picard_solve(u0, params, holder, mesh_size=8, max_iter=10)
+    with picard_worker(u0, params, holder, mesh_size=8, max_iter=10) as worker:
+        traj_w, state_w = worker.result()
+    assert traj_w.times.tobytes() == traj.times.tobytes()
+    assert (state_w.increments_linf, state_w.converged, state_w.n_iter) == (
+        state.increments_linf, state.converged, state.n_iter)
+    for mine, theirs in zip(traj_w.snapshots, traj.snapshots, strict=True):
+        assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
 
 
 def test_picard_matches_stepper_small_data(grid2):
