@@ -13,6 +13,10 @@ pass/fail against unquantified theoretical ones.
 
 ``picard_worker`` runs one ``picard_solve`` in a forked process (POSIX
 ``os.fork``), so the oracle can run while its caller steps the same problem.
+Within a sweep every node's f reads only the previous iterate, so the f
+evaluations are independent of each other; the accumulation runs in node
+order. The worker keeps the accumulation, and once the caller waits for the
+result it evaluates f at nodes too, so both processes work until the end.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
+import struct
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -111,7 +117,12 @@ class _BandSolve:
         return float(np.sqrt(a_part + m * float(np.einsum("i,i->", self.weight, w.ravel()))))
 
 
-def _duhamel_sweep(stack: np.ndarray, band: _BandSolve, t_mesh: np.ndarray) -> float:
+def _duhamel_sweep(
+    stack: np.ndarray,
+    band: _BandSolve,
+    t_mesh: np.ndarray,
+    f_at: Callable[[int], np.ndarray] | None = None,
+) -> float:
     """One Picard sweep, left to right through the band-block iterate stack, in place.
 
     At node i >= 1 the running Duhamel integral advances by the semigroup
@@ -121,19 +132,29 @@ def _duhamel_sweep(stack: np.ndarray, band: _BandSolve, t_mesh: np.ndarray) -> f
     Jacobi sweep), and node i becomes u0 e^{-t_i nu A^s} + acc. Node 0 is u0
     and is left as it is. Returns the sup over the nodes of the D(A)
     increment; a non-finite increment raises NoContractionError.
+
+    f_at(i) returns f_i, and the sweep reads it until it asks for f_{i+1}.
+    Without f_at the sweep evaluates every f itself with ``rhs_f_band``, into
+    one buffer.
     """
     grid, params = band.grid, band.params
+    if f_at is None:
+        buf = np.empty_like(band.f0)
+
+        def f_at(i: int) -> np.ndarray:
+            return rhs_f_band(grid, stack[i], params, out=buf)
+
     acc = np.zeros_like(stack[0])
     work = np.empty_like(acc)
     diff = np.empty_like(acc)
-    f = band.f0.copy()  # f at the previous node
+    f = band.f0  # f at the previous node
     sup = 0.0
     for i in range(1, len(t_mesh)):
         t = float(t_mesh[i])
         h = float(t_mesh[i] - t_mesh[i - 1])
         np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
         np.multiply(band.factor(h), acc, out=acc)
-        f = rhs_f_band(grid, stack[i], params, out=f)
+        f = f_at(i)
         np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
         nxt = np.multiply(band.u0, band.factor(t), out=work)
         np.add(nxt, acc, out=nxt)
@@ -191,6 +212,7 @@ def picard_solve(
     max_iter: int = 12,
     tol: float = 1e-12,
     out: np.ndarray | None = None,
+    f_at: Callable[[int], np.ndarray] | None = None,
 ) -> tuple[Trajectory, PicardState]:
     """Fixed-point iteration u^(j+1) = e^{-t nu A^s} u0 + Duhamel(f(u^(j), u^(j))).
 
@@ -206,7 +228,10 @@ def picard_solve(
 
     out, when given, is the complex128 iterate stack to iterate in, of shape
     ``picard_stack_shape(u0.grid, params, mesh_size)``; the solve writes every
-    element of it and leaves it read-only.
+    element of it and leaves it read-only. f_at, when given, returns f at
+    node i of the iterate in out (see ``_duhamel_sweep``); ``picard_worker``
+    passes one that shares the evaluations with its parent. Without it the
+    solve evaluates every node itself.
     """
     t_mesh = np.linspace(0.0, holder.T, mesh_size + 1)
     band = _BandSolve(u0, params)
@@ -227,7 +252,7 @@ def picard_solve(
     bad_streak = 0
 
     for _ in range(max_iter):
-        inc_linf = _duhamel_sweep(stack, band, t_mesh)
+        inc_linf = _duhamel_sweep(stack, band, t_mesh, f_at)
         if increments and inc_linf >= increments[-1]:
             bad_streak += 1
             if bad_streak >= 3:
@@ -269,20 +294,92 @@ def _solution(
     return Trajectory(times=t_mesh, snapshots=nodes, diag=[]), state
 
 
+# f at the nodes of a forked solve passes through a ring of this many slots
+# in shared memory, node i in slot i mod RING_SLOTS (see picard_worker).
+RING_SLOTS = 4
+_TOKEN = struct.Struct("<i")  # a node whose f is wanted
+_DONE = struct.Struct("<iI")  # a node the parent evaluated, bytes of its pickled exception
+
+
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A complex128 array in an anonymous mapping that a forked process shares."""
+    return np.ndarray(shape, np.complex128, mmap.mmap(-1, 16 * math.prod(shape)))
+
+
+def _evaluate(grid: GridSpec, params: Params, stack: np.ndarray, ring: np.ndarray, i: int):
+    """f at node i of stack into its ring slot; returns the exception it raised, or None."""
+    try:
+        rhs_f_band(grid, stack[i], params, out=ring[i % len(ring)])
+    except Exception as exc:  # the sweep raises it when it reaches node i
+        return exc.with_traceback(None)
+    return None
+
+
+def _recorded(caught) -> list[tuple]:
+    """What ``warnings.warn_explicit`` needs to issue each caught warning again."""
+    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+class _RingNodes:
+    """The worker's f_at (see ``_duhamel_sweep``): f of a node, evaluated by either process.
+
+    Asked for f_i, it posts as a token the node whose slot f_{i-1} freed
+    (nodes 1..RING_SLOTS when a sweep starts). Then, until f_i is in, it
+    takes a token and evaluates that node itself, or, when no token is left,
+    reads the parent's report of one it evaluated. Tokens leave the pipe in
+    the order they were posted, so the parent holds node i whenever none is
+    left. An exception is raised at its own node, so the sweep meets it in
+    node order whichever process evaluated it.
+    """
+
+    def __init__(self, grid, params, stack, ring, tokens, post: int, done):
+        self._grid, self._params, self._stack, self._ring = grid, params, stack, ring
+        self._tokens, self._post, self._done = tokens, post, done
+        self._ready: dict[int, Exception | None] = {}
+
+    def __call__(self, i: int) -> np.ndarray:
+        k, last = len(self._ring), len(self._stack) - 1
+        free = range(1, min(k, last) + 1) if i == 1 else range(i - 1 + k, min(i + k, last + 1))
+        if free:
+            os.write(self._post, b"".join(_TOKEN.pack(j) for j in free))
+        while i not in self._ready:
+            token = self._tokens.read(_TOKEN.size)  # None: no token left
+            if token is None:
+                j, size = _DONE.unpack(self._done.read(_DONE.size))
+                self._ready[j] = pickle.loads(self._done.read(size)) if size else None
+            else:
+                j = _TOKEN.unpack(token)[0]
+                self._ready[j] = _evaluate(self._grid, self._params, self._stack, self._ring, j)
+        exc = self._ready.pop(i)
+        if exc is not None:
+            raise exc
+        return self._ring[i % k]
+
+
 class PicardWorker:
     """The parent's handle on the forked process of ``picard_worker``."""
 
-    def __init__(self, pid: int, pipe, u0: SpectralField, params: Params, stack: np.ndarray):
-        self._pid, self._pipe = pid, pipe
-        self._u0, self._params, self._stack = u0, params, stack
+    def __init__(self, pid: int, pipe, tokens, done, u0: SpectralField, params: Params,
+                 stack: np.ndarray, ring: np.ndarray):
+        self._pid, self._pipe, self._tokens, self._done = pid, pipe, tokens, done
+        self._u0, self._params, self._stack, self._ring = u0, params, stack, ring
 
     def result(self) -> tuple[Trajectory, PicardState]:
-        """Wait for the worker and return what ``picard_solve`` returned in it.
+        """Help the worker to its end and return what ``picard_solve`` returned in it.
 
-        The worker's warnings are issued here, then the exception it raised,
-        if any, is raised here. A worker that ends without a whole reply
-        raises LansfracError.
+        Until the worker's reply can be read, the parent takes tokens too: it
+        evaluates f at each node it takes, on its own cached kernel workspace,
+        into the node's ring slot and reports it. Then it drops its mapping
+        of the ring. The warnings caught in both processes are issued here,
+        the worker's first, then the exception the worker raised, if any, is
+        raised here. A worker that ends without a whole reply raises
+        LansfracError.
         """
+        with warnings.catch_warnings(record=True) as helped:
+            self._help()
+        self._ring = None  # its last view in the parent: the mapping goes
+        self._tokens.close()
+        self._done.close()
         reply = self._pipe.read()
         self._pipe.close()
         _, status = os.waitpid(self._pid, 0)
@@ -292,16 +389,37 @@ class PicardWorker:
             how = f"by signal {-code}" if code < 0 else f"with status {code}"
             raise LansfracError(f"the Picard process ended {how} before it sent a result")
         caught, answer = pickle.loads(reply)
-        for message, category, filename, lineno in caught:
+        for message, category, filename, lineno in caught + _recorded(helped):
             warnings.warn_explicit(message, category, filename, lineno)
         if isinstance(answer, BaseException):
             raise answer
         t_mesh, increments, converged = answer
         return _solution(self._u0, self._params, t_mesh, self._stack, increments, converged)
 
+    def _help(self) -> None:
+        """Evaluate the nodes of the tokens the parent takes until the reply is readable."""
+        grid, reply, tokens = self._u0.grid, self._pipe.fileno(), self._tokens.fileno()
+        while reply not in select.select([reply, tokens], [], [])[0]:
+            token = self._tokens.read(_TOKEN.size)
+            if token is None:  # the worker took it first
+                continue
+            if not token:  # the worker has ended
+                return
+            i = _TOKEN.unpack(token)[0]
+            exc = _evaluate(grid, self._params, self._stack, self._ring, i)
+            report = b"" if exc is None else pickle.dumps(exc)
+            message = memoryview(_DONE.pack(i, len(report)) + report)
+            try:
+                while message:
+                    message = message[self._done.write(message):]
+            except BrokenPipeError:  # the worker has ended; its status says how
+                return
+
     def close(self) -> None:
-        """Kill and reap the worker unless ``result`` has reaped it."""
-        self._pipe.close()
+        """Close the parent's pipe ends; kill and reap the worker unless ``result`` has reaped it."""
+        self._ring = None
+        for end in (self._pipe, self._tokens, self._done):
+            end.close()
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
@@ -319,41 +437,64 @@ def picard_worker(
     """Run ``picard_solve`` in one forked process while the with block runs.
 
     The iterate stack lives in an anonymous shared mapping that the worker
-    iterates in (``out=``), so the nodes reach the parent without a copy;
-    the worker sends back only the mesh, the increments and the converged
-    flag, or the exception it raised, with the warnings it caught, through
-    a pipe. ``PicardWorker.result`` waits for them. Leaving the block
-    without a result kills and reaps the worker. Needs ``os.fork`` (POSIX).
+    iterates in (``out=``), so the nodes reach the parent without a copy.
+    Each node's f passes through a ring of ``RING_SLOTS`` slots in a second
+    shared mapping. The worker posts the nodes whose slots are free as
+    tokens on a pipe and accumulates each f in node order, as the in-process
+    sweep does, so the nodes are the same bits whichever process evaluated
+    an f. While the with block runs, the worker takes every token itself;
+    ``PicardWorker.result`` takes them in the parent too, and reports each
+    node it evaluated on a second pipe. The worker sends back only the mesh,
+    the increments and the converged flag, or the exception it raised, with
+    the warnings it caught, through a third pipe. Leaving the block without
+    a result kills and reaps the worker; no pipe end stays open. Needs
+    ``os.fork`` (POSIX).
     """
     shape = picard_stack_shape(u0.grid, params, mesh_size)
-    buffer = mmap.mmap(-1, 16 * math.prod(shape))
-    stack = np.ndarray(shape, np.complex128, buffer)
-    read, write = os.pipe()
-    pid = os.fork()
+    stack, ring = _shared(shape), _shared((RING_SLOTS,) + shape[1:])
+    fds: list[int] = []
+    try:
+        for _ in range(3):
+            fds += os.pipe()
+        os.set_blocking(fds[2], False)  # a token's taker must not wait for it
+        pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        raise
+    reply_r, reply_w, tokens, post, done_r, done_w = fds
     if pid == 0:
-        os.close(read)
-        _serve(write, u0, params, holder, mesh_size, max_iter, stack)
-    os.close(write)
-    worker = PicardWorker(pid, os.fdopen(read, "rb"), u0, params, stack)
+        _serve(fds, u0, params, holder, mesh_size, max_iter, stack, ring)
+    for fd in (reply_w, post, done_r):
+        os.close(fd)
+    worker = PicardWorker(pid, os.fdopen(reply_r, "rb"), os.fdopen(tokens, "rb", buffering=0),
+                          os.fdopen(done_w, "wb", buffering=0), u0, params, stack, ring)
+    del ring  # the handle holds the parent's only view, which result drops
     try:
         yield worker
     finally:
         worker.close()
 
 
-def _serve(write: int, u0, params, holder, mesh_size, max_iter, stack) -> None:
+def _serve(fds: list[int], u0, params, holder, mesh_size, max_iter, stack, ring) -> None:
     """The worker process: solve into stack, send the reply, exit. Never returns."""
     status = 1
     try:
+        reply_r, reply_w, tokens, post, done_r, done_w = fds
+        os.close(reply_r)
+        os.close(done_w)
+        f_at = _RingNodes(u0.grid, params, stack, ring, os.fdopen(tokens, "rb", buffering=0),
+                          post, os.fdopen(done_r, "rb"))
         with warnings.catch_warnings(record=True) as caught:
             try:
-                traj, state = picard_solve(u0, params, holder, mesh_size, max_iter, out=stack)
+                traj, state = picard_solve(
+                    u0, params, holder, mesh_size, max_iter, out=stack, f_at=f_at
+                )
                 answer = (traj.times, state.increments_linf, state.converged)
             except BaseException as exc:  # raised again by the parent
                 answer = exc
-        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps((caught, answer)))
+        with os.fdopen(reply_w, "wb") as pipe:
+            pipe.write(pickle.dumps((_recorded(caught), answer)))
         status = 0
     finally:
         os._exit(status)

@@ -79,8 +79,11 @@ class _KernelWorkspace:
     is the whole block, so dealiasing is the gather itself. Every call of
     ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
     is not re-entrant. lansfrac starts no threads of its own; a forked process
-    (``mild.picard_worker``) has a copy of its own. OpenBLAS may split the
-    band transforms' matrix products over its pool (see ``BandPlan``).
+    (``mild.picard_worker``) has a copy of its own. The parent's workspace
+    serves its stepper and then, once the stepper has ended, the Picard nodes
+    that the parent evaluates for the worker (``PicardWorker.result``).
+    OpenBLAS may split the band transforms' matrix products over its pool
+    (see ``BandPlan``).
     """
 
     def __init__(self, grid: GridSpec, alpha: float):

@@ -17,12 +17,12 @@ Everything is a pure function of its inputs; fields are immutable (the
 coefficient buffers are write-protected). Full transforms go through
 ``numpy.fft``. A ``BandPlan`` transforms only the band block, the modes the
 2/3 rule keeps, one axis at a time into persistent buffers; it is the
-nonlinear kernel's path. On grids with N <= ``GEMM_MAX_N`` (64) each of its
-passes is a dense DFT matrix product (BLAS GEMM), which matches
-``irfftn``/``rfftn`` to rounding; on larger grids it runs pruned FFT passes,
-whose inverse matches ``irfftn`` bit for bit. At 3D N=48 the products halve
-a kernel call's transforms; at 2D N=128 the two tie, and at 2D N=256 the
-FFT passes win.
+nonlinear kernel's path. On grids with N <= ``GEMM_MAX_N[dim]`` (64 in 2D,
+96 in 3D) each of its passes is a dense DFT matrix product (BLAS GEMM), which
+matches ``irfftn``/``rfftn`` to rounding; on larger grids it runs pruned FFT
+passes, whose inverse matches ``irfftn`` bit for bit. At 3D N=48 the products
+halve a kernel call's transforms, and at 3D N=96 they still win; at 2D N=128
+the two tie, and at 2D N=256 the FFT passes win.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ MEAN_TOL = 1e-12
 # intermediate buffers then stay within a 2 MiB L2 cache.
 LINE_BUDGET = 2**20
 
-# Grids with N at most this run their band transforms as dense DFT matrix
-# products (BLAS GEMM); larger grids run pruned FFT passes (see BandPlan).
-GEMM_MAX_N = 64
+# Grids with N at most this, by dimension, run their band transforms as dense
+# DFT matrix products (BLAS GEMM); larger grids run pruned FFT passes (see
+# BandPlan, which gives the crossover timings).
+GEMM_MAX_N = {2: 64, 3: 96}
 
 
 class Regime(Enum):
@@ -235,7 +236,7 @@ class BandPlan:
     and ``phys_to_coeffs(phys, dim, band=plan)`` run one of two algorithms,
     picked from the grid size:
 
-    - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N``). Each pass is
+    - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N[dim]``). Each pass is
       one ``np.matmul`` (BLAS GEMM) with ``out=`` against a constant DFT
       matrix: ``_ec`` (N x 2b+1) of exp(i k n 2pi/N) for the complex axes,
       and a real matrix ``_r`` that acts on the float64 view of the
@@ -261,7 +262,18 @@ class BandPlan:
     2.8-3.4 ms (best of 7 x 50 calls on a 2-core VM). At 2D N=128 whole
     kernel calls tie (1.08-1.15 ms with products, 1.06-1.20 ms with FFT
     passes, medians of 300), and at 2D N=256 the FFT passes win (3.9-4.0
-    against 5.4 ms), hence the crossover.
+    against 5.4 ms), hence the 2D crossover at 64. In 3D the products still
+    win at N=96, so the 3D crossover is 96. Whole 3D kernel calls, medians
+    of 20 alternating calls (2-core VM), GEMM against FFT passes, with the
+    bytes of the workspace and plan buffers:
+
+    ======  ===============  ===============  ==========  ==============
+    3D N    GEMM             FFT passes       GEMM wins   buffers
+    ======  ===============  ===============  ==========  ==============
+    64      21.8 ms          31.6 ms          18/20       29.9 / 34.1 MiB
+    80      48.5 ms          62.6 ms          19/20       57.2 / 65.4 MiB
+    96      86.2 ms          122.6 ms         20/20       97.6 / 111.6 MiB
+    ======  ===============  ===============  ==========  ==============
 
     ``chunk`` is the most fields whose line buffer (N,) * (dim-1) + (b+1,)
     complex values fits in ``LINE_BUDGET`` bytes, and at least one. The FFT
@@ -307,7 +319,7 @@ class BandPlan:
         per_field = math.prod(lines) * np.dtype(cplx).itemsize
         self.chunk = max(1, LINE_BUDGET // per_field)
         self._phys = np.empty((inverse_fields,) + grid.shape)
-        self.gemm = N <= GEMM_MAX_N
+        self.gemm = N <= GEMM_MAX_N[dim]
         if self.gemm:
             self._init_gemm()
             return

@@ -32,6 +32,31 @@ def no_child_process_left():
     pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else pid})")
 
 
+def open_descriptors() -> dict[int, str]:
+    """This process's open file descriptors, each with what it refers to (Linux /proc)."""
+    found = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            found[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:  # the descriptor of the listing itself, closed by now
+            pass
+    return found
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test that leaves a file descriptor open: a pipe end or a mapping's
+    descriptor of ``oracle-compare``'s Picard worker, on any exit path."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = open_descriptors()
+    yield
+    left = {fd: what for fd, what in open_descriptors().items() if before.get(fd) != what}
+    if left:
+        pytest.fail(f"the test left file descriptors open: {left}")
+
+
 @pytest.fixture(scope="session")
 def grid2():
     return make_grid(2, 32)

@@ -322,6 +322,101 @@ def test_oracle_compare_of_overflowing_data_exits_three_with_one_line(tmp_path):
     assert out.stderr.splitlines() == ["diverged: field invariant broken at step 1"]
 
 
+def _patch_picard_kernel(monkeypatch, in_parent, in_worker=None) -> None:
+    """Run a hook before each of Picard's kernel calls, by process.
+
+    The worker sleeps before each of its own calls, so once the parent waits
+    for it, the parent takes most of the tokens.
+    """
+    import lansfrac.mild as mild
+
+    real, parent = mild.rhs_f_band, os.getpid()
+
+    def f(*args, **kwargs):
+        if os.getpid() == parent:
+            in_parent()
+        else:
+            time.sleep(0.01)
+            if in_worker is not None:
+                in_worker()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mild, "rhs_f_band", f)
+
+
+def test_oracle_compare_reports_a_worker_killed_while_the_parent_helps(tmp_path, capsys, monkeypatch):
+    # At its first evaluation the parent kills the worker and waits until it
+    # has ended, so the parent's report of that node meets a closed pipe.
+    real_fork, workers = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        workers.append(pid)
+        return pid
+
+    def kill_the_worker():
+        if workers:
+            pid = workers.pop()
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # ended, not reaped
+
+    monkeypatch.setattr(os, "fork", fork)
+    _patch_picard_kernel(monkeypatch, kill_the_worker)
+    cfg = write(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(out)]) == 1
+    assert workers == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"check failed: the Picard process ended by signal {int(signal.SIGKILL)} "
+        "before it sent a result"
+    ]
+    assert not (out / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+@pytest.mark.parametrize("error,code,prefix", [
+    ("DivergedError", 3, "diverged"), ("NoContractionError", 1, "check failed")])
+def test_oracle_compare_reports_a_node_error_alike_from_either_process(
+    tmp_path, capsys, monkeypatch, where, error, code, prefix
+):
+    import lansfrac.errors as errors
+
+    met = []
+
+    def fault():
+        met.append(1)
+        raise getattr(errors, error)("a planted fault")
+
+    if where == "worker":
+        _patch_picard_kernel(monkeypatch, lambda: None, fault)
+    else:
+        _patch_picard_kernel(monkeypatch, fault)
+    cfg = write(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [f"{prefix}: a planted fault"]
+    assert bool(met) == (where == "parent")  # the worker's list is its own copy
+    assert not (out / "oracle.csv").exists()
+
+
+def test_oracle_compare_issues_the_parents_picard_warnings_after_the_workers(tmp_path, monkeypatch):
+    # The parent catches the warnings of its evaluations and issues them with
+    # the worker's, after them, once the worker has replied.
+    _patch_picard_kernel(
+        monkeypatch,
+        lambda: warnings.warn("a warning in the parent", RuntimeWarning),
+        lambda: warnings.warn("a warning in the worker", RuntimeWarning),
+    )
+    cfg = write(tmp_path, SMALL_CFG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(tmp_path / "out")]) == 0
+    messages = [str(w.message) for w in caught]
+    first = messages.index("a warning in the parent")
+    assert "a warning in the worker" in messages[:first]
+    assert set(messages[first:]) == {"a warning in the parent"}
+
+
 def _held_oracle_rows(config, T: float) -> tuple[list[dict], list]:
     """oracle-compare's rows from a run that holds its whole snapshots (no sink).
 

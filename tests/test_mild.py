@@ -1,6 +1,10 @@
 """Mild-solution (Duhamel/Picard) oracle and class-membership tests."""
 
+import os
+import select
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from lansfrac.mild import (
     picard_worker,
     semigroup_class_check,
 )
-from lansfrac.operators import band_plan, stress_form_f
+from lansfrac.operators import band_plan, rhs_f_band, stress_form_f
 from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor, zero_field
 
 from conftest import nan_at_last_picard_node, random_field, rel_err, single_mode_field
@@ -140,6 +144,28 @@ def test_duhamel_sweep_matches_direct(grid2, params):
     for i, t in enumerate(mesh):
         direct = free[i].coeffs + duhamel_integral(fs, mesh, float(t), params).coeffs
         assert rel_err(stack[i], band.plan.gather(direct)) < 1e-12
+
+
+def test_duhamel_sweep_reads_each_f_until_it_asks_for_the_next(grid2, params):
+    # f_at may hand f_i in a slot it reuses for f_{i+2}: the sweep reads f_i
+    # only until it asks for f_{i+1}, so a ring of two slots, with the free
+    # slot poisoned, gives the bits of the sweep's own evaluations
+    u0 = dealias(random_field(grid2, seed=70, amplitude=2.0))
+    mesh = np.linspace(0.0, 0.3, 13)
+    band = _BandSolve(u0, params)
+    own = np.stack([band.plan.gather(semigroup_apply(u0, float(t), params).coeffs) for t in mesh])
+    ringed = own.copy()
+    ring, asked = np.empty((2,) + own.shape[1:], complex), []
+
+    def f_at(i):
+        asked.append(i)
+        ring[(i - 1) % 2] = np.nan  # f_{i-1}'s slot
+        return rhs_f_band(grid2, ringed[i], params, out=ring[i % 2])
+
+    sup = _duhamel_sweep(own, band, mesh)
+    assert _duhamel_sweep(ringed, band, mesh, f_at) == sup
+    assert asked == list(range(1, len(mesh)))
+    assert ringed.tobytes() == own.tobytes()
 
 
 def full_spectrum_sweep(
@@ -335,6 +361,54 @@ def test_picard_worker_returns_the_in_process_solve(grid2, params):
     assert traj_w.times.tobytes() == traj.times.tobytes()
     assert (state_w.increments_linf, state_w.converged, state_w.n_iter) == (
         state.increments_linf, state.converged, state.n_iter)
+    for mine, theirs in zip(traj_w.snapshots, traj.snapshots, strict=True):
+        assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
+
+
+def _parent_evaluations(monkeypatch, worker_delay: float) -> list[int]:
+    """Count the nodes the parent evaluates; the worker sleeps before each of its own."""
+    import lansfrac.mild as mild
+
+    parent, real, count = os.getpid(), mild.rhs_f_band, []
+
+    def f(*args, **kwargs):
+        if os.getpid() == parent:
+            count.append(1)
+        else:
+            time.sleep(worker_delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mild, "rhs_f_band", f)
+    return count
+
+
+@pytest.mark.parametrize("dim,n", [(2, 96), (3, 16)])  # an FFT plan, a GEMM plan
+@pytest.mark.parametrize("parent_helps", [False, True])
+def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, dim, n, parent_helps):
+    # Either the reply is awaited before result(), so the parent evaluates no
+    # node, or the worker sleeps before each of its own evaluations, so the
+    # parent evaluates most of them. The nodes are the same bits either way.
+    grid = make_grid(dim, n)
+    p = Params(alpha=0.5, nu=0.5, s=0.75 if dim == 3 else 0.5)
+    u0 = random_field(grid, seed=8, amplitude=0.05)
+    holder = holder_for(u0, T=0.1)
+    mesh = 12
+    traj, state = picard_solve(u0, p, holder, mesh_size=mesh, max_iter=10)
+    assert band_plan(grid, p.alpha).gemm == (dim == 3)
+    helped = _parent_evaluations(monkeypatch, worker_delay=0.01 if parent_helps else 0.0)
+    with picard_worker(u0, p, holder, mesh_size=mesh, max_iter=10) as worker:
+        ring = weakref.ref(worker._ring.base)
+        if not parent_helps:
+            select.select([worker._pipe], [], [])  # the worker's reply is readable
+        traj_w, state_w = worker.result()
+        assert ring() is None  # the parent has dropped its mapping of the ring
+    if parent_helps:
+        # The worker still takes a token whenever its next node is not in
+        # yet, so the parent's share is about 60%, not all.
+        assert sum(helped) >= state.n_iter * mesh // 3
+    else:
+        assert helped == []
+    assert (state_w.increments_linf, state_w.n_iter) == (state.increments_linf, state.n_iter)
     for mine, theirs in zip(traj_w.snapshots, traj.snapshots, strict=True):
         assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
 

@@ -376,15 +376,16 @@ def test_rhs_f_matches_the_unpruned_kernel(dim, n):
 
 @pytest.mark.parametrize("n", [32, 48])
 def test_the_3d_kernel_on_pruned_fft_passes(monkeypatch, n):
-    # every other 3D grid in the suite has N <= GEMM_MAX_N and runs the matrix
-    # products; lowering the bound puts the kernel's plan on the FFT passes
+    # every other 3D grid in the suite has N <= GEMM_MAX_N[3] and runs the
+    # matrix products; lowering the 3D bound puts the kernel's plan on the FFT
+    # passes
     grid = make_grid(3, n)
     p = Params(alpha=0.5, nu=1.0, s=0.75)
     u = make_initial(InitialData(kind="random-spectrum", seed=n), grid)
     _kernel_workspace.cache_clear()
     assert band_plan(grid, p.alpha).gemm
     gemm_f = rhs_f(u, p).coeffs
-    monkeypatch.setattr(spectral, "GEMM_MAX_N", 0)
+    monkeypatch.setitem(spectral.GEMM_MAX_N, 3, 0)
     _kernel_workspace.cache_clear()
     try:
         plan = band_plan(grid, p.alpha)

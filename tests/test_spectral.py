@@ -219,6 +219,13 @@ def test_band_plan_matches_full_transforms(dim, n):
             assert np.array_equal(alone[0], band[i])
 
 
+@pytest.mark.parametrize("dim,n,gemm", [(2, 64, True), (2, 66, False), (3, 96, True), (3, 98, False)])
+def test_the_gemm_crossover_depends_on_the_dimension(dim, n, gemm):
+    # 2D grids run the products up to N=64, 3D grids up to N=96, where they
+    # still beat the FFT passes (BandPlan gives the timings)
+    assert BandPlan(make_grid(dim, n), inverse_fields=1, forward_fields=1).gemm == gemm
+
+
 # ---------------------------------------------------------- Leray projection
 
 def test_leray_kills_gradient_modes(grid2):
