@@ -17,10 +17,14 @@ Within a sweep every node's f reads only the previous iterate, so the f
 evaluations are independent of each other; the accumulation runs in node
 order. The worker keeps the accumulation, and once the caller waits for the
 result it evaluates f at nodes too, so both processes work until the end.
+While the worker runs on a GEMM band plan, both processes hold OpenBLAS at
+one thread (``_one_blas_thread``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import math
 import mmap
 import os
@@ -30,8 +34,9 @@ import signal
 import struct
 import warnings
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -426,6 +431,56 @@ class PicardWorker:
             self._pid = None
 
 
+@lru_cache(maxsize=1)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the loaded OpenBLAS's thread count, or None where there is none.
+
+    The library is the mapped file named like openblas in /proc/self/maps
+    (Linux), and the calls are its own ``*openblas_get/set_num_threads*``
+    symbols, under the prefix and suffix of its build (scipy-openblas names
+    them ``scipy_openblas_set_num_threads64_``), found with ctypes.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            names = (line.split()[-1] for line in maps)
+            paths = sorted({path for path in names if "openblas" in path.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            get, put = (f"{prefix}openblas_{verb}_num_threads{suffix}" for verb in ("get", "set"))
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold OpenBLAS at one thread while the with block runs, then restore its count.
+
+    A process forked inside the block starts on one thread as well. Without
+    an OpenBLAS whose thread count can be set it does nothing.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 @contextmanager
 def picard_worker(
     u0: SpectralField,
@@ -449,31 +504,39 @@ def picard_worker(
     the warnings it caught, through a third pipe. Leaving the block without
     a result kills and reaps the worker; no pipe end stays open. Needs
     ``os.fork`` (POSIX).
+
+    On a GEMM band plan the two processes hold OpenBLAS at one thread
+    (``_one_blas_thread``) until the block ends: the thread pools of both
+    would contend for the same cores, and in-cache products gain nothing
+    from a second thread there. An FFT plan leaves the pool as it is.
     """
-    shape = picard_stack_shape(u0.grid, params, mesh_size)
-    stack, ring = _shared(shape), _shared((RING_SLOTS,) + shape[1:])
-    fds: list[int] = []
-    try:
-        for _ in range(3):
-            fds += os.pipe()
-        os.set_blocking(fds[2], False)  # a token's taker must not wait for it
-        pid = os.fork()
-    except BaseException:
-        for fd in fds:
+    with _one_blas_thread() if band_plan(u0.grid, params.alpha).gemm else nullcontext():
+        shape = picard_stack_shape(u0.grid, params, mesh_size)
+        stack, ring = _shared(shape), _shared((RING_SLOTS,) + shape[1:])
+        fds: list[int] = []
+        try:
+            for _ in range(3):
+                fds += os.pipe()
+            os.set_blocking(fds[2], False)  # a token's taker must not wait for it
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        reply_r, reply_w, tokens, post, done_r, done_w = fds
+        if pid == 0:
+            _serve(fds, u0, params, holder, mesh_size, max_iter, stack, ring)
+        for fd in (reply_w, post, done_r):
             os.close(fd)
-        raise
-    reply_r, reply_w, tokens, post, done_r, done_w = fds
-    if pid == 0:
-        _serve(fds, u0, params, holder, mesh_size, max_iter, stack, ring)
-    for fd in (reply_w, post, done_r):
-        os.close(fd)
-    worker = PicardWorker(pid, os.fdopen(reply_r, "rb"), os.fdopen(tokens, "rb", buffering=0),
-                          os.fdopen(done_w, "wb", buffering=0), u0, params, stack, ring)
-    del ring  # the handle holds the parent's only view, which result drops
-    try:
-        yield worker
-    finally:
-        worker.close()
+        worker = PicardWorker(
+            pid, os.fdopen(reply_r, "rb"), os.fdopen(tokens, "rb", buffering=0),
+            os.fdopen(done_w, "wb", buffering=0), u0, params, stack, ring,
+        )
+        del ring  # the handle holds the parent's only view, which result drops
+        try:
+            yield worker
+        finally:
+            worker.close()
 
 
 def _serve(fds: list[int], u0, params, holder, mesh_size, max_iter, stack, ring) -> None:

@@ -84,6 +84,12 @@ class _KernelWorkspace:
     that the parent evaluates for the worker (``PicardWorker.result``).
     OpenBLAS may split the band transforms' matrix products over its pool
     (see ``BandPlan``).
+
+    It holds the band blocks of the stack (u and curl v), of the product and
+    of the projection's terms. On a GEMM plan the samples and the product
+    live in the plan's fused pass, one slab at a time; an FFT plan also needs
+    one forward chunk of the product's samples and a scratch component here.
+    At 3D N=48 workspace and plan hold 3.3 fields' bytes (8.8 MiB).
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
@@ -107,9 +113,9 @@ class _KernelWorkspace:
         self.terms = np.empty((dim,) + block, cplx)
         self.k_cross = self.terms[:n_curl]  # k x a in the projection
         self.dot = np.empty(block, cplx)
-        # the cross product is formed one forward chunk of components at a time
-        self.cross = np.empty((min(plan.chunk, dim),) + grid.shape)
-        self.cross_tmp = np.empty(grid.shape)
+        if not plan.gemm:  # the FFT plan's product: one forward chunk of components at a time
+            self.cross = np.empty((min(plan.chunk, dim),) + grid.shape)
+            self.cross_tmp = np.empty(grid.shape)
 
     def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (filter (k x a)) x k = -(1 + alpha^2 A)^{-1} P a; out may be a.
@@ -134,6 +140,11 @@ class _KernelWorkspace:
         zero_mean and solenoidal flags of ``measure_flags``, with the same
         tolerances, whatever share of the product the projection removed.
         Non-finite values pass; they are left to the divergence detector.
+
+        The solenoidal bound is relative to ||f||, and ||f||^2 = sum_k w(k)
+        |f(k)|^2 >= max |f|^2 since every weight w >= 1. So a max |k . f|
+        within the bound at max |f| (less 1e-9 of it, for the rounding of the
+        sum) passes without the sum, and the check decides as with it.
         """
         scale = float(np.max(np.abs(f)))
         if scale == 0.0 or not math.isfinite(scale):
@@ -141,8 +152,10 @@ class _KernelWorkspace:
         if float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)]))) > MEAN_TOL * scale:
             return "carries a mean"
         np.multiply(self.k, f, out=self.terms)
-        kdot = np.sum(self.terms, axis=0, out=self.dot)
-        if float(np.max(np.abs(kdot))) > SOLENOIDAL_TOL * math.sqrt(self._sq_norm(f)):
+        div = float(np.max(np.abs(np.sum(self.terms, axis=0, out=self.dot))))
+        if div <= SOLENOIDAL_TOL * scale * (1.0 - 1e-9):
+            return None
+        if div > SOLENOIDAL_TOL * math.sqrt(self._sq_norm(f)):
             return "is not solenoidal"
         return None
 
@@ -177,6 +190,12 @@ def _cross(
     return out
 
 
+def _curl_v_cross_u(phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(curl v) x u into rows, from samples of u stacked over curl v (``BandPlan.product``)."""
+    dim = len(rows)
+    return _cross(phys[dim:], phys[:dim], rows, tmp)
+
+
 def rhs_f(u: SpectralField, params: Params) -> SpectralField:
     """f(u, u) = -(1 + alpha^2 A)^{-1} P[(curl v) x u], v = (1 + alpha^2 A) u.
 
@@ -208,14 +227,17 @@ def rhs_f_band(
     u is the band block (see ``BandPlan``) of the field. One call makes one
     stacked inverse transform of the dealiased u and of curl v, and forward
     transforms of the cross product: 3 + 2 fields in 2D (the curl is a
-    scalar), 6 + 3 in 3D. The cross product is formed one chunk of the plan
+    scalar), 6 + 3 in 3D. On a GEMM plan these are the plan's fused pass
+    (``BandPlan.product``) on the M = 3b + 1 point grid: the cross product
+    is formed one slab of sample planes at a time, between the real passes
+    of that slab, and never held whole. On an FFT plan the inverse samples
+    the whole stack, the cross product is formed one chunk of the plan
     (``BandPlan.chunk`` components) at a time, and each chunk is transformed
-    into its rows of the block before the next is formed, so the workspace
-    holds one chunk of it. Both are band-pruned transforms, and every
-    per-mode step runs on the band block in the buffers of a cached
-    per-(grid, alpha) workspace, where the output filter and the projection
-    are one curl-curl pass. f is written into out, or without it into a
-    workspace buffer that the next call on this (grid, alpha) overwrites.
+    into its rows of the block before the next is formed. Every per-mode step
+    runs on the band block in the buffers of a cached per-(grid, alpha)
+    workspace, where the output filter and the projection are one curl-curl
+    pass. f is written into out, or without it into a workspace buffer that
+    the next call on this (grid, alpha) overwrites.
 
     f is certified on the band block before it is returned: mean-free and
     solenoidal, with no exemption (see ``_KernelWorkspace.violation``). f is
@@ -229,12 +251,15 @@ def rhs_f_band(
     if u is not ws.u_in:
         np.copyto(ws.u_in, u)
     _cross(ws.ikv, ws.u_in, stack[dim:], ws.dot)
-    phys = coeffs_to_phys(stack, dim, band=plan)
-    product, c = ws.product, len(ws.cross)
-    for first in range(0, dim, c):
-        part = ws.cross[: min(c, dim - first)]
-        _cross(phys[dim:], phys[:dim], part, ws.cross_tmp, first)
-        phys_to_coeffs(part, dim, band=plan, out=product[first : first + len(part)])
+    product = ws.product
+    if plan.gemm:
+        plan.product(stack, product, _curl_v_cross_u)
+    else:
+        phys, c = coeffs_to_phys(stack, dim, band=plan), len(ws.cross)
+        for first in range(0, dim, c):
+            part = ws.cross[: min(c, dim - first)]
+            _cross(phys[dim:], phys[:dim], part, ws.cross_tmp, first)
+            phys_to_coeffs(part, dim, band=plan, out=product[first : first + len(part)])
 
     projected = ws.project(product, product if out is None else out)
     problem = ws.violation(projected)

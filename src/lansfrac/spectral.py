@@ -18,11 +18,13 @@ coefficient buffers are write-protected). Full transforms go through
 ``numpy.fft``. A ``BandPlan`` transforms only the band block, the modes the
 2/3 rule keeps, one axis at a time into persistent buffers; it is the
 nonlinear kernel's path. On grids with N <= ``GEMM_MAX_N[dim]`` (64 in 2D,
-96 in 3D) each of its passes is a dense DFT matrix product (BLAS GEMM), which
-matches ``irfftn``/``rfftn`` to rounding; on larger grids it runs pruned FFT
-passes, whose inverse matches ``irfftn`` bit for bit. At 3D N=48 the products
-halve a kernel call's transforms, and at 3D N=96 they still win; at 2D N=128
-the two tie, and at 2D N=256 the FFT passes win.
+96 in 3D) it samples on the exact dealiasing grid of M = 3b + 1 points per
+axis (46 at N=48), each complex pass is one dense DFT matrix product (BLAS
+GEMM) per field, and the kernel's product runs as one fused pass over slabs
+of sample planes that stay in cache; it matches ``irfftn``/``rfftn`` on the
+M grid to rounding. On larger grids it runs pruned FFT passes on the N grid,
+whose inverse matches ``irfftn`` bit for bit. At 3D N=96 the products still
+win; at 2D N=128 the two tie, and at 2D N=256 the FFT passes win.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ HERMITIAN_TOL = 1e-12
 SOLENOIDAL_TOL = 1e-12
 MEAN_TOL = 1e-12
 
-# Bytes of one chunk's line buffer in a BandPlan transform: a field's
-# intermediate buffers then stay within a 2 MiB L2 cache.
+# Bytes of one chunk's line buffer in a BandPlan's FFT passes, and of one
+# slab of samples in its fused GEMM pass: they then stay within a 2 MiB L2 cache.
 LINE_BUDGET = 2**20
 
 # Grids with N at most this, by dimension, run their band transforms as dense
@@ -234,70 +236,84 @@ class BandPlan:
     shape ``block_shape`` = (2b+1,) * (dim-1) + (b+1,), and each complex axis
     runs over k = 0..b, -b..-1. ``coeffs_to_phys(block, dim, band=plan)``
     and ``phys_to_coeffs(phys, dim, band=plan)`` run one of two algorithms,
-    picked from the grid size:
+    picked from the grid size, on samples of ``shape`` = (M,) * dim:
 
-    - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N[dim]``). Each pass is
-      one ``np.matmul`` (BLAS GEMM) with ``out=`` against a constant DFT
-      matrix: ``_ec`` (N x 2b+1) of exp(i k n 2pi/N) for the complex axes,
-      and a real matrix ``_r`` that acts on the float64 view of the
-      half-spectrum axis. The rows of ``_r`` hold cos and -sin with weight 1
-      at k = 0 and 2 above, so the imaginary part of k = 0 is ignored, as
-      ``irfft`` ignores it.
-      The phases come from the integer k n mod N. The inverse runs axis -2,
-      then axis -3 (3D), then the real axis; the forward runs the same
-      passes in reverse with the conjugate matrices over N. Both match
-      ``irfftn``/``rfftn`` to rounding (about 1e-15 relative), not bit for
-      bit.
-    - **Pruned FFT passes** (larger grids). One axis at a time with
-      ``numpy.fft`` and ``out=``; on the complex axes only the lines the
-      band reaches are transformed. The inverse runs axis -dim, ..., -2,
-      then the real axis, as ``irfftn`` does, and matches it bit for bit;
-      the forward runs the same passes in reverse order (the axis -2 pass
-      on every line first, where its strides are short) and matches
+    - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N[dim]``) on the
+      exact dealiasing grid, M = 3b + 1 points per axis (46 at N=48, 31 at
+      N=32, N at N=16 and 64). A product of two fields of the band has modes
+      |k_i| <= 2b, and on M points a mode k aliases only onto k +- M, so the
+      product's band modes come back exact (Orszag's rule). Each pass is one
+      BLAS GEMM (``np.matmul`` with ``out=``) against a constant DFT matrix:
+      ``_ec`` (M x 2b+1) of exp(i k n 2pi/M) for the complex axes, and a real
+      matrix ``_r`` that acts on the float64 view of the half-spectrum axis.
+      The rows of ``_r`` hold cos and -sin with weight 1 at k = 0 and 2
+      above, so the imaginary part of k = 0 is ignored, as ``irfft`` ignores
+      it. The phases come from the integer k n mod M. A GEMM contracts the
+      leading axis, so in 3D the inverse runs axis -3 for a whole stack in
+      one call, transposes each field to (k_1, n_0, k_2) in ``_t`` and runs
+      axis -2 as one GEMM per field into ``_mid``, whose samples are then in
+      (n_1, n_0, n_2) order; then the real axis. The forward runs the same
+      passes in reverse with the conjugate matrices over M. Both match
+      ``irfftn``/``rfftn`` on the M grid to rounding (about 1e-15 relative),
+      not bit for bit, and keep the (n_0, n_1, n_2) order of ``irfftn``.
+    - **Pruned FFT passes** (larger grids), on the N grid (M = N). One axis
+      at a time with ``numpy.fft`` and ``out=``; on the complex axes only the
+      lines the band reaches are transformed. The inverse runs axis -dim,
+      ..., -2, then the real axis, as ``irfftn`` does, and matches it bit for
+      bit; the forward runs the same passes in reverse order (the axis -2
+      pass on every line first, where its strides are short) and matches
       ``rfftn`` to rounding.
 
-    For short pruned lines the products win. At 3D N=48 (b = 15) a kernel
-    call's inverse of 6 fields takes 2.9-3.4 ms with products against
-    5.8-6.4 ms with FFT passes, and its forward of 3 fields 1.5-1.9 against
-    2.8-3.4 ms (best of 7 x 50 calls on a 2-core VM). At 2D N=128 whole
-    kernel calls tie (1.08-1.15 ms with products, 1.06-1.20 ms with FFT
+    ``product`` is the nonlinear kernel's fused pass on a GEMM plan: the
+    complex inverse passes of a stack, then the real passes and a pointwise
+    product one slab of ``S`` planes of the first sample axis (n_1 in 3D,
+    n_0 in 2D) at a time, so that one slab's samples of every field stay in
+    cache, then the complex forward passes. ``S`` is the most planes whose samples of the inverse's
+    fields, the forward's rows and one scratch row fit in ``LINE_BUDGET``
+    bytes (one slab wherever the whole stack fits: 2D grids, 3D N=16). The
+    forward's real pass writes each slab into the planes of ``_mid`` that the
+    slab has read. The API calls above on a GEMM plan are the same passes run
+    over one slab that covers every plane.
+
+    For short pruned lines the products win. At 2D N=128 whole kernel calls
+    tie (1.08-1.15 ms with products on the N grid, 1.06-1.20 ms with FFT
     passes, medians of 300), and at 2D N=256 the FFT passes win (3.9-4.0
     against 5.4 ms), hence the 2D crossover at 64. In 3D the products still
     win at N=96, so the 3D crossover is 96. Whole 3D kernel calls, medians
-    of 20 alternating calls (2-core VM), GEMM against FFT passes, with the
-    bytes of the workspace and plan buffers:
+    of 20 alternating calls (2-core VM), the fused GEMM pass against FFT
+    passes, with the bytes of the workspace and plan buffers:
 
     ======  ===============  ===============  ==========  ==============
     3D N    GEMM             FFT passes       GEMM wins   buffers
     ======  ===============  ===============  ==========  ==============
-    64      21.8 ms          31.6 ms          18/20       29.9 / 34.1 MiB
-    80      48.5 ms          62.6 ms          19/20       57.2 / 65.4 MiB
-    96      86.2 ms          122.6 ms         20/20       97.6 / 111.6 MiB
+    64      18.5 ms          34.2 ms          18/20       21.7 / 34.1 MiB
+    80      41.2 ms          66.6 ms          20/20       39.7 / 65.4 MiB
+    96      84.8 ms          136.3 ms         20/20       65.6 / 111.6 MiB
     ======  ===============  ===============  ==========  ==============
 
     ``chunk`` is the most fields whose line buffer (N,) * (dim-1) + (b+1,)
     complex values fits in ``LINE_BUDGET`` bytes, and at least one. The FFT
     passes transform a stack ``chunk`` fields at a time, so their
     intermediate buffers (the zero-padded inputs, the lines and the forward
-    passes) hold one chunk; the products transform one field at a time, so
-    theirs hold one field. Only the inverse's samples, which the caller
+    passes) hold one chunk; only the inverse's samples, which the caller
     reads whole, hold the stack. The forward writes its block into the
     caller's array (C-contiguous rows), so a caller can hand it a stack
-    ``chunk`` fields at a time. Every line, or every field, is transformed
-    on its own with calls of one shape, so the stack size does not change a
-    bit of the result.
+    ``chunk`` fields at a time. Every FFT line is transformed on its own with
+    calls of one shape, and every GEMM runs one field's matrix, so the stack
+    size does not change a bit of the result.
 
     The FFT inverse's last pass is an ``irfft`` over a half-spectrum buffer
     (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the
     inverse zeroes the rest, so numpy pads no line itself. That buffer is the
     one the forward's ``rfft`` writes.
 
-    The inverse returns a buffer of the plan that the next call overwrites,
-    so a plan is not re-entrant. No call passes information to the next:
-    the FFT inverse's zero-padded inputs hold zeros outside the band that no
-    call writes, the inverse zeroes the tail columns of the half-spectrum
-    buffer that the forward fills, and every other region a call reads is
-    rewritten earlier in that call.
+    The FFT inverse returns a buffer of the plan that the next call
+    overwrites, so a plan is not re-entrant; the GEMM inverse returns a new
+    array. No call passes information to the next: the FFT inverse's
+    zero-padded inputs hold zeros outside the band that no call writes, the
+    inverse zeroes the tail columns of the half-spectrum buffer that the
+    forward fills, and every other region a call reads is rewritten earlier
+    in that call.
     """
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
@@ -318,11 +334,13 @@ class BandPlan:
         lines = (N,) * (dim - 1) + (b + 1,)
         per_field = math.prod(lines) * np.dtype(cplx).itemsize
         self.chunk = max(1, LINE_BUDGET // per_field)
-        self._phys = np.empty((inverse_fields,) + grid.shape)
         self.gemm = N <= GEMM_MAX_N[dim]
+        self.M = 3 * b + 1 if self.gemm else N
+        self.shape = (self.M,) * dim
         if self.gemm:
-            self._init_gemm()
+            self._init_gemm(inverse_fields, forward_fields)
             return
+        self._phys = np.empty((inverse_fields,) + grid.shape)
         inv, fwd = min(self.chunk, inverse_fields), min(self.chunk, forward_fields)
         # Inverse: pass j reads _pad[j], full length on axes -dim .. -dim+j.
         self._pad = [
@@ -337,24 +355,31 @@ class BandPlan:
             for j in range(1, dim - 1)
         ]
 
-    def _init_gemm(self) -> None:
-        N, b, dim = self.grid.N, self.grid.band_limit, self.grid.dim
-        n = np.arange(N)
-        phase = (TWO_PI / N) * (np.outer(n, np.r_[0 : b + 1, -b:0]) % N)
-        self._ec = np.cos(phase) + 1j * np.sin(phase)  # (N, 2b+1)
-        self._fc = np.ascontiguousarray(np.conj(self._ec).T) / N  # (2b+1, N)
-        phase = (TWO_PI / N) * (np.outer(np.arange(b + 1), n) % N)  # (b+1, N)
+    def _init_gemm(self, inverse_fields: int, forward_fields: int) -> None:
+        M, b, dim = self.M, self.grid.band_limit, self.grid.dim
+        n = np.arange(M)
+        phase = (TWO_PI / M) * (np.outer(n, np.r_[0 : b + 1, -b:0]) % M)
+        self._ec = np.cos(phase) + 1j * np.sin(phase)  # (M, 2b+1)
+        self._fc = np.ascontiguousarray(np.conj(self._ec).T) / M  # (2b+1, M)
+        phase = (TWO_PI / M) * (np.outer(np.arange(b + 1), n) % M)  # (b+1, M)
         weight = np.full((b + 1, 1), 2.0)
         weight[0] = 1.0
-        self._r = np.empty((2 * (b + 1), N))  # real view of the half axis -> samples
+        self._r = np.empty((2 * (b + 1), M))  # real view of the half axis -> samples
         self._r[0::2], self._r[1::2] = weight * np.cos(phase), -weight * np.sin(phase)
-        self._fr = np.empty((N, 2 * (b + 1)))  # samples -> real view of the half axis
-        self._fr[:, 0::2], self._fr[:, 1::2] = np.cos(phase).T / N, -np.sin(phase).T / N
-        # One field's passes: _mid holds the half axis at full length on the
-        # complex axes, _lines (3D) the passes between the block and _mid.
-        self._mid = np.empty((N,) * (dim - 1) + (b + 1,), np.complex128)
+        self._fr = np.empty((M, 2 * (b + 1)))  # samples -> real view of the half axis
+        self._fr[:, 0::2], self._fr[:, 1::2] = np.cos(phase).T / M, -np.sin(phase).T / M
+        # _mid holds every field's complex passes at sample length on the
+        # complex axes, in (n_1, n_0, k_2) order in 3D; _t (3D) is the one
+        # field's transposition between the two complex passes.
+        fields = max(inverse_fields, forward_fields)
+        self._mid = np.empty((fields,) + self.shape[:-1] + (b + 1,), np.complex128)
         if dim == 3:
-            self._lines = np.empty((2 * b + 1) * N * (b + 1), np.complex128)
+            self._t = np.empty((2 * b + 1, M, b + 1), np.complex128)
+        # A slab is S planes of the first sample axis: the samples of the
+        # inverse's fields, the forward's rows and one row of scratch.
+        plane = 8 * M ** (dim - 1)
+        self.S = min(M, max(1, LINE_BUDGET // (plane * (inverse_fields + forward_fields + 1))))
+        self._slab = np.empty((inverse_fields + forward_fields + 1, self.S) + self.shape[1:])
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band block of a half-spectrum array (any leading axes)."""
@@ -388,9 +413,70 @@ class BandPlan:
         modes = np.flatnonzero(outside)
         return block, modes, full.reshape(len(full), -1)[:, modes]
 
+    def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
+        """out = the band block of a pointwise product of block's samples (GEMM plans).
+
+        The fused pass: the complex inverse passes of every field of block
+        into ``_mid``, then, one slab of ``S`` sample planes at a time, the
+        inverse's real pass, ``pointwise(samples, rows, scratch)``, which
+        writes len(out) rows of product samples from block's samples (every
+        array of the slab's planes), and the forward's real pass into the
+        slab's planes of ``_mid``, which the slab has already read; then the
+        complex forward passes into out (C-contiguous). Samples lie on the
+        M-point grid in (n_1, n_0, n_2) order in 3D.
+        """
+        F, n_out, M = len(block), len(out), self.M
+        self._complex_inverse(block)
+        real = self._mid.view(np.float64)
+        for s0 in range(0, M, self.S):
+            s = min(self.S, M - s0)
+            samples, rows = self._slab[:F, :s], self._slab[F : F + n_out, :s]
+            half = real[:F, s0 : s0 + s].reshape(F, -1, len(self._r))
+            np.matmul(half, self._r, out=samples.reshape(F, -1, M))
+            pointwise(samples, rows, self._slab[F + n_out, :s])
+            half = real[:n_out, s0 : s0 + s].reshape(n_out, -1, len(self._r))
+            np.matmul(rows.reshape(n_out, -1, M), self._fr, out=half)
+        return self._complex_forward(out)
+
+    def _complex_inverse(self, block: np.ndarray) -> None:
+        """The complex passes of block's fields into _mid, one GEMM per pass and field."""
+        F, K, mid = len(block), len(self._ec[0]), self._mid[: len(block)]
+        if self.grid.dim == 2:
+            np.matmul(self._ec, block, out=mid)
+            return
+        M, t = self.M, self._t
+        # axis -3 into the front of each field's _mid, (n_0, k_1, k_2)
+        front = mid.reshape(F, -1)[:, : t.size].reshape(F, M, -1)
+        np.matmul(self._ec, block.reshape(F, K, -1), out=front)
+        for f in range(F):  # axis -2 on the transposed (k_1, n_0, k_2)
+            np.copyto(t, front[f].reshape(M, K, -1).transpose(1, 0, 2))
+            np.matmul(self._ec, t.reshape(K, -1), out=mid[f].reshape(M, -1))
+
+    def _complex_forward(self, out: np.ndarray) -> np.ndarray:
+        """The complex passes of _mid's first len(out) fields into out."""
+        if not out.flags.c_contiguous:  # a reshape below would write into a copy
+            raise ValueError("the band forward transform needs a C-contiguous out")
+        F, K, mid = len(out), len(self._fc), self._mid[: len(out)]
+        if self.grid.dim == 2:
+            return np.matmul(self._fc, mid, out=out)
+        M, t = self.M, self._t
+        front = mid.reshape(F, -1)[:, : t.size].reshape(F, M, -1)
+        for f in range(F):  # axis -2, then transposed to (n_0, k_1, k_2)
+            np.matmul(self._fc, mid[f].reshape(M, -1), out=t.reshape(K, -1))
+            np.copyto(front[f].reshape(M, K, -1), t.transpose(1, 0, 2))
+        np.matmul(self._fc, front, out=out.reshape(F, K, -1))  # axis -3
+        return out
+
     def _inverse(self, block: np.ndarray) -> np.ndarray:
         if self.gemm:
-            return self._inverse_gemm(block)
+            phys = np.empty((len(block),) + self.shape)
+            rows = phys if self.grid.dim == 2 else phys.swapaxes(1, 2)  # (n_1, n_0, n_2)
+            for start in range(0, len(block), len(self._mid)):
+                part = block[start : start + len(self._mid)]
+                self._complex_inverse(part)
+                real = self._mid[: len(part)].view(np.float64)
+                np.matmul(real, self._r, out=rows[start : start + len(part)])
+            return phys
         dim, N, b, c = self.grid.dim, self.grid.N, self.grid.band_limit, self.chunk
         for start in range(0, len(block), c):
             part = block[start : start + c]
@@ -412,24 +498,16 @@ class BandPlan:
             np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
         return self._phys[: len(block)]
 
-    def _inverse_gemm(self, block: np.ndarray) -> np.ndarray:
-        N, ec, mid = self.grid.N, self._ec, self._mid
-        half = mid.view(np.float64).reshape(-1, len(self._r))
-        for f, blk in enumerate(block):
-            if self.grid.dim == 3:
-                lines = self._lines.reshape(len(blk), N, -1)
-                np.matmul(ec, blk, out=lines)  # axis -2, one product per k_0
-                np.matmul(ec, lines.reshape(len(blk), -1), out=mid.reshape(N, -1))
-            else:
-                np.matmul(ec, blk, out=mid)
-            np.matmul(half, self._r, out=self._phys[f].reshape(-1, N))
-        return self._phys[: len(block)]
-
     def _forward(self, phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
             out = np.empty((len(phys),) + self.block_shape, np.complex128)
         if self.gemm:
-            return self._forward_gemm(phys, out)
+            rows = phys if self.grid.dim == 2 else phys.swapaxes(1, 2)  # (n_1, n_0, n_2)
+            for start in range(0, len(phys), len(self._mid)):
+                part = rows[start : start + len(self._mid)]
+                np.matmul(part, self._fr, out=self._mid[: len(part)].view(np.float64))
+                self._complex_forward(out[start : start + len(part)])
+            return out
         dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
         for start in range(0, len(phys), c):
             part = phys[start : start + c]
@@ -447,21 +525,6 @@ class BandPlan:
             rows = out[start : start + m]
             for blk, full in self._halves:
                 rows[_along(-dim, blk)] = src[_along(-dim, full)]
-        return out
-
-    def _forward_gemm(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if not out.flags.c_contiguous:  # a reshape below would write into a copy
-            raise ValueError("the band forward transform needs a C-contiguous out")
-        N, fc, mid = self.grid.N, self._fc, self._mid
-        half = mid.view(np.float64).reshape(-1, self._fr.shape[1])
-        for f, samples in enumerate(phys):
-            np.matmul(samples.reshape(-1, N), self._fr, out=half)
-            if self.grid.dim == 3:
-                lines = self._lines.reshape(N, len(fc), -1)
-                np.matmul(fc, mid, out=lines)  # axis -2, one product per n_0
-                np.matmul(fc, lines.reshape(N, -1), out=out[f].reshape(len(fc), -1))
-            else:
-                np.matmul(fc, mid, out=out[f])
         return out
 
 
@@ -579,6 +642,19 @@ def measure_flags(grid: GridSpec, coeffs: np.ndarray) -> tuple[bool, bool, bool]
     return invariant_flags(coeffs, grid.k, (0, -1), scale, glob)
 
 
+@lru_cache(maxsize=16)
+def _mirror(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index of each mode's mirror -k in one component of planes of this shape.
+
+    The shape is (complex axes..., planes); the mirror reflects the complex
+    axes (fftn order) of each plane, as ``_reflect`` does.
+    """
+    index = np.arange(math.prod(shape)).reshape(shape)
+    mirror = np.ascontiguousarray(_reflect(index, range(-len(shape), -1))).ravel()
+    mirror.setflags(write=False)
+    return mirror
+
+
 def invariant_flags(
     u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float, glob: float
 ) -> tuple[bool, bool, bool]:
@@ -590,7 +666,8 @@ def invariant_flags(
     the L^2 norm of u over sqrt(measure).
     """
     p = u[..., list(planes)]
-    herm = float(np.max(np.abs(np.conj(_reflect(p, range(-(u.ndim - 1), -1))) - p)))
+    flat = p.reshape(len(p), -1)
+    herm = float(np.max(np.abs(np.conj(flat[:, _mirror(p.shape[1:])]) - flat)))
     sol = float(np.max(np.abs(np.einsum("i...,i...->...", k, u))))
     mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)])))
     return (

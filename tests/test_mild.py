@@ -26,7 +26,7 @@ from lansfrac import (
     run,
     semigroup_apply,
 )
-from lansfrac.errors import NoContractionError
+from lansfrac.errors import LansfracError, NoContractionError
 from lansfrac.mild import (
     PicardNodes,
     _BandSolve,
@@ -411,6 +411,41 @@ def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, 
     assert (state_w.increments_linf, state_w.n_iter) == (state.increments_linf, state.n_iter)
     for mine, theirs in zip(traj_w.snapshots, traj.snapshots, strict=True):
         assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(3, 16), (2, 96)])  # a GEMM plan, an FFT plan
+def test_picard_worker_holds_blas_at_one_thread_on_a_gemm_plan(monkeypatch, dim, n):
+    # Both processes run on one OpenBLAS thread while the worker runs on a GEMM
+    # plan, and the parent's count comes back afterwards; an FFT plan leaves
+    # the pool alone. The worker reports its count in the exception it sends.
+    import lansfrac.mild as mild
+
+    calls = mild._openblas_threads()
+    if calls is None:
+        pytest.skip("no OpenBLAS whose thread count can be set through ctypes")
+    get, put = calls
+    grid = make_grid(dim, n)
+    p = Params(alpha=0.5, nu=0.5, s=0.75 if dim == 3 else 0.5)
+    u0 = random_field(grid, seed=8, amplitude=0.05)
+    gemm = band_plan(grid, p.alpha).gemm
+    assert gemm == (dim == 3)
+
+    def report(*args, **kwargs):
+        raise LansfracError(f"worker threads {get()}")
+
+    monkeypatch.setattr(mild, "picard_solve", report)
+    before = get()
+    put(2)
+    try:
+        with picard_worker(u0, p, holder_for(u0, T=0.1), mesh_size=8) as worker:
+            parent = get()
+            with pytest.raises(LansfracError, match=r"worker threads (\d+)") as caught:
+                worker.result()
+        worker_threads = int(caught.value.args[0].split()[-1])
+        assert (parent, worker_threads) == ((1, 1) if gemm else (2, 2))
+        assert get() == 2
+    finally:
+        put(before)
 
 
 def test_picard_matches_stepper_small_data(grid2):

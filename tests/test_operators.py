@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from lansfrac.errors import DivergedError, GridError
 from lansfrac.operators import (
     _band_field,
     _cross,
+    _curl_v_cross_u,
     _kernel_workspace,
     band_plan,
     h1_alpha_pairing,
@@ -413,37 +415,66 @@ def _whole_stack_rhs_f_band(grid, u, params):
     stack[:dim] = u
     _cross(ws.ikv, u, stack[dim:], np.empty(plan.block_shape, np.complex128))
     phys = np.array(coeffs_to_phys(stack, dim, band=plan))
-    prod = _cross(phys[dim:], phys[:dim], np.empty((dim,) + grid.shape), np.empty(grid.shape))
+    prod = _cross(phys[dim:], phys[:dim], np.empty((dim,) + plan.shape), np.empty(plan.shape))
     product = phys_to_coeffs(prod, dim, band=plan)
     return ws.project(product, np.empty_like(product))
 
 
-# (dim, N, components per forward chunk): 2D N=128 transforms both in one
-# chunk; 3D N=40 has a chunk boundary between its second and third component
+@contextmanager
+def _on_fft_plans(dim):
+    """Kernel workspaces of this dimension on pruned FFT passes, whatever the N."""
+    bound = spectral.GEMM_MAX_N[dim]
+    spectral.GEMM_MAX_N[dim] = 0
+    _kernel_workspace.cache_clear()
+    try:
+        yield
+    finally:
+        spectral.GEMM_MAX_N[dim] = bound
+        _kernel_workspace.cache_clear()  # later tests get the GEMM plan again
+
+
+# (dim, N, components per forward chunk of the FFT plan): 2D N=128 transforms
+# both in one chunk; 3D N=40 has a chunk boundary between its second and
+# third component. The 3D grids run the GEMM plan unless forced onto FFT passes.
 _STREAMED_CASES = [(2, 128, 2), (3, 48, 1), (3, 40, 2)]
+
+
+def _kernel_and_whole_stack(grid, alpha, seed):
+    """The workspace, f from rhs_f_band into its buffer and into out, and the reference."""
+    p = Params(alpha=alpha, nu=1.0, s=0.75)
+    ws = _kernel_workspace(grid, alpha)
+    u = ws.plan.gather(make_initial(InitialData(kind="random-spectrum", seed=seed), grid).coeffs)
+    ref = _whole_stack_rhs_f_band(grid, u, p)
+    calls = [np.array(rhs_f_band(grid, u, p)), rhs_f_band(grid, u, p, out=np.empty_like(u))]
+    return ws, calls, ref
 
 
 @pytest.mark.parametrize("dim,n,per_chunk", _STREAMED_CASES)
 def test_streamed_cross_product_equals_the_whole_stack(dim, n, per_chunk):
+    # On FFT passes the product streamed one forward chunk at a time gives the
+    # bytes of the whole stack; the GEMM plan's fused slab pass (the 3D grids'
+    # own plan) matches the whole stack on its own M grid to rounding.
     grid = make_grid(dim, n)
-    for alpha, seed in ((0.0, 3), (0.5, 4)):
-        p = Params(alpha=alpha, nu=1.0, s=0.75)
-        ws = _kernel_workspace(grid, alpha)
-        assert min(ws.plan.chunk, dim) == per_chunk
-        assert ws.cross.shape == (per_chunk,) + grid.shape  # one chunk of the product
-        u = ws.plan.gather(make_initial(InitialData(kind="random-spectrum", seed=seed), grid).coeffs)
-        ref = _whole_stack_rhs_f_band(grid, u, p)
-        assert rhs_f_band(grid, u, p).tobytes() == ref.tobytes()
-        assert rhs_f_band(grid, u, p, out=np.empty_like(u)).tobytes() == ref.tobytes()
+    with _on_fft_plans(dim):
+        for alpha, seed in ((0.0, 3), (0.5, 4)):
+            ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
+            assert min(ws.plan.chunk, dim) == per_chunk
+            assert ws.cross.shape == (per_chunk,) + grid.shape  # one chunk of the product
+            assert all(f.tobytes() == ref.tobytes() for f in calls)
+    if n <= spectral.GEMM_MAX_N[dim]:
+        for alpha, seed in ((0.0, 3), (0.5, 4)):
+            ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
+            assert ws.plan.gemm and not hasattr(ws, "cross")  # the slabs hold the product
+            assert all(rel_err(f, ref) <= 1e-14 for f in calls)
 
 
 @pytest.mark.parametrize("dim,n,per_chunk", _STREAMED_CASES)
 def test_the_kernel_forward_transforms_through_phys_to_coeffs(monkeypatch, dim, n, per_chunk):
     # perfbench/layers.py times the forward transform by patching this name;
-    # the streamed product calls it once per chunk, on every component once
+    # on FFT passes the streamed product calls it once per chunk, on every
+    # component once (the GEMM plan's fused pass does not call it)
     grid = make_grid(dim, n)
     p = Params(alpha=0.5, nu=1.0, s=0.75)
-    u = band_plan(grid, p.alpha).gather(random_field(grid, seed=46).coeffs)
     real, fields = operators.phys_to_coeffs, []
 
     def counted(phys, *args, **kwargs):
@@ -451,10 +482,43 @@ def test_the_kernel_forward_transforms_through_phys_to_coeffs(monkeypatch, dim, 
         return real(phys, *args, **kwargs)
 
     monkeypatch.setattr(operators, "phys_to_coeffs", counted)
-    for calls in (1, 2):
-        rhs_f_band(grid, u, p)
-        assert len(fields) == calls * math.ceil(dim / per_chunk)
-        assert sum(fields) == calls * dim
+    with _on_fft_plans(dim):
+        u = band_plan(grid, p.alpha).gather(random_field(grid, seed=46).coeffs)
+        for calls in (1, 2):
+            rhs_f_band(grid, u, p)
+            assert len(fields) == calls * math.ceil(dim / per_chunk)
+            assert sum(fields) == calls * dim
+
+
+# Every grid in the suite on the GEMM plan, with its M = 3b + 1: odd at N=32
+_GEMM_CASES = [(2, 32, 31), (2, 64, 64), (3, 16, 16), (3, 32, 31), (3, 40, 40), (3, 48, 46)]
+
+
+@pytest.mark.parametrize("dim,n,m", _GEMM_CASES)
+def test_the_fused_product_matches_the_whole_grid(dim, n, m):
+    # The fused slab pass against irfftn -> cross product -> rfftn -> gather on
+    # the N grid, over two calls with different inputs, so that a buffer that
+    # carried anything from one call to the next would show
+    grid = make_grid(dim, n)
+    ws = _kernel_workspace(grid, 0.5)
+    plan, n_curl = ws.plan, 1 if dim == 2 else 3
+    assert plan.gemm and plan.M == m
+    rng = np.random.default_rng(n + dim)
+
+    def fused(block):
+        out = np.empty((dim,) + plan.block_shape, np.complex128)
+        return plan.product(block, out, _curl_v_cross_u)
+
+    blocks, firsts = [], []
+    for _ in range(2):
+        samples = rng.standard_normal((dim + n_curl,) + grid.shape)
+        spectra = phys_to_coeffs(samples, dim) * grid.dealias_mask
+        full = coeffs_to_phys(spectra, dim)
+        product = _cross(full[dim:], full[:dim], np.empty((dim,) + grid.shape), np.empty(grid.shape))
+        blocks.append(plan.gather(spectra))
+        firsts.append(fused(blocks[-1]))
+        assert rel_err(firsts[-1], plan.gather(phys_to_coeffs(product, dim))) <= 1e-14
+    assert fused(blocks[0]).tobytes() == firsts[0].tobytes()  # again, after the second call
 
 
 def _live_bytes(*owners) -> int:
@@ -471,16 +535,16 @@ def _live_bytes(*owners) -> int:
 
 
 def test_kernel_workspace_holds_a_few_fields():
-    # At 3D N=48 the plan runs matrix products, one field at a time: it holds
-    # its DFT matrices and one field's passes, no FFT buffers, and the cross
-    # product one component and its scratch (one field's line buffer exceeds
-    # the budget); the samples and the band blocks of the stack make up the
-    # rest: 4.6 fields' bytes. Pruned FFT passes take it to 5.2; with the
-    # FFT buffers allocated as well, the matrix products would take 5.6.
+    # At 3D N=48 the plan runs the fused GEMM pass on the 46-point grid: it
+    # holds its DFT matrices, the complex passes of the six fields in _mid,
+    # one field's transposition and one slab of samples, no FFT buffers and
+    # no whole-stack samples; the band blocks of the workspace make up the
+    # rest: 3.3 fields' bytes.
     grid = make_grid(3, 48)
     ws = _kernel_workspace(grid, 0.5)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
-    assert ws.plan.chunk == 1
+    assert ws.plan.gemm and ws.plan.M == 46
+    assert not hasattr(ws.plan, "_phys") and not hasattr(ws, "cross")
     assert _live_bytes(ws, ws.plan) <= 5 * field
 
 
@@ -574,6 +638,42 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
         assert problem == ("carries a mean" if not mean_free else "is not solenoidal")
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from([(2, 32), (2, 64), (3, 16)]),
+    seed=st.integers(0, 2**32 - 1),
+    modes=st.sampled_from([1, 2, 4, 0]),
+    planted=st.floats(-16.0, -10.0),
+    share=st.floats(0.001, 1.0),
+)
+def test_the_fast_solenoidal_pass_never_passes_what_the_bound_fails(case, seed, modes, planted, share):
+    # violation passes f without the ||f|| sum when max |k . f| is within the
+    # bound at max |f|; since ||f|| >= max |f|, it decides as the full bound
+    # does. f is projected from a block on a few modes (0: on every mode), so
+    # that ||f|| may come close to max |f|, and a divergence of 10^planted
+    # max |f| is planted on a share of the modes.
+    dim, n = case
+    grid = make_grid(dim, n)
+    ws = _kernel_workspace(grid, 0.5)
+    rng = np.random.default_rng(seed)
+    shape = (dim,) + ws.plan.block_shape
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if modes:  # keep a few modes, never the mean
+        kept = np.zeros(a[0].size, bool)
+        kept[rng.choice(np.arange(1, a[0].size), modes)] = True
+        a *= kept.reshape(shape[1:])
+    f = ws.project(a, np.empty_like(a))
+    scale = float(np.max(np.abs(f)))
+    where = rng.random(shape[1:]) < share
+    f += where * 10.0**planted * scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f[(slice(None),) + (0,) * dim] = 0.0
+    div = float(np.max(np.abs(np.sum(ws.k * f, axis=0))))
+    passes = div <= SOLENOIDAL_TOL * _block_norm(ws, f)
+    if div <= SOLENOIDAL_TOL * float(np.max(np.abs(f))) * (1.0 - 1e-9):  # the fast path
+        assert passes
+    assert ws.violation(f) == (None if passes else "is not solenoidal")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     case=st.sampled_from([(2, 16), (2, 32), (3, 8), (3, 16)]),
@@ -614,18 +714,20 @@ def test_the_single_projection_pass(case, alpha, seed, exponent):
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 40)])
 def test_rhs_f_raises_when_its_projection_is_broken(monkeypatch, dim, n):
     # an explicit check, not an assert: it holds under python -O as well, and
-    # whether f lands in the workspace's buffer (rhs_f) or in the caller's out
+    # whether f lands in the workspace's buffer (rhs_f) or in the caller's out,
+    # at full size and scaled down (the check is relative to f)
     grid = make_grid(dim, n)
-    u = random_field(grid, seed=45)
     p = Params(alpha=0.5, nu=1.0, s=0.75)
     monkeypatch.setattr(
         type(_kernel_workspace(grid, p.alpha)), "project", lambda self, a, out: np.copyto(out, a) or out
     )
-    with pytest.raises(DivergedError, match="is not solenoidal"):
-        rhs_f(u, p)
-    block = band_plan(grid, p.alpha).gather(u.coeffs)
-    with pytest.raises(DivergedError, match="is not solenoidal"):
-        rhs_f_band(grid, block, p, out=np.empty_like(block))
+    for amplitude in (1.0, 1e-6):
+        u = random_field(grid, seed=45, amplitude=amplitude)
+        with pytest.raises(DivergedError, match="is not solenoidal"):
+            rhs_f(u, p)
+        block = band_plan(grid, p.alpha).gather(u.coeffs)
+        with pytest.raises(DivergedError, match="is not solenoidal"):
+            rhs_f_band(grid, block, p, out=np.empty_like(block))
 
 
 FNORM_BOUND = 0.15  # measured max 0.014 over this fixed ensemble; 10x headroom

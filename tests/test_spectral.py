@@ -9,12 +9,15 @@ from lansfrac.errors import GridError, MeanModeError
 from lansfrac.io import config_echo, parse_config
 from lansfrac.operators import u_from_v
 from lansfrac.spectral import (
+    HERMITIAN_TOL,
     BandPlan,
     Regime,
     SpectralField,
+    _mirror,
     coeffs_to_phys,
     frac_stokes_apply,
     infer_regime,
+    invariant_flags,
     inner,
     l2_norm,
     leray_project,
@@ -163,17 +166,57 @@ def test_hermitian_flag_checks_both_self_mirrored_planes(dim):
     assert SpectralField.from_coeffs(g, coeffs).hermitian
 
 
+def _roll_flip(p: np.ndarray) -> np.ndarray:
+    """Planes (components, complex axes..., planes) reflected by np.flip and np.roll."""
+    for ax in range(-(p.ndim - 1), -1):
+        p = np.roll(np.flip(p, axis=ax), 1, axis=ax)
+    return p
+
+
+@pytest.mark.parametrize("dim,n,on_block", [(2, 16, False), (2, 32, True), (3, 16, False), (3, 48, True)])
+def test_the_mirror_index_gives_the_roll_flip_flags(dim, n, on_block):
+    # the hermitian flag reads each plane's mirror through one cached index;
+    # it takes the values that flip and roll give, and so decides as they do,
+    # on full half spectra (planes k_last = 0 and N/2) and on band blocks
+    # (k_last = 0), random and with a defect planted near the tolerance
+    grid = make_grid(dim, n)
+    plan = BandPlan(grid, inverse_fields=1, forward_fields=1)
+    planes = (0,) if on_block else (0, -1)
+    k = plan.gather(grid.k) if on_block else grid.k
+    rng = np.random.default_rng(n + dim)
+    for trial in range(12):
+        coeffs = np.array(random_hermitian_field(grid, seed=trial).coeffs)
+        u = plan.gather(coeffs) if on_block else coeffs
+        scale = float(np.max(np.abs(u)))
+        glob = float(np.sqrt(np.sum(np.abs(u) ** 2)))
+        if trial:
+            mode = tuple(int(rng.integers(m)) for m in u.shape[1:-1]) + (planes[trial % len(planes)],)
+            u[(int(rng.integers(dim)),) + mode] += 10.0 ** rng.uniform(-13.5, -10.5) * scale * 1j
+        p = u[..., list(planes)]
+        mirrored = p.reshape(dim, -1)[:, _mirror(p.shape[1:])].reshape(p.shape)
+        assert np.array_equal(mirrored, _roll_flip(p))
+        herm = float(np.max(np.abs(np.conj(_roll_flip(p)) - p))) <= HERMITIAN_TOL * scale
+        assert invariant_flags(u, k, planes, scale, glob)[0] == herm
+
+
 def test_to_spectral_shape_mismatch(grid2):
     with pytest.raises(GridError):
         to_spectral(np.zeros((2, 8, 8)), grid2)
 
 
-# The grids whose plans run matrix products (N <= 64); they match irfftn to
-# rounding. The others run FFT passes, which match it bit for bit. At 2D
+# The grids whose plans run matrix products (N <= GEMM_MAX_N[dim]). They
+# sample on M = 3b + 1 points per axis (N - 2 at N=48, N - 1 at N=32, N at
+# N=16 and 2D N=64) and match irfftn/rfftn on that grid to rounding. The
+# others run FFT passes on the N grid, which match irfftn bit for bit. At 2D
 # N=240 the FFT plan transforms 3 fields at a time, so its inverse ends in a
-# short chunk; at 3D N=32 the GEMM plan's chunk is 5, but it transforms one
-# field at a time.
-_GEMM_GRIDS = {(2, 32), (2, 64), (3, 16), (3, 32), (3, 48)}
+# short chunk; at 3D N=32 the chunk is 5, which the GEMM plan does not use.
+_GEMM_GRIDS = {(2, 32): 31, (2, 64): 64, (3, 16): 16, (3, 32): 31, (3, 48): 46}
+
+
+def _band_index(dim: int, b: int, m: int) -> tuple:
+    """Index of the band block's modes in half-spectrum arrays on the m-point grid."""
+    along = np.r_[0 : b + 1, m - b : m]
+    return (Ellipsis,) + np.ix_(*[along] * (dim - 1), np.arange(b + 1))
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (2, 128), (2, 240), (3, 16), (3, 32), (3, 48)])
@@ -185,27 +228,37 @@ def test_band_plan_matches_full_transforms(dim, n):
     single = BandPlan(grid, inverse_fields=1, forward_fields=1)
     gemm = (dim, n) in _GEMM_GRIDS
     assert plan.gemm == gemm
+    m = _GEMM_GRIDS.get((dim, n), n)
+    assert plan.M == m and plan.shape == (m,) * dim
+    if gemm:
+        assert m == 3 * grid.band_limit + 1
     if (dim, n) == (3, 32):
         assert plan.chunk == 5
     if (dim, n) == (2, 240):
         assert plan.chunk == 3
     rng = np.random.default_rng(n + dim)
+    axes, band_modes = tuple(range(-dim, 0)), _band_index(dim, grid.band_limit, m)
     for _ in range(2):  # the second round reads buffers the first one wrote
         spectra = phys_to_coeffs(rng.standard_normal((fields,) + grid.shape), dim)
         spectra *= grid.dealias_mask  # random dealiased hermitian half spectra
         block = plan.gather(spectra)
         assert np.array_equal(plan.scatter(block, np.zeros_like(spectra)), spectra)
         pruned = coeffs_to_phys(block, dim, band=plan)
-        full = coeffs_to_phys(spectra, dim)
         if gemm:
+            # the same field on the plan's grid, in the same axis order
+            on_grid = np.zeros((fields,) + (m,) * (dim - 1) + (m // 2 + 1,), np.complex128)
+            on_grid[band_modes] = block
+            full = np.fft.irfftn(on_grid, s=plan.shape, axes=axes, norm="forward")
+            assert pruned.shape == (fields,) + plan.shape
             assert rel_err(pruned, full) <= 1e-14
         else:
             # bit for bit, also after a forward call has filled the buffer
             # whose zero tail the inverse's last pass reads
-            assert np.array_equal(pruned, full)
-        samples = rng.standard_normal((dim,) + grid.shape)
+            assert np.array_equal(pruned, coeffs_to_phys(spectra, dim))
+        samples = rng.standard_normal((dim,) + plan.shape)
         band = phys_to_coeffs(samples, dim, band=plan)
-        assert rel_err(band, plan.gather(phys_to_coeffs(samples, dim))) <= 1e-14
+        full = np.fft.rfftn(samples, axes=axes, norm="forward")
+        assert rel_err(band, full[band_modes]) <= 1e-14
         if gemm:  # its passes write into reshaped rows of out, never a copy
             strided = np.empty((2 * dim,) + plan.block_shape, np.complex128)[::2]
             with pytest.raises(ValueError, match="C-contiguous"):
