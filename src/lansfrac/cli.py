@@ -128,14 +128,18 @@ def _cmd_simulate(args) -> int:
         path = out / f"snapshot_{index['n']:06d}.flns"
         from .io import write_snapshot
 
-        write_snapshot(field, SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=t), path)
-        mw.manifest.add_output(path)
+        meta = SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=t)
+        mw.manifest.add_output(path, *write_snapshot(field, meta, path))
         index["n"] += 1
 
-    traj = run(config, on_snapshot=writer)
     diag_path = out / "diagnostics.csv"
-    emit_csv(traj.diag, diag_path)
-    mw.manifest.add_output(diag_path)
+    try:
+        traj = run(config, on_snapshot=writer)
+    except DivergedError as exc:
+        if exc.diag:  # a diverged run leaves its records up to the failure
+            emit_csv(exc.diag, diag_path)
+        raise
+    mw.manifest.add_output(diag_path, *emit_csv(traj.diag, diag_path))
     mw.finish(out)
     print(f"simulate: {index['n']} snapshots, t_end={config.t_end}")
     return 0
@@ -153,8 +157,7 @@ def _cmd_verify_energy(args) -> int:
         for rec, res in zip(traj.diag, residuals)
     ]
     path = out / "residuals.csv"
-    emit_csv(rows, path)
-    mw.manifest.add_output(path)
+    mw.manifest.add_output(path, *emit_csv(rows, path))
     mw.finish(out)
     worst = float(np.max(residuals))
     print(f"verify-energy: max residual {worst:.3e} (tol {args.tol:.3e})")
@@ -191,8 +194,7 @@ def _cmd_smoothing(args) -> int:
         }
     ]
     path = out / "ratefit.csv"
-    emit_csv(rows, path)
-    mw.manifest.add_output(path)
+    mw.manifest.add_output(path, *emit_csv(rows, path))
     mw.finish(out)
     ok = fit.slope >= fit.expected - args.tol
     print(
@@ -248,8 +250,7 @@ def _cmd_oracle_compare(args) -> int:
     # np.max keeps a nan, where Python's max would drop one after the first row
     worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))
     path = out / "oracle.csv"
-    emit_csv(rows, path)
-    mw.manifest.add_output(path)
+    mw.manifest.add_output(path, *emit_csv(rows, path))
     mw.finish(out)
     print(
         f"oracle-compare: sup rel diff {worst:.3e} (tol {args.tol:.3e}), "
@@ -295,8 +296,7 @@ def _cmd_holder(args) -> int:
         {"trajectory": "semigroup", **dataclasses.asdict(semi)},
     ]
     path = out / "holder.csv"
-    emit_csv(rows, path)
-    mw.manifest.add_output(path)
+    mw.manifest.add_output(path, *emit_csv(rows, path))
     mw.finish(out)
     finite = all(
         np.isfinite([report.minimal_R, semi.minimal_R])
@@ -417,6 +417,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return value
+
+
 def _beta(text: str) -> float:
     """argparse type: a Hoelder exponent in (0, 1/2), as HolderClass requires."""
     value = _finite(text)
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ops-test", help="operator unit battery incl. cancellation")
     p.add_argument("config", nargs="?", default=None)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--fields", type=int, default=6, help="random fields per check")
+    p.add_argument("--fields", type=_count, default=6, help="random fields per check")
     p.set_defaults(func=_cmd_ops_test)
 
     return parser

@@ -373,7 +373,9 @@ def run(
     all of it by ``measure_flags``. E is real and even, so the tail stays
     real, solenoidal and mean-free and needs no later check. DivergedError
     is also raised, without them, if f(u, u) fails the post-condition
-    ``rhs_f_band`` checks.
+    ``rhs_f_band`` checks. Every DivergedError that leaves the run carries
+    the records made so far as its ``diag``: through the failing state, or,
+    when f failed, through the state before it.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -446,47 +448,50 @@ def run(
         diag.append(rec)
         return flags
 
-    with np.errstate(**_QUIET):
-        f_cur = f_new(state)
-        flags = audit(state, f_cur, 0.0)
-        if math.isinf(diag[0].E0) and np.isfinite(state).all():
-            # finite coefficients whose E0 overflows: a blow-up the steps report
-            flags = (True, True, True)
-        if tail is not None:
-            flags += measure_flags(grid, start.coeffs)
-    if not all(flags):
-        raise DivergedError("field invariant broken at step 0", step=0, t=0.0)
-    guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-    on_snapshot(start, 0.0)
-    del start
-
-    t = 0.0
-    for i in range(n_steps):
-        t_next = _step_time(i + 1, n_steps, config.t_end, dt)
-        h = t_next - t
-        key = round(h, 15)
-        if key not in props:
-            e_tail = None if tail is None else _Propagator(k2_tail, params, h).E
-            props[key] = _Propagator(k2, params, h), e_tail
-        prop, e_tail = props[key]
+    try:
         with np.errstate(**_QUIET):
-            state = _advance(state, prop, config.scheme.kind, f_step, f_cur)
-            if tail is not None:
-                np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
-            if cut is not None:
-                np.copyto(state, 0.0, where=cut)
             f_cur = f_new(state)
-            flags = audit(state, f_cur, t_next)
-        t = t_next
-
+            flags = audit(state, f_cur, 0.0)
+            if math.isinf(diag[0].E0) and np.isfinite(state).all():
+                # finite coefficients whose E0 overflows: a blow-up the steps report
+                flags = (True, True, True)
+            if tail is not None:
+                flags += measure_flags(grid, start.coeffs)
         if not all(flags):
-            raise DivergedError(
-                f"field invariant broken at step {i + 1}", step=i + 1, t=t
-            )
-        if diag[-1].nDA > guard:
-            raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
-        last = i + 1 == n_steps
-        if (i + 1) % config.snapshot_every == 0 or last:
-            on_snapshot(layout.field(state, tail), t)
+            raise DivergedError("field invariant broken at step 0", step=0, t=0.0)
+        guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
+        on_snapshot(start, 0.0)
+        del start
 
+        t = 0.0
+        for i in range(n_steps):
+            t_next = _step_time(i + 1, n_steps, config.t_end, dt)
+            h = t_next - t
+            key = round(h, 15)
+            if key not in props:
+                e_tail = None if tail is None else _Propagator(k2_tail, params, h).E
+                props[key] = _Propagator(k2, params, h), e_tail
+            prop, e_tail = props[key]
+            with np.errstate(**_QUIET):
+                state = _advance(state, prop, config.scheme.kind, f_step, f_cur)
+                if tail is not None:
+                    np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
+                if cut is not None:
+                    np.copyto(state, 0.0, where=cut)
+                f_cur = f_new(state)
+                flags = audit(state, f_cur, t_next)
+            t = t_next
+
+            if not all(flags):
+                raise DivergedError(
+                    f"field invariant broken at step {i + 1}", step=i + 1, t=t
+                )
+            if diag[-1].nDA > guard:
+                raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
+            last = i + 1 == n_steps
+            if (i + 1) % config.snapshot_every == 0 or last:
+                on_snapshot(layout.field(state, tail), t)
+    except DivergedError as exc:
+        exc.diag = diag  # the records through the failing state
+        raise
     return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

@@ -59,24 +59,35 @@ class SnapshotMeta:
     t: float
 
 
-def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
-    """Write chunks to a temporary file beside path, then rename it to path."""
+def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> tuple[str, int]:
+    """Write chunks to a temporary file beside path, then rename it to path.
+
+    Returns the hex sha256 and the byte count of what was written, hashed
+    chunk by chunk as it is written, so no output is read back.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest, size = hashlib.sha256(), 0
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                digest.update(chunk)
+                size += memoryview(chunk).nbytes
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest(), size
 
 
-def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -> None:
+def write_snapshot(
+    field: SpectralField, meta: SnapshotMeta, path: str | Path
+) -> tuple[str, int]:
     """Write header + half-spectrum complex128 payload; bit-exact round trip.
 
     The payload is ``field.coeffs`` itself, written from its own buffer.
+    Returns the file's hex sha256 and byte count.
     """
     grid = field.grid
     header = _HEADER.pack(
@@ -89,7 +100,7 @@ def write_snapshot(field: SpectralField, meta: SnapshotMeta, path: str | Path) -
         meta.s,
         meta.t,
     )
-    _write_atomic(path, (header, np.ascontiguousarray(field.coeffs, dtype="<c16").data))
+    return _write_atomic(path, (header, np.ascontiguousarray(field.coeffs, dtype="<c16").data))
 
 
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
@@ -156,8 +167,11 @@ def _format_value(v: Any) -> str:
     return str(v)
 
 
-def emit_csv(rows: Sequence[Any], path: str | Path) -> None:
-    """Write records (dataclasses or mappings) as CSV at full precision."""
+def emit_csv(rows: Sequence[Any], path: str | Path) -> tuple[str, int]:
+    """Write records (dataclasses or mappings) as CSV at full precision.
+
+    Returns the file's hex sha256 and byte count.
+    """
     rows = list(rows)
     if not rows:
         raise EmptyOutputError(f"refusing to write empty CSV to {path}")
@@ -173,7 +187,7 @@ def emit_csv(rows: Sequence[Any], path: str | Path) -> None:
     lines = [",".join(names)]
     for row in rows:
         lines.append(",".join(_format_value(get(row, n)) for n in names))
-    _write_atomic(path, ["\n".join(lines).encode() + b"\n"])
+    return _write_atomic(path, ["\n".join(lines).encode() + b"\n"])
 
 
 _REQUIRED_KEYS = ("dim", "N", "alpha", "nu", "s", "dt", "t_end", "init")
@@ -311,16 +325,6 @@ def parse_config(path: str | Path) -> SimConfig:
     )
 
 
-def sha256_file(path: str | Path) -> str:
-    """Hex sha256 of a file, read 256 KiB at a time into one buffer."""
-    h = hashlib.sha256()
-    with open(path, "rb", buffering=0) as fh:
-        buf = memoryview(bytearray(min(2**18, os.fstat(fh.fileno()).st_size)))
-        while size := fh.readinto(buf):
-            h.update(buf[:size])
-    return h.hexdigest()
-
-
 def run_environment() -> dict[str, str]:
     """Versions of the interpreter and of numpy that a run uses.
 
@@ -343,11 +347,9 @@ class RunManifest:
     outputs: list[dict[str, Any]]
     environment: dict[str, str] = dataclasses.field(default_factory=run_environment)
 
-    def add_output(self, path: str | Path) -> None:
-        p = Path(path)
-        self.outputs.append(
-            {"path": p.name, "sha256": sha256_file(p), "bytes": p.stat().st_size}
-        )
+    def add_output(self, path: str | Path, sha256: str, nbytes: int) -> None:
+        """Record an output file with the digest and size its writer returned."""
+        self.outputs.append({"path": Path(path).name, "sha256": sha256, "bytes": nbytes})
 
 
 def config_echo(config: SimConfig) -> dict[str, Any]:

@@ -86,10 +86,9 @@ class _KernelWorkspace:
     (see ``BandPlan``).
 
     It holds the band blocks of the stack (u and curl v), of the product and
-    of the projection's terms. On a GEMM plan the samples and the product
-    live in the plan's fused pass, one slab at a time; an FFT plan also needs
-    one forward chunk of the product's samples and a scratch component here.
-    At 3D N=48 workspace and plan hold 3.3 fields' bytes (8.8 MiB).
+    of the projection's terms; the samples and the product's samples live
+    in the plan (``BandPlan.product``). At 3D N=48 workspace and plan hold
+    3.3 fields' bytes (8.8 MiB).
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
@@ -113,9 +112,6 @@ class _KernelWorkspace:
         self.terms = np.empty((dim,) + block, cplx)
         self.k_cross = self.terms[:n_curl]  # k x a in the projection
         self.dot = np.empty(block, cplx)
-        if not plan.gemm:  # the FFT plan's product: one forward chunk of components at a time
-            self.cross = np.empty((min(plan.chunk, dim),) + grid.shape)
-            self.cross_tmp = np.empty(grid.shape)
 
     def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = (filter (k x a)) x k = -(1 + alpha^2 A)^{-1} P a; out may be a.
@@ -190,10 +186,13 @@ def _cross(
     return out
 
 
-def _curl_v_cross_u(phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """(curl v) x u into rows, from samples of u stacked over curl v (``BandPlan.product``)."""
-    dim = len(rows)
-    return _cross(phys[dim:], phys[:dim], rows, tmp)
+def _curl_v_cross_u(
+    phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray, first: int
+) -> np.ndarray:
+    """Components first, first + 1, ... of (curl v) x u into rows, from samples
+    of u stacked over curl v: the kernel's pointwise step in ``BandPlan.product``."""
+    dim = phys.ndim - 1
+    return _cross(phys[dim:], phys[:dim], rows, tmp, first)
 
 
 def rhs_f(u: SpectralField, params: Params) -> SpectralField:
@@ -227,17 +226,12 @@ def rhs_f_band(
     u is the band block (see ``BandPlan``) of the field. One call makes one
     stacked inverse transform of the dealiased u and of curl v, and forward
     transforms of the cross product: 3 + 2 fields in 2D (the curl is a
-    scalar), 6 + 3 in 3D. On a GEMM plan these are the plan's fused pass
-    (``BandPlan.product``) on the M = 3b + 1 point grid: the cross product
-    is formed one slab of sample planes at a time, between the real passes
-    of that slab, and never held whole. On an FFT plan the inverse samples
-    the whole stack, the cross product is formed one chunk of the plan
-    (``BandPlan.chunk`` components) at a time, and each chunk is transformed
-    into its rows of the block before the next is formed. Every per-mode step
-    runs on the band block in the buffers of a cached per-(grid, alpha)
-    workspace, where the output filter and the projection are one curl-curl
-    pass. f is written into out, or without it into a workspace buffer that
-    the next call on this (grid, alpha) overwrites.
+    scalar), 6 + 3 in 3D, all in one ``BandPlan.product``, which never holds
+    the cross product's samples whole. Every per-mode step runs on the band
+    block in the buffers of a cached per-(grid, alpha) workspace, where the
+    output filter and the projection are one curl-curl pass. f is written
+    into out, or without it into a workspace buffer that the next call on
+    this (grid, alpha) overwrites.
 
     f is certified on the band block before it is returned: mean-free and
     solenoidal, with no exemption (see ``_KernelWorkspace.violation``). f is
@@ -247,20 +241,10 @@ def rhs_f_band(
     """
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
-    plan, stack = ws.plan, ws.stack
     if u is not ws.u_in:
         np.copyto(ws.u_in, u)
-    _cross(ws.ikv, ws.u_in, stack[dim:], ws.dot)
-    product = ws.product
-    if plan.gemm:
-        plan.product(stack, product, _curl_v_cross_u)
-    else:
-        phys, c = coeffs_to_phys(stack, dim, band=plan), len(ws.cross)
-        for first in range(0, dim, c):
-            part = ws.cross[: min(c, dim - first)]
-            _cross(phys[dim:], phys[:dim], part, ws.cross_tmp, first)
-            phys_to_coeffs(part, dim, band=plan, out=product[first : first + len(part)])
-
+    _cross(ws.ikv, ws.u_in, ws.stack[dim:], ws.dot)
+    product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u)
     projected = ws.project(product, product if out is None else out)
     problem = ws.violation(projected)
     if problem is not None:

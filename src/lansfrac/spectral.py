@@ -16,15 +16,19 @@ conjugate mirror -k, so every sum over modes carries the multiplicity
 Everything is a pure function of its inputs; fields are immutable (the
 coefficient buffers are write-protected). Full transforms go through
 ``numpy.fft``. A ``BandPlan`` transforms only the band block, the modes the
-2/3 rule keeps, one axis at a time into persistent buffers; it is the
-nonlinear kernel's path. On grids with N <= ``GEMM_MAX_N[dim]`` (64 in 2D,
-96 in 3D) it samples on the exact dealiasing grid of M = 3b + 1 points per
-axis (46 at N=48), each complex pass is one dense DFT matrix product (BLAS
-GEMM) per field, and the kernel's product runs as one fused pass over slabs
-of sample planes that stay in cache; it matches ``irfftn``/``rfftn`` on the
-M grid to rounding. On larger grids it runs pruned FFT passes on the N grid,
-whose inverse matches ``irfftn`` bit for bit. At 3D N=96 the products still
-win; at 2D N=128 the two tie, and at 2D N=256 the FFT passes win.
+2/3 rule keeps, one axis at a time into persistent buffers, and its one
+entry, ``BandPlan.product``, is the nonlinear kernel's path on every grid:
+band blocks to samples, a pointwise product, samples back to band blocks.
+On grids with N <= ``GEMM_MAX_N[dim]`` (64 in 2D, 96 in 3D) it samples on
+the exact dealiasing grid of M = 3b + 1 points per axis (46 at N=48), each
+complex pass is one dense DFT matrix product (BLAS GEMM) per field, and the
+passes and the product run fused over slabs of sample planes that stay in
+cache; it matches ``irfftn``/``rfftn`` on the M grid to rounding. On larger
+grids it runs pruned FFT passes on the N grid, whose inverse matches
+``irfftn`` bit for bit, and forms the product one chunk of fields at a
+time. At 3D N=96 the products still win; at 2D N=96 they win on the
+default BLAS pool and tie on one thread, at 2D N=128 the FFT passes win on
+both, and at 2D N=256 by more (``BandPlan`` gives the timings).
 """
 
 from __future__ import annotations
@@ -190,35 +194,17 @@ def _spatial_axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
 
 
-def phys_to_coeffs(
-    phys: np.ndarray,
-    dim: int,
-    *,
-    band: "BandPlan | None" = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Half-spectrum Fourier coefficients of a real array (spatial axes last).
-
-    With ``band``, only the band block is computed. The result is written
-    into out when it is given (C-contiguous with ``band``), else into a new
-    array.
-    """
-    if band is not None:
-        return band._forward(phys, out)
-    return np.fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward", out=out)
+def phys_to_coeffs(phys: np.ndarray, dim: int) -> np.ndarray:
+    """Half-spectrum Fourier coefficients of a real array (spatial axes last)."""
+    return np.fft.rfftn(phys, axes=_spatial_axes(dim), norm="forward")
 
 
-def coeffs_to_phys(
-    coeffs: np.ndarray, dim: int, *, band: "BandPlan | None" = None
-) -> np.ndarray:
+def coeffs_to_phys(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Real samples of half-spectrum arrays.
 
     Whatever part of the k_last = 0 and Nyquist planes does not match its own
-    conjugate mirror is dropped silently; the hermitian flag detects it. With
-    ``band``, coeffs is a band block and the samples land in the plan's buffer.
+    conjugate mirror is dropped silently; the hermitian flag detects it.
     """
-    if band is not None:
-        return band._inverse(coeffs)
     n = coeffs.shape[-dim]
     return np.fft.irfftn(coeffs, s=(n,) * dim, axes=_spatial_axes(dim), norm="forward")
 
@@ -234,9 +220,11 @@ class BandPlan:
     The band block of a half-spectrum array holds the modes with every
     |k_i| <= b = ``grid.band_limit``, the only ones the 2/3 rule keeps. It has
     shape ``block_shape`` = (2b+1,) * (dim-1) + (b+1,), and each complex axis
-    runs over k = 0..b, -b..-1. ``coeffs_to_phys(block, dim, band=plan)``
-    and ``phys_to_coeffs(phys, dim, band=plan)`` run one of two algorithms,
-    picked from the grid size, on samples of ``shape`` = (M,) * dim:
+    runs over k = 0..b, -b..-1. ``product`` is the one transform entry: it
+    samples a stack of band blocks, lets a pointwise step form the samples
+    of a product from them, and transforms those back into band blocks. It
+    runs one of two algorithms, picked from the grid size, on samples of
+    ``shape`` = (M,) * dim:
 
     - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N[dim]``) on the
       exact dealiasing grid, M = 3b + 1 points per axis (46 at N=48, 31 at
@@ -255,33 +243,38 @@ class BandPlan:
       (n_1, n_0, n_2) order; then the real axis. The forward runs the same
       passes in reverse with the conjugate matrices over M. Both match
       ``irfftn``/``rfftn`` on the M grid to rounding (about 1e-15 relative),
-      not bit for bit, and keep the (n_0, n_1, n_2) order of ``irfftn``.
-    - **Pruned FFT passes** (larger grids), on the N grid (M = N). One axis
-      at a time with ``numpy.fft`` and ``out=``; on the complex axes only the
-      lines the band reaches are transformed. The inverse runs axis -dim,
-      ..., -2, then the real axis, as ``irfftn`` does, and matches it bit for
-      bit; the forward runs the same passes in reverse order (the axis -2
-      pass on every line first, where its strides are short) and matches
-      ``rfftn`` to rounding.
+      not bit for bit. The passes are fused: the complex inverse passes of
+      the stack, then the real passes and the pointwise step one slab of
+      ``S`` planes of the first sample axis (n_1 in 3D, n_0 in 2D) at a
+      time, so that one slab's samples of every field stay in cache, then
+      the complex forward passes. ``S`` is the most planes whose samples of
+      the inverse's fields, the forward's rows and one scratch row fit in
+      ``LINE_BUDGET`` bytes (one slab wherever the whole stack fits: 2D
+      grids, 3D N=16). The forward's real pass writes each slab into the
+      planes of ``_mid`` that the slab has read.
+    - **Pruned FFT passes** (larger grids), on the N grid (M = N), in
+      ``_inverse`` and ``_forward``. One axis at a time with ``numpy.fft``
+      and ``out=``; on the complex axes only the lines the band reaches are
+      transformed. The inverse runs axis -dim, ..., -2, then the real axis,
+      as ``irfftn`` does, and matches it bit for bit; the forward runs the
+      same passes in reverse order (the axis -2 pass on every line first,
+      where its strides are short) and matches ``rfftn`` to rounding. The
+      inverse samples the whole stack; the pointwise step and the forward
+      then run one ``chunk`` of rows at a time.
 
-    ``product`` is the nonlinear kernel's fused pass on a GEMM plan: the
-    complex inverse passes of a stack, then the real passes and a pointwise
-    product one slab of ``S`` planes of the first sample axis (n_1 in 3D,
-    n_0 in 2D) at a time, so that one slab's samples of every field stay in
-    cache, then the complex forward passes. ``S`` is the most planes whose samples of the inverse's
-    fields, the forward's rows and one scratch row fit in ``LINE_BUDGET``
-    bytes (one slab wherever the whole stack fits: 2D grids, 3D N=16). The
-    forward's real pass writes each slab into the planes of ``_mid`` that the
-    slab has read. The API calls above on a GEMM plan are the same passes run
-    over one slab that covers every plane.
-
-    For short pruned lines the products win. At 2D N=128 whole kernel calls
-    tie (1.08-1.15 ms with products on the N grid, 1.06-1.20 ms with FFT
-    passes, medians of 300), and at 2D N=256 the FFT passes win (3.9-4.0
-    against 5.4 ms), hence the 2D crossover at 64. In 3D the products still
-    win at N=96, so the 3D crossover is 96. Whole 3D kernel calls, medians
-    of 20 alternating calls (2-core VM), the fused GEMM pass against FFT
-    passes, with the bytes of the workspace and plan buffers:
+    For short pruned lines the products win, and at 2D N=256 the FFT passes
+    do (3.9-4.0 against 5.4 ms per kernel call). Whole 2D kernel calls on a
+    2-core VM, the range over 6 alternating rounds of the median of 300
+    calls, products against FFT passes: at N=96 0.37-0.57 against 0.41-0.57
+    ms on one BLAS thread (products faster in 4 of 6 rounds) and 0.31-0.49
+    against 0.56-0.87 ms on the default pool (6 of 6); at N=128 0.93-1.42
+    against 0.59-1.00 ms on one thread and 0.84-1.06 against 0.62-1.00 ms on
+    the pool (2 of 6 each). ``oracle-compare`` holds one BLAS thread on
+    GEMM plans and runs 2D N=128 in the benchmark, hence the 2D crossover at
+    64. In 3D the products still win at N=96, so the 3D crossover is 96.
+    Whole 3D kernel calls, medians of 20 alternating calls, the fused GEMM
+    pass against FFT passes, with the bytes of the workspace and plan
+    buffers:
 
     ======  ===============  ===============  ==========  ==============
     3D N    GEMM             FFT passes       GEMM wins   buffers
@@ -294,26 +287,23 @@ class BandPlan:
     ``chunk`` is the most fields whose line buffer (N,) * (dim-1) + (b+1,)
     complex values fits in ``LINE_BUDGET`` bytes, and at least one. The FFT
     passes transform a stack ``chunk`` fields at a time, so their
-    intermediate buffers (the zero-padded inputs, the lines and the forward
-    passes) hold one chunk; only the inverse's samples, which the caller
-    reads whole, hold the stack. The forward writes its block into the
-    caller's array (C-contiguous rows), so a caller can hand it a stack
-    ``chunk`` fields at a time. Every FFT line is transformed on its own with
-    calls of one shape, and every GEMM runs one field's matrix, so the stack
-    size does not change a bit of the result.
+    intermediate buffers (the zero-padded inputs, the lines, the forward
+    passes and the product's rows ``_rows``) hold one chunk; only the
+    inverse's samples hold the stack. Every FFT line is transformed on its
+    own with calls of one shape, and every GEMM runs one field's matrix, so
+    neither the stack size nor the chunk changes a bit of the result.
 
     The FFT inverse's last pass is an ``irfft`` over a half-spectrum buffer
     (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the
     inverse zeroes the rest, so numpy pads no line itself. That buffer is the
     one the forward's ``rfft`` writes.
 
-    The FFT inverse returns a buffer of the plan that the next call
-    overwrites, so a plan is not re-entrant; the GEMM inverse returns a new
-    array. No call passes information to the next: the FFT inverse's
-    zero-padded inputs hold zeros outside the band that no call writes, the
-    inverse zeroes the tail columns of the half-spectrum buffer that the
-    forward fills, and every other region a call reads is rewritten earlier
-    in that call.
+    Every buffer is the plan's own and the next call rewrites it, so a plan
+    is not re-entrant. No call passes information to the next: the FFT
+    inverse's zero-padded inputs hold zeros outside the band that no call
+    writes, the inverse zeroes the tail columns of the half-spectrum buffer
+    that the forward fills, and every other region a call reads is
+    rewritten earlier in that call.
     """
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
@@ -354,6 +344,9 @@ class BandPlan:
             np.empty((fwd,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx)
             for j in range(1, dim - 1)
         ]
+        # The product's samples: one forward chunk of rows and one row of scratch.
+        self._rows = np.empty((fwd,) + grid.shape)
+        self._scratch = np.empty(grid.shape)
 
     def _init_gemm(self, inverse_fields: int, forward_fields: int) -> None:
         M, b, dim = self.M, self.grid.band_limit, self.grid.dim
@@ -414,17 +407,33 @@ class BandPlan:
         return block, modes, full.reshape(len(full), -1)[:, modes]
 
     def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
-        """out = the band block of a pointwise product of block's samples (GEMM plans).
+        """out = the band block of a pointwise product of block's samples.
 
-        The fused pass: the complex inverse passes of every field of block
-        into ``_mid``, then, one slab of ``S`` sample planes at a time, the
-        inverse's real pass, ``pointwise(samples, rows, scratch)``, which
-        writes len(out) rows of product samples from block's samples (every
-        array of the slab's planes), and the forward's real pass into the
-        slab's planes of ``_mid``, which the slab has already read; then the
-        complex forward passes into out (C-contiguous). Samples lie on the
-        M-point grid in (n_1, n_0, n_2) order in 3D.
+        ``pointwise(samples, rows, scratch, first)`` writes rows first,
+        first + 1, ... of the product's samples into rows, from block's
+        samples, with one row of scratch; each array covers the same sample
+        planes. out must be C-contiguous; a GEMM plan raises ValueError on
+        any other.
+
+        On a GEMM plan this is the fused pass: the complex inverse passes of
+        every field of block into ``_mid``, then, one slab of ``S`` sample
+        planes at a time, the inverse's real pass, ``pointwise`` (first = 0)
+        and the forward's real pass into the slab's planes of ``_mid``, which
+        the slab has already read; then the complex forward passes into out.
+        Samples lie on the M-point grid in (n_1, n_0, n_2) order in 3D.
+
+        On an FFT plan the inverse samples the whole stack on the N grid, and
+        then ``pointwise`` and the forward passes run one ``chunk`` of rows at
+        a time, each chunk transformed into its rows of out before the next
+        is formed.
         """
+        if not self.gemm:
+            phys, c = self._inverse(block), len(self._rows)
+            for first in range(0, len(out), c):
+                rows = self._rows[: min(c, len(out) - first)]
+                pointwise(phys, rows, self._scratch, first)
+                self._forward(rows, out[first : first + len(rows)])
+            return out
         F, n_out, M = len(block), len(out), self.M
         self._complex_inverse(block)
         real = self._mid.view(np.float64)
@@ -433,7 +442,7 @@ class BandPlan:
             samples, rows = self._slab[:F, :s], self._slab[F : F + n_out, :s]
             half = real[:F, s0 : s0 + s].reshape(F, -1, len(self._r))
             np.matmul(half, self._r, out=samples.reshape(F, -1, M))
-            pointwise(samples, rows, self._slab[F + n_out, :s])
+            pointwise(samples, rows, self._slab[F + n_out, :s], 0)
             half = real[:n_out, s0 : s0 + s].reshape(n_out, -1, len(self._r))
             np.matmul(rows.reshape(n_out, -1, M), self._fr, out=half)
         return self._complex_forward(out)
@@ -468,15 +477,7 @@ class BandPlan:
         return out
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
-        if self.gemm:
-            phys = np.empty((len(block),) + self.shape)
-            rows = phys if self.grid.dim == 2 else phys.swapaxes(1, 2)  # (n_1, n_0, n_2)
-            for start in range(0, len(block), len(self._mid)):
-                part = block[start : start + len(self._mid)]
-                self._complex_inverse(part)
-                real = self._mid[: len(part)].view(np.float64)
-                np.matmul(real, self._r, out=rows[start : start + len(part)])
-            return phys
+        """Samples of block's fields on the N grid (FFT plans), in the plan's buffer."""
         dim, N, b, c = self.grid.dim, self.grid.N, self.grid.band_limit, self.chunk
         for start in range(0, len(block), c):
             part = block[start : start + c]
@@ -498,16 +499,8 @@ class BandPlan:
             np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
         return self._phys[: len(block)]
 
-    def _forward(self, phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty((len(phys),) + self.block_shape, np.complex128)
-        if self.gemm:
-            rows = phys if self.grid.dim == 2 else phys.swapaxes(1, 2)  # (n_1, n_0, n_2)
-            for start in range(0, len(phys), len(self._mid)):
-                part = rows[start : start + len(self._mid)]
-                np.matmul(part, self._fr, out=self._mid[: len(part)].view(np.float64))
-                self._complex_forward(out[start : start + len(part)])
-            return out
+    def _forward(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The band blocks of phys's fields on the N grid into out (FFT plans)."""
         dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
         for start in range(0, len(phys), c):
             part = phys[start : start + c]

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from lansfrac import InitialData, Params, make_grid, make_initial
+from lansfrac import InitialData, Params, make_grid, make_initial, spectral
 from lansfrac.spectral import (
     GridSpec,
     SpectralField,
@@ -30,6 +30,22 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else pid})")
+
+
+_GEMM_MAX_N = dict(spectral.GEMM_MAX_N)
+
+
+@pytest.fixture(autouse=True)
+def gemm_max_n_unchanged():
+    """Fail a test that leaves ``spectral.GEMM_MAX_N`` changed. Tests force
+    FFT plans by lowering it, and a leak would put every later test on the
+    other band algorithm; the import-time values are put back."""
+    yield
+    left = dict(spectral.GEMM_MAX_N)
+    if left != _GEMM_MAX_N:
+        spectral.GEMM_MAX_N.clear()
+        spectral.GEMM_MAX_N.update(_GEMM_MAX_N)
+        pytest.fail(f"the test left spectral.GEMM_MAX_N at {left}, not {_GEMM_MAX_N}")
 
 
 def open_descriptors() -> dict[int, str]:

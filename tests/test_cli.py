@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -20,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from lansfrac.cli import main
 from lansfrac.diagnostics import DiagRecord
 from lansfrac.integrator import Trajectory, make_initial
-from lansfrac.io import sha256_file
 
 from conftest import nan_at_last_picard_node
 
@@ -52,6 +53,10 @@ seed = 11
 # flags a command needs besides its config, with values valid for SMALL_CFG
 REQUIRED_FLAGS = {"holder": ["--beta", "0.25"], "oracle-compare": ["--T", "0.004"],
                   "smoothing": ["--r", "0.375"]}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -134,8 +139,21 @@ def test_simulate_writes_outputs_and_manifest(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"simulate: {len(snaps)} snapshots,")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["N"] == 32
-    for entry in manifest["outputs"]:
-        assert sha256_file(out / entry["path"]) == entry["sha256"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-energy", "oracle-compare"])
+def test_manifest_entries_are_the_digest_and_size_of_each_output(tmp_path, command):
+    # the writers hash what they write; hashlib over each file agrees
+    cfg = write(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out), *REQUIRED_FLAGS.get(command, [])]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(entry["path"] for entry in outputs) == written
+    for entry in outputs:
+        data = (out / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert entry["bytes"] == len(data)
 
 
 def test_simulate_determinism(tmp_path):
@@ -144,7 +162,7 @@ def test_simulate_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
-        outs.append(sha256_file(out / "diagnostics.csv"))
+        outs.append(sha256_of(out / "diagnostics.csv"))
     assert outs[0] == outs[1]
 
 
@@ -560,6 +578,8 @@ def test_holder_subcommand(tmp_path):
         ("smoothing", "--tol", "-0.1"),
         ("simulate", "--seed", "-1"),
         ("ops-test", "--seed", "-1"),
+        ("ops-test", "--fields", "0"),
+        ("ops-test", "--fields", "-2"),
     ],
 )
 def test_bad_flag_values_exit_two(tmp_path, capsys, command, flag, value):
@@ -640,6 +660,19 @@ def test_diverged_exit_code(tmp_path):
     assert main(["simulate", cfg, "--out-dir", str(out)]) == 3
 
 
+def test_a_diverged_simulate_leaves_its_diagnostics(tmp_path, capsys):
+    # the records run made, through the failing step's state, reach the CSV;
+    # the exit code and the one stderr line stay those of a divergence
+    text = SMALL_CFG.replace("amplitude = 0.01", "amplitude = 1e308")
+    out = tmp_path / "out"
+    assert main(["simulate", write(tmp_path, text), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["diverged: field invariant broken at step 1"]
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows[0].split(",") == [f.name for f in dataclasses.fields(DiagRecord)]
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 2e-3]  # t of steps 0 and 1
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("amplitude", ["1e308", "1e150"])
 def test_overflowing_run_exits_three_with_one_line(tmp_path, amplitude):
     # The first step overflows. numpy warns about none of it: the audit of
@@ -661,7 +694,7 @@ def test_simulate_seed_override_changes_output(tmp_path):
     for name, seed in (("s11", "11"), ("s12", "12")):
         out = tmp_path / name
         assert main(["simulate", cfg, "--out-dir", str(out), "--seed", seed]) == 0
-        hashes.append(sha256_file(out / "diagnostics.csv"))
+        hashes.append(sha256_of(out / "diagnostics.csv"))
     assert hashes[0] != hashes[1]
 
 

@@ -21,7 +21,7 @@ from lansfrac import (
     run,
     semigroup_apply,
 )
-from lansfrac import integrator
+from lansfrac import integrator, operators
 from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
@@ -817,6 +817,26 @@ def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
     with pytest.raises(DivergedError, match="field invariant broken at step 2") as info:
         run(cfg, on_snapshot=lambda w, t: None)
     assert (info.value.step, info.value.t) == (2, 2e-2)
+    assert [rec.t for rec in info.value.diag] == [0.0, 1e-2, 2e-2]  # through the failing state
+
+
+def test_a_kernel_fault_leaves_the_records_before_it(monkeypatch):
+    # the fifth kernel call, f of step 2's state (ETD2RK evaluates f once per
+    # state and once per stage), fails the kernel's post-condition: the error
+    # carries the records of the states before it
+    grid = make_grid(2, 16)
+    ws = operators._kernel_workspace(grid, _P.alpha)
+    real, calls = type(ws).project, []
+
+    def project(self, a, out):
+        calls.append(None)
+        return real(self, a, out) if len(calls) < 5 else np.copyto(out, a) or out
+
+    monkeypatch.setattr(type(ws), "project", project)
+    cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=_RANDOM)
+    with pytest.raises(DivergedError, match="nonlinearity f") as info:
+        run(cfg, on_snapshot=lambda w, t: None)
+    assert [rec.t for rec in info.value.diag] == [0.0, 1e-2]
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -30,7 +30,6 @@ from lansfrac.io import (
     emit_csv,
     parse_config,
     read_snapshot,
-    sha256_file,
     write_manifest,
     write_snapshot,
 )
@@ -431,16 +430,16 @@ def _traced_peak(fn) -> int:
 def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
     # Traced peaks in units of the payload (a 2.76 MB half spectrum at 3D
     # N=48): the read holds the file's bytes, which the field views, and the
-    # flags' temporaries; the write holds the header, and the hash one
-    # 256 KiB chunk.
+    # flags' temporaries; the write holds the header, and it hashes the
+    # payload from the field's own buffer.
     u = random_field(make_grid(3, 48), seed=5)
     path = tmp_path / "big.flns"
     write_snapshot(u, META, path)
     payload = path.stat().st_size - struct.calcsize("<4s3I4d")
     assert _traced_peak(lambda: write_snapshot(u, META, path)) <= 1.0 * payload
     assert _traced_peak(lambda: read_snapshot(path)) <= 2.5 * payload
-    assert _traced_peak(lambda: sha256_file(path)) <= 0.25 * payload
-    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    data = path.read_bytes()
+    assert write_snapshot(u, META, path) == (hashlib.sha256(data).hexdigest(), len(data))
     assert np.array_equal(read_snapshot(path)[0].coeffs, u.coeffs)
 
 
@@ -448,12 +447,11 @@ def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
 
 def test_manifest_checksums_recomputable(tmp_path):
     path = tmp_path / "out.csv"
-    emit_csv([{"x": 1.0}], path)
     m = RunManifest(
         config={}, version="0", started="", finished="", wall_seconds=0.0, outputs=[]
     )
-    m.add_output(path)
-    assert m.outputs[0]["sha256"] == sha256_file(path)
+    m.add_output(path, *emit_csv([{"x": 1.0}], path))
+    assert m.outputs[0]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert m.outputs[0]["bytes"] == path.stat().st_size
 
 

@@ -29,7 +29,7 @@ from lansfrac import (
     rhs_f,
     u_from_v,
 )
-from lansfrac import operators, spectral
+from lansfrac import spectral
 from lansfrac.errors import DivergedError, GridError
 from lansfrac.operators import (
     _band_field,
@@ -395,10 +395,10 @@ def test_the_3d_kernel_on_pruned_fft_passes(monkeypatch, n):
         rng = np.random.default_rng(n)
         for _ in range(2):  # the second round reads buffers the first one wrote
             spectra = phys_to_coeffs(rng.standard_normal((6,) + grid.shape), 3) * grid.dealias_mask
-            pruned = coeffs_to_phys(plan.gather(spectra), 3, band=plan)
+            pruned = plan._inverse(plan.gather(spectra))
             assert np.array_equal(pruned, coeffs_to_phys(spectra, 3))  # irfftn, bit for bit
             samples = rng.standard_normal((3,) + grid.shape)
-            band = phys_to_coeffs(samples, 3, band=plan)
+            band = plan._forward(samples, np.empty((3,) + plan.block_shape, np.complex128))
             assert rel_err(band, plan.gather(phys_to_coeffs(samples, 3))) <= 1e-14
             assert rel_err(rhs_f(u, p).coeffs, gemm_f) <= 1e-14
     finally:
@@ -407,16 +407,25 @@ def test_the_3d_kernel_on_pruned_fft_passes(monkeypatch, n):
 
 def _whole_stack_rhs_f_band(grid, u, params):
     """Reference: rhs_f_band with the whole cross product formed before one
-    forward transform of all its components, in arrays of its own."""
+    forward transform of all its components, in arrays of its own: through
+    an FFT plan's own passes, and on a GEMM plan through irfftn and rfftn on
+    the N grid."""
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
     plan = ws.plan
     stack = np.empty((dim + (1 if dim == 2 else 3),) + plan.block_shape, np.complex128)
     stack[:dim] = u
     _cross(ws.ikv, u, stack[dim:], np.empty(plan.block_shape, np.complex128))
-    phys = np.array(coeffs_to_phys(stack, dim, band=plan))
-    prod = _cross(phys[dim:], phys[:dim], np.empty((dim,) + plan.shape), np.empty(plan.shape))
-    product = phys_to_coeffs(prod, dim, band=plan)
+    if plan.gemm:
+        spectra = plan.scatter(stack, np.zeros((len(stack),) + grid.spectral_shape, complex))
+        phys = coeffs_to_phys(spectra, dim)
+    else:
+        phys = np.array(plan._inverse(stack))
+    prod = _cross(phys[dim:], phys[:dim], np.empty((dim,) + grid.shape), np.empty(grid.shape))
+    if plan.gemm:
+        product = plan.gather(phys_to_coeffs(prod, dim))
+    else:
+        product = plan._forward(prod, np.empty_like(u))
     return ws.project(product, np.empty_like(product))
 
 
@@ -453,41 +462,19 @@ def _kernel_and_whole_stack(grid, alpha, seed):
 def test_streamed_cross_product_equals_the_whole_stack(dim, n, per_chunk):
     # On FFT passes the product streamed one forward chunk at a time gives the
     # bytes of the whole stack; the GEMM plan's fused slab pass (the 3D grids'
-    # own plan) matches the whole stack on its own M grid to rounding.
+    # own plan) matches the whole stack on the N grid to rounding.
     grid = make_grid(dim, n)
     with _on_fft_plans(dim):
         for alpha, seed in ((0.0, 3), (0.5, 4)):
             ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
             assert min(ws.plan.chunk, dim) == per_chunk
-            assert ws.cross.shape == (per_chunk,) + grid.shape  # one chunk of the product
+            assert ws.plan._rows.shape == (per_chunk,) + grid.shape  # one chunk of the product
             assert all(f.tobytes() == ref.tobytes() for f in calls)
     if n <= spectral.GEMM_MAX_N[dim]:
         for alpha, seed in ((0.0, 3), (0.5, 4)):
             ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
-            assert ws.plan.gemm and not hasattr(ws, "cross")  # the slabs hold the product
+            assert ws.plan.gemm and not hasattr(ws.plan, "_rows")  # the slabs hold the product
             assert all(rel_err(f, ref) <= 1e-14 for f in calls)
-
-
-@pytest.mark.parametrize("dim,n,per_chunk", _STREAMED_CASES)
-def test_the_kernel_forward_transforms_through_phys_to_coeffs(monkeypatch, dim, n, per_chunk):
-    # perfbench/layers.py times the forward transform by patching this name;
-    # on FFT passes the streamed product calls it once per chunk, on every
-    # component once (the GEMM plan's fused pass does not call it)
-    grid = make_grid(dim, n)
-    p = Params(alpha=0.5, nu=1.0, s=0.75)
-    real, fields = operators.phys_to_coeffs, []
-
-    def counted(phys, *args, **kwargs):
-        fields.append(len(phys))
-        return real(phys, *args, **kwargs)
-
-    monkeypatch.setattr(operators, "phys_to_coeffs", counted)
-    with _on_fft_plans(dim):
-        u = band_plan(grid, p.alpha).gather(random_field(grid, seed=46).coeffs)
-        for calls in (1, 2):
-            rhs_f_band(grid, u, p)
-            assert len(fields) == calls * math.ceil(dim / per_chunk)
-            assert sum(fields) == calls * dim
 
 
 # Every grid in the suite on the GEMM plan, with its M = 3b + 1: odd at N=32
@@ -544,7 +531,7 @@ def test_kernel_workspace_holds_a_few_fields():
     ws = _kernel_workspace(grid, 0.5)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
     assert ws.plan.gemm and ws.plan.M == 46
-    assert not hasattr(ws.plan, "_phys") and not hasattr(ws, "cross")
+    assert not hasattr(ws.plan, "_phys") and not hasattr(ws.plan, "_rows")
     assert _live_bytes(ws, ws.plan) <= 5 * field
 
 

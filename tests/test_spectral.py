@@ -219,9 +219,30 @@ def _band_index(dim: int, b: int, m: int) -> tuple:
     return (Ellipsis,) + np.ix_(*[along] * (dim - 1), np.arange(b + 1))
 
 
+def _product_passes(plan, block, samples):
+    """One plan.product whose pointwise step reads block's samples and writes
+    samples as the rows of the product: the inverse's samples (irfftn's axis
+    order) and the band block of samples, which has that order too."""
+    swap = plan.gemm and plan.grid.dim == 3  # the fused pass holds (n_1, n_0, n_2)
+    seen = np.empty((len(block),) + plan.shape)
+    read, write = (seen.swapaxes(1, 2), samples.swapaxes(1, 2)) if swap else (seen, samples)
+    slab = [0, 0]  # first plane and number of planes of the current slab
+
+    def pointwise(phys, rows, scratch, first):
+        if first == 0:  # a new slab; an FFT plan's later chunks read the same samples
+            slab[:] = sum(slab), len(phys[0])
+        planes = slice(slab[0], sum(slab))
+        read[:, planes] = phys
+        rows[...] = write[first : first + len(rows), planes]
+
+    out = np.empty((len(samples),) + plan.block_shape, np.complex128)
+    return seen, plan.product(block, out, pointwise)
+
+
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (2, 128), (2, 240), (3, 16), (3, 32), (3, 48)])
 def test_band_plan_matches_full_transforms(dim, n):
-    # Stacks of 2 dim fields in and dim out, as in the 3D kernel.
+    # Stacks of 2 dim fields in and dim out, as in the 3D kernel, through
+    # the product with a pointwise step that only copies samples.
     grid = make_grid(dim, n)
     fields = 2 * dim
     plan = BandPlan(grid, inverse_fields=fields, forward_fields=dim)
@@ -243,33 +264,30 @@ def test_band_plan_matches_full_transforms(dim, n):
         spectra *= grid.dealias_mask  # random dealiased hermitian half spectra
         block = plan.gather(spectra)
         assert np.array_equal(plan.scatter(block, np.zeros_like(spectra)), spectra)
-        pruned = coeffs_to_phys(block, dim, band=plan)
+        samples = rng.standard_normal((dim,) + plan.shape)
+        pruned, band = _product_passes(plan, block, samples)
         if gemm:
-            # the same field on the plan's grid, in the same axis order
+            # the same field on the plan's grid
             on_grid = np.zeros((fields,) + (m,) * (dim - 1) + (m // 2 + 1,), np.complex128)
             on_grid[band_modes] = block
             full = np.fft.irfftn(on_grid, s=plan.shape, axes=axes, norm="forward")
-            assert pruned.shape == (fields,) + plan.shape
             assert rel_err(pruned, full) <= 1e-14
         else:
             # bit for bit, also after a forward call has filled the buffer
             # whose zero tail the inverse's last pass reads
             assert np.array_equal(pruned, coeffs_to_phys(spectra, dim))
-        samples = rng.standard_normal((dim,) + plan.shape)
-        band = phys_to_coeffs(samples, dim, band=plan)
         full = np.fft.rfftn(samples, axes=axes, norm="forward")
         assert rel_err(band, full[band_modes]) <= 1e-14
         if gemm:  # its passes write into reshaped rows of out, never a copy
             strided = np.empty((2 * dim,) + plan.block_shape, np.complex128)[::2]
             with pytest.raises(ValueError, match="C-contiguous"):
-                phys_to_coeffs(samples, dim, band=plan, out=strided)
+                plan.product(block, strided, lambda *args: None)
         # Chunking does not change a bit: each field alone gives the same.
         for i in range(fields):
-            alone = coeffs_to_phys(block[i : i + 1], dim, band=single)
-            assert np.array_equal(alone[0], pruned[i])
-        for i in range(dim):
-            alone = phys_to_coeffs(samples[i : i + 1], dim, band=single)
-            assert np.array_equal(alone[0], band[i])
+            j = i % dim
+            alone = _product_passes(single, block[i : i + 1], samples[j : j + 1])
+            assert np.array_equal(alone[0][0], pruned[i])
+            assert np.array_equal(alone[1][0], band[j])
 
 
 @pytest.mark.parametrize("dim,n,gemm", [(2, 64, True), (2, 66, False), (3, 96, True), (3, 98, False)])
