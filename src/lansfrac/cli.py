@@ -34,6 +34,7 @@ from .integrator import (
     SimConfig,
     Trajectory,
     _step_count,
+    _step_time,
     galerkin_truncate,
     make_initial,
     run,
@@ -148,6 +149,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_energy(args) -> int:
     config = _load_config(args)
     _require_global(config, "verify-energy")
+    if _step_count(config.t_end, config.scheme.dt) == 0:
+        raise ConfigError("verify-energy needs at least one step, got t_end = 0")
     out = _out_dir(config)
     mw = _ManifestWriter(config)
     traj = run(config, on_snapshot=lambda field, t: None)  # reads only the records
@@ -168,9 +171,13 @@ def _cmd_smoothing(args) -> int:
     config = _load_config(args)
     _require_global(config, "smoothing")
     config = dataclasses.replace(config, snapshot_every=1)
+    dt, t_end, window = config.scheme.dt, config.t_end, (2.0 * config.scheme.dt, 0.1)
+    # step 2 ends at 2 dt, so the window holds two step times when step 3 ends in it too
+    n = _step_count(t_end, dt)
+    if n < 3 or _step_time(3, n, t_end, dt) > window[1]:
+        raise ConfigError(f"smoothing's fit window [2 dt, 0.1] holds < 2 step times: dt = {dt:g}")
     out = _out_dir(config)
     mw = _ManifestWriter(config)
-    window = (2.0 * config.scheme.dt, 0.1)
     times: list[float] = []
     fields: list[SpectralField] = []
 

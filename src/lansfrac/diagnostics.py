@@ -15,6 +15,8 @@ import numpy as np
 
 from .operators import band_plan, rhs_f
 from .spectral import (
+    MEAN_TOL,
+    SOLENOIDAL_TOL,
     GridSpec,
     Params,
     SpectralField,
@@ -107,20 +109,19 @@ def audit(
     tables: AuditTables,
     t: float,
     tail: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[tuple[bool, bool, bool], DiagRecord]:
-    """One pass over a state: its block's invariant flags and its diagnostics record.
+) -> tuple[tuple[bool, ...], DiagRecord]:
+    """One pass over a state and its f: the invariant flags of both and the record.
 
-    u and f = f(u, u) are band blocks. tail, when given, holds the
-    ``tail_rows`` and the (dim, n) values of the state's modes outside the
-    block (``BandPlan.split``), where f is zero: their energies are added to
-    the block's, and the pairing is the block's.
+    This is the run's one check of a state and its f. u and f = f(u, u) are
+    band blocks. tail, when given, holds the ``tail_rows`` and the (dim, n)
+    values of the state's modes outside the block (``BandPlan.split``), where
+    f is zero: their energies are added to the block's, and the pairing is
+    the block's.
 
-    The flags are ``measure_flags``' (hermitian, solenoidal, zero_mean) of
-    the field that is u on the block and zero elsewhere, with its
-    tolerances. |uhat|^2 is formed once and gives all five energies; the
-    solenoidal scale is read off the block's E0, and so is finiteness: a nan
-    or inf coefficient carries into E0, whose weight is positive on every
-    mode, and an E0 that overflows is a blow-up. The energy pairing
+    The flags are ``state_flags`` of u, then ``f_flags`` of f. |uhat|^2 is
+    formed once and gives all five energies and u's E0, whose weight is
+    positive on every mode, so a nan or inf coefficient carries into it and
+    an E0 that overflows is a blow-up. The energy pairing
     <(1 + alpha^2 A) u, f> is the E1 row's sum over Re conj(uhat) fhat. The
     sums run in ``np.einsum``'s own loops, not through BLAS.
     """
@@ -135,16 +136,33 @@ def audit(
     # numpy's power gives inf where Python's raises OverflowError
     cancel = abs(pairing) / float(np.float64(nda) ** 3 + _TINY)
     rec = DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
-    return _flags(u, e0_block, tables), rec
+    return state_flags(u, e0_block, tables) + f_flags(f, tables), rec
 
 
-def _flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, bool]:
+def state_flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, bool]:
+    """``measure_flags`` of the band block u, whose E0 is e0; a nan or inf carries into E0."""
     scale = float(np.max(np.abs(u)))
     if scale == 0.0:
         return True, True, True
     if not math.isfinite(e0):
         return False, False, False
     return invariant_flags(u, tables.k, (0,), scale, math.sqrt(e0 / tables.measure))
+
+
+def f_flags(f: np.ndarray, tables: AuditTables) -> tuple[bool, bool]:
+    """``measure_flags``' (solenoidal, zero_mean) of the band block f; non-finite f passes.
+
+    ||f|| >= max |f|, as every multiplicity is at least 1, so ||f|| is summed
+    only when the bound at max |f| (less 1e-9 of it, for rounding) fails."""
+    scale = float(np.max(np.abs(f)))
+    if scale == 0.0 or not math.isfinite(scale):
+        return True, True
+    zero_mean = float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)]))) <= MEAN_TOL * scale
+    div = float(np.max(np.abs(np.sum(tables.k * f, axis=0))))
+    if div <= SOLENOIDAL_TOL * scale * (1.0 - 1e-9):
+        return True, zero_mean
+    e0 = float(np.einsum("i,i->", tables.rows[0], mode_dot(f, f).ravel()))
+    return div <= SOLENOIDAL_TOL * math.sqrt(e0 / tables.measure), zero_mean
 
 
 def record(

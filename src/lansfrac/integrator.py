@@ -341,6 +341,14 @@ def _step_time(i: int, n: int, t_end: float, dt: float) -> float:
     return t_end if i == n else dt * i
 
 
+def _broken(flags: tuple[bool, ...], step: int, t: float) -> DivergedError:
+    """The error of a state whose flags (u's, f's, the tail's) are not all set."""
+    what = "field invariant broken"
+    if all(flags[:3] + flags[5:]):
+        what = f"the nonlinearity f(u, u) {'is not solenoidal' if flags[4] else 'carries a mean'}"
+    return DivergedError(f"{what} at step {step}", step=step, t=t)
+
+
 def run(
     config: SimConfig,
     initial_field: SpectralField | None = None,
@@ -364,18 +372,17 @@ def run(
     once.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
-    snapshots then hold v. Each state gets one ``diagnostics.audit`` of u,
-    whose record sums block and tail. Raises DivergedError, with the step
-    and its end time, if an invariant flag (real / solenoidal / zero-mean)
-    of that state's block breaks, which a non-finite coefficient does, or if
-    the D(A) norm exceeds 1e6 times its initial value. The start is step 0,
-    checked before any snapshot: its block by the audit and, with a tail,
-    all of it by ``measure_flags``. E is real and even, so the tail stays
-    real, solenoidal and mean-free and needs no later check. DivergedError
-    is also raised, without them, if f(u, u) fails the post-condition
-    ``rhs_f_band`` checks. Every DivergedError that leaves the run carries
-    the records made so far as its ``diag``: through the failing state, or,
-    when f failed, through the state before it.
+    snapshots then hold v. Each state gets one ``diagnostics.audit`` of u
+    and f(u), the run's only check, whose record sums block and tail.
+    Raises DivergedError, with the step and its end time, if an invariant
+    flag (real / solenoidal / zero-mean) of that state's block or the
+    solenoidal or zero-mean flag of its f breaks, which a non-finite state
+    does, or if the D(A) norm exceeds 1e6 times its initial value; f(stage)
+    is checked through the state it makes. The start is step 0, checked
+    before any snapshot, and with a tail all of it by ``measure_flags``. E
+    is real and even, so the tail stays real, solenoidal and mean-free and
+    needs no later check. The error's ``diag`` holds the records made
+    through the failing state.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -441,7 +448,7 @@ def run(
     diag: list[diagnostics.DiagRecord] = []
     props: dict[float, tuple[_Propagator, np.ndarray | None]] = {}  # with E on the tail
 
-    def audit(w: np.ndarray, f_w: np.ndarray, t: float) -> tuple[bool, bool, bool]:
+    def audit(w: np.ndarray, f_w: np.ndarray, t: float) -> tuple[bool, ...]:
         if helm is not None:
             w, f_w = w / helm, f_w / helm  # u and f(u): exact conjugacy of the forms
         flags, rec = diagnostics.audit(w, f_w, layout.audit, t, audit_tail)
@@ -454,11 +461,11 @@ def run(
             flags = audit(state, f_cur, 0.0)
             if math.isinf(diag[0].E0) and np.isfinite(state).all():
                 # finite coefficients whose E0 overflows: a blow-up the steps report
-                flags = (True, True, True)
+                flags = (True, True, True) + flags[3:]
             if tail is not None:
                 flags += measure_flags(grid, start.coeffs)
         if not all(flags):
-            raise DivergedError("field invariant broken at step 0", step=0, t=0.0)
+            raise _broken(flags, 0, 0.0)
         guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
         on_snapshot(start, 0.0)
         del start
@@ -483,9 +490,7 @@ def run(
             t = t_next
 
             if not all(flags):
-                raise DivergedError(
-                    f"field invariant broken at step {i + 1}", step=i + 1, t=t
-                )
+                raise _broken(flags, i + 1, t)
             if diag[-1].nDA > guard:
                 raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
             last = i + 1 == n_steps

@@ -226,8 +226,8 @@ def _finite_float(text: str) -> float:
 def parse_config(path: str | Path) -> SimConfig:
     """Parse a key = value config file into a validated SimConfig.
 
-    Command-level range gating, by the regime ``infer_regime`` finds for
-    (dim, s), is the CLI's job.
+    A key given twice is an error. Command-level range gating, by the regime
+    ``infer_regime`` finds for (dim, s), is the CLI's job.
     """
     try:
         text = _read_input(path, "config", ConfigError).decode("utf-8")
@@ -245,6 +245,8 @@ def parse_config(path: str | Path) -> SimConfig:
         key, value = (part.strip() for part in body.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise BadValueError(key, lineno, "unknown key")
+        if key in raw:
+            raise BadValueError(key, lineno, f"repeats the key of line {raw[key][1]}")
         raw[key] = (value, lineno)
 
     for key in _REQUIRED_KEYS:

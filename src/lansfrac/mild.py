@@ -6,7 +6,8 @@ The fixed-point iteration here rebuilds the solution from the Duhamel formula
 
 by composite-trapezoid quadrature with the semigroup factor applied exactly at
 every node. It shares no stepping code with the integrator, so agreement
-between the two is a genuine cross-check. The membership checks quantify the
+between the two is a genuine cross-check, also of faults of f too small for
+``picard_solve``'s check of its nodes. The membership checks quantify the
 weighted amplitude/smoothing/Hoelder conditions of the refined solution class
 over a sampled (t, h) lattice and report minimal feasible constants instead of
 pass/fail against unquantified theoretical ones.
@@ -40,7 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LansfracError, NoContractionError
+from . import diagnostics
+from .errors import DivergedError, LansfracError, NoContractionError
 from .integrator import Trajectory
 from .operators import band_plan, rhs_f, rhs_f_band
 from .spectral import (
@@ -228,6 +230,8 @@ def picard_solve(
     fallback for u0 = 0) or after max_iter sweeps. Raises NoContractionError
     if an increment is non-finite or fails to decrease three times in a row,
     which is the observable signature of data too large for the contraction.
+    The kernel checks nothing, so a last iterate's node that fails the audit's
+    ``diagnostics.state_flags`` raises DivergedError with the node's t.
     The returned trajectory carries no diagnostics records; its snapshots are
     a ``PicardNodes`` sequence, which builds each full node on access.
 
@@ -271,6 +275,11 @@ def picard_solve(
             converged = True
             break
 
+    tables = diagnostics.audit_tables(u0.grid, params.alpha, params.s)
+    for node, t in zip(stack, t_mesh):
+        e0 = float(np.einsum("i,i->", tables.rows[0], mode_dot(node, node).ravel()))
+        if not all(diagnostics.state_flags(node, e0, tables)):
+            raise DivergedError(f"Picard node invariant broken at t = {t:g}", t=float(t))
     return _solution(u0, params, t_mesh, stack, increments, converged)
 
 

@@ -18,7 +18,8 @@ Three implementations of the nonlinearity live here:
   with v = (1 + alpha^2 A) u. Its arithmetic is ``rhs_f_band``, which maps
   band blocks to band blocks; the Picard oracle calls that kernel directly.
   It filters and projects in one curl-curl pass, so the divergence of f
-  rounds relative to f itself and its solenoidal check needs no exemption.
+  rounds relative to f itself. The kernel checks nothing: ``integrator.run``
+  checks f(u) with the state u it is read with, in ``diagnostics.audit``.
 - ``stress_form_f`` is the paper's gradient-stress definition of the
   bilinear f(u1, u2); it is the reference the kernel is tested against.
 - ``v_nonlinearity`` is the transport + stretch form of the v-equation that
@@ -30,15 +31,11 @@ indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergedError
 from .spectral import (
-    MEAN_TOL,
-    SOLENOIDAL_TOL,
     BandPlan,
     GridSpec,
     Params,
@@ -47,7 +44,6 @@ from .spectral import (
     coeffs_to_phys,
     inner,
     leray_project,
-    mode_dot,
     phys_to_coeffs,
 )
 
@@ -86,31 +82,29 @@ class _KernelWorkspace:
     (see ``BandPlan``).
 
     It holds the band blocks of the stack (u and curl v), of the product and
-    of the projection's terms; the samples and the product's samples live
+    of the projection's k x a; the samples and the product's samples live
     in the plan (``BandPlan.product``). At 3D N=48 workspace and plan hold
-    3.3 fields' bytes (8.8 MiB).
+    3.3 fields' bytes (8.7 MiB).
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
         dim = grid.dim
         n_curl = 1 if dim == 2 else 3
         self.plan = plan = BandPlan(grid, inverse_fields=dim + n_curl, forward_fields=dim)
-        k, k2 = plan.gather(grid.k), plan.gather(grid.k2)
+        self.k, k2 = plan.gather(grid.k), plan.gather(grid.k2)
         helm = 1.0 + alpha**2 * k2
-        self.ikv = 1j * k * helm  # curl of v read off u
+        self.ikv = 1j * self.k * helm  # curl of v read off u
         # the output filter over the |k|^2 of the projection, mean pinned to zero
         self.filter = -1.0 / (helm * np.where(k2 > 0, k2, 1.0))
         self.filter[(0,) * dim] = 0.0
-        self.k, self.weight = k, plan.gather(grid.weight)
-        for table in (self.ikv, self.filter, self.k, self.weight):
+        for table in (self.ikv, self.filter, self.k):
             table.setflags(write=False)
 
         cplx, block = np.complex128, plan.block_shape
         self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u, curl v
         self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
         self.product = np.empty((dim,) + block, cplx)  # the cross product's block, f in place
-        self.terms = np.empty((dim,) + block, cplx)
-        self.k_cross = self.terms[:n_curl]  # k x a in the projection
+        self.k_cross = np.empty((n_curl,) + block, cplx)  # k x a in the projection
         self.dot = np.empty(block, cplx)
 
     def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -124,36 +118,6 @@ class _KernelWorkspace:
         kxa = _cross(self.k, a, self.k_cross, self.dot)
         np.multiply(self.filter, kxa, out=kxa)
         return _cross(kxa, self.k, out, self.dot)
-
-    def _sq_norm(self, a: np.ndarray) -> float:
-        """sum_k w(k) |a(k)|^2 over a band block: ||field||^2 / measure."""
-        return float(np.einsum("i,i->", self.weight.ravel(), mode_dot(a, a).ravel()))
-
-    def violation(self, f: np.ndarray) -> str | None:
-        """Which post-condition the band block f of f(u, u) breaks, or None.
-
-        The field that is f on the band and zero elsewhere must have the
-        zero_mean and solenoidal flags of ``measure_flags``, with the same
-        tolerances, whatever share of the product the projection removed.
-        Non-finite values pass; they are left to the divergence detector.
-
-        The solenoidal bound is relative to ||f||, and ||f||^2 = sum_k w(k)
-        |f(k)|^2 >= max |f|^2 since every weight w >= 1. So a max |k . f|
-        within the bound at max |f| (less 1e-9 of it, for the rounding of the
-        sum) passes without the sum, and the check decides as with it.
-        """
-        scale = float(np.max(np.abs(f)))
-        if scale == 0.0 or not math.isfinite(scale):
-            return None
-        if float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)]))) > MEAN_TOL * scale:
-            return "carries a mean"
-        np.multiply(self.k, f, out=self.terms)
-        div = float(np.max(np.abs(np.sum(self.terms, axis=0, out=self.dot))))
-        if div <= SOLENOIDAL_TOL * scale * (1.0 - 1e-9):
-            return None
-        if div > SOLENOIDAL_TOL * math.sqrt(self._sq_norm(f)):
-            return "is not solenoidal"
-        return None
 
 
 @lru_cache(maxsize=8)
@@ -233,11 +197,9 @@ def rhs_f_band(
     into out, or without it into a workspace buffer that the next call on
     this (grid, alpha) overwrites.
 
-    f is certified on the band block before it is returned: mean-free and
-    solenoidal, with no exemption (see ``_KernelWorkspace.violation``). f is
-    zero outside the block, so the check decides what ``measure_flags`` of f
-    would. It is an explicit test, kept under ``python -O``; a broken f
-    raises DivergedError.
+    The kernel checks nothing and raises nothing: non-finite values pass
+    through. ``diagnostics.audit`` checks the f(u) of every state that
+    ``run`` makes, and ``mild.picard_solve`` the nodes of its last iterate.
     """
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
@@ -245,11 +207,7 @@ def rhs_f_band(
         np.copyto(ws.u_in, u)
     _cross(ws.ikv, ws.u_in, ws.stack[dim:], ws.dot)
     product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u)
-    projected = ws.project(product, product if out is None else out)
-    problem = ws.violation(projected)
-    if problem is not None:
-        raise DivergedError(f"the nonlinearity f(u, u) {problem}")
-    return projected
+    return ws.project(product, product if out is None else out)
 
 
 def _band_field(grid: GridSpec, plan: BandPlan, block: np.ndarray) -> SpectralField:

@@ -102,6 +102,15 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# The one stderr line of each command run on the corrupted kernel. holder runs
+# Picard alone, with no stepper: the check of its nodes fails at node 1.
+_CORRUPT_KERNEL_LINE = {
+    "simulate": "diverged: the nonlinearity f(u, u) is not solenoidal at step 0",
+    "oracle-compare": "diverged: the nonlinearity f(u, u) is not solenoidal at step 0",
+    "holder": "diverged: Picard node invariant broken at t = 0.00078125",
+}
+
+
 @pytest.mark.parametrize(
     "flags,command",
     [
@@ -111,8 +120,9 @@ sys.exit(cli.main(sys.argv[1:]))
     ],
 )
 def test_corrupted_kernel_exits_three_with_one_line(tmp_path, flags, command):
-    # the post-condition of f is an explicit check: it reports a broken
-    # kernel as a divergence (exit 3, no traceback), also under python -O
+    # the audit's check of f(u), and Picard's of its nodes, are explicit
+    # checks: they report a broken kernel as a divergence (exit 3, no
+    # traceback) that names its step or t, also under python -O
     driver = tmp_path / "corrupt.py"
     driver.write_text(_CORRUPT_KERNEL)
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
@@ -122,7 +132,7 @@ def test_corrupted_kernel_exits_three_with_one_line(tmp_path, flags, command):
         env=_package_env(), capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 3
-    assert out.stderr.splitlines() == ["diverged: the nonlinearity f(u, u) is not solenoidal"]
+    assert out.stderr.splitlines() == [_CORRUPT_KERNEL_LINE[command[0]]]
 
 
 def test_missing_config_file(tmp_path):
@@ -612,6 +622,29 @@ def test_an_out_dir_that_cannot_be_made_exits_two(tmp_path, capsys, command, bel
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "command,edits",
+    [
+        ("verify-energy", {"t_end = 0.05": "t_end = 0"}),  # no step, one record
+        # the fit window [2 dt, 0.1] holds one step time: 4e-3 (steps end at
+        # 2e-3 and 4e-3), and 0.1 (steps end at 0.05, 0.1, 0.15 and 0.2)
+        ("smoothing", {"t_end = 0.05": "t_end = 0.004"}),
+        ("smoothing", {"dt = 2e-3": "dt = 0.05", "t_end = 0.05": "t_end = 0.2"}),
+    ],
+)
+def test_a_run_too_short_for_its_check_exits_two(tmp_path, capsys, command, edits):
+    # the step count shows it before the run: one error line, no output
+    text = SMALL_CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    assert main([command, write(tmp_path, text), "--out-dir", str(out),
+                 *REQUIRED_FLAGS.get(command, [])]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["verify-energy", "smoothing"])
 def test_long_run_commands_hold_no_snapshots(tmp_path, command):
     # verify-energy reads only the diagnostics records, and smoothing no
@@ -842,9 +875,10 @@ def test_restart_from_snapshot_on_other_grid(tmp_path):
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
 
-# Random config text: a valid config followed by lines that override its keys
-# with numbers, non-finite spellings or junk, and by junk lines. N takes only
-# small or malformed values, so a config that parses never builds a large grid.
+# Random config text: a valid config in which lines of numbers, non-finite
+# spellings or junk for its keys take the place of its own lines for them,
+# followed by lines for keys it lacks and junk lines. N takes only small or
+# malformed values, so a config that parses never builds a large grid.
 _KEYS = ("dim", "alpha", "nu", "s", "dt", "t_end", "init", "scheme", "galerkin_N",
          "snapshot_every", "amplitude", "seed", "decay_exponent", "band", "out_dir")
 _JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r="),
@@ -863,6 +897,21 @@ _LINE = st.one_of(
 )
 
 
+def _overridden(lines: list[str]) -> str:
+    """SMALL_CFG with each line that sets one of its keys in place of that key's line,
+    and the other lines after it. A key is given twice only by two other lines."""
+    base = SMALL_CFG.strip().splitlines()
+    keys = [line.split("=")[0].strip() for line in base]
+    rest = []
+    for line in lines:
+        key = line.split("=", 1)[0].strip()
+        if "=" in line and key in keys:
+            base[keys.index(key)] = line
+        else:
+            rest.append(line)
+    return "\n".join(base + rest) + "\n"
+
+
 def _one_step_trajectory(config, **_kwargs):
     make_initial(config.initial, config.grid, config.params)  # its errors are bad input too
     record = DiagRecord(t=0.0, E0=0.0, E1=0.0, D=0.0, nDA=0.0, n1ps2=0.0, cancel=0.0)
@@ -877,7 +926,7 @@ def test_random_config_text_exits_zero_or_two(lines):
     # no solve
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text(SMALL_CFG + "\n".join(lines) + "\n", encoding="utf-8")
+        cfg.write_text(_overridden(lines), encoding="utf-8")
         with mock.patch("lansfrac.cli.run", _one_step_trajectory):
             code = main(["simulate", str(cfg), "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lansfrac import (
+    HolderClass,
     InitialData,
     Params,
     SchemeKind,
@@ -17,6 +18,7 @@ from lansfrac import (
     make_grid,
     make_initial,
     norm_DAr,
+    picard_solve,
     rhs_f,
     run,
     semigroup_apply,
@@ -820,23 +822,67 @@ def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
     assert [rec.t for rec in info.value.diag] == [0.0, 1e-2, 2e-2]  # through the failing state
 
 
-def test_a_kernel_fault_leaves_the_records_before_it(monkeypatch):
-    # the fifth kernel call, f of step 2's state (ETD2RK evaluates f once per
-    # state and once per stage), fails the kernel's post-condition: the error
-    # carries the records of the states before it
+def _identity_projection(self, a, out):
+    """A broken ``_KernelWorkspace.project``: f keeps the whole product, gradient included."""
+    np.copyto(out, a)
+    return out
+
+
+@pytest.mark.parametrize("plant", ["state", "f(u)", "f(stage)"])
+def test_every_divergence_carries_its_step_and_records(monkeypatch, plant):
+    # a fault in step 2 fails the audit of step 2's state: a fault in that
+    # state, in its f (the fifth kernel call: ETD2RK evaluates f once per
+    # state and once per stage) or in f of its stage (the fourth call), which
+    # reaches the state. The error names the step and its end time, and
+    # carries the records through the failing state.
     grid = make_grid(2, 16)
-    ws = operators._kernel_workspace(grid, _P.alpha)
-    real, calls = type(ws).project, []
+    calls = []
+    if plant == "state":
+        real, broken = integrator._advance, _plant("divergent mode", grid)
 
-    def project(self, a, out):
-        calls.append(None)
-        return real(self, a, out) if len(calls) < 5 else np.copyto(out, a) or out
+        def advance(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            return broken(out) if len(calls) == 2 else out
 
-    monkeypatch.setattr(type(ws), "project", project)
+        monkeypatch.setattr(integrator, "_advance", advance)
+    else:
+        ws_type = type(operators._kernel_workspace(grid, _P.alpha))
+        real, call = ws_type.project, 5 if plant == "f(u)" else 4
+
+        def project(self, a, out):
+            calls.append(None)
+            return (_identity_projection if len(calls) == call else real)(self, a, out)
+
+        monkeypatch.setattr(ws_type, "project", project)
     cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=_RANDOM)
-    with pytest.raises(DivergedError, match="nonlinearity f") as info:
+    what = "field invariant broken"
+    if plant == "f(u)":
+        what = r"the nonlinearity f\(u, u\) is not solenoidal"
+    with pytest.raises(DivergedError, match=f"{what} at step 2") as info:
         run(cfg, on_snapshot=lambda w, t: None)
-    assert [rec.t for rec in info.value.diag] == [0.0, 1e-2]
+    assert (info.value.step, info.value.t) == (2, 2e-2)
+    assert [rec.t for rec in info.value.diag] == [0.0, 1e-2, 2e-2]
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 40)])
+def test_a_broken_projection_fails_run_and_picard(monkeypatch, dim, n):
+    # the kernel checks nothing; the audit fails the start's f(u), and
+    # picard_solve's check fails its first node after t = 0, whose Duhamel
+    # integral holds the gradient part. Both are explicit checks relative to
+    # the field, so they fail at full size and scaled down.
+    grid = make_grid(dim, n)
+    monkeypatch.setattr(type(operators._kernel_workspace(grid, _P.alpha)), "project",
+                        _identity_projection)
+    holder = HolderClass(R=1.0, beta=0.25, T=0.01)
+    for amplitude in (1.0, 1e-6):
+        init = InitialData(kind="random-spectrum", amplitude=amplitude, seed=45)
+        with pytest.raises(DivergedError, match="nonlinearity f.* at step 0") as info:
+            run(config(grid, _P, dt=1e-2, t_end=0.05, init=init))
+        assert (info.value.step, info.value.t, len(info.value.diag)) == (0, 0.0, 1)
+        with pytest.raises(DivergedError, match="Picard node invariant broken") as info:
+            picard_solve(make_initial(init, grid), _P, holder, mesh_size=4, max_iter=3)
+        assert (info.value.step, info.value.t) == (None, 0.0025)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -861,17 +907,67 @@ def test_planted_start_fault_raises_at_step_0(dim, init, fault):
 _SIZES = (0.0, 1e-15, 1e-9, 1e-3)  # planted faults well below or above the 1e-12 tolerances
 
 
-@settings(max_examples=60, deadline=None)
+def _planted_f(ws, rng, fault, size, modes, exponent):
+    """A band block f for the audit: f(u, u)-like, or with one fault planted.
+
+    f is the projection of a random block 10^exponent in size, kept on a few
+    modes (0: on every mode, never the mean), so that ||f|| may come close to
+    max |f|, where the audit's solenoidal check passes without the norm sum.
+    "divergence" plants a divergence of 10^p max |f| on a share of the
+    modes, near the 1e-12 tolerance: p and the share are drawn uniformly from
+    [-14, -11] and [0.001, 1] (hypothesis would favour the ends), and about
+    one in six such f has max |k . f| between the bound at max |f| and the
+    bound at ||f||, where the check passes only after the sum. "unprojected"
+    is the block itself.
+    """
+    shape = (ws.k.shape[0],) + ws.plan.block_shape
+    noise = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = 10.0**exponent * noise()
+    if modes:
+        kept = np.zeros(a[0].size, bool)
+        kept[rng.choice(np.arange(1, a[0].size), modes)] = True
+        a *= kept.reshape(shape[1:])
+    f = ws.project(a, np.empty_like(a))
+    scale = float(np.max(np.abs(f)))
+    mean = (slice(None),) + (0,) * (len(shape) - 1)
+    if fault == "divergence":
+        share, planted = rng.uniform(0.001, 1.0), rng.uniform(-14.0, -11.0)
+        f += (rng.random(shape[1:]) < share) * 10.0**planted * scale * noise()
+        f[mean] = 0.0
+    elif fault == "unprojected":
+        a[mean] = 0.0
+        f = a
+    elif fault == "mean":
+        f[mean] += size * scale
+    elif fault == "zero":
+        f[...] = 0.0
+    elif fault == "nan":
+        f[(0,) + (1,) * (len(shape) - 1)] = np.nan
+    return f
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    dim=st.sampled_from([2, 3]),
+    case=st.sampled_from([(2, 16), (2, 32), (3, 16)]),
     seed=st.integers(0, 2**16),
     fault=st.sampled_from(["none", "nan", "inf", "mean", "divergent mode", "k_last = 0 plane",
                            "zero"]),
     size=st.sampled_from(_SIZES),
     mode=st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 5)),
+    # half the examples plant a divergence near the tolerance
+    f_fault=st.one_of(st.just("divergence"),
+                      st.sampled_from(["none", "unprojected", "mean", "zero", "nan"])),
+    f_modes=st.sampled_from([1, 2, 4, 0]),
+    exponent=st.integers(-30, 30),
 )
-def test_audit_flags_equal_measure_flags(dim, seed, fault, size, mode):
-    grid = make_grid(dim, 16)
+def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault, f_modes,
+                                         exponent):
+    # the audit's flags of u and of f decide as measure_flags of the fields
+    # that are the blocks on the band and zero elsewhere: (hermitian,
+    # solenoidal, zero_mean) of u, then (solenoidal, zero_mean) of f, whose
+    # non-finite values pass (the next state carries them)
+    dim, n = case
+    grid = make_grid(dim, n)
     plan = band_plan(grid, _P.alpha)
     u = np.array(random_field(grid, seed=seed).coeffs)
     c = size * float(np.max(np.abs(u)))
@@ -889,10 +985,16 @@ def test_audit_flags_equal_measure_flags(dim, seed, fault, size, mode):
         u[(0,) + idx[:-1] + (0,)] += 1j * c  # its mirror stays as it was
     elif fault == "zero":
         u[...] = 0.0
+    ws = operators._kernel_workspace(grid, _P.alpha)
+    f = _planted_f(ws, np.random.default_rng(seed), f_fault, size, f_modes, exponent)
     block = plan.gather(u)
-    scattered = plan.scatter(block, np.zeros_like(u))
-    flags, _ = audit(block, np.zeros_like(block), audit_tables(grid, _P.alpha, _P.s), 0.0)
-    assert flags == measure_flags(grid, scattered)
+    flags, _ = audit(block, f, audit_tables(grid, _P.alpha, _P.s), 0.0)
+    zeros = np.zeros_like(u)
+    assert flags[:3] == measure_flags(grid, plan.scatter(block, zeros.copy()))
+    f_scattered = plan.scatter(f, zeros)
+    assert flags[3:] == ((True, True) if f_fault == "nan" else measure_flags(grid, f_scattered)[1:])
+    if f_fault == "unprojected":
+        assert not flags[3]  # the check is not vacuous
 
 
 @settings(max_examples=30, deadline=None)

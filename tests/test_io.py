@@ -360,6 +360,17 @@ def test_parse_bad_value_reports_key_and_line(tmp_path):
         assert str(err.value).startswith(f"bad value for '{key}' (line {line}): ")
 
 
+@pytest.mark.parametrize("key,value", [("nu", "0.2"), ("dt", "1e-3"), ("init", "shear")])
+def test_parse_repeated_key_names_both_lines(tmp_path, key, value):
+    # a second value for a key is refused, also when it equals the first
+    first = next(i for i, line in enumerate(MINIMAL.splitlines(), 1) if line.startswith(f"{key} ="))
+    second = MINIMAL.count("\n") + 1
+    with pytest.raises(BadValueError) as err:
+        parse_config(write_config(tmp_path, f"{MINIMAL}{key} = {value}\n"))
+    assert (err.value.key, err.value.line) == (key, second)
+    assert str(err.value) == f"bad value for '{key}' (line {second}): repeats the key of line {first}"
+
+
 def test_parse_unknown_key(tmp_path):
     with pytest.raises(BadValueError):
         parse_config(write_config(tmp_path, MINIMAL + "\ncolor = blue\n"))
