@@ -6,7 +6,9 @@ Exit codes: 0 ok, 1 a property check failed, 2 usage/config problems
 smoothing, oracle and holder subcommands exist so CI can gate directly on the
 model's analytic properties. oracle-compare runs the Picard oracle in one
 forked worker process (POSIX ``os.fork``) while the stepper runs in this one,
-and leaves no process behind on any exit.
+and leaves no process behind on any exit; it compares the two with
+``diagnostics.norm_DA`` on the band block and u0's tail, building no field.
+A simulate that diverges still writes its diagnostics and its manifest.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from .io import (
 )
 from .operators import band_plan, rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
-    BandPlan,
-    GridSpec,
     Params,
     Regime,
     SpectralField,
@@ -138,7 +138,9 @@ def _cmd_simulate(args) -> int:
         traj = run(config, on_snapshot=writer)
     except DivergedError as exc:
         if exc.diag:  # a diverged run leaves its records up to the failure
-            emit_csv(exc.diag, diag_path)
+            mw.manifest.add_output(diag_path, *emit_csv(exc.diag, diag_path))
+        mw.manifest.status = {"state": "diverged", "step": exc.step, "t": exc.t}
+        mw.finish(out)
         raise
     mw.manifest.add_output(diag_path, *emit_csv(traj.diag, diag_path))
     mw.finish(out)
@@ -238,22 +240,27 @@ def _cmd_oracle_compare(args) -> int:
     if config.galerkin_N is not None:
         u0 = galerkin_truncate(u0, config.galerkin_N)
     holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
-    # Picard runs in a forked worker while the stepper runs here. The stepper's
-    # snapshots are held until the comparison, each as its band block where
-    # that loses no bit.
-    plan = band_plan(config.grid, config.params.alpha)
-    held: list[np.ndarray] = []
-    with mild.picard_worker(u0, config.params, holder, mesh_size=n * m, max_iter=10) as picard:
-        run(stepper_cfg, initial_field=u0,
-            on_snapshot=lambda field, t: held.append(_band_or_whole(field, plan)))
+    # Picard runs in a forked worker while the stepper runs here. Each stepper
+    # snapshot is held as its band block and its values on u0's tail modes,
+    # the only modes outside the block where a snapshot is non-zero.
+    grid, p = config.grid, config.params
+    plan = band_plan(grid, p.alpha)
+    _, modes, _ = plan.split(u0.coeffs)
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    with mild.picard_worker(u0, p, holder, mesh_size=n * m, max_iter=10) as picard:
+        run(stepper_cfg, initial_field=u0, on_snapshot=lambda field, t: held.append(
+            (plan.gather(field.coeffs), field.coeffs.reshape(grid.dim, -1)[:, modes])))
         oracle_traj, state = picard.result()
 
+    tables = diagnostics.audit_tables(grid, p.alpha, p.s)
+    rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, modes)
     rows = []
-    for coeffs, t, w in zip(held, oracle_traj.times[::m], oracle_traj.snapshots[::m]):
-        u = _rebuilt(coeffs, plan, config.grid)
-        ref = norm_DAr(u, 1.0)
-        diff = norm_DAr(u - w, 1.0) / max(ref, 1e-30)
-        rows.append({"t": float(t), "nDA_stepper": ref, "rel_diff": diff})
+    for j, (block, tail) in enumerate(held):
+        w_block, w_tail = oracle_traj.snapshots.split(j * m, modes)
+        ref = diagnostics.norm_DA(block, tables, (rows_tail, tail))
+        diff = diagnostics.norm_DA(block - w_block, tables, (rows_tail, tail - w_tail))
+        rows.append({"t": float(oracle_traj.times[j * m]), "nDA_stepper": ref,
+                     "rel_diff": diff / max(ref, 1e-30)})
     # np.max keeps a nan, where Python's max would drop one after the first row
     worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))
     path = out / "oracle.csv"
@@ -264,26 +271,6 @@ def _cmd_oracle_compare(args) -> int:
         f"{state.n_iter} Picard sweeps"
     )
     return 0 if worst <= args.tol else 1
-
-
-def _band_or_whole(field: SpectralField, plan: BandPlan) -> np.ndarray:
-    """The band block of field if every mode outside it is +0.0, else its coefficients.
-
-    One bitwise count decides: -0.0 or any other non-zero bit pattern outside
-    the band keeps the field whole, so ``_rebuilt`` restores it bit for bit.
-    """
-    block = plan.gather(field.coeffs)
-    nonzero = np.count_nonzero(field.coeffs.view(np.uint64))
-    if nonzero == np.count_nonzero(block.view(np.uint64)):
-        return block
-    return field.coeffs
-
-
-def _rebuilt(held: np.ndarray, plan: BandPlan, grid: GridSpec) -> SpectralField:
-    """The field that ``_band_or_whole`` held: a band block scattered into zeros."""
-    if held.shape[1:] == plan.block_shape:
-        held = plan.scatter(held, np.zeros((grid.dim,) + grid.spectral_shape, held.dtype))
-    return SpectralField.from_coeffs(grid, held)
 
 
 def _cmd_holder(args) -> int:

@@ -139,6 +139,17 @@ def audit(
     return state_flags(u, e0_block, tables) + f_flags(f, tables), rec
 
 
+def norm_DA(
+    u: np.ndarray, tables: AuditTables, tail: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
+    """||u||_{D(A)} of the band block u and its tail (as in ``audit``): the record's D(A) row."""
+    sq = float(np.einsum("i,i->", tables.rows[3], mode_dot(u, u).ravel()))
+    if tail is not None:
+        rows, values = tail
+        sq += float(np.einsum("i,i->", rows[3], mode_dot(values, values)))
+    return math.sqrt(sq)
+
+
 def state_flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, bool]:
     """``measure_flags`` of the band block u, whose E0 is e0; a nan or inf carries into E0."""
     scale = float(np.max(np.abs(u)))

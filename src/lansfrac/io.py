@@ -339,7 +339,9 @@ def run_environment() -> dict[str, str]:
 @dataclass
 class RunManifest:
     """Record of one CLI invocation: config echo, version, outputs + checksums,
-    and the environment (Python and numpy versions)."""
+    the environment (Python and numpy versions) and the status: {"state":
+    "ok"}, or {"state": "diverged", "step": ..., "t": ...} for a run that
+    diverged."""
 
     config: dict[str, Any]
     version: str
@@ -348,6 +350,7 @@ class RunManifest:
     wall_seconds: float
     outputs: list[dict[str, Any]]
     environment: dict[str, str] = dataclasses.field(default_factory=run_environment)
+    status: dict[str, Any] = dataclasses.field(default_factory=lambda: {"state": "ok"})
 
     def add_output(self, path: str | Path, sha256: str, nbytes: int) -> None:
         """Record an output file with the digest and size its writer returned."""

@@ -7,9 +7,10 @@ The fixed-point iteration here rebuilds the solution from the Duhamel formula
 by composite-trapezoid quadrature with the semigroup factor applied exactly at
 every node. It shares no stepping code with the integrator, so agreement
 between the two is a genuine cross-check, also of faults of f too small for
-``picard_solve``'s check of its nodes. The membership checks quantify the
-weighted amplitude/smoothing/Hoelder conditions of the refined solution class
-over a sampled (t, h) lattice and report minimal feasible constants instead of
+``picard_solve``'s check of its nodes. Increments are ``diagnostics.norm_DA``
+of the band block. The membership checks quantify the weighted
+amplitude/smoothing/Hoelder conditions of the refined solution class over a
+sampled (t, h) lattice and report minimal feasible constants instead of
 pass/fail against unquantified theoretical ones.
 
 ``picard_worker`` runs one ``picard_solve`` in a forked process (POSIX
@@ -44,7 +45,7 @@ import numpy as np
 from . import diagnostics
 from .errors import DivergedError, LansfracError, NoContractionError
 from .integrator import Trajectory
-from .operators import band_plan, rhs_f, rhs_f_band
+from .operators import band_plan, rhs_f, rhs_f_band  # noqa: F401  the tracer patches rhs_f
 from .spectral import (
     BandPlan,
     GridSpec,
@@ -94,12 +95,12 @@ class PicardState:
 
 
 class _BandSolve:
-    """u0, f at node 0 and the multipliers of one Picard solve, on the band block.
+    """u0, f at node 0 and the tables of one Picard solve, on the band block.
 
     f has no modes outside the band block (see ``BandPlan``), so there every
     Picard node is the free field u0 e^{-t nu A^s}, and only the block is
     iterated. Each table is gathered once per solve; node 0 is u0 in every
-    iterate, so its f is taken once, from ``rhs_f``.
+    iterate, so its f is taken once, from ``rhs_f_band`` on u0's block.
     """
 
     def __init__(self, u0: SpectralField, params: Params):
@@ -107,21 +108,13 @@ class _BandSolve:
         self.grid, self.params = grid, params
         self.plan = plan = band_plan(grid, params.alpha)
         self.u0 = plan.gather(u0.coeffs)
-        self.f0 = plan.gather(rhs_f(u0, params).coeffs)
+        self.f0 = rhs_f_band(grid, self.u0, params, out=np.empty_like(self.u0))
         self.stokes = plan.gather(_stokes_table(grid, params.s))
-        self.da = plan.gather(_stokes_table(grid, 2.0))
-        self.weight = plan.gather(grid.weight).ravel()
+        self.tables = diagnostics.audit_tables(grid, params.alpha, params.s)
 
     def factor(self, t: float) -> np.ndarray:
         """``semigroup_factor`` on the block: exp(-nu t |k|^{2s})."""
         return np.exp(-self.params.nu * t * self.stokes)
-
-    def norm_DA(self, block: np.ndarray) -> float:
-        """``norm_DAr(field, 1.0)`` of the field that is block on the band, zero elsewhere."""
-        w = mode_dot(block, block)
-        m = self.grid.measure
-        a_part = m * float(np.einsum("i,i->", self.weight, (self.da * w).ravel()))
-        return float(np.sqrt(a_part + m * float(np.einsum("i,i->", self.weight, w.ravel()))))
 
 
 def _duhamel_sweep(
@@ -138,7 +131,8 @@ def _duhamel_sweep(
     of the previous iterate (node i is not yet overwritten, so this is a
     Jacobi sweep), and node i becomes u0 e^{-t_i nu A^s} + acc. Node 0 is u0
     and is left as it is. Returns the sup over the nodes of the D(A)
-    increment; a non-finite increment raises NoContractionError.
+    increment (``diagnostics.norm_DA`` of the block's change); a non-finite
+    increment raises NoContractionError.
 
     f_at(i) returns f_i, and the sweep reads it until it asks for f_{i+1}.
     Without f_at the sweep evaluates every f itself with ``rhs_f_band``, into
@@ -165,7 +159,7 @@ def _duhamel_sweep(
         np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
         nxt = np.multiply(band.u0, band.factor(t), out=work)
         np.add(nxt, acc, out=nxt)
-        inc = band.norm_DA(np.subtract(nxt, stack[i], out=diff))
+        inc = diagnostics.norm_DA(np.subtract(nxt, stack[i], out=diff), band.tables)
         if not math.isfinite(inc):
             raise NoContractionError(f"Picard increment became non-finite at t = {t:g}")
         sup = max(sup, inc)
@@ -209,6 +203,14 @@ class PicardNodes(Sequence[SpectralField]):
         self._plan.scatter(self._stack[i], coeffs)
         coeffs.setflags(write=False)
         return SpectralField.from_coeffs(grid, coeffs[...])
+
+    def split(self, key: int, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``BandPlan.split`` of node key on the given modes, building no full field: a
+        read-only view of the stack's block, and the free field's values at modes."""
+        i = self._index[key]
+        grid, p = self._u0.grid, self._params
+        decay = np.exp(-p.nu * float(self._times[i]) * _stokes_table(grid, p.s).ravel()[modes])
+        return self._stack[i], self._u0.coeffs.reshape(grid.dim, -1)[:, modes] * decay
 
 
 def picard_solve(
@@ -275,10 +277,9 @@ def picard_solve(
             converged = True
             break
 
-    tables = diagnostics.audit_tables(u0.grid, params.alpha, params.s)
     for node, t in zip(stack, t_mesh):
-        e0 = float(np.einsum("i,i->", tables.rows[0], mode_dot(node, node).ravel()))
-        if not all(diagnostics.state_flags(node, e0, tables)):
+        e0 = float(np.einsum("i,i->", band.tables.rows[0], mode_dot(node, node).ravel()))
+        if not all(diagnostics.state_flags(node, e0, band.tables)):
             raise DivergedError(f"Picard node invariant broken at t = {t:g}", t=float(t))
     return _solution(u0, params, t_mesh, stack, increments, converged)
 

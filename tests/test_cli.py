@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from lansfrac.cli import main
 from lansfrac.diagnostics import DiagRecord
@@ -445,19 +445,19 @@ def test_oracle_compare_issues_the_parents_picard_warnings_after_the_workers(tmp
     assert set(messages[first:]) == {"a warning in the parent"}
 
 
-def _held_oracle_rows(config, T: float) -> tuple[list[dict], list]:
-    """oracle-compare's rows from a run that holds its whole snapshots (no sink).
+def full_field_oracle_rows(config, T: float, u0=None) -> tuple[list[dict], list]:
+    """Reference: oracle-compare's rows from a run that holds its whole snapshots.
 
-    The reference for the band-block holding of ``_cmd_oracle_compare``: the
-    same stepper, Picard solve and norms, on the fields the run returns.
+    The same stepper and Picard solve as ``_cmd_oracle_compare``, with every
+    norm ``norm_DAr`` of a whole field: the stepper's snapshot, and its
+    difference from the whole Picard node. u0, when given, replaces the
+    config's initial data. Returns the rows and the snapshots.
     """
-    import dataclasses
-
     from lansfrac import mild
     from lansfrac.integrator import _step_count, run
     from lansfrac.spectral import norm_DAr
 
-    traj = run(dataclasses.replace(config, t_end=T, snapshot_every=1))
+    traj = run(dataclasses.replace(config, t_end=T, snapshot_every=1), initial_field=u0)
     n = _step_count(T, config.scheme.dt)
     m = -(-8 // n)
     u0 = traj.snapshots[0]
@@ -471,71 +471,140 @@ def _held_oracle_rows(config, T: float) -> tuple[list[dict], list]:
     return rows, traj.snapshots
 
 
-@pytest.mark.parametrize("init,blocks", [("random-spectrum", True), ("taylor-green", False)])
-def test_oracle_compare_rows_equal_a_held_run(tmp_path, init, blocks):
-    # random-spectrum snapshots, t = 0 included, are +0.0 outside the band and
-    # are held as band blocks; taylor-green comes from physical samples, so every
-    # mode carries rounding noise and every snapshot is held whole. Either
-    # way the CSV is the one the whole snapshots give, byte for byte.
-    from lansfrac import cli
-    from lansfrac.io import emit_csv, parse_config
+def assert_oracle_csv_matches(path: Path, rows: list[dict]) -> None:
+    """oracle.csv against reference rows: the same t bytes, the norms within 1e-14 relative."""
+    from lansfrac.io import emit_csv
+
+    emit_csv(rows, path.with_name("reference.csv"))
+    got = [line.split(",") for line in path.read_text().splitlines()]
+    want = [line.split(",") for line in path.with_name("reference.csv").read_text().splitlines()]
+    assert got[0] == want[0] == ["t", "nDA_stepper", "rel_diff"]
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for mine, theirs in zip(got[1:], want[1:], strict=True):
+        for a, b in zip(map(float, mine[1:]), map(float, theirs[1:])):
+            assert abs(a - b) <= 1e-14 * abs(b), (a, b)
+
+
+def oracle_compare_holding(monkeypatch, argv: list[str]) -> tuple[list, int]:
+    """Run oracle-compare; return the (block, tail) pairs it held and the full fields it built
+    after ``PicardWorker.result``.
+
+    The held pairs are read off the first ``diagnostics.norm_DA`` call of each
+    row, the stepper's norm.
+    """
+    from lansfrac import diagnostics, mild
+    from lansfrac.spectral import SpectralField
+
+    norms, builds = [], []
+    real_norm, real_result = diagnostics.norm_DA, mild.PicardWorker.result
+    from_coeffs = SpectralField.from_coeffs.__func__
+
+    def norm_DA(u, tables, tail=None):
+        if tail is not None:  # not Picard's increments, which carry no tail
+            norms.append((u, tail[1]))
+        return real_norm(u, tables, tail)
+
+    def counted(cls, grid, coeffs):
+        builds.append(1)
+        return from_coeffs(cls, grid, coeffs)
+
+    def result(self):
+        answer = real_result(self)
+        monkeypatch.setattr(SpectralField, "from_coeffs", classmethod(counted))
+        return answer
+
+    monkeypatch.setattr(diagnostics, "norm_DA", norm_DA)
+    monkeypatch.setattr(mild.PicardWorker, "result", result)
+    assert main(argv) == 0
+    return norms[0::2], len(builds)
+
+
+def assert_held_whole(held: list, snapshots: list, plan, modes) -> None:
+    """Each held pair keeps every bit of its snapshot's block and tail, and the snapshot
+    is zero by value everywhere else."""
+    assert len(held) == len(snapshots)
+    for (block, tail), u in zip(held, snapshots):
+        flat = u.coeffs.reshape(len(u.coeffs), -1)
+        assert block.tobytes() == plan.gather(u.coeffs).tobytes()
+        assert tail.tobytes() == flat[:, modes].tobytes()
+        rebuilt = plan.scatter(block, np.zeros_like(u.coeffs))
+        rebuilt.reshape(flat.shape)[:, modes] = tail
+        assert np.array_equal(rebuilt, u.coeffs)
+
+
+@pytest.mark.parametrize("init,band_limited", [
+    ("random-spectrum", True), ("taylor-green", False),
+    pytest.param("random-spectrum\nband = 15", False, id="random-spectrum-band15-False"),
+])
+def test_oracle_compare_rows_equal_a_held_run(tmp_path, monkeypatch, init, band_limited):
+    # random-spectrum snapshots are +0.0 outside the band block; taylor-green
+    # comes from physical samples, so its modes outside the block carry
+    # rounding noise, and band = N/2 - 1 puts modes of the data there. The
+    # CSV is the one the whole fields give, the hold keeps every bit of each
+    # snapshot's block and tail, and the comparison builds no full field.
+    from lansfrac.io import parse_config
     from lansfrac.operators import band_plan
 
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3")
                 .replace("random-spectrum", init))
     out = tmp_path / "out"
-    assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 0
+    held, builds = oracle_compare_holding(
+        monkeypatch, ["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)])
     config = parse_config(cfg)
-    rows, snapshots = _held_oracle_rows(config, 0.02)
-    emit_csv(rows, tmp_path / "reference.csv")
-    assert (out / "oracle.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    rows, snapshots = full_field_oracle_rows(config, 0.02)
+    assert_oracle_csv_matches(out / "oracle.csv", rows)
+    assert builds == 0
 
     plan = band_plan(config.grid, config.params.alpha)
-    kinds = [cli._band_or_whole(u, plan).shape[1:] == plan.block_shape for u in snapshots]
-    assert kinds == [blocks] * len(snapshots)
-    for u in snapshots:
-        rebuilt = cli._rebuilt(cli._band_or_whole(u, plan), plan, config.grid)
-        assert rebuilt.coeffs.tobytes() == u.coeffs.tobytes()
+    _, modes, tail = plan.split(snapshots[0].coeffs)
+    assert (tail is None) == band_limited
+    assert_held_whole(held, snapshots, plan, modes)
 
 
 def test_oracle_compare_starts_picard_from_the_galerkin_cut_start(tmp_path):
     # run cuts its start at galerkin_N, and Picard starts from that cut field
-    from lansfrac.io import emit_csv, parse_config
+    from lansfrac.io import parse_config
 
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3") + "galerkin_N = 6\n")
     out = tmp_path / "out"
     assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 0
-    rows, _ = _held_oracle_rows(parse_config(cfg), 0.02)
-    emit_csv(rows, tmp_path / "reference.csv")
-    assert (out / "oracle.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    rows, _ = full_field_oracle_rows(parse_config(cfg), 0.02)
+    assert_oracle_csv_matches(out / "oracle.csv", rows)
 
 
 @pytest.mark.parametrize("value", [-0.0, 1e-300, -1e-300])
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_a_snapshot_with_anything_but_plus_zero_outside_the_band_is_held_whole(
-    grid2_64, value, part
+    tmp_path, monkeypatch, value, part
 ):
+    # A mode outside the band block, k = (0, b + 2), of u's first component
+    # (which keeps u solenoidal) carries value. A non-zero value is one of
+    # the start's tail modes, held in every snapshot's tail; -0.0 is zero by
+    # value and is not.
     from lansfrac import cli
+    from lansfrac.io import parse_config
     from lansfrac.operators import band_plan
     from lansfrac.spectral import SpectralField
 
-    from conftest import random_field
-
-    plan = band_plan(grid2_64, 0.5)
-    shape = (grid2_64.dim,) + grid2_64.spectral_shape
-    block = plan.gather(random_field(grid2_64, seed=4).coeffs)
-    banded = plan.scatter(block, np.zeros(shape, complex))  # +0.0 outside the band
-    held = cli._band_or_whole(SpectralField.from_coeffs(grid2_64, banded), plan)
-    assert held.shape[1:] == plan.block_shape
-    assert cli._rebuilt(held, plan, grid2_64).coeffs.tobytes() == banded.tobytes()
-
-    coeffs = banded.copy()
-    mode = coeffs[1, grid2_64.N // 2, 3:4]  # k = (N/2, 3), outside the band
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
+    config = parse_config(cfg)
+    grid = config.grid
+    coeffs = make_initial(config.initial, grid).coeffs.copy()
+    mode = coeffs[0, 0, grid.band_limit + 2 : grid.band_limit + 3]
+    assert mode == 0.0
     getattr(mode, part)[...] = value
-    marked = SpectralField.from_coeffs(grid2_64, coeffs)
-    held = cli._band_or_whole(marked, plan)
-    assert held.shape == shape
-    assert cli._rebuilt(held, plan, grid2_64).coeffs.tobytes() == coeffs.tobytes()
+    u0 = SpectralField.from_coeffs(grid, coeffs)
+    monkeypatch.setattr(cli, "make_initial", lambda *args: u0)
+    out = tmp_path / "out"
+    held, _ = oracle_compare_holding(
+        monkeypatch, ["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(out)])
+    rows, snapshots = full_field_oracle_rows(config, 0.004, u0)
+    assert_oracle_csv_matches(out / "oracle.csv", rows)
+
+    plan = band_plan(grid, config.params.alpha)
+    _, modes, _ = plan.split(u0.coeffs)
+    assert list(modes) == ([] if value == 0.0 else [grid.band_limit + 2])
+    assert_held_whole(held, snapshots, plan, modes)
 
 
 def test_oracle_compare_holds_band_blocks(tmp_path):
@@ -694,8 +763,10 @@ def test_diverged_exit_code(tmp_path):
 
 
 def test_a_diverged_simulate_leaves_its_diagnostics(tmp_path, capsys):
-    # the records run made, through the failing step's state, reach the CSV;
-    # the exit code and the one stderr line stay those of a divergence
+    # the records run made, through the failing step's state, reach the CSV,
+    # and the manifest lists it and the snapshots written, with the step and
+    # t of the divergence; the exit code and the one stderr line stay those
+    # of a divergence
     text = SMALL_CFG.replace("amplitude = 0.01", "amplitude = 1e308")
     out = tmp_path / "out"
     assert main(["simulate", write(tmp_path, text), "--out-dir", str(out)]) == 3
@@ -703,7 +774,14 @@ def test_a_diverged_simulate_leaves_its_diagnostics(tmp_path, capsys):
     rows = (out / "diagnostics.csv").read_text().splitlines()
     assert rows[0].split(",") == [f.name for f in dataclasses.fields(DiagRecord)]
     assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 2e-3]  # t of steps 0 and 1
-    assert not (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == {"state": "diverged", "step": 1, "t": 2e-3}
+    listed = {entry["path"]: entry for entry in manifest["outputs"]}
+    assert set(listed) | {"manifest.json"} == {path.name for path in out.iterdir()}
+    assert set(listed) == {"snapshot_000000.flns", "diagnostics.csv"}
+    for name, entry in listed.items():
+        data = (out / name).read_bytes()
+        assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(data).hexdigest(), len(data))
 
 
 @pytest.mark.parametrize("amplitude", ["1e308", "1e150"])
@@ -740,6 +818,7 @@ def test_manifest_records_the_environment(tmp_path):
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+    assert manifest["status"] == {"state": "ok"}
 
 
 def test_manifest_echoes_regime(tmp_path):
@@ -875,31 +954,65 @@ def test_restart_from_snapshot_on_other_grid(tmp_path):
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
 
-# Random config text: a valid config in which lines of numbers, non-finite
-# spellings or junk for its keys take the place of its own lines for them,
-# followed by lines for keys it lacks and junk lines. N takes only small or
-# malformed values, so a config that parses never builds a large grid.
-_KEYS = ("dim", "alpha", "nu", "s", "dt", "t_end", "init", "scheme", "galerkin_N",
-         "snapshot_every", "amplitude", "seed", "decay_exponent", "band", "out_dir")
+# Random config text: a valid config in which lines for its keys take the
+# place of its own lines for them, followed by lines for keys it lacks and
+# junk lines, each key on one line at most (test_io covers a repeated key).
+# Nine values in ten are in range for their key, so that about half of the
+# configs are accepted; the others are numbers, non-finite spellings or
+# junk. One line in ten is junk. N takes only small or malformed values, so
+# a config that parses never builds a large grid.
 _JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r="),
                 max_size=12)
-_VALUE = st.one_of(
+_ANY = st.one_of(
     st.floats().map(repr),
     st.integers(-3, 40).map(str),
     st.sampled_from(["nan", "-inf", "Infinity", "1e400", "2", "3", "0.75", "1e-3",
                      "shear", "random", "taylor-green", "snapshot:", "exp-euler"]),
     _JUNK,
 )
-_LINE = st.one_of(
-    st.tuples(st.sampled_from(_KEYS), _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
-    st.sampled_from(["8", "16", "7", "0", "-8", "1e2", "nan", ""]).map(lambda v: f"N = {v}"),
+
+
+def _mostly(valid, other, odds: int = 10):
+    """valid, except one draw in odds, which is other."""
+    return st.integers(1, odds).flatmap(lambda i: other if i == 1 else valid)
+
+
+def _floats(lo: float, hi: float):
+    return st.floats(lo, hi).map(repr)
+
+
+# Values in range on their own and together: s >= 3/4 is in the global
+# range of both dims, and band and galerkin_N fit N = 8.
+_IN_RANGE = {
+    "dim": st.sampled_from(["2", "3"]),
+    "N": st.sampled_from(["8", "16"]),
+    "alpha": _floats(0.0, 2.0),
+    "nu": _floats(1e-3, 2.0),
+    "s": _floats(0.75, 0.99),
+    "dt": _floats(1e-4, 0.1),
+    "t_end": _floats(0.0, 1.0),
+    "init": st.sampled_from(["shear", "random", "random-spectrum", "taylor-green"]),
+    "scheme": st.sampled_from(["etd2rk", "exp-euler", "ETD2RK"]),
+    "galerkin_N": st.integers(1, 4).map(str),
+    "snapshot_every": st.integers(1, 50).map(str),
+    "amplitude": _floats(-10.0, 10.0),
+    "seed": st.integers(0, 2**32).map(str),
+    "decay_exponent": _floats(0.0, 5.0),
+    "band": st.integers(1, 3).map(str),
+    "out_dir": _JUNK,
+}
+_OUT_OF_RANGE = {"N": st.sampled_from(["7", "0", "-8", "1e2", "nan", ""])}
+_LINE = _mostly(
+    st.sampled_from(sorted(_IN_RANGE)).flatmap(
+        lambda key: _mostly(_IN_RANGE[key], _OUT_OF_RANGE.get(key, _ANY)).map(
+            lambda value: f"{key} = {value}")),
     _JUNK,
 )
 
 
 def _overridden(lines: list[str]) -> str:
     """SMALL_CFG with each line that sets one of its keys in place of that key's line,
-    and the other lines after it. A key is given twice only by two other lines."""
+    and the other lines after it."""
     base = SMALL_CFG.strip().splitlines()
     keys = [line.split("=")[0].strip() for line in base]
     rest = []
@@ -919,7 +1032,7 @@ def _one_step_trajectory(config, **_kwargs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lines=st.lists(_LINE, max_size=20))
+@given(lines=st.lists(_LINE, max_size=20, unique_by=lambda line: line.split("=")[0].strip()))
 def test_random_config_text_exits_zero_or_two(lines):
     # only the config handling and the initial data are under test: the time
     # loop is replaced by a one-record trajectory, so an accepted config costs
@@ -929,4 +1042,5 @@ def test_random_config_text_exits_zero_or_two(lines):
         cfg.write_text(_overridden(lines), encoding="utf-8")
         with mock.patch("lansfrac.cli.run", _one_step_trajectory):
             code = main(["simulate", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    event(f"exit code {code}")  # --hypothesis-show-statistics counts the accepted examples
     assert code in (0, 2)

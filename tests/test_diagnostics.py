@@ -22,10 +22,10 @@ from lansfrac import (
     smoothing_rate,
 )
 from lansfrac.cli import main
-from lansfrac.diagnostics import record
+from lansfrac.diagnostics import audit_tables, norm_DA, record, tail_rows
 from lansfrac.integrator import Trajectory
 from lansfrac.mild import semigroup_class_check
-from lansfrac.operators import h1_alpha_pairing, rhs_f, v_from_u
+from lansfrac.operators import band_plan, h1_alpha_pairing, rhs_f, v_from_u
 from lansfrac.spectral import frac_stokes_apply, l2_norm, to_physical, zero_field
 
 from conftest import random_field
@@ -83,6 +83,20 @@ def test_record_matches_the_multiplier_definitions(dim, n):
         # and E0 against the quadrature of the physical samples
         quad = float(np.sum(to_physical(u) ** 2) * g.dx**dim)
         assert abs(rec.E0 - quad) <= 1e-13 * quad
+
+
+@pytest.mark.parametrize("dim,n,band", [(2, 32, None), (2, 32, 15), (3, 16, 7)])
+def test_norm_DA_of_a_block_and_its_tail_is_the_whole_fields_norm(dim, n, band):
+    # the D(A) row of the audit's tables on the band block, and of tail_rows
+    # on the modes outside it, against norm_DAr of the whole field
+    g = make_grid(dim, n)
+    p = Params(alpha=0.7, nu=1.0, s=0.6)
+    u = random_field(g, seed=29, decay=1.5, band=band)
+    block, modes, values = band_plan(g, p.alpha).split(u.coeffs)
+    assert (values is None) == (band is None)
+    tail = None if values is None else (tail_rows(g, p.alpha, p.s, modes), values)
+    ref = norm_DAr(u, 1.0)
+    assert abs(norm_DA(block, audit_tables(g, p.alpha, p.s), tail) - ref) <= 1e-14 * ref
 
 
 def test_record_zero_field(grid2, params):
