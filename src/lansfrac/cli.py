@@ -8,7 +8,8 @@ model's analytic properties. oracle-compare runs the Picard oracle in one
 forked worker process (POSIX ``os.fork``) while the stepper runs in this one,
 and leaves no process behind on any exit; it compares the two with
 ``diagnostics.norm_DA`` on the band block and u0's tail, building no field.
-A simulate that diverges still writes its diagnostics and its manifest.
+A command that diverges still writes its manifest, and simulate its
+diagnostics (``_Manifest``).
 """
 
 from __future__ import annotations
@@ -97,53 +98,64 @@ def _out_dir(config: SimConfig) -> Path:
     return out
 
 
-class _ManifestWriter:
-    def __init__(self, config: SimConfig):
-        self.t0 = time.monotonic()
-        self.started = datetime.now(timezone.utc).isoformat()
+class _Manifest:
+    """The manifest of one command, written to out/manifest.json as its with block ends.
+
+    The block gets the ``RunManifest`` to list its outputs in. A block that
+    returns writes it with status ok; one that raises DivergedError writes
+    it with status diverged, the step and t, and the error goes on. Any other
+    exception writes no manifest.
+    """
+
+    def __init__(self, config: SimConfig, out: Path):
+        self.path, self.t0 = out / "manifest.json", time.monotonic()
         self.manifest = RunManifest(
             config=config_echo(config),
             version=__version__,
-            started=self.started,
+            started=datetime.now(timezone.utc).isoformat(),
             finished="",
             wall_seconds=0.0,
             outputs=[],
         )
 
-    def finish(self, out: Path) -> None:
+    def __enter__(self) -> RunManifest:
+        return self.manifest
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, DivergedError):
+            self.manifest.status = {"state": "diverged", "step": exc.step, "t": exc.t}
+        elif exc is not None:
+            return
         self.manifest.finished = datetime.now(timezone.utc).isoformat()
         self.manifest.wall_seconds = time.monotonic() - self.t0
-        write_manifest(self.manifest, out / "manifest.json")
+        write_manifest(self.manifest, self.path)
 
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     _require_global(config, "simulate")
     out = _out_dir(config)
-    mw = _ManifestWriter(config)
     p = config.params
 
     index = {"n": 0}
-
-    def writer(field: SpectralField, t: float) -> None:
-        path = out / f"snapshot_{index['n']:06d}.flns"
-        from .io import write_snapshot
-
-        meta = SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=t)
-        mw.manifest.add_output(path, *write_snapshot(field, meta, path))
-        index["n"] += 1
-
     diag_path = out / "diagnostics.csv"
-    try:
-        traj = run(config, on_snapshot=writer)
-    except DivergedError as exc:
-        if exc.diag:  # a diverged run leaves its records up to the failure
-            mw.manifest.add_output(diag_path, *emit_csv(exc.diag, diag_path))
-        mw.manifest.status = {"state": "diverged", "step": exc.step, "t": exc.t}
-        mw.finish(out)
-        raise
-    mw.manifest.add_output(diag_path, *emit_csv(traj.diag, diag_path))
-    mw.finish(out)
+    with _Manifest(config, out) as manifest:
+
+        def writer(field: SpectralField, t: float) -> None:
+            path = out / f"snapshot_{index['n']:06d}.flns"
+            from .io import write_snapshot
+
+            meta = SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=t)
+            manifest.add_output(path, *write_snapshot(field, meta, path))
+            index["n"] += 1
+
+        try:
+            traj = run(config, on_snapshot=writer)
+        except DivergedError as exc:
+            if exc.diag:  # a diverged run leaves its records up to the failure
+                manifest.add_output(diag_path, *emit_csv(exc.diag, diag_path))
+            raise
+        manifest.add_output(diag_path, *emit_csv(traj.diag, diag_path))
     print(f"simulate: {index['n']} snapshots, t_end={config.t_end}")
     return 0
 
@@ -154,16 +166,15 @@ def _cmd_verify_energy(args) -> int:
     if _step_count(config.t_end, config.scheme.dt) == 0:
         raise ConfigError("verify-energy needs at least one step, got t_end = 0")
     out = _out_dir(config)
-    mw = _ManifestWriter(config)
-    traj = run(config, on_snapshot=lambda field, t: None)  # reads only the records
-    residuals = diagnostics.energy_balance_residual(traj, config.params)
-    rows = [
-        {"t": rec.t, "residual": float(res)}
-        for rec, res in zip(traj.diag, residuals)
-    ]
-    path = out / "residuals.csv"
-    mw.manifest.add_output(path, *emit_csv(rows, path))
-    mw.finish(out)
+    with _Manifest(config, out) as manifest:
+        traj = run(config, on_snapshot=lambda field, t: None)  # reads only the records
+        residuals = diagnostics.energy_balance_residual(traj, config.params)
+        rows = [
+            {"t": rec.t, "residual": float(res)}
+            for rec, res in zip(traj.diag, residuals)
+        ]
+        path = out / "residuals.csv"
+        manifest.add_output(path, *emit_csv(rows, path))
     worst = float(np.max(residuals))
     print(f"verify-energy: max residual {worst:.3e} (tol {args.tol:.3e})")
     return 0 if worst <= args.tol else 1
@@ -179,7 +190,6 @@ def _cmd_smoothing(args) -> int:
     if n < 3 or _step_time(3, n, t_end, dt) > window[1]:
         raise ConfigError(f"smoothing's fit window [2 dt, 0.1] holds < 2 step times: dt = {dt:g}")
     out = _out_dir(config)
-    mw = _ManifestWriter(config)
     times: list[float] = []
     fields: list[SpectralField] = []
 
@@ -189,22 +199,22 @@ def _cmd_smoothing(args) -> int:
             times.append(t)
             fields.append(field)
 
-    traj = run(config, on_snapshot=keep_window)
-    kept = Trajectory(times=np.array(times), snapshots=fields, diag=traj.diag)
-    fit = diagnostics.smoothing_rate(kept, args.r, config.params.s, window=window)
-    rows = [
-        {
-            "t_min": fit.window[0],
-            "t_max": fit.window[1],
-            "r": fit.r,
-            "slope": fit.slope,
-            "expected": fit.expected,
-            "residual": fit.residual,
-        }
-    ]
-    path = out / "ratefit.csv"
-    mw.manifest.add_output(path, *emit_csv(rows, path))
-    mw.finish(out)
+    with _Manifest(config, out) as manifest:
+        traj = run(config, on_snapshot=keep_window)
+        kept = Trajectory(times=np.array(times), snapshots=fields, diag=traj.diag)
+        fit = diagnostics.smoothing_rate(kept, args.r, config.params.s, window=window)
+        rows = [
+            {
+                "t_min": fit.window[0],
+                "t_max": fit.window[1],
+                "r": fit.r,
+                "slope": fit.slope,
+                "expected": fit.expected,
+                "residual": fit.residual,
+            }
+        ]
+        path = out / "ratefit.csv"
+        manifest.add_output(path, *emit_csv(rows, path))
     ok = fit.slope >= fit.expected - args.tol
     print(
         f"smoothing: slope {fit.slope:.4f} vs bound {fit.expected:.4f} - {args.tol}"
@@ -221,8 +231,6 @@ def _cmd_oracle_compare(args) -> int:
     if not 0 < T <= 1.0:
         raise RegimeViolationError("oracle-compare needs 0 < T <= 1")
     out = _out_dir(config)
-    mw = _ManifestWriter(config)
-
     dt = config.scheme.dt
     try:
         stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
@@ -234,38 +242,38 @@ def _cmd_oracle_compare(args) -> int:
     # The Picard mesh refines the stepper's n steps m-fold, to at least 8
     # intervals, so that every stepper time is a mesh node.
     m = -(-8 // n)
-    # Both sides start from the stepper's t = 0 state: the Galerkin cutoff
-    # that run takes is idempotent, bit for bit.
-    u0 = make_initial(config.initial, config.grid, config.params)
-    if config.galerkin_N is not None:
-        u0 = galerkin_truncate(u0, config.galerkin_N)
-    holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
-    # Picard runs in a forked worker while the stepper runs here. Each stepper
-    # snapshot is held as its band block and its values on u0's tail modes,
-    # the only modes outside the block where a snapshot is non-zero.
-    grid, p = config.grid, config.params
-    plan = band_plan(grid, p.alpha)
-    _, modes, _ = plan.split(u0.coeffs)
-    held: list[tuple[np.ndarray, np.ndarray]] = []
-    with mild.picard_worker(u0, p, holder, mesh_size=n * m, max_iter=10) as picard:
-        run(stepper_cfg, initial_field=u0, on_snapshot=lambda field, t: held.append(
-            (plan.gather(field.coeffs), field.coeffs.reshape(grid.dim, -1)[:, modes])))
-        oracle_traj, state = picard.result()
+    with _Manifest(config, out) as manifest:
+        # Both sides start from the stepper's t = 0 state: the Galerkin cutoff
+        # that run takes is idempotent, bit for bit.
+        u0 = make_initial(config.initial, config.grid, config.params)
+        if config.galerkin_N is not None:
+            u0 = galerkin_truncate(u0, config.galerkin_N)
+        holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
+        # Picard runs in a forked worker while the stepper runs here. Each stepper
+        # snapshot is held as its band block and its values on u0's tail modes,
+        # the only modes outside the block where a snapshot is non-zero.
+        grid, p = config.grid, config.params
+        plan = band_plan(grid, p.alpha)
+        _, modes, _ = plan.split(u0.coeffs)
+        held: list[tuple[np.ndarray, np.ndarray]] = []
+        with mild.picard_worker(u0, p, holder, mesh_size=n * m, max_iter=10) as picard:
+            run(stepper_cfg, initial_field=u0, on_snapshot=lambda field, t: held.append(
+                (plan.gather(field.coeffs), field.coeffs.reshape(grid.dim, -1)[:, modes])))
+            oracle_traj, state = picard.result()
 
-    tables = diagnostics.audit_tables(grid, p.alpha, p.s)
-    rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, modes)
-    rows = []
-    for j, (block, tail) in enumerate(held):
-        w_block, w_tail = oracle_traj.snapshots.split(j * m, modes)
-        ref = diagnostics.norm_DA(block, tables, (rows_tail, tail))
-        diff = diagnostics.norm_DA(block - w_block, tables, (rows_tail, tail - w_tail))
-        rows.append({"t": float(oracle_traj.times[j * m]), "nDA_stepper": ref,
-                     "rel_diff": diff / max(ref, 1e-30)})
-    # np.max keeps a nan, where Python's max would drop one after the first row
-    worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))
-    path = out / "oracle.csv"
-    mw.manifest.add_output(path, *emit_csv(rows, path))
-    mw.finish(out)
+        tables = diagnostics.audit_tables(grid, p.alpha, p.s)
+        rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, modes)
+        rows = []
+        for j, (block, tail) in enumerate(held):
+            w_block, _, w_tail = oracle_traj.snapshots.split(j * m)
+            ref = diagnostics.norm_DA(block, tables, (rows_tail, tail))
+            diff = diagnostics.norm_DA(block - w_block, tables, (rows_tail, tail - w_tail))
+            rows.append({"t": float(oracle_traj.times[j * m]), "nDA_stepper": ref,
+                         "rel_diff": diff / max(ref, 1e-30)})
+        # np.max keeps a nan, where Python's max would drop one after the first row
+        worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))
+        path = out / "oracle.csv"
+        manifest.add_output(path, *emit_csv(rows, path))
     print(
         f"oracle-compare: sup rel diff {worst:.3e} (tol {args.tol:.3e}), "
         f"{state.n_iter} Picard sweeps"
@@ -278,20 +286,19 @@ def _cmd_holder(args) -> int:
     if config.grid.dim != 2 or abs(config.params.s - 0.5) > 1e-12:
         raise RegimeViolationError("holder requires the critical case dim=2, s=1/2")
     out = _out_dir(config)
-    mw = _ManifestWriter(config)
     u0 = make_initial(config.initial, config.grid, config.params)
     T = min(config.t_end, 1.0) if config.t_end > 0 else 1.0
     holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=args.beta, T=T)
-    traj, _state = mild.picard_solve(u0, config.params, holder, mesh_size=64)
-    report = mild.holder_membership(traj, holder, config.params.s)
-    semi = mild.semigroup_class_check(u0, config.params, holder)
-    rows = [
-        {"trajectory": "picard", **dataclasses.asdict(report)},
-        {"trajectory": "semigroup", **dataclasses.asdict(semi)},
-    ]
-    path = out / "holder.csv"
-    mw.manifest.add_output(path, *emit_csv(rows, path))
-    mw.finish(out)
+    with _Manifest(config, out) as manifest:
+        traj, _state = mild.picard_solve(u0, config.params, holder, mesh_size=64)
+        report = mild.holder_membership(traj, holder, config.params.s)
+        semi = mild.semigroup_class_check(u0, config.params, holder)
+        rows = [
+            {"trajectory": "picard", **dataclasses.asdict(report)},
+            {"trajectory": "semigroup", **dataclasses.asdict(semi)},
+        ]
+        path = out / "holder.csv"
+        manifest.add_output(path, *emit_csv(rows, path))
     finite = all(
         np.isfinite([report.minimal_R, semi.minimal_R])
     ) and report.minimal_R > 0

@@ -274,7 +274,7 @@ def _advance(
 ) -> np.ndarray:
     """One exponential step from the coefficients u, with f_u = f(u) already evaluated.
 
-    u, f_u and the weights of prop share one layout (see ``_Layout``). The
+    u, f_u and the weights of prop share one layout (see ``run``). The
     stage and the ETD2RK update are formed with ``out=`` in two new arrays.
     w1 f(u) and f(stage) - f(u) are temporaries, so w1 f(u) is freed before
     the stage's f is evaluated. f(stage) is read once, right away, so
@@ -288,35 +288,6 @@ def _advance(
     work = np.subtract(f_eval(stage), f_u)
     np.multiply(prop.w2, work, out=work)
     return np.add(stage, work, out=work)
-
-
-class _Layout:
-    """The coefficients a run steps: the band block, plus a linear tail.
-
-    The 2/3-dealiased f(u, u) reads and writes only the band block (see
-    ``BandPlan``; Orszag 1971), so on every other mode the exponential step
-    is E u + w1 0 + w2 0, the exact linear semigroup. ``run`` steps the
-    block: the state, f, the step's arrays, the propagator weights, the
-    Galerkin mask, the v-form factor and the audit's tables hold just the
-    band modes. The tail is the start's non-zero modes outside the block
-    (``BandPlan.split``; the Galerkin cutoff is taken before, so it keeps
-    them all): ``modes`` holds their flat indices, and ``run`` their values,
-    which only the propagator touches, as tail = E tail + 0.0. A full field
-    is built only for a snapshot.
-    """
-
-    def __init__(self, grid: GridSpec, params: Params, modes: np.ndarray):
-        self.grid, self.modes = grid, modes
-        self.plan = band_plan(grid, params.alpha)
-        self.audit = diagnostics.audit_tables(grid, params.alpha, params.s)
-
-    def field(self, block: np.ndarray, tail: np.ndarray | None = None) -> SpectralField:
-        """The field that is block on the band, tail on its modes and zero elsewhere."""
-        grid = self.grid
-        full = self.plan.scatter(block, np.zeros((grid.dim,) + grid.spectral_shape, complex))
-        if tail is not None:
-            full.reshape(grid.dim, -1)[:, self.modes] = tail
-        return SpectralField.from_coeffs(grid, full)
 
 
 # A step on a blown-up state over- or underflows on the way; the audit that
@@ -364,12 +335,19 @@ def run(
     with the number of steps or snapshots. The t = 0 snapshot is the start
     state itself, taken right after the first f and diagnostics record.
 
-    The run has one layout (see ``_Layout``): it steps the band block of its
-    start state and carries the start's other non-zero modes as a tail that
-    only the propagator touches. Each later snapshot is the block and the
-    tail written into zeros: the bytes a whole-spectrum step gives. A
-    Galerkin cutoff sets its cut modes to +0.0. Each step calls ``_advance``
-    once.
+    The run has one layout: the band block of its start state, plus a
+    linear tail. The 2/3-dealiased f(u, u) reads and writes only the band
+    block (see ``BandPlan``; Orszag 1971), so on every other mode the
+    exponential step is E u + w1 0 + w2 0, the exact linear semigroup. The
+    run steps the block: the state, f, the step's arrays, the propagator
+    weights, the Galerkin mask, the v-form factor and the audit's tables
+    hold just the band modes. The tail is the start's non-zero modes outside
+    the block (``BandPlan.split``; the Galerkin cutoff is taken before, so
+    it keeps them all), and only the propagator touches it, as tail = E tail
+    + 0.0. Each later snapshot is ``BandPlan.join`` of the block and the
+    tail, the only full field the run builds: the bytes a whole-spectrum
+    step gives. A Galerkin cutoff sets its cut modes to +0.0. Each step
+    calls ``_advance`` once.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Each state gets one ``diagnostics.audit`` of u
@@ -403,7 +381,7 @@ def run(
         start = v_from_u(start, alpha)
     plan = band_plan(grid, alpha)
     state, modes, tail = plan.split(start.coeffs)
-    layout = _Layout(grid, params, modes)
+    tables = diagnostics.audit_tables(grid, alpha, params.s)
 
     shape = state.shape
     if config.linear_only:
@@ -412,7 +390,7 @@ def run(
         f_new = f_step = lambda w: zero
     elif form == "v":
         def f_new(w: np.ndarray) -> np.ndarray:
-            v = layout.field(w)
+            v = SpectralField.from_coeffs(grid, plan.join(w))
             return plan.gather(v_nonlinearity(u_from_v(v, alpha), v).coeffs)
 
         f_step = f_new
@@ -451,7 +429,7 @@ def run(
     def audit(w: np.ndarray, f_w: np.ndarray, t: float) -> tuple[bool, ...]:
         if helm is not None:
             w, f_w = w / helm, f_w / helm  # u and f(u): exact conjugacy of the forms
-        flags, rec = diagnostics.audit(w, f_w, layout.audit, t, audit_tail)
+        flags, rec = diagnostics.audit(w, f_w, tables, t, audit_tail)
         diag.append(rec)
         return flags
 
@@ -495,7 +473,7 @@ def run(
                 raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
             last = i + 1 == n_steps
             if (i + 1) % config.snapshot_every == 0 or last:
-                on_snapshot(layout.field(state, tail), t)
+                on_snapshot(SpectralField.from_coeffs(grid, plan.join(state, modes, tail)), t)
     except DivergedError as exc:
         exc.diag = diag  # the records through the failing state
         raise

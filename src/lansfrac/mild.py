@@ -56,7 +56,6 @@ from .spectral import (
     mode_dot,
     norm_DAr,
     semigroup_apply,
-    semigroup_factor,
 )
 
 _TINY = 1e-300
@@ -170,11 +169,13 @@ def _duhamel_sweep(
 class PicardNodes(Sequence[SpectralField]):
     """The read-only nodes of a Picard solve, each built when it is accessed.
 
-    Node i is the free field u0 e^{-t_i nu A^s} with the band block of the
-    iterate written into its band modes. Indexing and iteration build one
-    field per access, and a slice is another such sequence, so no full-spectrum
-    node list is ever held. Each node's coefficients are a view of a read-only
-    buffer of its own.
+    Outside the band block every node is the free field u0 e^{-t_i nu A^s}
+    (see ``_BandSolve``), which is non-zero only on u0's tail modes
+    (``BandPlan.split`` of u0, found once). So node i is ``BandPlan.join``
+    of its own ``split``: the iterate's block, and u0's tail times the
+    semigroup factor at t_i. An int index, negative too, builds one field
+    per access, so no full-spectrum node list is ever held. Each node's
+    coefficients are a view of a read-only buffer of its own.
     """
 
     def __init__(
@@ -184,33 +185,28 @@ class PicardNodes(Sequence[SpectralField]):
         times: np.ndarray,
         stack: np.ndarray,
         plan: BandPlan,
-        index: range | None = None,
     ):
-        self._u0, self._params, self._times = u0, params, times
+        grid = u0.grid
+        self._grid, self._nu, self._times = grid, params.nu, times
         self._stack, self._plan = stack, plan
-        self._index = range(len(times)) if index is None else index
+        _, self._modes, _ = plan.split(u0.coeffs)
+        self._u0_tail = u0.coeffs.reshape(grid.dim, -1)[:, self._modes]
+        self._stokes_tail = _stokes_table(grid, params.s).ravel()[self._modes]
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._times)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            args = (self._u0, self._params, self._times, self._stack, self._plan)
-            return PicardNodes(*args, index=self._index[key])
-        i = self._index[key]
-        grid = self._u0.grid
-        coeffs = self._u0.coeffs * semigroup_factor(grid, float(self._times[i]), self._params)
-        self._plan.scatter(self._stack[i], coeffs)
+    def __getitem__(self, i: int) -> SpectralField:
+        coeffs = self._plan.join(*self.split(i))
         coeffs.setflags(write=False)
-        return SpectralField.from_coeffs(grid, coeffs[...])
+        return SpectralField.from_coeffs(self._grid, coeffs[...])
 
-    def split(self, key: int, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``BandPlan.split`` of node key on the given modes, building no full field: a
-        read-only view of the stack's block, and the free field's values at modes."""
-        i = self._index[key]
-        grid, p = self._u0.grid, self._params
-        decay = np.exp(-p.nu * float(self._times[i]) * _stokes_table(grid, p.s).ravel()[modes])
-        return self._stack[i], self._u0.coeffs.reshape(grid.dim, -1)[:, modes] * decay
+    def split(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``BandPlan.split`` of node i, building no full field: a read-only view
+        of the stack's block, u0's tail modes, and the free field's values there,
+        shape (dim, n) with n = 0 when u0 has no tail."""
+        decay = np.exp(-self._nu * float(self._times[i]) * self._stokes_tail)
+        return self._stack[i], self._modes, self._u0_tail * decay
 
 
 def picard_solve(

@@ -165,17 +165,17 @@ def rhs_f(u: SpectralField, params: Params) -> SpectralField:
     This is the production nonlinearity, in rotational filtered-momentum form:
     u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
     removed by the projection. It gathers the band block of u, runs
-    ``rhs_f_band`` on it and scatters the result, so it allocates only the
-    f it returns. f is zero outside the band block.
+    ``rhs_f_band`` on it and joins the result (``BandPlan.join``), so it
+    allocates only the f it returns. f is +0.0 outside the band block.
     """
     grid = u.grid
     ws = _kernel_workspace(grid, params.alpha)
     u_band = ws.plan.gather(u.coeffs, out=ws.u_in)
-    return _band_field(grid, ws.plan, rhs_f_band(grid, u_band, params))
+    return SpectralField.from_coeffs(grid, ws.plan.join(rhs_f_band(grid, u_band, params)))
 
 
 def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
-    """The plan ``rhs_f_band`` runs on; its gather and scatter fix the block layout."""
+    """The plan ``rhs_f_band`` runs on; its gather, split and join fix the block layout."""
     return _kernel_workspace(grid, alpha).plan
 
 
@@ -208,12 +208,6 @@ def rhs_f_band(
     _cross(ws.ikv, ws.u_in, ws.stack[dim:], ws.dot)
     product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u)
     return ws.project(product, product if out is None else out)
-
-
-def _band_field(grid: GridSpec, plan: BandPlan, block: np.ndarray) -> SpectralField:
-    """The field whose band modes are a band block and whose other modes are zero."""
-    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, np.complex128)
-    return SpectralField.from_coeffs(grid, plan.scatter(block, coeffs))
 
 
 def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField:

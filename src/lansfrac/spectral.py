@@ -406,6 +406,17 @@ class BandPlan:
         modes = np.flatnonzero(outside)
         return block, modes, full.reshape(len(full), -1)[:, modes]
 
+    def join(
+        self, block: np.ndarray, modes: np.ndarray | None = None, tail: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The inverse of ``split``: a new (dim,) + spectral_shape array that is
+        block on the band, tail at the flat indices modes and +0.0 elsewhere."""
+        grid = self.grid
+        full = self.scatter(block, np.zeros((grid.dim,) + grid.spectral_shape, block.dtype))
+        if tail is not None:
+            full.reshape(grid.dim, -1)[:, modes] = tail
+        return full
+
     def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
         """out = the band block of a pointwise product of block's samples.
 

@@ -464,7 +464,8 @@ def full_field_oracle_rows(config, T: float, u0=None) -> tuple[list[dict], list]
     holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
     oracle, _ = mild.picard_solve(u0, config.params, holder, mesh_size=n * m, max_iter=10)
     rows = []
-    for u, t, w in zip(traj.snapshots, oracle.times[::m], oracle.snapshots[::m]):
+    for j, u in enumerate(traj.snapshots):
+        t, w = oracle.times[j * m], oracle.snapshots[j * m]
         ref = norm_DAr(u, 1.0)
         rows.append({"t": float(t), "nDA_stepper": ref,
                      "rel_diff": norm_DAr(u - w, 1.0) / max(ref, 1e-30)})
@@ -527,9 +528,7 @@ def assert_held_whole(held: list, snapshots: list, plan, modes) -> None:
         flat = u.coeffs.reshape(len(u.coeffs), -1)
         assert block.tobytes() == plan.gather(u.coeffs).tobytes()
         assert tail.tobytes() == flat[:, modes].tobytes()
-        rebuilt = plan.scatter(block, np.zeros_like(u.coeffs))
-        rebuilt.reshape(flat.shape)[:, modes] = tail
-        assert np.array_equal(rebuilt, u.coeffs)
+        assert np.array_equal(plan.join(block, modes, tail), u.coeffs)
 
 
 @pytest.mark.parametrize("init,band_limited", [
@@ -763,10 +762,9 @@ def test_diverged_exit_code(tmp_path):
 
 
 def test_a_diverged_simulate_leaves_its_diagnostics(tmp_path, capsys):
-    # the records run made, through the failing step's state, reach the CSV,
-    # and the manifest lists it and the snapshots written, with the step and
-    # t of the divergence; the exit code and the one stderr line stay those
-    # of a divergence
+    # the records run made, through the failing step's state, reach the CSV;
+    # the exit code and the one stderr line stay those of a divergence (the
+    # manifest: test_a_diverged_command_writes_its_manifest)
     text = SMALL_CFG.replace("amplitude = 0.01", "amplitude = 1e308")
     out = tmp_path / "out"
     assert main(["simulate", write(tmp_path, text), "--out-dir", str(out)]) == 3
@@ -774,11 +772,24 @@ def test_a_diverged_simulate_leaves_its_diagnostics(tmp_path, capsys):
     rows = (out / "diagnostics.csv").read_text().splitlines()
     assert rows[0].split(",") == [f.name for f in dataclasses.fields(DiagRecord)]
     assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 2e-3]  # t of steps 0 and 1
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["verify-energy"], ["smoothing", "--r", "0.5"], ["oracle-compare", "--T", "0.004"],
+], ids=lambda command: command[0])
+def test_a_diverged_command_writes_its_manifest(tmp_path, capsys, command):
+    # the manifest has the step and t of the divergence and lists exactly the
+    # files the command wrote: simulate's snapshot and records, nothing else
+    text = SMALL_CFG.replace("N = 32", "N = 16").replace("amplitude = 0.01", "amplitude = 1e308")
+    out = tmp_path / "out"
+    assert main([command[0], write(tmp_path, text), *command[1:], "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["diverged: field invariant broken at step 1"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == {"state": "diverged", "step": 1, "t": 2e-3}
     listed = {entry["path"]: entry for entry in manifest["outputs"]}
     assert set(listed) | {"manifest.json"} == {path.name for path in out.iterdir()}
-    assert set(listed) == {"snapshot_000000.flns", "diagnostics.csv"}
+    wrote = {"snapshot_000000.flns", "diagnostics.csv"} if command[0] == "simulate" else set()
+    assert set(listed) == wrote
     for name, entry in listed.items():
         data = (out / name).read_bytes()
         assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(data).hexdigest(), len(data))

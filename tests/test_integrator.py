@@ -27,7 +27,6 @@ from lansfrac import integrator, operators
 from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
-    _Layout,
     _Propagator,
     _advance,
     _step_count,
@@ -718,7 +717,7 @@ def test_tail_holds_the_start_modes_outside_the_band_that_are_non_zero(grid2):
     block, modes, tail = plan.split(u0.coeffs)
     assert np.array_equal(block, plan.gather(u0.coeffs))
     assert tail is None and modes.size == 0
-    assert _Layout(grid2, _P, modes).field(block).coeffs.tobytes() == u0.coeffs.tobytes()
+    assert plan.join(block, modes, tail).tobytes() == u0.coeffs.tobytes()
     # -0.0 outside the band counts as zero
     dealiased = dealias(random_field(grid2, seed=25, band=15))
     assert np.signbit(dealiased.coeffs[outside].real).any()
@@ -730,8 +729,7 @@ def test_tail_holds_the_start_modes_outside_the_band_that_are_non_zero(grid2):
     dust = np.flatnonzero(np.any((tg.coeffs != 0) & outside, axis=0))
     assert dust.size > 0 and np.array_equal(modes, dust)
     assert np.array_equal(tail, tg.coeffs.reshape(2, -1)[:, dust])
-    field = _Layout(grid2, _P, modes).field(block, tail)
-    assert field.coeffs.tobytes() == tg.coeffs.tobytes()
+    assert plan.join(block, modes, tail).tobytes() == tg.coeffs.tobytes()
     # a nan outside the band lands in the tail, and the run raises at step 0
     coeffs = np.array(u0.coeffs)
     coeffs[0, 1, grid2.N // 2] = np.nan
@@ -989,10 +987,9 @@ def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault,
     f = _planted_f(ws, np.random.default_rng(seed), f_fault, size, f_modes, exponent)
     block = plan.gather(u)
     flags, _ = audit(block, f, audit_tables(grid, _P.alpha, _P.s), 0.0)
-    zeros = np.zeros_like(u)
-    assert flags[:3] == measure_flags(grid, plan.scatter(block, zeros.copy()))
-    f_scattered = plan.scatter(f, zeros)
-    assert flags[3:] == ((True, True) if f_fault == "nan" else measure_flags(grid, f_scattered)[1:])
+    assert flags[:3] == measure_flags(grid, plan.join(block))
+    f_joined = plan.join(f)
+    assert flags[3:] == ((True, True) if f_fault == "nan" else measure_flags(grid, f_joined)[1:])
     if f_fault == "unprojected":
         assert not flags[3]  # the check is not vacuous
 

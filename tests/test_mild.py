@@ -320,19 +320,28 @@ def test_picard_nodes_are_read_only(grid2, params):
             w.coeffs.setflags(write=True)
 
 
-def test_picard_node_slices_are_lazy_sequences(grid2, params):
-    u0 = random_field(grid2, seed=7, amplitude=1e-2)
+def test_picard_nodes_index_like_a_sequence(grid2, params):
+    # node i is the join of its own split: the iterate's block, and u0's
+    # tail modes under the semigroup; its values are those of the whole free
+    # field u0 e^{-t nu A^s} with the block written into its band
+    u0 = random_field(grid2, seed=7, amplitude=1e-2, band=grid2.N // 2 - 1)
     traj, _ = picard_solve(u0, params, holder_for(u0, T=0.1), mesh_size=8)
-    nodes = traj.snapshots
-    every = nodes[1::3]
-    assert isinstance(every, PicardNodes) and len(every) == 3
-    assert isinstance(every[::-1], PicardNodes) and len(nodes[20:]) == 0
-    for got, i in zip(every, range(1, 9, 3), strict=True):
-        assert np.array_equal(got.coeffs, nodes[i].coeffs)
-    assert np.array_equal(every[-1].coeffs, nodes[7].coeffs)
+    nodes, plan = traj.snapshots, band_plan(grid2, params.alpha)
+    _, u0_modes, _ = plan.split(u0.coeffs)
+    assert len(nodes) == 9 and u0_modes.size > 0
+    for i, t in enumerate(traj.times):
+        block, modes, tail = nodes.split(i)
+        assert np.array_equal(modes, u0_modes) and not block.flags.writeable
+        assert nodes[i].coeffs.tobytes() == plan.join(block, modes, tail).tobytes()
+        free = u0.coeffs * semigroup_factor(grid2, float(t), params)
+        assert np.array_equal(nodes[i].coeffs, plan.scatter(block, free))
+    assert np.array_equal(nodes[-1].coeffs, nodes[8].coeffs)
     assert np.array_equal(nodes[-9].coeffs, u0.coeffs)
+    assert len(list(nodes)) == 9
     with pytest.raises(IndexError):
         nodes[9]
+    with pytest.raises(IndexError):
+        nodes[-10]
 
 
 def test_picard_solve_into_a_callers_buffer_is_bit_identical(grid2, params):

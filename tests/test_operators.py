@@ -33,7 +33,6 @@ from lansfrac import spectral
 from lansfrac.diagnostics import audit_tables, f_flags
 from lansfrac.errors import GridError
 from lansfrac.operators import (
-    _band_field,
     _cross,
     _curl_v_cross_u,
     _kernel_workspace,
@@ -619,8 +618,7 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
     mean = (slice(None),) + (0,) * dim
     block[mean] = product[mean] if kind == "mean" else 0.0
 
-    f = _band_field(grid, ws.plan, block)
-    _herm, sol, mean_free = measure_flags(grid, f.coeffs)
+    _herm, sol, mean_free = measure_flags(grid, ws.plan.join(block))
     assert f_flags(block, tables) == (sol, mean_free)
     assert (sol and mean_free) == (kind in ("solenoidal", "zero"))
 
@@ -693,7 +691,7 @@ def test_the_single_projection_pass(case, alpha, seed, exponent):
     near = ws.project(grad + 1e-9 * a, np.empty_like(a))
     assert np.max(np.abs(np.sum(ws.k * near, axis=0))) <= 1e-15 * norm(near)
 
-    twice = leray_project(leray_project(_band_field(grid, plan, a)))
+    twice = leray_project(leray_project(SpectralField.from_coeffs(grid, plan.join(a))))
     expect = -plan.gather(twice.coeffs) / (1.0 + alpha**2 * plan.gather(grid.k2))
     expect[mean] = 0.0
     assert rel_err(f, expect) <= 1e-14

@@ -290,6 +290,42 @@ def test_band_plan_matches_full_transforms(dim, n):
             assert np.array_equal(alone[1][0], band[j])
 
 
+_JOIN_PLANS = {case: BandPlan(make_grid(*case), 1, 1) for case in ((2, 32), (2, 96), (3, 16))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_JOIN_PLANS)),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.floats(0.0, 1.0),
+    nan_share=st.sampled_from([0.0, 1e-3, 0.05]),
+)
+def test_join_inverts_split(case, seed, zero_share, nan_share):
+    # Arrays with +-0.0 and nan inside and outside the band come back byte for
+    # byte, apart from the modes outside the band that are zero by value: those
+    # are not in the tail, so they come back +0.0. The (2, 96) plan runs FFT passes.
+    plan = _JOIN_PLANS[case]
+    grid = plan.grid
+    rng = np.random.default_rng(seed)
+    shape = (2, grid.dim) + grid.spectral_shape  # real and imaginary parts
+    parts = rng.standard_normal(shape)
+    zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    draw = rng.random(shape)
+    parts = np.where(draw < zero_share, zeros, parts)
+    parts = np.where(draw > 1.0 - nan_share, np.nan, parts)
+    whole = rng.random(grid.spectral_shape) < zero_share  # modes of signed zeros only
+    parts = np.where(whole, zeros, parts)
+    a = np.empty(shape[1:], complex)
+    a.real, a.imag = parts
+
+    block, modes, tail = plan.split(a)
+    zero_outside = ~grid.dealias_mask & ~np.any(a != 0, axis=0)
+    expect = a.copy()
+    expect[:, zero_outside] = 0.0
+    assert plan.join(block, modes, tail).tobytes() == expect.tobytes()
+    assert (tail is None) == (modes.size == 0)
+
+
 @pytest.mark.parametrize("dim,n,gemm", [(2, 64, True), (2, 66, False), (3, 96, True), (3, 98, False)])
 def test_the_gemm_crossover_depends_on_the_dimension(dim, n, gemm):
     # 2D grids run the products up to N=64, 3D grids up to N=96, where they
