@@ -2,7 +2,8 @@
 holder, ops-test.
 
 Exit codes: 0 ok, 1 a property check failed, 2 usage/config problems
-(including admissibility-range violations), 3 runtime divergence. The energy,
+(including admissibility-range violations) and outputs that cannot be
+written, 3 runtime divergence. The energy,
 smoothing, oracle and holder subcommands exist so CI can gate directly on the
 model's analytic properties. oracle-compare runs the Picard oracle in one
 forked worker process (POSIX ``os.fork``) while the stepper runs in this one,
@@ -29,6 +30,7 @@ from .errors import (
     ConfigError,
     DivergedError,
     LansfracError,
+    OutputError,
     RegimeViolationError,
     SnapshotError,
 )
@@ -230,15 +232,17 @@ def _cmd_oracle_compare(args) -> int:
     T = args.T
     if not 0 < T <= 1.0:
         raise RegimeViolationError("oracle-compare needs 0 < T <= 1")
-    out = _out_dir(config)
     dt = config.scheme.dt
     try:
         stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
     except ValueError as exc:
         raise ConfigError(f"oracle-compare --T {T}: {exc}") from None
     n = _step_count(T, dt)
+    if n == 0:
+        raise ConfigError(f"oracle-compare needs at least one step of dt = {dt}, got --T {T}")
     if abs(T - n * dt) > 1e-9 * max(dt, T):
         raise ConfigError(f"oracle-compare --T {T} is not a multiple of dt = {dt}")
+    out = _out_dir(config)
     # The Picard mesh refines the stepper's n steps m-fold, to at least 8
     # intervals, so that every stepper time is a mesh node.
     m = -(-8 // n)
@@ -488,7 +492,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, SnapshotError, FileNotFoundError) as exc:
+    except (ConfigError, SnapshotError, OutputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergedError as exc:

@@ -74,3 +74,7 @@ class SnapshotMismatchError(SnapshotError):
 
 class EmptyOutputError(LansfracError):
     """CSV emission called with nothing to write."""
+
+
+class OutputError(LansfracError):
+    """An output file could not be written."""

@@ -34,6 +34,7 @@ from .errors import (
     EmptyOutputError,
     GridError,
     MissingKeyError,
+    OutputError,
     SnapshotError,
     VersionMismatchError,
 )
@@ -63,7 +64,9 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> tup
     """Write chunks to a temporary file beside path, then rename it to path.
 
     Returns the hex sha256 and the byte count of what was written, hashed
-    chunk by chunk as it is written, so no output is read back.
+    chunk by chunk as it is written, so no output is read back. A write that
+    fails (a directory at path, a full disk, a file-size limit) raises
+    OutputError naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -75,8 +78,10 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> tup
                 digest.update(chunk)
                 size += memoryview(chunk).nbytes
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
         raise
     return digest.hexdigest(), size
 

@@ -19,6 +19,8 @@ Within a sweep every node's f reads only the previous iterate, so the f
 evaluations are independent of each other; the accumulation runs in node
 order. The worker keeps the accumulation, and once the caller waits for the
 result it evaluates f at nodes too, so both processes work until the end.
+A token and a report on the worker's pipes are one 4-byte node index; an
+exception goes out where it is raised, in either process.
 While the worker runs on a GEMM band plan, both processes hold OpenBLAS at
 one thread (``_one_blas_thread``).
 """
@@ -110,6 +112,7 @@ class _BandSolve:
         self.f0 = rhs_f_band(grid, self.u0, params, out=np.empty_like(self.u0))
         self.stokes = plan.gather(_stokes_table(grid, params.s))
         self.tables = diagnostics.audit_tables(grid, params.alpha, params.s)
+        self.steps: dict[float, np.ndarray] = {}  # factor(h) of each mesh step h met
 
     def factor(self, t: float) -> np.ndarray:
         """``semigroup_factor`` on the block: exp(-nu t |k|^{2s})."""
@@ -153,7 +156,9 @@ def _duhamel_sweep(
         t = float(t_mesh[i])
         h = float(t_mesh[i] - t_mesh[i - 1])
         np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
-        np.multiply(band.factor(h), acc, out=acc)
+        if h not in band.steps:  # the steps repeat: one factor per distinct h
+            band.steps[h] = band.factor(h)
+        np.multiply(band.steps[h], acc, out=acc)
         f = f_at(i)
         np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
         nxt = np.multiply(band.u0, band.factor(t), out=work)
@@ -308,22 +313,12 @@ def _solution(
 # f at the nodes of a forked solve passes through a ring of this many slots
 # in shared memory, node i in slot i mod RING_SLOTS (see picard_worker).
 RING_SLOTS = 4
-_TOKEN = struct.Struct("<i")  # a node whose f is wanted
-_DONE = struct.Struct("<iI")  # a node the parent evaluated, bytes of its pickled exception
+_NODE = struct.Struct("<i")  # a token (a node whose f is wanted) or a report (a node evaluated)
 
 
 def _shared(shape: tuple[int, ...]) -> np.ndarray:
     """A complex128 array in an anonymous mapping that a forked process shares."""
     return np.ndarray(shape, np.complex128, mmap.mmap(-1, 16 * math.prod(shape)))
-
-
-def _evaluate(grid: GridSpec, params: Params, stack: np.ndarray, ring: np.ndarray, i: int):
-    """f at node i of stack into its ring slot; returns the exception it raised, or None."""
-    try:
-        rhs_f_band(grid, stack[i], params, out=ring[i % len(ring)])
-    except Exception as exc:  # the sweep raises it when it reaches node i
-        return exc.with_traceback(None)
-    return None
 
 
 def _recorded(caught) -> list[tuple]:
@@ -336,43 +331,46 @@ class _RingNodes:
 
     Asked for f_i, it posts as a token the node whose slot f_{i-1} freed
     (nodes 1..RING_SLOTS when a sweep starts). Then, until f_i is in, it
-    takes a token and evaluates that node itself, or, when no token is left,
-    reads the parent's report of one it evaluated. Tokens leave the pipe in
-    the order they were posted, so the parent holds node i whenever none is
-    left. An exception is raised at its own node, so the sweep meets it in
-    node order whichever process evaluated it.
+    reads a report of a node the parent evaluated if one waits, else takes a
+    token and evaluates that node itself, else waits for a report. Tokens
+    leave the pipe in the order they were posted, so the parent holds node i
+    whenever none is left. Both pipes are unbuffered and non-blocking; an
+    empty read of the report pipe means the parent is gone and raises
+    LansfracError.
     """
 
-    def __init__(self, grid, params, stack, ring, tokens, post: int, done):
+    def __init__(self, grid, params, stack, ring, tokens, post: int, reports):
         self._grid, self._params, self._stack, self._ring = grid, params, stack, ring
-        self._tokens, self._post, self._done = tokens, post, done
-        self._ready: dict[int, Exception | None] = {}
+        self._tokens, self._post, self._reports = tokens, post, reports
+        self._ready: set[int] = set()
 
     def __call__(self, i: int) -> np.ndarray:
         k, last = len(self._ring), len(self._stack) - 1
         free = range(1, min(k, last) + 1) if i == 1 else range(i - 1 + k, min(i + k, last + 1))
         if free:
-            os.write(self._post, b"".join(_TOKEN.pack(j) for j in free))
+            os.write(self._post, b"".join(_NODE.pack(j) for j in free))
         while i not in self._ready:
-            token = self._tokens.read(_TOKEN.size)  # None: no token left
-            if token is None:
-                j, size = _DONE.unpack(self._done.read(_DONE.size))
-                self._ready[j] = pickle.loads(self._done.read(size)) if size else None
-            else:
-                j = _TOKEN.unpack(token)[0]
-                self._ready[j] = _evaluate(self._grid, self._params, self._stack, self._ring, j)
-        exc = self._ready.pop(i)
-        if exc is not None:
-            raise exc
+            report = self._reports.read(_NODE.size)  # None: no report waits
+            if report == b"":
+                raise LansfracError("the parent of the Picard process has gone")
+            if report is not None:
+                self._ready.add(_NODE.unpack(report)[0])
+            elif (token := self._tokens.read(_NODE.size)) is not None:
+                j = _NODE.unpack(token)[0]
+                rhs_f_band(self._grid, self._stack[j], self._params, out=self._ring[j % k])
+                self._ready.add(j)
+            else:  # no report and no token: the parent holds node i
+                select.select([self._reports], [], [])
+        self._ready.remove(i)
         return self._ring[i % k]
 
 
 class PicardWorker:
     """The parent's handle on the forked process of ``picard_worker``."""
 
-    def __init__(self, pid: int, pipe, tokens, done, u0: SpectralField, params: Params,
+    def __init__(self, pid: int, pipe, tokens, reports, u0: SpectralField, params: Params,
                  stack: np.ndarray, ring: np.ndarray):
-        self._pid, self._pipe, self._tokens, self._done = pid, pipe, tokens, done
+        self._pid, self._pipe, self._tokens, self._reports = pid, pipe, tokens, reports
         self._u0, self._params, self._stack, self._ring = u0, params, stack, ring
 
     def result(self) -> tuple[Trajectory, PicardState]:
@@ -383,14 +381,14 @@ class PicardWorker:
         into the node's ring slot and reports it. Then it drops its mapping
         of the ring. The warnings caught in both processes are issued here,
         the worker's first, then the exception the worker raised, if any, is
-        raised here. A worker that ends without a whole reply raises
-        LansfracError.
+        raised here; one the parent raises while it helps goes out at once.
+        A worker that ends without a whole reply raises LansfracError.
         """
         with warnings.catch_warnings(record=True) as helped:
             self._help()
         self._ring = None  # its last view in the parent: the mapping goes
         self._tokens.close()
-        self._done.close()
+        self._reports.close()
         reply = self._pipe.read()
         self._pipe.close()
         _, status = os.waitpid(self._pid, 0)
@@ -411,25 +409,22 @@ class PicardWorker:
         """Evaluate the nodes of the tokens the parent takes until the reply is readable."""
         grid, reply, tokens = self._u0.grid, self._pipe.fileno(), self._tokens.fileno()
         while reply not in select.select([reply, tokens], [], [])[0]:
-            token = self._tokens.read(_TOKEN.size)
+            token = self._tokens.read(_NODE.size)
             if token is None:  # the worker took it first
                 continue
             if not token:  # the worker has ended
                 return
-            i = _TOKEN.unpack(token)[0]
-            exc = _evaluate(grid, self._params, self._stack, self._ring, i)
-            report = b"" if exc is None else pickle.dumps(exc)
-            message = memoryview(_DONE.pack(i, len(report)) + report)
+            i = _NODE.unpack(token)[0]
+            rhs_f_band(grid, self._stack[i], self._params, out=self._ring[i % len(self._ring)])
             try:
-                while message:
-                    message = message[self._done.write(message):]
+                os.write(self._reports.fileno(), token)  # the report; whole, as 4 < PIPE_BUF
             except BrokenPipeError:  # the worker has ended; its status says how
                 return
 
     def close(self) -> None:
         """Close the parent's pipe ends; kill and reap the worker unless ``result`` has reaped it."""
         self._ring = None
-        for end in (self._pipe, self._tokens, self._done):
+        for end in (self._pipe, self._tokens, self._reports):
             end.close()
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
@@ -505,11 +500,12 @@ def picard_worker(
     sweep does, so the nodes are the same bits whichever process evaluated
     an f. While the with block runs, the worker takes every token itself;
     ``PicardWorker.result`` takes them in the parent too, and reports each
-    node it evaluated on a second pipe. The worker sends back only the mesh,
-    the increments and the converged flag, or the exception it raised, with
-    the warnings it caught, through a third pipe. Leaving the block without
-    a result kills and reaps the worker; no pipe end stays open. Needs
-    ``os.fork`` (POSIX).
+    node it evaluated on a second pipe. A token and a report are the same
+    4-byte node index. The worker sends back only the mesh, the increments
+    and the converged flag, or the exception it raised, with the warnings it
+    caught, through a third pipe. Leaving the block without a result, also
+    by an exception the parent meets while it helps, kills and reaps the
+    worker; no pipe end stays open. Needs ``os.fork`` (POSIX).
 
     On a GEMM band plan the two processes hold OpenBLAS at one thread
     (``_one_blas_thread``) until the block ends: the thread pools of both
@@ -523,20 +519,21 @@ def picard_worker(
         try:
             for _ in range(3):
                 fds += os.pipe()
-            os.set_blocking(fds[2], False)  # a token's taker must not wait for it
+            for fd in (fds[2], fds[4]):  # a token's or a report's reader must not wait for it
+                os.set_blocking(fd, False)
             pid = os.fork()
         except BaseException:
             for fd in fds:
                 os.close(fd)
             raise
-        reply_r, reply_w, tokens, post, done_r, done_w = fds
+        reply_r, reply_w, tokens, post, reports_r, reports_w = fds
         if pid == 0:
             _serve(fds, u0, params, holder, mesh_size, max_iter, stack, ring)
-        for fd in (reply_w, post, done_r):
+        for fd in (reply_w, post, reports_r):
             os.close(fd)
         worker = PicardWorker(
             pid, os.fdopen(reply_r, "rb"), os.fdopen(tokens, "rb", buffering=0),
-            os.fdopen(done_w, "wb", buffering=0), u0, params, stack, ring,
+            os.fdopen(reports_w, "wb", buffering=0), u0, params, stack, ring,
         )
         del ring  # the handle holds the parent's only view, which result drops
         try:
@@ -549,11 +546,11 @@ def _serve(fds: list[int], u0, params, holder, mesh_size, max_iter, stack, ring)
     """The worker process: solve into stack, send the reply, exit. Never returns."""
     status = 1
     try:
-        reply_r, reply_w, tokens, post, done_r, done_w = fds
+        reply_r, reply_w, tokens, post, reports_r, reports_w = fds
         os.close(reply_r)
-        os.close(done_w)
+        os.close(reports_w)
         f_at = _RingNodes(u0.grid, params, stack, ring, os.fdopen(tokens, "rb", buffering=0),
-                          post, os.fdopen(done_r, "rb"))
+                          post, os.fdopen(reports_r, "rb", buffering=0))
         with warnings.catch_warnings(record=True) as caught:
             try:
                 traj, state = picard_solve(

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -690,6 +691,45 @@ def test_an_out_dir_that_cannot_be_made_exits_two(tmp_path, capsys, command, bel
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["simulate"], "diagnostics.csv"),
+    (["oracle-compare", "--T", "0.004"], "oracle.csv"),
+    (["verify-energy"], "manifest.json"),
+])
+def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys, argv, name):
+    # A directory stands at the output's path. One error line names the
+    # path; the directory stays, and no manifest or temporary file is left.
+    cfg = write(tmp_path, SMALL_CFG)
+    out = tmp_path / "out"
+    (out / name / "kept").mkdir(parents=True)
+    assert main([argv[0], cfg, "--out-dir", str(out), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {str(out / name)!r}: {os.strerror(errno.EISDIR)}"]
+    assert (out / name / "kept").is_dir() and not (out / "manifest.json").is_file()
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+
+def test_an_output_over_the_file_size_limit_exits_two(tmp_path):
+    # The command runs in a child process that ignores SIGXFSZ and may write
+    # files of up to 4 KiB, so its first snapshot (17,456 bytes) fails.
+    code = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+        "from lansfrac.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-c", code, "simulate", write(tmp_path, SMALL_CFG), "--out-dir", str(out)],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    path = out / "snapshot_000000.flns"
+    assert run.returncode == 2
+    assert run.stderr.splitlines() == [f"error: cannot write {str(path)!r}: {os.strerror(errno.EFBIG)}"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command,edits",
     [
@@ -860,6 +900,17 @@ def test_simulate_rejects_step_count_float64_cannot_index(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_CFG.replace("t_end = 0.05", "t_end = 1e300"))
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert "t_end" in capsys.readouterr().err
+
+
+def test_oracle_compare_over_less_than_one_step_exits_two(tmp_path, capsys):
+    # --T 1e-12 passes the multiple-of-dt check (it is within 1e-9 dt of
+    # zero steps), and the Picard mesh cannot refine zero steps
+    out = tmp_path / "out"
+    assert main(["oracle-compare", write(tmp_path, SMALL_CFG), "--T", "1e-12",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: oracle-compare needs at least one step of dt = 0.002, got --T 1e-12"]
+    assert not out.exists()
 
 
 def test_oracle_compare_rejects_horizon_float64_cannot_step(tmp_path, capsys):

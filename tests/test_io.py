@@ -20,6 +20,7 @@ from lansfrac.errors import (
     CorruptPayloadError,
     EmptyOutputError,
     MissingKeyError,
+    OutputError,
     SnapshotError,
     VersionMismatchError,
 )
@@ -512,7 +513,7 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, grid2, failu
     else:
         monkeypatch.setattr(lio.os, "replace", _fail_replace)
     for name, write in writers.items():
-        with pytest.raises(OSError):
+        with pytest.raises(OutputError, match=f"cannot write '.*{name}'"):
             write(tmp_path / name, 2.0)
     monkeypatch.undo()
 

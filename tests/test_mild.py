@@ -2,6 +2,7 @@
 
 import os
 import select
+import struct
 import time
 import tracemalloc
 import weakref
@@ -413,13 +414,72 @@ def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, 
         assert ring() is None  # the parent has dropped its mapping of the ring
     if parent_helps:
         # The worker still takes a token whenever its next node is not in
-        # yet, so the parent's share is about 60%, not all.
+        # and no report waits, so the parent's share is about three quarters,
+        # not all.
         assert sum(helped) >= state.n_iter * mesh // 3
     else:
         assert helped == []
     assert (state_w.increments_linf, state_w.n_iter) == (state.increments_linf, state.n_iter)
     for mine, theirs in zip(traj_w.snapshots, traj.snapshots, strict=True):
         assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
+
+
+def test_ring_nodes_read_a_waiting_report_before_a_token(monkeypatch):
+    # The worker's pipes hold a report of node 2 and a token of node 3. Asked
+    # for f_2, it reads the report and evaluates nothing. Once no report can
+    # come any more (the parent's end is closed), asking for f_3 raises.
+    import lansfrac.mild as mild
+
+    evaluated = []
+    monkeypatch.setattr(mild, "rhs_f_band", lambda *args, **kwargs: evaluated.append(args))
+    stack, ring = np.zeros((9, 1), complex), np.zeros((mild.RING_SLOTS, 1), complex)
+    tokens_r, post = os.pipe()
+    reports_r, reports_w = os.pipe()
+    for fd in (tokens_r, reports_r):
+        os.set_blocking(fd, False)
+    os.write(post, struct.pack("<i", 3))
+    os.write(reports_w, struct.pack("<i", 2))
+    os.close(reports_w)
+    with os.fdopen(tokens_r, "rb", buffering=0) as tokens, \
+            os.fdopen(reports_r, "rb", buffering=0) as reports:
+        try:
+            f_at = mild._RingNodes(None, None, stack, ring, tokens, post, reports)
+            assert np.shares_memory(f_at(2), ring[2]) and evaluated == []
+            with pytest.raises(LansfracError, match="parent"):
+                f_at(3)
+            assert evaluated == []
+        finally:
+            os.close(post)
+
+
+class PlantedFault(Exception):
+    """An exception a test plants in the kernel."""
+
+
+def test_picard_worker_raises_the_parents_kernel_error_as_itself(monkeypatch, grid2, params):
+    # The parent's first evaluation raises. The exception leaves result() and
+    # the with block as the object the kernel raised, from the parent's own
+    # frames, and the worker is gone and reaped.
+    import lansfrac.mild as mild
+
+    fault, parent, real = PlantedFault("a planted fault"), os.getpid(), mild.rhs_f_band
+
+    def f(*args, **kwargs):
+        if os.getpid() == parent:
+            raise fault
+        time.sleep(0.01)  # the parent takes a token once it helps
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mild, "rhs_f_band", f)
+    u0 = random_field(grid2, seed=7, amplitude=1e-2)
+    with pytest.raises(PlantedFault) as caught:
+        with picard_worker(u0, params, holder_for(u0, T=0.1), mesh_size=8) as worker:
+            pid = worker._pid
+            worker.result()
+    assert caught.value is fault
+    assert "_help" in [entry.name for entry in caught.traceback]
+    with pytest.raises(ChildProcessError):  # reaped already
+        os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.mark.parametrize("dim,n", [(3, 16), (2, 96)])  # a GEMM plan, an FFT plan
