@@ -10,7 +10,8 @@ forked worker process (POSIX ``os.fork``) while the stepper runs in this one,
 and leaves no process behind on any exit; it compares the two with
 ``diagnostics.norm_DA`` on the band block and u0's tail, building no field.
 A command that diverges still writes its manifest, and simulate its
-diagnostics (``_Manifest``).
+diagnostics. A command whose output cannot be written still writes its
+manifest where it can (``_Manifest``).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .spectral import (
     make_grid,
     norm_DAr,
     semigroup_apply,
+    stokes_multiplier,
     to_physical,
     to_spectral,
 )
@@ -105,8 +107,10 @@ class _Manifest:
 
     The block gets the ``RunManifest`` to list its outputs in. A block that
     returns writes it with status ok; one that raises DivergedError writes
-    it with status diverged, the step and t, and the error goes on. Any other
-    exception writes no manifest.
+    it with status diverged, the step and t, and one that raises OutputError
+    writes it with status error and the message, where the manifest itself
+    can still be written. The error goes on either way. Any other exception
+    writes no manifest.
     """
 
     def __init__(self, config: SimConfig, out: Path):
@@ -126,11 +130,17 @@ class _Manifest:
     def __exit__(self, kind, exc, tb) -> None:
         if isinstance(exc, DivergedError):
             self.manifest.status = {"state": "diverged", "step": exc.step, "t": exc.t}
+        elif isinstance(exc, OutputError):
+            self.manifest.status = {"state": "error", "message": str(exc)}
         elif exc is not None:
             return
         self.manifest.finished = datetime.now(timezone.utc).isoformat()
         self.manifest.wall_seconds = time.monotonic() - self.t0
-        write_manifest(self.manifest, self.path)
+        try:
+            write_manifest(self.manifest, self.path)
+        except OutputError:
+            if not isinstance(exc, OutputError):
+                raise  # else the block's own write error is the one reported
 
 
 def _cmd_simulate(args) -> int:
@@ -191,6 +201,14 @@ def _cmd_smoothing(args) -> int:
     n = _step_count(t_end, dt)
     if n < 3 or _step_time(3, n, t_end, dt) > window[1]:
         raise ConfigError(f"smoothing's fit window [2 dt, 0.1] holds < 2 step times: dt = {dt:g}")
+    # the fit's D(A^{1+r}) norm weighs each mode by |k|^{4(1+r)}
+    k2_max = float(config.grid.k2.max())
+    with np.errstate(over="ignore"):
+        if not np.isfinite(stokes_multiplier(k2_max, 2.0 * (1.0 + args.r))):
+            raise ConfigError(
+                f"smoothing --r {args.r:g}: the weight |k|^(4(1+r)) overflows float64 "
+                f"at the grid's largest |k|^2 = {k2_max:g}"
+            )
     out = _out_dir(config)
     times: list[float] = []
     fields: list[SpectralField] = []

@@ -114,11 +114,13 @@ class SimConfig:
                 "the largest step count float64 step times can index"
             )
         if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        if self.galerkin_N is not None and not 1 <= self.galerkin_N <= self.grid.N // 2:
-            raise ValueError(
-                f"galerkin_N must lie in [1, N/2] = [1, {self.grid.N // 2}]"
-            )
+            raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        half = self.grid.N // 2
+        if self.galerkin_N is not None and not 1 <= self.galerkin_N <= half:
+            raise ValueError(f"galerkin_N must lie in [1, N/2] = [1, {half}], got {self.galerkin_N}")
+        band = self.initial.band
+        if band is not None and not 1 <= band <= half - 1:
+            raise ValueError(f"band must lie in [1, N/2-1] = [1, {half - 1}], got {band}")
 
 
 @dataclass
@@ -201,6 +203,10 @@ def make_initial(
 
     A snapshot must match the grid and, when params is given, the alpha, nu
     and s of its header; otherwise SnapshotMismatchError is raised.
+    Random-spectrum data keep the modes with every |k_i| <= band (by default
+    ``grid.band_limit``). A band >= N/2 gives the band N/2-1 field, because
+    the Leray projection zeroes every Nyquist mode, and a band <= 0 leaves
+    the field empty, which raises. ``SimConfig`` checks a config's band.
     """
     amp = initial.amplitude
     if initial.kind == "shear":
@@ -223,8 +229,6 @@ def make_initial(
             # Borderline-D(A) spectrum: ||A u|| barely converges as N grows.
             p = 2.0 + grid.dim / 2.0 + 0.01
         band = initial.band if initial.band is not None else grid.band_limit
-        if not 1 <= band <= grid.N // 2 - 1:
-            raise ValueError(f"random-spectrum band must lie in [1, N/2-1], got {band}")
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = _random_solenoidal_coeffs(grid, p, initial.seed, band)
             u = SpectralField.from_coeffs(grid, coeffs)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import struct
 import sys
@@ -208,31 +207,16 @@ _KNOWN_KEYS = _REQUIRED_KEYS + (
 )
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """A converter of text to an int in [lo, hi] (hi None: no upper end)."""
-
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < lo or (hi is not None and value > hi):
-            bounds = f"lie in [{lo}, {hi}]" if hi is not None else f"be >= {lo}"
-            raise ValueError(f"must {bounds}, got {value}")
-        return value
-
-    return convert
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {text!r}")
-    return value
-
-
 def parse_config(path: str | Path) -> SimConfig:
     """Parse a key = value config file into a validated SimConfig.
 
-    A key given twice is an error. Command-level range gating, by the regime
-    ``infer_regime`` finds for (dim, s), is the CLI's job.
+    The parser only converts text: each value becomes an int, a float or a
+    str, and the config types it builds (``GridSpec``, ``Params``,
+    ``StepScheme``, ``InitialData``, ``SimConfig``) check every range. Their
+    messages start with the field's name, which is also its key, so a
+    type's error is reported under that key and its line. A key given twice
+    is an error. Command-level range gating, by the regime ``infer_regime``
+    finds for (dim, s), is the CLI's job.
     """
     try:
         text = _read_input(path, "config", ConfigError).decode("utf-8")
@@ -258,76 +242,61 @@ def parse_config(path: str | Path) -> SimConfig:
         if key not in raw:
             raise MissingKeyError(key)
 
-    def take(key: str, conv, default=None):
+    def take(key: str, conv=str, default=None):
         if key not in raw:
             return default
         value, lineno = raw[key]
         try:
             return conv(value)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise BadValueError(key, lineno, str(exc)) from None
 
-    def wrap(key: str, builder):
+    def wrap(keys: tuple[str, ...], builder):
+        """builder(), with a type's error under the key its message starts with, else keys[0]."""
         try:
             return builder()
         except BadValueError:
             raise  # from a ``take`` inside builder, and so already under its own key
         except Exception as exc:
-            lineno = raw[key][1] if key in raw else 0
-            raise BadValueError(key, lineno, str(exc)) from None
+            detail = str(exc)
+            key = next((k for k in keys if detail.startswith(f"{k} ")), keys[0])
+            raise BadValueError(key, raw[key][1] if key in raw else 0, detail) from None
 
-    dim = take("dim", int)
-    if dim not in (2, 3):
-        raise BadValueError("dim", raw["dim"][1], f"dim must be 2 or 3, got {dim}")
-    n = take("N", int)
-    grid = wrap("N", lambda: make_grid(dim, n))
-
-    alpha = take("alpha", _finite_float)
-    if alpha < 0:
-        raise BadValueError("alpha", raw["alpha"][1], "alpha must be nonnegative")
-    nu = take("nu", _finite_float)
-    if nu <= 0:
-        raise BadValueError("nu", raw["nu"][1], "nu must be positive")
-    s = take("s", _finite_float)
-    if not 0.0 < s < 1.0:
-        raise BadValueError("s", raw["s"][1], "s must lie in (0, 1)")
-    params = Params(alpha=alpha, nu=nu, s=s)
-
-    scheme_name = take("scheme", str, "etd2rk").lower()
-    try:
-        kind = SchemeKind(scheme_name)
-    except ValueError:
-        raise BadValueError("scheme", raw["scheme"][1], f"unknown scheme {scheme_name!r}") from None
-    scheme = wrap("dt", lambda: StepScheme(kind=kind, dt=take("dt", _finite_float)))
-
-    init_spec = take("init", str)
-    kind_name, _, snap_path = init_spec.partition(":")
-    kind_name = kind_name.strip().lower()
-    if kind_name == "random":
-        kind_name = "random-spectrum"
+    grid = wrap(("dim", "N"), lambda: make_grid(take("dim", int), take("N", int)))
+    params = wrap(
+        ("alpha", "nu", "s"),
+        lambda: Params(alpha=take("alpha", float), nu=take("nu", float), s=take("s", float)),
+    )
+    scheme = wrap(
+        ("scheme", "dt"),
+        lambda: StepScheme(
+            kind=SchemeKind(take("scheme", str, "etd2rk").lower()), dt=take("dt", float)
+        ),
+    )
+    kind, _, snap_path = take("init").partition(":")
+    kind = kind.strip().lower()
     initial = wrap(
-        "init",
+        ("init", "amplitude", "seed", "decay_exponent"),
         lambda: InitialData(
-            kind=kind_name,
-            amplitude=take("amplitude", _finite_float, 1.0),
-            seed=take("seed", _int_in(0), 0),
-            decay_exponent=take("decay_exponent", _finite_float),
-            band=take("band", _int_in(1, n // 2 - 1)),
+            kind="random-spectrum" if kind == "random" else kind,
+            amplitude=take("amplitude", float, 1.0),
+            seed=take("seed", int, 0),
+            decay_exponent=take("decay_exponent", float),
+            band=take("band", int),
             path=snap_path.strip() or None,
         ),
     )
-
     return wrap(
-        "t_end",
+        ("t_end", "snapshot_every", "galerkin_N", "band"),
         lambda: SimConfig(
             grid=grid,
             params=params,
             scheme=scheme,
-            t_end=take("t_end", _finite_float),
+            t_end=take("t_end", float),
             initial=initial,
-            galerkin_N=take("galerkin_N", _int_in(1, n // 2)),
-            snapshot_every=take("snapshot_every", _int_in(1), 1),
-            out_dir=take("out_dir", str),
+            galerkin_N=take("galerkin_N", int),
+            snapshot_every=take("snapshot_every", int, 1),
+            out_dir=take("out_dir"),
         ),
     )
 
@@ -345,8 +314,9 @@ def run_environment() -> dict[str, str]:
 class RunManifest:
     """Record of one CLI invocation: config echo, version, outputs + checksums,
     the environment (Python and numpy versions) and the status: {"state":
-    "ok"}, or {"state": "diverged", "step": ..., "t": ...} for a run that
-    diverged."""
+    "ok"}, {"state": "diverged", "step": ..., "t": ...} for a run that
+    diverged, or {"state": "error", "message": ...} for one whose output
+    could not be written."""
 
     config: dict[str, Any]
     version: str

@@ -5,9 +5,11 @@ The fixed-point iteration here rebuilds the solution from the Duhamel formula
     u(t) = e^{-t nu A^s} u0 + int_0^t e^{-(t-tau) nu A^s} f(u, u)(tau) dtau
 
 by composite-trapezoid quadrature with the semigroup factor applied exactly at
-every node. It shares no stepping code with the integrator, so agreement
-between the two is a genuine cross-check, also of faults of f too small for
-``picard_solve``'s check of its nodes. Increments are ``diagnostics.norm_DA``
+every node. This Picard solve is the independent oracle of acceptance
+criteria 05 and 08 and of the ``oracle-compare`` command. It shares no
+stepping code with the integrator, so agreement between the two is a
+genuine cross-check, also of faults of f too small for ``picard_solve``'s
+check of its nodes. Increments are ``diagnostics.norm_DA``
 of the band block. The membership checks quantify the weighted
 amplitude/smoothing/Hoelder conditions of the refined solution class over a
 sampled (t, h) lattice and report minimal feasible constants instead of

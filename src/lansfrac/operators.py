@@ -11,7 +11,7 @@ are formed pointwise in physical space with 2/3-dealiased inputs and outputs,
 so the discrete nonlinearity annihilates the H^1_alpha energy pairing to
 rounding for band-limited fields.
 
-Three implementations of the nonlinearity live here:
+Two implementations of the nonlinearity live here:
 
 - ``rhs_f``, the production kernel, evaluates the diagonal f(u, u) only, in
   rotational filtered-momentum form, -(1 + alpha^2 A)^{-1} P[(curl v) x u]
@@ -20,10 +20,13 @@ Three implementations of the nonlinearity live here:
   It filters and projects in one curl-curl pass, so the divergence of f
   rounds relative to f itself. The kernel checks nothing: ``integrator.run``
   checks f(u) with the state u it is read with, in ``diagnostics.audit``.
-- ``stress_form_f`` is the paper's gradient-stress definition of the
-  bilinear f(u1, u2); it is the reference the kernel is tested against.
 - ``v_nonlinearity`` is the transport + stretch form of the v-equation that
-  ``run(form="v")`` steps, the independent side of the u/v equivalence.
+  ``run(form="v")`` steps: the independent oracle of acceptance criterion
+  09, the u/v equivalence.
+
+The paper's gradient-stress form of the bilinear f(u1, u2), the reference
+the kernel is tested against, lives with the tests (``stress_form_f`` in
+``tests/conftest.py``).
 
 Index conventions: (grad u)_{ij} = d_j u_i, matrix products contract adjacent
 indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
@@ -210,46 +213,6 @@ def rhs_f_band(
     return ws.project(product, product if out is None else out)
 
 
-def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> SpectralField:
-    """Oracle: the paper's f(u1, u2) = -P[u1.grad(u2) + U_alpha(u1, u2)].
-
-    U_alpha(u1, u2) = alpha^2 (1 - alpha^2 Lap)^{-1} div[G1 G2^T + G1 G2 - G1^T G2]
-    with Gi = grad(ui), and P_alpha reduces to the Leray projection P on the
-    torus. This gradient-stress form is the paper's definition of the
-    bilinear f, off the diagonal too; it transforms 12 + 12 fields in 3D and
-    is kept as the independent reference for ``rhs_f``.
-    """
-    _check_same_grid(u1, u2)
-    grid = u1.grid
-    dim = grid.dim
-    vel1, g1 = _vel_grad_phys(u1)
-    g2 = g1 if u2 is u1 else _vel_grad_phys(u2)[1]
-    adv = np.einsum("j...,ij...->i...", vel1, g2)
-    tens = (
-        np.einsum("ik...,jk...->ij...", g1, g2)
-        + np.einsum("ik...,kj...->ij...", g1, g2)
-        - np.einsum("ki...,kj...->ij...", g1, g2)
-    )
-    stacked = phys_to_coeffs(
-        np.concatenate([adv, tens.reshape((dim * dim,) + grid.shape)]), dim
-    )
-    div = np.einsum(
-        "j...,ij...->i...",
-        1j * grid.k,
-        stacked[dim:].reshape((dim, dim) + grid.spectral_shape),
-    )
-    alpha2 = params.alpha**2
-    hat = _dealiased(stacked[:dim] + div * (alpha2 / (1.0 + alpha2 * grid.k2)), grid)
-    # Two passes, kept as the oracle's own form independent of the kernel's:
-    # the second is a no-op analytically but keeps the divergence residual
-    # eps-relative to f even when the projection cancels almost all of it.
-    out = -(leray_project(leray_project(SpectralField.from_coeffs(grid, hat))))
-    # The mean is annihilated analytically (divergence structure); pin it.
-    coeffs = np.array(out.coeffs)
-    coeffs[(slice(None),) + (0,) * dim] = 0.0
-    return SpectralField.from_coeffs(grid, coeffs)
-
-
 def h1_alpha_pairing(u: SpectralField, f: SpectralField, alpha: float) -> float:
     """Energy pairing <(1 + alpha^2 A) u, f>; vanishes when f = f(u, u)."""
     return inner(v_from_u(u, alpha), f)
@@ -266,7 +229,11 @@ def u_from_v(v: SpectralField, alpha: float) -> SpectralField:
 
 
 def v_nonlinearity(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Nonlinear part of the v-form: -P[u.grad(v) + (grad u)^T v]."""
+    """Nonlinear part of the v-form: -P[u.grad(v) + (grad u)^T v].
+
+    Oracle: ``run(form="v")`` steps it, and acceptance criterion 09 holds
+    that run against the u-form kernel ``rhs_f``.
+    """
     _check_same_grid(u, v)
     grid = u.grid
     uphys, gu = _vel_grad_phys(u)
@@ -274,7 +241,9 @@ def v_nonlinearity(u: SpectralField, v: SpectralField) -> SpectralField:
     transport = np.einsum("j...,ij...->i...", uphys, gv)
     stretch = np.einsum("ji...,j...->i...", gu, vphys)
     hat = _product_coeffs(transport + stretch, grid)
-    # two passes, kept as the oracle's own form (see stress_form_f)
+    # Two passes, kept as the oracle's own form independent of the kernel's:
+    # the second is a no-op analytically but keeps the divergence residual
+    # eps-relative to the result even when the projection cancels almost all of it.
     out = -1.0 * leray_project(leray_project(SpectralField.from_coeffs(grid, hat)))
     coeffs = np.array(out.coeffs)
     coeffs[(slice(None),) + (0,) * grid.dim] = 0.0

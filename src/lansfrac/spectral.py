@@ -686,12 +686,6 @@ def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
         raise GridError("fields live on different grids")
 
 
-def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField.from_coeffs(
-        grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-    )
-
-
 def to_physical(field: SpectralField) -> np.ndarray:
     """Real-space samples, shape (dim,) + (N,)*dim. Requires a real field."""
     if not field.hermitian:

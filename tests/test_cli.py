@@ -698,14 +698,19 @@ def test_an_out_dir_that_cannot_be_made_exits_two(tmp_path, capsys, command, bel
 ])
 def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys, argv, name):
     # A directory stands at the output's path. One error line names the
-    # path; the directory stays, and no manifest or temporary file is left.
+    # path and the directory stays. The manifest records the error where it
+    # can still be written, and no temporary file is left.
     cfg = write(tmp_path, SMALL_CFG)
     out = tmp_path / "out"
     (out / name / "kept").mkdir(parents=True)
     assert main([argv[0], cfg, "--out-dir", str(out), *argv[1:]]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: cannot write {str(out / name)!r}: {os.strerror(errno.EISDIR)}"]
-    assert (out / name / "kept").is_dir() and not (out / "manifest.json").is_file()
+    message = f"cannot write {str(out / name)!r}: {os.strerror(errno.EISDIR)}"
+    assert err == [f"error: {message}"]
+    assert (out / name / "kept").is_dir()
+    if name != "manifest.json":
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert status == {"state": "error", "message": message}
     assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
@@ -724,10 +729,14 @@ def test_an_output_over_the_file_size_limit_exits_two(tmp_path):
         [sys.executable, "-c", code, "simulate", write(tmp_path, SMALL_CFG), "--out-dir", str(out)],
         env=_package_env(), capture_output=True, text=True, timeout=300,
     )
-    path = out / "snapshot_000000.flns"
+    message = f"cannot write {str(out / 'snapshot_000000.flns')!r}: {os.strerror(errno.EFBIG)}"
     assert run.returncode == 2
-    assert run.stderr.splitlines() == [f"error: cannot write {str(path)!r}: {os.strerror(errno.EFBIG)}"]
-    assert list(out.iterdir()) == []
+    assert run.stderr.splitlines() == [f"error: {message}"]
+    # the manifest fits under the limit, and it is the only file left
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == {"state": "error", "message": message}
+    assert manifest["outputs"] == []
 
 
 @pytest.mark.parametrize(
@@ -750,6 +759,20 @@ def test_a_run_too_short_for_its_check_exits_two(tmp_path, capsys, command, edit
                  *REQUIRED_FLAGS.get(command, [])]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["200", "1e10"])
+def test_smoothing_refuses_an_r_whose_weight_overflows(tmp_path, capsys, r):
+    # The fit weighs each mode by |k|^{4(1+r)}, which overflows float64 at
+    # N = 32's largest |k|^2 = 512 once r > 55.88 (r = 55.8 still runs).
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["smoothing", write(tmp_path, SMALL_CFG), "--out-dir", str(out),
+                     "--r", r]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: smoothing --r {float(r):g}:")
     assert not out.exists()
 
 
@@ -1014,6 +1037,43 @@ def test_restart_from_snapshot_on_other_grid(tmp_path):
     restart = SMALL_CFG.replace("init = random-spectrum", f"init = snapshot:{snap}")
     cfg = write(tmp_path, restart.replace("N = 32", "N = 16"), "restart.cfg")
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "dim,n,init,extra",
+    [
+        (2, 32, "taylor-green", ""),  # rounding dust on the tail modes
+        (3, 16, "taylor-green", ""),
+        (2, 32, "random-spectrum", "band = 15\n"),  # band N/2 - 1: data on the tail
+        (2, 32, "random-spectrum", "band = 15\ngalerkin_N = 9\n"),
+        (3, 16, "random-spectrum", ""),
+    ],
+)
+def test_a_restart_continues_the_run_bit_for_bit(tmp_path, dim, n, init, extra):
+    # A run to t = 0.02 with a snapshot every 5 steps, and a restart from its
+    # snapshot 2 (t = 0.01) to t_end = 0.01. The restart's three snapshots
+    # hold the payload bytes of snapshots 2-4, and its records equal rows
+    # 10-20 in every column but t, which starts again at 0.
+    base = (f"dim = {dim}\nN = {n}\nalpha = 0.5\nnu = 0.1\ns = {dim / 4}\ndt = 1e-3\n"
+            f"snapshot_every = 5\n{extra}")
+    full, again = tmp_path / "full", tmp_path / "again"
+    cfg = write(tmp_path, f"{base}t_end = 0.02\ninit = {init}\n")
+    assert main(["simulate", cfg, "--out-dir", str(full)]) == 0
+    snap = full / "snapshot_000002.flns"
+    cfg = write(tmp_path, f"{base}t_end = 0.01\ninit = snapshot:{snap}\n", "restart.cfg")
+    assert main(["simulate", cfg, "--out-dir", str(again)]) == 0
+
+    header = 48  # the snapshot header's bytes, which hold t
+    assert len(list(full.glob("*.flns"))) == 5 and len(list(again.glob("*.flns"))) == 3
+    for k in range(3):
+        before = (full / f"snapshot_{k + 2:06d}.flns").read_bytes()
+        assert (again / f"snapshot_{k:06d}.flns").read_bytes()[header:] == before[header:]
+    rows = [line.split(",") for line in (full / "diagnostics.csv").read_text().splitlines()]
+    later = [line.split(",") for line in (again / "diagnostics.csv").read_text().splitlines()]
+    t = rows[0].index("t")
+    assert later[0] == rows[0] and len(rows) == 22 and len(later) == 12
+    for row, restarted in zip(rows[11:], later[1:]):
+        assert row[:t] + row[t + 1:] == restarted[:t] + restarted[t + 1:]
 
 
 # Random config text: a valid config in which lines for its keys take the

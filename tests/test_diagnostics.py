@@ -26,9 +26,9 @@ from lansfrac.diagnostics import audit_tables, norm_DA, record, tail_rows
 from lansfrac.integrator import Trajectory
 from lansfrac.mild import semigroup_class_check
 from lansfrac.operators import band_plan, h1_alpha_pairing, rhs_f, v_from_u
-from lansfrac.spectral import frac_stokes_apply, l2_norm, to_physical, zero_field
+from lansfrac.spectral import frac_stokes_apply, l2_norm, to_physical
 
-from conftest import random_field
+from conftest import random_field, zero_field
 
 
 def config(grid, p, dt=1e-3, t_end=1.0, init=None, **kw):

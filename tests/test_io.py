@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lansfrac.io as lio
-from lansfrac import SchemeKind, make_grid
+from lansfrac import InitialData, Params, SchemeKind, SimConfig, StepScheme, make_grid
 from lansfrac.diagnostics import DiagRecord
 from lansfrac.errors import (
     BadMagicError,
@@ -19,6 +19,7 @@ from lansfrac.errors import (
     ConfigError,
     CorruptPayloadError,
     EmptyOutputError,
+    GridError,
     MissingKeyError,
     OutputError,
     SnapshotError,
@@ -34,7 +35,7 @@ from lansfrac.io import (
     write_manifest,
     write_snapshot,
 )
-from lansfrac.spectral import SpectralField, to_physical
+from lansfrac.spectral import GridSpec, SpectralField, to_physical
 
 from conftest import random_field
 
@@ -359,6 +360,50 @@ def test_parse_bad_value_reports_key_and_line(tmp_path):
             parse_config(write_config(tmp_path, f"{MINIMAL}{key} = {value}\n"))
         assert (err.value.key, err.value.line) == (key, line), (key, value)
         assert str(err.value).startswith(f"bad value for '{key}' (line {line}): ")
+
+
+# One bad value for each field a config sets, typed as parse_config converts it.
+_BAD_FIELDS = [
+    ("dim", 4), ("N", 7), ("N", 6), ("alpha", -1.0), ("alpha", float("nan")),
+    ("nu", 0.0), ("nu", float("inf")), ("s", 1.0), ("s", float("-inf")),
+    ("dt", 0.0), ("dt", float("nan")), ("t_end", -1.0), ("t_end", float("inf")),
+    ("t_end", 1e300), ("amplitude", float("nan")), ("seed", -1),
+    ("decay_exponent", float("inf")), ("band", 0), ("band", 32), ("galerkin_N", 0),
+    ("galerkin_N", 33), ("snapshot_every", 0),
+]
+
+
+def _sim_config(**values) -> SimConfig:
+    """MINIMAL's config built from the config types, with values in place of its own."""
+    v = dict(dim=2, N=64, alpha=0.5, nu=0.1, s=0.5, dt=1e-3, t_end=1.0, amplitude=1.0,
+             seed=0, decay_exponent=None, band=None, galerkin_N=None, snapshot_every=1)
+    v.update(values)
+    return SimConfig(
+        grid=GridSpec(v["dim"], v["N"]),
+        params=Params(alpha=v["alpha"], nu=v["nu"], s=v["s"]),
+        scheme=StepScheme(dt=v["dt"]),
+        t_end=v["t_end"],
+        initial=InitialData(kind="random-spectrum", amplitude=v["amplitude"], seed=v["seed"],
+                            decay_exponent=v["decay_exponent"], band=v["band"]),
+        galerkin_N=v["galerkin_N"],
+        snapshot_every=v["snapshot_every"],
+    )
+
+
+@pytest.mark.parametrize("key,value", _BAD_FIELDS, ids=lambda x: str(x))
+def test_a_config_types_error_starts_with_its_field_and_names_its_key(tmp_path, key, value):
+    # parse_config only converts text; the type that holds a field checks it,
+    # and its message starts with the field's name, which is also the key
+    # parse_config reports it under, with its line
+    with pytest.raises((ValueError, GridError)) as built:
+        _sim_config(**{key: value})
+    detail = str(built.value)
+    assert detail.startswith(f"{key} "), detail
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} =")]
+    lines.append(f"{key} = {value}")
+    with pytest.raises(BadValueError) as err:
+        parse_config(write_config(tmp_path, "\n".join(lines)))
+    assert str(err.value) == f"bad value for '{key}' (line {len(lines)}): {detail}"
 
 
 @pytest.mark.parametrize("key,value", [("nu", "0.2"), ("dt", "1e-3"), ("init", "shear")])

@@ -36,10 +36,17 @@ from lansfrac.mild import (
     picard_worker,
     semigroup_class_check,
 )
-from lansfrac.operators import band_plan, rhs_f_band, stress_form_f
-from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor, zero_field
+from lansfrac.operators import band_plan, rhs_f_band
+from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor
 
-from conftest import nan_at_last_picard_node, random_field, rel_err, single_mode_field
+from conftest import (
+    nan_at_last_picard_node,
+    random_field,
+    rel_err,
+    single_mode_field,
+    stress_form_f,
+    zero_field,
+)
 
 
 # --------------------------------------------------------- Duhamel integral

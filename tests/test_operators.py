@@ -39,7 +39,6 @@ from lansfrac.operators import (
     band_plan,
     h1_alpha_pairing,
     rhs_f_band,
-    stress_form_f,
     v_from_u,
     v_nonlinearity,
 )
@@ -56,7 +55,14 @@ from lansfrac.spectral import (
     to_spectral,
 )
 
-from conftest import embed_band_coeffs, random_band_block, random_field, rel_err
+from conftest import (
+    embed_band_coeffs,
+    random_band_block,
+    random_field,
+    rel_err,
+    stress_form_f,
+    zero_field,
+)
 
 
 def shear(grid, amplitude=1.0):
@@ -279,8 +285,6 @@ def test_rhs_f_shear_vanishes(grid2, params):
 
 
 def test_rhs_f_zero_field(grid2, params):
-    from lansfrac.spectral import zero_field
-
     z = zero_field(grid2)
     assert l2_norm(rhs_f(z, params)) == 0.0
 
@@ -768,8 +772,6 @@ def test_v_nonlinearity_shear_pure_decay(grid2):
 
 
 def test_v_nonlinearity_zero(grid2, params):
-    from lansfrac.spectral import zero_field
-
     z = zero_field(grid2)
     assert l2_norm(v_nonlinearity(z, z)) == 0.0
 

@@ -27,7 +27,14 @@ from lansfrac.spectral import (
     to_spectral,
 )
 
-from conftest import full_spectrum, random_field, random_hermitian_field, rel_err, single_mode_field
+from conftest import (
+    full_spectrum,
+    random_field,
+    random_hermitian_field,
+    rel_err,
+    single_mode_field,
+    zero_field,
+)
 
 
 # ---------------------------------------------------------------- grids
@@ -565,8 +572,6 @@ def test_norm_dar_shear(grid2):
 
 
 def test_norm_dar_zero_field(grid2):
-    from lansfrac.spectral import zero_field
-
     assert norm_DAr(zero_field(grid2), 1.0) == 0.0
 
 
