@@ -260,6 +260,14 @@ def _cmd_oracle_compare(args) -> int:
         raise ConfigError(f"oracle-compare needs at least one step of dt = {dt}, got --T {T}")
     if abs(T - n * dt) > 1e-9 * max(dt, T):
         raise ConfigError(f"oracle-compare --T {T} is not a multiple of dt = {dt}")
+    # The stepper cuts the modes above galerkin_N at every step, and Picard cuts
+    # none: below the band limit the two would solve different equations.
+    band = config.grid.band_limit
+    if config.galerkin_N is not None and config.galerkin_N < band:
+        raise ConfigError(
+            f"oracle-compare needs galerkin_N >= the band limit {band}, got galerkin_N = "
+            f"{config.galerkin_N}: the stepper would cut modes that Picard keeps"
+        )
     out = _out_dir(config)
     # The Picard mesh refines the stepper's n steps m-fold, to at least 8
     # intervals, so that every stepper time is a mesh node.
@@ -270,7 +278,6 @@ def _cmd_oracle_compare(args) -> int:
         u0 = make_initial(config.initial, config.grid, config.params)
         if config.galerkin_N is not None:
             u0 = galerkin_truncate(u0, config.galerkin_N)
-        holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
         # Picard runs in a forked worker while the stepper runs here. Each stepper
         # snapshot is held as its band block and its values on u0's tail modes,
         # the only modes outside the block where a snapshot is non-zero.
@@ -278,7 +285,7 @@ def _cmd_oracle_compare(args) -> int:
         plan = band_plan(grid, p.alpha)
         _, modes, _ = plan.split(u0.coeffs)
         held: list[tuple[np.ndarray, np.ndarray]] = []
-        with mild.picard_worker(u0, p, holder, mesh_size=n * m, max_iter=10) as picard:
+        with mild.picard_worker(u0, p, T, mesh_size=n * m, max_iter=10) as picard:
             run(stepper_cfg, initial_field=u0, on_snapshot=lambda field, t: held.append(
                 (plan.gather(field.coeffs), field.coeffs.reshape(grid.dim, -1)[:, modes])))
             oracle_traj, state = picard.result()
@@ -312,7 +319,7 @@ def _cmd_holder(args) -> int:
     T = min(config.t_end, 1.0) if config.t_end > 0 else 1.0
     holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=args.beta, T=T)
     with _Manifest(config, out) as manifest:
-        traj, _state = mild.picard_solve(u0, config.params, holder, mesh_size=64)
+        traj, _state = mild.picard_solve(u0, config.params, holder.T, mesh_size=64)
         report = mild.holder_membership(traj, holder, config.params.s)
         semi = mild.semigroup_class_check(u0, config.params, holder)
         rows = [

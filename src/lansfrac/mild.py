@@ -23,8 +23,9 @@ order. The worker keeps the accumulation, and once the caller waits for the
 result it evaluates f at nodes too, so both processes work until the end.
 A token and a report on the worker's pipes are one 4-byte node index; an
 exception goes out where it is raised, in either process.
-While the worker runs on a GEMM band plan, both processes hold OpenBLAS at
-one thread (``_one_blas_thread``).
+While the worker runs on a GEMM band plan (every 3D grid, and 2D grids up
+to ``spectral.GEMM_MAX_N``), both processes hold OpenBLAS at one thread
+(``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -216,10 +217,15 @@ class PicardNodes(Sequence[SpectralField]):
         return self._stack[i], self._modes, self._u0_tail * decay
 
 
+def _check_horizon(T: float) -> None:
+    if not 0.0 < T <= 1.0:
+        raise ValueError(f"T must lie in (0, 1], got {T}")
+
+
 def picard_solve(
     u0: SpectralField,
     params: Params,
-    holder: HolderClass,
+    T: float,
     mesh_size: int = 64,
     max_iter: int = 12,
     tol: float = 1e-12,
@@ -228,6 +234,7 @@ def picard_solve(
 ) -> tuple[Trajectory, PicardState]:
     """Fixed-point iteration u^(j+1) = e^{-t nu A^s} u0 + Duhamel(f(u^(j), u^(j))).
 
+    The mesh runs over [0, T], 0 < T <= 1; any other T raises ValueError.
     Starts from the free trajectory e^{-t nu A^s} u0 and runs each sweep
     through one (mesh_size + 1, dim) + block_shape iterate stack that holds
     the band block of every node (see _duhamel_sweep). Stops once the
@@ -247,7 +254,8 @@ def picard_solve(
     passes one that shares the evaluations with its parent. Without it the
     solve evaluates every node itself.
     """
-    t_mesh = np.linspace(0.0, holder.T, mesh_size + 1)
+    _check_horizon(T)
+    t_mesh = np.linspace(0.0, T, mesh_size + 1)
     band = _BandSolve(u0, params)
     shape = picard_stack_shape(u0.grid, params, mesh_size)
     if out is None:
@@ -488,7 +496,7 @@ def _one_blas_thread() -> Iterator[None]:
 def picard_worker(
     u0: SpectralField,
     params: Params,
-    holder: HolderClass,
+    T: float,
     mesh_size: int = 64,
     max_iter: int = 12,
 ) -> Iterator[PicardWorker]:
@@ -509,11 +517,15 @@ def picard_worker(
     by an exception the parent meets while it helps, kills and reaps the
     worker; no pipe end stays open. Needs ``os.fork`` (POSIX).
 
-    On a GEMM band plan the two processes hold OpenBLAS at one thread
-    (``_one_blas_thread``) until the block ends: the thread pools of both
-    would contend for the same cores, and in-cache products gain nothing
-    from a second thread there. An FFT plan leaves the pool as it is.
+    A T outside (0, 1] raises ValueError here, before the fork.
+
+    On a GEMM band plan, so for every 3D oracle, the two processes hold
+    OpenBLAS at one thread (``_one_blas_thread``) until the block ends: the
+    thread pools of both would contend for the same cores, and in-cache
+    products gain nothing from a second thread there. An FFT plan (2D
+    grids above ``spectral.GEMM_MAX_N``) leaves the pool as it is.
     """
+    _check_horizon(T)
     with _one_blas_thread() if band_plan(u0.grid, params.alpha).gemm else nullcontext():
         shape = picard_stack_shape(u0.grid, params, mesh_size)
         stack, ring = _shared(shape), _shared((RING_SLOTS,) + shape[1:])
@@ -530,7 +542,7 @@ def picard_worker(
             raise
         reply_r, reply_w, tokens, post, reports_r, reports_w = fds
         if pid == 0:
-            _serve(fds, u0, params, holder, mesh_size, max_iter, stack, ring)
+            _serve(fds, u0, params, T, mesh_size, max_iter, stack, ring)
         for fd in (reply_w, post, reports_r):
             os.close(fd)
         worker = PicardWorker(
@@ -544,7 +556,7 @@ def picard_worker(
             worker.close()
 
 
-def _serve(fds: list[int], u0, params, holder, mesh_size, max_iter, stack, ring) -> None:
+def _serve(fds: list[int], u0, params, T, mesh_size, max_iter, stack, ring) -> None:
     """The worker process: solve into stack, send the reply, exit. Never returns."""
     status = 1
     try:
@@ -556,7 +568,7 @@ def _serve(fds: list[int], u0, params, holder, mesh_size, max_iter, stack, ring)
         with warnings.catch_warnings(record=True) as caught:
             try:
                 traj, state = picard_solve(
-                    u0, params, holder, mesh_size, max_iter, out=stack, f_at=f_at
+                    u0, params, T, mesh_size, max_iter, out=stack, f_at=f_at
                 )
                 answer = (traj.times, state.increments_linf, state.converged)
             except BaseException as exc:  # raised again by the parent

@@ -132,16 +132,14 @@ def _kernel_workspace(grid: GridSpec, alpha: float) -> _KernelWorkspace:
 _CROSS_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
 
 
-def _cross(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray, first: int = 0
-) -> np.ndarray:
-    """Components first, first + 1, ... of the pointwise a x b into the rows of out.
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The pointwise a x b into the rows of out.
 
     tmp is one component of scratch. a with one component is the scalar (2D)
     curl a e_z, and (a e_z) x b = (-a b_1, a b_0); two 2D vectors give the
     scalar a_0 b_1 - a_1 b_0 as component 0.
     """
-    for o, row in enumerate(out, start=first):
+    for o, row in enumerate(out):
         if a.shape[0] == 1:
             np.multiply(a[0], b[1 - o], out=row)
             if o == 0:
@@ -153,13 +151,11 @@ def _cross(
     return out
 
 
-def _curl_v_cross_u(
-    phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray, first: int
-) -> np.ndarray:
-    """Components first, first + 1, ... of (curl v) x u into rows, from samples
-    of u stacked over curl v: the kernel's pointwise step in ``BandPlan.product``."""
+def _curl_v_cross_u(phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(curl v) x u into rows, from samples of u stacked over curl v: the
+    kernel's pointwise step in ``BandPlan.product``."""
     dim = phys.ndim - 1
-    return _cross(phys[dim:], phys[:dim], rows, tmp, first)
+    return _cross(phys[dim:], phys[:dim], rows, tmp)
 
 
 def rhs_f(u: SpectralField, params: Params) -> SpectralField:
@@ -193,8 +189,9 @@ def rhs_f_band(
     u is the band block (see ``BandPlan``) of the field. One call makes one
     stacked inverse transform of the dealiased u and of curl v, and forward
     transforms of the cross product: 3 + 2 fields in 2D (the curl is a
-    scalar), 6 + 3 in 3D, all in one ``BandPlan.product``, which never holds
-    the cross product's samples whole. Every per-mode step runs on the band
+    scalar), 6 + 3 in 3D, all in one ``BandPlan.product``, which on a GEMM
+    plan (every 3D grid) holds the cross product's samples one slab at a
+    time. Every per-mode step runs on the band
     block in the buffers of a cached per-(grid, alpha) workspace, where the
     output filter and the projection are one curl-curl pass. f is written
     into out, or without it into a workspace buffer that the next call on

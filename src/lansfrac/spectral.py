@@ -19,16 +19,17 @@ coefficient buffers are write-protected). Full transforms go through
 2/3 rule keeps, one axis at a time into persistent buffers, and its one
 entry, ``BandPlan.product``, is the nonlinear kernel's path on every grid:
 band blocks to samples, a pointwise product, samples back to band blocks.
-On grids with N <= ``GEMM_MAX_N[dim]`` (64 in 2D, 96 in 3D) it samples on
-the exact dealiasing grid of M = 3b + 1 points per axis (46 at N=48), each
-complex pass is one dense DFT matrix product (BLAS GEMM) per field, and the
-passes and the product run fused over slabs of sample planes that stay in
-cache; it matches ``irfftn``/``rfftn`` on the M grid to rounding. On larger
-grids it runs pruned FFT passes on the N grid, whose inverse matches
-``irfftn`` bit for bit, and forms the product one chunk of fields at a
-time. At 3D N=96 the products still win; at 2D N=96 they win on the
-default BLAS pool and tie on one thread, at 2D N=128 the FFT passes win on
-both, and at 2D N=256 by more (``BandPlan`` gives the timings).
+On every 3D grid, and on 2D grids with N <= ``GEMM_MAX_N`` (64), it samples
+on the exact dealiasing grid of M = 3b + 1 points per axis (46 at N=48),
+each complex pass is one dense DFT matrix product (BLAS GEMM) per field,
+and the passes and the product run fused over slabs of sample planes that
+stay in cache; it matches ``irfftn``/``rfftn`` on the M grid to rounding.
+Larger 2D grids run pruned FFT passes over the whole stack on the N grid,
+whose inverse matches ``irfftn`` bit for bit. At 2D N=96 the products win
+on the default BLAS pool and tie on one thread, at 2D N=128 the FFT passes
+win on both, and at 2D N=256 by more. In 3D the products win up to N=192;
+only at N=256, a grid nothing runs, were FFT passes faster, by 8%
+(``BandPlan`` gives the timings).
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ HERMITIAN_TOL = 1e-12
 SOLENOIDAL_TOL = 1e-12
 MEAN_TOL = 1e-12
 
-# Bytes of one chunk's line buffer in a BandPlan's FFT passes, and of one
-# slab of samples in its fused GEMM pass: they then stay within a 2 MiB L2 cache.
+# Bytes of one slab of samples in a BandPlan's fused GEMM pass: it then
+# stays within a 2 MiB L2 cache.
 LINE_BUDGET = 2**20
 
-# Grids with N at most this, by dimension, run their band transforms as dense
-# DFT matrix products (BLAS GEMM); larger grids run pruned FFT passes (see
-# BandPlan, which gives the crossover timings).
-GEMM_MAX_N = {2: 64, 3: 96}
+# 2D grids with N at most this run their band transforms as dense DFT matrix
+# products (BLAS GEMM), larger 2D grids pruned FFT passes; every 3D grid runs
+# the products (see BandPlan, which gives the crossover timings).
+GEMM_MAX_N = 64
 
 
 class Regime(Enum):
@@ -223,14 +224,15 @@ class BandPlan:
     runs over k = 0..b, -b..-1. ``product`` is the one transform entry: it
     samples a stack of band blocks, lets a pointwise step form the samples
     of a product from them, and transforms those back into band blocks. It
-    runs one of two algorithms, picked from the grid size, on samples of
+    runs one of two algorithms, picked from the grid, on samples of
     ``shape`` = (M,) * dim:
 
-    - **Matrix products** (``gemm``, when N <= ``GEMM_MAX_N[dim]``) on the
-      exact dealiasing grid, M = 3b + 1 points per axis (46 at N=48, 31 at
-      N=32, N at N=16 and 64). A product of two fields of the band has modes
-      |k_i| <= 2b, and on M points a mode k aliases only onto k +- M, so the
-      product's band modes come back exact (Orszag's rule). Each pass is one
+    - **Matrix products** (``gemm``: every 3D grid, and 2D grids with
+      N <= ``GEMM_MAX_N``) on the exact dealiasing grid, M = 3b + 1 points
+      per axis (46 at N=48, 31 at N=32, N at N=16 and 64). A product of
+      two fields of the band has modes |k_i| <= 2b, and on M points a mode
+      k aliases only onto k +- M, so the product's band modes come back
+      exact (Orszag's rule). Each pass is one
       BLAS GEMM (``np.matmul`` with ``out=``) against a constant DFT matrix:
       ``_ec`` (M x 2b+1) of exp(i k n 2pi/M) for the complex axes, and a real
       matrix ``_r`` that acts on the float64 view of the half-spectrum axis.
@@ -252,15 +254,14 @@ class BandPlan:
       ``LINE_BUDGET`` bytes (one slab wherever the whole stack fits: 2D
       grids, 3D N=16). The forward's real pass writes each slab into the
       planes of ``_mid`` that the slab has read.
-    - **Pruned FFT passes** (larger grids), on the N grid (M = N), in
-      ``_inverse`` and ``_forward``. One axis at a time with ``numpy.fft``
-      and ``out=``; on the complex axes only the lines the band reaches are
-      transformed. The inverse runs axis -dim, ..., -2, then the real axis,
-      as ``irfftn`` does, and matches it bit for bit; the forward runs the
-      same passes in reverse order (the axis -2 pass on every line first,
-      where its strides are short) and matches ``rfftn`` to rounding. The
-      inverse samples the whole stack; the pointwise step and the forward
-      then run one ``chunk`` of rows at a time.
+    - **Pruned FFT passes** (2D grids with N > ``GEMM_MAX_N``), on the N
+      grid (M = N), in ``_inverse`` and ``_forward``, each over the whole
+      stack with ``numpy.fft`` and ``out=``. The inverse runs the complex
+      axis -2 on the b + 1 columns the band reaches, then the real axis, as
+      ``irfftn`` does, and matches it bit for bit; the forward runs the same
+      passes in reverse order and matches ``rfftn`` to rounding. The
+      pointwise step writes the product's whole stack of samples into
+      ``_rows``.
 
     For short pruned lines the products win, and at 2D N=256 the FFT passes
     do (3.9-4.0 against 5.4 ms per kernel call). Whole 2D kernel calls on a
@@ -271,38 +272,38 @@ class BandPlan:
     against 0.59-1.00 ms on one thread and 0.84-1.06 against 0.62-1.00 ms on
     the pool (2 of 6 each). ``oracle-compare`` holds one BLAS thread on
     GEMM plans and runs 2D N=128 in the benchmark, hence the 2D crossover at
-    64. In 3D the products still win at N=96, so the 3D crossover is 96.
-    Whole 3D kernel calls, medians of 20 alternating calls, the fused GEMM
-    pass against FFT passes, with the bytes of the workspace and plan
-    buffers:
+    64. In 3D the products win on every grid up to N=192, in time and in
+    peak memory; only at N=256, a grid nothing runs, were the 3D FFT passes
+    that earlier versions ran faster (2554 against 2757 ms per call). Whole
+    3D kernel calls, the fused GEMM pass against those FFT passes: up to
+    N=96 medians of 20 alternating calls, with the bytes of the workspace
+    and plan buffers; above, the range over alternating rounds of one
+    process per plan of the median call, with each process's peak RSS:
 
     ======  ===============  ===============  ==========  ==============
-    3D N    GEMM             FFT passes       GEMM wins   buffers
+    3D N    GEMM             FFT passes       GEMM wins   buffers / peak
     ======  ===============  ===============  ==========  ==============
     64      18.5 ms          34.2 ms          18/20       21.7 / 34.1 MiB
     80      41.2 ms          66.6 ms          20/20       39.7 / 65.4 MiB
     96      84.8 ms          136.3 ms         20/20       65.6 / 111.6 MiB
+    98      67-96 ms         114-167 ms       6/6         147 / 196 MiB
+    128     207-237 ms       301-381 ms       6/6         280 / 392 MiB
+    160     512-523 ms       788-811 ms       4/4         519 / 723 MiB
+    192     887-949 ms       1170-1393 ms     4/4         844 / 1203 MiB
     ======  ===============  ===============  ==========  ==============
-
-    ``chunk`` is the most fields whose line buffer (N,) * (dim-1) + (b+1,)
-    complex values fits in ``LINE_BUDGET`` bytes, and at least one. The FFT
-    passes transform a stack ``chunk`` fields at a time, so their
-    intermediate buffers (the zero-padded inputs, the lines, the forward
-    passes and the product's rows ``_rows``) hold one chunk; only the
-    inverse's samples hold the stack. Every FFT line is transformed on its
-    own with calls of one shape, and every GEMM runs one field's matrix, so
-    neither the stack size nor the chunk changes a bit of the result.
 
     The FFT inverse's last pass is an ``irfft`` over a half-spectrum buffer
     (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the
     inverse zeroes the rest, so numpy pads no line itself. That buffer is the
-    one the forward's ``rfft`` writes.
+    one the forward's ``rfft`` writes. Every FFT line is transformed on its
+    own, and every GEMM runs one field's matrix, so the stack size changes
+    no bit of the result.
 
     Every buffer is the plan's own and the next call rewrites it, so a plan
     is not re-entrant. No call passes information to the next: the FFT
-    inverse's zero-padded inputs hold zeros outside the band that no call
-    writes, the inverse zeroes the tail columns of the half-spectrum buffer
-    that the forward fills, and every other region a call reads is
+    inverse's zero-padded input ``_pad`` holds zeros outside the band that
+    no call writes, the inverse zeroes the tail columns of the half-spectrum
+    buffer that the forward fills, and every other region a call reads is
     rewritten earlier in that call.
     """
 
@@ -320,32 +321,21 @@ class BandPlan:
         for pairs in itertools.product(self._halves, repeat=dim - 1):
             blk, full = zip(*pairs)
             self._slabs.append(((Ellipsis,) + blk + (last,), (Ellipsis,) + full + (last,)))
-        cplx = np.complex128
-        lines = (N,) * (dim - 1) + (b + 1,)
-        per_field = math.prod(lines) * np.dtype(cplx).itemsize
-        self.chunk = max(1, LINE_BUDGET // per_field)
-        self.gemm = N <= GEMM_MAX_N[dim]
+        self.gemm = dim == 3 or N <= GEMM_MAX_N
         self.M = 3 * b + 1 if self.gemm else N
         self.shape = (self.M,) * dim
         if self.gemm:
             self._init_gemm(inverse_fields, forward_fields)
             return
+        cplx, lines = np.complex128, (N, b + 1)
+        # The inverse reads _pad, the forward's axis -2 pass writes _fwd, and the
+        # inverse's last pass reads _half, which the forward's first writes.
+        self._pad = np.zeros((inverse_fields,) + lines, cplx)
+        self._fwd = np.empty((forward_fields,) + lines, cplx)
+        self._half = np.empty((max(inverse_fields, forward_fields),) + grid.spectral_shape, cplx)
+        # The inverse's samples, the product's samples and one row of scratch.
         self._phys = np.empty((inverse_fields,) + grid.shape)
-        inv, fwd = min(self.chunk, inverse_fields), min(self.chunk, forward_fields)
-        # Inverse: pass j reads _pad[j], full length on axes -dim .. -dim+j.
-        self._pad = [
-            np.zeros((inv,) + (N,) * (j + 1) + (2 * b + 1,) * (dim - 2 - j) + (b + 1,), cplx)
-            for j in range(dim - 1)
-        ]
-        # The inverse's last pass reads _half and the forward's first writes it.
-        self._half = np.empty((max(inv, fwd),) + grid.spectral_shape, cplx)
-        # Forward: pass j writes _fwd[j], band-compact on axes -2 .. -1-j.
-        self._fwd = [np.empty((fwd,) + lines, cplx)] + [
-            np.empty((fwd,) + (N,) * (dim - 1 - j) + (2 * b + 1,) * j + (b + 1,), cplx)
-            for j in range(1, dim - 1)
-        ]
-        # The product's samples: one forward chunk of rows and one row of scratch.
-        self._rows = np.empty((fwd,) + grid.shape)
+        self._rows = np.empty((forward_fields,) + grid.shape)
         self._scratch = np.empty(grid.shape)
 
     def _init_gemm(self, inverse_fields: int, forward_fields: int) -> None:
@@ -420,31 +410,26 @@ class BandPlan:
     def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
         """out = the band block of a pointwise product of block's samples.
 
-        ``pointwise(samples, rows, scratch, first)`` writes rows first,
-        first + 1, ... of the product's samples into rows, from block's
-        samples, with one row of scratch; each array covers the same sample
-        planes. out must be C-contiguous; a GEMM plan raises ValueError on
-        any other.
+        ``pointwise(samples, rows, scratch)`` writes the product's samples
+        into rows, from block's samples, with one row of scratch; each array
+        covers the same sample planes. out must be C-contiguous; a GEMM plan
+        raises ValueError on any other.
 
         On a GEMM plan this is the fused pass: the complex inverse passes of
         every field of block into ``_mid``, then, one slab of ``S`` sample
-        planes at a time, the inverse's real pass, ``pointwise`` (first = 0)
-        and the forward's real pass into the slab's planes of ``_mid``, which
-        the slab has already read; then the complex forward passes into out.
+        planes at a time, the inverse's real pass, ``pointwise`` and the
+        forward's real pass into the slab's planes of ``_mid``, which the
+        slab has already read; then the complex forward passes into out.
         Samples lie on the M-point grid in (n_1, n_0, n_2) order in 3D.
 
-        On an FFT plan the inverse samples the whole stack on the N grid, and
-        then ``pointwise`` and the forward passes run one ``chunk`` of rows at
-        a time, each chunk transformed into its rows of out before the next
-        is formed.
+        On an FFT plan the inverse samples the whole stack on the N grid,
+        ``pointwise`` writes every row of the product into ``_rows``, and
+        the forward passes transform them into out.
         """
         if not self.gemm:
-            phys, c = self._inverse(block), len(self._rows)
-            for first in range(0, len(out), c):
-                rows = self._rows[: min(c, len(out) - first)]
-                pointwise(phys, rows, self._scratch, first)
-                self._forward(rows, out[first : first + len(rows)])
-            return out
+            rows = self._rows[: len(out)]
+            pointwise(self._inverse(block), rows, self._scratch)
+            return self._forward(rows, out)
         F, n_out, M = len(block), len(out), self.M
         self._complex_inverse(block)
         real = self._mid.view(np.float64)
@@ -453,7 +438,7 @@ class BandPlan:
             samples, rows = self._slab[:F, :s], self._slab[F : F + n_out, :s]
             half = real[:F, s0 : s0 + s].reshape(F, -1, len(self._r))
             np.matmul(half, self._r, out=samples.reshape(F, -1, M))
-            pointwise(samples, rows, self._slab[F + n_out, :s], 0)
+            pointwise(samples, rows, self._slab[F + n_out, :s])
             half = real[:n_out, s0 : s0 + s].reshape(n_out, -1, len(self._r))
             np.matmul(rows.reshape(n_out, -1, M), self._fr, out=half)
         return self._complex_forward(out)
@@ -489,46 +474,21 @@ class BandPlan:
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
         """Samples of block's fields on the N grid (FFT plans), in the plan's buffer."""
-        dim, N, b, c = self.grid.dim, self.grid.N, self.grid.band_limit, self.chunk
-        for start in range(0, len(block), c):
-            part = block[start : start + c]
-            m = len(part)
-            src = self._pad[0][:m]
-            for blk, full in self._halves:
-                src[_along(-dim, full)] = part[_along(-dim, blk)]
-            for j, ax in enumerate(range(-dim, -2)):
-                dst = self._pad[j + 1][:m]
-                for blk, full in self._halves:
-                    np.fft.ifft(
-                        src[_along(ax + 1, blk)], axis=ax, norm="forward",
-                        out=dst[_along(ax + 1, full)],
-                    )
-                src = dst
-            half = self._half[:m]
-            half[..., b + 1 :] = 0.0
-            np.fft.ifft(src, axis=-2, norm="forward", out=half[..., : b + 1])
-            np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[start : start + m])
-        return self._phys[: len(block)]
+        F, N, b = len(block), self.grid.N, self.grid.band_limit
+        pad, half = self._pad[:F], self._half[:F]
+        for blk, full in self._halves:
+            pad[:, full] = block[:, blk]
+        half[..., b + 1 :] = 0.0
+        np.fft.ifft(pad, axis=-2, norm="forward", out=half[..., : b + 1])
+        return np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[:F])
 
     def _forward(self, phys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The band blocks of phys's fields on the N grid into out (FFT plans)."""
-        dim, b, c = self.grid.dim, self.grid.band_limit, self.chunk
-        for start in range(0, len(phys), c):
-            part = phys[start : start + c]
-            m = len(part)
-            half = np.fft.rfft(part, axis=-1, norm="forward", out=self._half[:m])
-            src = np.fft.fft(half[..., : b + 1], axis=-2, norm="forward", out=self._fwd[0][:m])
-            for j, ax in enumerate(range(-3, -dim - 1, -1), start=1):
-                dst = self._fwd[j][:m]
-                for blk, full in self._halves:
-                    np.fft.fft(
-                        src[_along(ax + 1, full)], axis=ax, norm="forward",
-                        out=dst[_along(ax + 1, blk)],
-                    )
-                src = dst
-            rows = out[start : start + m]
-            for blk, full in self._halves:
-                rows[_along(-dim, blk)] = src[_along(-dim, full)]
+        F, b = len(phys), self.grid.band_limit
+        half = np.fft.rfft(phys, axis=-1, norm="forward", out=self._half[:F])
+        lines = np.fft.fft(half[..., : b + 1], axis=-2, norm="forward", out=self._fwd[:F])
+        for blk, full in self._halves:
+            out[:, blk] = lines[:, full]
         return out
 
 

@@ -36,19 +36,19 @@ def no_child_process_left():
     pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else pid})")
 
 
-_GEMM_MAX_N = dict(spectral.GEMM_MAX_N)
+_GEMM_MAX_N = spectral.GEMM_MAX_N
 
 
 @pytest.fixture(autouse=True)
 def gemm_max_n_unchanged():
-    """Fail a test that leaves ``spectral.GEMM_MAX_N`` changed. Tests force
-    FFT plans by lowering it, and a leak would put every later test on the
-    other band algorithm; the import-time values are put back."""
+    """Fail a test that leaves ``spectral.GEMM_MAX_N`` changed. A test that
+    moves the 2D crossover does so with ``monkeypatch.setattr``, which puts
+    it back; a leak would put every later 2D test on the other band
+    algorithm. The import-time value is put back."""
     yield
-    left = dict(spectral.GEMM_MAX_N)
+    left = spectral.GEMM_MAX_N
     if left != _GEMM_MAX_N:
-        spectral.GEMM_MAX_N.clear()
-        spectral.GEMM_MAX_N.update(_GEMM_MAX_N)
+        spectral.GEMM_MAX_N = _GEMM_MAX_N
         pytest.fail(f"the test left spectral.GEMM_MAX_N at {left}, not {_GEMM_MAX_N}")
 
 

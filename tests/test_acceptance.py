@@ -137,8 +137,7 @@ def test_criterion_05_oracle_equivalence():
     stepper = run(
         cfg(grid, p, dt=1e-3, t_end=T, snapshot_every=2), initial_field=u0
     )
-    holder = HolderClass(R=norm_DAr(u0, 1.0), beta=0.25, T=T)
-    mild_traj, state = picard_solve(u0, p, holder, mesh_size=50, tol=1e-12)
+    mild_traj, state = picard_solve(u0, p, T, mesh_size=50, tol=1e-12)
     sup = 0.0
     for t, w in zip(mild_traj.times, mild_traj.snapshots):
         j = int(np.argmin(np.abs(stepper.times - t)))
@@ -215,7 +214,7 @@ def test_criterion_08_critical_holder_class():
 
     picard_q = []
     for mesh in (64, 128):
-        traj, state = picard_solve(u0, p, holder, mesh_size=mesh, tol=1e-12)
+        traj, state = picard_solve(u0, p, holder.T, mesh_size=mesh, tol=1e-12)
         rep = holder_membership(traj, holder, p.s)
         assert state.converged and np.all(np.isfinite(quotients_of(rep)))
         picard_q.append(np.append(quotients_of(rep), rep.minimal_R / r0))

@@ -462,8 +462,7 @@ def full_field_oracle_rows(config, T: float, u0=None) -> tuple[list[dict], list]
     n = _step_count(T, config.scheme.dt)
     m = -(-8 // n)
     u0 = traj.snapshots[0]
-    holder = mild.HolderClass(R=max(norm_DAr(u0, 1.0), 1e-30), beta=0.25, T=T)
-    oracle, _ = mild.picard_solve(u0, config.params, holder, mesh_size=n * m, max_iter=10)
+    oracle, _ = mild.picard_solve(u0, config.params, T, mesh_size=n * m, max_iter=10)
     rows = []
     for j, u in enumerate(traj.snapshots):
         t, w = oracle.times[j * m], oracle.snapshots[j * m]
@@ -562,14 +561,42 @@ def test_oracle_compare_rows_equal_a_held_run(tmp_path, monkeypatch, init, band_
 
 
 def test_oracle_compare_starts_picard_from_the_galerkin_cut_start(tmp_path):
-    # run cuts its start at galerkin_N, and Picard starts from that cut field
+    # run cuts its start at galerkin_N, and Picard starts from that cut field:
+    # band = 15 puts modes of the data above galerkin_N = 12, itself above the
+    # band limit 10 of N = 32
+    from lansfrac.integrator import galerkin_truncate
     from lansfrac.io import parse_config
 
-    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3") + "galerkin_N = 6\n")
+    text = SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3") + "band = 15\ngalerkin_N = 12\n"
+    cfg = write(tmp_path, text)
+    config = parse_config(cfg)
+    u0 = make_initial(config.initial, config.grid, config.params)
+    assert not np.array_equal(galerkin_truncate(u0, 12).coeffs, u0.coeffs)
     out = tmp_path / "out"
     assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(out)]) == 0
-    rows, _ = full_field_oracle_rows(parse_config(cfg), 0.02)
+    rows, _ = full_field_oracle_rows(config, 0.02)
     assert_oracle_csv_matches(out / "oracle.csv", rows)
+
+
+@pytest.mark.parametrize("dim,s,galerkin_n,band_limit", [(2, 0.5, 2, 5), (3, 0.75, 4, 5)])
+def test_oracle_compare_refuses_a_galerkin_cutoff_below_the_band_limit(
+    tmp_path, capsys, dim, s, galerkin_n, band_limit
+):
+    # The stepper cuts the modes above galerkin_N at every step and Picard cuts
+    # none, so below the band limit the two solve different equations. The
+    # config is refused before the out dir is made.
+    text = (SMALL_CFG.replace("dim = 2", f"dim = {dim}").replace("N = 32", "N = 16")
+            .replace("s = 0.5", f"s = {s}").replace("dt = 2e-3", "dt = 1e-3")
+            + f"galerkin_N = {galerkin_n}\n")
+    out = tmp_path / "out"
+    argv = ["oracle-compare", write(tmp_path, text), "--T", "0.004", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: oracle-compare needs galerkin_N >= the band limit {band_limit}, got "
+        f"galerkin_N = {galerkin_n}: the stepper would cut modes that Picard keeps"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [-0.0, 1e-300, -1e-300])

@@ -235,7 +235,7 @@ def test_picard_band_nodes_equal_the_full_spectrum_sweep(dim, n, s, band):
     u0 = random_field(grid, seed=31, amplitude=0.05, band=band)
     mesh = 8 if dim == 3 else 12
     ref_stack, ref_incs = full_spectrum_picard(u0, p, 0.1, mesh)
-    traj, state = picard_solve(u0, p, holder_for(u0, T=0.1), mesh_size=mesh)
+    traj, state = picard_solve(u0, p, 0.1, mesh_size=mesh)
     assert state.n_iter == len(ref_incs) > 2
     assert np.allclose(state.increments_linf, ref_incs, rtol=1e-12, atol=0.0)
     assert len(traj.snapshots) == mesh + 1
@@ -251,7 +251,7 @@ def holder_for(u0, beta=0.25, T=1.0):
 
 def test_picard_zero_data(grid2, params):
     z = zero_field(grid2)
-    traj, state = picard_solve(z, params, holder_for(z), mesh_size=16)
+    traj, state = picard_solve(z, params, 1.0, mesh_size=16)
     assert state.converged and state.n_iter == 1
     assert all(l2_norm(w) == 0.0 for w in traj.snapshots)
 
@@ -261,7 +261,7 @@ def test_picard_shear_converges_fast(grid2):
     # semigroup solution up to quadrature-level noise
     p = Params(alpha=0.5, nu=1.0, s=0.5)
     u0 = make_initial(InitialData(kind="shear", amplitude=1e-2), grid2)
-    traj, state = picard_solve(u0, p, holder_for(u0, T=0.5), mesh_size=32)
+    traj, state = picard_solve(u0, p, 0.5, mesh_size=32)
     assert state.converged and state.n_iter <= 3
     for t, w in zip(traj.times, traj.snapshots):
         expect = np.exp(-p.nu * t) * u0.coeffs
@@ -271,7 +271,7 @@ def test_picard_shear_converges_fast(grid2):
 def test_picard_small_data_geometric_increments(grid2):
     p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=5, amplitude=0.05))
-    traj, state = picard_solve(u0, p, holder_for(u0, T=1.0), mesh_size=32, tol=1e-14)
+    traj, state = picard_solve(u0, p, 1.0, mesh_size=32, tol=1e-14)
     incs = state.increments_linf
     assert state.converged
     ratios = [incs[i + 1] / incs[i] for i in range(len(incs) - 1) if incs[i] > 0]
@@ -282,7 +282,7 @@ def test_picard_no_contraction_for_large_data(grid2):
     p = Params(alpha=0.2, nu=0.05, s=0.5)
     u0 = dealias(random_field(grid2, seed=6, amplitude=300.0))
     with pytest.raises(NoContractionError):
-        picard_solve(u0, p, holder_for(u0, T=1.0), mesh_size=16, max_iter=12)
+        picard_solve(u0, p, 1.0, mesh_size=16, max_iter=12)
 
 
 def test_picard_non_finite_node_is_no_contraction(grid2, monkeypatch):
@@ -292,7 +292,7 @@ def test_picard_non_finite_node_is_no_contraction(grid2, monkeypatch):
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
     nan_at_last_picard_node(monkeypatch, nodes=17)
     with pytest.raises(NoContractionError, match="non-finite"):
-        picard_solve(u0, p, holder_for(u0, T=0.1), mesh_size=16)
+        picard_solve(u0, p, 0.1, mesh_size=16)
 
 
 def test_picard_holds_one_iterate_stack(grid2):
@@ -302,14 +302,13 @@ def test_picard_holds_one_iterate_stack(grid2):
     # band stacks at N = 32 and whole-mesh lists of f several more
     p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
-    holder = holder_for(u0, T=0.1)
-    picard_solve(u0, p, holder, mesh_size=4)  # warm the kernel workspace and tables
+    picard_solve(u0, p, 0.1, mesh_size=4)  # warm the kernel workspace and tables
     mesh = 32
     block = band_plan(grid2, p.alpha).block_shape
     stack_bytes = (mesh + 1) * grid2.dim * int(np.prod(block)) * 16
     tracemalloc.start()
     try:
-        traj, state = picard_solve(u0, p, holder, mesh_size=mesh)
+        traj, state = picard_solve(u0, p, 0.1, mesh_size=mesh)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -319,7 +318,7 @@ def test_picard_holds_one_iterate_stack(grid2):
 
 def test_picard_nodes_are_read_only(grid2, params):
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
-    traj, state = picard_solve(u0, params, holder_for(u0, T=0.1), mesh_size=8)
+    traj, state = picard_solve(u0, params, 0.1, mesh_size=8)
     assert state.iterates == [traj.snapshots] and traj.diag == []
     for w in (traj.snapshots[0], traj.snapshots[-1]):
         with pytest.raises(ValueError):
@@ -333,7 +332,7 @@ def test_picard_nodes_index_like_a_sequence(grid2, params):
     # tail modes under the semigroup; its values are those of the whole free
     # field u0 e^{-t nu A^s} with the block written into its band
     u0 = random_field(grid2, seed=7, amplitude=1e-2, band=grid2.N // 2 - 1)
-    traj, _ = picard_solve(u0, params, holder_for(u0, T=0.1), mesh_size=8)
+    traj, _ = picard_solve(u0, params, 0.1, mesh_size=8)
     nodes, plan = traj.snapshots, band_plan(grid2, params.alpha)
     _, u0_modes, _ = plan.split(u0.coeffs)
     assert len(nodes) == 9 and u0_modes.size > 0
@@ -354,10 +353,9 @@ def test_picard_nodes_index_like_a_sequence(grid2, params):
 
 def test_picard_solve_into_a_callers_buffer_is_bit_identical(grid2, params):
     u0 = random_field(grid2, seed=7, amplitude=1e-2)
-    holder = holder_for(u0, T=0.1)
-    traj, state = picard_solve(u0, params, holder, mesh_size=8)
+    traj, state = picard_solve(u0, params, 0.1, mesh_size=8)
     out = np.full(picard_stack_shape(grid2, params, 8), np.nan, complex)
-    _, state_out = picard_solve(u0, params, holder, mesh_size=8, out=out)
+    _, state_out = picard_solve(u0, params, 0.1, mesh_size=8, out=out)
     plan = band_plan(grid2, params.alpha)
     own = np.stack([plan.gather(w.coeffs) for w in traj.snapshots])
     assert out.tobytes() == own.tobytes() and not out.flags.writeable
@@ -366,14 +364,25 @@ def test_picard_solve_into_a_callers_buffer_is_bit_identical(grid2, params):
     for mine, theirs in zip(nodes, traj.snapshots, strict=True):
         assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
     with pytest.raises(ValueError, match="shape"):
-        picard_solve(u0, params, holder, mesh_size=8, out=np.empty_like(out[1:]))
+        picard_solve(u0, params, 0.1, mesh_size=8, out=np.empty_like(out[1:]))
+
+
+@pytest.mark.parametrize("T", [0.0, -0.1, 1.5, float("nan")])
+def test_picard_refuses_a_horizon_outside_zero_to_one(grid2, params, T):
+    # picard_solve and picard_worker check their horizon themselves; the
+    # worker raises before it forks, so no process is started
+    u0 = random_field(grid2, seed=7, amplitude=1e-2)
+    with pytest.raises(ValueError, match=r"T must lie in \(0, 1\], got"):
+        picard_solve(u0, params, T, mesh_size=8)
+    with pytest.raises(ValueError, match=r"T must lie in \(0, 1\], got"):
+        with picard_worker(u0, params, T, mesh_size=8):
+            pass
 
 
 def test_picard_worker_returns_the_in_process_solve(grid2, params):
     u0 = random_field(grid2, seed=7, amplitude=1e-2)
-    holder = holder_for(u0, T=0.1)
-    traj, state = picard_solve(u0, params, holder, mesh_size=8, max_iter=10)
-    with picard_worker(u0, params, holder, mesh_size=8, max_iter=10) as worker:
+    traj, state = picard_solve(u0, params, 0.1, mesh_size=8, max_iter=10)
+    with picard_worker(u0, params, 0.1, mesh_size=8, max_iter=10) as worker:
         traj_w, state_w = worker.result()
     assert traj_w.times.tobytes() == traj.times.tobytes()
     assert (state_w.increments_linf, state_w.converged, state_w.n_iter) == (
@@ -408,12 +417,11 @@ def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, 
     grid = make_grid(dim, n)
     p = Params(alpha=0.5, nu=0.5, s=0.75 if dim == 3 else 0.5)
     u0 = random_field(grid, seed=8, amplitude=0.05)
-    holder = holder_for(u0, T=0.1)
     mesh = 12
-    traj, state = picard_solve(u0, p, holder, mesh_size=mesh, max_iter=10)
+    traj, state = picard_solve(u0, p, 0.1, mesh_size=mesh, max_iter=10)
     assert band_plan(grid, p.alpha).gemm == (dim == 3)
     helped = _parent_evaluations(monkeypatch, worker_delay=0.01 if parent_helps else 0.0)
-    with picard_worker(u0, p, holder, mesh_size=mesh, max_iter=10) as worker:
+    with picard_worker(u0, p, 0.1, mesh_size=mesh, max_iter=10) as worker:
         ring = weakref.ref(worker._ring.base)
         if not parent_helps:
             select.select([worker._pipe], [], [])  # the worker's reply is readable
@@ -480,7 +488,7 @@ def test_picard_worker_raises_the_parents_kernel_error_as_itself(monkeypatch, gr
     monkeypatch.setattr(mild, "rhs_f_band", f)
     u0 = random_field(grid2, seed=7, amplitude=1e-2)
     with pytest.raises(PlantedFault) as caught:
-        with picard_worker(u0, params, holder_for(u0, T=0.1), mesh_size=8) as worker:
+        with picard_worker(u0, params, 0.1, mesh_size=8) as worker:
             pid = worker._pid
             worker.result()
     assert caught.value is fault
@@ -513,7 +521,7 @@ def test_picard_worker_holds_blas_at_one_thread_on_a_gemm_plan(monkeypatch, dim,
     before = get()
     put(2)
     try:
-        with picard_worker(u0, p, holder_for(u0, T=0.1), mesh_size=8) as worker:
+        with picard_worker(u0, p, 0.1, mesh_size=8) as worker:
             parent = get()
             with pytest.raises(LansfracError, match=r"worker threads (\d+)") as caught:
                 worker.result()
@@ -538,7 +546,7 @@ def test_picard_matches_stepper_small_data(grid2):
         snapshot_every=2,
     )
     traj = run(cfg, initial_field=u0)
-    mild_traj, state = picard_solve(u0, p, holder_for(u0, T=T), mesh_size=50)
+    mild_traj, state = picard_solve(u0, p, T, mesh_size=50)
     assert state.converged
     sup = 0.0
     for t, w in zip(mild_traj.times, mild_traj.snapshots):
@@ -610,7 +618,7 @@ def test_holder_membership_picard_critical_case(grid2):
     p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=10, amplitude=1e-2))
     holder = holder_for(u0, beta=0.25, T=1.0)
-    traj, state = picard_solve(u0, p, holder, mesh_size=64)
+    traj, state = picard_solve(u0, p, holder.T, mesh_size=64)
     assert state.converged
     rep = holder_membership(traj, holder, p.s)
     assert np.isfinite(rep.minimal_R) and rep.minimal_R > 0

@@ -12,7 +12,6 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +28,12 @@ from lansfrac import (
     rhs_f,
     u_from_v,
 )
-from lansfrac import spectral
 from lansfrac.diagnostics import audit_tables, f_flags
 from lansfrac.errors import GridError
 from lansfrac.operators import (
     _cross,
     _curl_v_cross_u,
     _kernel_workspace,
-    band_plan,
     h1_alpha_pairing,
     rhs_f_band,
     v_from_u,
@@ -381,35 +378,6 @@ def test_rhs_f_matches_the_unpruned_kernel(dim, n):
         assert rel_err(f.coeffs, _unpruned_rotational_f(u, alpha)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [32, 48])
-def test_the_3d_kernel_on_pruned_fft_passes(monkeypatch, n):
-    # every other 3D grid in the suite has N <= GEMM_MAX_N[3] and runs the
-    # matrix products; lowering the 3D bound puts the kernel's plan on the FFT
-    # passes
-    grid = make_grid(3, n)
-    p = Params(alpha=0.5, nu=1.0, s=0.75)
-    u = make_initial(InitialData(kind="random-spectrum", seed=n), grid)
-    _kernel_workspace.cache_clear()
-    assert band_plan(grid, p.alpha).gemm
-    gemm_f = rhs_f(u, p).coeffs
-    monkeypatch.setitem(spectral.GEMM_MAX_N, 3, 0)
-    _kernel_workspace.cache_clear()
-    try:
-        plan = band_plan(grid, p.alpha)
-        assert not plan.gemm
-        rng = np.random.default_rng(n)
-        for _ in range(2):  # the second round reads buffers the first one wrote
-            spectra = phys_to_coeffs(rng.standard_normal((6,) + grid.shape), 3) * grid.dealias_mask
-            pruned = plan._inverse(plan.gather(spectra))
-            assert np.array_equal(pruned, coeffs_to_phys(spectra, 3))  # irfftn, bit for bit
-            samples = rng.standard_normal((3,) + grid.shape)
-            band = plan._forward(samples, np.empty((3,) + plan.block_shape, np.complex128))
-            assert rel_err(band, plan.gather(phys_to_coeffs(samples, 3))) <= 1e-14
-            assert rel_err(rhs_f(u, p).coeffs, gemm_f) <= 1e-14
-    finally:
-        _kernel_workspace.cache_clear()  # later tests get the GEMM plan again
-
-
 def _whole_stack_rhs_f_band(grid, u, params):
     """Reference: rhs_f_band with the whole cross product formed before one
     forward transform of all its components, in arrays of its own: through
@@ -434,23 +402,8 @@ def _whole_stack_rhs_f_band(grid, u, params):
     return ws.project(product, np.empty_like(product))
 
 
-@contextmanager
-def _on_fft_plans(dim):
-    """Kernel workspaces of this dimension on pruned FFT passes, whatever the N."""
-    bound = spectral.GEMM_MAX_N[dim]
-    spectral.GEMM_MAX_N[dim] = 0
-    _kernel_workspace.cache_clear()
-    try:
-        yield
-    finally:
-        spectral.GEMM_MAX_N[dim] = bound
-        _kernel_workspace.cache_clear()  # later tests get the GEMM plan again
-
-
-# (dim, N, components per forward chunk of the FFT plan): 2D N=128 transforms
-# both in one chunk; 3D N=40 has a chunk boundary between its second and
-# third component. The 3D grids run the GEMM plan unless forced onto FFT passes.
-_STREAMED_CASES = [(2, 128, 2), (3, 48, 1), (3, 40, 2)]
+# 2D N=128 runs FFT passes; every 3D grid runs the fused GEMM pass.
+_STREAMED_CASES = [(2, 128), (3, 48), (3, 40)]
 
 
 def _kernel_and_whole_stack(grid, alpha, seed):
@@ -463,27 +416,26 @@ def _kernel_and_whole_stack(grid, alpha, seed):
     return ws, calls, ref
 
 
-@pytest.mark.parametrize("dim,n,per_chunk", _STREAMED_CASES)
-def test_streamed_cross_product_equals_the_whole_stack(dim, n, per_chunk):
-    # On FFT passes the product streamed one forward chunk at a time gives the
-    # bytes of the whole stack; the GEMM plan's fused slab pass (the 3D grids'
-    # own plan) matches the whole stack on the N grid to rounding.
+@pytest.mark.parametrize("dim,n", _STREAMED_CASES)
+def test_streamed_cross_product_equals_the_whole_stack(dim, n):
+    # On FFT passes the product gives the bytes of the whole stack formed
+    # before one forward transform; the GEMM plan's fused slab pass matches
+    # the whole stack on the N grid to rounding.
     grid = make_grid(dim, n)
-    with _on_fft_plans(dim):
-        for alpha, seed in ((0.0, 3), (0.5, 4)):
-            ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
-            assert min(ws.plan.chunk, dim) == per_chunk
-            assert ws.plan._rows.shape == (per_chunk,) + grid.shape  # one chunk of the product
-            assert all(f.tobytes() == ref.tobytes() for f in calls)
-    if n <= spectral.GEMM_MAX_N[dim]:
-        for alpha, seed in ((0.0, 3), (0.5, 4)):
-            ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
-            assert ws.plan.gemm and not hasattr(ws.plan, "_rows")  # the slabs hold the product
+    for alpha, seed in ((0.0, 3), (0.5, 4)):
+        ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
+        assert ws.plan.gemm == (dim == 3)
+        if ws.plan.gemm:
             assert all(rel_err(f, ref) <= 1e-14 for f in calls)
+        else:
+            assert all(f.tobytes() == ref.tobytes() for f in calls)
 
 
-# Every grid in the suite on the GEMM plan, with its M = 3b + 1: odd at N=32
-_GEMM_CASES = [(2, 32, 31), (2, 64, 64), (3, 16, 16), (3, 32, 31), (3, 40, 40), (3, 48, 46)]
+# Grids on the GEMM plan, with their M = 3b + 1: odd at N=32, and 3D N=98
+# as a grid above N=96
+_GEMM_CASES = [
+    (2, 32, 31), (2, 64, 64), (3, 16, 16), (3, 32, 31), (3, 40, 40), (3, 48, 46), (3, 98, 97),
+]
 
 
 @pytest.mark.parametrize("dim,n,m", _GEMM_CASES)

@@ -211,12 +211,11 @@ def test_to_spectral_shape_mismatch(grid2):
         to_spectral(np.zeros((2, 8, 8)), grid2)
 
 
-# The grids whose plans run matrix products (N <= GEMM_MAX_N[dim]). They
-# sample on M = 3b + 1 points per axis (N - 2 at N=48, N - 1 at N=32, N at
-# N=16 and 2D N=64) and match irfftn/rfftn on that grid to rounding. The
-# others run FFT passes on the N grid, which match irfftn bit for bit. At 2D
-# N=240 the FFT plan transforms 3 fields at a time, so its inverse ends in a
-# short chunk; at 3D N=32 the chunk is 5, which the GEMM plan does not use.
+# The grids whose plans run matrix products (every 3D grid, 2D N <= GEMM_MAX_N).
+# They sample on M = 3b + 1 points per axis (N - 2 at N=48, N - 1 at N=32, N
+# at N=16 and 2D N=64) and match irfftn/rfftn on that grid to rounding. The
+# others (2D N=128, 240) run FFT passes on the N grid, which match irfftn bit
+# for bit.
 _GEMM_GRIDS = {(2, 32): 31, (2, 64): 64, (3, 16): 16, (3, 32): 31, (3, 48): 46}
 
 
@@ -235,12 +234,11 @@ def _product_passes(plan, block, samples):
     read, write = (seen.swapaxes(1, 2), samples.swapaxes(1, 2)) if swap else (seen, samples)
     slab = [0, 0]  # first plane and number of planes of the current slab
 
-    def pointwise(phys, rows, scratch, first):
-        if first == 0:  # a new slab; an FFT plan's later chunks read the same samples
-            slab[:] = sum(slab), len(phys[0])
+    def pointwise(phys, rows, scratch):
+        slab[:] = sum(slab), len(phys[0])  # each call is the next slab
         planes = slice(slab[0], sum(slab))
         read[:, planes] = phys
-        rows[...] = write[first : first + len(rows), planes]
+        rows[...] = write[:, planes]
 
     out = np.empty((len(samples),) + plan.block_shape, np.complex128)
     return seen, plan.product(block, out, pointwise)
@@ -260,10 +258,6 @@ def test_band_plan_matches_full_transforms(dim, n):
     assert plan.M == m and plan.shape == (m,) * dim
     if gemm:
         assert m == 3 * grid.band_limit + 1
-    if (dim, n) == (3, 32):
-        assert plan.chunk == 5
-    if (dim, n) == (2, 240):
-        assert plan.chunk == 3
     rng = np.random.default_rng(n + dim)
     axes, band_modes = tuple(range(-dim, 0)), _band_index(dim, grid.band_limit, m)
     for _ in range(2):  # the second round reads buffers the first one wrote
@@ -289,7 +283,7 @@ def test_band_plan_matches_full_transforms(dim, n):
             strided = np.empty((2 * dim,) + plan.block_shape, np.complex128)[::2]
             with pytest.raises(ValueError, match="C-contiguous"):
                 plan.product(block, strided, lambda *args: None)
-        # Chunking does not change a bit: each field alone gives the same.
+        # The stack size does not change a bit: each field alone gives the same.
         for i in range(fields):
             j = i % dim
             alone = _product_passes(single, block[i : i + 1], samples[j : j + 1])
@@ -333,10 +327,13 @@ def test_join_inverts_split(case, seed, zero_share, nan_share):
     assert (tail is None) == (modes.size == 0)
 
 
-@pytest.mark.parametrize("dim,n,gemm", [(2, 64, True), (2, 66, False), (3, 96, True), (3, 98, False)])
+@pytest.mark.parametrize("dim,n,gemm", [
+    (2, 64, True), (2, 66, False), (3, 96, True), (3, 98, True), (3, 128, True),
+])
 def test_the_gemm_crossover_depends_on_the_dimension(dim, n, gemm):
-    # 2D grids run the products up to N=64, 3D grids up to N=96, where they
-    # still beat the FFT passes (BandPlan gives the timings)
+    # 2D grids run the products up to N=64 and FFT passes above; every 3D
+    # grid runs the products, which beat FFT passes up to N=192 (BandPlan
+    # gives the timings)
     assert BandPlan(make_grid(dim, n), inverse_fields=1, forward_fields=1).gemm == gemm
 
 
