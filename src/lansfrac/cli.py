@@ -1,17 +1,24 @@
 """Command-line surface: simulate, verify-energy, smoothing, oracle-compare,
 holder, ops-test.
 
-Exit codes: 0 ok, 1 a property check failed, 2 usage/config problems
-(including admissibility-range violations) and outputs that cannot be
-written, 3 runtime divergence. The energy,
-smoothing, oracle and holder subcommands exist so CI can gate directly on the
-model's analytic properties. oracle-compare runs the Picard oracle in one
-forked worker process (POSIX ``os.fork``) while the stepper runs in this one,
-and leaves no process behind on any exit; it compares the two with
-``diagnostics.norm_DA`` on the band block and u0's tail, building no field.
+Exit codes: 0 ok, 1 a property check failed (also: a forked process of the
+command ended early), 2 usage/config problems (including admissibility-range
+violations) and outputs that cannot be written, 3 runtime divergence. The
+energy, smoothing, oracle and holder subcommands exist so CI can gate
+directly on the model's analytic properties.
+
+Two commands fork (POSIX ``os.fork``), and none leaves a process behind on
+any exit. simulate, verify-energy and smoothing step through one path,
+``_run``, which forks the kernel's helper (``operators.kernel_helper``;
+Linux, on 3D grids from N=26 up): it runs half of every kernel call, and
+the outputs are the same bytes as without it. oracle-compare runs the
+Picard oracle in one forked worker process while the stepper runs in this
+one, and opens no kernel helper: the worker owns the second core. It
+compares the two with ``diagnostics.norm_DA`` on the band block and u0's
+tail, building no field. holder runs Picard in this process alone.
 A command that diverges still writes its manifest, and simulate its
-diagnostics. A command whose output cannot be written still writes its
-manifest where it can (``_Manifest``).
+diagnostics. A command whose output cannot be written, or whose forked
+process ended early, still writes its manifest where it can (``_Manifest``).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .errors import (
     OutputError,
     RegimeViolationError,
     SnapshotError,
+    WorkerError,
 )
 from .integrator import (
     InitialData,
@@ -53,7 +61,7 @@ from .io import (
     parse_config,
     write_manifest,
 )
-from .operators import band_plan, rhs_f, u_from_v, v_from_u, v_nonlinearity
+from .operators import band_plan, kernel_helper, rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
     Params,
     Regime,
@@ -108,9 +116,9 @@ class _Manifest:
     The block gets the ``RunManifest`` to list its outputs in. A block that
     returns writes it with status ok; one that raises DivergedError writes
     it with status diverged, the step and t, and one that raises OutputError
-    writes it with status error and the message, where the manifest itself
-    can still be written. The error goes on either way. Any other exception
-    writes no manifest.
+    or WorkerError (a forked process ended early) writes it with status
+    error and the message, where the manifest itself can still be written.
+    The error goes on either way. Any other exception writes no manifest.
     """
 
     def __init__(self, config: SimConfig, out: Path):
@@ -130,7 +138,7 @@ class _Manifest:
     def __exit__(self, kind, exc, tb) -> None:
         if isinstance(exc, DivergedError):
             self.manifest.status = {"state": "diverged", "step": exc.step, "t": exc.t}
-        elif isinstance(exc, OutputError):
+        elif isinstance(exc, (OutputError, WorkerError)):
             self.manifest.status = {"state": "error", "message": str(exc)}
         elif exc is not None:
             return
@@ -141,6 +149,13 @@ class _Manifest:
         except OutputError:
             if not isinstance(exc, OutputError):
                 raise  # else the block's own write error is the one reported
+
+
+def _run(config: SimConfig, on_snapshot) -> Trajectory:
+    """``run`` with the kernel's helper process beside it (``operators.kernel_helper``):
+    the stepping commands' one path to the stepper."""
+    with kernel_helper(config.grid, config.params.alpha):
+        return run(config, on_snapshot=on_snapshot)
 
 
 def _cmd_simulate(args) -> int:
@@ -162,7 +177,7 @@ def _cmd_simulate(args) -> int:
             index["n"] += 1
 
         try:
-            traj = run(config, on_snapshot=writer)
+            traj = _run(config, writer)
         except DivergedError as exc:
             if exc.diag:  # a diverged run leaves its records up to the failure
                 manifest.add_output(diag_path, *emit_csv(exc.diag, diag_path))
@@ -179,7 +194,7 @@ def _cmd_verify_energy(args) -> int:
         raise ConfigError("verify-energy needs at least one step, got t_end = 0")
     out = _out_dir(config)
     with _Manifest(config, out) as manifest:
-        traj = run(config, on_snapshot=lambda field, t: None)  # reads only the records
+        traj = _run(config, lambda field, t: None)  # reads only the records
         residuals = diagnostics.energy_balance_residual(traj, config.params)
         rows = [
             {"t": rec.t, "residual": float(res)}
@@ -220,7 +235,7 @@ def _cmd_smoothing(args) -> int:
             fields.append(field)
 
     with _Manifest(config, out) as manifest:
-        traj = run(config, on_snapshot=keep_window)
+        traj = _run(config, keep_window)
         kept = Trajectory(times=np.array(times), snapshots=fields, diag=traj.diag)
         fit = diagnostics.smoothing_rate(kept, args.r, config.params.s, window=window)
         rows = [

@@ -78,3 +78,7 @@ class EmptyOutputError(LansfracError):
 
 class OutputError(LansfracError):
     """An output file could not be written."""
+
+
+class WorkerError(LansfracError):
+    """A forked process of the command (``forks``) ended before its work was done."""

@@ -25,15 +25,12 @@ A token and a report on the worker's pipes are one 4-byte node index; an
 exception goes out where it is raised, in either process.
 While the worker runs on a GEMM band plan (every 3D grid, and 2D grids up
 to ``spectral.GEMM_MAX_N``), both processes hold OpenBLAS at one thread
-(``_one_blas_thread``).
+(``forks.one_blas_thread``); the shared mappings come from ``forks`` too.
 """
 
 from __future__ import annotations
 
-import ctypes
-import itertools
 import math
-import mmap
 import os
 import pickle
 import select
@@ -43,12 +40,12 @@ import warnings
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import diagnostics
-from .errors import DivergedError, LansfracError, NoContractionError
+from .errors import DivergedError, LansfracError, NoContractionError, WorkerError
+from .forks import one_blas_thread, reap, shared_array
 from .integrator import Trajectory
 from .operators import band_plan, rhs_f, rhs_f_band  # noqa: F401  the tracer patches rhs_f
 from .spectral import (
@@ -326,11 +323,6 @@ RING_SLOTS = 4
 _NODE = struct.Struct("<i")  # a token (a node whose f is wanted) or a report (a node evaluated)
 
 
-def _shared(shape: tuple[int, ...]) -> np.ndarray:
-    """A complex128 array in an anonymous mapping that a forked process shares."""
-    return np.ndarray(shape, np.complex128, mmap.mmap(-1, 16 * math.prod(shape)))
-
-
 def _recorded(caught) -> list[tuple]:
     """What ``warnings.warn_explicit`` needs to issue each caught warning again."""
     return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
@@ -392,7 +384,7 @@ class PicardWorker:
         of the ring. The warnings caught in both processes are issued here,
         the worker's first, then the exception the worker raised, if any, is
         raised here; one the parent raises while it helps goes out at once.
-        A worker that ends without a whole reply raises LansfracError.
+        A worker that ends without a whole reply raises WorkerError.
         """
         with warnings.catch_warnings(record=True) as helped:
             self._help()
@@ -401,12 +393,9 @@ class PicardWorker:
         self._reports.close()
         reply = self._pipe.read()
         self._pipe.close()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:  # the worker exits 0 only after it has sent its reply
-            how = f"by signal {-code}" if code < 0 else f"with status {code}"
-            raise LansfracError(f"the Picard process ended {how} before it sent a result")
+        how, self._pid = reap(self._pid), None
+        if how != "with status 0":  # the worker exits 0 only after it has sent its reply
+            raise WorkerError(f"the Picard process ended {how} before it sent a result")
         caught, answer = pickle.loads(reply)
         for message, category, filename, lineno in caught + _recorded(helped):
             warnings.warn_explicit(message, category, filename, lineno)
@@ -438,58 +427,8 @@ class PicardWorker:
             end.close()
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
+            reap(self._pid)
             self._pid = None
-
-
-@lru_cache(maxsize=1)
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) of the loaded OpenBLAS's thread count, or None where there is none.
-
-    The library is the mapped file named like openblas in /proc/self/maps
-    (Linux), and the calls are its own ``*openblas_get/set_num_threads*``
-    symbols, under the prefix and suffix of its build (scipy-openblas names
-    them ``scipy_openblas_set_num_threads64_``), found with ctypes.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            names = (line.split()[-1] for line in maps)
-            paths = sorted({path for path in names if "openblas" in path.rsplit("/", 1)[-1]})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
-            get, put = (f"{prefix}openblas_{verb}_num_threads{suffix}" for verb in ("get", "set"))
-            if hasattr(lib, get) and hasattr(lib, put):
-                get, put = getattr(lib, get), getattr(lib, put)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Hold OpenBLAS at one thread while the with block runs, then restore its count.
-
-    A process forked inside the block starts on one thread as well. Without
-    an OpenBLAS whose thread count can be set it does nothing.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 @contextmanager
@@ -520,15 +459,16 @@ def picard_worker(
     A T outside (0, 1] raises ValueError here, before the fork.
 
     On a GEMM band plan, so for every 3D oracle, the two processes hold
-    OpenBLAS at one thread (``_one_blas_thread``) until the block ends: the
-    thread pools of both would contend for the same cores, and in-cache
-    products gain nothing from a second thread there. An FFT plan (2D
-    grids above ``spectral.GEMM_MAX_N``) leaves the pool as it is.
+    OpenBLAS at one thread (``forks.one_blas_thread``) until the block
+    ends. An FFT plan (2D grids above ``spectral.GEMM_MAX_N``) leaves the
+    pool as it is. A worker that ends without a reply makes ``result``
+    raise WorkerError. ``oracle-compare`` opens no kernel helper
+    (``operators.kernel_helper``) beside it: the worker owns the second core.
     """
     _check_horizon(T)
-    with _one_blas_thread() if band_plan(u0.grid, params.alpha).gemm else nullcontext():
+    with one_blas_thread() if band_plan(u0.grid, params.alpha).gemm else nullcontext():
         shape = picard_stack_shape(u0.grid, params, mesh_size)
-        stack, ring = _shared(shape), _shared((RING_SLOTS,) + shape[1:])
+        stack, ring = shared_array(shape), shared_array((RING_SLOTS,) + shape[1:])
         fds: list[int] = []
         try:
             for _ in range(3):

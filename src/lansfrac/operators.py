@@ -34,10 +34,14 @@ indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
+from functools import lru_cache, partial
 
 import numpy as np
 
+from . import forks
 from .spectral import (
     BandPlan,
     GridSpec,
@@ -77,12 +81,16 @@ class _KernelWorkspace:
     Everything lives on the band block (see ``BandPlan``): the dealiased band
     is the whole block, so dealiasing is the gather itself. Every call of
     ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
-    is not re-entrant. lansfrac starts no threads of its own; a forked process
-    (``mild.picard_worker``) has a copy of its own. The parent's workspace
-    serves its stepper and then, once the stepper has ended, the Picard nodes
-    that the parent evaluates for the worker (``PicardWorker.result``).
-    OpenBLAS may split the band transforms' matrix products over its pool
-    (see ``BandPlan``).
+    is not re-entrant. lansfrac starts no threads of its own, and forks two
+    kinds of process. The kernel's helper (``kernel_helper``, opened by
+    ``simulate``, ``verify-energy`` and ``smoothing``) shares the stack, the
+    product block and the plan's ``_mid`` with this process while it runs,
+    and runs part of every call: ``helper_share``. The Picard worker
+    (``mild.picard_worker``, ``oracle-compare``) has a copy of its own; the
+    parent's workspace serves its stepper and then, once the stepper has
+    ended, the Picard nodes that the parent evaluates for the worker
+    (``PicardWorker.result``). Outside a helper, OpenBLAS may split the band
+    transforms' matrix products over its pool (see ``BandPlan``).
 
     It holds the band blocks of the stack (u and curl v), of the product and
     of the projection's k x a; the samples and the product's samples live
@@ -109,24 +117,59 @@ class _KernelWorkspace:
         self.product = np.empty((dim,) + block, cplx)  # the cross product's block, f in place
         self.k_cross = np.empty((n_curl,) + block, cplx)  # k x a in the projection
         self.dot = np.empty(block, cplx)
+        self.helper: forks.Helper | None = None  # see kernel_helper
+        # the projection's tables and scratch on all rows (None), and on the
+        # rows of this process (0) and of the helper (1)
+        self._rows = (slice(0, block[0] // 2), slice(block[0] // 2, block[0]))
+        self._on_rows = {None: (self.k, self.filter, self.k_cross, self.dot)}
+        for half, rows in enumerate(self._rows):
+            self._on_rows[half] = (self.k[:, rows], self.filter[rows], self.k_cross[:, rows],
+                                   self.dot[rows])
 
-    def project(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def allocate(self, alloc) -> None:
+        """New buffers, alloc(shape), for the arrays a helper's process shares:
+        the stack, the product's block and the plan's (``BandPlan.allocate``)."""
+        self.stack = alloc(self.stack.shape)
+        self.u_in = self.stack[: self.plan.grid.dim]
+        self.product = alloc(self.product.shape)
+        self.plan.allocate(alloc)
+
+    def helper_share(self, phase: int) -> None:
+        """The helper process's part of one phase of a kernel call: of the
+        product's (``BandPlan.share``), or the projection's second half of rows."""
+        if phase == _PROJECT:
+            self.project(self.product, self.product, 1)
+        else:
+            self.plan.share(self.stack, self.product, _curl_v_cross_u, phase, 1)
+
+    def project(self, a: np.ndarray, out: np.ndarray, half: int | None = None) -> np.ndarray:
         """out = (filter (k x a)) x k = -(1 + alpha^2 A)^{-1} P a; out may be a.
 
-        This is P in curl-curl form: -k x (k x a) / |k|^2 in 3D, and
-        k_perp (k_perp . a) / |k|^2 in 2D, where k x a is the scalar
+        With half 0 or 1 only on that half of the rows (``_rows``, the first
+        block axis). This is P in curl-curl form: -k x (k x a) / |k|^2 in
+        3D, and k_perp (k_perp . a) / |k|^2 in 2D, where k x a is the scalar
         k_0 a_1 - k_1 a_0. It ends in a cross product with the integer k, so
-        k . out rounds relative to out, however much of a P removes.
+        k . out rounds relative to out, however much of a P removes. Every
+        step is a real times a complex number or a difference, each rounded
+        once, so the rows a call covers change no bit.
         """
-        kxa = _cross(self.k, a, self.k_cross, self.dot)
-        np.multiply(self.filter, kxa, out=kxa)
-        return _cross(kxa, self.k, out, self.dot)
+        k, filter_, k_cross, dot = self._on_rows[half]
+        rows_out = out
+        if half is not None:
+            a, rows_out = a[:, self._rows[half]], out[:, self._rows[half]]
+        kxa = _cross(k, a, k_cross, dot)
+        np.multiply(filter_, kxa, out=kxa)
+        _cross(kxa, k, rows_out, dot)
+        return out
 
 
 @lru_cache(maxsize=8)
 def _kernel_workspace(grid: GridSpec, alpha: float) -> _KernelWorkspace:
     return _KernelWorkspace(grid, alpha)
 
+
+# The helper's phase of the projection, after BandPlan.product's three phases
+_PROJECT = 3
 
 # (i, j) of each component a_i b_j - a_j b_i of a x b, by the components of a
 _CROSS_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
@@ -173,6 +216,42 @@ def rhs_f(u: SpectralField, params: Params) -> SpectralField:
     return SpectralField.from_coeffs(grid, ws.plan.join(rhs_f_band(grid, u_band, params)))
 
 
+@contextmanager
+def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
+    """Run half of every ``rhs_f_band`` call on (grid, alpha) in a forked helper
+    process while the with block runs (``forks.helper``; Linux).
+
+    A helper starts only for a GEMM plan with more than one slab of samples
+    (``BandPlan.S`` < ``M``: every 3D grid from N=26 up) and a process
+    allowed at least two CPUs; otherwise the block runs in this process
+    alone. For the helper's lifetime the workspace's stack and product
+    block and the plan's ``_mid`` live in anonymous shared mappings
+    (``allocate``), both processes hold OpenBLAS at one thread
+    (``forks.one_blas_thread``), and each runs on CPUs of its own
+    (``forks.helper``). Each call then runs in four phases, one
+    round trip of one byte each way apiece: the helper runs the complex
+    inverse passes of curl v, the slabs past the middle plane and the
+    complex forward passes of f's components 1 and 2 (part 1 of each
+    ``BandPlan.share``), then the projection's second half of rows in place
+    in the shared product block. This process runs the rest, and the curl
+    and the copy into out alone. Every operation is one a lone process
+    makes, so f is the same bits. Leaving the block reaps the helper, then
+    gives the workspace and the plan private buffers again, so that a
+    process forked later (``mild.picard_worker``) shares none of them.
+    """
+    ws = _kernel_workspace(grid, alpha)
+    if not ws.plan.gemm or ws.plan.S >= ws.plan.M or len(os.sched_getaffinity(0)) < 2:
+        yield
+        return
+    ws.allocate(forks.shared_array)
+    try:
+        with forks.one_blas_thread(), forks.helper(ws.helper_share) as ws.helper:
+            yield
+    finally:
+        ws.helper = None
+        ws.allocate(partial(np.empty, dtype=np.complex128))
+
+
 def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
     """The plan ``rhs_f_band`` runs on; its gather, split and join fix the block layout."""
     return _kernel_workspace(grid, alpha).plan
@@ -197,17 +276,28 @@ def rhs_f_band(
     into out, or without it into a workspace buffer that the next call on
     this (grid, alpha) overwrites.
 
-    The kernel checks nothing and raises nothing: non-finite values pass
-    through. ``diagnostics.audit`` checks the f(u) of every state that
-    ``run`` makes, and ``mild.picard_solve`` the nodes of its last iterate.
+    The kernel checks nothing: non-finite values pass through.
+    ``diagnostics.audit`` checks the f(u) of every state that ``run`` makes,
+    and ``mild.picard_solve`` the nodes of its last iterate. Inside
+    ``kernel_helper`` a forked process runs half of the call (its phases:
+    ``kernel_helper``), and the call raises WorkerError if that process
+    has ended; f is the same bits with or without it.
     """
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
     if u is not ws.u_in:
         np.copyto(ws.u_in, u)
     _cross(ws.ikv, ws.u_in, ws.stack[dim:], ws.dot)
-    product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u)
-    return ws.project(product, product if out is None else out)
+    product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u, ws.helper)
+    if ws.helper is None:
+        return ws.project(product, product if out is None else out)
+    ws.helper.start(_PROJECT)  # the rows of each process, in place in the shared product
+    ws.project(product, product, 0)
+    ws.helper.wait()
+    if out is None:
+        return product
+    np.copyto(out, product)
+    return out
 
 
 def h1_alpha_pairing(u: SpectralField, f: SpectralField, alpha: float) -> float:

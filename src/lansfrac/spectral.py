@@ -305,6 +305,17 @@ class BandPlan:
     no call writes, the inverse zeroes the tail columns of the half-spectrum
     buffer that the forward fills, and every other region a call reads is
     rewritten earlier in that call.
+
+    A GEMM plan's pass runs in three phases, each in two parts (``share``)
+    that write disjoint fields or planes, so a forked helper process can run
+    part 1 of every phase while the caller runs part 0 (``product``'s
+    helper; ``operators.kernel_helper`` forks one for the stepping commands).
+    ``_mid`` then lives in a mapping both processes share (``allocate``);
+    ``_t`` and ``_slab`` stay each process's own. Every GEMM call is the one
+    a lone process makes, so the helper changes no bit. At 3D N=48 a kernel
+    call (182.5 MFLOP) took 5.8-6.8 ms on the default BLAS pool, 6.5-7.5 ms
+    on one thread and 3.7-4.3 ms with the helper, each process on one
+    thread (medians of 40 calls, 6 rounds, 2-vCPU VM).
     """
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
@@ -363,6 +374,12 @@ class BandPlan:
         plane = 8 * M ** (dim - 1)
         self.S = min(M, max(1, LINE_BUDGET // (plane * (inverse_fields + forward_fields + 1))))
         self._slab = np.empty((inverse_fields + forward_fields + 1, self.S) + self.shape[1:])
+        # the first plane of the slabs of share part 1: the slab boundary nearest the middle
+        self._cut = min(M, self.S * max(1, round(M / (2 * self.S))))
+
+    def allocate(self, alloc) -> None:
+        """Give ``_mid`` (GEMM plans) a new buffer, alloc(shape); see ``product``."""
+        self._mid = alloc(self._mid.shape)
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band block of a half-spectrum array (any leading axes)."""
@@ -407,7 +424,7 @@ class BandPlan:
             full.reshape(grid.dim, -1)[:, modes] = tail
         return full
 
-    def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
+    def product(self, block: np.ndarray, out: np.ndarray, pointwise, helper=None) -> np.ndarray:
         """out = the band block of a pointwise product of block's samples.
 
         ``pointwise(samples, rows, scratch)`` writes the product's samples
@@ -415,12 +432,19 @@ class BandPlan:
         covers the same sample planes. out must be C-contiguous; a GEMM plan
         raises ValueError on any other.
 
-        On a GEMM plan this is the fused pass: the complex inverse passes of
-        every field of block into ``_mid``, then, one slab of ``S`` sample
-        planes at a time, the inverse's real pass, ``pointwise`` and the
-        forward's real pass into the slab's planes of ``_mid``, which the
-        slab has already read; then the complex forward passes into out.
-        Samples lie on the M-point grid in (n_1, n_0, n_2) order in 3D.
+        On a GEMM plan this is the fused pass, in three phases (``share``):
+        the complex inverse passes of every field of block into ``_mid``;
+        then, one slab of ``S`` sample planes at a time, the inverse's real
+        pass, ``pointwise`` and the forward's real pass into the slab's
+        planes of ``_mid``, which the slab has already read; then the
+        complex forward passes into out. Samples lie on the M-point grid in
+        (n_1, n_0, n_2) order in 3D. Without a helper this process runs each
+        whole phase through the same ``share``. With one
+        (``forks.Helper``, whose process runs ``share(block, out, pointwise,
+        phase, 1)`` on these same arrays), it starts the helper's part of a
+        phase, runs part 0 and waits for the helper before the next phase:
+        one round trip of one byte each way per phase. block, out and
+        ``_mid`` must then live in mappings both processes share.
 
         On an FFT plan the inverse samples the whole stack on the N grid,
         ``pointwise`` writes every row of the product into ``_rows``, and
@@ -430,10 +454,52 @@ class BandPlan:
             rows = self._rows[: len(out)]
             pointwise(self._inverse(block), rows, self._scratch)
             return self._forward(rows, out)
-        F, n_out, M = len(block), len(out), self.M
-        self._complex_inverse(block)
+        if not out.flags.c_contiguous:  # a reshape below would write into a copy
+            raise ValueError("the band forward transform needs a C-contiguous out")
+        for phase in range(3):
+            if helper is None:
+                self.share(block, out, pointwise, phase)
+            else:
+                helper.start(phase)
+                self.share(block, out, pointwise, phase, 0)
+                helper.wait()
+        return out
+
+    def share(self, block: np.ndarray, out: np.ndarray, pointwise, phase: int,
+              part: int | None = None) -> None:
+        """Part 0 or 1 of one phase of a GEMM plan's fused pass (see ``product``),
+        or with part None the whole phase.
+
+        Phase 0 runs the complex inverse passes, part 0 of block's first
+        half of fields (u in the kernel), part 1 of the rest (curl v). Phase
+        1 runs the slabs, part 0 those before the slab boundary nearest the
+        middle plane, part 1 the others. Phase 2 runs the complex forward
+        passes, part 0 of out's first field, part 1 of the others. A part
+        makes the GEMM calls the whole phase makes for its fields or slabs,
+        so how a phase is split over processes changes no bit. The two parts
+        of a phase read only what earlier phases wrote and write disjoint
+        fields of ``_mid`` and out, or disjoint planes, so they may run at
+        once in two processes; each process has a ``_t`` and a ``_slab`` of
+        its own.
+        """
+        if phase == 1:
+            first, end = {None: (0, self.M), 0: (0, self._cut), 1: (self._cut, self.M)}[part]
+            self._slab_pass(block, len(out), pointwise, range(first, end, self.S))
+            return
+        n, cut = (len(block), len(block) // 2) if phase == 0 else (len(out), 1)
+        fields = {None: slice(0, n), 0: slice(0, cut), 1: slice(cut, n)}[part]
+        if fields.start == fields.stop:  # a part of a one-field stack
+            return
+        if phase == 0:
+            self._complex_inverse(block[fields], self._mid[fields])
+        else:
+            self._complex_forward(out[fields], self._mid[fields])
+
+    def _slab_pass(self, block: np.ndarray, n_out: int, pointwise, starts: range) -> None:
+        """The real passes and pointwise of the slabs whose first planes are starts."""
+        F, M = len(block), self.M
         real = self._mid.view(np.float64)
-        for s0 in range(0, M, self.S):
+        for s0 in starts:
             s = min(self.S, M - s0)
             samples, rows = self._slab[:F, :s], self._slab[F : F + n_out, :s]
             half = real[:F, s0 : s0 + s].reshape(F, -1, len(self._r))
@@ -441,11 +507,11 @@ class BandPlan:
             pointwise(samples, rows, self._slab[F + n_out, :s])
             half = real[:n_out, s0 : s0 + s].reshape(n_out, -1, len(self._r))
             np.matmul(rows.reshape(n_out, -1, M), self._fr, out=half)
-        return self._complex_forward(out)
 
-    def _complex_inverse(self, block: np.ndarray) -> None:
-        """The complex passes of block's fields into _mid, one GEMM per pass and field."""
-        F, K, mid = len(block), len(self._ec[0]), self._mid[: len(block)]
+    def _complex_inverse(self, block: np.ndarray, mid: np.ndarray) -> None:
+        """The complex passes of block's fields into mid, their fields of _mid:
+        one GEMM per pass and field."""
+        F, K = len(block), len(self._ec[0])
         if self.grid.dim == 2:
             np.matmul(self._ec, block, out=mid)
             return
@@ -457,20 +523,18 @@ class BandPlan:
             np.copyto(t, front[f].reshape(M, K, -1).transpose(1, 0, 2))
             np.matmul(self._ec, t.reshape(K, -1), out=mid[f].reshape(M, -1))
 
-    def _complex_forward(self, out: np.ndarray) -> np.ndarray:
-        """The complex passes of _mid's first len(out) fields into out."""
-        if not out.flags.c_contiguous:  # a reshape below would write into a copy
-            raise ValueError("the band forward transform needs a C-contiguous out")
-        F, K, mid = len(out), len(self._fc), self._mid[: len(out)]
+    def _complex_forward(self, out: np.ndarray, mid: np.ndarray) -> None:
+        """The complex passes of mid, out's fields of _mid, into out."""
+        F, K = len(out), len(self._fc)
         if self.grid.dim == 2:
-            return np.matmul(self._fc, mid, out=out)
+            np.matmul(self._fc, mid, out=out)
+            return
         M, t = self.M, self._t
         front = mid.reshape(F, -1)[:, : t.size].reshape(F, M, -1)
         for f in range(F):  # axis -2, then transposed to (n_0, k_1, k_2)
             np.matmul(self._fc, mid[f].reshape(M, -1), out=t.reshape(K, -1))
             np.copyto(front[f].reshape(M, K, -1), t.transpose(1, 0, 2))
         np.matmul(self._fc, front, out=out.reshape(F, K, -1))  # axis -3
-        return out
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
         """Samples of block's fields on the N grid (FFT plans), in the plan's buffer."""

@@ -65,8 +65,10 @@ def open_descriptors() -> dict[int, str]:
 
 @pytest.fixture(autouse=True)
 def no_descriptor_left():
-    """Fail a test that leaves a file descriptor open: a pipe end or a mapping's
-    descriptor of ``oracle-compare``'s Picard worker, on any exit path."""
+    """Fail a test that leaves a file descriptor open, on any exit path: a pipe
+    end or a mapping's descriptor of either forked worker, ``oracle-compare``'s
+    Picard worker (``mild.picard_worker``) or the stepping commands' kernel
+    helper (``operators.kernel_helper``)."""
     if not os.path.isdir("/proc/self/fd"):
         yield
         return

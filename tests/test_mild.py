@@ -27,6 +27,7 @@ from lansfrac import (
     run,
     semigroup_apply,
 )
+from lansfrac import forks
 from lansfrac.errors import LansfracError, NoContractionError
 from lansfrac.mild import (
     PicardNodes,
@@ -504,7 +505,7 @@ def test_picard_worker_holds_blas_at_one_thread_on_a_gemm_plan(monkeypatch, dim,
     # the pool alone. The worker reports its count in the exception it sends.
     import lansfrac.mild as mild
 
-    calls = mild._openblas_threads()
+    calls = forks.openblas_threads()
     if calls is None:
         pytest.skip("no OpenBLAS whose thread count can be set through ctypes")
     get, put = calls
