@@ -7,15 +7,15 @@ violations) and outputs that cannot be written, 3 runtime divergence. The
 energy, smoothing, oracle and holder subcommands exist so CI can gate
 directly on the model's analytic properties.
 
-Two commands fork (POSIX ``os.fork``), and none leaves a process behind on
-any exit. simulate, verify-energy and smoothing step through one path,
-``_run``, which forks the kernel's helper (``operators.kernel_helper``;
-Linux, on 3D grids from N=26 up): it runs half of every kernel call, and
-the outputs are the same bytes as without it. oracle-compare runs the
-Picard oracle in one forked worker process while the stepper runs in this
-one, and opens no kernel helper: the worker owns the second core. It
-compares the two with ``diagnostics.norm_DA`` on the band block and u0's
-tail, building no field. holder runs Picard in this process alone.
+Four commands fork (POSIX ``os.fork``, through ``forks.fork``) and leave no
+process behind on any exit. simulate, verify-energy and smoothing step
+through one path, ``_run``, which forks the kernel's helper
+(``operators.kernel_helper``; Linux, 3D grids from N=26 up) to run half of
+every kernel call, with the same output bytes as without it.
+oracle-compare always runs the Picard oracle in a forked worker process
+beside the stepper, and opens no kernel helper: the worker owns the second
+core. It compares the two with ``diagnostics.norm_DA`` on the band block
+and u0's tail, building no field. holder runs Picard in this process alone.
 A command that diverges still writes its manifest, and simulate its
 diagnostics. A command whose output cannot be written, or whose forked
 process ended early, still writes its manifest where it can (``_Manifest``).

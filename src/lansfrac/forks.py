@@ -1,7 +1,8 @@
 """Forked processes that share arrays with their parent (POSIX ``os.fork``).
 
-Two parts of lansfrac fork a process of their own, and both take their
-plumbing from here:
+Two parts of lansfrac fork a process of their own, both through ``fork``,
+the one code that makes the pipes, forks, blocks SIGINT across the fork,
+and ends and reaps the child; each keeps only its protocol on the pipes:
 
 - ``operators.kernel_helper`` forks the kernel's helper (``helper``), which
   runs half of every ``BandPlan.product`` call of a stepping command;
@@ -25,9 +26,9 @@ import os
 import select
 import signal
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -41,13 +42,6 @@ SPIN_S = 0.002
 def shared_array(shape: tuple[int, ...]) -> np.ndarray:
     """A complex128 array in an anonymous mapping that a forked process shares."""
     return np.ndarray(shape, np.complex128, mmap.mmap(-1, 16 * math.prod(shape)))
-
-
-def reap(pid: int) -> str:
-    """Wait for the child pid to end; how it ended: 'by signal N' or 'with status N'."""
-    _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    return f"by signal {-code}" if code < 0 else f"with status {code}"
 
 
 @lru_cache(maxsize=1)
@@ -100,53 +94,122 @@ def one_blas_thread() -> Iterator[None]:
         put(before)
 
 
+PARENT, CHILD, POLLED = 1, 2, 4  # who holds a pipe end after ``fork``; POLLED: it does not block
+
+
+class Child:
+    """The parent's handle on a process of ``fork``: the pid until reaped, and the parent's ends."""
+
+    def __init__(self, name: str, pid: int, ends: tuple[int, ...]):
+        self.name, self.pid, self.ends = name, pid, ends
+        self.code = 0
+
+    def reap(self) -> int:
+        """Wait for the process to end unless it has been reaped; its exit code, -N for signal N."""
+        if self.pid is not None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid, self.code = None, os.waitstatus_to_exitcode(status)
+        return self.code
+
+    def error(self, when: str) -> WorkerError:
+        """Reap the process; the error that says how it ended, and when."""
+        code = self.reap()
+        how = f"by signal {-code}" if code < 0 else f"with status {code}"
+        return WorkerError(f"{self.name} ended {how} {when}")
+
+    def close(self) -> None:
+        """Close the parent's pipe ends; kill the process unless it has been reaped, and reap it."""
+        for fd in self.ends:
+            os.close(fd)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.reap()
+
+
+@contextmanager
+def fork(name: str, pipes: Sequence[tuple[int, int]], body: Callable[..., None]) -> Iterator[Child]:
+    """Fork one process that runs body while the with block runs; yield the parent's ``Child``.
+
+    pipes gives the holders of each pipe's (read end, write end) after the
+    fork, PARENT, CHILD or both; a read end marked POLLED does not block (an
+    empty read raises BlockingIOError). The child calls body with its ends,
+    pipe by pipe, and ``Child.ends`` holds the parent's in that order.
+    The child ignores SIGINT, so a Ctrl-C reaches the parent alone, whose
+    with block then ends the child. SIGINT stays blocked from before the
+    fork until the parent's handle is inside the block's try, so no Ctrl-C
+    leaves a process or a pipe end. The child exits with status 0 once body
+    returns and with status 1 on any exception, silently. Leaving the block
+    closes the parent's ends, kills the child unless it has been reaped, and
+    reaps it. name starts the message of ``Child.error``.
+    """
+    held = [side for pipe in pipes for side in pipe]
+    fds: list[int] = []
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        for reader, _ in pipes:
+            fds += os.pipe()
+            os.set_blocking(fds[-2], not reader & POLLED)
+        pid = os.fork()
+    except BaseException:
+        for fd in fds:
+            os.close(fd)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        raise
+    ends = tuple(fd for fd, side in zip(fds, held) if side & (PARENT if pid else CHILD))
+    if pid == 0:  # the child; it never returns
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+            for fd in set(fds) - set(ends):
+                os.close(fd)
+            body(*ends)
+            status = 0
+        finally:
+            os._exit(status)
+    child = Child(name, pid, ends)
+    try:
+        for fd in set(fds) - set(ends):
+            os.close(fd)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        yield child
+    finally:
+        child.close()
+
+
 class Helper:
     """The parent's handle on the process of ``helper``: one byte each way per phase."""
 
-    def __init__(self, pid: int, command: int, done: int):
-        self._pid, self._command, self._done = pid, command, done
+    def __init__(self, child: Child):
+        self._child = child
+        self._command, self._done = child.ends
 
     def start(self, phase: int) -> None:
         """Let the helper run its share of phase (0-255)."""
         try:
             os.write(self._command, bytes((phase,)))
         except BrokenPipeError:  # it has ended; its status says how
-            raise self._ended() from None
+            raise self._child.error("during a kernel call") from None
 
     def wait(self) -> None:
         """Return once the helper has run its share of the phase last started."""
         if not _read(self._done):
-            raise self._ended()
-
-    def _ended(self) -> WorkerError:
-        pid, self._pid = self._pid, None
-        return WorkerError(f"the kernel's helper process ended {reap(pid)} during a kernel call")
-
-    def close(self) -> None:
-        """Close the parent's pipe ends, so that the helper ends, and reap it."""
-        os.close(self._command)
-        os.close(self._done)
-        if self._pid is not None:
-            reap(self._pid)
-            self._pid = None
+            raise self._child.error("during a kernel call")
 
 
 @contextmanager
 def helper(task: Callable[[int], None]) -> Iterator[Helper]:
-    """Fork one process that runs task(phase) for each phase the parent starts.
+    """Fork one process (``fork``) that runs task(phase) for each phase the parent starts.
 
     The parent starts a phase with ``Helper.start``, which writes the phase as
     one byte on a command pipe, and ``Helper.wait`` reads the byte the helper
     writes back on a second pipe once task(phase) has returned. The helper
-    ends with status 0 at end-of-file on its command pipe: when the with
-    block ends, and when the parent dies, killed or not. It ignores SIGINT,
-    so a Ctrl-C reaches the parent alone, whose with block then ends it. It
-    runs task with numpy's floating-point errors ignored, as ``run`` steps
-    do: its warnings would print from a second process, and the audit of
-    the state checks what the kernel computed. Any exception ends it with
-    status 1, silently. A helper that has ended makes ``start`` or ``wait``
-    reap it and raise WorkerError. Leaving the with block closes both pipes
-    and reaps the helper, so no process and no pipe end outlives it.
+    runs until end-of-file on its command pipe, so it ends with the parent,
+    killed or not; leaving the with block kills and reaps it. It runs task
+    with numpy's floating-point errors ignored, as ``run`` steps do: its
+    warnings would print from a second process, and the audit of the state
+    checks what the kernel computed. A helper that has ended makes
+    ``start`` or ``wait`` reap it and raise WorkerError.
 
     The helper runs on the highest CPU this process may use, and this
     process on the others until the block ends (``os.sched_setaffinity``,
@@ -157,51 +220,22 @@ def helper(task: Callable[[int], None]) -> Iterator[Helper]:
     before it sleeps (``_read``).
     """
     cpus = os.sched_getaffinity(0)
-    command_r, command_w = os.pipe()
-    done_r, done_w = os.pipe()
-    for fd in (command_r, done_r):  # polled first (_read)
-        os.set_blocking(fd, False)
-    # SIGINT waits until the child ignores it and the parent holds the handle.
-    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-    except BaseException:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        for fd in (command_r, command_w, done_r, done_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        _serve(task, command_r, done_w, (command_w, done_r), max(cpus))
-    os.close(command_r)
-    os.close(done_w)
-    handle = Helper(pid, command_w, done_r)
-    try:
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    pipes = ((CHILD | POLLED, PARENT), (PARENT | POLLED, CHILD))  # command, done (_read)
+    with fork("the kernel's helper process", pipes, partial(_serve, task, max(cpus))) as child:
         os.sched_setaffinity(0, cpus - {max(cpus)})
-        yield handle
-    finally:
-        handle.close()
-        os.sched_setaffinity(0, cpus)
+        try:
+            yield Helper(child)
+        finally:
+            os.sched_setaffinity(0, cpus)
 
 
-def _serve(
-    task: Callable[[int], None], command: int, done: int, others: tuple[int, int], cpu: int
-) -> None:
-    """The helper process: run task for each phase byte until end-of-file. Never returns."""
-    status = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        os.sched_setaffinity(0, {cpu})
-        for fd in others:
-            os.close(fd)
-        with np.errstate(all="ignore"):
-            while phase := _read(command):
-                task(phase[0])
-                os.write(done, phase)
-        status = 0
-    finally:
-        os._exit(status)
+def _serve(task: Callable[[int], None], cpu: int, command: int, done: int) -> None:
+    """The helper process: run task for each phase byte until end-of-file on command."""
+    os.sched_setaffinity(0, {cpu})
+    with np.errstate(all="ignore"):
+        while phase := _read(command):
+            task(phase[0])
+            os.write(done, phase)
 
 
 def _read(fd: int) -> bytes:

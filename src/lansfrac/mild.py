@@ -15,17 +15,17 @@ amplitude/smoothing/Hoelder conditions of the refined solution class over a
 sampled (t, h) lattice and report minimal feasible constants instead of
 pass/fail against unquantified theoretical ones.
 
-``picard_worker`` runs one ``picard_solve`` in a forked process (POSIX
-``os.fork``), so the oracle can run while its caller steps the same problem.
-Within a sweep every node's f reads only the previous iterate, so the f
-evaluations are independent of each other; the accumulation runs in node
-order. The worker keeps the accumulation, and once the caller waits for the
-result it evaluates f at nodes too, so both processes work until the end.
-A token and a report on the worker's pipes are one 4-byte node index; an
-exception goes out where it is raised, in either process.
-While the worker runs on a GEMM band plan (every 3D grid, and 2D grids up
-to ``spectral.GEMM_MAX_N``), both processes hold OpenBLAS at one thread
-(``forks.one_blas_thread``); the shared mappings come from ``forks`` too.
+``picard_worker`` runs one ``picard_solve`` in a process forked by
+``forks.fork``, which makes its pipes, ends and reaps it, so the oracle can
+run while its caller steps the same problem. Within a sweep every node's f
+reads only the previous iterate, so the f evaluations are independent of
+each other; the accumulation runs in node order. The worker keeps the
+accumulation, and once the caller waits for the result it evaluates f at
+nodes too, so both processes work until the end. A token and a report on
+the worker's pipes are one 4-byte node index; an exception goes out where
+it is raised, in either process. While the worker runs on a GEMM band plan
+(every 3D grid, and 2D grids up to ``spectral.GEMM_MAX_N``), both processes
+hold OpenBLAS at one thread (``forks.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import math
 import os
 import pickle
 import select
-import signal
 import struct
 import warnings
 from collections.abc import Callable, Iterator, Sequence
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .errors import DivergedError, LansfracError, NoContractionError, WorkerError
-from .forks import one_blas_thread, reap, shared_array
+from .errors import DivergedError, LansfracError, NoContractionError
+from .forks import CHILD, PARENT, POLLED, Child, fork, one_blas_thread, shared_array
 from .integrator import Trajectory
 from .operators import band_plan, rhs_f, rhs_f_band  # noqa: F401  the tracer patches rhs_f
 from .spectral import (
@@ -328,6 +327,14 @@ def _recorded(caught) -> list[tuple]:
     return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
+def _take(fd: int) -> bytes | None:
+    """A token or a report from the non-blocking fd: b"" at end-of-file, None when none waits."""
+    try:
+        return os.read(fd, _NODE.size)
+    except BlockingIOError:
+        return None
+
+
 class _RingNodes:
     """The worker's f_at (see ``_duhamel_sweep``): f of a node, evaluated by either process.
 
@@ -336,12 +343,11 @@ class _RingNodes:
     reads a report of a node the parent evaluated if one waits, else takes a
     token and evaluates that node itself, else waits for a report. Tokens
     leave the pipe in the order they were posted, so the parent holds node i
-    whenever none is left. Both pipes are unbuffered and non-blocking; an
-    empty read of the report pipe means the parent is gone and raises
-    LansfracError.
+    whenever none is left. An empty read of the reports (non-blocking, as the
+    tokens) means the parent is gone and raises LansfracError.
     """
 
-    def __init__(self, grid, params, stack, ring, tokens, post: int, reports):
+    def __init__(self, grid, params, stack, ring, tokens: int, post: int, reports: int):
         self._grid, self._params, self._stack, self._ring = grid, params, stack, ring
         self._tokens, self._post, self._reports = tokens, post, reports
         self._ready: set[int] = set()
@@ -352,12 +358,12 @@ class _RingNodes:
         if free:
             os.write(self._post, b"".join(_NODE.pack(j) for j in free))
         while i not in self._ready:
-            report = self._reports.read(_NODE.size)  # None: no report waits
+            report = _take(self._reports)
             if report == b"":
                 raise LansfracError("the parent of the Picard process has gone")
             if report is not None:
                 self._ready.add(_NODE.unpack(report)[0])
-            elif (token := self._tokens.read(_NODE.size)) is not None:
+            elif (token := _take(self._tokens)) is not None:
                 j = _NODE.unpack(token)[0]
                 rhs_f_band(self._grid, self._stack[j], self._params, out=self._ring[j % k])
                 self._ready.add(j)
@@ -368,12 +374,29 @@ class _RingNodes:
 
 
 class PicardWorker:
-    """The parent's handle on the forked process of ``picard_worker``."""
+    """Both sides of ``picard_worker``'s protocol: ``solve`` runs in the forked
+    process, the rest in the parent, through child (``forks.Child``)."""
 
-    def __init__(self, pid: int, pipe, tokens, reports, u0: SpectralField, params: Params,
-                 stack: np.ndarray, ring: np.ndarray):
-        self._pid, self._pipe, self._tokens, self._reports = pid, pipe, tokens, reports
-        self._u0, self._params, self._stack, self._ring = u0, params, stack, ring
+    child: Child
+
+    def __init__(self, u0: SpectralField, params: Params, T: float, mesh_size: int, max_iter: int):
+        self._u0, self._params, self._args = u0, params, (T, mesh_size, max_iter)
+        shape = picard_stack_shape(u0.grid, params, mesh_size)
+        # the iterate stack, and the ring, of which the handle holds the parent's only view
+        self._stack, self._ring = shared_array(shape), shared_array((RING_SLOTS,) + shape[1:])
+
+    def solve(self, reply: int, tokens: int, post: int, reports: int) -> None:
+        """The worker process, given its pipe ends: solve into the stack, then send the reply."""
+        u0, params, stack = self._u0, self._params, self._stack
+        f_at = _RingNodes(u0.grid, params, stack, self._ring, tokens, post, reports)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                traj, state = picard_solve(u0, params, *self._args, out=stack, f_at=f_at)
+                answer = (traj.times, state.increments_linf, state.converged)
+            except BaseException as exc:  # raised again by the parent
+                answer = exc
+        with open(reply, "wb", closefd=False) as pipe:
+            pipe.write(pickle.dumps((_recorded(caught), answer)))
 
     def result(self) -> tuple[Trajectory, PicardState]:
         """Help the worker to its end and return what ``picard_solve`` returned in it.
@@ -389,13 +412,10 @@ class PicardWorker:
         with warnings.catch_warnings(record=True) as helped:
             self._help()
         self._ring = None  # its last view in the parent: the mapping goes
-        self._tokens.close()
-        self._reports.close()
-        reply = self._pipe.read()
-        self._pipe.close()
-        how, self._pid = reap(self._pid), None
-        if how != "with status 0":  # the worker exits 0 only after it has sent its reply
-            raise WorkerError(f"the Picard process ended {how} before it sent a result")
+        with open(self.child.ends[0], "rb", closefd=False) as pipe:
+            reply = pipe.read()
+        if self.child.reap():  # the worker exits 0 only after it has sent its reply
+            raise self.child.error("before it sent a result")
         caught, answer = pickle.loads(reply)
         for message, category, filename, lineno in caught + _recorded(helped):
             warnings.warn_explicit(message, category, filename, lineno)
@@ -406,9 +426,9 @@ class PicardWorker:
 
     def _help(self) -> None:
         """Evaluate the nodes of the tokens the parent takes until the reply is readable."""
-        grid, reply, tokens = self._u0.grid, self._pipe.fileno(), self._tokens.fileno()
+        grid, (reply, tokens, reports) = self._u0.grid, self.child.ends
         while reply not in select.select([reply, tokens], [], [])[0]:
-            token = self._tokens.read(_NODE.size)
+            token = _take(tokens)
             if token is None:  # the worker took it first
                 continue
             if not token:  # the worker has ended
@@ -416,19 +436,9 @@ class PicardWorker:
             i = _NODE.unpack(token)[0]
             rhs_f_band(grid, self._stack[i], self._params, out=self._ring[i % len(self._ring)])
             try:
-                os.write(self._reports.fileno(), token)  # the report; whole, as 4 < PIPE_BUF
+                os.write(reports, token)  # the report; whole, as 4 < PIPE_BUF
             except BrokenPipeError:  # the worker has ended; its status says how
                 return
-
-    def close(self) -> None:
-        """Close the parent's pipe ends; kill and reap the worker unless ``result`` has reaped it."""
-        self._ring = None
-        for end in (self._pipe, self._tokens, self._reports):
-            end.close()
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            reap(self._pid)
-            self._pid = None
 
 
 @contextmanager
@@ -439,7 +449,7 @@ def picard_worker(
     mesh_size: int = 64,
     max_iter: int = 12,
 ) -> Iterator[PicardWorker]:
-    """Run ``picard_solve`` in one forked process while the with block runs.
+    """Run ``picard_solve`` in a forked process (``forks.fork``) while the with block runs.
 
     The iterate stack lives in an anonymous shared mapping that the worker
     iterates in (``out=``), so the nodes reach the parent without a copy.
@@ -453,8 +463,8 @@ def picard_worker(
     4-byte node index. The worker sends back only the mesh, the increments
     and the converged flag, or the exception it raised, with the warnings it
     caught, through a third pipe. Leaving the block without a result, also
-    by an exception the parent meets while it helps, kills and reaps the
-    worker; no pipe end stays open. Needs ``os.fork`` (POSIX).
+    by an exception the parent meets while it helps or by a Ctrl-C, kills
+    and reaps the worker; no pipe end stays open. Needs ``os.fork`` (POSIX).
 
     A T outside (0, 1] raises ValueError here, before the fork.
 
@@ -467,57 +477,11 @@ def picard_worker(
     """
     _check_horizon(T)
     with one_blas_thread() if band_plan(u0.grid, params.alpha).gemm else nullcontext():
-        shape = picard_stack_shape(u0.grid, params, mesh_size)
-        stack, ring = shared_array(shape), shared_array((RING_SLOTS,) + shape[1:])
-        fds: list[int] = []
-        try:
-            for _ in range(3):
-                fds += os.pipe()
-            for fd in (fds[2], fds[4]):  # a token's or a report's reader must not wait for it
-                os.set_blocking(fd, False)
-            pid = os.fork()
-        except BaseException:
-            for fd in fds:
-                os.close(fd)
-            raise
-        reply_r, reply_w, tokens, post, reports_r, reports_w = fds
-        if pid == 0:
-            _serve(fds, u0, params, T, mesh_size, max_iter, stack, ring)
-        for fd in (reply_w, post, reports_r):
-            os.close(fd)
-        worker = PicardWorker(
-            pid, os.fdopen(reply_r, "rb"), os.fdopen(tokens, "rb", buffering=0),
-            os.fdopen(reports_w, "wb", buffering=0), u0, params, stack, ring,
-        )
-        del ring  # the handle holds the parent's only view, which result drops
-        try:
+        worker = PicardWorker(u0, params, T, mesh_size, max_iter)
+        # the reply; the tokens, which both take and must not wait for; the reports
+        pipes = ((PARENT, CHILD), (PARENT | CHILD | POLLED, CHILD), (CHILD | POLLED, PARENT))
+        with fork("the Picard process", pipes, worker.solve) as worker.child:
             yield worker
-        finally:
-            worker.close()
-
-
-def _serve(fds: list[int], u0, params, T, mesh_size, max_iter, stack, ring) -> None:
-    """The worker process: solve into stack, send the reply, exit. Never returns."""
-    status = 1
-    try:
-        reply_r, reply_w, tokens, post, reports_r, reports_w = fds
-        os.close(reply_r)
-        os.close(reports_w)
-        f_at = _RingNodes(u0.grid, params, stack, ring, os.fdopen(tokens, "rb", buffering=0),
-                          post, os.fdopen(reports_r, "rb", buffering=0))
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                traj, state = picard_solve(
-                    u0, params, T, mesh_size, max_iter, out=stack, f_at=f_at
-                )
-                answer = (traj.times, state.increments_linf, state.converged)
-            except BaseException as exc:  # raised again by the parent
-                answer = exc
-        with os.fdopen(reply_w, "wb") as pipe:
-            pipe.write(pickle.dumps((_recorded(caught), answer)))
-        status = 0
-    finally:
-        os._exit(status)
 
 
 @dataclass(frozen=True)

@@ -82,15 +82,15 @@ class _KernelWorkspace:
     is the whole block, so dealiasing is the gather itself. Every call of
     ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
     is not re-entrant. lansfrac starts no threads of its own, and forks two
-    kinds of process. The kernel's helper (``kernel_helper``, opened by
-    ``simulate``, ``verify-energy`` and ``smoothing``) shares the stack, the
-    product block and the plan's ``_mid`` with this process while it runs,
-    and runs part of every call: ``helper_share``. The Picard worker
-    (``mild.picard_worker``, ``oracle-compare``) has a copy of its own; the
-    parent's workspace serves its stepper and then, once the stepper has
-    ended, the Picard nodes that the parent evaluates for the worker
-    (``PicardWorker.result``). Outside a helper, OpenBLAS may split the band
-    transforms' matrix products over its pool (see ``BandPlan``).
+    kinds of process, both through ``forks.fork``. The kernel's helper
+    (``kernel_helper``: ``simulate``, ``verify-energy``, ``smoothing``)
+    shares the stack, the product block and the plan's ``_mid`` with this
+    process while it runs, and runs part of every call: ``helper_share``.
+    The Picard worker (``mild.picard_worker``, ``oracle-compare``) has a
+    copy of its own; the parent's workspace serves its stepper and then,
+    once the stepper has ended, the Picard nodes that the parent evaluates
+    for the worker (``PicardWorker.result``). Outside a helper, OpenBLAS may
+    split the band transforms' matrix products over its pool (``BandPlan``).
 
     It holds the band blocks of the stack (u and curl v), of the product and
     of the projection's k x a; the samples and the product's samples live
@@ -235,7 +235,7 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     ``BandPlan.share``), then the projection's second half of rows in place
     in the shared product block. This process runs the rest, and the curl
     and the copy into out alone. Every operation is one a lone process
-    makes, so f is the same bits. Leaving the block reaps the helper, then
+    makes, so f is the same bits. Leaving the block ends the helper, then
     gives the workspace and the plan private buffers again, so that a
     process forked later (``mild.picard_worker``) shares none of them.
     """

@@ -185,6 +185,8 @@ class Params:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not math.isfinite(self.alpha * self.alpha):  # the Helmholtz symbol 1 + alpha^2 |k|^2
+            raise ValueError(f"alpha^2 must be finite, got alpha = {self.alpha}")
         if self.nu <= 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not 0.0 < self.s < 1.0:

@@ -1,4 +1,7 @@
 import os
+import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +251,37 @@ def random_band_block(dim: int, b: int, seed: int) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(a - b))) / scale
+
+
+def process_group(pgid: int) -> dict[int, tuple[int, str]]:
+    """The live processes of a process group: pid -> (parent pid, state); zombies are gone."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:  # it ended while listed
+                continue
+            state, ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+            if int(pgrp) == pgid and state != "Z":
+                found[int(entry)] = (int(ppid), state)
+    return found
+
+
+def no_process_left(pgid: int) -> None:
+    """Fail unless the process group has no live process within 5 s."""
+    deadline = time.monotonic() + 5
+    while process_group(pgid):
+        assert time.monotonic() < deadline, f"left running: {process_group(pgid)}"
+        time.sleep(0.02)
+
+
+def exit_and_stderr(proc) -> tuple[int, str]:
+    """The exit code and stderr of proc; its group is killed if it has not ended in 60 s."""
+    try:
+        _, err = proc.communicate(timeout=60)
+        return proc.returncode, err
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()

@@ -24,7 +24,7 @@ from lansfrac.cli import main
 from lansfrac.diagnostics import DiagRecord
 from lansfrac.integrator import Trajectory, make_initial
 
-from conftest import nan_at_last_picard_node
+from conftest import exit_and_stderr, nan_at_last_picard_node, no_process_left, process_group
 
 SHEAR_CFG = """
 dim = 2
@@ -400,6 +400,59 @@ def test_oracle_compare_reports_a_worker_killed_while_the_parent_helps(tmp_path,
         "before it sent a result"
     ]
     assert not (out / "oracle.csv").exists()
+
+
+# The benchmark's oracle2d-n128 problem
+ORACLE_2D_N128_CFG = """
+dim = 2
+N = 128
+alpha = 0.5
+nu = 0.1
+s = 0.5
+scheme = etd2rk
+dt = 1e-3
+t_end = 0.06
+init = random-spectrum
+amplitude = 0.05
+seed = 0
+"""
+
+
+def _long_oracle_compare(tmp_path):
+    """A 2D N=128 oracle-compare in a session of its own, once its Picard worker runs."""
+    cfg = write(tmp_path, ORACLE_2D_N128_CFG)
+    proc = subprocess.Popen([sys.executable, "-m", "lansfrac.cli", "oracle-compare", cfg,
+                             "--T", "0.5", "--out-dir", str(tmp_path / "out")], env=_package_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(process_group(proc.pid)) < 2:  # the command and its worker
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    return proc
+
+
+def test_a_ctrl_c_on_oracle_compare_shows_one_traceback_and_leaves_no_worker(tmp_path):
+    # A terminal's SIGINT reaches the whole group; the worker ignores it.
+    proc = _long_oracle_compare(tmp_path)
+    os.killpg(proc.pid, signal.SIGINT)
+    code, err = exit_and_stderr(proc)
+    assert code == -signal.SIGINT
+    assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+    no_process_left(proc.pid)
+
+
+def test_a_killed_oracle_compare_leaves_no_worker(tmp_path):
+    # The worker meets the end of its report pipe at its next node and ends.
+    proc = _long_oracle_compare(tmp_path)
+    os.kill(proc.pid, signal.SIGKILL)
+    assert exit_and_stderr(proc)[0] == -signal.SIGKILL
+    no_process_left(proc.pid)
 
 
 @pytest.mark.parametrize("where", ["worker", "parent"])

@@ -20,6 +20,8 @@ from lansfrac.cli import main
 from lansfrac.errors import WorkerError
 from lansfrac.operators import _kernel_workspace, band_plan, kernel_helper, rhs_f_band
 
+from conftest import exit_and_stderr, no_process_left, process_group
+
 pytestmark = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="the helper needs a second CPU"
 )
@@ -207,7 +209,7 @@ def test_a_killed_helper_fails_the_next_kernel_call():
     grid, p, u = _band_u(32)
     ws = _kernel_workspace(grid, p.alpha)
     with kernel_helper(grid, p.alpha):
-        os.kill(ws.helper._pid, signal.SIGKILL)
+        os.kill(ws.helper._child.pid, signal.SIGKILL)
         with pytest.raises(WorkerError, match=rf"helper process ended by signal {int(signal.SIGKILL)}"):
             rhs_f_band(grid, u, p)
     assert _in_shared_mappings(ws) == [] and _in_shared_mappings(ws.plan) == []
@@ -229,21 +231,6 @@ def test_an_unwritable_output_reaps_the_helper(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["status"]["state"] == "error"
 
 
-def _group(pgid: int) -> dict[int, tuple[int, str]]:
-    """The live processes of a process group: pid -> (parent pid, state); zombies are gone."""
-    found = {}
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            try:
-                stat = Path(f"/proc/{entry}/stat").read_text()
-            except OSError:  # it ended while listed
-                continue
-            state, ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
-            if int(pgrp) == pgid and state != "Z":
-                found[int(entry)] = (int(ppid), state)
-    return found
-
-
 def _long_simulate(tmp_path):
     """A 3D N=32 simulate in a session of its own, once its first snapshot exists."""
     out = tmp_path / "out"
@@ -257,7 +244,7 @@ def _long_simulate(tmp_path):
         while not (out / "snapshot_000000.flns").exists():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        assert len(_group(proc.pid)) == 2  # the command and its helper
+        assert len(process_group(proc.pid)) == 2  # the command and its helper
     except BaseException:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -265,54 +252,36 @@ def _long_simulate(tmp_path):
     return proc, out
 
 
-def _no_process_left(pgid: int) -> None:
-    deadline = time.monotonic() + 5
-    while _group(pgid):
-        assert time.monotonic() < deadline, f"left running: {_group(pgid)}"
-        time.sleep(0.02)
-
-
-def _end(proc) -> tuple[int, str]:
-    """The exit code and stderr of proc; its group is killed if it has not ended in 60 s."""
-    try:
-        _, err = proc.communicate(timeout=60)
-        return proc.returncode, err
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-
-
 def test_a_killed_command_leaves_no_helper(tmp_path):
     # The helper ends at end-of-file on its command pipe.
     proc, _ = _long_simulate(tmp_path)
     os.kill(proc.pid, signal.SIGKILL)
-    assert _end(proc)[0] == -signal.SIGKILL
-    _no_process_left(proc.pid)
+    assert exit_and_stderr(proc)[0] == -signal.SIGKILL
+    no_process_left(proc.pid)
 
 
 def test_a_ctrl_c_shows_one_traceback_from_the_command(tmp_path):
     # A terminal's SIGINT reaches the whole group; the helper ignores it.
     proc, _ = _long_simulate(tmp_path)
     os.killpg(proc.pid, signal.SIGINT)
-    code, err = _end(proc)
+    code, err = exit_and_stderr(proc)
     assert code == -signal.SIGINT
     assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
-    _no_process_left(proc.pid)
+    no_process_left(proc.pid)
 
 
 def test_a_killed_helper_fails_the_command_with_one_line(tmp_path):
     proc, out = _long_simulate(tmp_path)
-    (helper,) = [pid for pid, (ppid, _) in _group(proc.pid).items() if ppid == proc.pid]
+    (helper,) = [pid for pid, (ppid, _) in process_group(proc.pid).items() if ppid == proc.pid]
     os.kill(helper, signal.SIGKILL)
-    code, err = _end(proc)
+    code, err = exit_and_stderr(proc)
     line = (f"check failed: the kernel's helper process ended by signal {int(signal.SIGKILL)} "
             "during a kernel call")
     assert (code, err.splitlines()) == (1, [line])
     status = json.loads((out / "manifest.json").read_text())["status"]
     assert status == {"state": "error", "message": line.removeprefix("check failed: ")}
     assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
-    _no_process_left(proc.pid)
+    no_process_left(proc.pid)
 
 
 def test_a_diverging_run_prints_what_one_process_prints(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import select
+import signal
 import struct
 import time
 import tracemalloc
@@ -37,7 +38,7 @@ from lansfrac.mild import (
     picard_worker,
     semigroup_class_check,
 )
-from lansfrac.operators import band_plan, rhs_f_band
+from lansfrac.operators import band_plan, kernel_helper, rhs_f_band
 from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor
 
 from conftest import (
@@ -425,7 +426,7 @@ def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, 
     with picard_worker(u0, p, 0.1, mesh_size=mesh, max_iter=10) as worker:
         ring = weakref.ref(worker._ring.base)
         if not parent_helps:
-            select.select([worker._pipe], [], [])  # the worker's reply is readable
+            select.select([worker.child.ends[0]], [], [])  # the worker's reply is readable
         traj_w, state_w = worker.result()
         assert ring() is None  # the parent has dropped its mapping of the ring
     if parent_helps:
@@ -456,16 +457,15 @@ def test_ring_nodes_read_a_waiting_report_before_a_token(monkeypatch):
     os.write(post, struct.pack("<i", 3))
     os.write(reports_w, struct.pack("<i", 2))
     os.close(reports_w)
-    with os.fdopen(tokens_r, "rb", buffering=0) as tokens, \
-            os.fdopen(reports_r, "rb", buffering=0) as reports:
-        try:
-            f_at = mild._RingNodes(None, None, stack, ring, tokens, post, reports)
-            assert np.shares_memory(f_at(2), ring[2]) and evaluated == []
-            with pytest.raises(LansfracError, match="parent"):
-                f_at(3)
-            assert evaluated == []
-        finally:
-            os.close(post)
+    try:
+        f_at = mild._RingNodes(None, None, stack, ring, tokens_r, post, reports_r)
+        assert np.shares_memory(f_at(2), ring[2]) and evaluated == []
+        with pytest.raises(LansfracError, match="parent"):
+            f_at(3)
+        assert evaluated == []
+    finally:
+        for fd in (tokens_r, post, reports_r):
+            os.close(fd)
 
 
 class PlantedFault(Exception):
@@ -490,12 +490,37 @@ def test_picard_worker_raises_the_parents_kernel_error_as_itself(monkeypatch, gr
     u0 = random_field(grid2, seed=7, amplitude=1e-2)
     with pytest.raises(PlantedFault) as caught:
         with picard_worker(u0, params, 0.1, mesh_size=8) as worker:
-            pid = worker._pid
+            pid = worker.child.pid
             worker.result()
     assert caught.value is fault
     assert "_help" in [entry.name for entry in caught.traceback]
     with pytest.raises(ChildProcessError):  # reaped already
         os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork", ["picard-worker", "kernel-helper"])
+def test_a_ctrl_c_just_after_a_fork_leaves_no_process(monkeypatch, grid2, params, fork):
+    # SIGINT comes as soon as os.fork has returned in the parent: opening the
+    # fork raises KeyboardInterrupt, and the autouse fixtures check that no
+    # child process and no descriptor is left.
+    if fork == "kernel-helper" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the helper needs a second CPU")
+    real = os.fork
+
+    def fork_then_ctrl_c():
+        pid = real()
+        if pid:
+            signal.raise_signal(signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_ctrl_c)
+    if fork == "picard-worker":
+        opened = picard_worker(random_field(grid2, seed=7, amplitude=1e-2), params, 0.1, mesh_size=8)
+    else:
+        opened = kernel_helper(make_grid(3, 32), params.alpha)
+    with pytest.raises(KeyboardInterrupt):
+        with opened:
+            pass
 
 
 @pytest.mark.parametrize("dim,n", [(3, 16), (2, 96)])  # a GEMM plan, an FFT plan

@@ -650,6 +650,8 @@ def test_leray_commutes_with_multipliers(grid2, params):
 def test_params_validation():
     with pytest.raises(ValueError):
         Params(alpha=-1.0, nu=1.0, s=0.5)
+    with pytest.raises(ValueError, match="alpha\\^2"):
+        Params(alpha=2.0**512, nu=1.0, s=0.5)  # finite, but alpha^2 overflows
     with pytest.raises(ValueError):
         Params(alpha=0.5, nu=0.0, s=0.5)
     with pytest.raises(ValueError):
