@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import band_plan, rhs_f
+from .operators import band_plan, phase, rhs_f
 from .spectral import (
     MEAN_TOL,
     SOLENOIDAL_TOL,
@@ -21,6 +21,7 @@ from .spectral import (
     Params,
     SpectralField,
     invariant_flags,
+    invariant_residuals,
     mode_dot,
     norm_DAr,
     stokes_multiplier,
@@ -109,6 +110,7 @@ def audit(
     tables: AuditTables,
     t: float,
     tail: tuple[np.ndarray, np.ndarray] | None = None,
+    per_mode: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[tuple[bool, ...], DiagRecord]:
     """One pass over a state and its f: the invariant flags of both and the record.
 
@@ -118,25 +120,70 @@ def audit(
     f is zero: their energies are added to the block's, and the pairing is
     the block's.
 
-    The flags are ``state_flags`` of u, then ``f_flags`` of f. |uhat|^2 is
-    formed once and gives all five energies and u's E0, whose weight is
-    positive on every mode, so a nan or inf coefficient carries into it and
-    an E0 that overflows is a blow-up. The energy pairing
-    <(1 + alpha^2 A) u, f> is the E1 row's sum over Re conj(uhat) fhat. The
-    sums run in ``np.einsum``'s own loops, not through BLAS.
+    It runs in two passes. The per-mode pass (``_per_mode``) forms |uhat|^2,
+    Re conj(uhat) fhat and the maxima the flags compare. per_mode, when
+    given, is that pass already made: the products and the maxima of one
+    row per part, which ``np.max`` combines, keeping a nan. ``run`` makes it
+    as a phase of the kernel workspace (``PER_MODE``), so a helper process
+    takes half of the k_0 rows; this function then reads u no more, so the
+    next step may already be writing it. Without per_mode the pass runs
+    here on temporaries. Then this process sums, in one order whoever ran
+    the per-mode pass, so the record has the same bits either way. |uhat|^2
+    gives all five energies and u's E0, whose weight is positive on every
+    mode, so a nan or inf coefficient carries into it and an E0 that
+    overflows is a blow-up. The energy pairing <(1 + alpha^2 A) u, f> is
+    the E1 row's sum over Re conj(uhat) fhat. The sums run in
+    ``np.einsum``'s own loops, not through BLAS. The flags are
+    ``state_flags`` of u, then ``f_flags`` of f, fed the maxima.
     """
-    energies = np.einsum("ij,j->i", tables.rows, mode_dot(u, u).ravel())
+    if per_mode is None:
+        products, maxima = np.empty((2,) + u.shape[1:]), np.empty((1, _MAXIMA))
+        _per_mode(u, f, tables.k, slice(None), products, maxima[0])
+    else:
+        products, maxima = per_mode
+    u_max, herm, sol, mean, f_max, f_div = map(float, np.max(maxima, axis=0))
+    energies = np.einsum("ij,j->i", tables.rows, products[0].ravel())
     e0_block = float(energies[0])
     if tail is not None:
         rows, values = tail
         energies += np.einsum("ij,j->i", rows, mode_dot(values, values))
     e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
     nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
-    pairing = float(np.einsum("i,i->", tables.rows[1], mode_dot(u, f).ravel()))
+    pairing = float(np.einsum("i,i->", tables.rows[1], products[1].ravel()))
     # numpy's power gives inf where Python's raises OverflowError
     cancel = abs(pairing) / float(np.float64(nda) ** 3 + _TINY)
     rec = DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
-    return state_flags(u, e0_block, tables) + f_flags(f, tables), rec
+    flags = state_flags(u, e0_block, tables, u_max, (herm, sol, mean))
+    return flags + f_flags(f, tables, f_max, f_div), rec
+
+
+# max |u|, the three invariant_residuals of u, max |f| and max |k . f|
+_MAXIMA = 6
+
+
+def _per_mode(u: np.ndarray, f: np.ndarray, k: np.ndarray, rows: slice, products: np.ndarray,
+              maxima: np.ndarray) -> None:
+    """The audit's per-mode pass over the k_0 rows rows of the blocks u and f
+    and of their k: mode_dot(u, u) and mode_dot(u, f) into those rows of
+    products, and the ``_MAXIMA`` maxima over them into maxima. Each mode's
+    terms are formed alone, so the rows a call covers change no bit."""
+    u_rows, f_rows = u[:, rows], f[:, rows]
+    products[0, rows] = mode_dot(u_rows, u_rows)
+    products[1, rows] = mode_dot(u_rows, f_rows)
+    maxima[:] = (np.max(np.abs(u_rows)), *invariant_residuals(u, k, (0,), rows),
+                 np.max(np.abs(f_rows)), np.max(np.abs(np.sum(k[:, rows] * f_rows, axis=0))))
+
+
+def _per_mode_phase(ws, part: int | None) -> None:
+    """``_per_mode`` of the kernel workspace's state and f(state) on part's rows;
+    the whole pass writes both rows of the maxima."""
+    _per_mode(ws.state, ws.f_state, ws.k, ws.rows[part], ws.per_mode, ws.maxima[part or 0])
+    if part is None:
+        ws.maxima[1] = ws.maxima[0]
+
+
+# the audit's per-mode pass on the workspace, a phase of _KernelWorkspace.split
+PER_MODE = phase(_per_mode_phase)
 
 
 def norm_DA(
@@ -150,26 +197,34 @@ def norm_DA(
     return math.sqrt(sq)
 
 
-def state_flags(u: np.ndarray, e0: float, tables: AuditTables) -> tuple[bool, bool, bool]:
-    """``measure_flags`` of the band block u, whose E0 is e0; a nan or inf carries into E0."""
-    scale = float(np.max(np.abs(u)))
+def state_flags(u: np.ndarray, e0: float, tables: AuditTables, scale: float | None = None,
+                residuals: tuple[float, float, float] | None = None) -> tuple[bool, bool, bool]:
+    """``measure_flags`` of the band block u, whose E0 is e0; a nan or inf carries into E0.
+
+    scale = max |u| and the ``invariant_residuals`` are taken from u unless given."""
+    if scale is None:
+        scale = float(np.max(np.abs(u)))
     if scale == 0.0:
         return True, True, True
     if not math.isfinite(e0):
         return False, False, False
-    return invariant_flags(u, tables.k, (0,), scale, math.sqrt(e0 / tables.measure))
+    return invariant_flags(u, tables.k, (0,), scale, math.sqrt(e0 / tables.measure), residuals)
 
 
-def f_flags(f: np.ndarray, tables: AuditTables) -> tuple[bool, bool]:
+def f_flags(f: np.ndarray, tables: AuditTables, scale: float | None = None,
+            div: float | None = None) -> tuple[bool, bool]:
     """``measure_flags``' (solenoidal, zero_mean) of the band block f; non-finite f passes.
 
+    scale = max |f| and div = max |k . f| are taken from f unless given.
     ||f|| >= max |f|, as every multiplicity is at least 1, so ||f|| is summed
     only when the bound at max |f| (less 1e-9 of it, for rounding) fails."""
-    scale = float(np.max(np.abs(f)))
+    if scale is None:
+        scale = float(np.max(np.abs(f)))
     if scale == 0.0 or not math.isfinite(scale):
         return True, True
     zero_mean = float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)]))) <= MEAN_TOL * scale
-    div = float(np.max(np.abs(np.sum(tables.k * f, axis=0))))
+    if div is None:
+        div = float(np.max(np.abs(np.sum(tables.k * f, axis=0))))
     if div <= SOLENOIDAL_TOL * scale * (1.0 - 1e-9):
         return True, zero_mean
     e0 = float(np.einsum("i,i->", tables.rows[0], mode_dot(f, f).ravel()))

@@ -5,7 +5,8 @@ the one code that makes the pipes, forks, blocks SIGINT across the fork,
 and ends and reaps the child; each keeps only its protocol on the pipes:
 
 - ``operators.kernel_helper`` forks the kernel's helper (``helper``), which
-  runs half of every ``BandPlan.product`` call of a stepping command;
+  runs half of every phase of a stepping command's step: the kernel's
+  passes, the step's arithmetic and the audit's per-mode pass;
 - ``mild.picard_worker`` forks the Picard worker of ``oracle-compare``.
 
 A forked process shares with its parent only what lives in an anonymous
@@ -39,9 +40,10 @@ from .errors import WorkerError
 SPIN_S = 0.002
 
 
-def shared_array(shape: tuple[int, ...]) -> np.ndarray:
-    """A complex128 array in an anonymous mapping that a forked process shares."""
-    return np.ndarray(shape, np.complex128, mmap.mmap(-1, 16 * math.prod(shape)))
+def shared_array(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+    """An array in an anonymous mapping that a forked process shares."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(shape, dtype, mmap.mmap(-1, dtype.itemsize * math.prod(shape)))
 
 
 @lru_cache(maxsize=1)
@@ -189,12 +191,12 @@ class Helper:
         try:
             os.write(self._command, bytes((phase,)))
         except BrokenPipeError:  # it has ended; its status says how
-            raise self._child.error("during a kernel call") from None
+            raise self._child.error("during a step") from None
 
     def wait(self) -> None:
         """Return once the helper has run its share of the phase last started."""
         if not _read(self._done):
-            raise self._child.error("during a kernel call")
+            raise self._child.error("during a step")
 
 
 @contextmanager
@@ -208,7 +210,7 @@ def helper(task: Callable[[int], None]) -> Iterator[Helper]:
     killed or not; leaving the with block kills and reaps it. It runs task
     with numpy's floating-point errors ignored, as ``run`` steps do: its
     warnings would print from a second process, and the audit of the state
-    checks what the kernel computed. A helper that has ended makes
+    checks what the step computed. A helper that has ended makes
     ``start`` or ``wait`` reap it and raise WorkerError.
 
     The helper runs on the highest CPU this process may use, and this

@@ -20,7 +20,15 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ConfigError, DivergedError, SnapshotMismatchError
-from .operators import band_plan, rhs_f_band, u_from_v, v_from_u, v_nonlinearity
+from .operators import (
+    CURL_STATE,
+    _kernel_workspace,
+    phase,
+    rhs_f_band,
+    u_from_v,
+    v_from_u,
+    v_nonlinearity,
+)
 from .operators import rhs_f  # noqa: F401  the benchmark's tracer patches integrator.rhs_f
 from .spectral import (
     GridSpec,
@@ -258,40 +266,63 @@ def make_initial(
     raise ValueError(f"unknown initial-data kind: {initial.kind!r}")
 
 
-class _Propagator:
-    """Per-mode weights of one exponential step of size dt, on a k2 table."""
-
-    def __init__(self, k2: np.ndarray, params: Params, dt: float):
-        z = -params.nu * dt * stokes_multiplier(k2, params.s)
-        phi1, phi2 = phi_functions(z)
-        self.E = np.exp(z)
-        self.w1 = dt * phi1
-        self.w2 = dt * phi2
+def _weights(k2: np.ndarray, nu: float, s: float, dt: float) -> tuple[np.ndarray, ...]:
+    """E = e^z, w1 = dt phi1(z) and w2 = dt phi2(z), z = -nu dt |k|^{2s}, per mode of k2."""
+    z = -nu * dt * stokes_multiplier(k2, s)
+    phi1, phi2 = phi_functions(z)
+    return np.exp(z), dt * phi1, dt * phi2
 
 
-def _advance(
-    u: np.ndarray,
-    prop: _Propagator,
-    kind: SchemeKind,
-    f_eval: Callable[[np.ndarray], np.ndarray],
-    f_u: np.ndarray,
-) -> np.ndarray:
-    """One exponential step from the coefficients u, with f_u = f(u) already evaluated.
+def _propagate(ws, part: int | None) -> None:
+    """The weights of the step ws.step_args = (nu, s, h) into ws.weights on part's k_0 rows."""
+    rows = ws.rows[part]
+    nu, s, h = map(float, ws.step_args)
+    ws.weights[:, rows] = _weights(ws.k2[rows], nu, s, h)
 
-    u, f_u and the weights of prop share one layout (see ``run``). The
-    stage and the ETD2RK update are formed with ``out=`` in two new arrays.
-    w1 f(u) and f(stage) - f(u) are temporaries, so w1 f(u) is freed before
-    the stage's f is evaluated. f(stage) is read once, right away, so
-    f_eval may return a buffer that its next call overwrites. ``run`` checks
-    the result.
+
+def _stage(ws, part: int | None) -> None:
+    """state = E state + w1 f(state) on part's k_0 rows, the step's stage, in place."""
+    rows = ws.rows[part]
+    u, (E, w1, _) = ws.state[:, rows], ws.weights[:, rows]
+    np.multiply(E, u, out=u)
+    np.add(u, np.multiply(w1, ws.f_state[:, rows]), out=u)
+
+
+def _update(ws, part: int | None) -> None:
+    """state = stage + w2 (f(stage) - f(state)) on part's k_0 rows, in place over
+    the stage, with f(stage) in the kernel's product block: the ETD2RK update."""
+    rows = ws.rows[part]
+    work = np.subtract(ws.product[:, rows], ws.f_state[:, rows])
+    np.multiply(ws.weights[2, rows], work, out=work)
+    np.add(ws.state[:, rows], work, out=ws.state[:, rows])
+
+
+def _cut(ws, part: int | None) -> None:
+    """Set the state's modes past the Galerkin cutoff (``cut``) to +0.0 on part's k_0 rows."""
+    rows = ws.rows[part]
+    np.copyto(ws.state[:, rows], 0.0, where=ws.cut[rows])
+
+
+_STAGE, _UPDATE, _CUT, _PROPAGATE = phase(_stage), phase(_update), phase(_cut), phase(_propagate)
+
+
+def _advance(ws, kind: SchemeKind, f_stage: Callable[[np.ndarray], object]) -> np.ndarray:
+    """One exponential step of the kernel workspace's state, in place; the new state.
+
+    ws.state holds u, ws.f_state f(u) and ws.weights the step's E, w1 and
+    w2 (see ``run``). The stage is formed in place over u, f_stage(stage)
+    writes f(stage) into ws.product, and the ETD2RK update is formed in
+    place over the stage; w1 f(u) and f(stage) - f(u) are row temporaries.
+    Each arithmetic pass is a phase of ``ws.split``, so a kernel helper
+    takes half of its rows; every element's operations are the same, so
+    the bits are too. ``run`` may have started the helper's part of the
+    stage already (``_KernelWorkspace.start``). ``run`` checks the result.
     """
-    stage = np.multiply(prop.E, u)
-    np.add(stage, np.multiply(prop.w1, f_u), out=stage)
-    if kind is SchemeKind.EXP_EULER:
-        return stage
-    work = np.subtract(f_eval(stage), f_u)
-    np.multiply(prop.w2, work, out=work)
-    return np.add(stage, work, out=work)
+    ws.split(_STAGE)
+    if kind is SchemeKind.ETD2RK:
+        f_stage(ws.state)
+        ws.split(_UPDATE)
+    return ws.state
 
 
 # A step on a blown-up state over- or underflows on the way; the audit that
@@ -353,6 +384,18 @@ def run(
     step gives. A Galerkin cutoff sets its cut modes to +0.0. Each step
     calls ``_advance`` once.
 
+    The block's state, f(state) and the step's weights live in the kernel
+    workspace (``operators._KernelWorkspace``), where the step is formed in
+    place, so a run holds no block of its own beyond the tail. Each pass
+    over them is a phase of ``_KernelWorkspace.split``: inside
+    ``operators.kernel_helper`` the helper process takes half of the k_0
+    rows of the stage, the update, the Galerkin cut and the audit's
+    per-mode pass, and half of each kernel call. This process alone
+    computes the audit's sums, the checks, the tail and the snapshots, so
+    every output has the same bytes with or without the helper. The
+    workspace holds one run's step, so ``on_snapshot`` must not start
+    another run on this (grid, alpha).
+
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Each state gets one ``diagnostics.audit`` of u
     and f(u), the run's only check, whose record sums block and tail.
@@ -383,32 +426,28 @@ def run(
         start = galerkin_truncate(start, config.galerkin_N)
     if form == "v":
         start = v_from_u(start, alpha)
-    plan = band_plan(grid, alpha)
-    state, modes, tail = plan.split(start.coeffs)
+    ws = _kernel_workspace(grid, alpha)
+    plan = ws.plan
+    state, modes, tail = plan.split(start.coeffs, out=ws.state)
     tables = diagnostics.audit_tables(grid, alpha, params.s)
 
-    shape = state.shape
+    # f(state) into ws.f_state, f(stage) into ws.product (see _advance)
     if config.linear_only:
-        zero = np.zeros(shape, np.complex128)
-        zero.setflags(write=False)
-        f_new = f_step = lambda w: zero
+        f_new, f_step = (lambda w: ws.f_state.fill(0.0)), (lambda w: ws.product.fill(0.0))
     elif form == "v":
-        def f_new(w: np.ndarray) -> np.ndarray:
+        def f_of(w: np.ndarray, out: np.ndarray) -> None:
             v = SpectralField.from_coeffs(grid, plan.join(w))
-            return plan.gather(v_nonlinearity(u_from_v(v, alpha), v).coeffs)
+            plan.gather(v_nonlinearity(u_from_v(v, alpha), v).coeffs, out=out)
 
-        f_step = f_new
+        f_new, f_step = (lambda w: f_of(w, ws.f_state)), (lambda w: f_of(w, ws.product))
     else:
-        # f(u) lands in a block of the loop's own; f(stage) in the kernel's
-        # output buffer, which _advance reads before the next kernel call
-        f_cur_buf = np.empty(shape, np.complex128)
-        f_new = lambda w: rhs_f_band(grid, w, params, out=f_cur_buf)
+        f_new = lambda w: rhs_f_band(grid, w, params, out=ws.f_state)
         f_step = lambda w: rhs_f_band(grid, w, params)
     k2 = plan.gather(grid.k2)
     helm = 1.0 + alpha**2 * k2 if form == "v" else None
-    cut = None  # the block's modes the Galerkin cutoff sets to +0.0
-    if config.galerkin_N is not None:
-        cut = plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
+    galerkin = config.galerkin_N is not None
+    if galerkin:  # the block's modes the Galerkin cutoff sets to +0.0
+        plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N, out=ws.cut)
     audit_tail = None
     if tail is not None:
         k2_tail = grid.k2.ravel()[modes]
@@ -428,19 +467,51 @@ def run(
             snap_times.append(t)
 
     diag: list[diagnostics.DiagRecord] = []
-    props: dict[float, tuple[_Propagator, np.ndarray | None]] = {}  # with E on the tail
+    # each step length's stacked E, w1, w2 and the tail's E; ws.weights holds loaded's
+    props: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
+    loaded = None
 
-    def audit(w: np.ndarray, f_w: np.ndarray, t: float) -> tuple[bool, ...]:
-        if helm is not None:
-            w, f_w = w / helm, f_w / helm  # u and f(u): exact conjugacy of the forms
-        flags, rec = diagnostics.audit(w, f_w, tables, t, audit_tail)
+    def load(i: int) -> np.ndarray | None:
+        """Put step i's weights into ws.weights; the tail's E of that step."""
+        nonlocal loaded
+        h = _step_time(i + 1, n_steps, config.t_end, dt) - _step_time(i, n_steps, config.t_end, dt)
+        key = round(h, 15)
+        if key not in props:
+            ws.step_args[:] = params.nu, params.s, h
+            ws.split(_PROPAGATE)
+            e_tail = None if tail is None else _weights(k2_tail, params.nu, params.s, h)[0]
+            props[key] = ws.weights.copy(), e_tail
+        elif key != loaded:
+            np.copyto(ws.weights, props[key][0])
+        loaded = key
+        return props[key][1]
+
+    # With the u-form kernel, a step's audit lets the helper begin the next
+    # step's stage (and, for ETD2RK, the curl of the stage's kernel call, on
+    # the same rows) while this process sums; audit then reads no state.
+    ahead = () if helm is not None or config.linear_only else (_STAGE,)
+    if ahead and config.scheme.kind is SchemeKind.ETD2RK:
+        ahead += (CURL_STATE,)
+
+    def audit(t: float, next_step: int | None = None) -> tuple[bool, ...]:
+        if helm is None:
+            ws.split(diagnostics.PER_MODE)
+            if next_step is not None and ahead:
+                load(next_step)
+                for phase_ in ahead:
+                    ws.start(phase_)
+            flags, rec = diagnostics.audit(ws.state, ws.f_state, tables, t, audit_tail,
+                                           (ws.per_mode, ws.maxima))
+        else:  # u and f(u): exact conjugacy of the forms
+            flags, rec = diagnostics.audit(ws.state / helm, ws.f_state / helm, tables, t,
+                                           audit_tail)
         diag.append(rec)
         return flags
 
     try:
         with np.errstate(**_QUIET):
-            f_cur = f_new(state)
-            flags = audit(state, f_cur, 0.0)
+            f_new(state)
+            flags = audit(0.0)
             if math.isinf(diag[0].E0) and np.isfinite(state).all():
                 # finite coefficients whose E0 overflows: a blow-up the steps report
                 flags = (True, True, True) + flags[3:]
@@ -452,33 +523,28 @@ def run(
         on_snapshot(start, 0.0)
         del start
 
-        t = 0.0
         for i in range(n_steps):
-            t_next = _step_time(i + 1, n_steps, config.t_end, dt)
-            h = t_next - t
-            key = round(h, 15)
-            if key not in props:
-                e_tail = None if tail is None else _Propagator(k2_tail, params, h).E
-                props[key] = _Propagator(k2, params, h), e_tail
-            prop, e_tail = props[key]
+            t = _step_time(i + 1, n_steps, config.t_end, dt)
+            e_tail = load(i)
+            snapshot = (i + 1) % config.snapshot_every == 0 or i + 1 == n_steps
             with np.errstate(**_QUIET):
-                state = _advance(state, prop, config.scheme.kind, f_step, f_cur)
+                state = _advance(ws, config.scheme.kind, f_step)
                 if tail is not None:
                     np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
-                if cut is not None:
-                    np.copyto(state, 0.0, where=cut)
-                f_cur = f_new(state)
-                flags = audit(state, f_cur, t_next)
-            t = t_next
+                if galerkin:
+                    ws.split(_CUT)
+                f_new(state)
+                # a snapshot reads this state after the audit
+                flags = audit(t, None if snapshot else i + 1)
 
             if not all(flags):
                 raise _broken(flags, i + 1, t)
             if diag[-1].nDA > guard:
                 raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
-            last = i + 1 == n_steps
-            if (i + 1) % config.snapshot_every == 0 or last:
+            if snapshot:
                 on_snapshot(SpectralField.from_coeffs(grid, plan.join(state, modes, tail)), t)
     except DivergedError as exc:
+        ws.settle()
         exc.diag = diag  # the records through the failing state
         raise
     return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

@@ -34,8 +34,9 @@ indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 
 from __future__ import annotations
 
+import collections
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from functools import lru_cache, partial
 
@@ -76,16 +77,17 @@ def _vel_grad_phys(u: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _KernelWorkspace:
-    """Multipliers and buffers of the rotational kernel for one (grid, alpha).
+    """Multipliers and buffers of the rotational kernel for one (grid, alpha),
+    and of the time step that ``integrator.run`` makes on it.
 
     Everything lives on the band block (see ``BandPlan``): the dealiased band
     is the whole block, so dealiasing is the gather itself. Every call of
     ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
     is not re-entrant. lansfrac starts no threads of its own, and forks two
-    kinds of process, both through ``forks.fork``. The kernel's helper
+    kinds of process, both through ``forks.fork``. The helper
     (``kernel_helper``: ``simulate``, ``verify-energy``, ``smoothing``)
-    shares the stack, the product block and the plan's ``_mid`` with this
-    process while it runs, and runs part of every call: ``helper_share``.
+    shares the arrays ``allocate`` names with this process while it runs,
+    and runs part 1 of every phase that ``split`` starts (``helper_share``).
     The Picard worker (``mild.picard_worker``, ``oracle-compare``) has a
     copy of its own; the parent's workspace serves its stepper and then,
     once the stepper has ended, the Picard nodes that the parent evaluates
@@ -94,72 +96,113 @@ class _KernelWorkspace:
 
     It holds the band blocks of the stack (u and curl v), of the product and
     of the projection's k x a; the samples and the product's samples live
-    in the plan (``BandPlan.product``). At 3D N=48 workspace and plan hold
-    3.3 fields' bytes (8.7 MiB).
+    in the plan (``BandPlan.product``). ``run`` keeps its state, f(state)
+    and its step's weights E, w1 and w2 here, and ``diagnostics.audit`` the
+    per-mode products and maxima of its pass (``phase``). A buffer that
+    nothing writes costs no memory: its pages are never touched.
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
         dim = grid.dim
         n_curl = 1 if dim == 2 else 3
         self.plan = plan = BandPlan(grid, inverse_fields=dim + n_curl, forward_fields=dim)
-        self.k, k2 = plan.gather(grid.k), plan.gather(grid.k2)
-        helm = 1.0 + alpha**2 * k2
-        self.ikv = 1j * self.k * helm  # curl of v read off u
+        k, self.k2 = plan.gather(grid.k), plan.gather(grid.k2)
+        helm = 1.0 + alpha**2 * self.k2
+        self.ikv = 1j * k * helm  # curl of v read off u
         # the output filter over the |k|^2 of the projection, mean pinned to zero
-        self.filter = -1.0 / (helm * np.where(k2 > 0, k2, 1.0))
-        self.filter[(0,) * dim] = 0.0
-        for table in (self.ikv, self.filter, self.k):
+        filter_ = -1.0 / (helm * np.where(self.k2 > 0, self.k2, 1.0))
+        filter_[(0,) * dim] = 0.0
+        # k and the filter as complex numbers: numpy would cast them so in
+        # every product with a complex block, at a cost, to the same values
+        self.k, self.filter = k.astype(np.complex128), filter_.astype(np.complex128)
+        for table in (self.ikv, self.filter, self.k, self.k2):
             table.setflags(write=False)
 
-        cplx, block = np.complex128, plan.block_shape
-        self.stack = np.empty((dim + n_curl,) + block, cplx)  # dealiased u, curl v
-        self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
-        self.product = np.empty((dim,) + block, cplx)  # the cross product's block, f in place
-        self.k_cross = np.empty((n_curl,) + block, cplx)  # k x a in the projection
-        self.dot = np.empty(block, cplx)
+        block = plan.block_shape
+        self.k_cross = np.empty((n_curl,) + block, np.complex128)  # k x a in the projection
+        self.dot = np.empty(block, np.complex128)
+        self.allocate(np.empty)
         self.helper: forks.Helper | None = None  # see kernel_helper
-        # the projection's tables and scratch on all rows (None), and on the
-        # rows of this process (0) and of the helper (1)
-        self._rows = (slice(0, block[0] // 2), slice(block[0] // 2, block[0]))
-        self._on_rows = {None: (self.k, self.filter, self.k_cross, self.dot)}
-        for half, rows in enumerate(self._rows):
-            self._on_rows[half] = (self.k[:, rows], self.filter[rows], self.k_cross[:, rows],
-                                   self.dot[rows])
+        self._ahead: collections.deque[int] = collections.deque()  # see start
+        # the k_0 rows of a phase's parts: all (None), this process's (0), the helper's (1)
+        self.rows = {None: slice(None), 0: slice(0, block[0] // 2),
+                     1: slice(block[0] // 2, block[0])}
+        self._on_rows = {part: (self.k[:, rows], self.filter[rows], self.k_cross[:, rows],
+                                self.dot[rows]) for part, rows in self.rows.items()}
 
     def allocate(self, alloc) -> None:
-        """New buffers, alloc(shape), for the arrays a helper's process shares:
-        the stack, the product's block and the plan's (``BandPlan.allocate``)."""
-        self.stack = alloc(self.stack.shape)
-        self.u_in = self.stack[: self.plan.grid.dim]
-        self.product = alloc(self.product.shape)
-        self.plan.allocate(alloc)
+        """New buffers, alloc(shape, dtype), for the arrays a helper's process
+        shares: the stack, the product block, the step's state, f(state),
+        weights, step arguments and Galerkin mask, the audit's per-mode
+        products and maxima, and the plan's (``BandPlan.allocate``)."""
+        dim, block = self.plan.grid.dim, self.plan.block_shape
+        vector, cplx = (dim,) + block, np.complex128
+        self.stack = alloc((dim + len(self.k_cross),) + block, cplx)  # dealiased u, curl v
+        self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
+        self.product = alloc(vector, cplx)  # the cross product's block, f in place
+        self.state = alloc(vector, cplx)  # run's state, the stage in place
+        self.f_state = alloc(vector, cplx)  # f(state)
+        self.weights = alloc((3,) + block, np.float64)  # E, w1, w2 of the step
+        self.cut = alloc(block, np.bool_)  # the modes a Galerkin cutoff sets to +0.0
+        self.per_mode = alloc((2,) + block, np.float64)  # the audit's |u|^2 and Re conj(u) f
+        self.maxima = alloc((2, 6), np.float64)  # the audit's diagnostics._MAXIMA, a row per part
+        self.step_args = alloc((3,), np.float64)  # nu, s and h of the weights' step
+        self.plan.allocate(partial(alloc, dtype=cplx))
+
+    def split(self, phase: int) -> None:
+        """Run a phase (``phase``) over the whole block: without a helper its
+        whole range here, with one part 0 here while the helper runs part 1,
+        one round trip of one byte each way."""
+        task = _PHASES[phase]
+        if self.helper is None:
+            task(self, None)
+            return
+        if not self._ahead:
+            self.helper.start(phase)
+        elif self._ahead.popleft() != phase:
+            raise RuntimeError(f"phase {phase} split out of the order started")
+        task(self, 0)
+        self.helper.wait()
+
+    def start(self, phase: int) -> None:
+        """Let the helper begin its part of a phase ahead of its ``split``.
+
+        This process may meanwhile do work that neither reads what the
+        helper's part writes nor writes what it reads. Phases started ahead
+        are split in the order started, before any other; a helper runs
+        them one after the other, so only phases whose part 1 reads nothing
+        of part 0 may follow each other. Without a helper it does nothing.
+        """
+        if self.helper is not None:
+            self.helper.start(phase)
+            self._ahead.append(phase)
+
+    def settle(self) -> None:
+        """Wait for the helper's parts of the phases started ahead and not split."""
+        while self._ahead:
+            self._ahead.popleft()
+            self.helper.wait()
 
     def helper_share(self, phase: int) -> None:
-        """The helper process's part of one phase of a kernel call: of the
-        product's (``BandPlan.share``), or the projection's second half of rows."""
-        if phase == _PROJECT:
-            self.project(self.product, self.product, 1)
-        else:
-            self.plan.share(self.stack, self.product, _curl_v_cross_u, phase, 1)
+        """The helper process's part of a phase: part 1 (``split``)."""
+        _PHASES[phase](self, 1)
 
-    def project(self, a: np.ndarray, out: np.ndarray, half: int | None = None) -> np.ndarray:
+    def project(self, a: np.ndarray, out: np.ndarray, part: int | None = None) -> np.ndarray:
         """out = (filter (k x a)) x k = -(1 + alpha^2 A)^{-1} P a; out may be a.
 
-        With half 0 or 1 only on that half of the rows (``_rows``, the first
-        block axis). This is P in curl-curl form: -k x (k x a) / |k|^2 in
-        3D, and k_perp (k_perp . a) / |k|^2 in 2D, where k x a is the scalar
+        With part 0 or 1 only on that part's k_0 rows (``rows``). This is P
+        in curl-curl form: -k x (k x a) / |k|^2 in 3D, and
+        k_perp (k_perp . a) / |k|^2 in 2D, where k x a is the scalar
         k_0 a_1 - k_1 a_0. It ends in a cross product with the integer k, so
         k . out rounds relative to out, however much of a P removes. Every
         step is a real times a complex number or a difference, each rounded
         once, so the rows a call covers change no bit.
         """
-        k, filter_, k_cross, dot = self._on_rows[half]
-        rows_out = out
-        if half is not None:
-            a, rows_out = a[:, self._rows[half]], out[:, self._rows[half]]
-        kxa = _cross(k, a, k_cross, dot)
+        k, filter_, k_cross, dot = self._on_rows[part]
+        rows = self.rows[part]
+        kxa = _cross(k, a[:, rows], k_cross, dot)
         np.multiply(filter_, kxa, out=kxa)
-        _cross(kxa, k, rows_out, dot)
+        _cross(kxa, k, out[:, rows], dot)
         return out
 
 
@@ -167,9 +210,6 @@ class _KernelWorkspace:
 def _kernel_workspace(grid: GridSpec, alpha: float) -> _KernelWorkspace:
     return _KernelWorkspace(grid, alpha)
 
-
-# The helper's phase of the projection, after BandPlan.product's three phases
-_PROJECT = 3
 
 # (i, j) of each component a_i b_j - a_j b_i of a x b, by the components of a
 _CROSS_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
@@ -201,6 +241,52 @@ def _curl_v_cross_u(phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> np.n
     return _cross(phys[dim:], phys[:dim], rows, tmp)
 
 
+# The phases of _KernelWorkspace.split, by number: task(workspace, part), part
+# None, 0 or 1. The first BandPlan.PHASES are BandPlan.product's, so that the helper
+# runs the plan's part 1 of a product for the same byte (helper_share).
+_PHASES: list[Callable[[_KernelWorkspace, int | None], None]] = []
+
+
+def phase(task: Callable[[_KernelWorkspace, int | None], None]) -> int:
+    """Register task(workspace, part) as a phase of ``_KernelWorkspace.split``;
+    its number, the byte the helper reads.
+
+    task(ws, None) runs the whole phase, and part 0 and then part 1 the
+    same operations on disjoint rows, fields, planes or columns of the
+    workspace's arrays, which either part reads only where earlier phases
+    wrote. A helper runs the task it had at its fork, so every module
+    registers its phases when it is imported.
+    """
+    _PHASES.append(task)
+    return len(_PHASES) - 1
+
+
+def _product_phase(ws: _KernelWorkspace, part: int | None, p: int) -> None:
+    """Phase p of the kernel's ``BandPlan.product``, on the stack into the product block."""
+    ws.plan.share(ws.stack, ws.product, _curl_v_cross_u, p, part)
+
+
+for _p in range(BandPlan.PHASES):
+    phase(partial(_product_phase, p=_p))
+
+
+def _curl(ws: _KernelWorkspace, part: int | None, copy: bool) -> None:
+    """curl v of the kernel's u on part's rows, into the stack; with copy,
+    u is the step's state, copied into the stack first."""
+    rows, dim = ws.rows[part], ws.plan.grid.dim
+    u = ws.u_in[:, rows]
+    if copy:
+        np.copyto(u, ws.state[:, rows])
+    _cross(ws.ikv[:, rows], u, ws.stack[dim:, rows], ws.dot[rows])
+
+
+_CURL = phase(partial(_curl, copy=False))
+# the first phase of a kernel call on the step's state, which run may start ahead
+CURL_STATE = phase(partial(_curl, copy=True))
+_PROJECT = phase(lambda ws, part: ws.project(ws.product, ws.product, part))  # in place
+_PROJECT_F = phase(lambda ws, part: ws.project(ws.product, ws.f_state, part))  # into f(state)
+
+
 def rhs_f(u: SpectralField, params: Params) -> SpectralField:
     """f(u, u) = -(1 + alpha^2 A)^{-1} P[(curl v) x u], v = (1 + alpha^2 A) u.
 
@@ -218,26 +304,32 @@ def rhs_f(u: SpectralField, params: Params) -> SpectralField:
 
 @contextmanager
 def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
-    """Run half of every ``rhs_f_band`` call on (grid, alpha) in a forked helper
-    process while the with block runs (``forks.helper``; Linux).
+    """Run half of every phase of ``run``'s steps on (grid, alpha) in a forked
+    helper process while the with block runs (``forks.helper``; Linux).
 
     A helper starts only for a GEMM plan with more than one slab of samples
     (``BandPlan.S`` < ``M``: every 3D grid from N=26 up) and a process
     allowed at least two CPUs; otherwise the block runs in this process
-    alone. For the helper's lifetime the workspace's stack and product
-    block and the plan's ``_mid`` live in anonymous shared mappings
-    (``allocate``), both processes hold OpenBLAS at one thread
-    (``forks.one_blas_thread``), and each runs on CPUs of its own
-    (``forks.helper``). Each call then runs in four phases, one
-    round trip of one byte each way apiece: the helper runs the complex
-    inverse passes of curl v, the slabs past the middle plane and the
-    complex forward passes of f's components 1 and 2 (part 1 of each
-    ``BandPlan.share``), then the projection's second half of rows in place
-    in the shared product block. This process runs the rest, and the curl
-    and the copy into out alone. Every operation is one a lone process
-    makes, so f is the same bits. Leaving the block ends the helper, then
-    gives the workspace and the plan private buffers again, so that a
-    process forked later (``mild.picard_worker``) shares none of them.
+    alone. For the helper's lifetime the workspace's arrays that
+    ``_KernelWorkspace.allocate`` names (the stack, the product block, the
+    step's state, f(state) and weights, the audit's outputs) and the plan's
+    ``_mid`` live in anonymous shared mappings, both processes hold
+    OpenBLAS at one thread (``forks.one_blas_thread``), and each runs on
+    CPUs of its own (``forks.helper``). Every ``_KernelWorkspace.split``
+    then runs part 0 here and part 1 in the helper, one round trip of one
+    byte each way per phase. A kernel call is six phases: the u copy and
+    curl v by k_0 rows, the plan's four (``BandPlan.share``: the complex
+    inverse passes by fields, the slabs by planes, and the two complex
+    forward passes by n_0 rows and by columns), and the projection by k_0
+    rows. ``run`` adds the stage, the update, the Galerkin cut, the audit's
+    per-mode pass and, per new step length, the step's weights, each by k_0
+    rows: 15 round trips per ETD2RK step. The stage and the curl after it
+    may start ahead, while this process sums the audit (``start``).
+    Each part makes the operations the whole phase makes on its rows,
+    fields, planes or columns, so every output is the same bits. Leaving the
+    block ends the helper, then gives the workspace and the plan private
+    buffers again, so that a process forked later (``mild.picard_worker``)
+    shares none of them.
     """
     ws = _kernel_workspace(grid, alpha)
     if not ws.plan.gemm or ws.plan.S >= ws.plan.M or len(os.sched_getaffinity(0)) < 2:
@@ -249,7 +341,8 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
             yield
     finally:
         ws.helper = None
-        ws.allocate(partial(np.empty, dtype=np.complex128))
+        ws._ahead.clear()
+        ws.allocate(np.empty)
 
 
 def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
@@ -270,32 +363,34 @@ def rhs_f_band(
     transforms of the cross product: 3 + 2 fields in 2D (the curl is a
     scalar), 6 + 3 in 3D, all in one ``BandPlan.product``, which on a GEMM
     plan (every 3D grid) holds the cross product's samples one slab at a
-    time. Every per-mode step runs on the band
-    block in the buffers of a cached per-(grid, alpha) workspace, where the
-    output filter and the projection are one curl-curl pass. f is written
-    into out, or without it into a workspace buffer that the next call on
-    this (grid, alpha) overwrites.
+    time. Every per-mode step runs on the band block in the buffers of a
+    cached per-(grid, alpha) workspace, where the output filter and the
+    projection are one curl-curl pass. f is written into out, or without it
+    into a workspace buffer that the next call on this (grid, alpha)
+    overwrites.
 
     The kernel checks nothing: non-finite values pass through.
     ``diagnostics.audit`` checks the f(u) of every state that ``run`` makes,
     and ``mild.picard_solve`` the nodes of its last iterate. Inside
-    ``kernel_helper`` a forked process runs half of the call (its phases:
-    ``kernel_helper``), and the call raises WorkerError if that process
-    has ended; f is the same bits with or without it.
+    ``kernel_helper`` a forked process runs half of every phase of the call
+    (``kernel_helper``), and the call raises WorkerError if that process
+    has ended; f is the same bits with or without it. The helper reads and
+    writes only the workspace's arrays: u that is the workspace's ``state``
+    is copied by rows inside the curl's phase, any other u whole before it,
+    and f goes by rows into out that is ``f_state``, or else into the
+    product block, which this process copies into any other out.
     """
-    dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
-    if u is not ws.u_in:
+    if u is not ws.u_in and u is not ws.state:
         np.copyto(ws.u_in, u)
-    _cross(ws.ikv, ws.u_in, ws.stack[dim:], ws.dot)
+    ws.split(CURL_STATE if u is ws.state else _CURL)
     product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u, ws.helper)
+    if out is None or out is ws.f_state:
+        ws.split(_PROJECT if out is None else _PROJECT_F)
+        return product if out is None else out
     if ws.helper is None:
-        return ws.project(product, product if out is None else out)
-    ws.helper.start(_PROJECT)  # the rows of each process, in place in the shared product
-    ws.project(product, product, 0)
-    ws.helper.wait()
-    if out is None:
-        return product
+        return ws.project(product, out)
+    ws.split(_PROJECT)  # the helper cannot write into out
     np.copyto(out, product)
     return out
 

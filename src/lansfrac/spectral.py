@@ -308,17 +308,21 @@ class BandPlan:
     buffer that the forward fills, and every other region a call reads is
     rewritten earlier in that call.
 
-    A GEMM plan's pass runs in three phases, each in two parts (``share``)
-    that write disjoint fields or planes, so a forked helper process can run
-    part 1 of every phase while the caller runs part 0 (``product``'s
-    helper; ``operators.kernel_helper`` forks one for the stepping commands).
-    ``_mid`` then lives in a mapping both processes share (``allocate``);
-    ``_t`` and ``_slab`` stay each process's own. Every GEMM call is the one
-    a lone process makes, so the helper changes no bit. At 3D N=48 a kernel
-    call (182.5 MFLOP) took 5.8-6.8 ms on the default BLAS pool, 6.5-7.5 ms
-    on one thread and 3.7-4.3 ms with the helper, each process on one
-    thread (medians of 40 calls, 6 rounds, 2-vCPU VM).
+    A GEMM plan's pass runs in four phases (``PHASES``), each in two parts
+    (``share``, ``bounds``) that write disjoint fields, planes, rows or
+    columns, so a forked helper process can run part 1 of every phase while
+    the caller runs part 0 (``product``'s helper; ``operators.kernel_helper``
+    forks one for the stepping commands). ``_mid`` then lives in a mapping
+    both processes share (``allocate``); ``_t`` and ``_slab`` stay each
+    process's own. Every GEMM call is the one a lone process makes, or a
+    block of its columns split at a multiple of 4, so the helper changes no
+    bit. The split is even to a row or a 4-column block in every phase, so
+    that neither process waits for the other's larger part; the times per
+    phase and process that decided it are in CHANGES.md, in the entry on
+    both CPUs for the whole 3D step.
     """
+
+    PHASES = 4  # of a GEMM plan's fused pass (share)
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
         N, b, dim = grid.N, grid.band_limit, grid.dim
@@ -365,9 +369,10 @@ class BandPlan:
         self._fr = np.empty((M, 2 * (b + 1)))  # samples -> real view of the half axis
         self._fr[:, 0::2], self._fr[:, 1::2] = np.cos(phase).T / M, -np.sin(phase).T / M
         # _mid holds every field's complex passes at sample length on the
-        # complex axes, in (n_1, n_0, k_2) order in 3D; _t (3D) is the one
-        # field's transposition between the two complex passes.
-        fields = max(inverse_fields, forward_fields)
+        # complex axes, in (n_1, n_0, k_2) order in 3D, and in 3D the forward's
+        # transposed axis -2 pass in the fields after out's (share's phase 2);
+        # _t (3D) is the one field's transposition between two complex passes.
+        fields = max(inverse_fields, forward_fields * (dim - 1))
         self._mid = np.empty((fields,) + self.shape[:-1] + (b + 1,), np.complex128)
         if dim == 3:
             self._t = np.empty((2 * b + 1, M, b + 1), np.complex128)
@@ -376,12 +381,23 @@ class BandPlan:
         plane = 8 * M ** (dim - 1)
         self.S = min(M, max(1, LINE_BUDGET // (plane * (inverse_fields + forward_fields + 1))))
         self._slab = np.empty((inverse_fields + forward_fields + 1, self.S) + self.shape[1:])
-        # the first plane of the slabs of share part 1: the slab boundary nearest the middle
-        self._cut = min(M, self.S * max(1, round(M / (2 * self.S))))
+        # share's parts of the slabs, the planes before and from the middle one
+        # (no part 1 on a plan of one slab), each as slabs of at most S planes
+        self._plane_cut = cut = M // 2 if self.S < M else M
+        self._slabs_of = {0: _chunks(0, cut, self.S), 1: _chunks(cut, M, self.S)}
+        self._slabs_of[None] = self._slabs_of[0] + self._slabs_of[1]
+        # (cut, end) of the forward's parts in 3D: n_0 rows of the axis -2 pass,
+        # whose flat (n_0, k_2) columns split at a multiple of 4, and (k_1, k_2)
+        # columns of the axis -3 pass, split at a multiple of 4 (see share)
+        rows = 4 // math.gcd(4, b + 1)
+        columns = (2 * b + 1) * (b + 1)
+        self._forward_cuts = ((rows * round(M / (2 * rows)), M),
+                              (4 * round(columns / 8), columns))
 
     def allocate(self, alloc) -> None:
         """Give ``_mid`` (GEMM plans) a new buffer, alloc(shape); see ``product``."""
-        self._mid = alloc(self._mid.shape)
+        if self.gemm:
+            self._mid = alloc(self._mid.shape)
 
     def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The band block of a half-spectrum array (any leading axes)."""
@@ -397,8 +413,10 @@ class BandPlan:
             out[dst] = block[blk]
         return out
 
-    def split(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The band block of a (dim,) + spectral_shape array, and its tail.
+    def split(
+        self, full: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The band block of a (dim,) + spectral_shape array (into out, if given), and its tail.
 
         The tail is full's modes outside the block that are non-zero by value
         (so -0.0 counts as zero and nan does not): their flat indices into
@@ -407,7 +425,7 @@ class BandPlan:
         decides that first, so a band-limited array costs no full-size
         temporary.
         """
-        block = self.gather(full)
+        block = self.gather(full, out)
         if np.count_nonzero(full) == np.count_nonzero(block):
             return block, np.empty(0, np.intp), None
         outside = np.any(full != 0, axis=0)
@@ -434,19 +452,20 @@ class BandPlan:
         covers the same sample planes. out must be C-contiguous; a GEMM plan
         raises ValueError on any other.
 
-        On a GEMM plan this is the fused pass, in three phases (``share``):
+        On a GEMM plan this is the fused pass, in four phases (``share``):
         the complex inverse passes of every field of block into ``_mid``;
-        then, one slab of ``S`` sample planes at a time, the inverse's real
-        pass, ``pointwise`` and the forward's real pass into the slab's
-        planes of ``_mid``, which the slab has already read; then the
-        complex forward passes into out. Samples lie on the M-point grid in
-        (n_1, n_0, n_2) order in 3D. Without a helper this process runs each
-        whole phase through the same ``share``. With one
-        (``forks.Helper``, whose process runs ``share(block, out, pointwise,
-        phase, 1)`` on these same arrays), it starts the helper's part of a
-        phase, runs part 0 and waits for the helper before the next phase:
-        one round trip of one byte each way per phase. block, out and
-        ``_mid`` must then live in mappings both processes share.
+        then, one slab of at most ``S`` sample planes at a time, the
+        inverse's real pass, ``pointwise`` and the forward's real pass into
+        the slab's planes of ``_mid``, which the slab has already read; then
+        the complex forward passes into out, in 3D as two phases, axis -2
+        and then axis -3. Samples lie on the M-point grid in (n_1, n_0, n_2)
+        order in 3D. Without a helper this process runs each whole phase
+        through the same ``share``. With one (``forks.Helper``, whose
+        process runs ``share(block, out, pointwise, phase, 1)`` on these
+        same arrays), it starts the helper's part of a phase, runs part 0
+        and waits for the helper before the next phase: one round trip of
+        one byte each way per phase. block, out and ``_mid`` must then live
+        in mappings both processes share.
 
         On an FFT plan the inverse samples the whole stack on the N grid,
         ``pointwise`` writes every row of the product into ``_rows``, and
@@ -458,7 +477,7 @@ class BandPlan:
             return self._forward(rows, out)
         if not out.flags.c_contiguous:  # a reshape below would write into a copy
             raise ValueError("the band forward transform needs a C-contiguous out")
-        for phase in range(3):
+        for phase in range(self.PHASES):
             if helper is None:
                 self.share(block, out, pointwise, phase)
             else:
@@ -467,42 +486,66 @@ class BandPlan:
                 helper.wait()
         return out
 
+    def bounds(self, phase: int, fields_in: int, fields_out: int) -> tuple[int, int]:
+        """(cut, end) of a phase of ``share`` on fields_in fields in and
+        fields_out out: part 0 covers [0, cut) and part 1 [cut, end) of the
+        phase's fields, planes, n_0 rows or columns."""
+        if phase == 0:
+            return fields_in // 2, fields_in
+        if phase == 1:
+            return self._plane_cut, self.M
+        if self.grid.dim == 2:  # one complex forward pass, by fields
+            return (fields_out // 2, fields_out) if phase == 2 else (0, 0)
+        return self._forward_cuts[phase - 2]
+
     def share(self, block: np.ndarray, out: np.ndarray, pointwise, phase: int,
               part: int | None = None) -> None:
         """Part 0 or 1 of one phase of a GEMM plan's fused pass (see ``product``),
         or with part None the whole phase.
 
-        Phase 0 runs the complex inverse passes, part 0 of block's first
-        half of fields (u in the kernel), part 1 of the rest (curl v). Phase
-        1 runs the slabs, part 0 those before the slab boundary nearest the
-        middle plane, part 1 the others. Phase 2 runs the complex forward
-        passes, part 0 of out's first field, part 1 of the others. A part
-        makes the GEMM calls the whole phase makes for its fields or slabs,
-        so how a phase is split over processes changes no bit. The two parts
-        of a phase read only what earlier phases wrote and write disjoint
-        fields of ``_mid`` and out, or disjoint planes, so they may run at
+        The parts (``bounds``) are halves of what a phase runs over. Phase 0
+        runs the complex inverse passes, part 0 of block's first half of
+        fields (u in the kernel), part 1 of the rest (curl v). Phase 1 runs
+        the slabs, part 0 those before the middle plane, part 1 the others,
+        each in slabs of at most ``S`` planes; the whole phase runs the same
+        slabs. In 3D phase 2 runs the forward's axis -2 pass over a block of
+        n_0 rows of every field, one GEMM per field on those columns, and
+        writes it transposed into the fields of ``_mid`` after out's, which
+        no part reads in this phase; phase 3 runs the axis -3 pass over a
+        block of out's (k_1, k_2) columns. In 2D phase 2 runs the one
+        complex forward pass by fields, and phase 3 nothing.
+
+        The two parts of a phase read only what earlier phases wrote and
+        write disjoint fields, planes, rows or columns, so they may run at
         once in two processes; each process has a ``_t`` and a ``_slab`` of
-        its own.
+        its own. A part makes the GEMM calls of the whole phase on a subset
+        of fields or slabs, or on a block of columns of the same product.
+        The columns split at a multiple of 4: on OpenBLAS 0.3.31 every such
+        split of every 3D forward GEMM at N = 26, 32, 48 and 64 gave the whole
+        product's bits, and other split points changed them. So how a phase
+        is split over processes changes no bit.
         """
         if phase == 1:
-            first, end = {None: (0, self.M), 0: (0, self._cut), 1: (self._cut, self.M)}[part]
-            self._slab_pass(block, len(out), pointwise, range(first, end, self.S))
+            self._slab_pass(block, len(out), pointwise, self._slabs_of[part])
             return
-        n, cut = (len(block), len(block) // 2) if phase == 0 else (len(out), 1)
-        fields = {None: slice(0, n), 0: slice(0, cut), 1: slice(cut, n)}[part]
-        if fields.start == fields.stop:  # a part of a one-field stack
+        cut, end = self.bounds(phase, len(block), len(out))
+        lo, hi = {None: (0, end), 0: (0, cut), 1: (cut, end)}[part]
+        if lo == hi:
             return
         if phase == 0:
-            self._complex_inverse(block[fields], self._mid[fields])
+            self._complex_inverse(block[lo:hi], self._mid[lo:hi])
+        elif self.grid.dim == 2:
+            np.matmul(self._fc, self._mid[lo:hi], out=out[lo:hi])
+        elif phase == 2:
+            self._forward_rows(len(out), lo, hi)
         else:
-            self._complex_forward(out[fields], self._mid[fields])
+            self._forward_columns(out, lo, hi)
 
-    def _slab_pass(self, block: np.ndarray, n_out: int, pointwise, starts: range) -> None:
-        """The real passes and pointwise of the slabs whose first planes are starts."""
+    def _slab_pass(self, block: np.ndarray, n_out: int, pointwise, slabs) -> None:
+        """The real passes and pointwise of the slabs, (first plane, planes) pairs."""
         F, M = len(block), self.M
         real = self._mid.view(np.float64)
-        for s0 in starts:
-            s = min(self.S, M - s0)
+        for s0, s in slabs:
             samples, rows = self._slab[:F, :s], self._slab[F : F + n_out, :s]
             half = real[:F, s0 : s0 + s].reshape(F, -1, len(self._r))
             np.matmul(half, self._r, out=samples.reshape(F, -1, M))
@@ -525,18 +568,28 @@ class BandPlan:
             np.copyto(t, front[f].reshape(M, K, -1).transpose(1, 0, 2))
             np.matmul(self._ec, t.reshape(K, -1), out=mid[f].reshape(M, -1))
 
-    def _complex_forward(self, out: np.ndarray, mid: np.ndarray) -> None:
-        """The complex passes of mid, out's fields of _mid, into out."""
+    def _front(self, first: int, fields: int) -> np.ndarray:
+        """The (n_0, k_1, k_2) front of fields of _mid from first on, (fields, M, K, b + 1)."""
+        t = self._t
+        return self._mid[first : first + fields].reshape(fields, -1)[:, : t.size].reshape(
+            (fields, self.M) + t.shape[::2])
+
+    def _forward_rows(self, fields: int, lo: int, hi: int) -> None:
+        """The forward's axis -2 pass of the first fields of _mid on n_0 rows lo..hi,
+        transposed to (n_0, k_1, k_2) into the fields of _mid that follow (3D)."""
+        M, K, t = self.M, len(self._fc), self._t
+        w = t.shape[-1]
+        columns = slice(lo * w, hi * w)  # the flat (n_0, k_2) columns of the rows
+        front, t_rows = self._front(fields, fields), t.reshape(K, -1)[:, columns]
+        for f in range(fields):
+            np.matmul(self._fc, self._mid[f].reshape(M, -1)[:, columns], out=t_rows)
+            np.copyto(front[f, lo:hi], t[:, lo:hi].transpose(1, 0, 2))
+
+    def _forward_columns(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """The forward's axis -3 pass into out's flat (k_1, k_2) columns lo..hi (3D)."""
         F, K = len(out), len(self._fc)
-        if self.grid.dim == 2:
-            np.matmul(self._fc, mid, out=out)
-            return
-        M, t = self.M, self._t
-        front = mid.reshape(F, -1)[:, : t.size].reshape(F, M, -1)
-        for f in range(F):  # axis -2, then transposed to (n_0, k_1, k_2)
-            np.matmul(self._fc, mid[f].reshape(M, -1), out=t.reshape(K, -1))
-            np.copyto(front[f].reshape(M, K, -1), t.transpose(1, 0, 2))
-        np.matmul(self._fc, front, out=out.reshape(F, K, -1))  # axis -3
+        front = self._front(F, F).reshape(F, self.M, -1)
+        np.matmul(self._fc, front[:, :, lo:hi], out=out.reshape(F, K, -1)[:, :, lo:hi])
 
     def _inverse(self, block: np.ndarray) -> np.ndarray:
         """Samples of block's fields on the N grid (FFT plans), in the plan's buffer."""
@@ -556,6 +609,11 @@ class BandPlan:
         for blk, full in self._halves:
             out[:, blk] = lines[:, full]
         return out
+
+
+def _chunks(start: int, end: int, size: int) -> list[tuple[int, int]]:
+    """(first, length) of the consecutive chunks of at most size that cover start..end."""
+    return [(first, min(size, end - first)) for first in range(start, end, size)]
 
 
 def _reflect(a: np.ndarray, axes) -> np.ndarray:
@@ -579,12 +637,19 @@ def half_spectrum(full: np.ndarray) -> np.ndarray:
 
 
 def mode_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re sum_i conj(a_i(k)) b_i(k) per mode of two (components,) + modes arrays."""
-    shape = a.shape
-    a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    b = np.ascontiguousarray(b, dtype=np.complex128).view(np.float64)
-    terms = np.einsum("ij,ij->j", a.reshape(shape[0], -1), b.reshape(shape[0], -1))
-    return (terms[0::2] + terms[1::2]).reshape(shape[1:])  # real and imaginary terms
+    """Re sum_i conj(a_i(k)) b_i(k) per mode of two (components,) + modes arrays.
+
+    It reads float64 views of a and b, copies only where the last axis is
+    not contiguous, so a block of rows of a band block costs no copy.
+    """
+    terms = np.einsum("i...,i...->...", _float_view(a), _float_view(b))
+    return terms[..., 0::2] + terms[..., 1::2]  # real and imaginary terms
+
+
+def _float_view(a: np.ndarray) -> np.ndarray:
+    """The float64 view of a as complex128, last axis doubled."""
+    a = np.asarray(a, dtype=np.complex128)
+    return (a if a.strides[-1] == a.itemsize else np.ascontiguousarray(a)).view(np.float64)
 
 
 def mode_sum(grid: "GridSpec", per_mode: np.ndarray) -> float:
@@ -686,25 +751,41 @@ def _mirror(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def invariant_flags(
-    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float, glob: float
+    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float, glob: float,
+    residuals: tuple[float, float, float] | None = None,
 ) -> tuple[bool, bool, bool]:
     """(hermitian, solenoidal, zero_mean) of finite coefficients u, in any layout.
 
     k holds u's wavevectors, and planes the last-axis indices of the planes
     that must match their own conjugate mirrors. The hermitian and mean
     tolerances are relative to scale = max |u|, the solenoidal one to glob,
-    the L^2 norm of u over sqrt(measure).
+    the L^2 norm of u over sqrt(measure). The residuals are taken from u
+    (``invariant_residuals``) unless given; then u is not read.
     """
-    p = u[..., list(planes)]
-    flat = p.reshape(len(p), -1)
-    herm = float(np.max(np.abs(np.conj(flat[:, _mirror(p.shape[1:])]) - flat)))
-    sol = float(np.max(np.abs(np.einsum("i...,i...->...", k, u))))
-    mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)])))
+    herm, sol, mean = invariant_residuals(u, k, planes) if residuals is None else residuals
     return (
         herm <= HERMITIAN_TOL * scale,
         sol <= SOLENOIDAL_TOL * glob,
         mean <= MEAN_TOL * scale,
     )
+
+
+def invariant_residuals(
+    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], rows: slice = slice(None)
+) -> tuple[float, float, float]:
+    """The maxima ``invariant_flags`` compares, over the modes on rows of u's
+    first wavevector axis: |conj(u(-k)) - u(k)| on the planes (whose mirrors
+    may lie on other rows), |k . u|, and |u| of the mean mode, 0.0 unless
+    rows holds it. Each is a maximum of per-mode terms, so the maxima over
+    disjoint rows combine with ``np.max`` into those over their union."""
+    p = u[..., list(planes)]
+    flat = p.reshape(len(p), -1)
+    first, end, _ = rows.indices(p.shape[1])
+    span = slice(first * flat.shape[1] // p.shape[1], end * flat.shape[1] // p.shape[1])
+    herm = float(np.max(np.abs(np.conj(flat[:, _mirror(p.shape[1:])[span]]) - flat[:, span])))
+    sol = float(np.max(np.abs(np.einsum("i...,i...->...", k[:, rows], u[:, rows]))))
+    mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)]))) if first == 0 else 0.0
+    return herm, sol, mean
 
 
 def _check_same_grid(a: SpectralField, b: SpectralField) -> None:

@@ -17,6 +17,7 @@ import pytest
 import lansfrac
 from lansfrac import InitialData, Params, forks, make_grid, make_initial
 from lansfrac.cli import main
+from lansfrac.diagnostics import PER_MODE, audit, audit_tables
 from lansfrac.errors import WorkerError
 from lansfrac.operators import _kernel_workspace, band_plan, kernel_helper, rhs_f_band
 
@@ -28,7 +29,7 @@ pytestmark = pytest.mark.skipif(
 
 SIM3D_CFG = """
 dim = 3
-N = 32
+N = {n}
 alpha = 0.5
 nu = 0.1
 s = 0.75
@@ -38,7 +39,7 @@ init = {init}
 amplitude = {amplitude}
 seed = 4
 snapshot_every = {every}
-"""
+{extra}"""
 
 # Runs the CLI; with "alone" first, with no kernel helper.
 _DRIVER = """\
@@ -54,9 +55,11 @@ def _env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(Path(lansfrac.__file__).parents[1])}
 
 
-def _config(tmp_path, t_end=0.01, init="taylor-green", amplitude=1.0, every=5) -> str:
+def _config(tmp_path, t_end=0.01, init="taylor-green", amplitude=1.0, every=5, n=32,
+            extra="") -> str:
     path = tmp_path / "run.cfg"
-    path.write_text(SIM3D_CFG.format(t_end=t_end, init=init, amplitude=amplitude, every=every))
+    path.write_text(SIM3D_CFG.format(t_end=t_end, init=init, amplitude=amplitude, every=every,
+                                     n=n, extra=extra))
     return str(path)
 
 
@@ -66,7 +69,7 @@ def _band_u(n: int):
     return grid, p, band_plan(grid, p.alpha).gather(u.coeffs)
 
 
-@pytest.mark.parametrize("n", [32, 48, 64])
+@pytest.mark.parametrize("n", [26, 32, 48, 64])
 def test_the_helper_gives_the_kernel_the_same_bits(n):
     grid, p, u = _band_u(n)
     alone = rhs_f_band(grid, u, p, out=np.empty_like(u))
@@ -162,11 +165,17 @@ def test_a_process_that_had_a_helper_gives_the_oracles_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("init", ["taylor-green", "random-spectrum"])
-def test_simulate_with_the_helper_writes_the_bytes_of_one_process(tmp_path, monkeypatch, init):
+@pytest.mark.parametrize("n,init,extra", [
+    (32, "taylor-green", ""),
+    (32, "random-spectrum", ""),
+    (26, "random-spectrum", ""),  # the smallest helper grid: M = 25, odd halves
+    (32, "random-spectrum", "galerkin_N = 8\n"),  # the Galerkin cut, by rows
+], ids=["taylor-green", "random-spectrum", "n26", "galerkin"])
+def test_simulate_with_the_helper_writes_the_bytes_of_one_process(tmp_path, monkeypatch, n,
+                                                                  init, extra):
     import lansfrac.cli as cli
 
-    cfg = _config(tmp_path, init=init)
+    cfg = _config(tmp_path, init=init, n=n, extra=extra)
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "helped")]) == 0
     monkeypatch.setattr(cli, "kernel_helper", lambda grid, alpha: nullcontext())
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "alone")]) == 0
@@ -175,6 +184,26 @@ def test_simulate_with_the_helper_writes_the_bytes_of_one_process(tmp_path, monk
     assert len(names) == 5  # three snapshots, diagnostics.csv and manifest.json
     for name in set(names) - {"manifest.json"}:
         assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", [26, 32, 48, 64])
+def test_every_phase_splits_evenly(n):
+    # No timing: each phase's two parts are non-empty and within one row,
+    # plane, field or 4-column block of an even split, and a split of GEMM
+    # columns falls on a multiple of 4.
+    grid = make_grid(3, n)
+    ws = _kernel_workspace(grid, 0.5)
+    plan, b = ws.plan, grid.band_limit
+    assert plan.S < plan.M  # a helper starts on this grid
+    sizes = [plan.bounds(phase, len(ws.stack), len(ws.product)) for phase in range(plan.PHASES)]
+    rows = [len(range(*ws.rows[part].indices(len(ws.k[0])))) for part in (0, 1)]
+    for cut, end in sizes + [(rows[0], sum(rows))]:
+        assert 0 < cut < end
+    inverse, planes, n0_rows, columns = sizes
+    for cut, end in (inverse, planes, n0_rows, (rows[0], sum(rows))):
+        assert abs(2 * cut - end) <= 2, (cut, end)
+    assert n0_rows[0] * (b + 1) % 4 == 0  # the flat (n_0, k_2) columns of the axis -2 pass
+    assert columns[0] % 4 == 0 and abs(2 * columns[0] - columns[1]) <= 8
 
 
 def test_the_helper_holds_blas_at_one_thread_and_puts_the_cpus_back(monkeypatch):
@@ -274,9 +303,15 @@ def test_a_killed_helper_fails_the_command_with_one_line(tmp_path):
     proc, out = _long_simulate(tmp_path)
     (helper,) = [pid for pid, (ppid, _) in process_group(proc.pid).items() if ppid == proc.pid]
     os.kill(helper, signal.SIGKILL)
+    _fails_with_one_line(proc, out)
+
+
+def _fails_with_one_line(proc, out) -> None:
+    """proc, whose helper was killed, exits 1 with one line and leaves its
+    manifest, no .tmp file and no process."""
     code, err = exit_and_stderr(proc)
     line = (f"check failed: the kernel's helper process ended by signal {int(signal.SIGKILL)} "
-            "during a kernel call")
+            "during a step")
     assert (code, err.splitlines()) == (1, [line])
     status = json.loads((out / "manifest.json").read_text())["status"]
     assert status == {"state": "error", "message": line.removeprefix("check failed: ")}
@@ -284,8 +319,43 @@ def test_a_killed_helper_fails_the_command_with_one_line(tmp_path):
     no_process_left(proc.pid)
 
 
+# Runs the CLI with the helper killing itself in its 20th part of one of
+# run's phases, named first: from the stage, the update or the audit.
+_DYING = """\
+import os, signal, sys
+import lansfrac.cli as cli
+from lansfrac import diagnostics, integrator, operators
+phase = {"stage": integrator._STAGE, "update": integrator._UPDATE,
+         "audit": diagnostics.PER_MODE}[sys.argv[1]]
+task, parts = operators._PHASES[phase], []
+
+def dying(ws, part):
+    if part == 1:
+        parts.append(part)
+        if len(parts) == 20:
+            os.kill(os.getpid(), signal.SIGKILL)
+    task(ws, part)
+
+operators._PHASES[phase] = dying
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("phase", ["stage", "update", "audit"])
+def test_a_helper_killed_in_a_step_phase_fails_the_command_with_one_line(tmp_path, phase):
+    driver, out = tmp_path / "dying.py", tmp_path / "out"
+    driver.write_text(_DYING)
+    cfg = _config(tmp_path, t_end=0.05, init="random-spectrum", amplitude=0.5, every=10)
+    proc = subprocess.Popen([sys.executable, str(driver), phase, "simulate", cfg,
+                             "--out-dir", str(out)], env=_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    _fails_with_one_line(proc, out)
+    assert (out / "snapshot_000001.flns").exists()  # written before step 20
+
+
 def test_a_diverging_run_prints_what_one_process_prints(tmp_path):
-    # No numpy warning: the helper runs its shares with errors ignored.
+    # No numpy warning: the helper runs its shares with errors ignored. The
+    # audit's maxima of the two halves keep the nan, so the records match.
     cfg = _config(tmp_path, init="random-spectrum", amplitude=1e150)
     driver = tmp_path / "driver.py"
     driver.write_text(_DRIVER)
@@ -299,6 +369,50 @@ def test_a_diverging_run_prints_what_one_process_prints(tmp_path):
         errs.append(run.stderr)
     assert errs[0] == errs[1]
     assert errs[0].splitlines() == ["diverged: field invariant broken at step 1"]
+    csv = [(tmp_path / mode / "diagnostics.csv").read_bytes() for mode in ("helper", "alone")]
+    assert csv[0] == csv[1] and len(csv[0].splitlines()) == 3  # the header, steps 0 and 1
+
+
+@pytest.mark.parametrize("where", [None, 0, 1])
+def test_the_split_audit_gives_the_whole_audits_flags_and_record(where):
+    # A nan in the rows of either process fails the flags as the whole
+    # audit does: the halves' maxima are combined with np.max, which keeps
+    # it (Python's max(1.0, nan) is 1.0).
+    grid, p, u = _band_u(32)
+    tables = audit_tables(grid, p.alpha, p.s)
+    ws = _kernel_workspace(grid, p.alpha)
+    if where is not None:
+        rows = ws.rows[where]
+        u[(1, rows.start + 1, 2, 3)] = np.nan
+    with np.errstate(invalid="ignore"):
+        f = rhs_f_band(grid, u, p, out=np.empty_like(u))
+        whole = audit(u, f, tables, 0.5)
+        with kernel_helper(grid, p.alpha):
+            np.copyto(ws.state, u)
+            np.copyto(ws.f_state, f)
+            ws.split(PER_MODE)
+            split = audit(ws.state, ws.f_state, tables, 0.5, per_mode=(ws.per_mode, ws.maxima))
+    assert split[0] == whole[0]
+    assert all(split[0]) == (where is None)
+    assert repr(split[1]) == repr(whole[1])
+
+
+def test_a_run_after_a_diverged_one_keeps_the_helper_in_step():
+    # The diverged run had started the helper on its next stage; it waits
+    # for that part before it raises, so the next run's phases pair up.
+    from lansfrac.errors import DivergedError
+    from lansfrac.integrator import SimConfig, StepScheme, run
+
+    grid, p = make_grid(3, 32), Params(alpha=0.5, nu=0.1, s=0.75)
+    def config(amplitude):
+        return SimConfig(grid, p, StepScheme(dt=1e-3), t_end=3e-3, snapshot_every=10,
+                         initial=InitialData(kind="random-spectrum", amplitude=amplitude, seed=4))
+    alone = run(config(0.5)).snapshots[-1].coeffs
+    with kernel_helper(grid, p.alpha):
+        with pytest.raises(DivergedError, match="at step 1"):
+            run(config(1e150))
+        helped = run(config(0.5)).snapshots[-1].coeffs
+    assert helped.tobytes() == alone.tobytes()
 
 
 def test_simulate_on_the_benchmark_config_writes_the_bytes_of_one_process(tmp_path):
