@@ -11,8 +11,9 @@ Four commands fork (POSIX ``os.fork``, through ``forks.fork``) and leave no
 process behind on any exit. simulate, verify-energy and smoothing step
 through one path, ``_run``, which forks the kernel's helper
 (``operators.kernel_helper``; Linux, 3D grids from N=26 up) to run half of
-every step: of each kernel call, of the step's arithmetic and of the
-audit's per-mode pass, with the same output bytes as without it.
+each kernel call, of the step's stage and update and of the audit's
+per-mode pass, with the same output bytes as without it; each step
+length's weights, a Galerkin cut and the audit's sums stay in this process.
 oracle-compare always runs the Picard oracle in a forked worker process
 beside the stepper, and opens no kernel helper: the worker owns the second
 core. It compares the two with ``diagnostics.norm_DA`` on the band block

@@ -125,8 +125,7 @@ def audit(
     given, is that pass already made: the products and the maxima of one
     row per part, which ``np.max`` combines, keeping a nan. ``run`` makes it
     as a phase of the kernel workspace (``PER_MODE``), so a helper process
-    takes half of the k_0 rows; this function then reads u no more, so the
-    next step may already be writing it. Without per_mode the pass runs
+    takes half of the k_0 rows. Without per_mode the pass runs
     here on temporaries. Then this process sums, in one order whoever ran
     the per-mode pass, so the record has the same bits either way. |uhat|^2
     gives all five energies and u's E0, whose weight is positive on every

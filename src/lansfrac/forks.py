@@ -205,7 +205,8 @@ def helper(task: Callable[[int], None]) -> Iterator[Helper]:
 
     The parent starts a phase with ``Helper.start``, which writes the phase as
     one byte on a command pipe, and ``Helper.wait`` reads the byte the helper
-    writes back on a second pipe once task(phase) has returned. The helper
+    writes back on a second pipe once task(phase) has returned; in lansfrac
+    only ``operators._KernelWorkspace.split`` calls either. The helper
     runs until end-of-file on its command pipe, so it ends with the parent,
     killed or not; leaving the with block kills and reaps it. It runs task
     with numpy's floating-point errors ignored, as ``run`` steps do: its

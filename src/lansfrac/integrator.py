@@ -21,7 +21,6 @@ import numpy as np
 from . import diagnostics
 from .errors import ConfigError, DivergedError, SnapshotMismatchError
 from .operators import (
-    CURL_STATE,
     _kernel_workspace,
     phase,
     rhs_f_band,
@@ -266,18 +265,19 @@ def make_initial(
     raise ValueError(f"unknown initial-data kind: {initial.kind!r}")
 
 
-def _weights(k2: np.ndarray, nu: float, s: float, dt: float) -> tuple[np.ndarray, ...]:
-    """E = e^z, w1 = dt phi1(z) and w2 = dt phi2(z), z = -nu dt |k|^{2s}, per mode of k2."""
-    z = -nu * dt * stokes_multiplier(k2, s)
+def _weights(k2: np.ndarray, nu: float, s: float, dt: float) -> np.ndarray:
+    """E = e^z, w1 = dt phi1(z) and w2 = dt phi2(z), z = -nu dt |k|^{2s}, per
+    mode of k2, stacked: shape (3,) + k2.shape.
+
+    They depend on |k|^2 alone, so they are evaluated once per distinct value
+    of k2 and taken back to the modes (a 3D N=48 band block holds 566 values
+    among 15,376 modes). Each value goes through the same operations as it
+    would per mode, so the bits are the same.
+    """
+    values, where = np.unique(k2, return_inverse=True)
+    z = -nu * dt * stokes_multiplier(values, s)
     phi1, phi2 = phi_functions(z)
-    return np.exp(z), dt * phi1, dt * phi2
-
-
-def _propagate(ws, part: int | None) -> None:
-    """The weights of the step ws.step_args = (nu, s, h) into ws.weights on part's k_0 rows."""
-    rows = ws.rows[part]
-    nu, s, h = map(float, ws.step_args)
-    ws.weights[:, rows] = _weights(ws.k2[rows], nu, s, h)
+    return np.stack([np.exp(z), dt * phi1, dt * phi2])[:, where.reshape(k2.shape)]
 
 
 def _stage(ws, part: int | None) -> None:
@@ -297,13 +297,7 @@ def _update(ws, part: int | None) -> None:
     np.add(ws.state[:, rows], work, out=ws.state[:, rows])
 
 
-def _cut(ws, part: int | None) -> None:
-    """Set the state's modes past the Galerkin cutoff (``cut``) to +0.0 on part's k_0 rows."""
-    rows = ws.rows[part]
-    np.copyto(ws.state[:, rows], 0.0, where=ws.cut[rows])
-
-
-_STAGE, _UPDATE, _CUT, _PROPAGATE = phase(_stage), phase(_update), phase(_cut), phase(_propagate)
+_STAGE, _UPDATE = phase(_stage), phase(_update)
 
 
 def _advance(ws, kind: SchemeKind, f_stage: Callable[[np.ndarray], object]) -> np.ndarray:
@@ -315,8 +309,7 @@ def _advance(ws, kind: SchemeKind, f_stage: Callable[[np.ndarray], object]) -> n
     place over the stage; w1 f(u) and f(stage) - f(u) are row temporaries.
     Each arithmetic pass is a phase of ``ws.split``, so a kernel helper
     takes half of its rows; every element's operations are the same, so
-    the bits are too. ``run`` may have started the helper's part of the
-    stage already (``_KernelWorkspace.start``). ``run`` checks the result.
+    the bits are too. ``run`` checks the result.
     """
     ws.split(_STAGE)
     if kind is SchemeKind.ETD2RK:
@@ -386,12 +379,13 @@ def run(
 
     The block's state, f(state) and the step's weights live in the kernel
     workspace (``operators._KernelWorkspace``), where the step is formed in
-    place, so a run holds no block of its own beyond the tail. Each pass
-    over them is a phase of ``_KernelWorkspace.split``: inside
-    ``operators.kernel_helper`` the helper process takes half of the k_0
-    rows of the stage, the update, the Galerkin cut and the audit's
-    per-mode pass, and half of each kernel call. This process alone
-    computes the audit's sums, the checks, the tail and the snapshots, so
+    place, so a run holds no block of its own beyond the tail. The stage,
+    the update and the audit's per-mode pass are phases of
+    ``_KernelWorkspace.split``: inside ``operators.kernel_helper`` the
+    helper process takes half of their k_0 rows, and half of each kernel
+    call. This process alone computes each step length's weights
+    (``_weights``, once per distinct |k|^2), the Galerkin cut (one masked
+    copy), the audit's sums, the checks, the tail and the snapshots, so
     every output has the same bytes with or without the helper. The
     workspace holds one run's step, so ``on_snapshot`` must not start
     another run on this (grid, alpha).
@@ -443,11 +437,10 @@ def run(
     else:
         f_new = lambda w: rhs_f_band(grid, w, params, out=ws.f_state)
         f_step = lambda w: rhs_f_band(grid, w, params)
-    k2 = plan.gather(grid.k2)
-    helm = 1.0 + alpha**2 * k2 if form == "v" else None
-    galerkin = config.galerkin_N is not None
-    if galerkin:  # the block's modes the Galerkin cutoff sets to +0.0
-        plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N, out=ws.cut)
+    helm = 1.0 + alpha**2 * ws.k2 if form == "v" else None
+    cut = None
+    if config.galerkin_N is not None:  # the block's modes the Galerkin cutoff sets to +0.0
+        cut = plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
     audit_tail = None
     if tail is not None:
         k2_tail = grid.k2.ravel()[modes]
@@ -477,29 +470,16 @@ def run(
         h = _step_time(i + 1, n_steps, config.t_end, dt) - _step_time(i, n_steps, config.t_end, dt)
         key = round(h, 15)
         if key not in props:
-            ws.step_args[:] = params.nu, params.s, h
-            ws.split(_PROPAGATE)
             e_tail = None if tail is None else _weights(k2_tail, params.nu, params.s, h)[0]
-            props[key] = ws.weights.copy(), e_tail
-        elif key != loaded:
+            props[key] = _weights(ws.k2, params.nu, params.s, h), e_tail
+        if key != loaded:
             np.copyto(ws.weights, props[key][0])
-        loaded = key
+            loaded = key
         return props[key][1]
 
-    # With the u-form kernel, a step's audit lets the helper begin the next
-    # step's stage (and, for ETD2RK, the curl of the stage's kernel call, on
-    # the same rows) while this process sums; audit then reads no state.
-    ahead = () if helm is not None or config.linear_only else (_STAGE,)
-    if ahead and config.scheme.kind is SchemeKind.ETD2RK:
-        ahead += (CURL_STATE,)
-
-    def audit(t: float, next_step: int | None = None) -> tuple[bool, ...]:
+    def audit(t: float) -> tuple[bool, ...]:
         if helm is None:
             ws.split(diagnostics.PER_MODE)
-            if next_step is not None and ahead:
-                load(next_step)
-                for phase_ in ahead:
-                    ws.start(phase_)
             flags, rec = diagnostics.audit(ws.state, ws.f_state, tables, t, audit_tail,
                                            (ws.per_mode, ws.maxima))
         else:  # u and f(u): exact conjugacy of the forms
@@ -526,25 +506,22 @@ def run(
         for i in range(n_steps):
             t = _step_time(i + 1, n_steps, config.t_end, dt)
             e_tail = load(i)
-            snapshot = (i + 1) % config.snapshot_every == 0 or i + 1 == n_steps
             with np.errstate(**_QUIET):
                 state = _advance(ws, config.scheme.kind, f_step)
                 if tail is not None:
                     np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
-                if galerkin:
-                    ws.split(_CUT)
+                if cut is not None:
+                    np.copyto(state, 0.0, where=cut)
                 f_new(state)
-                # a snapshot reads this state after the audit
-                flags = audit(t, None if snapshot else i + 1)
+                flags = audit(t)
 
             if not all(flags):
                 raise _broken(flags, i + 1, t)
             if diag[-1].nDA > guard:
                 raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
-            if snapshot:
+            if (i + 1) % config.snapshot_every == 0 or i + 1 == n_steps:
                 on_snapshot(SpectralField.from_coeffs(grid, plan.join(state, modes, tail)), t)
     except DivergedError as exc:
-        ws.settle()
         exc.diag = diag  # the records through the failing state
         raise
     return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

@@ -28,13 +28,18 @@ The paper's gradient-stress form of the bilinear f(u1, u2), the reference
 the kernel is tested against, lives with the tests (``stress_form_f`` in
 ``tests/conftest.py``).
 
+The kernel, ``run``'s stage and update and the audit's per-mode pass are
+phases (``phase``) of the kernel workspace on the band block. Inside
+``kernel_helper`` a forked process runs half of each, and
+``_KernelWorkspace.split`` is the one code that starts it and waits for it;
+everything else a run does stays in this process.
+
 Index conventions: (grad u)_{ij} = d_j u_i, matrix products contract adjacent
 indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
 """
 
 from __future__ import annotations
 
-import collections
 import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -87,7 +92,8 @@ class _KernelWorkspace:
     kinds of process, both through ``forks.fork``. The helper
     (``kernel_helper``: ``simulate``, ``verify-energy``, ``smoothing``)
     shares the arrays ``allocate`` names with this process while it runs,
-    and runs part 1 of every phase that ``split`` starts (``helper_share``).
+    and runs part 1 of every phase that ``split`` runs (``helper_share``);
+    ``split`` is the one code that starts it and waits for it.
     The Picard worker (``mild.picard_worker``, ``oracle-compare``) has a
     copy of its own; the parent's workspace serves its stepper and then,
     once the stepper has ended, the Picard nodes that the parent evaluates
@@ -123,7 +129,6 @@ class _KernelWorkspace:
         self.dot = np.empty(block, np.complex128)
         self.allocate(np.empty)
         self.helper: forks.Helper | None = None  # see kernel_helper
-        self._ahead: collections.deque[int] = collections.deque()  # see start
         # the k_0 rows of a phase's parts: all (None), this process's (0), the helper's (1)
         self.rows = {None: slice(None), 0: slice(0, block[0] // 2),
                      1: slice(block[0] // 2, block[0])}
@@ -132,9 +137,9 @@ class _KernelWorkspace:
 
     def allocate(self, alloc) -> None:
         """New buffers, alloc(shape, dtype), for the arrays a helper's process
-        shares: the stack, the product block, the step's state, f(state),
-        weights, step arguments and Galerkin mask, the audit's per-mode
-        products and maxima, and the plan's (``BandPlan.allocate``)."""
+        shares: the stack, the product block, the step's state, f(state) and
+        weights, the audit's per-mode products and maxima, and the plan's
+        (``BandPlan.allocate``)."""
         dim, block = self.plan.grid.dim, self.plan.block_shape
         vector, cplx = (dim,) + block, np.complex128
         self.stack = alloc((dim + len(self.k_cross),) + block, cplx)  # dealiased u, curl v
@@ -143,45 +148,22 @@ class _KernelWorkspace:
         self.state = alloc(vector, cplx)  # run's state, the stage in place
         self.f_state = alloc(vector, cplx)  # f(state)
         self.weights = alloc((3,) + block, np.float64)  # E, w1, w2 of the step
-        self.cut = alloc(block, np.bool_)  # the modes a Galerkin cutoff sets to +0.0
         self.per_mode = alloc((2,) + block, np.float64)  # the audit's |u|^2 and Re conj(u) f
         self.maxima = alloc((2, 6), np.float64)  # the audit's diagnostics._MAXIMA, a row per part
-        self.step_args = alloc((3,), np.float64)  # nu, s and h of the weights' step
         self.plan.allocate(partial(alloc, dtype=cplx))
 
     def split(self, phase: int) -> None:
         """Run a phase (``phase``) over the whole block: without a helper its
-        whole range here, with one part 0 here while the helper runs part 1,
-        one round trip of one byte each way."""
+        whole range here; with one, start the helper's part 1, run part 0
+        here and wait for the helper, one round trip of one byte each way.
+        The only code that starts or waits for the helper."""
         task = _PHASES[phase]
         if self.helper is None:
             task(self, None)
             return
-        if not self._ahead:
-            self.helper.start(phase)
-        elif self._ahead.popleft() != phase:
-            raise RuntimeError(f"phase {phase} split out of the order started")
+        self.helper.start(phase)
         task(self, 0)
         self.helper.wait()
-
-    def start(self, phase: int) -> None:
-        """Let the helper begin its part of a phase ahead of its ``split``.
-
-        This process may meanwhile do work that neither reads what the
-        helper's part writes nor writes what it reads. Phases started ahead
-        are split in the order started, before any other; a helper runs
-        them one after the other, so only phases whose part 1 reads nothing
-        of part 0 may follow each other. Without a helper it does nothing.
-        """
-        if self.helper is not None:
-            self.helper.start(phase)
-            self._ahead.append(phase)
-
-    def settle(self) -> None:
-        """Wait for the helper's parts of the phases started ahead and not split."""
-        while self._ahead:
-            self._ahead.popleft()
-            self.helper.wait()
 
     def helper_share(self, phase: int) -> None:
         """The helper process's part of a phase: part 1 (``split``)."""
@@ -242,8 +224,7 @@ def _curl_v_cross_u(phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> np.n
 
 
 # The phases of _KernelWorkspace.split, by number: task(workspace, part), part
-# None, 0 or 1. The first BandPlan.PHASES are BandPlan.product's, so that the helper
-# runs the plan's part 1 of a product for the same byte (helper_share).
+# None, 0 or 1.
 _PHASES: list[Callable[[_KernelWorkspace, int | None], None]] = []
 
 
@@ -255,7 +236,12 @@ def phase(task: Callable[[_KernelWorkspace, int | None], None]) -> int:
     same operations on disjoint rows, fields, planes or columns of the
     workspace's arrays, which either part reads only where earlier phases
     wrote. A helper runs the task it had at its fork, so every module
-    registers its phases when it is imported.
+    registers its phases when it is imported. Eleven are registered: the
+    kernel call's six (two of them the curl, two the projection, as u or f
+    come from or go to the step's arrays), the stage, the update and the
+    audit's per-mode pass. Work that runs once per run or per step length,
+    or only with an option no workload sets, stays in one process: a phase
+    pays only where a step makes it on most of the block.
     """
     _PHASES.append(task)
     return len(_PHASES) - 1
@@ -266,8 +252,8 @@ def _product_phase(ws: _KernelWorkspace, part: int | None, p: int) -> None:
     ws.plan.share(ws.stack, ws.product, _curl_v_cross_u, p, part)
 
 
-for _p in range(BandPlan.PHASES):
-    phase(partial(_product_phase, p=_p))
+# the kernel's product with a helper, phase by phase (rhs_f_band)
+_PRODUCT = tuple(phase(partial(_product_phase, p=p)) for p in range(BandPlan.PHASES))
 
 
 def _curl(ws: _KernelWorkspace, part: int | None, copy: bool) -> None:
@@ -281,8 +267,8 @@ def _curl(ws: _KernelWorkspace, part: int | None, copy: bool) -> None:
 
 
 _CURL = phase(partial(_curl, copy=False))
-# the first phase of a kernel call on the step's state, which run may start ahead
-CURL_STATE = phase(partial(_curl, copy=True))
+# the first phase of a kernel call on the step's state: each part copies its own rows
+_CURL_STATE = phase(partial(_curl, copy=True))
 _PROJECT = phase(lambda ws, part: ws.project(ws.product, ws.product, part))  # in place
 _PROJECT_F = phase(lambda ws, part: ws.project(ws.product, ws.f_state, part))  # into f(state)
 
@@ -321,10 +307,10 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     curl v by k_0 rows, the plan's four (``BandPlan.share``: the complex
     inverse passes by fields, the slabs by planes, and the two complex
     forward passes by n_0 rows and by columns), and the projection by k_0
-    rows. ``run`` adds the stage, the update, the Galerkin cut, the audit's
-    per-mode pass and, per new step length, the step's weights, each by k_0
-    rows: 15 round trips per ETD2RK step. The stage and the curl after it
-    may start ahead, while this process sums the audit (``start``).
+    rows. ``run`` adds the stage, the update and the audit's per-mode pass,
+    each by k_0 rows: 15 round trips per ETD2RK step. This process alone
+    computes each step length's weights, the Galerkin cut, the audit's sums
+    and checks, the tail and the snapshots, while the helper waits.
     Each part makes the operations the whole phase makes on its rows,
     fields, planes or columns, so every output is the same bits. Leaving the
     block ends the helper, then gives the workspace and the plan private
@@ -341,7 +327,6 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
             yield
     finally:
         ws.helper = None
-        ws._ahead.clear()
         ws.allocate(np.empty)
 
 
@@ -372,26 +357,32 @@ def rhs_f_band(
     The kernel checks nothing: non-finite values pass through.
     ``diagnostics.audit`` checks the f(u) of every state that ``run`` makes,
     and ``mild.picard_solve`` the nodes of its last iterate. Inside
-    ``kernel_helper`` a forked process runs half of every phase of the call
-    (``kernel_helper``), and the call raises WorkerError if that process
-    has ended; f is the same bits with or without it. The helper reads and
-    writes only the workspace's arrays: u that is the workspace's ``state``
-    is copied by rows inside the curl's phase, any other u whole before it,
-    and f goes by rows into out that is ``f_state``, or else into the
-    product block, which this process copies into any other out.
+    ``kernel_helper`` the call runs as six phases of
+    ``_KernelWorkspace.split``, the plan's four (``BandPlan.share``) among
+    them, so a forked process runs half of each; the call raises
+    WorkerError if that process has ended, and f is the same bits with or
+    without it. The helper reads and writes only the workspace's arrays: u
+    that is the workspace's ``state`` is copied by rows inside the curl's
+    phase, any other u whole before it, and f goes by rows into out that is
+    ``f_state``, or else into the product block, which this process copies
+    into any other out.
     """
     ws = _kernel_workspace(grid, params.alpha)
     if u is not ws.u_in and u is not ws.state:
         np.copyto(ws.u_in, u)
-    ws.split(CURL_STATE if u is ws.state else _CURL)
-    product = ws.plan.product(ws.stack, ws.product, _curl_v_cross_u, ws.helper)
+    ws.split(_CURL_STATE if u is ws.state else _CURL)
+    if ws.helper is None:
+        ws.plan.product(ws.stack, ws.product, _curl_v_cross_u)
+    else:
+        for product_phase in _PRODUCT:
+            ws.split(product_phase)
     if out is None or out is ws.f_state:
         ws.split(_PROJECT if out is None else _PROJECT_F)
-        return product if out is None else out
+        return ws.product if out is None else out
     if ws.helper is None:
-        return ws.project(product, out)
+        return ws.project(ws.product, out)
     ws.split(_PROJECT)  # the helper cannot write into out
-    np.copyto(out, product)
+    np.copyto(out, ws.product)
     return out
 
 

@@ -311,10 +311,11 @@ class BandPlan:
     A GEMM plan's pass runs in four phases (``PHASES``), each in two parts
     (``share``, ``bounds``) that write disjoint fields, planes, rows or
     columns, so a forked helper process can run part 1 of every phase while
-    the caller runs part 0 (``product``'s helper; ``operators.kernel_helper``
-    forks one for the stepping commands). ``_mid`` then lives in a mapping
-    both processes share (``allocate``); ``_t`` and ``_slab`` stay each
-    process's own. Every GEMM call is the one a lone process makes, or a
+    the caller runs part 0. The plan knows no process: the kernel runs the
+    phases through its workspace (``operators.rhs_f_band``), whose helper
+    ``operators.kernel_helper`` forks for the stepping commands. ``_mid``
+    then lives in a mapping both processes share (``allocate``); ``_t`` and
+    ``_slab`` stay each process's own. Every GEMM call is the one a lone process makes, or a
     block of its columns split at a multiple of 4, so the helper changes no
     bit. The split is even to a row or a 4-column block in every phase, so
     that neither process waits for the other's larger part; the times per
@@ -444,7 +445,7 @@ class BandPlan:
             full.reshape(grid.dim, -1)[:, modes] = tail
         return full
 
-    def product(self, block: np.ndarray, out: np.ndarray, pointwise, helper=None) -> np.ndarray:
+    def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
         """out = the band block of a pointwise product of block's samples.
 
         ``pointwise(samples, rows, scratch)`` writes the product's samples
@@ -452,20 +453,15 @@ class BandPlan:
         covers the same sample planes. out must be C-contiguous; a GEMM plan
         raises ValueError on any other.
 
-        On a GEMM plan this is the fused pass, in four phases (``share``):
-        the complex inverse passes of every field of block into ``_mid``;
-        then, one slab of at most ``S`` sample planes at a time, the
-        inverse's real pass, ``pointwise`` and the forward's real pass into
-        the slab's planes of ``_mid``, which the slab has already read; then
-        the complex forward passes into out, in 3D as two phases, axis -2
-        and then axis -3. Samples lie on the M-point grid in (n_1, n_0, n_2)
-        order in 3D. Without a helper this process runs each whole phase
-        through the same ``share``. With one (``forks.Helper``, whose
-        process runs ``share(block, out, pointwise, phase, 1)`` on these
-        same arrays), it starts the helper's part of a phase, runs part 0
-        and waits for the helper before the next phase: one round trip of
-        one byte each way per phase. block, out and ``_mid`` must then live
-        in mappings both processes share.
+        On a GEMM plan this is the fused pass, its four phases (``share``)
+        whole, one after the other: the complex inverse passes of every
+        field of block into ``_mid``; then, one slab of at most ``S`` sample
+        planes at a time, the inverse's real pass, ``pointwise`` and the
+        forward's real pass into the slab's planes of ``_mid``, which the
+        slab has already read; then the complex forward passes into out, in
+        3D as two phases, axis -2 and then axis -3. Samples lie on the
+        M-point grid in (n_1, n_0, n_2) order in 3D. A caller that splits
+        the phases over two processes runs ``share`` itself.
 
         On an FFT plan the inverse samples the whole stack on the N grid,
         ``pointwise`` writes every row of the product into ``_rows``, and
@@ -478,12 +474,7 @@ class BandPlan:
         if not out.flags.c_contiguous:  # a reshape below would write into a copy
             raise ValueError("the band forward transform needs a C-contiguous out")
         for phase in range(self.PHASES):
-            if helper is None:
-                self.share(block, out, pointwise, phase)
-            else:
-                helper.start(phase)
-                self.share(block, out, pointwise, phase, 0)
-                helper.wait()
+            self.share(block, out, pointwise, phase)
         return out
 
     def bounds(self, phase: int, fields_in: int, fields_out: int) -> tuple[int, int]:

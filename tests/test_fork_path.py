@@ -5,6 +5,10 @@ process of the package has the one lifecycle of ``forks.fork``.
 A second path would make its own choices about SIGINT across the fork, a
 failed fork and reaping; the test fails on any module but ``forks`` that
 names one of these calls, as ``os.fork`` or as ``from os import fork``.
+
+One protocol owner: only ``operators._KernelWorkspace.split`` starts the
+kernel's helper or waits for it (``forks.Helper.start``, ``.wait``), and no
+function of ``spectral`` takes a helper, so the transforms know no process.
 """
 
 import ast
@@ -32,3 +36,33 @@ def test_only_forks_runs_a_process_lifecycle(path):
         assert found == LIFECYCLE  # the test would pass on nothing if it matched nothing
     else:
         assert not found, f"{path.name} forks or reaps beside forks.fork: {sorted(found)}"
+
+
+def _callers(tree: ast.Module, module: str, methods: set[str]) -> set[str]:
+    """module.qualified name of each function whose own body calls a method
+    named in methods, on any object."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in methods):
+                found.add(".".join((module,) + scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_workspace_split_starts_or_waits_for_the_helper():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), path.stem, {"start", "wait"})
+    assert callers == {"operators._KernelWorkspace.split"}
+    spectral = ast.parse((PACKAGE / "spectral.py").read_text())
+    takes = sorted(node.name for node in ast.walk(spectral) if isinstance(node, ast.FunctionDef)
+                   and "helper" in {arg.arg for arg in node.args.args + node.args.kwonlyargs})
+    assert not takes, f"spectral functions that take a helper: {takes}"

@@ -92,6 +92,23 @@ def test_phi_array_input():
 
 # ------------------------------------------------------- galerkin truncation
 
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 48)])
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_weights_once_per_k2_are_the_per_mode_bits(dim, n, s):
+    # _weights evaluates each distinct |k|^2 once; the per-mode formula on
+    # the band block gives the same bits, at dt and at a shorter last step
+    grid, nu, dt, t_end = make_grid(dim, n), 0.1, 1e-3, 0.0125
+    k2 = band_plan(grid, 0.5).gather(grid.k2)
+    steps = _step_count(t_end, dt)
+    last = _step_time(steps, steps, t_end, dt) - _step_time(steps - 1, steps, t_end, dt)
+    assert last < dt
+    for h in (dt, last):
+        z = -nu * h * stokes_multiplier(k2, s)
+        phi1, phi2 = phi_functions(z)
+        per_mode = np.stack([np.exp(z), h * phi1, h * phi2])
+        assert _weights(k2, nu, s, h).tobytes() == per_mode.tobytes()
+
+
 def test_galerkin_identity_above_nyquist(grid2):
     u = random_field(grid2, seed=1, band=grid2.N // 2 - 1)
     out = galerkin_truncate(u, grid2.N // 2)

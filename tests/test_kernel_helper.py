@@ -165,23 +165,25 @@ def test_a_process_that_had_a_helper_gives_the_oracles_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("n,init,extra", [
-    (32, "taylor-green", ""),
-    (32, "random-spectrum", ""),
-    (26, "random-spectrum", ""),  # the smallest helper grid: M = 25, odd halves
-    (32, "random-spectrum", "galerkin_N = 8\n"),  # the Galerkin cut, by rows
-], ids=["taylor-green", "random-spectrum", "n26", "galerkin"])
+@pytest.mark.parametrize("n,init,extra,t_end,snapshots", [
+    (32, "taylor-green", "", 0.01, 3),
+    (32, "random-spectrum", "", 0.01, 3),
+    (26, "random-spectrum", "", 0.01, 3),  # the smallest helper grid: M = 25, odd halves
+    (32, "random-spectrum", "galerkin_N = 8\n", 0.01, 3),  # the Galerkin cut
+    # 11 steps, the last one shorter: its weights are loaded mid-run
+    (32, "random-spectrum", "", 0.0105, 4),
+], ids=["taylor-green", "random-spectrum", "n26", "galerkin", "short-last-step"])
 def test_simulate_with_the_helper_writes_the_bytes_of_one_process(tmp_path, monkeypatch, n,
-                                                                  init, extra):
+                                                                  init, extra, t_end, snapshots):
     import lansfrac.cli as cli
 
-    cfg = _config(tmp_path, init=init, n=n, extra=extra)
+    cfg = _config(tmp_path, t_end=t_end, init=init, n=n, extra=extra)
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "helped")]) == 0
     monkeypatch.setattr(cli, "kernel_helper", lambda grid, alpha: nullcontext())
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "alone")]) == 0
     names = sorted(path.name for path in (tmp_path / "alone").iterdir())
     assert names == sorted(path.name for path in (tmp_path / "helped").iterdir())
-    assert len(names) == 5  # three snapshots, diagnostics.csv and manifest.json
+    assert len(names) == snapshots + 2  # with diagnostics.csv and manifest.json
     for name in set(names) - {"manifest.json"}:
         assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
@@ -224,7 +226,7 @@ def test_the_helper_holds_blas_at_one_thread_and_puts_the_cpus_back(monkeypatch)
     put(2)
     try:
         with kernel_helper(grid, p.alpha):
-            ws.plan.product(ws.stack, ws.product, lambda *args: None, ws.helper)
+            rhs_f_band(grid, u, p)
             assert seen.real.tolist() == [1, 1]
             assert get() == 1
             assert os.sched_getaffinity(0) == cpus - {max(cpus)}
@@ -398,8 +400,7 @@ def test_the_split_audit_gives_the_whole_audits_flags_and_record(where):
 
 
 def test_a_run_after_a_diverged_one_keeps_the_helper_in_step():
-    # The diverged run had started the helper on its next stage; it waits
-    # for that part before it raises, so the next run's phases pair up.
+    # The diverged run raises between phases, so the next run's phases pair up.
     from lansfrac.errors import DivergedError
     from lansfrac.integrator import SimConfig, StepScheme, run
 
