@@ -48,7 +48,7 @@ def shared_array(shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) of the loaded OpenBLAS's thread count, or None where there is none.
+    """(get, set) of this process's OpenBLAS thread count, or None where there is none.
 
     The library is the mapped file named like openblas in /proc/self/maps
     (Linux), and the calls are its own ``*openblas_get/set_num_threads*``

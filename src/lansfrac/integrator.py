@@ -265,19 +265,15 @@ def make_initial(
     raise ValueError(f"unknown initial-data kind: {initial.kind!r}")
 
 
-def _weights(k2: np.ndarray, nu: float, s: float, dt: float) -> np.ndarray:
-    """E = e^z, w1 = dt phi1(z) and w2 = dt phi2(z), z = -nu dt |k|^{2s}, per
-    mode of k2, stacked: shape (3,) + k2.shape.
-
-    They depend on |k|^2 alone, so they are evaluated once per distinct value
-    of k2 and taken back to the modes (a 3D N=48 band block holds 566 values
-    among 15,376 modes). Each value goes through the same operations as it
-    would per mode, so the bits are the same.
-    """
-    values, where = np.unique(k2, return_inverse=True)
-    z = -nu * dt * stokes_multiplier(values, s)
+def _weights(size: int, nu: float, s: float, dt: float) -> np.ndarray:
+    """E = e^z, w1 = dt phi1(z) and w2 = dt phi2(z), z = -nu dt |k|^{2s}, for
+    |k|^2 = 0, 1, ..., size - 1, stacked: shape (3, size). A grid's k2 holds
+    integers (``GridSpec``), so indexed by k2 the table gives each mode the
+    per-mode formula's bits: 676 entries serve the 15,376 modes of the 3D
+    N=48 band block, which hold 566 distinct |k|^2."""
+    z = -nu * dt * stokes_multiplier(np.arange(size, dtype=np.float64), s)
     phi1, phi2 = phi_functions(z)
-    return np.stack([np.exp(z), dt * phi1, dt * phi2])[:, where.reshape(k2.shape)]
+    return np.stack([np.exp(z), dt * phi1, dt * phi2])
 
 
 def _stage(ws, part: int | None) -> None:
@@ -383,12 +379,12 @@ def run(
     the update and the audit's per-mode pass are phases of
     ``_KernelWorkspace.split``: inside ``operators.kernel_helper`` the
     helper process takes half of their k_0 rows, and half of each kernel
-    call. This process alone computes each step length's weights
-    (``_weights``, once per distinct |k|^2), the Galerkin cut (one masked
-    copy), the audit's sums, the checks, the tail and the snapshots, so
-    every output has the same bytes with or without the helper. The
-    workspace holds one run's step, so ``on_snapshot`` must not start
-    another run on this (grid, alpha).
+    call. This process alone computes the weights (``_weights``: dt's table
+    before the loop, a shorter last step's before that step), the
+    Galerkin cut (one masked copy), the audit's sums, the checks, the tail
+    and the snapshots, so every output has the same bytes with or without
+    the helper. The workspace holds one run's step, so ``on_snapshot`` must
+    not start another run on this (grid, alpha).
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Each state gets one ``diagnostics.audit`` of u
@@ -441,13 +437,15 @@ def run(
     cut = None
     if config.galerkin_N is not None:  # the block's modes the Galerkin cutoff sets to +0.0
         cut = plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
+    k2_block, k2_tail = ws.k2.astype(np.intp), None  # _weights' table indices
     audit_tail = None
     if tail is not None:
-        k2_tail = grid.k2.ravel()[modes]
+        k2_tail = grid.k2.ravel()[modes].astype(np.intp)
         rows = diagnostics.tail_rows(grid, alpha, params.s, modes)
         if form == "v":  # the energies of u = v / (1 + alpha^2 |k|^2)
             rows = rows / (1.0 + alpha**2 * k2_tail) ** 2
         audit_tail = (rows, tail)  # the tail is stepped in place
+    size = 1 + int(k2_block.max() if tail is None else max(k2_block.max(), k2_tail.max()))
 
     dt = config.scheme.dt
     n_steps = _step_count(config.t_end, dt)
@@ -460,22 +458,12 @@ def run(
             snap_times.append(t)
 
     diag: list[diagnostics.DiagRecord] = []
-    # each step length's stacked E, w1, w2 and the tail's E; ws.weights holds loaded's
-    props: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
-    loaded = None
 
-    def load(i: int) -> np.ndarray | None:
-        """Put step i's weights into ws.weights; the tail's E of that step."""
-        nonlocal loaded
-        h = _step_time(i + 1, n_steps, config.t_end, dt) - _step_time(i, n_steps, config.t_end, dt)
-        key = round(h, 15)
-        if key not in props:
-            e_tail = None if tail is None else _weights(k2_tail, params.nu, params.s, h)[0]
-            props[key] = _weights(ws.k2, params.nu, params.s, h), e_tail
-        if key != loaded:
-            np.copyto(ws.weights, props[key][0])
-            loaded = key
-        return props[key][1]
+    def load(h: float) -> np.ndarray | None:
+        """Put the weights of a step of length h into ws.weights; the tail's E."""
+        table = _weights(size, params.nu, params.s, h)
+        np.copyto(ws.weights, table[:, k2_block])
+        return None if tail is None else table[0, k2_tail]
 
     def audit(t: float) -> tuple[bool, ...]:
         if helm is None:
@@ -503,9 +491,11 @@ def run(
         on_snapshot(start, 0.0)
         del start
 
+        e_tail = load(dt)
         for i in range(n_steps):
             t = _step_time(i + 1, n_steps, config.t_end, dt)
-            e_tail = load(i)
+            if i == n_steps - 1 and abs(t - dt * i - dt) > 1e-9 * max(dt, config.t_end):
+                e_tail = load(t - dt * i)  # off dt by more than _step_count's tolerance
             with np.errstate(**_QUIET):
                 state = _advance(ws, config.scheme.kind, f_step)
                 if tail is not None:

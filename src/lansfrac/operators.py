@@ -309,8 +309,9 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     forward passes by n_0 rows and by columns), and the projection by k_0
     rows. ``run`` adds the stage, the update and the audit's per-mode pass,
     each by k_0 rows: 15 round trips per ETD2RK step. This process alone
-    computes each step length's weights, the Galerkin cut, the audit's sums
-    and checks, the tail and the snapshots, while the helper waits.
+    computes each step length's weights (``integrator._weights``), the
+    Galerkin cut, the audit's sums and checks, the tail and the snapshots,
+    while the helper waits.
     Each part makes the operations the whole phase makes on its rows,
     fields, planes or columns, so every output is the same bits. Leaving the
     block ends the helper, then gives the workspace and the plan private

@@ -14,11 +14,13 @@ conjugate mirror -k, so every sum over modes carries the multiplicity
 ``GridSpec.weight`` (2 there, 1 on the k_last = 0 and k_last = N/2 planes).
 
 Everything is a pure function of its inputs; fields are immutable (the
-coefficient buffers are write-protected). Full transforms go through
-``numpy.fft``. A ``BandPlan`` transforms only the band block, the modes the
-2/3 rule keeps, one axis at a time into persistent buffers, and its one
-entry, ``BandPlan.product``, is the nonlinear kernel's path on every grid:
-band blocks to samples, a pointwise product, samples back to band blocks.
+coefficient buffers are write-protected). Only the whole-field transforms
+and a 2D ``BandPlan`` above ``GEMM_MAX_N`` use ``numpy.fft``, so a 3D
+``simulate`` never imports it. A ``BandPlan`` transforms only the band
+block, the modes the 2/3 rule keeps, one axis at a time into persistent
+buffers, and its one entry, ``BandPlan.product``, is the nonlinear
+kernel's path on every grid: band blocks to samples, a pointwise product,
+samples back to band blocks.
 On every 3D grid, and on 2D grids with N <= ``GEMM_MAX_N`` (64), it samples
 on the exact dealiasing grid of M = 3b + 1 points per axis (46 at N=48),
 each complex pass is one dense DFT matrix product (BLAS GEMM) per field,
@@ -88,8 +90,9 @@ class GridSpec:
         Spatial dimension, 2 or 3.
     N : int
         Modes per axis; must be even and at least 8. Wavevector components
-        run over the integers [-N/2, N/2) on every axis but the last, and over
-        0..N/2 on the last (the half spectrum).
+        are the integers [-N/2, N/2) on every axis but the last and 0..N/2 on
+        the last (the half spectrum), held exactly, so every |k|^2 in k2 is an
+        integer and a sharp cutoff compares exact values.
 
     k2, dealias_mask, weight and each component of k have the half-spectrum
     shape ``spectral_shape``; ``shape`` and x describe the physical grid. x is
@@ -111,14 +114,14 @@ class GridSpec:
         if self.N < 8:
             raise GridError(f"N must be at least 8, got {self.N}")
 
-        k1 = np.fft.fftfreq(self.N) * self.N  # 0, 1, ..., N/2-1, -N/2, ..., -1
-        k_last = np.arange(self.N // 2 + 1)    # 0, 1, ..., N/2
-        axes = np.meshgrid(*([k1] * (self.dim - 1)), k_last, indexing="ij")
-        k = np.stack(axes).astype(np.float64)
+        half = self.N // 2
+        k1 = np.r_[0:half, -half:0]  # 0, 1, ..., N/2-1, -N/2, ..., -1
+        axes = np.meshgrid(*([k1] * (self.dim - 1)), np.arange(half + 1), indexing="ij")
+        k = np.stack(axes).astype(np.float64)  # integers, so k2 is too
         k2 = np.sum(k * k, axis=0)
         # 2/3 rule: zero every mode with any |k_i| >= N/3.
         mask = np.all(np.abs(k) < self.N / 3.0, axis=0)
-        w_last = np.full(self.N // 2 + 1, 2.0)
+        w_last = np.full(half + 1, 2.0)
         w_last[[0, -1]] = 1.0  # the k_last = 0 and Nyquist planes hold their own mirrors
         weight = np.ascontiguousarray(np.broadcast_to(w_last, k2.shape))
 

@@ -88,6 +88,30 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_3d_restart_never_imports_numpy_fft(tmp_path):
+    # the benchmark's sim3d-n48 command: the grid's wavevectors are integers
+    # and every 3D grid runs the GEMM band passes, so nothing in the command
+    # reaches numpy.fft
+    from lansfrac.integrator import InitialData
+    from lansfrac.io import SnapshotMeta, write_snapshot
+    from lansfrac.spectral import make_grid
+
+    u0 = make_initial(InitialData(kind="random-spectrum", seed=0), make_grid(3, 48))
+    restart = tmp_path / "restart.flns"
+    write_snapshot(u0, SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=0.0), restart)
+    cfg = write(tmp_path, "dim = 3\nN = 48\nalpha = 0.5\nnu = 0.1\ns = 0.75\n"
+                          "scheme = etd2rk\ndt = 0.001\nt_end = 0.015\n"
+                          f"init = snapshot:{restart}\namplitude = 1.0\nseed = 0\n"
+                          "snapshot_every = 5\n")
+    code = ("import sys; from lansfrac import cli; "
+            "rc = cli.main(sys.argv[1:]); print(rc, 'numpy.fft' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "simulate", cfg, "--out-dir", str(tmp_path / "out")],
+        env=_package_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False", out.stderr
+
+
 # Runs the CLI with the nonlinear kernel's one filter-and-projection pass
 # replaced by the identity, so every f(u, u) keeps the gradient part of the
 # product.

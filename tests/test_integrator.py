@@ -92,21 +92,56 @@ def test_phi_array_input():
 
 # ------------------------------------------------------- galerkin truncation
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 16), (3, 48)])
+@pytest.mark.parametrize("dim,n", [(2, 26), (2, 32), (2, 128), (3, 16), (3, 26), (3, 48)])
 @pytest.mark.parametrize("s", [0.5, 0.75])
 def test_weights_once_per_k2_are_the_per_mode_bits(dim, n, s):
-    # _weights evaluates each distinct |k|^2 once; the per-mode formula on
-    # the band block gives the same bits, at dt and at a shorter last step
+    # one _weights table over |k|^2 = 0 .. max, indexed by k2, gives the
+    # per-mode formula's bits on the band block, and E's on the tail (every
+    # mode outside the block), at dt and at a shorter last step
     grid, nu, dt, t_end = make_grid(dim, n), 0.1, 1e-3, 0.0125
-    k2 = band_plan(grid, 0.5).gather(grid.k2)
+    plan = band_plan(grid, 0.5)
+    _, modes, _ = plan.split(np.ones((1,) + grid.spectral_shape))
+    k2_block, k2_tail = plan.gather(grid.k2), grid.k2.ravel()[modes]
     steps = _step_count(t_end, dt)
     last = _step_time(steps, steps, t_end, dt) - _step_time(steps - 1, steps, t_end, dt)
-    assert last < dt
+    assert last < dt and len(modes) > 0
     for h in (dt, last):
-        z = -nu * h * stokes_multiplier(k2, s)
+        table = _weights(int(grid.k2.max()) + 1, nu, s, h)
+        z = -nu * h * stokes_multiplier(k2_block, s)
         phi1, phi2 = phi_functions(z)
         per_mode = np.stack([np.exp(z), h * phi1, h * phi2])
-        assert _weights(k2, nu, s, h).tobytes() == per_mode.tobytes()
+        assert table[:, k2_block.astype(np.intp)].tobytes() == per_mode.tobytes()
+        e_tail = np.exp(-nu * h * stokes_multiplier(k2_tail, s))
+        assert table[0, k2_tail.astype(np.intp)].tobytes() == e_tail.tobytes()
+
+
+def _max_abs_k(grid):
+    """max |k_i| per mode, from integer index arithmetic alone."""
+    axes = [(np.arange(grid.N) + grid.N // 2) % grid.N - grid.N // 2] * (grid.dim - 1)
+    k = np.meshgrid(*axes, np.arange(grid.N // 2 + 1), indexing="ij")
+    return np.max(np.abs(k), axis=0)
+
+
+def test_galerkin_keeps_every_mode_at_the_cut_on_a_grid_of_26():
+    # the cut compares max |k_i| with an integer: a wavenumber 7 that reads
+    # 7.000000000000001 (fftfreq(26) * 26) would lose 16 of these 119 modes
+    grid = make_grid(2, 26)
+    u = random_field(grid, seed=3, band=grid.N // 2 - 1)
+    inside = _max_abs_k(grid) <= 7
+    kept = galerkin_truncate(u, 7).coeffs
+    assert np.count_nonzero(np.any(u.coeffs != 0, axis=0) & inside) == 119
+    assert np.array_equal(kept[:, inside], u.coeffs[:, inside])
+    assert not kept[:, ~inside].any()
+
+
+def test_random_data_fill_their_band_on_a_grid_of_26():
+    # the band test compares max |k_i| with an integer: with fftfreq(26) * 26
+    # wavenumbers, band = 7 kept 13 of the 29 modes with max |k_i| = 7
+    grid = make_grid(2, 26)
+    u = random_field(grid, seed=3, band=7)
+    nonzero, reach = np.any(u.coeffs != 0, axis=0), _max_abs_k(grid)
+    assert np.count_nonzero(nonzero & (reach == 7)) == 29
+    assert not (nonzero & (reach > 7)).any()
 
 
 def test_galerkin_identity_above_nyquist(grid2):
@@ -164,10 +199,11 @@ def _step(u, params, dt, kind=SchemeKind.ETD2RK):
     plan = ws.plan
     _, modes, tail = plan.split(u.coeffs, out=ws.state)
     rhs_f_band(grid, ws.state, params, out=ws.f_state)
-    np.copyto(ws.weights, _weights(plan.gather(grid.k2), params.nu, params.s, dt))
+    table = _weights(int(grid.k2.max()) + 1, params.nu, params.s, dt)
+    np.copyto(ws.weights, table[:, plan.gather(grid.k2).astype(np.intp)])
     _advance(ws, kind, lambda w: rhs_f_band(grid, w, params))
     if tail is not None:
-        tail = tail * _weights(grid.k2.ravel()[modes], params.nu, params.s, dt)[0]
+        tail = tail * table[0, grid.k2.ravel()[modes].astype(np.intp)]
     return u.copy_with(plan.join(ws.state, modes, tail))
 
 
@@ -374,6 +410,20 @@ def test_run_frees_its_initial_field(grid3):
     assert peak < 7 * field, peak / field
 
 
+@pytest.mark.parametrize("t_end,lengths", [(10.0, 1), (0.0105, 2)], ids=["long", "short-last"])
+def test_a_run_evaluates_weights_once_per_step_length(monkeypatch, t_end, lengths):
+    # every step is dt long but a shorter last one, so a step length taken
+    # as dt (i + 1) - dt i, which drifts off dt on a long run, must not be
+    seen, weights = [], integrator._weights
+    monkeypatch.setattr(integrator, "_weights",
+                        lambda size, nu, s, h: seen.append(h) or weights(size, nu, s, h))
+    cfg = config(make_grid(2, 8), Params(alpha=0.5, nu=0.1, s=0.5), dt=1e-3, t_end=t_end,
+                 init=InitialData(kind="random-spectrum", seed=1), linear_only=True)
+    run(cfg, on_snapshot=lambda w, t: None)
+    assert len(seen) == lengths and seen[0] == 1e-3
+    assert lengths == 1 or seen[1] == pytest.approx(5e-4)
+
+
 def test_run_galerkin_consistency_band_limited(grid2):
     # data supported inside the dealias cutoff: truncating at the band is a
     # no-op because products are dealiased below it anyway
@@ -575,15 +625,14 @@ def _full_spectrum_run(cfg, start, form="u"):
     else:
         f_eval = lambda w: rhs_f(w, params)
 
-    weights = {}  # per step length, rounded as run rounds it
+    weights = {}  # per step length: dt, and a shorter last step's
 
     def advance(u, h, f_u):
-        key = round(h, 15)
-        if key not in weights:
+        if h not in weights:
             z = -params.nu * h * stokes_multiplier(grid.k2, params.s)
             phi1, phi2 = phi_functions(z)
-            weights[key] = np.exp(z), h * phi1, h * phi2
-        E, w1, w2 = weights[key]
+            weights[h] = np.exp(z), h * phi1, h * phi2
+        E, w1, w2 = weights[h]
         stage_c = np.multiply(E, u.coeffs)
         stage = u.copy_with(np.add(stage_c, np.multiply(w1, f_u.coeffs), out=stage_c))
         if kind is SchemeKind.EXP_EULER:
@@ -600,14 +649,15 @@ def _full_spectrum_run(cfg, start, form="u"):
     state, f_cur = start, f_eval(start)
     diag = [record(state, f_cur, 0.0)]
     times, snaps = [0.0], [state]
-    n = _step_count(cfg.t_end, cfg.scheme.dt)
-    t = 0.0
+    dt = cfg.scheme.dt
+    n = _step_count(cfg.t_end, dt)
+    last = cfg.t_end - dt * (n - 1)  # dt long unless off dt by more than the step tolerance
+    last = last if abs(last - dt) > 1e-9 * max(dt, cfg.t_end) else dt
     for i in range(n):
-        t_next = _step_time(i + 1, n, cfg.t_end, cfg.scheme.dt)
-        state = advance(state, t_next - t, f_cur)
+        state = advance(state, last if i == n - 1 else dt, f_cur)
         if cfg.galerkin_N is not None:
             state = galerkin_truncate(state, cfg.galerkin_N)
-        t = t_next
+        t = _step_time(i + 1, n, cfg.t_end, dt)
         if not (state.hermitian and state.solenoidal and state.zero_mean):
             raise DivergedError(f"field invariant broken at step {i + 1}", step=i + 1, t=t)
         f_cur = f_eval(state)

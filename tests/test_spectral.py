@@ -11,6 +11,7 @@ from lansfrac.operators import u_from_v
 from lansfrac.spectral import (
     HERMITIAN_TOL,
     BandPlan,
+    GridSpec,
     Regime,
     SpectralField,
     _mirror,
@@ -51,6 +52,16 @@ def test_make_grid_basic():
     assert g3.k2.shape == (16, 16, 9)
     assert g3.k2.size == 2304
     assert g3.x.shape == (3, 16, 16, 16)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_wavevectors_are_exact_integers(dim):
+    # fftfreq(N) * N read 7.000000000000001 at N=26 and 13.999999999999998
+    # at N=48; a sharp cutoff compares these values with integers
+    for N in range(8, 131, 2):
+        g = GridSpec(dim, N)
+        assert np.array_equal(g.k, np.round(g.k)) and np.array_equal(g.k2, np.round(g.k2))
+        assert np.array_equal(g.k[0].reshape(N, -1)[:, 0], (np.arange(N) + N // 2) % N - N // 2)
 
 
 @pytest.mark.parametrize("dim,N", [(2, 8), (2, 32), (3, 16)])
