@@ -49,8 +49,8 @@ from .integrator import (
     InitialData,
     SimConfig,
     Trajectory,
-    _step_count,
     _step_time,
+    _steps,
     galerkin_truncate,
     make_initial,
     run,
@@ -192,7 +192,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_energy(args) -> int:
     config = _load_config(args)
     _require_global(config, "verify-energy")
-    if _step_count(config.t_end, config.scheme.dt) == 0:
+    if _steps(config.t_end, config.scheme.dt)[0] == 0:
         raise ConfigError("verify-energy needs at least one step, got t_end = 0")
     out = _out_dir(config)
     with _Manifest(config, out) as manifest:
@@ -215,7 +215,7 @@ def _cmd_smoothing(args) -> int:
     config = dataclasses.replace(config, snapshot_every=1)
     dt, t_end, window = config.scheme.dt, config.t_end, (2.0 * config.scheme.dt, 0.1)
     # step 2 ends at 2 dt, so the window holds two step times when step 3 ends in it too
-    n = _step_count(t_end, dt)
+    n, _ = _steps(t_end, dt)
     if n < 3 or _step_time(3, n, t_end, dt) > window[1]:
         raise ConfigError(f"smoothing's fit window [2 dt, 0.1] holds < 2 step times: dt = {dt:g}")
     # the fit's D(A^{1+r}) norm weighs each mode by |k|^{4(1+r)}
@@ -272,10 +272,10 @@ def _cmd_oracle_compare(args) -> int:
         stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
     except ValueError as exc:
         raise ConfigError(f"oracle-compare --T {T}: {exc}") from None
-    n = _step_count(T, dt)
+    n, last = _steps(T, dt)
     if n == 0:
         raise ConfigError(f"oracle-compare needs at least one step of dt = {dt}, got --T {T}")
-    if abs(T - n * dt) > 1e-9 * max(dt, T):
+    if last != dt:
         raise ConfigError(f"oracle-compare --T {T} is not a multiple of dt = {dt}")
     # The stepper cuts the modes above galerkin_N at every step, and Picard cuts
     # none: below the band limit the two would solve different equations.

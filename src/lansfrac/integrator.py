@@ -143,28 +143,30 @@ class Trajectory:
 def phi_functions(z):
     """Exponential-integrator weights phi1(z) = (e^z-1)/z, phi2 = (e^z-1-z)/z^2.
 
-    A 6-term Taylor series takes over for |z| < 1e-4; the closed form is
-    evaluated in extended precision so the two branches agree to 1e-12 at the
-    switch.
+    A 6-term Taylor series takes over for |z| < 1e-4, and is evaluated only
+    there; the closed form is evaluated in extended precision so the two
+    branches agree to 1e-12 at the switch. Both are 0 at z = -inf, where
+    nu dt |k|^{2s} has overflowed, so every z <= 0 gives finite weights.
     """
     z = np.asarray(z, dtype=np.float64)
+    small, gone = np.abs(z) < PHI_SWITCH, np.isneginf(z)
+    zs = np.where(small, z, 0.0)  # the series' powers of z overflow far off the switch
     c1 = [1.0 / math.factorial(m + 1) for m in range(6)]
     c2 = [1.0 / math.factorial(m + 2) for m in range(6)]
     p1s = np.zeros_like(z)
     p2s = np.zeros_like(z)
     for a1, a2 in zip(reversed(c1), reversed(c2)):
-        p1s = p1s * z + a1
-        p2s = p2s * z + a2
+        p1s = p1s * zs + a1
+        p2s = p2s * zs + a2
 
     zl = z.astype(np.longdouble)
-    zl_safe = np.where(z == 0.0, 1.0, zl)
+    zl_safe = np.where(small | gone, 1.0, zl)
     em1 = np.expm1(zl_safe)
     p1c = (em1 / zl_safe).astype(np.float64)
     p2c = ((em1 - zl_safe) / zl_safe**2).astype(np.float64)
 
-    small = np.abs(z) < PHI_SWITCH
-    phi1 = np.where(small, p1s, p1c)
-    phi2 = np.where(small, p2s, p2c)
+    phi1 = np.where(small, p1s, np.where(gone, 0.0, p1c))
+    phi2 = np.where(small, p2s, np.where(gone, 0.0, p2c))
     if phi1.ndim == 0:
         return float(phi1), float(phi2)
     return phi1, phi2
@@ -270,8 +272,10 @@ def _weights(size: int, nu: float, s: float, dt: float) -> np.ndarray:
     |k|^2 = 0, 1, ..., size - 1, stacked: shape (3, size). A grid's k2 holds
     integers (``GridSpec``), so indexed by k2 the table gives each mode the
     per-mode formula's bits: 676 entries serve the 15,376 modes of the 3D
-    N=48 band block, which hold 566 distinct |k|^2."""
-    z = -nu * dt * stokes_multiplier(np.arange(size, dtype=np.float64), s)
+    N=48 band block, which hold 566 distinct |k|^2. A z that overflows is
+    -inf, whose weights are E = 0 and w1 = w2 = 0 (``phi_functions``)."""
+    with np.errstate(over="ignore"):
+        z = -nu * dt * stokes_multiplier(np.arange(size, dtype=np.float64), s)
     phi1, phi2 = phi_functions(z)
     return np.stack([np.exp(z), dt * phi1, dt * phi2])
 
@@ -319,20 +323,25 @@ def _advance(ws, kind: SchemeKind, f_stage: Callable[[np.ndarray], object]) -> n
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    """Steps covering [0, t_end], uniform at dt except a shorter last one.
+def _steps(t_end: float, dt: float) -> tuple[int, float]:
+    """(n, h): the number of steps covering [0, t_end], and the last one's length.
 
     Step i ends at ``_step_time(i, n, t_end, dt)``: dt * i, and exactly t_end
-    for the last step i = n.
+    for the last step i = n. Every step is dt long but a shorter last one,
+    t_end - dt (n - 1), where that is off dt by more than 1e-9 max(dt, t_end).
     """
     if t_end == 0.0:
-        return 0
+        return 0, dt
+    tol = 1e-9 * max(dt, t_end)
     n = math.floor(t_end / dt + 1e-9)
-    return n + 1 if t_end - dt * n > 1e-9 * max(dt, t_end) else n
+    if t_end - dt * n > tol:
+        n += 1
+    h = t_end - dt * (n - 1)
+    return n, h if abs(h - dt) > tol else dt
 
 
 def _step_time(i: int, n: int, t_end: float, dt: float) -> float:
-    """End time of step i of n (see _step_count)."""
+    """End time of step i of n (see _steps)."""
     return t_end if i == n else dt * i
 
 
@@ -448,7 +457,7 @@ def run(
     size = 1 + int(k2_block.max() if tail is None else max(k2_block.max(), k2_tail.max()))
 
     dt = config.scheme.dt
-    n_steps = _step_count(config.t_end, dt)
+    n_steps, last = _steps(config.t_end, dt)
 
     snapshots: list[SpectralField] = []
     snap_times: list[float] = []
@@ -494,8 +503,8 @@ def run(
         e_tail = load(dt)
         for i in range(n_steps):
             t = _step_time(i + 1, n_steps, config.t_end, dt)
-            if i == n_steps - 1 and abs(t - dt * i - dt) > 1e-9 * max(dt, config.t_end):
-                e_tail = load(t - dt * i)  # off dt by more than _step_count's tolerance
+            if i == n_steps - 1 and last != dt:
+                e_tail = load(last)
             with np.errstate(**_QUIET):
                 state = _advance(ws, config.scheme.kind, f_step)
                 if tail is not None:

@@ -10,10 +10,13 @@ criteria 05 and 08 and of the ``oracle-compare`` command. It shares no
 stepping code with the integrator, so agreement between the two is a
 genuine cross-check, also of faults of f too small for ``picard_solve``'s
 check of its nodes. Increments are ``diagnostics.norm_DA``
-of the band block. The membership checks quantify the weighted
-amplitude/smoothing/Hoelder conditions of the refined solution class over a
-sampled (t, h) lattice and report minimal feasible constants instead of
-pass/fail against unquantified theoretical ones.
+of the band block. A sweep in one process reads each node's f where the
+kernel writes it, in the kernel workspace's product block
+(``operators.rhs_f_band``), so it holds no f buffer of its own. The
+membership checks quantify the weighted amplitude/smoothing/Hoelder
+conditions of the refined solution class over a sampled (t, h) lattice and
+report minimal feasible constants instead of pass/fail against
+unquantified theoretical ones.
 
 ``picard_worker`` runs one ``picard_solve`` in a process forked by
 ``forks.fork``, which makes its pipes, ends and reaps it, so the oracle can
@@ -136,15 +139,13 @@ def _duhamel_sweep(
     increment raises NoContractionError.
 
     f_at(i) returns f_i, and the sweep reads it until it asks for f_{i+1}.
-    Without f_at the sweep evaluates every f itself with ``rhs_f_band``, into
-    one buffer.
+    Without f_at the sweep evaluates every f itself with ``rhs_f_band`` and
+    reads it in the kernel workspace's product block, which the next call
+    overwrites, so the sweep allocates no f buffer.
     """
-    grid, params = band.grid, band.params
     if f_at is None:
-        buf = np.empty_like(band.f0)
-
         def f_at(i: int) -> np.ndarray:
-            return rhs_f_band(grid, stack[i], params, out=buf)
+            return rhs_f_band(band.grid, stack[i], band.params)
 
     acc = np.zeros_like(stack[0])
     work = np.empty_like(acc)

@@ -29,9 +29,10 @@ the kernel is tested against, lives with the tests (``stress_form_f`` in
 ``tests/conftest.py``).
 
 The kernel, ``run``'s stage and update and the audit's per-mode pass are
-phases (``phase``) of the kernel workspace on the band block. Inside
-``kernel_helper`` a forked process runs half of each, and
-``_KernelWorkspace.split`` is the one code that starts it and waits for it;
+phases (``phase``) of the kernel workspace on the band block, and
+``_KernelWorkspace.split`` is the one place any of them runs, with or
+without a helper. Inside ``kernel_helper`` a forked process runs half of
+each, and ``split`` is the one code that starts it and waits for it;
 everything else a run does stays in this process.
 
 Index conventions: (grad u)_{ij} = d_j u_i, matrix products contract adjacent
@@ -102,7 +103,7 @@ class _KernelWorkspace:
 
     It holds the band blocks of the stack (u and curl v), of the product and
     of the projection's k x a; the samples and the product's samples live
-    in the plan (``BandPlan.product``). ``run`` keeps its state, f(state)
+    in the plan (``BandPlan.share``). ``run`` keeps its state, f(state)
     and its step's weights E, w1 and w2 here, and ``diagnostics.audit`` the
     per-mode products and maxima of its pass (``phase``). A buffer that
     nothing writes costs no memory: its pages are never touched.
@@ -156,7 +157,8 @@ class _KernelWorkspace:
         """Run a phase (``phase``) over the whole block: without a helper its
         whole range here; with one, start the helper's part 1, run part 0
         here and wait for the helper, one round trip of one byte each way.
-        The only code that starts or waits for the helper."""
+        The one place every phase runs in this process, and the only code
+        that starts or waits for the helper."""
         task = _PHASES[phase]
         if self.helper is None:
             task(self, None)
@@ -218,7 +220,7 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np
 
 def _curl_v_cross_u(phys: np.ndarray, rows: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """(curl v) x u into rows, from samples of u stacked over curl v: the
-    kernel's pointwise step in ``BandPlan.product``."""
+    kernel's pointwise step in ``BandPlan.share``."""
     dim = phys.ndim - 1
     return _cross(phys[dim:], phys[:dim], rows, tmp)
 
@@ -239,20 +241,22 @@ def phase(task: Callable[[_KernelWorkspace, int | None], None]) -> int:
     registers its phases when it is imported. Eleven are registered: the
     kernel call's six (two of them the curl, two the projection, as u or f
     come from or go to the step's arrays), the stage, the update and the
-    audit's per-mode pass. Work that runs once per run or per step length,
-    or only with an option no workload sets, stays in one process: a phase
-    pays only where a step makes it on most of the block.
+    audit's per-mode pass. Every kernel call runs its six on either band
+    plan (an FFT plan's product is its phase 0). Work that runs once per run
+    or per step length, or only with an option no workload sets, stays in
+    one process: a phase pays only where a step makes it on most of the block.
     """
     _PHASES.append(task)
     return len(_PHASES) - 1
 
 
 def _product_phase(ws: _KernelWorkspace, part: int | None, p: int) -> None:
-    """Phase p of the kernel's ``BandPlan.product``, on the stack into the product block."""
+    """Phase p of the kernel's product, on the stack into the product block:
+    the only caller of ``BandPlan.share``."""
     ws.plan.share(ws.stack, ws.product, _curl_v_cross_u, p, part)
 
 
-# the kernel's product with a helper, phase by phase (rhs_f_band)
+# the kernel's product, phase by phase (rhs_f_band)
 _PRODUCT = tuple(phase(partial(_product_phase, p=p)) for p in range(BandPlan.PHASES))
 
 
@@ -301,7 +305,8 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     step's state, f(state) and weights, the audit's outputs) and the plan's
     ``_mid`` live in anonymous shared mappings, both processes hold
     OpenBLAS at one thread (``forks.one_blas_thread``), and each runs on
-    CPUs of its own (``forks.helper``). Every ``_KernelWorkspace.split``
+    CPUs of its own (``forks.helper``). Every kernel phase runs through
+    ``_KernelWorkspace.split`` (an FFT plan's product is one phase), which
     then runs part 0 here and part 1 in the helper, one round trip of one
     byte each way per phase. A kernel call is six phases: the u copy and
     curl v by k_0 rows, the plan's four (``BandPlan.share``: the complex
@@ -347,43 +352,37 @@ def rhs_f_band(
     u is the band block (see ``BandPlan``) of the field. One call makes one
     stacked inverse transform of the dealiased u and of curl v, and forward
     transforms of the cross product: 3 + 2 fields in 2D (the curl is a
-    scalar), 6 + 3 in 3D, all in one ``BandPlan.product``, which on a GEMM
-    plan (every 3D grid) holds the cross product's samples one slab at a
-    time. Every per-mode step runs on the band block in the buffers of a
-    cached per-(grid, alpha) workspace, where the output filter and the
-    projection are one curl-curl pass. f is written into out, or without it
-    into a workspace buffer that the next call on this (grid, alpha)
-    overwrites.
+    scalar), 6 + 3 in 3D, in the plan's four phases (``BandPlan.share``),
+    which on a GEMM plan (every 3D grid) hold the cross product's samples
+    one slab at a time. Every per-mode step runs on the band block in the
+    buffers of a cached per-(grid, alpha) workspace, where the output
+    filter and the projection are one curl-curl pass. f is written into
+    out, or without it into the workspace's product block, which the next
+    call on this (grid, alpha) overwrites.
 
     The kernel checks nothing: non-finite values pass through.
     ``diagnostics.audit`` checks the f(u) of every state that ``run`` makes,
-    and ``mild.picard_solve`` the nodes of its last iterate. Inside
-    ``kernel_helper`` the call runs as six phases of
-    ``_KernelWorkspace.split``, the plan's four (``BandPlan.share``) among
-    them, so a forked process runs half of each; the call raises
-    WorkerError if that process has ended, and f is the same bits with or
-    without it. The helper reads and writes only the workspace's arrays: u
-    that is the workspace's ``state`` is copied by rows inside the curl's
-    phase, any other u whole before it, and f goes by rows into out that is
-    ``f_state``, or else into the product block, which this process copies
-    into any other out.
+    and ``mild.picard_solve`` the nodes of its last iterate. Every call runs
+    as six phases of ``_KernelWorkspace.split``, with or without a helper,
+    on either band plan. Inside ``kernel_helper`` a forked process runs half
+    of each; the call raises WorkerError if that process has ended, and f is
+    the same bits with or without it. The phases read and write only the
+    workspace's arrays: u that is the workspace's ``state`` is copied by
+    rows inside the curl's phase, any other u whole before it, and f goes by
+    rows into out that is ``f_state``, or else into the product block, which
+    this process copies into any other out.
     """
     ws = _kernel_workspace(grid, params.alpha)
     if u is not ws.u_in and u is not ws.state:
         np.copyto(ws.u_in, u)
     ws.split(_CURL_STATE if u is ws.state else _CURL)
-    if ws.helper is None:
-        ws.plan.product(ws.stack, ws.product, _curl_v_cross_u)
-    else:
-        for product_phase in _PRODUCT:
-            ws.split(product_phase)
-    if out is None or out is ws.f_state:
-        ws.split(_PROJECT if out is None else _PROJECT_F)
-        return ws.product if out is None else out
-    if ws.helper is None:
-        return ws.project(ws.product, out)
-    ws.split(_PROJECT)  # the helper cannot write into out
-    np.copyto(out, ws.product)
+    for product_phase in _PRODUCT:
+        ws.split(product_phase)
+    ws.split(_PROJECT_F if out is ws.f_state else _PROJECT)
+    if out is None:
+        return ws.product
+    if out is not ws.f_state:
+        np.copyto(out, ws.product)
     return out
 
 

@@ -18,9 +18,9 @@ coefficient buffers are write-protected). Only the whole-field transforms
 and a 2D ``BandPlan`` above ``GEMM_MAX_N`` use ``numpy.fft``, so a 3D
 ``simulate`` never imports it. A ``BandPlan`` transforms only the band
 block, the modes the 2/3 rule keeps, one axis at a time into persistent
-buffers, and its one entry, ``BandPlan.product``, is the nonlinear
-kernel's path on every grid: band blocks to samples, a pointwise product,
-samples back to band blocks.
+buffers, and its one entry, ``BandPlan.share``, is the nonlinear kernel's
+path on every grid, phase by phase: band blocks to samples, a pointwise
+product, samples back to band blocks.
 On every 3D grid, and on 2D grids with N <= ``GEMM_MAX_N`` (64), it samples
 on the exact dealiasing grid of M = 3b + 1 points per axis (46 at N=48),
 each complex pass is one dense DFT matrix product (BLAS GEMM) per field,
@@ -226,11 +226,11 @@ class BandPlan:
     The band block of a half-spectrum array holds the modes with every
     |k_i| <= b = ``grid.band_limit``, the only ones the 2/3 rule keeps. It has
     shape ``block_shape`` = (2b+1,) * (dim-1) + (b+1,), and each complex axis
-    runs over k = 0..b, -b..-1. ``product`` is the one transform entry: it
-    samples a stack of band blocks, lets a pointwise step form the samples
-    of a product from them, and transforms those back into band blocks. It
-    runs one of two algorithms, picked from the grid, on samples of
-    ``shape`` = (M,) * dim:
+    runs over k = 0..b, -b..-1. ``share`` is the one transform entry: its
+    phases (``PHASES``), run in order, sample a stack of band blocks, let a
+    pointwise step form the samples of a product from them, and transform
+    those back into band blocks. It runs one of two algorithms, picked from
+    the grid, on samples of ``shape`` = (M,) * dim:
 
     - **Matrix products** (``gemm``: every 3D grid, and 2D grids with
       N <= ``GEMM_MAX_N``) on the exact dealiasing grid, M = 3b + 1 points
@@ -266,7 +266,7 @@ class BandPlan:
       ``irfftn`` does, and matches it bit for bit; the forward runs the same
       passes in reverse order and matches ``rfftn`` to rounding. The
       pointwise step writes the product's whole stack of samples into
-      ``_rows``.
+      ``_rows``. The whole product is phase 0; phases 1-3 do nothing.
 
     For short pruned lines the products win, and at 2D N=256 the FFT passes
     do (3.9-4.0 against 5.4 ms per kernel call). Whole 2D kernel calls on a
@@ -314,19 +314,20 @@ class BandPlan:
     A GEMM plan's pass runs in four phases (``PHASES``), each in two parts
     (``share``, ``bounds``) that write disjoint fields, planes, rows or
     columns, so a forked helper process can run part 1 of every phase while
-    the caller runs part 0. The plan knows no process: the kernel runs the
-    phases through its workspace (``operators.rhs_f_band``), whose helper
-    ``operators.kernel_helper`` forks for the stepping commands. ``_mid``
-    then lives in a mapping both processes share (``allocate``); ``_t`` and
-    ``_slab`` stay each process's own. Every GEMM call is the one a lone process makes, or a
-    block of its columns split at a multiple of 4, so the helper changes no
-    bit. The split is even to a row or a 4-column block in every phase, so
-    that neither process waits for the other's larger part; the times per
-    phase and process that decided it are in CHANGES.md, in the entry on
-    both CPUs for the whole 3D step.
+    the caller runs part 0. The plan knows no process: the kernel runs every
+    phase through its workspace (``operators._KernelWorkspace.split``),
+    whose helper ``operators.kernel_helper`` forks for the stepping commands
+    on GEMM plans only. ``_mid`` then lives in a mapping both processes
+    share (``allocate``); ``_t`` and ``_slab`` stay each process's own.
+    Every GEMM call is the one a lone process makes, or a block of its
+    columns split at a multiple of 4, so the helper changes no bit. The
+    split is even to a row or a 4-column block in every phase, so that
+    neither process waits for the other's larger part; the times per phase
+    and process that decided it are in CHANGES.md, in the entry on both
+    CPUs for the whole 3D step.
     """
 
-    PHASES = 4  # of a GEMM plan's fused pass (share)
+    PHASES = 4  # of a product (share): a GEMM plan's fused pass; an FFT plan's is phase 0
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
         N, b, dim = grid.N, grid.band_limit, grid.dim
@@ -399,7 +400,7 @@ class BandPlan:
                               (4 * round(columns / 8), columns))
 
     def allocate(self, alloc) -> None:
-        """Give ``_mid`` (GEMM plans) a new buffer, alloc(shape); see ``product``."""
+        """Give ``_mid`` (GEMM plans) a new buffer, alloc(shape); see ``share``."""
         if self.gemm:
             self._mid = alloc(self._mid.shape)
 
@@ -448,38 +449,6 @@ class BandPlan:
             full.reshape(grid.dim, -1)[:, modes] = tail
         return full
 
-    def product(self, block: np.ndarray, out: np.ndarray, pointwise) -> np.ndarray:
-        """out = the band block of a pointwise product of block's samples.
-
-        ``pointwise(samples, rows, scratch)`` writes the product's samples
-        into rows, from block's samples, with one row of scratch; each array
-        covers the same sample planes. out must be C-contiguous; a GEMM plan
-        raises ValueError on any other.
-
-        On a GEMM plan this is the fused pass, its four phases (``share``)
-        whole, one after the other: the complex inverse passes of every
-        field of block into ``_mid``; then, one slab of at most ``S`` sample
-        planes at a time, the inverse's real pass, ``pointwise`` and the
-        forward's real pass into the slab's planes of ``_mid``, which the
-        slab has already read; then the complex forward passes into out, in
-        3D as two phases, axis -2 and then axis -3. Samples lie on the
-        M-point grid in (n_1, n_0, n_2) order in 3D. A caller that splits
-        the phases over two processes runs ``share`` itself.
-
-        On an FFT plan the inverse samples the whole stack on the N grid,
-        ``pointwise`` writes every row of the product into ``_rows``, and
-        the forward passes transform them into out.
-        """
-        if not self.gemm:
-            rows = self._rows[: len(out)]
-            pointwise(self._inverse(block), rows, self._scratch)
-            return self._forward(rows, out)
-        if not out.flags.c_contiguous:  # a reshape below would write into a copy
-            raise ValueError("the band forward transform needs a C-contiguous out")
-        for phase in range(self.PHASES):
-            self.share(block, out, pointwise, phase)
-        return out
-
     def bounds(self, phase: int, fields_in: int, fields_out: int) -> tuple[int, int]:
         """(cut, end) of a phase of ``share`` on fields_in fields in and
         fields_out out: part 0 covers [0, cut) and part 1 [cut, end) of the
@@ -494,20 +463,31 @@ class BandPlan:
 
     def share(self, block: np.ndarray, out: np.ndarray, pointwise, phase: int,
               part: int | None = None) -> None:
-        """Part 0 or 1 of one phase of a GEMM plan's fused pass (see ``product``),
-        or with part None the whole phase.
+        """Part 0 or 1 of one phase of a product, or with part None the whole
+        phase: the ``PHASES`` phases in order write into out the band block
+        of a pointwise product of block's samples.
 
-        The parts (``bounds``) are halves of what a phase runs over. Phase 0
-        runs the complex inverse passes, part 0 of block's first half of
-        fields (u in the kernel), part 1 of the rest (curl v). Phase 1 runs
-        the slabs, part 0 those before the middle plane, part 1 the others,
-        each in slabs of at most ``S`` planes; the whole phase runs the same
-        slabs. In 3D phase 2 runs the forward's axis -2 pass over a block of
-        n_0 rows of every field, one GEMM per field on those columns, and
-        writes it transposed into the fields of ``_mid`` after out's, which
-        no part reads in this phase; phase 3 runs the axis -3 pass over a
-        block of out's (k_1, k_2) columns. In 2D phase 2 runs the one
-        complex forward pass by fields, and phase 3 nothing.
+        ``pointwise(samples, rows, scratch)`` writes the product's samples
+        into rows, from block's samples, with one row of scratch; each array
+        covers the same sample planes. out must be C-contiguous; a GEMM plan
+        raises ValueError on any other. On an FFT plan phase 0 is the whole
+        product, run whole (part None), and phases 1-3 return at once.
+
+        On a GEMM plan the phases are the fused pass, and each part covers
+        half of what its phase runs over (``bounds``). Phase 0 runs the
+        complex inverse passes into ``_mid``, part 0 of block's first half
+        of fields (u in the kernel), part 1 of the rest (curl v). Phase 1
+        runs the slabs, part 0 those before the middle plane, part 1 the
+        others, each in slabs of at most ``S`` planes: the inverse's real
+        pass, ``pointwise`` and the forward's real pass into the slab's
+        planes of ``_mid``, which the slab has already read. In 3D phase 2
+        runs the forward's axis -2 pass over a block of n_0 rows of every
+        field, one GEMM per field on those columns, and writes it transposed
+        into the fields of ``_mid`` after out's, which no part reads in this
+        phase; phase 3 runs the axis -3 pass over a block of out's (k_1, k_2)
+        columns. In 2D phase 2 runs the one complex forward pass by fields,
+        and phase 3 nothing. Samples lie on the M-point grid, in (n_1, n_0,
+        n_2) order in 3D.
 
         The two parts of a phase read only what earlier phases wrote and
         write disjoint fields, planes, rows or columns, so they may run at
@@ -519,6 +499,14 @@ class BandPlan:
         product's bits, and other split points changed them. So how a phase
         is split over processes changes no bit.
         """
+        if not self.gemm:
+            if phase == 0:
+                rows = self._rows[: len(out)]
+                pointwise(self._inverse(block), rows, self._scratch)
+                self._forward(rows, out)
+            return
+        if not out.flags.c_contiguous:  # a reshape below would write into a copy
+            raise ValueError("the band forward transform needs a C-contiguous out")
         if phase == 1:
             self._slab_pass(block, len(out), pointwise, self._slabs_of[part])
             return

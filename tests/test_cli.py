@@ -266,6 +266,19 @@ def test_oracle_compare_checks_every_stepper_time(tmp_path):
     assert len(times) == 4 and np.allclose(times, [0.0, 3e-3, 6e-3, 9e-3], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("nu,dt,t_end", [("1e100", "1e-3", "0.003"), ("1e308", "1", "3")],
+                         ids=["nu-1e100", "nu-1e308-dt-1"])
+def test_simulate_at_a_huge_viscosity_exits_0_and_warns_nothing(tmp_path, capsys, nu, dt, t_end):
+    # z = -nu dt |k|^{2s} lies far below the phi functions' series switch, and
+    # at nu = 1e308, dt = 1 it overflows to -inf: every weight stays finite
+    cfg = write(tmp_path, SMALL_CFG.replace("N = 32", "N = 16").replace("nu = 0.5", f"nu = {nu}")
+                .replace("dt = 2e-3", f"dt = {dt}").replace("t_end = 0.05", f"t_end = {t_end}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert not caught and capsys.readouterr().err == ""
+
+
 def test_oracle_compare_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 3e-3"))
     out = tmp_path / "out"
@@ -532,11 +545,11 @@ def full_field_oracle_rows(config, T: float, u0=None) -> tuple[list[dict], list]
     config's initial data. Returns the rows and the snapshots.
     """
     from lansfrac import mild
-    from lansfrac.integrator import _step_count, run
+    from lansfrac.integrator import _steps, run
     from lansfrac.spectral import norm_DAr
 
     traj = run(dataclasses.replace(config, t_end=T, snapshot_every=1), initial_field=u0)
-    n = _step_count(T, config.scheme.dt)
+    n, _ = _steps(T, config.scheme.dt)
     m = -(-8 // n)
     u0 = traj.snapshots[0]
     oracle, _ = mild.picard_solve(u0, config.params, T, mesh_size=n * m, max_iter=10)

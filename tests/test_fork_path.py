@@ -9,6 +9,11 @@ names one of these calls, as ``os.fork`` or as ``from os import fork``.
 One protocol owner: only ``operators._KernelWorkspace.split`` starts the
 kernel's helper or waits for it (``forks.Helper.start``, ``.wait``), and no
 function of ``spectral`` takes a helper, so the transforms know no process.
+
+One kernel path: only ``operators._product_phase`` calls ``BandPlan.share``,
+the one transform entry, and ``rhs_f_band`` neither reads a helper nor calls
+``project`` itself, so every kernel call runs its phases through ``split``
+with or without a helper, on either band plan.
 """
 
 import ast
@@ -66,3 +71,16 @@ def test_only_the_workspace_split_starts_or_waits_for_the_helper():
     takes = sorted(node.name for node in ast.walk(spectral) if isinstance(node, ast.FunctionDef)
                    and "helper" in {arg.arg for arg in node.args.args + node.args.kwonlyargs})
     assert not takes, f"spectral functions that take a helper: {takes}"
+
+
+def test_every_kernel_call_runs_its_phases_through_the_split():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), path.stem, {"share"})
+    assert callers == {"operators._product_phase"}
+    operators = ast.parse((PACKAGE / "operators.py").read_text())
+    kernel, = (node for node in operators.body
+               if isinstance(node, ast.FunctionDef) and node.name == "rhs_f_band")
+    attributes = {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
+    assert "helper" not in attributes, "rhs_f_band branches on the helper"
+    assert "project" not in attributes, "rhs_f_band projects outside the split"

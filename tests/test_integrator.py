@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
     _advance,
-    _step_count,
     _step_time,
+    _steps,
     _weights,
     galerkin_truncate,
     phi_functions,
@@ -90,6 +91,17 @@ def test_phi_array_input():
     assert abs(p1[0] - (1 - np.exp(-2)) / 2) < 1e-14
 
 
+def test_phi_is_finite_and_quiet_far_below_the_switch():
+    # the series' powers of z overflow there, and at z = -inf, where
+    # nu dt |k|^{2s} has overflowed, the closed form's phi2 reads inf / inf
+    z = np.array([-np.inf, -1e300, -1e20])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p1, p2 = phi_functions(z)
+    assert np.isfinite(p1).all() and np.isfinite(p2).all()
+    assert p1[0] == p2[0] == 0.0 and p1[1] == p2[1] == 1e-300
+
+
 # ------------------------------------------------------- galerkin truncation
 
 @pytest.mark.parametrize("dim,n", [(2, 26), (2, 32), (2, 128), (3, 16), (3, 26), (3, 48)])
@@ -102,8 +114,7 @@ def test_weights_once_per_k2_are_the_per_mode_bits(dim, n, s):
     plan = band_plan(grid, 0.5)
     _, modes, _ = plan.split(np.ones((1,) + grid.spectral_shape))
     k2_block, k2_tail = plan.gather(grid.k2), grid.k2.ravel()[modes]
-    steps = _step_count(t_end, dt)
-    last = _step_time(steps, steps, t_end, dt) - _step_time(steps - 1, steps, t_end, dt)
+    _, last = _steps(t_end, dt)
     assert last < dt and len(modes) > 0
     for h in (dt, last):
         table = _weights(int(grid.k2.max()) + 1, nu, s, h)
@@ -465,7 +476,7 @@ def test_run_divergence_detection(grid2):
 
 
 def _step_times(t_end, dt):
-    n = _step_count(t_end, dt)
+    n, _ = _steps(t_end, dt)
     return [0.0] + [_step_time(i, n, t_end, dt) for i in range(1, n + 1)]
 
 
@@ -476,8 +487,13 @@ def test_times_for_partial_final_step():
     assert len(t2) == 1001 and t2[-1] == 1.0
     assert t2[500] == 500 * 1e-3  # uniform steps are dt * i, not a running sum
     assert _step_times(0.0, 1e-3) == [0.0]
+    # the last step's length is dt unless it is off dt by more than the tolerance
+    assert _steps(1.0, 0.3) == (4, 1.0 - 0.3 * 3)
+    assert _steps(1.0, 1e-3) == (1000, 1e-3) and _steps(10.0, 1e-3) == (10000, 1e-3)
+    assert _steps(0.0105, 1e-3) == (11, 0.0105 - 1e-3 * 10)
+    assert _steps(1e-3 * (1000 - 5e-7), 1e-3) == (1000, 1e-3)  # 5e-10 off: a step of dt
     # a step count float64 still indexes costs no memory to count
-    assert _step_count(2.0**52, 1.0) == 2**52
+    assert _steps(2.0**52, 1.0) == (2**52, 1.0)
 
 
 def test_sim_config_rejects_step_counts_float64_cannot_index(grid2, params):
@@ -650,7 +666,7 @@ def _full_spectrum_run(cfg, start, form="u"):
     diag = [record(state, f_cur, 0.0)]
     times, snaps = [0.0], [state]
     dt = cfg.scheme.dt
-    n = _step_count(cfg.t_end, dt)
+    n, _ = _steps(cfg.t_end, dt)
     last = cfg.t_end - dt * (n - 1)  # dt long unless off dt by more than the step tolerance
     last = last if abs(last - dt) > 1e-9 * max(dt, cfg.t_end) else dt
     for i in range(n):
@@ -832,7 +848,7 @@ def test_run_calls_advance_once_per_step_through_the_module_name(grid2, monkeypa
     monkeypatch.setattr(integrator, "_advance", counted)
     cfg = config(grid2, _P, dt=7e-3, t_end=0.1, init=init)
     run(cfg, on_snapshot=lambda w, t: None)
-    assert len(calls) == _step_count(0.1, 7e-3) == 15
+    assert len(calls) == _steps(0.1, 7e-3)[0] == 15
 
 
 def _plant(fault, grid):

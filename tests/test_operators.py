@@ -41,6 +41,7 @@ from lansfrac.operators import (
 )
 from lansfrac.spectral import (
     SOLENOIDAL_TOL,
+    BandPlan,
     SpectralField,
     coeffs_to_phys,
     frac_stokes_apply,
@@ -451,7 +452,9 @@ def test_the_fused_product_matches_the_whole_grid(dim, n, m):
 
     def fused(block):
         out = np.empty((dim,) + plan.block_shape, np.complex128)
-        return plan.product(block, out, _curl_v_cross_u)
+        for phase in range(BandPlan.PHASES):
+            plan.share(block, out, _curl_v_cross_u, phase)
+        return out
 
     blocks, firsts = [], []
     for _ in range(2):

@@ -237,9 +237,10 @@ def _band_index(dim: int, b: int, m: int) -> tuple:
 
 
 def _product_passes(plan, block, samples):
-    """One plan.product whose pointwise step reads block's samples and writes
-    samples as the rows of the product: the inverse's samples (irfftn's axis
-    order) and the band block of samples, which has that order too."""
+    """One product, plan.share's phases in order, whose pointwise step reads
+    block's samples and writes samples as the rows of the product: the
+    inverse's samples (irfftn's axis order) and the band block of samples,
+    which has that order too."""
     swap = plan.gemm and plan.grid.dim == 3  # the fused pass holds (n_1, n_0, n_2)
     seen = np.empty((len(block),) + plan.shape)
     read, write = (seen.swapaxes(1, 2), samples.swapaxes(1, 2)) if swap else (seen, samples)
@@ -252,7 +253,9 @@ def _product_passes(plan, block, samples):
         rows[...] = write[:, planes]
 
     out = np.empty((len(samples),) + plan.block_shape, np.complex128)
-    return seen, plan.product(block, out, pointwise)
+    for phase in range(BandPlan.PHASES):
+        plan.share(block, out, pointwise, phase)
+    return seen, out
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (2, 128), (2, 240), (3, 16), (3, 32), (3, 48)])
@@ -292,8 +295,9 @@ def test_band_plan_matches_full_transforms(dim, n):
         assert rel_err(band, full[band_modes]) <= 1e-14
         if gemm:  # its passes write into reshaped rows of out, never a copy
             strided = np.empty((2 * dim,) + plan.block_shape, np.complex128)[::2]
-            with pytest.raises(ValueError, match="C-contiguous"):
-                plan.product(block, strided, lambda *args: None)
+            for phase in range(BandPlan.PHASES):
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    plan.share(block, strided, lambda *args: None, phase)
         # The stack size does not change a bit: each field alone gives the same.
         for i in range(fields):
             j = i % dim
