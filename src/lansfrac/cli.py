@@ -3,7 +3,8 @@ holder, ops-test.
 
 Exit codes: 0 ok, 1 a property check failed (also: a forked process of the
 command ended early), 2 usage/config problems (including admissibility-range
-violations) and outputs that cannot be written, 3 runtime divergence. The
+violations) and outputs that cannot be written, 3 runtime divergence, 130
+(128 + SIGINT) a command stopped by Ctrl-C, with one ``stopped:`` line. The
 energy, smoothing, oracle and holder subcommands exist so CI can gate
 directly on the model's analytic properties.
 
@@ -543,6 +544,9 @@ def main(argv=None) -> int:
     except LansfracError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # forks.fork has ended the command's children
+        print("stopped: interrupted (SIGINT)", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .operators import band_plan, phase, rhs_f
+from .operators import _kernel_workspace, band_plan, phase, rhs_f
 from .spectral import (
     MEAN_TOL,
     SOLENOIDAL_TOL,
@@ -75,9 +74,10 @@ class AuditTables:
     """The per-mode tables ``audit`` reads on the band block (``band_plan``).
 
     rows holds the record's five weights per mode (its E0 row is the measure
-    times the multiplicity) and k the wavevectors. Only the k_last = 0 plane
-    of a block must match its own conjugate mirror: a block holds no Nyquist
-    plane.
+    times the multiplicity) and k the wavevectors, the kernel workspace's
+    complex k (``_KernelWorkspace``), the one k table of every check. Only
+    the k_last = 0 plane of a block must match its own conjugate mirror: a
+    block holds no Nyquist plane.
     """
 
     rows: np.ndarray
@@ -85,17 +85,13 @@ class AuditTables:
     measure: float
 
 
-@lru_cache(maxsize=8)
 def audit_tables(grid: GridSpec, alpha: float, s: float) -> AuditTables:
-    """The audit's tables on the band block of ``band_plan(grid, alpha)``."""
-    plan = band_plan(grid, alpha)
-    rows = _record_rows(
-        plan.gather(grid.k2), plan.gather(grid.weight), grid.measure, alpha, s
-    )
-    k = plan.gather(grid.k)
-    for table in (rows, k):
-        table.setflags(write=False)
-    return AuditTables(rows=rows, k=k, measure=grid.measure)
+    """The audit's tables on the band block of ``band_plan(grid, alpha)``, built
+    on each call, so that their k is the cached workspace's own."""
+    ws = _kernel_workspace(grid, alpha)
+    rows = _record_rows(ws.k2, ws.plan.gather(grid.weight), grid.measure, alpha, s)
+    rows.setflags(write=False)
+    return AuditTables(rows=rows, k=ws.k, measure=grid.measure)
 
 
 def tail_rows(grid: GridSpec, alpha: float, s: float, modes: np.ndarray) -> np.ndarray:

@@ -392,8 +392,10 @@ def run(
     before the loop, a shorter last step's before that step), the
     Galerkin cut (one masked copy), the audit's sums, the checks, the tail
     and the snapshots, so every output has the same bytes with or without
-    the helper. The workspace holds one run's step, so ``on_snapshot`` must
-    not start another run on this (grid, alpha).
+    the helper. The workspace holds one run's step, its state in the
+    kernel's input block, so ``on_snapshot`` must neither start another run
+    on this (grid, alpha) nor evaluate f there: any kernel call, ``rhs_f``
+    and ``diagnostics.record`` included, overwrites the state.
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
     snapshots then hold v. Each state gets one ``diagnostics.audit`` of u

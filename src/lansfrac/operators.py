@@ -31,9 +31,10 @@ the kernel is tested against, lives with the tests (``stress_form_f`` in
 The kernel, ``run``'s stage and update and the audit's per-mode pass are
 phases (``phase``) of the kernel workspace on the band block, and
 ``_KernelWorkspace.split`` is the one place any of them runs, with or
-without a helper. Inside ``kernel_helper`` a forked process runs half of
-each, and ``split`` is the one code that starts it and waits for it;
-everything else a run does stays in this process.
+without a helper; the step's state is the kernel's input block, which no
+phase writes. Inside ``kernel_helper`` a forked process runs half of each,
+and ``split`` is the one code that starts it and waits for it; everything
+else a run does stays in this process.
 
 Index conventions: (grad u)_{ij} = d_j u_i, matrix products contract adjacent
 indices, and the tensor divergence is row-wise, (div T)_i = d_j T_{ij}.
@@ -101,11 +102,11 @@ class _KernelWorkspace:
     for the worker (``PicardWorker.result``). Outside a helper, OpenBLAS may
     split the band transforms' matrix products over its pool (``BandPlan``).
 
-    It holds the band blocks of the stack (u and curl v), of the product and
-    of the projection's k x a; the samples and the product's samples live
-    in the plan (``BandPlan.share``). ``run`` keeps its state, f(state)
-    and its step's weights E, w1 and w2 here, and ``diagnostics.audit`` the
-    per-mode products and maxima of its pass (``phase``). A buffer that
+    It holds the band blocks of the stack (u, which is ``run``'s state, and curl
+    v), of the product and of the projection's k x a; the samples and the
+    product's samples live in the plan (``BandPlan.share``). ``run`` keeps f(state)
+    and its step's weights E, w1 and w2 here, and ``diagnostics.audit`` its k and
+    the per-mode products and maxima of its pass (``phase``). A buffer that
     nothing writes costs no memory: its pages are never touched.
     """
 
@@ -138,15 +139,13 @@ class _KernelWorkspace:
 
     def allocate(self, alloc) -> None:
         """New buffers, alloc(shape, dtype), for the arrays a helper's process
-        shares: the stack, the product block, the step's state, f(state) and
-        weights, the audit's per-mode products and maxima, and the plan's
-        (``BandPlan.allocate``)."""
+        shares: the stack (whose u is the state), the product block, f(state),
+        the weights, the audit's outputs and the plan's (``BandPlan.allocate``)."""
         dim, block = self.plan.grid.dim, self.plan.block_shape
         vector, cplx = (dim,) + block, np.complex128
         self.stack = alloc((dim + len(self.k_cross),) + block, cplx)  # dealiased u, curl v
-        self.u_in = self.stack[:dim]  # the kernel's u, gathered or copied in place
+        self.state = self.stack[:dim]  # the kernel's u: run's state, the stage in place
         self.product = alloc(vector, cplx)  # the cross product's block, f in place
-        self.state = alloc(vector, cplx)  # run's state, the stage in place
         self.f_state = alloc(vector, cplx)  # f(state)
         self.weights = alloc((3,) + block, np.float64)  # E, w1, w2 of the step
         self.per_mode = alloc((2,) + block, np.float64)  # the audit's |u|^2 and Re conj(u) f
@@ -238,10 +237,10 @@ def phase(task: Callable[[_KernelWorkspace, int | None], None]) -> int:
     same operations on disjoint rows, fields, planes or columns of the
     workspace's arrays, which either part reads only where earlier phases
     wrote. A helper runs the task it had at its fork, so every module
-    registers its phases when it is imported. Eleven are registered: the
-    kernel call's six (two of them the curl, two the projection, as u or f
-    come from or go to the step's arrays), the stage, the update and the
-    audit's per-mode pass. Every kernel call runs its six on either band
+    registers its phases when it is imported. Ten are registered: the
+    kernel call's six (the curl, the plan's four, and one of two
+    projections, as f goes to f(state) or not), the stage, the update and
+    the audit's per-mode pass. Every kernel call runs its six on either band
     plan (an FFT plan's product is its phase 0). Work that runs once per run
     or per step length, or only with an option no workload sets, stays in
     one process: a phase pays only where a step makes it on most of the block.
@@ -260,19 +259,13 @@ def _product_phase(ws: _KernelWorkspace, part: int | None, p: int) -> None:
 _PRODUCT = tuple(phase(partial(_product_phase, p=p)) for p in range(BandPlan.PHASES))
 
 
-def _curl(ws: _KernelWorkspace, part: int | None, copy: bool) -> None:
-    """curl v of the kernel's u on part's rows, into the stack; with copy,
-    u is the step's state, copied into the stack first."""
+def _curl(ws: _KernelWorkspace, part: int | None) -> None:
+    """curl v of the kernel's u (the state) on part's rows, into the stack."""
     rows, dim = ws.rows[part], ws.plan.grid.dim
-    u = ws.u_in[:, rows]
-    if copy:
-        np.copyto(u, ws.state[:, rows])
-    _cross(ws.ikv[:, rows], u, ws.stack[dim:, rows], ws.dot[rows])
+    _cross(ws.ikv[:, rows], ws.state[:, rows], ws.stack[dim:, rows], ws.dot[rows])
 
 
-_CURL = phase(partial(_curl, copy=False))
-# the first phase of a kernel call on the step's state: each part copies its own rows
-_CURL_STATE = phase(partial(_curl, copy=True))
+_CURL = phase(_curl)
 _PROJECT = phase(lambda ws, part: ws.project(ws.product, ws.product, part))  # in place
 _PROJECT_F = phase(lambda ws, part: ws.project(ws.product, ws.f_state, part))  # into f(state)
 
@@ -282,14 +275,14 @@ def rhs_f(u: SpectralField, params: Params) -> SpectralField:
 
     This is the production nonlinearity, in rotational filtered-momentum form:
     u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
-    removed by the projection. It gathers the band block of u, runs
-    ``rhs_f_band`` on it and joins the result (``BandPlan.join``), so it
+    removed by the projection. It gathers u's band block into the workspace's
+    state, runs ``rhs_f_band`` on it and joins the result (``BandPlan.join``), so it
     allocates only the f it returns. f is +0.0 outside the band block.
     """
     grid = u.grid
     ws = _kernel_workspace(grid, params.alpha)
-    u_band = ws.plan.gather(u.coeffs, out=ws.u_in)
-    return SpectralField.from_coeffs(grid, ws.plan.join(rhs_f_band(grid, u_band, params)))
+    ws.plan.gather(u.coeffs, out=ws.state)
+    return SpectralField.from_coeffs(grid, ws.plan.join(rhs_f_band(grid, ws.state, params)))
 
 
 @contextmanager
@@ -301,19 +294,19 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     (``BandPlan.S`` < ``M``: every 3D grid from N=26 up) and a process
     allowed at least two CPUs; otherwise the block runs in this process
     alone. For the helper's lifetime the workspace's arrays that
-    ``_KernelWorkspace.allocate`` names (the stack, the product block, the
-    step's state, f(state) and weights, the audit's outputs) and the plan's
-    ``_mid`` live in anonymous shared mappings, both processes hold
+    ``_KernelWorkspace.allocate`` names (the stack with the step's state,
+    the product block, f(state) and weights, the audit's outputs) and the
+    plan's ``_mid`` live in anonymous shared mappings, both processes hold
     OpenBLAS at one thread (``forks.one_blas_thread``), and each runs on
     CPUs of its own (``forks.helper``). Every kernel phase runs through
     ``_KernelWorkspace.split`` (an FFT plan's product is one phase), which
     then runs part 0 here and part 1 in the helper, one round trip of one
-    byte each way per phase. A kernel call is six phases: the u copy and
-    curl v by k_0 rows, the plan's four (``BandPlan.share``: the complex
-    inverse passes by fields, the slabs by planes, and the two complex
-    forward passes by n_0 rows and by columns), and the projection by k_0
-    rows. ``run`` adds the stage, the update and the audit's per-mode pass,
-    each by k_0 rows: 15 round trips per ETD2RK step. This process alone
+    byte each way per phase. A kernel call is six phases: curl v by k_0
+    rows, the plan's four (``BandPlan.share``: the complex inverse passes
+    by fields, the slabs by planes, and the two complex forward passes by
+    n_0 rows and by columns), and the projection by k_0 rows. ``run`` adds
+    the stage, the update and the audit's per-mode pass, each by k_0 rows:
+    15 round trips per ETD2RK step. This process alone
     computes each step length's weights (``integrator._weights``), the
     Galerkin cut, the audit's sums and checks, the tail and the snapshots,
     while the helper waits.
@@ -367,15 +360,14 @@ def rhs_f_band(
     on either band plan. Inside ``kernel_helper`` a forked process runs half
     of each; the call raises WorkerError if that process has ended, and f is
     the same bits with or without it. The phases read and write only the
-    workspace's arrays: u that is the workspace's ``state`` is copied by
-    rows inside the curl's phase, any other u whole before it, and f goes by
-    rows into out that is ``f_state``, or else into the product block, which
-    this process copies into any other out.
+    workspace's arrays: u in its ``state``, which no phase writes (any other
+    u is copied there whole first, over a run's state), and f by rows into
+    out that is ``f_state``, or else into the product block, copied into any other out.
     """
     ws = _kernel_workspace(grid, params.alpha)
-    if u is not ws.u_in and u is not ws.state:
-        np.copyto(ws.u_in, u)
-    ws.split(_CURL_STATE if u is ws.state else _CURL)
+    if u is not ws.state:
+        np.copyto(ws.state, u)
+    ws.split(_CURL)
     for product_phase in _PRODUCT:
         ws.split(product_phase)
     ws.split(_PROJECT_F if out is ws.f_state else _PROJECT)

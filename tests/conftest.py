@@ -276,6 +276,16 @@ def no_process_left(pgid: int) -> None:
         time.sleep(0.02)
 
 
+def stopped_by_ctrl_c(proc, out: Path) -> None:
+    """Send SIGINT to proc's group, as a terminal's Ctrl-C does; fail unless
+    proc exits 130 with one stderr line, leaves no .tmp file in out and no
+    process."""
+    os.killpg(proc.pid, signal.SIGINT)
+    assert exit_and_stderr(proc) == (130, "stopped: interrupted (SIGINT)\n")
+    assert not [path for path in out.iterdir() if path.name.endswith(".tmp")]
+    no_process_left(proc.pid)
+
+
 def exit_and_stderr(proc) -> tuple[int, str]:
     """The exit code and stderr of proc; its group is killed if it has not ended in 60 s."""
     try:

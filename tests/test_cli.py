@@ -24,7 +24,13 @@ from lansfrac.cli import main
 from lansfrac.diagnostics import DiagRecord
 from lansfrac.integrator import Trajectory, make_initial
 
-from conftest import exit_and_stderr, nan_at_last_picard_node, no_process_left, process_group
+from conftest import (
+    exit_and_stderr,
+    nan_at_last_picard_node,
+    no_process_left,
+    process_group,
+    stopped_by_ctrl_c,
+)
 
 SHEAR_CFG = """
 dim = 2
@@ -455,16 +461,14 @@ seed = 0
 """
 
 
-def _long_oracle_compare(tmp_path):
-    """A 2D N=128 oracle-compare in a session of its own, once its Picard worker runs."""
-    cfg = write(tmp_path, ORACLE_2D_N128_CFG)
-    proc = subprocess.Popen([sys.executable, "-m", "lansfrac.cli", "oracle-compare", cfg,
-                             "--T", "0.5", "--out-dir", str(tmp_path / "out")], env=_package_env(),
+def _long_command(argv: list[str], ready) -> subprocess.Popen:
+    """The CLI command argv in a session of its own, once ready(proc) holds."""
+    proc = subprocess.Popen([sys.executable, "-m", "lansfrac.cli", *argv], env=_package_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
     try:
         deadline = time.monotonic() + 60
-        while len(process_group(proc.pid)) < 2:  # the command and its worker
+        while not ready(proc):
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
     except BaseException:
@@ -474,14 +478,27 @@ def _long_oracle_compare(tmp_path):
     return proc
 
 
-def test_a_ctrl_c_on_oracle_compare_shows_one_traceback_and_leaves_no_worker(tmp_path):
+def _long_oracle_compare(tmp_path):
+    """A 2D N=128 oracle-compare, once its Picard worker runs."""
+    cfg = write(tmp_path, ORACLE_2D_N128_CFG)
+    argv = ["oracle-compare", cfg, "--T", "0.5", "--out-dir", str(tmp_path / "out")]
+    # the command and its worker
+    return _long_command(argv, lambda proc: len(process_group(proc.pid)) >= 2)
+
+
+def test_a_ctrl_c_stops_oracle_compare_with_one_line_and_leaves_no_worker(tmp_path):
     # A terminal's SIGINT reaches the whole group; the worker ignores it.
     proc = _long_oracle_compare(tmp_path)
-    os.killpg(proc.pid, signal.SIGINT)
-    code, err = exit_and_stderr(proc)
-    assert code == -signal.SIGINT
-    assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
-    no_process_left(proc.pid)
+    stopped_by_ctrl_c(proc, tmp_path / "out")
+
+
+def test_a_ctrl_c_stops_simulate_with_one_line(tmp_path):
+    cfg = write(tmp_path, "dim = 2\nN = 16\nalpha = 0.5\nnu = 0.1\ns = 0.5\ndt = 1e-4\n"
+                          "t_end = 50\ninit = taylor-green\nsnapshot_every = 1000\n")
+    out = tmp_path / "out"
+    proc = _long_command(["simulate", cfg, "--out-dir", str(out)],
+                         lambda proc: (out / "snapshot_000001.flns").exists())
+    stopped_by_ctrl_c(proc, out)
 
 
 def test_a_killed_oracle_compare_leaves_no_worker(tmp_path):

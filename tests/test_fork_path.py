@@ -14,6 +14,10 @@ One kernel path: only ``operators._product_phase`` calls ``BandPlan.share``,
 the one transform entry, and ``rhs_f_band`` neither reads a helper nor calls
 ``project`` itself, so every kernel call runs its phases through ``split``
 with or without a helper, on either band plan.
+
+One copy of the stepped block: the step's state is the kernel's input
+block, so no module names the second copy (``u_in``) or the phase that
+copied the state into it (``_CURL_STATE``).
 """
 
 import ast
@@ -84,3 +88,11 @@ def test_every_kernel_call_runs_its_phases_through_the_split():
     attributes = {node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)}
     assert "helper" not in attributes, "rhs_f_band branches on the helper"
     assert "project" not in attributes, "rhs_f_band projects outside the split"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_a_second_copy_of_the_state(path):
+    tree = ast.parse(path.read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & {"u_in", "_CURL_STATE"}, f"{path.name} keeps a second copy of the state"

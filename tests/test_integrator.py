@@ -435,6 +435,21 @@ def test_a_run_evaluates_weights_once_per_step_length(monkeypatch, t_end, length
     assert lengths == 1 or seen[1] == pytest.approx(5e-4)
 
 
+def test_an_etd2rk_step_makes_fifteen_phases(monkeypatch):
+    # the stage, two kernel calls of six phases, the update and the audit's
+    # per-mode pass, of the ten phases registered
+    grid, p = make_grid(2, 8), Params(alpha=0.5, nu=0.1, s=0.5)
+    ws_type = type(operators._kernel_workspace(grid, p.alpha))
+    split, phases = ws_type.split, []
+    monkeypatch.setattr(ws_type, "split", lambda ws, phase: phases.append(phase) or split(ws, phase))
+    made = []
+    for steps in (1, 3):
+        phases.clear()
+        run(config(grid, p, dt=1e-3, t_end=steps * 1e-3), on_snapshot=lambda w, t: None)
+        made.append(len(phases))
+    assert made[1] - made[0] == 2 * 15 and len(operators._PHASES) == 10
+
+
 def test_run_galerkin_consistency_band_limited(grid2):
     # data supported inside the dealias cutoff: truncating at the band is a
     # no-op because products are dealiased below it anyway

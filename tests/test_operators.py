@@ -35,6 +35,7 @@ from lansfrac.operators import (
     _curl_v_cross_u,
     _kernel_workspace,
     h1_alpha_pairing,
+    kernel_helper,
     rhs_f_band,
     v_from_u,
     v_nonlinearity,
@@ -468,6 +469,27 @@ def test_the_fused_product_matches_the_whole_grid(dim, n, m):
     assert fused(blocks[0]).tobytes() == firsts[0].tobytes()  # again, after the second call
 
 
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 128), (3, 32)])  # GEMM plan, FFT plan, helper
+def test_the_kernel_reads_the_state_in_place_and_never_writes_it(dim, n):
+    # One copy of the stepped block: the state is the stack's u, which no
+    # phase writes, and the audit reads the workspace's own k.
+    grid, p = make_grid(dim, n), Params(alpha=0.5, nu=0.1, s=0.75)
+    ws = _kernel_workspace(grid, p.alpha)
+    u = random_field(grid, seed=3, amplitude=0.1)
+    helped = dim == 3 and len(os.sched_getaffinity(0)) > 1  # the helper pins this process
+    with kernel_helper(grid, p.alpha):
+        assert (ws.helper is not None) == helped
+        assert np.shares_memory(ws.state, ws.stack)
+        ws.plan.gather(u.coeffs, out=ws.state)
+        before = ws.state.copy()
+        f = rhs_f_band(grid, ws.state, p).copy()
+        assert ws.state.tobytes() == before.tobytes()
+        copied_in = rhs_f_band(grid, before, p, out=np.empty_like(before))
+        assert copied_in.tobytes() == f.tobytes()
+    assert np.shares_memory(ws.state, ws.stack)
+    assert audit_tables(grid, p.alpha, p.s).k is ws.k
+
+
 def _live_bytes(*owners) -> int:
     """Bytes of the distinct arrays (views counted once) the owners' attributes hold."""
     bases = {}
@@ -486,7 +508,7 @@ def test_kernel_workspace_holds_a_few_fields():
     # holds its DFT matrices, the complex passes of the six fields in _mid,
     # one field's transposition and one slab of samples, no FFT buffers and
     # no whole-stack samples; the band blocks of the workspace make up the
-    # rest: 3.3 fields' bytes.
+    # rest: 4.0 fields' bytes.
     grid = make_grid(3, 48)
     ws = _kernel_workspace(grid, 0.5)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
