@@ -19,9 +19,12 @@ oracle-compare always runs the Picard oracle in a forked worker process
 beside the stepper, and opens no kernel helper: the worker owns the second
 core. It compares the two with ``diagnostics.norm_DA`` on the band block
 and u0's tail, building no field. holder runs Picard in this process alone.
-A command that diverges still writes its manifest, and simulate its
-diagnostics. A command whose output cannot be written, or whose forked
-process ended early, still writes its manifest where it can (``_Manifest``).
+verify-energy reads only the records, so its run joins one field, at
+t_end; smoothing keeps one D(A^{1+r}) norm of each snapshot in its fit
+window. A command that diverges still writes its manifest, and simulate
+its diagnostics. A command whose output cannot be written, or whose
+forked process ended early, still writes its manifest where it can
+(``_Manifest``).
 """
 
 from __future__ import annotations
@@ -193,11 +196,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify_energy(args) -> int:
     config = _load_config(args)
     _require_global(config, "verify-energy")
-    if _steps(config.t_end, config.scheme.dt)[0] == 0:
+    n, _ = _steps(config.t_end, config.scheme.dt)
+    if n == 0:
         raise ConfigError("verify-energy needs at least one step, got t_end = 0")
     out = _out_dir(config)
     with _Manifest(config, out) as manifest:
-        traj = _run(config, lambda field, t: None)  # reads only the records
+        # reads only the records: a snapshot at t = 0 (the start) and t_end
+        traj = _run(dataclasses.replace(config, snapshot_every=n), lambda field, t: None)
         residuals = diagnostics.energy_balance_residual(traj, config.params)
         rows = [
             {"t": rec.t, "residual": float(res)}
@@ -229,18 +234,17 @@ def _cmd_smoothing(args) -> int:
             )
     out = _out_dir(config)
     times: list[float] = []
-    fields: list[SpectralField] = []
+    norms: list[float] = []
 
-    def keep_window(field: SpectralField, t: float) -> None:
-        # the fit reads no snapshot after its window ends
+    def keep_norm(field: SpectralField, t: float) -> None:
+        # the fit reads one norm of each snapshot in its window, and none after it
         if t <= window[1]:
             times.append(t)
-            fields.append(field)
+            norms.append(norm_DAr(field, 1.0 + args.r))
 
     with _Manifest(config, out) as manifest:
-        traj = _run(config, keep_window)
-        kept = Trajectory(times=np.array(times), snapshots=fields, diag=traj.diag)
-        fit = diagnostics.smoothing_rate(kept, args.r, config.params.s, window=window)
+        _run(config, keep_norm)
+        fit = diagnostics.smoothing_rate(times, norms, args.r, config.params.s, window=window)
         rows = [
             {
                 "t_min": fit.window[0],

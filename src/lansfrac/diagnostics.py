@@ -14,15 +14,12 @@ import numpy as np
 
 from .operators import _kernel_workspace, band_plan, phase, rhs_f
 from .spectral import (
-    MEAN_TOL,
-    SOLENOIDAL_TOL,
     GridSpec,
     Params,
     SpectralField,
     invariant_flags,
     invariant_residuals,
     mode_dot,
-    norm_DAr,
     stokes_multiplier,
 )
 
@@ -82,7 +79,6 @@ class AuditTables:
 
     rows: np.ndarray
     k: np.ndarray
-    measure: float
 
 
 def audit_tables(grid: GridSpec, alpha: float, s: float) -> AuditTables:
@@ -91,7 +87,7 @@ def audit_tables(grid: GridSpec, alpha: float, s: float) -> AuditTables:
     ws = _kernel_workspace(grid, alpha)
     rows = _record_rows(ws.k2, ws.plan.gather(grid.weight), grid.measure, alpha, s)
     rows.setflags(write=False)
-    return AuditTables(rows=rows, k=ws.k, measure=grid.measure)
+    return AuditTables(rows=rows, k=ws.k)
 
 
 def tail_rows(grid: GridSpec, alpha: float, s: float, modes: np.ndarray) -> np.ndarray:
@@ -124,12 +120,11 @@ def audit(
     takes half of the k_0 rows. Without per_mode the pass runs
     here on temporaries. Then this process sums, in one order whoever ran
     the per-mode pass, so the record has the same bits either way. |uhat|^2
-    gives all five energies and u's E0, whose weight is positive on every
-    mode, so a nan or inf coefficient carries into it and an E0 that
-    overflows is a blow-up. The energy pairing <(1 + alpha^2 A) u, f> is
+    gives all five energies. The energy pairing <(1 + alpha^2 A) u, f> is
     the E1 row's sum over Re conj(uhat) fhat. The sums run in
     ``np.einsum``'s own loops, not through BLAS. The flags are
-    ``state_flags`` of u, then ``f_flags`` of f, fed the maxima.
+    ``state_flags`` of u, then ``f_flags`` of f, fed the maxima: each
+    residual held against max |u| or max |f|, and no energy.
     """
     if per_mode is None:
         products, maxima = np.empty((2,) + u.shape[1:]), np.empty((1, _MAXIMA))
@@ -138,7 +133,6 @@ def audit(
         products, maxima = per_mode
     u_max, herm, sol, mean, f_max, f_div = map(float, np.max(maxima, axis=0))
     energies = np.einsum("ij,j->i", tables.rows, products[0].ravel())
-    e0_block = float(energies[0])
     if tail is not None:
         rows, values = tail
         energies += np.einsum("ij,j->i", rows, mode_dot(values, values))
@@ -148,7 +142,7 @@ def audit(
     # numpy's power gives inf where Python's raises OverflowError
     cancel = abs(pairing) / float(np.float64(nda) ** 3 + _TINY)
     rec = DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
-    flags = state_flags(u, e0_block, tables, u_max, (herm, sol, mean))
+    flags = state_flags(u, tables, u_max, (herm, sol, mean))
     return flags + f_flags(f, tables, f_max, f_div), rec
 
 
@@ -192,38 +186,27 @@ def norm_DA(
     return math.sqrt(sq)
 
 
-def state_flags(u: np.ndarray, e0: float, tables: AuditTables, scale: float | None = None,
+def state_flags(u: np.ndarray, tables: AuditTables, scale: float | None = None,
                 residuals: tuple[float, float, float] | None = None) -> tuple[bool, bool, bool]:
-    """``measure_flags`` of the band block u, whose E0 is e0; a nan or inf carries into E0.
-
-    scale = max |u| and the ``invariant_residuals`` are taken from u unless given."""
-    if scale is None:
-        scale = float(np.max(np.abs(u)))
-    if scale == 0.0:
-        return True, True, True
-    if not math.isfinite(e0):
-        return False, False, False
-    return invariant_flags(u, tables.k, (0,), scale, math.sqrt(e0 / tables.measure), residuals)
+    """``measure_flags`` of the band block u: ``invariant_flags`` on its
+    k_last = 0 plane, the only one a block holds. scale = max |u| and the
+    ``invariant_residuals`` are taken from u unless given."""
+    return invariant_flags(u, tables.k, (0,), scale, residuals)
 
 
 def f_flags(f: np.ndarray, tables: AuditTables, scale: float | None = None,
             div: float | None = None) -> tuple[bool, bool]:
-    """``measure_flags``' (solenoidal, zero_mean) of the band block f; non-finite f passes.
-
-    scale = max |f| and div = max |k . f| are taken from f unless given.
-    ||f|| >= max |f|, as every multiplicity is at least 1, so ||f|| is summed
-    only when the bound at max |f| (less 1e-9 of it, for rounding) fails."""
+    """``invariant_flags``' (solenoidal, zero_mean) of the band block f, but a
+    non-finite f passes: the next state carries it. scale = max |f| and
+    div = max |k . f| are taken from f unless given."""
     if scale is None:
         scale = float(np.max(np.abs(f)))
-    if scale == 0.0 or not math.isfinite(scale):
+    if not math.isfinite(scale):
         return True, True
-    zero_mean = float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)]))) <= MEAN_TOL * scale
     if div is None:
         div = float(np.max(np.abs(np.sum(tables.k * f, axis=0))))
-    if div <= SOLENOIDAL_TOL * scale * (1.0 - 1e-9):
-        return True, zero_mean
-    e0 = float(np.einsum("i,i->", tables.rows[0], mode_dot(f, f).ravel()))
-    return div <= SOLENOIDAL_TOL * math.sqrt(e0 / tables.measure), zero_mean
+    mean = float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)])))
+    return invariant_flags(f, tables.k, (), scale, (0.0, div, mean))[1:]
 
 
 def record(
@@ -275,18 +258,15 @@ class RateFit:
     residual: float  # RMS of the fit
 
 
-def smoothing_rate(
-    traj,
-    r: float,
-    s: float,
-    window: tuple[float, float],
-) -> RateFit:
+def smoothing_rate(times, norms, r: float, s: float, window: tuple[float, float]) -> RateFit:
     """Least-squares slope of log ||u(t)||_{D(A^{1+r})} vs log t over the window.
 
-    Snapshot times are subsampled log-uniformly (32 targets) inside the window
-    so the fit is not biased toward late times by a linear recording cadence.
+    norms[i] is ||u(times[i])||_{D(A^{1+r})} (``norm_DAr``); the fit reads
+    only those in the window. Times are subsampled log-uniformly (32
+    targets) inside the window so the fit is not biased toward late times by
+    a linear recording cadence.
     """
-    times = np.asarray(traj.times, dtype=float)
+    times = np.asarray(times, dtype=float)
     lo, hi = window
     sel = [i for i, t in enumerate(times) if lo <= t <= hi and t > 0]
     if len(sel) < 2:
@@ -295,8 +275,7 @@ def smoothing_rate(
     targets = np.geomspace(max(lo, times[in_window[0]]), times[in_window[-1]], 32)
     picked = sorted({int(in_window[np.argmin(np.abs(times[in_window] - tt))]) for tt in targets})
     logt = np.log([times[i] for i in picked])
-    logn = np.log([norm_DAr(traj.snapshots[i], 1.0 + r) + _TINY for i in picked])
+    logn = np.log([norms[i] + _TINY for i in picked])
     slope, intercept = np.polyfit(logt, logn, 1)
     resid = float(np.sqrt(np.mean((logn - (slope * logt + intercept)) ** 2)))
     return RateFit(window=(lo, hi), slope=float(slope), r=r, expected=-r / s, residual=resid)
-

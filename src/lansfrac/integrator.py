@@ -404,11 +404,12 @@ def run(
     flag (real / solenoidal / zero-mean) of that state's block or the
     solenoidal or zero-mean flag of its f breaks, which a non-finite state
     does, or if the D(A) norm exceeds 1e6 times its initial value; f(stage)
-    is checked through the state it makes. The start is step 0, checked
-    before any snapshot, and with a tail all of it by ``measure_flags``. E
-    is real and even, so the tail stays real, solenoidal and mean-free and
-    needs no later check. The error's ``diag`` holds the records made
-    through the failing state.
+    is checked through the state it makes. No energy enters the flags, so a
+    finite start whose E0 overflows passes and its first step reports the
+    blow-up. The start is step 0, checked before any snapshot, and with a
+    tail all of it by ``measure_flags``. E is real and even, so the tail
+    stays real, solenoidal and mean-free and needs no later check. The
+    error's ``diag`` holds the records made through the failing state.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -491,9 +492,6 @@ def run(
         with np.errstate(**_QUIET):
             f_new(state)
             flags = audit(0.0)
-            if math.isinf(diag[0].E0) and np.isfinite(state).all():
-                # finite coefficients whose E0 overflows: a blow-up the steps report
-                flags = (True, True, True) + flags[3:]
             if tail is not None:
                 flags += measure_flags(grid, start.coeffs)
         if not all(flags):

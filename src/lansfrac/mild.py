@@ -57,7 +57,6 @@ from .spectral import (
     SpectralField,
     _stokes_table,
     frac_stokes_apply,
-    mode_dot,
     norm_DAr,
     semigroup_apply,
 )
@@ -240,7 +239,8 @@ def picard_solve(
     if an increment is non-finite or fails to decrease three times in a row,
     which is the observable signature of data too large for the contraction.
     The kernel checks nothing, so a last iterate's node that fails the audit's
-    ``diagnostics.state_flags`` raises DivergedError with the node's t.
+    ``diagnostics.state_flags``, each residual held against the node's own
+    largest coefficient, raises DivergedError with the node's t.
     The returned trajectory carries no diagnostics records; its snapshots are
     a ``PicardNodes`` sequence, which builds each full node on access.
 
@@ -286,8 +286,7 @@ def picard_solve(
             break
 
     for node, t in zip(stack, t_mesh):
-        e0 = float(np.einsum("i,i->", band.tables.rows[0], mode_dot(node, node).ravel()))
-        if not all(diagnostics.state_flags(node, e0, band.tables)):
+        if not all(diagnostics.state_flags(node, band.tables)):
             raise DivergedError(f"Picard node invariant broken at t = {t:g}", t=float(t))
     return _solution(u0, params, t_mesh, stack, increments, converged)
 

@@ -48,7 +48,7 @@ from .errors import GridError, MeanModeError
 
 TWO_PI = 2.0 * np.pi
 
-# Tolerances used when measuring field flags, relative to the coefficient scale.
+# Tolerances of the invariant flags, relative to the largest coefficient of the block checked.
 HERMITIAN_TOL = 1e-12
 SOLENOIDAL_TOL = 1e-12
 MEAN_TOL = 1e-12
@@ -704,19 +704,14 @@ class SpectralField:
 
 
 def measure_flags(grid: GridSpec, coeffs: np.ndarray) -> tuple[bool, bool, bool]:
-    """Measure (hermitian, solenoidal, zero_mean) for a coefficient array.
+    """Measure (hermitian, solenoidal, zero_mean) for a coefficient array:
+    ``invariant_flags`` on its k_last = 0 and Nyquist planes.
 
-    A half spectrum can hold a non-real part only on its k_last = 0 and
-    Nyquist planes, each of which must match its own conjugate mirror, so the
-    hermitian flag compares those two planes alone.
+    A half spectrum can hold a non-real part only on those two planes, each
+    of which must match its own conjugate mirror, so the hermitian flag
+    compares them alone.
     """
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if scale == 0.0:
-        return True, True, True
-    if not np.all(np.isfinite(coeffs)):
-        return False, False, False
-    glob = float(np.sqrt(mode_sum(grid, mode_dot(coeffs, coeffs))))
-    return invariant_flags(coeffs, grid.k, (0, -1), scale, glob)
+    return invariant_flags(coeffs, grid.k, (0, -1))
 
 
 @lru_cache(maxsize=16)
@@ -733,21 +728,31 @@ def _mirror(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def invariant_flags(
-    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float, glob: float,
+    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float | None = None,
     residuals: tuple[float, float, float] | None = None,
 ) -> tuple[bool, bool, bool]:
-    """(hermitian, solenoidal, zero_mean) of finite coefficients u, in any layout.
+    """(hermitian, solenoidal, zero_mean) of coefficients u, in any layout.
 
     k holds u's wavevectors, and planes the last-axis indices of the planes
-    that must match their own conjugate mirrors. The hermitian and mean
-    tolerances are relative to scale = max |u|, the solenoidal one to glob,
-    the L^2 norm of u over sqrt(measure). The residuals are taken from u
-    (``invariant_residuals``) unless given; then u is not read.
+    that must match their own conjugate mirrors. Each residual
+    (``invariant_residuals``) is held against its tolerance times scale =
+    max |u|, so u times a power of two keeps its flags while tolerance x
+    scale is normal. A u with no normal coefficient (scale < 2^-1022) passes
+    as the zero state it has decayed to: each coefficient is rounded to the
+    2^-1074 quantum on its own, so no relative invariant of it is resolved.
+    A nan or inf makes scale nan or inf and fails all three. scale and the
+    residuals are taken from u unless given.
     """
+    if scale is None:
+        scale = float(np.max(np.abs(u)))
+    if scale < 2.0**-1022:
+        return True, True, True
+    if not math.isfinite(scale):
+        return False, False, False
     herm, sol, mean = invariant_residuals(u, k, planes) if residuals is None else residuals
     return (
         herm <= HERMITIAN_TOL * scale,
-        sol <= SOLENOIDAL_TOL * glob,
+        sol <= SOLENOIDAL_TOL * scale,
         mean <= MEAN_TOL * scale,
     )
 

@@ -248,6 +248,35 @@ def random_band_block(dim: int, b: int, seed: int) -> np.ndarray:
     return block
 
 
+# the faults scaled_plant plants: none, or one that breaks one invariant flag
+SCALE_FAULTS = ("none", "divergence", "mirror", "mean")
+
+
+def scaled_plant(u: np.ndarray, k: np.ndarray, power: int, fault: str = "none") -> np.ndarray:
+    """u times 2^power, with one fault of 1e-9 max |u| planted first.
+
+    u is a half spectrum or a band block and k its wavevectors; index 1 of
+    each complex axis holds k_i = 1 in both layouts. "divergence" adds c k
+    at k = (1, ..., 1), off the k_last = 0 plane, so only k . u moves;
+    "mirror" adds i c to the last component at k = (1, 0, ..., 0), whose
+    mirror (-1, 0, ..., 0) keeps its value, so only the k_last = 0 plane's
+    conjugate symmetry breaks (k_last = 0: k . u keeps its value); "mean"
+    adds c to the mean mode. The product by 2^power is exact unless it
+    leaves the normal floats; power >= -1074 keeps 2^power itself a float.
+    """
+    dim = len(k)
+    u = np.array(u)
+    c = 1e-9 * float(np.max(np.abs(u)))
+    if fault == "divergence":
+        at = (slice(None),) + (1,) * dim
+        u[at] += c * k[at]
+    elif fault == "mirror":
+        u[(dim - 1, 1) + (0,) * (dim - 1)] += 1j * c
+    elif fault == "mean":
+        u[(0,) + (0,) * dim] += c
+    return u * 2.0**power
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(a - b))) / scale

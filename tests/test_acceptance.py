@@ -188,8 +188,9 @@ def test_criterion_07_smoothing_rate():
     )
     dt = 5e-4
     traj = run(cfg(grid, p, dt=dt, t_end=0.12, init=init))
-    fit = smoothing_rate(traj, r=p.s / 2, s=p.s, window=(2 * dt, 0.1))
-    fit0 = smoothing_rate(traj, r=0.0, s=p.s, window=(2 * dt, 0.1))
+    norms = lambda r: [norm_DAr(u, 1.0 + r) for u in traj.snapshots]
+    fit = smoothing_rate(traj.times, norms(p.s / 2), r=p.s / 2, s=p.s, window=(2 * dt, 0.1))
+    fit0 = smoothing_rate(traj.times, norms(0.0), r=0.0, s=p.s, window=(2 * dt, 0.1))
     ok = fit.slope >= -0.65 and -0.05 <= fit0.slope <= 0.05
     verdict(
         7,

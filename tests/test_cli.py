@@ -285,6 +285,22 @@ def test_simulate_at_a_huge_viscosity_exits_0_and_warns_nothing(tmp_path, capsys
     assert not caught and capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("nu", ["1e280", "1e290", "1e295", "5e299", "1e300", "2e300", "1e303",
+                                "1e305", "1e308"])
+def test_a_decay_to_tiny_states_exits_0_and_warns_nothing(tmp_path, capsys, nu):
+    # one step of such a viscosity takes the state to zero, or at nu = 5e299
+    # to 2e300 to a subnormal one (max |u| about 1e-320): a state with no
+    # normal coefficient is checked as zero, so a clean decay does not read
+    # as a divergence
+    cfg = write(tmp_path, SMALL_CFG.replace("N = 32", "N = 16").replace("nu = 0.5", f"nu = {nu}")
+                .replace("dt = 2e-3", "dt = 1e-3").replace("t_end = 0.05", "t_end = 0.003")
+                .replace("amplitude = 0.01", "amplitude = 1").replace("seed = 11", "seed = 0"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert not caught and capsys.readouterr().err == ""
+
+
 def test_oracle_compare_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 3e-3"))
     out = tmp_path / "out"
@@ -939,6 +955,39 @@ def test_long_run_commands_hold_no_snapshots(tmp_path, command):
     field_bytes = 2 * 64 * 33 * 16
     growth = peak(1.0) - peak(0.2)
     assert growth < field_bytes, growth / field_bytes
+
+
+_PEAK_AT_EXIT = """
+import sys
+from lansfrac.cli import main
+code = main(sys.argv[1:])
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(code, int(status["VmHWM"].split()[0]))
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="reads VmHWM from /proc")
+def test_smoothing_peaks_within_3_mib_of_verify_energy(tmp_path):
+    # smoothing keeps one norm of each snapshot in its fit window, no field,
+    # so its peak is that of a command that reads only the records; it held
+    # the 100 fields with t <= 0.1 once, 27 MiB at 2D N=128. Each command runs
+    # in its own process, whose VmHWM starts afresh at exec.
+    text = (SMALL_CFG.replace("N = 32", "N = 128").replace("s = 0.5", "s = 0.75")
+            .replace("nu = 0.5", "nu = 0.1").replace("dt = 2e-3", "dt = 1e-3")
+            .replace("t_end = 0.05", "t_end = 0.12").replace("amplitude = 0.01", "amplitude = 1")
+            .replace("seed = 11", "seed = 0"))
+    cfg = write(tmp_path, text)
+
+    def peak_kib(*argv: str) -> int:
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_AT_EXIT, *argv, cfg, "--out-dir", str(tmp_path / argv[0])],
+            env=_package_env(), capture_output=True, text=True, timeout=300, check=True,
+        )
+        code, peak = out.stdout.splitlines()[-1].split()
+        assert code == "0"
+        return int(peak)
+
+    assert peak_kib("smoothing", "--r", "0.375") - peak_kib("verify-energy") <= 3 * 1024
 
 
 def test_holder_wrong_regime(tmp_path):

@@ -25,7 +25,7 @@ from lansfrac import (
     semigroup_apply,
 )
 from lansfrac import integrator, operators
-from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
+from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables, f_flags, state_flags
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
     _advance,
@@ -46,7 +46,7 @@ from lansfrac.spectral import (
     to_spectral,
 )
 
-from conftest import random_field, rel_err
+from conftest import SCALE_FAULTS, random_field, rel_err, scaled_plant
 
 
 def config(grid, p, dt=1e-3, t_end=1.0, init=None, **kw):
@@ -1018,14 +1018,11 @@ def _planted_f(ws, rng, fault, size, modes, exponent):
     """A band block f for the audit: f(u, u)-like, or with one fault planted.
 
     f is the projection of a random block 10^exponent in size, kept on a few
-    modes (0: on every mode, never the mean), so that ||f|| may come close to
-    max |f|, where the audit's solenoidal check passes without the norm sum.
-    "divergence" plants a divergence of 10^p max |f| on a share of the
-    modes, near the 1e-12 tolerance: p and the share are drawn uniformly from
-    [-14, -11] and [0.001, 1] (hypothesis would favour the ends), and about
-    one in six such f has max |k . f| between the bound at max |f| and the
-    bound at ||f||, where the check passes only after the sum. "unprojected"
-    is the block itself.
+    modes (0: on every mode, never the mean). "divergence" plants a
+    divergence of 10^p max |f| on a share of the modes, near the 1e-12
+    tolerance: p and the share are drawn uniformly from [-14, -11] and
+    [0.001, 1] (hypothesis would favour the ends). "unprojected" is the
+    block itself.
     """
     shape = (ws.k.shape[0],) + ws.plan.block_shape
     noise = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -1101,6 +1098,82 @@ def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault,
     assert flags[3:] == ((True, True) if f_fault == "nan" else measure_flags(grid, f_joined)[1:])
     if f_fault == "unprojected":
         assert not flags[3]  # the check is not vacuous
+
+
+def _every_check(grid, u, f):
+    """The flags every check gives the band blocks u and f: the audit's,
+    ``state_flags`` then ``f_flags``, and ``measure_flags`` of the fields
+    that are the blocks on the band (f's solenoidal and zero_mean)."""
+    plan, tables = band_plan(grid, _P.alpha), audit_tables(grid, _P.alpha, _P.s)
+    with np.errstate(over="ignore", invalid="ignore"):  # the record's energies may overflow
+        flags, _ = audit(u, f, tables, 0.0)
+    return (flags, state_flags(u, tables) + f_flags(f, tables),
+            measure_flags(grid, plan.join(u)) + measure_flags(grid, plan.join(f))[1:])
+
+
+def _state_and_f(grid, seed):
+    """A valid band block state and a projected band block f, of size about 1."""
+    ws = operators._kernel_workspace(grid, _P.alpha)
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim,) + ws.plan.block_shape
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return ws.plan.gather(random_field(grid, seed=seed).coeffs), ws.project(a, np.empty_like(a)), ws.k
+
+
+def _power_to(block, top: int) -> int:
+    """The power of two that takes max |block| into [2^top, 2^(top + 1))."""
+    return top + 1 - math.frexp(float(np.max(np.abs(block))))[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from([(2, 16), (2, 32), (3, 16)]),
+    seed=st.integers(0, 2**16),
+    fault=st.sampled_from(SCALE_FAULTS),
+    f_fault=st.sampled_from(("none", "divergence", "mean")),
+    top=st.integers(-982, 1000),
+)
+def test_every_check_gives_a_state_times_a_power_of_two_its_flags(case, seed, fault, f_fault, top):
+    # each flag holds its residual against the largest coefficient of its
+    # own block, so u and f times a power of two keep their flags while
+    # 1e-12 of that coefficient is a normal float (it is at least 2^-982),
+    # and a fault of 1e-9 of it fails its own flag alone at every such scale
+    grid = make_grid(*case)
+    u, f, k = _state_and_f(grid, seed)
+    flags = (fault != "mirror", fault != "divergence", fault != "mean",
+             f_fault != "divergence", f_fault != "mean")
+    assert _every_check(grid, scaled_plant(u, k, 0, fault), scaled_plant(f, k, 0, f_fault)) == (flags,) * 3
+    scaled = (scaled_plant(u, k, _power_to(u, top), fault), scaled_plant(f, k, _power_to(f, top), f_fault))
+    assert _every_check(grid, *scaled) == (flags,) * 3
+
+
+@pytest.mark.parametrize("case", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("fault", SCALE_FAULTS)
+@pytest.mark.parametrize("top", [-1023, -1040, -1060])
+def test_a_state_with_no_normal_coefficient_passes_as_zero(case, fault, top):
+    # below 2^-1022 each coefficient is rounded to the 2^-1074 quantum on its
+    # own, so no relative invariant of a state or an f can be resolved there:
+    # each is checked as the zero state it has decayed to, with any fault
+    grid = make_grid(*case)
+    u, f, k = _state_and_f(grid, 7)
+    u, f = scaled_plant(u, k, _power_to(u, top), fault), scaled_plant(f, k, _power_to(f, top), fault)
+    assert 0.0 < float(np.max(np.abs(u))) < np.finfo(float).tiny
+    assert _every_check(grid, u, f) == ((True,) * 5,) * 3
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)])
+@pytest.mark.parametrize("top", [0, -1060])
+def test_a_non_finite_state_fails_all_three_flags(value, top):
+    # a nan or inf coefficient makes max |u| nan or inf, also beside
+    # coefficients that are subnormal; a non-finite f passes, as the state it
+    # makes carries the fault
+    grid = make_grid(2, 32)
+    u, f, k = _state_and_f(grid, 3)
+    u = scaled_plant(u, k, _power_to(u, top))
+    u[0, 1, 2] = value
+    f[1, 2, 1] = value
+    assert _every_check(grid, u, f)[:2] == ((False,) * 3 + (True,) * 2,) * 2
+    assert measure_flags(grid, band_plan(grid, _P.alpha).join(u)) == (False,) * 3
 
 
 @settings(max_examples=30, deadline=None)

@@ -37,7 +37,7 @@ from lansfrac.io import (
 )
 from lansfrac.spectral import GridSpec, SpectralField, to_physical
 
-from conftest import random_field
+from conftest import random_field, scaled_plant
 
 META = SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=1.25)
 
@@ -241,6 +241,19 @@ def test_snapshot_that_breaks_an_invariant_is_rejected(tmp_path, fault):
     _plant_in_snapshot(path, fault)
     with pytest.raises(CorruptPayloadError, match=fault):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("power", [-900, -1000])
+def test_a_snapshot_of_a_tiny_state_is_read(tmp_path, power):
+    # a valid state times 2^-900 or 2^-1000, whose E0 underflows to 0, is
+    # checked against its own largest coefficient, as it is at size 1
+    grid = make_grid(2, 32)
+    u = random_field(grid, seed=10)
+    tiny = SpectralField.from_coeffs(grid, scaled_plant(u.coeffs, grid.k, power))
+    path = tmp_path / "tiny.flns"
+    write_snapshot(tiny, META, path)
+    back, _ = read_snapshot(path)
+    assert np.array_equal(back.coeffs, tiny.coeffs) and 0.0 < np.max(np.abs(back.coeffs)) < 1e-270
 
 
 _HEADER_BYTES = 48
