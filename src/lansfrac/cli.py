@@ -17,10 +17,17 @@ per-mode pass, with the same output bytes as without it; each step
 length's weights, a Galerkin cut and the audit's sums stay in this process.
 oracle-compare always runs the Picard oracle in a forked worker process
 beside the stepper, and opens no kernel helper: the worker owns the second
-core. It compares the two with ``diagnostics.norm_DA`` on the band block
-and u0's tail, building no field. holder runs Picard in this process alone.
+core. It reads the stepper's states from ``integrator._march``, whose time
+loop ``run`` shares, as band blocks and tails, and seeds Picard with each
+state and its f (a warm start: on oracle2d-n128 3 sweeps in place of 5, and
+242 kernel calls in place of 422), while the worker runs its sweeps as a
+wavefront behind the stepper (``mild._Wavefront``). The seed changes how
+many sweeps Picard takes, not where it ends (``mild.picard_solve``). It
+compares the two with ``diagnostics.norm_DA`` on the band block and u0's
+tail, building no field. holder runs Picard in this process alone.
 verify-energy reads only the records, so its run joins one field, at
-t_end; smoothing keeps one D(A^{1+r}) norm of each snapshot in its fit
+t_end, and refuses data whose E1(0), the base of its relative residuals,
+is not a positive normal float64 (exit 2); smoothing keeps one D(A^{1+r}) norm of each snapshot in its fit
 window. A command that diverges still writes its manifest, and simulate
 its diagnostics. A command whose output cannot be written, or whose
 forked process ended early, still writes its manifest where it can
@@ -53,6 +60,7 @@ from .integrator import (
     InitialData,
     SimConfig,
     Trajectory,
+    _march,
     _step_time,
     _steps,
     galerkin_truncate,
@@ -67,7 +75,7 @@ from .io import (
     parse_config,
     write_manifest,
 )
-from .operators import band_plan, kernel_helper, rhs_f, u_from_v, v_from_u, v_nonlinearity
+from .operators import kernel_helper, rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
     Params,
     Regime,
@@ -203,6 +211,12 @@ def _cmd_verify_energy(args) -> int:
     with _Manifest(config, out) as manifest:
         # reads only the records: a snapshot at t = 0 (the start) and t_end
         traj = _run(dataclasses.replace(config, snapshot_every=n), lambda field, t: None)
+        e1 = traj.diag[0].E1  # the residuals are relative to it
+        if not (math.isfinite(e1) and e1 >= sys.float_info.min):
+            raise ConfigError(
+                f"verify-energy needs E1(0) to be a positive normal float64, got {e1:g}: "
+                "the initial data are too small for a relative energy residual"
+            )
         residuals = diagnostics.energy_balance_residual(traj, config.params)
         rows = [
             {"t": rec.t, "residual": float(res)}
@@ -295,32 +309,38 @@ def _cmd_oracle_compare(args) -> int:
     # intervals, so that every stepper time is a mesh node.
     m = -(-8 // n)
     with _Manifest(config, out) as manifest:
-        # Both sides start from the stepper's t = 0 state: the Galerkin cutoff
-        # that run takes is idempotent, bit for bit.
+        # Both sides start from the state run would step: u0 with its Galerkin
+        # cutoff taken, which _march steps as it is.
         u0 = make_initial(config.initial, config.grid, config.params)
         if config.galerkin_N is not None:
             u0 = galerkin_truncate(u0, config.galerkin_N)
-        # Picard runs in a forked worker while the stepper runs here. Each stepper
-        # snapshot is held as its band block and its values on u0's tail modes,
-        # the only modes outside the block where a snapshot is non-zero.
-        grid, p = config.grid, config.params
-        plan = band_plan(grid, p.alpha)
-        _, modes, _ = plan.split(u0.coeffs)
-        held: list[tuple[np.ndarray, np.ndarray]] = []
-        with mild.picard_worker(u0, p, T, mesh_size=n * m, max_iter=10) as picard:
-            run(stepper_cfg, initial_field=u0, on_snapshot=lambda field, t: held.append(
-                (plan.gather(field.coeffs), field.coeffs.reshape(grid.dim, -1)[:, modes])))
-            oracle_traj, state = picard.result()
+        # Picard runs in a forked worker, a wavefront behind the stepper here,
+        # seeded with each stepper state and its f, which the audit has just
+        # read; the worker makes f(u0) itself, so nothing new runs here before
+        # the first step. Each state is held as its band block, in the
+        # worker's shared states, and its values on u0's tail modes, the only
+        # modes outside the block where a state is non-zero ((dim, 0) when
+        # there are none); no field is built.
+        from . import picard_fork  # here: the other commands need not compile it
 
-        tables = diagnostics.audit_tables(grid, p.alpha, p.s)
-        rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, modes)
-        rows = []
-        for j, (block, tail) in enumerate(held):
-            w_block, _, w_tail = oracle_traj.snapshots.split(j * m)
-            ref = diagnostics.norm_DA(block, tables, (rows_tail, tail))
-            diff = diagnostics.norm_DA(block - w_block, tables, (rows_tail, tail - w_tail))
-            rows.append({"t": float(oracle_traj.times[j * m]), "nDA_stepper": ref,
-                         "rel_diff": diff / max(ref, 1e-30)})
+        grid, p = config.grid, config.params
+        tails: list[np.ndarray] = []
+        no_tail = np.empty((grid.dim, 0), np.complex128)
+        with picard_fork.picard_worker(u0, p, T, mesh_size=n * m, max_iter=10, seeds=n) as picard:
+            for j, (_, block, f, modes, tail) in enumerate(_march(stepper_cfg, u0, "u", [])):
+                picard.seed(j, block, f)
+                tails.append(no_tail if tail is None else tail.copy())
+            oracle_traj, state = picard.result()
+            # the rows are taken while the worker's process ends
+            tables = diagnostics.audit_tables(grid, p.alpha, p.s)
+            rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, modes)
+            rows = []
+            for j, (block, tail) in enumerate(zip(picard.states, tails, strict=True)):
+                w_block, _, w_tail = oracle_traj.snapshots.split(j * m)
+                ref = diagnostics.norm_DA(block, tables, (rows_tail, tail))
+                diff = diagnostics.norm_DA(block - w_block, tables, (rows_tail, tail - w_tail))
+                rows.append({"t": float(oracle_traj.times[j * m]), "nDA_stepper": ref,
+                             "rel_diff": diff / max(ref, 1e-30)})
         # np.max keeps a nan, where Python's max would drop one after the first row
         worst = float(np.max([row["rel_diff"] for row in rows], initial=0.0))
         path = out / "oracle.csv"

@@ -7,7 +7,7 @@ and ends and reaps the child; each keeps only its protocol on the pipes:
 - ``operators.kernel_helper`` forks the kernel's helper (``helper``), which
   runs half of every phase of a stepping command's step: the kernel's
   passes, the step's arithmetic and the audit's per-mode pass;
-- ``mild.picard_worker`` forks the Picard worker of ``oracle-compare``.
+- ``picard_fork.picard_worker`` forks the Picard worker of ``oracle-compare``.
 
 A forked process shares with its parent only what lives in an anonymous
 shared mapping (``shared_array``); every other page is its own copy from the

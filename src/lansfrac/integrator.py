@@ -12,7 +12,7 @@ per step through ``galerkin_N``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -368,71 +368,120 @@ def run(
     with the number of steps or snapshots. The t = 0 snapshot is the start
     state itself, taken right after the first f and diagnostics record.
 
-    The run has one layout: the band block of its start state, plus a
-    linear tail. The 2/3-dealiased f(u, u) reads and writes only the band
-    block (see ``BandPlan``; Orszag 1971), so on every other mode the
-    exponential step is E u + w1 0 + w2 0, the exact linear semigroup. The
-    run steps the block: the state, f, the step's arrays, the propagator
-    weights, the Galerkin mask, the v-form factor and the audit's tables
-    hold just the band modes. The tail is the start's non-zero modes outside
-    the block (``BandPlan.split``; the Galerkin cutoff is taken before, so
-    it keeps them all), and only the propagator touches it, as tail = E tail
-    + 0.0. Each later snapshot is ``BandPlan.join`` of the block and the
-    tail, the only full field the run builds: the bytes a whole-spectrum
-    step gives. A Galerkin cutoff sets its cut modes to +0.0. Each step
-    calls ``_advance`` once.
-
-    The block's state, f(state) and the step's weights live in the kernel
-    workspace (``operators._KernelWorkspace``), where the step is formed in
-    place, so a run holds no block of its own beyond the tail. The stage,
-    the update and the audit's per-mode pass are phases of
-    ``_KernelWorkspace.split``: inside ``operators.kernel_helper`` the
-    helper process takes half of their k_0 rows, and half of each kernel
-    call. This process alone computes the weights (``_weights``: dt's table
-    before the loop, a shorter last step's before that step), the
-    Galerkin cut (one masked copy), the audit's sums, the checks, the tail
-    and the snapshots, so every output has the same bytes with or without
-    the helper. The workspace holds one run's step, its state in the
-    kernel's input block, so ``on_snapshot`` must neither start another run
-    on this (grid, alpha) nor evaluate f there: any kernel call, ``rhs_f``
-    and ``diagnostics.record`` included, overwrites the state.
+    The steps are ``_march``'s, which holds the time loop; run takes the
+    Galerkin cutoff and the v form of the start before it, and builds the
+    snapshots from the states it yields. Each later snapshot is
+    ``BandPlan.join`` of the state's block and tail, the only full field the
+    run builds: the bytes a whole-spectrum step gives. ``on_snapshot`` must
+    neither start another run on this (grid, alpha) nor evaluate f there:
+    any kernel call, ``rhs_f`` and ``diagnostics.record`` included,
+    overwrites the state (see ``_march``).
 
     form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
-    snapshots then hold v. Each state gets one ``diagnostics.audit`` of u
-    and f(u), the run's only check, whose record sums block and tail.
-    Raises DivergedError, with the step and its end time, if an invariant
-    flag (real / solenoidal / zero-mean) of that state's block or the
-    solenoidal or zero-mean flag of its f breaks, which a non-finite state
-    does, or if the D(A) norm exceeds 1e6 times its initial value; f(stage)
-    is checked through the state it makes. No energy enters the flags, so a
-    finite start whose E0 overflows passes and its first step reports the
-    blow-up. The start is step 0, checked before any snapshot, and with a
-    tail all of it by ``measure_flags``. E is real and even, so the tail
-    stays real, solenoidal and mean-free and needs no later check. The
-    error's ``diag`` holds the records made through the failing state.
+    snapshots then hold v. Raises DivergedError, with the step and its end
+    time and the records made through the failing state, as ``_march``
+    does.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
-    grid, params = config.grid, config.params
-    alpha = params.alpha
+    grid, alpha = config.grid, config.params.alpha
 
     # start is the run's only reference to its initial field, so that the
     # field can be freed once the t = 0 snapshot no longer needs it
     start = (
         initial_field
         if initial_field is not None
-        else make_initial(config.initial, grid, params)
+        else make_initial(config.initial, grid, config.params)
     )
     del initial_field
     if config.galerkin_N is not None:
         start = galerkin_truncate(start, config.galerkin_N)
     if form == "v":
         start = v_from_u(start, alpha)
+
+    snapshots: list[SpectralField] = []
+    snap_times: list[float] = []
+    if on_snapshot is None:
+        def on_snapshot(w: SpectralField, t: float) -> None:
+            snapshots.append(w)
+            snap_times.append(t)
+
+    plan = _kernel_workspace(grid, alpha).plan
+    n_steps, _ = _steps(config.t_end, config.scheme.dt)
+    diag: list[diagnostics.DiagRecord] = []
+    for step, (t, block, _, modes, tail) in enumerate(_march(config, start, form, diag)):
+        if step == 0:
+            on_snapshot(start, 0.0)
+            del start
+        elif step % config.snapshot_every == 0 or step == n_steps:
+            on_snapshot(SpectralField.from_coeffs(grid, plan.join(block, modes, tail)), t)
+    return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)
+
+
+def _march(
+    config: SimConfig,
+    start: SpectralField,
+    form: str,
+    diag: list[diagnostics.DiagRecord],
+) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """The time loop of ``run``: step start, as it is, to config.t_end, and
+    yield each checked state as (t, block, f, modes, tail).
+
+    The states are the start (step 0) and the end of each step, in order.
+    block is the state's band block, f = f(state) on the block, modes the
+    flat indices of the tail and tail its (dim, n) values there, or None when
+    the start has none (``BandPlan.split``). All three arrays are views of
+    the march's own buffers, valid until the next state is asked for, so a
+    consumer copies what it keeps. Each state's diagnostics record is
+    appended to diag before it is yielded. start is neither cut nor
+    converted here: ``run`` takes the Galerkin cutoff and the v form first.
+
+    The march has one layout: the band block of its start state, plus a
+    linear tail. The 2/3-dealiased f(u, u) reads and writes only the band
+    block (see ``BandPlan``; Orszag 1971), so on every other mode the
+    exponential step is E u + w1 0 + w2 0, the exact linear semigroup. The
+    march steps the block: the state, f, the step's arrays, the propagator
+    weights, the Galerkin mask, the v-form factor and the audit's tables
+    hold just the band modes. The tail is the start's non-zero modes outside
+    the block (``BandPlan.split``; the Galerkin cutoff is taken before, so
+    it keeps them all), and only the propagator touches it, as tail = E tail
+    + 0.0. A Galerkin cutoff sets its cut modes to +0.0. Each step calls
+    ``_advance`` once.
+
+    The block's state, f(state) and the step's weights live in the kernel
+    workspace (``operators._KernelWorkspace``), where the step is formed in
+    place, so a march holds no block of its own beyond the tail. The stage,
+    the update and the audit's per-mode pass are phases of
+    ``_KernelWorkspace.split``: inside ``operators.kernel_helper`` the
+    helper process takes half of their k_0 rows, and half of each kernel
+    call. This process alone computes the weights (``_weights``: dt's table
+    before the loop, a shorter last step's before that step), the
+    Galerkin cut (one masked copy), the audit's sums, the checks and the
+    tail, so every output has the same bytes with or without the helper.
+    The workspace holds one march's step, its state in the kernel's input
+    block, so a consumer must neither start another march on this
+    (grid, alpha) nor evaluate f there between two states.
+
+    form = "v" steps the filtered momentum v = (1 + alpha^2 A) u. Each
+    state gets one ``diagnostics.audit`` of u and f(u), the march's only
+    check, whose record sums block and tail. Raises DivergedError, with the
+    step and its end time, if an invariant flag (real / solenoidal /
+    zero-mean) of that state's block or the solenoidal or zero-mean flag of
+    its f breaks, which a non-finite state does, or if the D(A) norm exceeds
+    1e6 times its initial value; f(stage) is checked through the state it
+    makes. No energy enters the flags, so a finite start whose E0
+    overflows passes and its first step reports the blow-up. The start is
+    step 0, checked before it is yielded, and with a tail all of it by
+    ``measure_flags``. E is real and even, so the tail stays real,
+    solenoidal and mean-free and needs no later check. The error's ``diag``
+    is diag, the records through the failing state.
+    """
+    grid, params = config.grid, config.params
+    alpha = params.alpha
     ws = _kernel_workspace(grid, alpha)
     plan = ws.plan
     state, modes, tail = plan.split(start.coeffs, out=ws.state)
     tables = diagnostics.audit_tables(grid, alpha, params.s)
-
     # f(state) into ws.f_state, f(stage) into ws.product (see _advance)
     if config.linear_only:
         f_new, f_step = (lambda w: ws.f_state.fill(0.0)), (lambda w: ws.product.fill(0.0))
@@ -462,15 +511,6 @@ def run(
     dt = config.scheme.dt
     n_steps, last = _steps(config.t_end, dt)
 
-    snapshots: list[SpectralField] = []
-    snap_times: list[float] = []
-    if on_snapshot is None:
-        def on_snapshot(w: SpectralField, t: float) -> None:
-            snapshots.append(w)
-            snap_times.append(t)
-
-    diag: list[diagnostics.DiagRecord] = []
-
     def load(h: float) -> np.ndarray | None:
         """Put the weights of a step of length h into ws.weights; the tail's E."""
         table = _weights(size, params.nu, params.s, h)
@@ -497,8 +537,8 @@ def run(
         if not all(flags):
             raise _broken(flags, 0, 0.0)
         guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-        on_snapshot(start, 0.0)
-        del start
+        del start  # the caller's snapshot of t = 0 is its last use
+        yield 0.0, state, ws.f_state, modes, tail
 
         e_tail = load(dt)
         for i in range(n_steps):
@@ -518,9 +558,7 @@ def run(
                 raise _broken(flags, i + 1, t)
             if diag[-1].nDA > guard:
                 raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
-            if (i + 1) % config.snapshot_every == 0 or i + 1 == n_steps:
-                on_snapshot(SpectralField.from_coeffs(grid, plan.join(state, modes, tail)), t)
+            yield t, state, ws.f_state, modes, tail
     except DivergedError as exc:
         exc.diag = diag  # the records through the failing state
         raise
-    return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)

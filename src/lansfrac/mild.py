@@ -18,36 +18,32 @@ conditions of the refined solution class over a sampled (t, h) lattice and
 report minimal feasible constants instead of pass/fail against
 unquantified theoretical ones.
 
-``picard_worker`` runs one ``picard_solve`` in a process forked by
-``forks.fork``, which makes its pipes, ends and reaps it, so the oracle can
-run while its caller steps the same problem. Within a sweep every node's f
-reads only the previous iterate, so the f evaluations are independent of
-each other; the accumulation runs in node order. The worker keeps the
-accumulation, and once the caller waits for the result it evaluates f at
-nodes too, so both processes work until the end. A token and a report on
-the worker's pipes are one 4-byte node index; an exception goes out where
-it is raised, in either process. While the worker runs on a GEMM band plan
-(every 3D grid, and 2D grids up to ``spectral.GEMM_MAX_N``), both processes
-hold OpenBLAS at one thread (``forks.one_blas_thread``).
+The sweeps run as the levels of a wavefront (``_Wavefront``): one stack
+holds every node's latest iterate, each sweep keeps its own running
+integral, and sweep j + 1 updates a node only after sweep j has, and only
+once sweep j's increment has reached the stop threshold, so every update
+has the bits of sweep-major order. A solve starts cold, from the free
+trajectory, or warm, from seeds: a stepper's states and their f, which
+``oracle-compare`` passes. The stop rule bounds the last iterate's distance
+from the fixed point whatever the start (see ``picard_solve``), so a warm
+start changes how many sweeps the solve takes, not its verdict.
+
+``picard_fork.picard_worker`` runs a solve in a forked process beside the
+stepper of ``oracle-compare``, seeded with the stepper's states, and shares
+the f evaluations with it; its feed (``picard_fork._RingNodes``) takes the
+place of the one-process schedule (``_Here``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import select
-import struct
-import warnings
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager, nullcontext
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .errors import DivergedError, LansfracError, NoContractionError
-from .forks import CHILD, PARENT, POLLED, Child, fork, one_blas_thread, shared_array
+from .errors import DivergedError, NoContractionError
 from .integrator import Trajectory
 from .operators import band_plan, rhs_f, rhs_f_band  # noqa: F401  the tracer patches rhs_f
 from .spectral import (
@@ -97,77 +93,212 @@ class PicardState:
 
 
 class _BandSolve:
-    """u0, f at node 0 and the tables of one Picard solve, on the band block.
+    """u0, f at node 0, the mesh and the tables of one Picard solve, on the band block.
 
     f has no modes outside the band block (see ``BandPlan``), so there every
     Picard node is the free field u0 e^{-t nu A^s}, and only the block is
     iterated. Each table is gathered once per solve; node 0 is u0 in every
-    iterate, so its f is taken once, from ``rhs_f_band`` on u0's block.
+    iterate, so its f is taken once: a copy of f0 when given (a seed's, see
+    ``picard_solve``), else from ``rhs_f_band`` on u0's block. work and
+    diff are the scratch blocks of ``_duhamel_sweep``.
     """
 
-    def __init__(self, u0: SpectralField, params: Params):
+    def __init__(self, u0: SpectralField, params: Params, t_mesh: np.ndarray,
+                 f0: np.ndarray | None = None):
         grid = u0.grid
-        self.grid, self.params = grid, params
+        self.grid, self.params, self.t_mesh = grid, params, t_mesh
         self.plan = plan = band_plan(grid, params.alpha)
         self.u0 = plan.gather(u0.coeffs)
-        self.f0 = rhs_f_band(grid, self.u0, params, out=np.empty_like(self.u0))
+        if f0 is None:
+            self.f0 = rhs_f_band(grid, self.u0, params, out=np.empty_like(self.u0))
+        else:  # every level's first half step reads it, long after its seed was taken
+            self.f0 = np.array(f0, dtype=np.complex128)
         self.stokes = plan.gather(_stokes_table(grid, params.s))
         self.tables = diagnostics.audit_tables(grid, params.alpha, params.s)
         self.steps: dict[float, np.ndarray] = {}  # factor(h) of each mesh step h met
+        self.work, self.diff = np.empty_like(self.u0), np.empty_like(self.u0)
 
     def factor(self, t: float) -> np.ndarray:
         """``semigroup_factor`` on the block: exp(-nu t |k|^{2s})."""
         return np.exp(-self.params.nu * t * self.stokes)
 
+    def step(self, i: int) -> float:
+        """The length of mesh step i, from node i - 1 to node i."""
+        return float(self.t_mesh[i] - self.t_mesh[i - 1])
 
-def _duhamel_sweep(
-    stack: np.ndarray,
-    band: _BandSolve,
-    t_mesh: np.ndarray,
-    f_at: Callable[[int], np.ndarray] | None = None,
-) -> float:
-    """One Picard sweep, left to right through the band-block iterate stack, in place.
 
-    At node i >= 1 the running Duhamel integral advances by the semigroup
-    property, acc <- e^{-h nu A^s}(acc + h/2 f_{i-1}) + h/2 f_i (composite
-    trapezoid with the exact factor at every node), where f_i = f(u_i, u_i)
-    of the previous iterate (node i is not yet overwritten, so this is a
-    Jacobi sweep), and node i becomes u0 e^{-t_i nu A^s} + acc. Node 0 is u0
-    and is left as it is. Returns the sup over the nodes of the D(A)
-    increment (``diagnostics.norm_DA`` of the block's change); a non-finite
-    increment raises NoContractionError.
+class _Level:
+    """One Picard sweep of a ``_Wavefront``: the next node it updates, the sup of
+    its increments so far, and its running Duhamel integral, which already
+    holds the first half step h/2 f_{node-1} of its next node.
 
-    f_at(i) returns f_i, and the sweep reads it until it asks for f_{i+1}.
-    Without f_at the sweep evaluates every f itself with ``rhs_f_band`` and
-    reads it in the kernel workspace's product block, which the next call
-    overwrites, so the sweep allocates no f buffer.
+    Level j is sweep j + 1: it turns iterate j into iterate j + 1. error is
+    the NoContractionError of a non-finite increment, held until every
+    level below has ended (see ``_Wavefront``).
     """
-    if f_at is None:
-        def f_at(i: int) -> np.ndarray:
-            return rhs_f_band(band.grid, stack[i], band.params)
 
-    acc = np.zeros_like(stack[0])
-    work = np.empty_like(acc)
-    diff = np.empty_like(acc)
-    f = band.f0  # f at the previous node
-    sup = 0.0
-    for i in range(1, len(t_mesh)):
-        t = float(t_mesh[i])
-        h = float(t_mesh[i] - t_mesh[i - 1])
-        np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
-        if h not in band.steps:  # the steps repeat: one factor per distinct h
-            band.steps[h] = band.factor(h)
-        np.multiply(band.steps[h], acc, out=acc)
-        f = f_at(i)
-        np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
-        nxt = np.multiply(band.u0, band.factor(t), out=work)
-        np.add(nxt, acc, out=nxt)
-        inc = diagnostics.norm_DA(np.subtract(nxt, stack[i], out=diff), band.tables)
-        if not math.isfinite(inc):
-            raise NoContractionError(f"Picard increment became non-finite at t = {t:g}")
-        sup = max(sup, inc)
+    def __init__(self, index: int, band: _BandSolve):
+        self.index, self.node, self.sup = index, 1, 0.0
+        self.error: NoContractionError | None = None
+        self.acc = np.zeros_like(band.u0)
+        np.add(self.acc, np.multiply(0.5 * band.step(1), band.f0, out=band.work), out=self.acc)
+
+
+def _duhamel_sweep(band: _BandSolve, stack: np.ndarray, level: _Level, f: np.ndarray) -> float:
+    """One node of a Picard sweep: level's update of its next node i >= 1, given f_i.
+
+    The running Duhamel integral advances by the semigroup property,
+    acc <- e^{-h nu A^s}(acc + h/2 f_{i-1}) + h/2 f_i (composite trapezoid
+    with the exact factor at every node), where f_i = f(u_i, u_i) of the
+    level's previous iterate (node i is not yet overwritten, so this is a
+    Jacobi sweep), and node i becomes u0 e^{-t_i nu A^s} + acc. The half
+    step h/2 f_{i-1} is already in acc, added when node i - 1 was updated
+    (``_Level``); this call adds node i + 1's, so the level reads f_i only
+    here and keeps no f of its own. Each array operation is the one an
+    in-order left-to-right sweep makes, in the same order, so the bits are
+    too. Returns the D(A) increment (``diagnostics.norm_DA`` of the block's
+    change); a non-finite one leaves node i and acc as they were.
+    """
+    i, acc, work = level.node, level.acc, band.work
+    t, h = float(band.t_mesh[i]), band.step(i)
+    if h not in band.steps:  # the steps repeat: one factor per distinct h
+        band.steps[h] = band.factor(h)
+    np.multiply(band.steps[h], acc, out=acc)
+    np.add(acc, np.multiply(0.5 * h, f, out=work), out=acc)
+    nxt = np.multiply(band.u0, band.factor(t), out=work)
+    np.add(nxt, acc, out=nxt)
+    inc = diagnostics.norm_DA(np.subtract(nxt, stack[i], out=band.diff), band.tables)
+    if math.isfinite(inc):
         stack[i] = nxt
-    return sup
+        if i + 1 < len(stack):
+            np.add(acc, np.multiply(0.5 * band.step(i + 1), f, out=work), out=acc)
+    return inc
+
+
+class _Wavefront:
+    """The Jacobi sweeps of one Picard solve, run node-major as levels.
+
+    One stack holds the latest iterate of every node, so level j (sweep
+    j + 1) may update node i only after level j - 1 has, and each level
+    keeps its own running integral (``_Level``). Level 0 may update the
+    nodes below ``present``, those whose iterate 0 is in the stack. Level
+    j + 1 may update node i only when level j has updated it and level j's
+    sup so far is >= stop: level j's own sup can only grow, so sweep-major
+    order runs level j + 1 as well. Under this rule every update reads the
+    same node, the same f and the same running integral as in sweep-major
+    order, so the nodes, the increments and every verdict are the same bits
+    whatever the order of the updates the rule allows (``next`` takes the
+    lowest level that may run).
+
+    A level ends at the last node, and its sup is the sweep's increment:
+    three increments in a row that do not decrease raise NoContractionError,
+    one below stop converges the solve, and max_iter levels end it. A level
+    whose increment is non-finite stops with a NoContractionError, which is
+    raised as soon as no level below it runs any more (at once if there is
+    none); the levels above it go. So each error is the one sweep-major
+    order raises first. On data the contraction fails for, level j + 1 may
+    have begun when level j's end raises NoContractionError; the error is
+    the same.
+    """
+
+    def __init__(self, stack: np.ndarray, band: _BandSolve, stop: float, max_iter: int, m: int):
+        self.stack, self.band, self.stop, self.max_iter = stack, band, stop, max_iter
+        self.m = m  # the stride of the seeded nodes, 0 without seeds
+        self.present = m or len(stack)
+        self.levels: list[_Level] = []  # the running levels, lowest first
+        self.increments: list[float] = []
+        self.converged = self.done = False
+        self._streak = 0  # increments in a row that did not decrease
+
+    def seed(self, i: int) -> None:
+        """The seeded node i's iterate 0 is in the stack: level 0 may run to the next one."""
+        self.present = min(i + self.m, len(self.stack))
+
+    def next(self) -> _Level | None:
+        """The lowest level that may update its next node now, or None when none
+        may; it raises the held error of the lowest running level."""
+        limit = len(self.stack) if self.increments else self.present
+        leads = not self.done
+        for level in self.levels:
+            if level.error is not None:
+                if level is self.levels[0]:
+                    raise level.error
+                return None
+            if level.node < limit:
+                return level
+            limit, leads = level.node, level.sup >= self.stop
+            if not leads:
+                return None
+        if leads and limit > 1 and len(self.increments) + len(self.levels) < self.max_iter:
+            self.levels.append(_Level(len(self.increments) + len(self.levels), self.band))
+            return self.levels[-1]
+        return None
+
+    def advance(self, level: _Level, f: np.ndarray) -> None:
+        """Run level's update of its next node with f there (``_duhamel_sweep``)."""
+        inc = _duhamel_sweep(self.band, self.stack, level, f)
+        if not math.isfinite(inc):
+            t = float(self.band.t_mesh[level.node])
+            level.error = NoContractionError(f"Picard increment became non-finite at t = {t:g}")
+            del self.levels[self.levels.index(level) + 1:]
+            if level is self.levels[0]:
+                raise level.error
+            return
+        level.sup = max(level.sup, inc)
+        level.node += 1
+        if level.node == len(self.stack):
+            self._end(self.levels.pop(0))  # a level ends only after the one below it
+
+    def _end(self, level: _Level) -> None:
+        inc = level.sup
+        if self.increments and inc >= self.increments[-1]:
+            self._streak += 1
+            if self._streak >= 3:
+                raise NoContractionError(
+                    "Picard increments failed to decrease for 3 consecutive sweeps"
+                )
+        else:
+            self._streak = 0
+        self.increments.append(inc)
+        if inc < self.stop:
+            self.converged = self.done = True
+        elif len(self.increments) == self.max_iter:
+            self.done = True
+
+
+class _Here:
+    """``picard_solve``'s schedule in one process: every f not taken from a seed
+    is evaluated here, with ``rhs_f_band``, and read where the kernel writes
+    it, in the workspace's product block.
+
+    The seeds are released one at a time, each once no update the earlier
+    ones allow is left, as the stepper's states reach the worker. So level 0
+    reads seed j's f before seed j + 1 is read, and the levels run as the
+    worker's wavefront. Without seeds the order is sweep-major.
+    """
+
+    def __init__(self, seeds: Sequence[tuple[np.ndarray, np.ndarray]] | None):
+        self._seeds, self.seeds = seeds, 0 if seeds is None else len(seeds) - 1
+        self._u0, self.f0 = (None, None) if seeds is None else seeds[0]
+
+    def run(self, wave: _Wavefront) -> None:
+        grid, params, stack, m = wave.band.grid, wave.band.params, wave.stack, wave.m
+        if self._u0 is not None and not np.array_equal(self._u0, wave.band.u0):
+            raise ValueError("seed 0 must hold u0's band block")
+        seeded = (0, None)  # the node of the last seed and its f, until level 0 reads it
+        for j in range(self.seeds + 1):
+            if j:
+                block, f = self._seeds[j]
+                stack[j * m] = block
+                seeded = (j * m, f)
+                wave.seed(j * m)
+            while (level := wave.next()) is not None:
+                i = level.node
+                if level.index == 0 and i == seeded[0]:
+                    f, seeded = seeded[1], (0, None)
+                else:
+                    f = rhs_f_band(grid, stack[i], params)
+                wave.advance(level, f)
 
 
 class PicardNodes(Sequence[SpectralField]):
@@ -226,17 +357,18 @@ def picard_solve(
     max_iter: int = 12,
     tol: float = 1e-12,
     out: np.ndarray | None = None,
-    f_at: Callable[[int], np.ndarray] | None = None,
+    seeds: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    feed: _Here | None = None,
 ) -> tuple[Trajectory, PicardState]:
     """Fixed-point iteration u^(j+1) = e^{-t nu A^s} u0 + Duhamel(f(u^(j), u^(j))).
 
     The mesh runs over [0, T], 0 < T <= 1; any other T raises ValueError.
-    Starts from the free trajectory e^{-t nu A^s} u0 and runs each sweep
-    through one (mesh_size + 1, dim) + block_shape iterate stack that holds
-    the band block of every node (see _duhamel_sweep). Stops once the
-    sup-in-time D(A) increment drops below tol * ||u0||_{D(A)} (absolute
-    fallback for u0 = 0) or after max_iter sweeps. Raises NoContractionError
-    if an increment is non-finite or fails to decrease three times in a row,
+    Each sweep runs through one (mesh_size + 1, dim) + block_shape iterate
+    stack that holds the band block of every node (see ``_duhamel_sweep``),
+    as the levels of a ``_Wavefront``. Stops once the sup-in-time D(A)
+    increment drops below tol * ||u0||_{D(A)} (absolute fallback for
+    u0 = 0) or after max_iter sweeps. Raises NoContractionError if an
+    increment is non-finite or fails to decrease three times in a row,
     which is the observable signature of data too large for the contraction.
     The kernel checks nothing, so a last iterate's node that fails the audit's
     ``diagnostics.state_flags``, each residual held against the node's own
@@ -244,16 +376,36 @@ def picard_solve(
     The returned trajectory carries no diagnostics records; its snapshots are
     a ``PicardNodes`` sequence, which builds each full node on access.
 
+    Without seeds the solve starts from the free trajectory e^{-t nu A^s} u0
+    (a cold start). seeds, when given, are the (band block, f of it) pairs of
+    n + 1 states at t = 0, T/n, ..., T, n dividing mesh_size into m intervals
+    each, such as a stepper's (a warm start): iterate 0 at node j m is block
+    j, and sweep 1 takes its f there from the seed, so it evaluates f only at
+    the m - 1 free-field nodes between two seeds (none when m = 1). Node 0 is
+    u0 in every iterate, so block 0 must be u0's band block, and f0 is taken
+    from seed 0. Any seed gives the same fixed point: for a contraction of
+    factor q, ||u^(J) - u*|| <= q/(1 - q) inc_J, so the stop rule bounds the
+    final iterate's distance from it whatever iterate 0 was; a start close
+    to u* only takes fewer sweeps there.
+
     out, when given, is the complex128 iterate stack to iterate in, of shape
     ``picard_stack_shape(u0.grid, params, mesh_size)``; the solve writes every
-    element of it and leaves it read-only. f_at, when given, returns f at
-    node i of the iterate in out (see ``_duhamel_sweep``); ``picard_worker``
-    passes one that shares the evaluations with its parent. Without it the
-    solve evaluates every node itself.
+    element of it and leaves it read-only. feed, when given, runs the
+    schedule in place of the one-process one (``_Here``), with its seeds,
+    f0 and run: ``picard_fork.picard_worker``'s ``_RingNodes`` takes its
+    seeds from the parent and shares the f evaluations with it.
     """
     _check_horizon(T)
+    if mesh_size < 1:
+        raise ValueError(f"mesh_size must be >= 1, got {mesh_size}")
+    if feed is None:
+        feed = _Here(seeds)
+    n = feed.seeds
+    if n and mesh_size % n:
+        raise ValueError(f"{n} seed intervals do not divide mesh_size = {mesh_size}")
+    m = mesh_size // n if n else 0
     t_mesh = np.linspace(0.0, T, mesh_size + 1)
-    band = _BandSolve(u0, params)
+    band = _BandSolve(u0, params, t_mesh, feed.f0)
     shape = picard_stack_shape(u0.grid, params, mesh_size)
     if out is None:
         stack = np.empty(shape, dtype=np.complex128)
@@ -262,33 +414,17 @@ def picard_solve(
     else:
         stack = out
     for i, t in enumerate(t_mesh):
-        np.multiply(band.u0, band.factor(float(t)), out=stack[i])
+        if i == 0 or not m or i % m:  # a seeded node's iterate 0 comes with its seed
+            np.multiply(band.u0, band.factor(float(t)), out=stack[i])
 
-    scale = norm_DAr(u0, 1.0)
-    stop = tol * max(scale, 1e-30)
-    increments: list[float] = []
-    converged = False
-    bad_streak = 0
-
-    for _ in range(max_iter):
-        inc_linf = _duhamel_sweep(stack, band, t_mesh, f_at)
-        if increments and inc_linf >= increments[-1]:
-            bad_streak += 1
-            if bad_streak >= 3:
-                raise NoContractionError(
-                    "Picard increments failed to decrease for 3 consecutive sweeps"
-                )
-        else:
-            bad_streak = 0
-        increments.append(inc_linf)
-        if inc_linf < stop:
-            converged = True
-            break
+    stop = tol * max(norm_DAr(u0, 1.0), 1e-30)
+    wave = _Wavefront(stack, band, stop, max_iter, m)
+    feed.run(wave)
 
     for node, t in zip(stack, t_mesh):
         if not all(diagnostics.state_flags(node, band.tables)):
             raise DivergedError(f"Picard node invariant broken at t = {t:g}", t=float(t))
-    return _solution(u0, params, t_mesh, stack, increments, converged)
+    return _solution(u0, params, t_mesh, stack, wave.increments, wave.converged)
 
 
 def picard_stack_shape(grid: GridSpec, params: Params, mesh_size: int) -> tuple[int, ...]:
@@ -314,174 +450,6 @@ def _solution(
         n_iter=len(increments),
     )
     return Trajectory(times=t_mesh, snapshots=nodes, diag=[]), state
-
-
-# f at the nodes of a forked solve passes through a ring of this many slots
-# in shared memory, node i in slot i mod RING_SLOTS (see picard_worker).
-RING_SLOTS = 4
-_NODE = struct.Struct("<i")  # a token (a node whose f is wanted) or a report (a node evaluated)
-
-
-def _recorded(caught) -> list[tuple]:
-    """What ``warnings.warn_explicit`` needs to issue each caught warning again."""
-    return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-
-def _take(fd: int) -> bytes | None:
-    """A token or a report from the non-blocking fd: b"" at end-of-file, None when none waits."""
-    try:
-        return os.read(fd, _NODE.size)
-    except BlockingIOError:
-        return None
-
-
-class _RingNodes:
-    """The worker's f_at (see ``_duhamel_sweep``): f of a node, evaluated by either process.
-
-    Asked for f_i, it posts as a token the node whose slot f_{i-1} freed
-    (nodes 1..RING_SLOTS when a sweep starts). Then, until f_i is in, it
-    reads a report of a node the parent evaluated if one waits, else takes a
-    token and evaluates that node itself, else waits for a report. Tokens
-    leave the pipe in the order they were posted, so the parent holds node i
-    whenever none is left. An empty read of the reports (non-blocking, as the
-    tokens) means the parent is gone and raises LansfracError.
-    """
-
-    def __init__(self, grid, params, stack, ring, tokens: int, post: int, reports: int):
-        self._grid, self._params, self._stack, self._ring = grid, params, stack, ring
-        self._tokens, self._post, self._reports = tokens, post, reports
-        self._ready: set[int] = set()
-
-    def __call__(self, i: int) -> np.ndarray:
-        k, last = len(self._ring), len(self._stack) - 1
-        free = range(1, min(k, last) + 1) if i == 1 else range(i - 1 + k, min(i + k, last + 1))
-        if free:
-            os.write(self._post, b"".join(_NODE.pack(j) for j in free))
-        while i not in self._ready:
-            report = _take(self._reports)
-            if report == b"":
-                raise LansfracError("the parent of the Picard process has gone")
-            if report is not None:
-                self._ready.add(_NODE.unpack(report)[0])
-            elif (token := _take(self._tokens)) is not None:
-                j = _NODE.unpack(token)[0]
-                rhs_f_band(self._grid, self._stack[j], self._params, out=self._ring[j % k])
-                self._ready.add(j)
-            else:  # no report and no token: the parent holds node i
-                select.select([self._reports], [], [])
-        self._ready.remove(i)
-        return self._ring[i % k]
-
-
-class PicardWorker:
-    """Both sides of ``picard_worker``'s protocol: ``solve`` runs in the forked
-    process, the rest in the parent, through child (``forks.Child``)."""
-
-    child: Child
-
-    def __init__(self, u0: SpectralField, params: Params, T: float, mesh_size: int, max_iter: int):
-        self._u0, self._params, self._args = u0, params, (T, mesh_size, max_iter)
-        shape = picard_stack_shape(u0.grid, params, mesh_size)
-        # the iterate stack, and the ring, of which the handle holds the parent's only view
-        self._stack, self._ring = shared_array(shape), shared_array((RING_SLOTS,) + shape[1:])
-
-    def solve(self, reply: int, tokens: int, post: int, reports: int) -> None:
-        """The worker process, given its pipe ends: solve into the stack, then send the reply."""
-        u0, params, stack = self._u0, self._params, self._stack
-        f_at = _RingNodes(u0.grid, params, stack, self._ring, tokens, post, reports)
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                traj, state = picard_solve(u0, params, *self._args, out=stack, f_at=f_at)
-                answer = (traj.times, state.increments_linf, state.converged)
-            except BaseException as exc:  # raised again by the parent
-                answer = exc
-        with open(reply, "wb", closefd=False) as pipe:
-            pipe.write(pickle.dumps((_recorded(caught), answer)))
-
-    def result(self) -> tuple[Trajectory, PicardState]:
-        """Help the worker to its end and return what ``picard_solve`` returned in it.
-
-        Until the worker's reply can be read, the parent takes tokens too: it
-        evaluates f at each node it takes, on its own cached kernel workspace,
-        into the node's ring slot and reports it. Then it drops its mapping
-        of the ring. The warnings caught in both processes are issued here,
-        the worker's first, then the exception the worker raised, if any, is
-        raised here; one the parent raises while it helps goes out at once.
-        A worker that ends without a whole reply raises WorkerError.
-        """
-        with warnings.catch_warnings(record=True) as helped:
-            self._help()
-        self._ring = None  # its last view in the parent: the mapping goes
-        with open(self.child.ends[0], "rb", closefd=False) as pipe:
-            reply = pipe.read()
-        if self.child.reap():  # the worker exits 0 only after it has sent its reply
-            raise self.child.error("before it sent a result")
-        caught, answer = pickle.loads(reply)
-        for message, category, filename, lineno in caught + _recorded(helped):
-            warnings.warn_explicit(message, category, filename, lineno)
-        if isinstance(answer, BaseException):
-            raise answer
-        t_mesh, increments, converged = answer
-        return _solution(self._u0, self._params, t_mesh, self._stack, increments, converged)
-
-    def _help(self) -> None:
-        """Evaluate the nodes of the tokens the parent takes until the reply is readable."""
-        grid, (reply, tokens, reports) = self._u0.grid, self.child.ends
-        while reply not in select.select([reply, tokens], [], [])[0]:
-            token = _take(tokens)
-            if token is None:  # the worker took it first
-                continue
-            if not token:  # the worker has ended
-                return
-            i = _NODE.unpack(token)[0]
-            rhs_f_band(grid, self._stack[i], self._params, out=self._ring[i % len(self._ring)])
-            try:
-                os.write(reports, token)  # the report; whole, as 4 < PIPE_BUF
-            except BrokenPipeError:  # the worker has ended; its status says how
-                return
-
-
-@contextmanager
-def picard_worker(
-    u0: SpectralField,
-    params: Params,
-    T: float,
-    mesh_size: int = 64,
-    max_iter: int = 12,
-) -> Iterator[PicardWorker]:
-    """Run ``picard_solve`` in a forked process (``forks.fork``) while the with block runs.
-
-    The iterate stack lives in an anonymous shared mapping that the worker
-    iterates in (``out=``), so the nodes reach the parent without a copy.
-    Each node's f passes through a ring of ``RING_SLOTS`` slots in a second
-    shared mapping. The worker posts the nodes whose slots are free as
-    tokens on a pipe and accumulates each f in node order, as the in-process
-    sweep does, so the nodes are the same bits whichever process evaluated
-    an f. While the with block runs, the worker takes every token itself;
-    ``PicardWorker.result`` takes them in the parent too, and reports each
-    node it evaluated on a second pipe. A token and a report are the same
-    4-byte node index. The worker sends back only the mesh, the increments
-    and the converged flag, or the exception it raised, with the warnings it
-    caught, through a third pipe. Leaving the block without a result, also
-    by an exception the parent meets while it helps or by a Ctrl-C, kills
-    and reaps the worker; no pipe end stays open. Needs ``os.fork`` (POSIX).
-
-    A T outside (0, 1] raises ValueError here, before the fork.
-
-    On a GEMM band plan, so for every 3D oracle, the two processes hold
-    OpenBLAS at one thread (``forks.one_blas_thread``) until the block
-    ends. An FFT plan (2D grids above ``spectral.GEMM_MAX_N``) leaves the
-    pool as it is. A worker that ends without a reply makes ``result``
-    raise WorkerError. ``oracle-compare`` opens no kernel helper
-    (``operators.kernel_helper``) beside it: the worker owns the second core.
-    """
-    _check_horizon(T)
-    with one_blas_thread() if band_plan(u0.grid, params.alpha).gemm else nullcontext():
-        worker = PicardWorker(u0, params, T, mesh_size, max_iter)
-        # the reply; the tokens, which both take and must not wait for; the reports
-        pipes = ((PARENT, CHILD), (PARENT | CHILD | POLLED, CHILD), (CHILD | POLLED, PARENT))
-        with fork("the Picard process", pipes, worker.solve) as worker.child:
-            yield worker
 
 
 @dataclass(frozen=True)

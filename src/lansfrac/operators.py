@@ -96,11 +96,12 @@ class _KernelWorkspace:
     shares the arrays ``allocate`` names with this process while it runs,
     and runs part 1 of every phase that ``split`` runs (``helper_share``);
     ``split`` is the one code that starts it and waits for it.
-    The Picard worker (``mild.picard_worker``, ``oracle-compare``) has a
-    copy of its own; the parent's workspace serves its stepper and then,
-    once the stepper has ended, the Picard nodes that the parent evaluates
-    for the worker (``PicardWorker.result``). Outside a helper, OpenBLAS may
-    split the band transforms' matrix products over its pool (``BandPlan``).
+    The Picard worker (``picard_fork.picard_worker``, ``oracle-compare``)
+    has a copy of its own; the parent's workspace serves its stepper and
+    then, once the stepper has ended, the Picard nodes that the parent
+    evaluates for the worker (``picard_fork.PicardWorker.result``). Outside
+    a helper, OpenBLAS may split the band transforms' matrix products over
+    its pool (``BandPlan``).
 
     It holds the band blocks of the stack (u, which is ``run``'s state, and curl
     v), of the product and of the projection's k x a; the samples and the
@@ -313,8 +314,8 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     Each part makes the operations the whole phase makes on its rows,
     fields, planes or columns, so every output is the same bits. Leaving the
     block ends the helper, then gives the workspace and the plan private
-    buffers again, so that a process forked later (``mild.picard_worker``)
-    shares none of them.
+    buffers again, so that a process forked later
+    (``picard_fork.picard_worker``) shares none of them.
     """
     ws = _kernel_workspace(grid, alpha)
     if not ws.plan.gemm or ws.plan.S >= ws.plan.M or len(os.sched_getaffinity(0)) < 2:

@@ -70,8 +70,8 @@ def open_descriptors() -> dict[int, str]:
 def no_descriptor_left():
     """Fail a test that leaves a file descriptor open, on any exit path: a pipe
     end or a mapping's descriptor of either forked worker, ``oracle-compare``'s
-    Picard worker (``mild.picard_worker``) or the stepping commands' kernel
-    helper (``operators.kernel_helper``)."""
+    Picard worker (``picard_fork.picard_worker``) or the stepping commands'
+    kernel helper (``operators.kernel_helper``)."""
     if not os.path.isdir("/proc/self/fd"):
         yield
         return

@@ -272,6 +272,27 @@ def test_oracle_compare_checks_every_stepper_time(tmp_path):
     assert len(times) == 4 and np.allclose(times, [0.0, 3e-3, 6e-3, 9e-3], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("amplitude,code", [("1e-140", 0), ("1e-160", 2), ("1e-170", 2),
+                                            ("1e-300", 2)])
+def test_verify_energy_refuses_data_whose_e1_underflows(tmp_path, capsys, amplitude, code):
+    # The residuals are relative to E1(0). At 3D N=16 it is a normal float64
+    # at amplitude 1e-140 and underflows below it: the command then exits 2
+    # with one line, and warns nothing.
+    cfg = write(tmp_path, SMALL_CFG.replace("dim = 2", "dim = 3").replace("N = 32", "N = 16")
+                .replace("s = 0.5", "s = 0.75").replace("dt = 2e-3", "dt = 1e-3")
+                .replace("t_end = 0.05", "t_end = 0.01")
+                .replace("amplitude = 0.01", f"amplitude = {amplitude}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify-energy", cfg, "--out-dir", str(tmp_path / "out")]) == code
+    assert not caught
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: verify-energy needs E1(0)")
+    else:
+        assert err == []
+
+
 @pytest.mark.parametrize("nu,dt,t_end", [("1e100", "1e-3", "0.003"), ("1e308", "1", "3")],
                          ids=["nu-1e100", "nu-1e308-dt-1"])
 def test_simulate_at_a_huge_viscosity_exits_0_and_warns_nothing(tmp_path, capsys, nu, dt, t_end):
@@ -574,18 +595,24 @@ def full_field_oracle_rows(config, T: float, u0=None) -> tuple[list[dict], list]
 
     The same stepper and Picard solve as ``_cmd_oracle_compare``, with every
     norm ``norm_DAr`` of a whole field: the stepper's snapshot, and its
-    difference from the whole Picard node. u0, when given, replaces the
-    config's initial data. Returns the rows and the snapshots.
+    difference from the whole Picard node. The solve runs in this process,
+    seeded as the command seeds its worker: with each snapshot's band block
+    and f of it. u0, when given, replaces the config's initial data. Returns
+    the rows and the snapshots.
     """
     from lansfrac import mild
     from lansfrac.integrator import _steps, run
+    from lansfrac.operators import band_plan, rhs_f_band
     from lansfrac.spectral import norm_DAr
 
     traj = run(dataclasses.replace(config, t_end=T, snapshot_every=1), initial_field=u0)
     n, _ = _steps(T, config.scheme.dt)
     m = -(-8 // n)
     u0 = traj.snapshots[0]
-    oracle, _ = mild.picard_solve(u0, config.params, T, mesh_size=n * m, max_iter=10)
+    plan = band_plan(config.grid, config.params.alpha)
+    blocks = [plan.gather(u.coeffs) for u in traj.snapshots]
+    seeds = [(b, rhs_f_band(config.grid, b, config.params).copy()) for b in blocks]
+    oracle, _ = mild.picard_solve(u0, config.params, T, mesh_size=n * m, max_iter=10, seeds=seeds)
     rows = []
     for j, u in enumerate(traj.snapshots):
         t, w = oracle.times[j * m], oracle.snapshots[j * m]
@@ -616,11 +643,11 @@ def oracle_compare_holding(monkeypatch, argv: list[str]) -> tuple[list, int]:
     The held pairs are read off the first ``diagnostics.norm_DA`` call of each
     row, the stepper's norm.
     """
-    from lansfrac import diagnostics, mild
+    from lansfrac import diagnostics, picard_fork
     from lansfrac.spectral import SpectralField
 
     norms, builds = [], []
-    real_norm, real_result = diagnostics.norm_DA, mild.PicardWorker.result
+    real_norm, real_result = diagnostics.norm_DA, picard_fork.PicardWorker.result
     from_coeffs = SpectralField.from_coeffs.__func__
 
     def norm_DA(u, tables, tail=None):
@@ -638,7 +665,7 @@ def oracle_compare_holding(monkeypatch, argv: list[str]) -> tuple[list, int]:
         return answer
 
     monkeypatch.setattr(diagnostics, "norm_DA", norm_DA)
-    monkeypatch.setattr(mild.PicardWorker, "result", result)
+    monkeypatch.setattr(picard_fork.PicardWorker, "result", result)
     assert main(argv) == 0
     return norms[0::2], len(builds)
 
@@ -681,6 +708,58 @@ def test_oracle_compare_rows_equal_a_held_run(tmp_path, monkeypatch, init, band_
     _, modes, tail = plan.split(snapshots[0].coeffs)
     assert (tail is None) == band_limited
     assert_held_whole(held, snapshots, plan, modes)
+
+
+@pytest.mark.parametrize("T", ["0.02", "0.004"])  # 20 steps, m = 1; 4 steps, m = 2
+def test_oracle_compares_a_faulty_stepper_with_the_fixed_point(tmp_path, capsys, monkeypatch, T):
+    # A planted fault of the stepper, ETD2RK's w2 scaled by 20, seeds Picard
+    # with faulty states and f's that fit them. The warm solve still ends at
+    # the fixed point, within 1e-13 relative D(A) of a cold solve node by
+    # node, so the comparison sees the fault and the command exits 1. (A
+    # 1 + 1e-3 scale moves rel_diff by below 1e-8 on these data, inside the
+    # stepper's own error.)
+    import lansfrac.integrator as integrator
+    from lansfrac import diagnostics, mild, picard_fork
+    from lansfrac.io import parse_config
+
+    real_weights, real_result, held = integrator._weights, picard_fork.PicardWorker.result, []
+
+    def planted(*args):
+        table = real_weights(*args)
+        table[2] *= 20.0
+        return table
+
+    def result(self):
+        held.append(real_result(self))
+        return held[-1]
+
+    monkeypatch.setattr(integrator, "_weights", planted)
+    monkeypatch.setattr(picard_fork.PicardWorker, "result", result)
+    cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3")
+                .replace("amplitude = 0.01", "amplitude = 1"))
+    out = tmp_path / "out"
+    assert main(["oracle-compare", cfg, "--T", T, "--out-dir", str(out)]) == 1
+    worst = max(float(line.split(",")[2]) for line in (out / "oracle.csv").read_text().splitlines()[1:])
+    assert worst > 1e-5
+    assert f"sup rel diff {worst:.3e}" in capsys.readouterr().out
+
+    config = parse_config(cfg)
+    (warm, _), = held
+    u0, p = make_initial(config.initial, config.grid, config.params), config.params
+    cold, _ = mild.picard_solve(u0, p, float(T), mesh_size=len(warm.times) - 1, max_iter=10)
+    assert cold.times.tobytes() == warm.times.tobytes()
+    tables = diagnostics.audit_tables(config.grid, p.alpha, p.s)
+    for i in range(len(cold.times)):
+        a, b = warm.snapshots.split(i)[0], cold.snapshots.split(i)[0]
+        assert diagnostics.norm_DA(a - b, tables) <= 1e-13 * diagnostics.norm_DA(b, tables)
+
+
+def test_oracle_compare_of_the_benchmark_problem_takes_three_sweeps(tmp_path, capsys):
+    # oracle2d-n128 over 60 steps: warm-started from the stepper, the solve
+    # converges in 3 sweeps, where a cold start takes 5
+    cfg = write(tmp_path, ORACLE_2D_N128_CFG)
+    assert main(["oracle-compare", cfg, "--T", "0.06", "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(", 3 Picard sweeps")
 
 
 def test_oracle_compare_starts_picard_from_the_galerkin_cut_start(tmp_path):

@@ -28,17 +28,15 @@ from lansfrac import (
     run,
     semigroup_apply,
 )
-from lansfrac import forks
+from lansfrac import diagnostics, forks
 from lansfrac.errors import LansfracError, NoContractionError
 from lansfrac.mild import (
     PicardNodes,
-    _BandSolve,
-    _duhamel_sweep,
     picard_stack_shape,
-    picard_worker,
     semigroup_class_check,
 )
 from lansfrac.operators import band_plan, kernel_helper, rhs_f_band
+from lansfrac.picard_fork import RING_SLOTS, _RingNodes, picard_worker
 from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor
 
 from conftest import (
@@ -140,42 +138,124 @@ def test_duhamel_linearity(grid2, params):
     assert rel_err(out.coeffs, split.coeffs) < 1e-13
 
 
+def stepper_seeds(u0, params, T, n):
+    """The (band block, f) pairs of a stepper's n + 1 states over [0, T], as
+    ``oracle-compare`` seeds its Picard worker with them."""
+    from lansfrac.integrator import _march
+
+    cfg = SimConfig(grid=u0.grid, params=params, scheme=StepScheme(dt=T / n), t_end=T,
+                    initial=InitialData(kind="shear"))
+    seeds = [(block.copy(), f.copy()) for _, block, f, _, _ in _march(cfg, u0, "u", [])]
+    assert len(seeds) == n + 1
+    return seeds
+
+
+def free_seeds(u0, params, mesh):
+    """The free trajectory as seeds: each node's block and f there."""
+    plan = band_plan(u0.grid, params.alpha)
+    blocks = [plan.gather(semigroup_apply(u0, float(t), params).coeffs) for t in mesh]
+    return [(b, rhs_f_band(u0.grid, b, params).copy()) for b in blocks]
+
+
 def test_duhamel_sweep_matches_direct(grid2, params):
-    # one sweep from the free trajectory: node i becomes free_i plus the
-    # Duhamel integral of f along the free trajectory, summed directly
+    # one sweep, seeded with the free trajectory: node i becomes free_i plus
+    # the Duhamel integral of f along the free trajectory, summed directly,
+    # the bits of the cold start's first sweep
     u0 = dealias(random_field(grid2, seed=70, amplitude=2.0))
     mesh = np.linspace(0.0, 0.3, 13)
-    band = _BandSolve(u0, params)
+    plan = band_plan(grid2, params.alpha)
+    traj, state = picard_solve(u0, params, 0.3, mesh_size=12, max_iter=1,
+                               seeds=free_seeds(u0, params, mesh))
+    cold, cold_state = picard_solve(u0, params, 0.3, mesh_size=12, max_iter=1)
+    assert state.increments_linf == cold_state.increments_linf and state.n_iter == 1
     free = [semigroup_apply(u0, float(t), params) for t in mesh]
-    stack = np.stack([band.plan.gather(w.coeffs) for w in free])
-    _duhamel_sweep(stack, band, mesh)
     fs = [rhs_f(w, params) for w in free]
     assert max(l2_norm(f) for f in fs) > 0.01 * l2_norm(u0)
     for i, t in enumerate(mesh):
+        node = traj.snapshots.split(i)[0]
+        assert node.tobytes() == cold.snapshots.split(i)[0].tobytes()
         direct = free[i].coeffs + duhamel_integral(fs, mesh, float(t), params).coeffs
-        assert rel_err(stack[i], band.plan.gather(direct)) < 1e-12
+        assert rel_err(node, plan.gather(direct)) < 1e-12
+
+
+class RingedSeeds:
+    """Seeds that hand each f in a ring of two slots and poison the other
+    slot, seed j - 1's, as seed j is taken; asked lists the seeds taken."""
+
+    def __init__(self, seeds):
+        self._seeds, self.asked = seeds, []
+        self._ring = np.empty((2,) + seeds[0][1].shape, complex)
+
+    def __len__(self):
+        return len(self._seeds)
+
+    def __getitem__(self, j):
+        self.asked.append(j)
+        self._ring[(j - 1) % 2] = np.nan
+        block, f = self._seeds[j]
+        self._ring[j % 2] = f
+        return block, self._ring[j % 2]
 
 
 def test_duhamel_sweep_reads_each_f_until_it_asks_for_the_next(grid2, params):
-    # f_at may hand f_i in a slot it reuses for f_{i+2}: the sweep reads f_i
-    # only until it asks for f_{i+1}, so a ring of two slots, with the free
-    # slot poisoned, gives the bits of the sweep's own evaluations
-    u0 = dealias(random_field(grid2, seed=70, amplitude=2.0))
-    mesh = np.linspace(0.0, 0.3, 13)
-    band = _BandSolve(u0, params)
-    own = np.stack([band.plan.gather(semigroup_apply(u0, float(t), params).coeffs) for t in mesh])
-    ringed = own.copy()
-    ring, asked = np.empty((2,) + own.shape[1:], complex), []
+    # The seeded solve takes the seeds in order and reads seed j's f only
+    # until it takes seed j + 1, as the worker reads a ring slot: a ring of
+    # two slots, with the free one poisoned, gives the bits of plain seeds,
+    # with a seed at every node (m = 1) and at every third (m = 3).
+    u0 = dealias(random_field(grid2, seed=70, amplitude=0.5))
+    for n in (12, 4):
+        seeds = stepper_seeds(u0, params, 0.3, n)
+        ringed = RingedSeeds(seeds)
+        traj, state = picard_solve(u0, params, 0.3, mesh_size=12, seeds=seeds)
+        traj_r, state_r = picard_solve(u0, params, 0.3, mesh_size=12, seeds=ringed)
+        assert ringed.asked == list(range(n + 1))
+        assert state_r.increments_linf == state.increments_linf and state.n_iter > 2
+        for mine, theirs in zip(traj_r.snapshots, traj.snapshots, strict=True):
+            assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
 
-    def f_at(i):
-        asked.append(i)
-        ring[(i - 1) % 2] = np.nan  # f_{i-1}'s slot
-        return rhs_f_band(grid2, ringed[i], params, out=ring[i % 2])
 
-    sup = _duhamel_sweep(own, band, mesh)
-    assert _duhamel_sweep(ringed, band, mesh, f_at) == sup
-    assert asked == list(range(1, len(mesh)))
-    assert ringed.tobytes() == own.tobytes()
+def sweep_major_picard(u0, params, T, mesh_size, seeds=None, tol=1e-12, max_iter=10):
+    """Reference: ``picard_solve``'s sweeps in sweep-major order, from the same seed.
+
+    Each sweep runs left to right over the whole band-block stack, as
+    ``picard_solve`` ran before its sweeps became the levels of a wavefront:
+    iterate 0 is the free trajectory, or seed j's block at node j m, and
+    sweep 1 takes its f at node j m from seed j. Returns the stack and the
+    increments.
+    """
+    grid = u0.grid
+    plan = band_plan(grid, params.alpha)
+    tables = diagnostics.audit_tables(grid, params.alpha, params.s)
+    t_mesh = np.linspace(0.0, T, mesh_size + 1)
+    free = [plan.gather(u0.coeffs * semigroup_factor(grid, float(t), params)) for t in t_mesh]
+    stack, seeded = np.stack(free), {}
+    f0 = rhs_f_band(grid, free[0], params).copy()
+    if seeds is not None:
+        m = mesh_size // (len(seeds) - 1)
+        f0 = seeds[0][1]
+        for j, (block, f) in enumerate(seeds[1:], start=1):
+            stack[j * m], seeded[j * m] = block, f
+    stop = tol * max(norm_DAr(u0, 1.0), 1e-30)
+    increments = []
+    for sweep in range(max_iter):
+        acc, work = np.zeros_like(stack[0]), np.empty_like(stack[0])
+        f_prev, sup = f0, 0.0
+        for i in range(1, mesh_size + 1):
+            t, h = float(t_mesh[i]), float(t_mesh[i] - t_mesh[i - 1])
+            if sweep == 0 and i in seeded:
+                f_i = seeded[i]
+            else:
+                f_i = rhs_f_band(grid, stack[i], params).copy()
+            np.add(acc, np.multiply(0.5 * h, f_prev, out=work), out=acc)
+            np.multiply(plan.gather(semigroup_factor(grid, h, params)), acc, out=acc)
+            np.add(acc, np.multiply(0.5 * h, f_i, out=work), out=acc)
+            nxt = free[i] + acc
+            sup = max(sup, diagnostics.norm_DA(nxt - stack[i], tables))
+            stack[i], f_prev = nxt, f_i
+        increments.append(sup)
+        if sup < stop:
+            break
+    return stack, increments
 
 
 def full_spectrum_sweep(
@@ -441,6 +521,126 @@ def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, 
         assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
 
 
+WAVE_GRIDS = [(2, 32, 0.5), (2, 128, 0.5), (3, 16, 0.75)]  # GEMM, FFT and 3D GEMM plans
+
+
+def _solve_where(where, monkeypatch, u0, p, T, mesh, seeds):
+    """The seeded solve in this process, or in the worker, seeded as
+    ``oracle-compare`` seeds it, with the parent's help or without; the
+    trajectory, the state and the parent's evaluations."""
+    if where == "here":
+        return (*picard_solve(u0, p, T, mesh_size=mesh, max_iter=10, seeds=seeds), [])
+    helped = _parent_evaluations(monkeypatch, worker_delay=0.01 if where == "helped" else 0.0)
+    n = 0 if seeds is None else len(seeds) - 1
+    with picard_worker(u0, p, T, mesh_size=mesh, max_iter=10, seeds=n) as worker:
+        for j in range(1, n + 1):
+            worker.seed(j, *seeds[j])
+        if where == "worker":
+            select.select([worker.child.ends[0]], [], [])  # the worker's reply is readable
+        traj, state = worker.result()
+    return traj, state, helped
+
+
+@pytest.mark.parametrize("where", ["here", "worker", "helped"])
+@pytest.mark.parametrize("start", ["cold", "warm", "warm-m3"])
+@pytest.mark.parametrize("dim,n,s", WAVE_GRIDS)
+def test_the_wavefront_gives_the_sweep_major_bits(monkeypatch, dim, n, s, start, where):
+    # From the same seed, the levels run node-major behind the seeds give the
+    # stack and the increments of sweep-major sweeps byte for byte, in one
+    # process and in the worker, with the parent's help and without. A warm
+    # start seeds every node (m = 1) or every third (m = 3).
+    grid = make_grid(dim, n)
+    p = Params(alpha=0.5, nu=0.5, s=s)
+    u0 = random_field(grid, seed=8, amplitude=0.05)
+    T, mesh = 0.1, 12
+    seeds = None if start == "cold" else stepper_seeds(u0, p, T, 4 if start == "warm-m3" else 12)
+    ref_stack, ref_incs = sweep_major_picard(u0, p, T, mesh, seeds)
+    traj, state, helped = _solve_where(where, monkeypatch, u0, p, T, mesh, seeds)
+    assert state.increments_linf == ref_incs and state.converged
+    stack = np.stack([traj.snapshots.split(i)[0] for i in range(mesh + 1)])
+    assert stack.tobytes() == ref_stack.tobytes()
+    evaluated = state.n_iter * mesh if seeds is None else (state.n_iter - 1) * mesh
+    if where == "helped":
+        assert sum(helped) >= evaluated // 3
+    else:
+        assert helped == []
+
+
+def test_a_warm_solve_evaluates_no_f_in_its_first_sweep(grid2, params, monkeypatch):
+    # Seeded at every node, sweep 1 and node 0 take their f from the seeds; at
+    # every third node, sweep 1 evaluates the two free nodes between seeds only.
+    import lansfrac.mild as mild
+
+    u0 = dealias(random_field(grid2, seed=70, amplitude=0.5))
+    real, calls = mild.rhs_f_band, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    mesh = 12
+    for n in (12, 4):
+        seeds = stepper_seeds(u0, params, 0.3, n)
+        monkeypatch.setattr(mild, "rhs_f_band", counted)
+        calls.clear()
+        _, state = picard_solve(u0, params, 0.3, mesh_size=mesh, seeds=seeds)
+        monkeypatch.setattr(mild, "rhs_f_band", real)
+        assert state.converged and state.n_iter > 2
+        assert len(calls) == (state.n_iter - 1) * mesh + (mesh - n)
+
+
+def test_a_warm_start_converges_to_the_cold_fixed_point(grid2, params):
+    # The stop rule bounds the last iterate's distance from the fixed point
+    # whatever the seed: warm and cold solves end within 1e-13 relative D(A)
+    # node by node, and the warm one in fewer sweeps.
+    u0 = dealias(random_field(grid2, seed=70, amplitude=0.5))
+    tables = diagnostics.audit_tables(grid2, params.alpha, params.s)
+    warm, warm_state = picard_solve(u0, params, 0.3, mesh_size=12,
+                                    seeds=stepper_seeds(u0, params, 0.3, 12))
+    cold, cold_state = picard_solve(u0, params, 0.3, mesh_size=12)
+    assert warm_state.converged and cold_state.converged
+    assert warm_state.n_iter < cold_state.n_iter
+    for i in range(13):
+        a, b = warm.snapshots.split(i)[0], cold.snapshots.split(i)[0]
+        assert diagnostics.norm_DA(a - b, tables) <= 1e-13 * diagnostics.norm_DA(b, tables)
+
+
+@pytest.mark.parametrize("seed_nan", [False, True])
+def test_a_level_raises_the_error_sweep_major_order_meets_first(grid2, params, monkeypatch, seed_nan):
+    # Sweep 2's first f is nan, at node 1, while sweep 1 still runs behind the
+    # seeds. Sweep-major order raises sweep 1's error first when seed 10's f
+    # is nan too, else sweep 2's at node 1: so does the wavefront.
+    import lansfrac.mild as mild
+
+    u0 = dealias(random_field(grid2, seed=70, amplitude=0.5))
+    seeds = stepper_seeds(u0, params, 0.3, 12)
+    if seed_nan:
+        seeds[10] = (seeds[10][0], np.full_like(seeds[10][1], np.nan))
+    real, calls = mild.rhs_f_band, []
+
+    def nan_first(*args, **kwargs):
+        calls.append(1)
+        out = real(*args, **kwargs)
+        if len(calls) == 1:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(mild, "rhs_f_band", nan_first)
+    t = 0.3 * (10 if seed_nan else 1) / 12
+    with pytest.raises(NoContractionError, match=f"non-finite at t = {t:g}$"):
+        picard_solve(u0, params, 0.3, mesh_size=12, seeds=seeds)
+
+
+def test_picard_refuses_seeds_that_do_not_fit_its_mesh(grid2, params):
+    u0 = dealias(random_field(grid2, seed=70, amplitude=0.5))
+    seeds = stepper_seeds(u0, params, 0.3, 5)
+    with pytest.raises(ValueError, match="do not divide"):
+        picard_solve(u0, params, 0.3, mesh_size=12, seeds=seeds)
+    seeds[0] = (2.0 * seeds[0][0], seeds[0][1])
+    with pytest.raises(ValueError, match="u0's band block"):
+        picard_solve(u0, params, 0.3, mesh_size=10, seeds=seeds)
+
+
 def test_ring_nodes_read_a_waiting_report_before_a_token(monkeypatch):
     # The worker's pipes hold a report of node 2 and a token of node 3. Asked
     # for f_2, it reads the report and evaluates nothing. Once no report can
@@ -449,7 +649,7 @@ def test_ring_nodes_read_a_waiting_report_before_a_token(monkeypatch):
 
     evaluated = []
     monkeypatch.setattr(mild, "rhs_f_band", lambda *args, **kwargs: evaluated.append(args))
-    stack, ring = np.zeros((9, 1), complex), np.zeros((mild.RING_SLOTS, 1), complex)
+    stack, ring = np.zeros((9, 1), complex), np.zeros((RING_SLOTS, 1), complex)
     tokens_r, post = os.pipe()
     reports_r, reports_w = os.pipe()
     for fd in (tokens_r, reports_r):
@@ -458,7 +658,7 @@ def test_ring_nodes_read_a_waiting_report_before_a_token(monkeypatch):
     os.write(reports_w, struct.pack("<i", 2))
     os.close(reports_w)
     try:
-        f_at = mild._RingNodes(None, None, stack, ring, tokens_r, post, reports_r)
+        f_at = _RingNodes(None, None, stack, ring, tokens_r, post, reports_r, -1, stack[:1])
         assert np.shares_memory(f_at(2), ring[2]) and evaluated == []
         with pytest.raises(LansfracError, match="parent"):
             f_at(3)
