@@ -9,28 +9,29 @@ energy, smoothing, oracle and holder subcommands exist so CI can gate
 directly on the model's analytic properties.
 
 Four commands fork (POSIX ``os.fork``, through ``forks.fork``) and leave no
-process behind on any exit. simulate, verify-energy and smoothing step
-through one path, ``_run``, which forks the kernel's helper
-(``operators.kernel_helper``; Linux, 3D grids from N=26 up) to run half of
-each kernel call, of the step's stage and update and of the audit's
-per-mode pass, with the same output bytes as without it; each step
-length's weights, a Galerkin cut and the audit's sums stay in this process.
-oracle-compare always runs the Picard oracle in a forked worker process
-beside the stepper, and opens no kernel helper: the worker owns the second
-core. It reads the stepper's states from ``integrator._march``, whose time
-loop ``run`` shares, as band blocks and tails, and seeds Picard with each
-state and its f (a warm start: on oracle2d-n128 3 sweeps in place of 5, and
-242 kernel calls in place of 422), while the worker runs its sweeps as a
-wavefront behind the stepper (``mild._Wavefront``). The seed changes how
-many sweeps Picard takes, not where it ends (``mild.picard_solve``). It
+process behind on any exit. simulate, verify-energy and smoothing read the
+states of the one time loop, ``integrator.march``, inside
+``operators.kernel_helper`` in their own frame (Linux, 3D grids from N=26
+up), whose forked helper runs half of each kernel call, of the step's stage
+and update and of the audit's per-mode pass, with the same output bytes as
+without it; each step length's weights, a Galerkin cut and the audit's sums
+stay in this process. simulate writes the states its snapshot cadence
+takes. verify-energy reads only the records, and refuses data whose E1(0),
+the base of its relative residuals, is not a positive normal float64 (exit
+2): an underflow on the start's record, before the first step, and an
+overflow the march did not report as a blow-up after it. smoothing keeps one D(A^{1+r}) norm of each state in its fit window. oracle-compare
+always runs the Picard oracle in a forked worker process beside the
+stepper, and opens no kernel helper: the worker owns the second core. It
+reads the march's states as band blocks and tails, and seeds Picard with
+each state and its f (a warm start: on oracle2d-n128 3 sweeps in place of
+5, and 242 kernel calls in place of 422), while the worker runs its sweeps
+as a wavefront behind the stepper (``mild._Wavefront``). The seed changes
+how many sweeps Picard takes, not where it ends (``mild.picard_solve``). It
 compares the two with ``diagnostics.norm_DA`` on the band block and u0's
-tail, building no field. holder runs Picard in this process alone.
-verify-energy reads only the records, so its run joins one field, at
-t_end, and refuses data whose E1(0), the base of its relative residuals,
-is not a positive normal float64 (exit 2); smoothing keeps one D(A^{1+r}) norm of each snapshot in its fit
-window. A command that diverges still writes its manifest, and simulate
-its diagnostics. A command whose output cannot be written, or whose
-forked process ended early, still writes its manifest where it can
+tail, building no field. holder runs Picard in this process alone. A
+command that diverges still writes its manifest, and simulate its
+diagnostics. A command whose output cannot be written, or whose forked
+process ended early, still writes its manifest where it can
 (``_Manifest``).
 """
 
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics, mild
+from . import __version__, diagnostics, io, mild
 from .errors import (
     ConfigError,
     DivergedError,
@@ -56,17 +57,8 @@ from .errors import (
     SnapshotError,
     WorkerError,
 )
-from .integrator import (
-    InitialData,
-    SimConfig,
-    Trajectory,
-    _march,
-    _step_time,
-    _steps,
-    galerkin_truncate,
-    make_initial,
-    run,
-)
+from .integrator import InitialData, SimConfig, _step_time, _steps, make_initial, march, start_field
+from .integrator import run  # noqa: F401  the benchmark's tracer patches cli.run
 from .io import (
     RunManifest,
     SnapshotMeta,
@@ -79,7 +71,6 @@ from .operators import kernel_helper, rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
     Params,
     Regime,
-    SpectralField,
     dealias,
     frac_stokes_apply,
     infer_regime,
@@ -165,39 +156,30 @@ class _Manifest:
                 raise  # else the block's own write error is the one reported
 
 
-def _run(config: SimConfig, on_snapshot) -> Trajectory:
-    """``run`` with the kernel's helper process beside it (``operators.kernel_helper``):
-    the stepping commands' one path to the stepper."""
-    with kernel_helper(config.grid, config.params.alpha):
-        return run(config, on_snapshot=on_snapshot)
-
-
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     _require_global(config, "simulate")
     out = _out_dir(config)
     p = config.params
-
-    index = {"n": 0}
-    diag_path = out / "diagnostics.csv"
+    diag: list[diagnostics.DiagRecord] = []
+    written, diverged = 0, None
     with _Manifest(config, out) as manifest:
-
-        def writer(field: SpectralField, t: float) -> None:
-            path = out / f"snapshot_{index['n']:06d}.flns"
-            from .io import write_snapshot
-
-            meta = SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=t)
-            manifest.add_output(path, *write_snapshot(field, meta, path))
-            index["n"] += 1
-
         try:
-            traj = _run(config, writer)
+            with kernel_helper(config.grid, p.alpha):
+                for state in march(config, diag):
+                    if state.snapshot:
+                        path = out / f"snapshot_{written:06d}.flns"
+                        meta = SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=state.t)
+                        # io.write_snapshot is looked up at each call: the benchmark patches it
+                        manifest.add_output(path, *io.write_snapshot(state.field(), meta, path))
+                        written += 1
         except DivergedError as exc:
-            if exc.diag:  # a diverged run leaves its records up to the failure
-                manifest.add_output(diag_path, *emit_csv(exc.diag, diag_path))
-            raise
-        manifest.add_output(diag_path, *emit_csv(traj.diag, diag_path))
-    print(f"simulate: {index['n']} snapshots, t_end={config.t_end}")
+            diverged = exc  # a diverged run leaves its records up to the failure
+        path = out / "diagnostics.csv"
+        manifest.add_output(path, *emit_csv(diag, path))
+        if diverged is not None:
+            raise diverged
+    print(f"simulate: {written} snapshots, t_end={config.t_end}")
     return 0
 
 
@@ -208,20 +190,22 @@ def _cmd_verify_energy(args) -> int:
     if n == 0:
         raise ConfigError("verify-energy needs at least one step, got t_end = 0")
     out = _out_dir(config)
+    diag: list[diagnostics.DiagRecord] = []
+    refuse = ("verify-energy needs E1(0) to be a positive normal float64, got {:g}: the "
+              "initial data are too {} for a relative energy residual")
     with _Manifest(config, out) as manifest:
-        # reads only the records: a snapshot at t = 0 (the start) and t_end
-        traj = _run(dataclasses.replace(config, snapshot_every=n), lambda field, t: None)
-        e1 = traj.diag[0].E1  # the residuals are relative to it
-        if not (math.isfinite(e1) and e1 >= sys.float_info.min):
-            raise ConfigError(
-                f"verify-energy needs E1(0) to be a positive normal float64, got {e1:g}: "
-                "the initial data are too small for a relative energy residual"
-            )
-        residuals = diagnostics.energy_balance_residual(traj, config.params)
-        rows = [
-            {"t": rec.t, "residual": float(res)}
-            for rec, res in zip(traj.diag, residuals)
-        ]
+        with kernel_helper(config.grid, config.params.alpha):
+            states = march(config, diag)
+            next(states)  # the start: its E1 is the base of the relative residuals
+            e1 = diag[0].E1
+            if e1 < sys.float_info.min:  # refused before the first step
+                raise ConfigError(refuse.format(e1, "small"))
+            for _ in states:  # reads only the records
+                pass
+        if not math.isfinite(e1):  # an overflow whose blow-up the march did not report
+            raise ConfigError(refuse.format(e1, "large"))
+        residuals = diagnostics.energy_balance_residual(diag, config.params)
+        rows = [{"t": rec.t, "residual": float(res)} for rec, res in zip(diag, residuals)]
         path = out / "residuals.csv"
         manifest.add_output(path, *emit_csv(rows, path))
     worst = float(np.max(residuals))
@@ -232,7 +216,6 @@ def _cmd_verify_energy(args) -> int:
 def _cmd_smoothing(args) -> int:
     config = _load_config(args)
     _require_global(config, "smoothing")
-    config = dataclasses.replace(config, snapshot_every=1)
     dt, t_end, window = config.scheme.dt, config.t_end, (2.0 * config.scheme.dt, 0.1)
     # step 2 ends at 2 dt, so the window holds two step times when step 3 ends in it too
     n, _ = _steps(t_end, dt)
@@ -249,15 +232,13 @@ def _cmd_smoothing(args) -> int:
     out = _out_dir(config)
     times: list[float] = []
     norms: list[float] = []
-
-    def keep_norm(field: SpectralField, t: float) -> None:
-        # the fit reads one norm of each snapshot in its window, and none after it
-        if t <= window[1]:
-            times.append(t)
-            norms.append(norm_DAr(field, 1.0 + args.r))
-
     with _Manifest(config, out) as manifest:
-        _run(config, keep_norm)
+        with kernel_helper(config.grid, config.params.alpha):
+            for state in march(config, []):
+                # the fit reads one norm of each state in its window, and none after it
+                if state.t <= window[1]:
+                    times.append(state.t)
+                    norms.append(norm_DAr(state.field(), 1.0 + args.r))
         fit = diagnostics.smoothing_rate(times, norms, args.r, config.params.s, window=window)
         rows = [
             {
@@ -288,7 +269,7 @@ def _cmd_oracle_compare(args) -> int:
         raise RegimeViolationError("oracle-compare needs 0 < T <= 1")
     dt = config.scheme.dt
     try:
-        stepper_cfg = dataclasses.replace(config, t_end=T, snapshot_every=1)
+        stepper_cfg = dataclasses.replace(config, t_end=T)
     except ValueError as exc:
         raise ConfigError(f"oracle-compare --T {T}: {exc}") from None
     n, last = _steps(T, dt)
@@ -309,11 +290,9 @@ def _cmd_oracle_compare(args) -> int:
     # intervals, so that every stepper time is a mesh node.
     m = -(-8 // n)
     with _Manifest(config, out) as manifest:
-        # Both sides start from the state run would step: u0 with its Galerkin
-        # cutoff taken, which _march steps as it is.
-        u0 = make_initial(config.initial, config.grid, config.params)
-        if config.galerkin_N is not None:
-            u0 = galerkin_truncate(u0, config.galerkin_N)
+        # Both sides start from the state the stepper steps: u0 with its
+        # Galerkin cutoff taken.
+        u0 = start_field(config)
         # Picard runs in a forked worker, a wavefront behind the stepper here,
         # seeded with each stepper state and its f, which the audit has just
         # read; the worker makes f(u0) itself, so nothing new runs here before
@@ -327,13 +306,13 @@ def _cmd_oracle_compare(args) -> int:
         tails: list[np.ndarray] = []
         no_tail = np.empty((grid.dim, 0), np.complex128)
         with picard_fork.picard_worker(u0, p, T, mesh_size=n * m, max_iter=10, seeds=n) as picard:
-            for j, (_, block, f, modes, tail) in enumerate(_march(stepper_cfg, u0, "u", [])):
-                picard.seed(j, block, f)
-                tails.append(no_tail if tail is None else tail.copy())
-            oracle_traj, state = picard.result()
+            for state in march(stepper_cfg, [], u0):
+                picard.seed(state.step, state.block, state.f)
+                tails.append(no_tail if state.tail is None else state.tail.copy())
+            oracle_traj, picard_state = picard.result()
             # the rows are taken while the worker's process ends
             tables = diagnostics.audit_tables(grid, p.alpha, p.s)
-            rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, modes)
+            rows_tail = diagnostics.tail_rows(grid, p.alpha, p.s, state.modes)
             rows = []
             for j, (block, tail) in enumerate(zip(picard.states, tails, strict=True)):
                 w_block, _, w_tail = oracle_traj.snapshots.split(j * m)
@@ -347,7 +326,7 @@ def _cmd_oracle_compare(args) -> int:
         manifest.add_output(path, *emit_csv(rows, path))
     print(
         f"oracle-compare: sup rel diff {worst:.3e} (tol {args.tol:.3e}), "
-        f"{state.n_iter} Picard sweeps"
+        f"{picard_state.n_iter} Picard sweeps"
     )
     return 0 if worst <= args.tol else 1
 

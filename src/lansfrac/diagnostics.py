@@ -1,6 +1,6 @@
 """Measured quantities: energies, balance residuals, rate fits.
 
-Everything here is a pure reader of fields or trajectories. Report-style
+Everything here is a pure reader of fields, records or norms. Report-style
 functions never raise on "bad physics"; they return numbers and let the caller
 (or the acceptance harness) compare against thresholds.
 """
@@ -115,7 +115,7 @@ def audit(
     It runs in two passes. The per-mode pass (``_per_mode``) forms |uhat|^2,
     Re conj(uhat) fhat and the maxima the flags compare. per_mode, when
     given, is that pass already made: the products and the maxima of one
-    row per part, which ``np.max`` combines, keeping a nan. ``run`` makes it
+    row per part, which ``np.max`` combines, keeping a nan. The march makes it
     as a phase of the kernel workspace (``PER_MODE``), so a helper process
     takes half of the k_0 rows. Without per_mode the pass runs
     here on temporaries. Then this process sums, in one order whoever ran
@@ -217,7 +217,7 @@ def record(
 ) -> DiagRecord:
     """Diagnostics for one state; pass f = f(u, u) if already evaluated.
 
-    This is ``audit`` of u's band block and tail, as ``run`` audits a state,
+    This is ``audit`` of u's band block and tail, as the march audits a state,
     without its flags. f is read on the band block, the only modes f(u, u)
     reaches. u is read as solenoidal, as every field the solver makes is.
     """
@@ -236,9 +236,8 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def energy_balance_residual(traj, params: Params) -> np.ndarray:
-    """|E1(t) + 2 nu int_0^t D - E1(0)| / E1(0) along the recorded diagnostics."""
-    recs = traj.diag
+def energy_balance_residual(recs, params: Params) -> np.ndarray:
+    """|E1(t) + 2 nu int_0^t D - E1(0)| / E1(0) along a run's ``DiagRecord`` sequence."""
     if len(recs) < 2:
         raise ValueError("energy balance needs at least two diagnostic records")
     t = np.array([r.t for r in recs])

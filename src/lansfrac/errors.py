@@ -14,17 +14,14 @@ class MeanModeError(LansfracError):
 
 
 class DivergedError(LansfracError):
-    """Time integration produced non-finite values or unbounded growth.
-
-    diag holds the diagnostics records the run made before it stopped
-    (``integrator.run`` attaches them), empty when no run attached any.
-    """
+    """Time integration produced non-finite values or unbounded growth. The
+    records made up to then are in the list the caller gave the march
+    (``integrator.march``)."""
 
     def __init__(self, message: str, step: int | None = None, t: float | None = None):
         super().__init__(message)
         self.step = step
         self.t = t
-        self.diag: list = []
 
 
 class NoContractionError(LansfracError):

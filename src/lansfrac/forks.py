@@ -209,7 +209,7 @@ def helper(task: Callable[[int], None]) -> Iterator[Helper]:
     only ``operators._KernelWorkspace.split`` calls either. The helper
     runs until end-of-file on its command pipe, so it ends with the parent,
     killed or not; leaving the with block kills and reaps it. It runs task
-    with numpy's floating-point errors ignored, as ``run`` steps do: its
+    with numpy's floating-point errors ignored, as the march's steps do: its
     warnings would print from a second process, and the audit of the state
     checks what the step computed. A helper that has ended makes
     ``start`` or ``wait`` reap it and raise WorkerError.

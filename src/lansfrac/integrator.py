@@ -7,6 +7,11 @@ order and kept as a simple oracle; ETD2RK (the two-stage exponential
 Runge-Kutta of Cox-Matthews) is the default. Galerkin truncation to a sharp
 spectral cutoff reproduces the semidiscrete existence scheme and is available
 per step through ``galerkin_N``.
+
+``march`` is the one time loop. It yields each checked state, and every
+consumer reads those states: ``run``, which keeps the records and the
+cadenced snapshots for the tests and the acceptance criteria, and each
+stepping command of ``cli``.
 """
 
 from __future__ import annotations
@@ -132,8 +137,7 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshot series (empty when ``run`` streamed it to a sink) plus dense
-    per-step diagnostics."""
+    """The snapshots a run keeps, with their times, plus the record of every state."""
 
     times: np.ndarray
     snapshots: Sequence[SpectralField]
@@ -304,12 +308,12 @@ def _advance(ws, kind: SchemeKind, f_stage: Callable[[np.ndarray], object]) -> n
     """One exponential step of the kernel workspace's state, in place; the new state.
 
     ws.state holds u, ws.f_state f(u) and ws.weights the step's E, w1 and
-    w2 (see ``run``). The stage is formed in place over u, f_stage(stage)
+    w2 (see ``march``). The stage is formed in place over u, f_stage(stage)
     writes f(stage) into ws.product, and the ETD2RK update is formed in
     place over the stage; w1 f(u) and f(stage) - f(u) are row temporaries.
     Each arithmetic pass is a phase of ``ws.split``, so a kernel helper
     takes half of its rows; every element's operations are the same, so
-    the bits are too. ``run`` checks the result.
+    the bits are too. ``march`` checks the result.
     """
     ws.split(_STAGE)
     if kind is SchemeKind.ETD2RK:
@@ -353,88 +357,89 @@ def _broken(flags: tuple[bool, ...], step: int, t: float) -> DivergedError:
     return DivergedError(f"{what} at step {step}", step=step, t=t)
 
 
-def run(
-    config: SimConfig,
-    initial_field: SpectralField | None = None,
-    on_snapshot: Callable[[SpectralField, float], None] | None = None,
-    form: str = "u",
-) -> Trajectory:
-    """March the configured problem to t_end, recording diagnostics each step.
-
-    A snapshot is taken at t = 0, every ``snapshot_every`` steps and at t_end,
-    and goes to exactly one consumer: ``on_snapshot(field, t)`` when it is
-    given, else the returned Trajectory. So a run with a sink holds no fields
-    (its ``times`` and ``snapshots`` are empty), and its memory does not grow
-    with the number of steps or snapshots. The t = 0 snapshot is the start
-    state itself, taken right after the first f and diagnostics record.
-
-    The steps are ``_march``'s, which holds the time loop; run takes the
-    Galerkin cutoff and the v form of the start before it, and builds the
-    snapshots from the states it yields. Each later snapshot is
-    ``BandPlan.join`` of the state's block and tail, the only full field the
-    run builds: the bytes a whole-spectrum step gives. ``on_snapshot`` must
-    neither start another run on this (grid, alpha) nor evaluate f there:
-    any kernel call, ``rhs_f`` and ``diagnostics.record`` included,
-    overwrites the state (see ``_march``).
-
-    form = "v" evolves the filtered momentum v = (1 + alpha^2 A) u instead;
-    snapshots then hold v. Raises DivergedError, with the step and its end
-    time and the records made through the failing state, as ``_march``
-    does.
-    """
-    if form not in ("u", "v"):
-        raise ValueError(f"form must be 'u' or 'v', got {form!r}")
-    grid, alpha = config.grid, config.params.alpha
-
-    # start is the run's only reference to its initial field, so that the
-    # field can be freed once the t = 0 snapshot no longer needs it
+def start_field(
+    config: SimConfig, initial_field: SpectralField | None = None, form: str = "u"
+) -> SpectralField:
+    """The field a march of config steps first: initial_field, else the
+    config's initial data (``make_initial``), with the Galerkin cutoff taken
+    and, for form = "v", as the filtered momentum v = (1 + alpha^2 A) u."""
     start = (
         initial_field
         if initial_field is not None
-        else make_initial(config.initial, grid, config.params)
+        else make_initial(config.initial, config.grid, config.params)
     )
-    del initial_field
     if config.galerkin_N is not None:
         start = galerkin_truncate(start, config.galerkin_N)
-    if form == "v":
-        start = v_from_u(start, alpha)
+    return v_from_u(start, config.params.alpha) if form == "v" else start
 
-    snapshots: list[SpectralField] = []
-    snap_times: list[float] = []
-    if on_snapshot is None:
-        def on_snapshot(w: SpectralField, t: float) -> None:
-            snapshots.append(w)
-            snap_times.append(t)
 
-    plan = _kernel_workspace(grid, alpha).plan
-    n_steps, _ = _steps(config.t_end, config.scheme.dt)
+class State:
+    """One checked state of a ``march``.
+
+    step counts the steps made (0 for the start) and t is the state's time.
+    block is its band block, f = f(state) on the block, modes the flat
+    indices of the tail and tail its (dim, n) values there, or None when the
+    start has none (``BandPlan.split``). The arrays are views of the march's
+    own buffers, and the state is valid until the next one is asked for, so
+    a consumer copies what it keeps. snapshot says whether the snapshot
+    cadence takes the state: step 0, every ``snapshot_every`` steps and the
+    last step.
+    """
+
+    __slots__ = ("step", "t", "block", "f", "modes", "tail", "snapshot", "_plan", "_start")
+
+    def __init__(self, step, t, block, f, modes, tail, snapshot, plan, start=None):
+        self.step, self.t, self.block, self.f = step, t, block, f
+        self.modes, self.tail, self.snapshot = modes, tail, snapshot
+        self._plan, self._start = plan, start
+
+    def field(self) -> SpectralField:
+        """The state as a full field: at step 0 the start itself, every byte
+        of it, -0.0 included; else a new ``BandPlan.join`` of block and tail,
+        the bytes a whole-spectrum step gives."""
+        if self._start is not None:
+            return self._start
+        plan = self._plan
+        return SpectralField.from_coeffs(plan.grid, plan.join(self.block, self.modes, self.tail))
+
+
+def run(
+    config: SimConfig, initial_field: SpectralField | None = None, form: str = "u"
+) -> Trajectory:
+    """The ``march`` of config from initial_field (else the config's initial
+    data, see ``start_field``) to t_end, kept whole: every state's record and
+    the full field of each state the snapshot cadence takes, the t = 0 one
+    the start itself. For the tests and the acceptance criteria; the CLI's
+    commands read the march. form = "v" evolves the filtered momentum
+    v = (1 + alpha^2 A) u instead; snapshots then hold v. Raises
+    DivergedError as ``march`` does.
+    """
     diag: list[diagnostics.DiagRecord] = []
-    for step, (t, block, _, modes, tail) in enumerate(_march(config, start, form, diag)):
-        if step == 0:
-            on_snapshot(start, 0.0)
-            del start
-        elif step % config.snapshot_every == 0 or step == n_steps:
-            on_snapshot(SpectralField.from_coeffs(grid, plan.join(block, modes, tail)), t)
-    return Trajectory(times=np.array(snap_times), snapshots=snapshots, diag=diag)
+    times, snapshots = [], []
+    for state in march(config, diag, start_field(config, initial_field, form), form):
+        if state.snapshot:
+            times.append(state.t)
+            snapshots.append(state.field())
+    return Trajectory(times=np.array(times), snapshots=snapshots, diag=diag)
 
 
-def _march(
+def march(
     config: SimConfig,
-    start: SpectralField,
-    form: str,
     diag: list[diagnostics.DiagRecord],
-) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """The time loop of ``run``: step start, as it is, to config.t_end, and
-    yield each checked state as (t, block, f, modes, tail).
+    start: SpectralField | None = None,
+    form: str = "u",
+) -> Iterator[State]:
+    """The time loop: step start, as it is, to config.t_end, and yield each
+    checked ``State``, the start (step 0) and the end of each step, in order.
 
-    The states are the start (step 0) and the end of each step, in order.
-    block is the state's band block, f = f(state) on the block, modes the
-    flat indices of the tail and tail its (dim, n) values there, or None when
-    the start has none (``BandPlan.split``). All three arrays are views of
-    the march's own buffers, valid until the next state is asked for, so a
-    consumer copies what it keeps. Each state's diagnostics record is
-    appended to diag before it is yielded. start is neither cut nor
-    converted here: ``run`` takes the Galerkin cutoff and the v form first.
+    start defaults to ``start_field(config, form=form)``; a given start must
+    already have the Galerkin cutoff taken and be in the form stepped. Each
+    state's diagnostics record is appended to diag before the state is
+    yielded, so on any exit diag holds the records through the last state
+    made, a failing one included. Every command and ``run`` read this one
+    loop. A consumer must neither start another march on this (grid, alpha)
+    nor evaluate f there between two states: any kernel call, ``rhs_f`` and
+    ``diagnostics.record`` included, overwrites the state.
 
     The march has one layout: the band block of its start state, plus a
     linear tail. The 2/3-dealiased f(u, u) reads and writes only the band
@@ -446,7 +451,7 @@ def _march(
     the block (``BandPlan.split``; the Galerkin cutoff is taken before, so
     it keeps them all), and only the propagator touches it, as tail = E tail
     + 0.0. A Galerkin cutoff sets its cut modes to +0.0. Each step calls
-    ``_advance`` once.
+    the module's ``_advance`` once.
 
     The block's state, f(state) and the step's weights live in the kernel
     workspace (``operators._KernelWorkspace``), where the step is formed in
@@ -458,9 +463,6 @@ def _march(
     before the loop, a shorter last step's before that step), the
     Galerkin cut (one masked copy), the audit's sums, the checks and the
     tail, so every output has the same bytes with or without the helper.
-    The workspace holds one march's step, its state in the kernel's input
-    block, so a consumer must neither start another march on this
-    (grid, alpha) nor evaluate f there between two states.
 
     form = "v" steps the filtered momentum v = (1 + alpha^2 A) u. Each
     state gets one ``diagnostics.audit`` of u and f(u), the march's only
@@ -473,9 +475,12 @@ def _march(
     overflows passes and its first step reports the blow-up. The start is
     step 0, checked before it is yielded, and with a tail all of it by
     ``measure_flags``. E is real and even, so the tail stays real,
-    solenoidal and mean-free and needs no later check. The error's ``diag``
-    is diag, the records through the failing state.
+    solenoidal and mean-free and needs no later check.
     """
+    if form not in ("u", "v"):
+        raise ValueError(f"form must be 'u' or 'v', got {form!r}")
+    if start is None:
+        start = start_field(config, form=form)
     grid, params = config.grid, config.params
     alpha = params.alpha
     ws = _kernel_workspace(grid, alpha)
@@ -508,7 +513,7 @@ def _march(
         audit_tail = (rows, tail)  # the tail is stepped in place
     size = 1 + int(k2_block.max() if tail is None else max(k2_block.max(), k2_tail.max()))
 
-    dt = config.scheme.dt
+    dt, every = config.scheme.dt, config.snapshot_every
     n_steps, last = _steps(config.t_end, dt)
 
     def load(h: float) -> np.ndarray | None:
@@ -528,37 +533,34 @@ def _march(
         diag.append(rec)
         return flags
 
-    try:
+    with np.errstate(**_QUIET):
+        f_new(state)
+        flags = audit(0.0)
+        if tail is not None:
+            flags += measure_flags(grid, start.coeffs)
+    if not all(flags):
+        raise _broken(flags, 0, 0.0)
+    guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
+    yield State(0, 0.0, state, ws.f_state, modes, tail, True, plan, start)
+    del start  # the t = 0 state holds the start until its consumer drops it
+
+    e_tail = load(dt)
+    for i in range(n_steps):
+        step, t = i + 1, _step_time(i + 1, n_steps, config.t_end, dt)
+        if step == n_steps and last != dt:
+            e_tail = load(last)
         with np.errstate(**_QUIET):
-            f_new(state)
-            flags = audit(0.0)
+            state = _advance(ws, config.scheme.kind, f_step)
             if tail is not None:
-                flags += measure_flags(grid, start.coeffs)
+                np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
+            if cut is not None:
+                np.copyto(state, 0.0, where=cut)
+            f_new(state)
+            flags = audit(t)
+
         if not all(flags):
-            raise _broken(flags, 0, 0.0)
-        guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-        del start  # the caller's snapshot of t = 0 is its last use
-        yield 0.0, state, ws.f_state, modes, tail
-
-        e_tail = load(dt)
-        for i in range(n_steps):
-            t = _step_time(i + 1, n_steps, config.t_end, dt)
-            if i == n_steps - 1 and last != dt:
-                e_tail = load(last)
-            with np.errstate(**_QUIET):
-                state = _advance(ws, config.scheme.kind, f_step)
-                if tail is not None:
-                    np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
-                if cut is not None:
-                    np.copyto(state, 0.0, where=cut)
-                f_new(state)
-                flags = audit(t)
-
-            if not all(flags):
-                raise _broken(flags, i + 1, t)
-            if diag[-1].nDA > guard:
-                raise DivergedError(f"D(A) norm blew up at step {i + 1}", step=i + 1, t=t)
-            yield t, state, ws.f_state, modes, tail
-    except DivergedError as exc:
-        exc.diag = diag  # the records through the failing state
-        raise
+            raise _broken(flags, step, t)
+        if diag[-1].nDA > guard:
+            raise DivergedError(f"D(A) norm blew up at step {step}", step=step, t=t)
+        yield State(step, t, state, ws.f_state, modes, tail,
+                    step % every == 0 or step == n_steps, plan)

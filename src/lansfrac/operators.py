@@ -18,17 +18,18 @@ Two implementations of the nonlinearity live here:
   with v = (1 + alpha^2 A) u. Its arithmetic is ``rhs_f_band``, which maps
   band blocks to band blocks; the Picard oracle calls that kernel directly.
   It filters and projects in one curl-curl pass, so the divergence of f
-  rounds relative to f itself. The kernel checks nothing: ``integrator.run``
-  checks f(u) with the state u it is read with, in ``diagnostics.audit``.
+  rounds relative to f itself. The kernel checks nothing: the time loop,
+  ``integrator.march``, checks f(u) with the state u it is read with, in
+  ``diagnostics.audit``.
 - ``v_nonlinearity`` is the transport + stretch form of the v-equation that
-  ``run(form="v")`` steps: the independent oracle of acceptance criterion
+  ``march(form="v")`` steps: the independent oracle of acceptance criterion
   09, the u/v equivalence.
 
 The paper's gradient-stress form of the bilinear f(u1, u2), the reference
 the kernel is tested against, lives with the tests (``stress_form_f`` in
 ``tests/conftest.py``).
 
-The kernel, ``run``'s stage and update and the audit's per-mode pass are
+The kernel, the march's stage and update and the audit's per-mode pass are
 phases (``phase``) of the kernel workspace on the band block, and
 ``_KernelWorkspace.split`` is the one place any of them runs, with or
 without a helper; the step's state is the kernel's input block, which no
@@ -85,7 +86,7 @@ def _vel_grad_phys(u: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 
 class _KernelWorkspace:
     """Multipliers and buffers of the rotational kernel for one (grid, alpha),
-    and of the time step that ``integrator.run`` makes on it.
+    and of the time step that ``integrator.march`` makes on it.
 
     Everything lives on the band block (see ``BandPlan``): the dealiased band
     is the whole block, so dealiasing is the gather itself. Every call of
@@ -103,9 +104,9 @@ class _KernelWorkspace:
     a helper, OpenBLAS may split the band transforms' matrix products over
     its pool (``BandPlan``).
 
-    It holds the band blocks of the stack (u, which is ``run``'s state, and curl
+    It holds the band blocks of the stack (u, which is the march's state, and curl
     v), of the product and of the projection's k x a; the samples and the
-    product's samples live in the plan (``BandPlan.share``). ``run`` keeps f(state)
+    product's samples live in the plan (``BandPlan.share``). The march keeps f(state)
     and its step's weights E, w1 and w2 here, and ``diagnostics.audit`` its k and
     the per-mode products and maxima of its pass (``phase``). A buffer that
     nothing writes costs no memory: its pages are never touched.
@@ -145,7 +146,7 @@ class _KernelWorkspace:
         dim, block = self.plan.grid.dim, self.plan.block_shape
         vector, cplx = (dim,) + block, np.complex128
         self.stack = alloc((dim + len(self.k_cross),) + block, cplx)  # dealiased u, curl v
-        self.state = self.stack[:dim]  # the kernel's u: run's state, the stage in place
+        self.state = self.stack[:dim]  # the kernel's u: the march's state, the stage in place
         self.product = alloc(vector, cplx)  # the cross product's block, f in place
         self.f_state = alloc(vector, cplx)  # f(state)
         self.weights = alloc((3,) + block, np.float64)  # E, w1, w2 of the step
@@ -288,7 +289,7 @@ def rhs_f(u: SpectralField, params: Params) -> SpectralField:
 
 @contextmanager
 def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
-    """Run half of every phase of ``run``'s steps on (grid, alpha) in a forked
+    """Run half of every phase of the march's steps on (grid, alpha) in a forked
     helper process while the with block runs (``forks.helper``; Linux).
 
     A helper starts only for a GEMM plan with more than one slab of samples
@@ -305,7 +306,7 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     byte each way per phase. A kernel call is six phases: curl v by k_0
     rows, the plan's four (``BandPlan.share``: the complex inverse passes
     by fields, the slabs by planes, and the two complex forward passes by
-    n_0 rows and by columns), and the projection by k_0 rows. ``run`` adds
+    n_0 rows and by columns), and the projection by k_0 rows. The march adds
     the stage, the update and the audit's per-mode pass, each by k_0 rows:
     15 round trips per ETD2RK step. This process alone
     computes each step length's weights (``integrator._weights``), the
@@ -355,7 +356,7 @@ def rhs_f_band(
     call on this (grid, alpha) overwrites.
 
     The kernel checks nothing: non-finite values pass through.
-    ``diagnostics.audit`` checks the f(u) of every state that ``run`` makes,
+    ``diagnostics.audit`` checks the f(u) of every state that the march makes,
     and ``mild.picard_solve`` the nodes of its last iterate. Every call runs
     as six phases of ``_KernelWorkspace.split``, with or without a helper,
     on either band plan. Inside ``kernel_helper`` a forked process runs half

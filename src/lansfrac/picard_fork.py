@@ -71,7 +71,7 @@ class _RingNodes:
     (``PicardWorker.seed``), this process copies each seeded block from the
     shared states into the stack and evaluates every f that no seed brings
     itself, into its own kernel workspace: the wavefront runs behind the
-    stepper (``run``). After each update of level 0 it writes one byte on
+    stepper (``integrator.march``). After each update of level 0 it writes one byte on
     the note pipe, so the parent knows which ring slots level 0 has read; a
     note that does not fit the pipe is dropped, which only makes the parent
     send more seeds without f.

@@ -22,7 +22,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from lansfrac.cli import main
 from lansfrac.diagnostics import DiagRecord
-from lansfrac.integrator import Trajectory, make_initial
+from lansfrac.integrator import make_initial
 
 from conftest import (
     exit_and_stderr,
@@ -291,6 +291,34 @@ def test_verify_energy_refuses_data_whose_e1_underflows(tmp_path, capsys, amplit
         assert len(err) == 1 and err[0].startswith("error: verify-energy needs E1(0)")
     else:
         assert err == []
+
+
+def test_verify_energy_refuses_underflowing_data_before_the_first_step(tmp_path, capsys,
+                                                                        monkeypatch):
+    # E1(0) is read off the start's record, so none of the 50 steps of data
+    # too small for a relative residual is made
+    from lansfrac import integrator
+
+    calls, real = [], integrator._advance
+    monkeypatch.setattr(integrator, "_advance", lambda *args: calls.append(1) or real(*args))
+    cfg = write(tmp_path, SMALL_CFG.replace("dim = 2", "dim = 3").replace("N = 32", "N = 16")
+                .replace("s = 0.5", "s = 0.75").replace("dt = 2e-3", "dt = 1e-3")
+                .replace("amplitude = 0.01", "amplitude = 1e-300"))
+    assert main(["verify-energy", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: verify-energy needs E1(0) to be a positive normal float64, got 0: the initial "
+        "data are too small for a relative energy residual"
+    ]
+    assert calls == []
+
+
+def test_smoothing_echoes_the_configs_snapshot_every(tmp_path):
+    # smoothing reads every state of the march, and its manifest records the
+    # config as given
+    cfg = write(tmp_path, SMALL_CFG.replace("N = 32", "N = 16") + "snapshot_every = 7\n")
+    out = tmp_path / "out"
+    assert main(["smoothing", cfg, "--r", "0.375", "--out-dir", str(out)]) in (0, 1)
+    assert json.loads((out / "manifest.json").read_text())["config"]["snapshot_every"] == 7
 
 
 @pytest.mark.parametrize("nu,dt,t_end", [("1e100", "1e-3", "0.003"), ("1e308", "1", "3")],
@@ -810,7 +838,7 @@ def test_a_snapshot_with_anything_but_plus_zero_outside_the_band_is_held_whole(
     # (which keeps u solenoidal) carries value. A non-zero value is one of
     # the start's tail modes, held in every snapshot's tail; -0.0 is zero by
     # value and is not.
-    from lansfrac import cli
+    from lansfrac import integrator
     from lansfrac.io import parse_config
     from lansfrac.operators import band_plan
     from lansfrac.spectral import SpectralField
@@ -823,7 +851,7 @@ def test_a_snapshot_with_anything_but_plus_zero_outside_the_band_is_held_whole(
     assert mode == 0.0
     getattr(mode, part)[...] = value
     u0 = SpectralField.from_coeffs(grid, coeffs)
-    monkeypatch.setattr(cli, "make_initial", lambda *args: u0)
+    monkeypatch.setattr(integrator, "make_initial", lambda *args: u0)  # start_field's
     out = tmp_path / "out"
     held, _ = oracle_compare_holding(
         monkeypatch, ["oracle-compare", cfg, "--T", "0.004", "--out-dir", str(out)])
@@ -1409,22 +1437,23 @@ def _overridden(lines: list[str]) -> str:
     return "\n".join(base + rest) + "\n"
 
 
-def _one_step_trajectory(config, **_kwargs):
+def _one_record_march(config, diag, *_args):
+    """A march that makes one record and yields no state."""
     make_initial(config.initial, config.grid, config.params)  # its errors are bad input too
-    record = DiagRecord(t=0.0, E0=0.0, E1=0.0, D=0.0, nDA=0.0, n1ps2=0.0, cancel=0.0)
-    return Trajectory(times=np.array([0.0]), snapshots=[], diag=[record])
+    diag.append(DiagRecord(t=0.0, E0=0.0, E1=0.0, D=0.0, nDA=0.0, n1ps2=0.0, cancel=0.0))
+    yield from ()
 
 
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(_LINE, max_size=20, unique_by=lambda line: line.split("=")[0].strip()))
 def test_random_config_text_exits_zero_or_two(lines):
     # only the config handling and the initial data are under test: the time
-    # loop is replaced by a one-record trajectory, so an accepted config costs
-    # no solve
+    # loop is replaced by a march that makes one record, so an accepted config
+    # costs no solve
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(_overridden(lines), encoding="utf-8")
-        with mock.patch("lansfrac.cli.run", _one_step_trajectory):
+        with mock.patch("lansfrac.cli.march", _one_record_march):
             code = main(["simulate", str(cfg), "--out-dir", str(Path(tmp) / "out")])
     event(f"exit code {code}")  # --hypothesis-show-statistics counts the accepted examples
     assert code in (0, 2)

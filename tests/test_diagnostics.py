@@ -144,14 +144,14 @@ def test_energy_balance_shear_trapezoid_limited(grid2):
     # exact solution: the only residual is the trapezoid error of int D dt
     p = Params(alpha=0.5, nu=0.1, s=0.5)
     traj = run(config(grid2, p, dt=1e-3, t_end=1.0))
-    res = energy_balance_residual(traj, p)
+    res = energy_balance_residual(traj.diag, p)
     assert np.max(res) < 1e-8
 
 
 def test_energy_balance_needs_two_records(grid2, params):
     traj = run(config(grid2, params, t_end=0.0))
     with pytest.raises(ValueError):
-        energy_balance_residual(traj, params)
+        energy_balance_residual(traj.diag, params)
 
 
 def test_energy_balance_order_two_convergence(grid2):
@@ -161,7 +161,7 @@ def test_energy_balance_order_two_convergence(grid2):
     res = []
     for dt in (2e-3, 1e-3):
         traj = run(config(grid2, p, dt=dt, t_end=0.5), initial_field=u0)
-        res.append(np.max(energy_balance_residual(traj, p)))
+        res.append(np.max(energy_balance_residual(traj.diag, p)))
     ratio = res[0] / res[1]
     assert 3.0 <= ratio <= 5.0
 

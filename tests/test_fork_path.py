@@ -18,6 +18,11 @@ with or without a helper, on either band plan.
 One copy of the stepped block: the step's state is the kernel's input
 block, so no module names the second copy (``u_in``) or the phase that
 copied the state into it (``_CURL_STATE``).
+
+One time loop: only ``integrator.march`` holds a loop that steps
+(``_advance``), and no module names a snapshot callback (``on_snapshot``)
+or a second path to the stepper (``_run``), so ``run`` and every command
+read the march's states.
 """
 
 import ast
@@ -96,3 +101,49 @@ def test_no_module_names_a_second_copy_of_the_state(path):
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not named & {"u_in", "_CURL_STATE"}, f"{path.name} keeps a second copy of the state"
+
+
+def _called(call: ast.Call) -> str | None:
+    """The name a call calls, as f or as obj.f."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _step_loops(tree: ast.Module, module: str) -> set[str]:
+    """module.qualified name of each function whose own body holds a loop
+    that calls ``_advance``, a time step."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...], in_loop: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                visit(child, scope + (name,), False)
+                continue
+            if in_loop and isinstance(child, ast.Call) and _called(child) == "_advance":
+                found.add(".".join((module,) + scope))
+            visit(child, scope, in_loop or isinstance(child, _LOOPS))
+
+    visit(tree, (), False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_a_snapshot_callback_or_a_second_run_path(path):
+    tree = ast.parse(path.read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.arg for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.keyword))}
+    named |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not named & {"on_snapshot", "_run"}, f"{path.name} keeps a path beside the march"
+
+
+def test_only_the_march_holds_a_step_loop():
+    # every consumer, run and each command, reads the march's states
+    loops = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        loops |= _step_loops(ast.parse(path.read_text()), path.stem)
+    assert loops == {"integrator.march"}

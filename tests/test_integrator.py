@@ -60,6 +60,15 @@ def config(grid, p, dt=1e-3, t_end=1.0, init=None, **kw):
     )
 
 
+def drain(cfg, diag=None, initial_field=None, form="u"):
+    """March cfg to its end and keep no state: the records, in diag if given."""
+    diag = [] if diag is None else diag
+    start = None if initial_field is None else integrator.start_field(cfg, initial_field, form)
+    for _ in integrator.march(cfg, diag, start, form):
+        pass
+    return diag
+
+
 # ----------------------------------------------------------- phi functions
 
 def test_phi_at_zero():
@@ -364,22 +373,30 @@ def test_run_snapshot_cadence(grid2, params):
     assert len(traj.diag) == 11
 
 
-def test_run_streams_snapshots_to_the_sink(grid2, params):
-    cfg = config(grid2, params, dt=0.1, t_end=1.0, snapshot_every=3)
-    seen = []
-    traj = run(cfg, on_snapshot=lambda w, t: seen.append((t, w)))
-    assert np.allclose([t for t, _ in seen], [0.0, 0.3, 0.6, 0.9, 1.0])
-    assert len(traj.times) == 0 and traj.snapshots == []  # the sink had them
-    assert len(traj.diag) == 11
+@pytest.mark.parametrize(
+    "init",
+    [InitialData(kind="random-spectrum", amplitude=0.5, seed=21), InitialData(kind="taylor-green")],
+    ids=["band", "whole"],
+)
+def test_the_march_cadenced_fields_are_the_run_snapshots(grid2, params, init):
+    # the cadence takes step 0 (the start itself), every third step and the
+    # last; each field has the bytes of run's snapshot, t = 0 included
+    cfg = config(grid2, params, dt=0.1, t_end=1.0, init=init, snapshot_every=3)
+    diag, seen = [], []
+    for state in integrator.march(cfg, diag):
+        assert state.step == len(diag) - 1
+        if state.snapshot:
+            seen.append((state.t, state.field().coeffs.tobytes()))
+    assert [t for t, _ in seen] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
     held = run(cfg)
-    assert np.array_equal(held.times, [t for t, _ in seen])
-    for kept, (_, streamed) in zip(held.snapshots, seen):
-        assert np.array_equal(kept.coeffs, streamed.coeffs)
+    assert list(held.times) == [t for t, _ in seen]
+    assert [u.coeffs.tobytes() for u in held.snapshots] == [b for _, b in seen]
+    assert held.diag == diag and len(diag) == 11
 
 
-def test_run_with_a_sink_holds_no_fields(grid3):
-    # A snapshot every step, streamed to a sink that keeps nothing: the
-    # traced peak of the run does not grow with the number of steps.
+def test_a_drained_march_holds_no_fields(grid3):
+    # A march that is read to its end and keeps nothing: the traced peak does
+    # not grow with the number of steps.
     p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
 
@@ -388,7 +405,7 @@ def test_run_with_a_sink_holds_no_fields(grid3):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run(cfg, on_snapshot=lambda w, t: None)
+            drain(cfg)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -399,9 +416,9 @@ def test_run_with_a_sink_holds_no_fields(grid3):
 
 
 def test_run_frees_its_initial_field(grid3):
-    # After the first step the run holds no reference to its initial field,
+    # After the first step the march holds no reference to its initial field,
     # and _advance drops w1 f(u) before the stage's f: the traced peak of a
-    # 10-step run stays under 7 fields (7.6 when both were held).
+    # 10-step march stays under 7 fields (7.6 when both were held).
     p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
 
@@ -410,7 +427,7 @@ def test_run_frees_its_initial_field(grid3):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run(cfg, on_snapshot=lambda w, t: None)
+            drain(cfg)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -430,7 +447,7 @@ def test_a_run_evaluates_weights_once_per_step_length(monkeypatch, t_end, length
                         lambda size, nu, s, h: seen.append(h) or weights(size, nu, s, h))
     cfg = config(make_grid(2, 8), Params(alpha=0.5, nu=0.1, s=0.5), dt=1e-3, t_end=t_end,
                  init=InitialData(kind="random-spectrum", seed=1), linear_only=True)
-    run(cfg, on_snapshot=lambda w, t: None)
+    drain(cfg)
     assert len(seen) == lengths and seen[0] == 1e-3
     assert lengths == 1 or seen[1] == pytest.approx(5e-4)
 
@@ -445,7 +462,7 @@ def test_an_etd2rk_step_makes_fifteen_phases(monkeypatch):
     made = []
     for steps in (1, 3):
         phases.clear()
-        run(config(grid, p, dt=1e-3, t_end=steps * 1e-3), on_snapshot=lambda w, t: None)
+        drain(config(grid, p, dt=1e-3, t_end=steps * 1e-3))
         made.append(len(phases))
     assert made[1] - made[0] == 2 * 15 and len(operators._PHASES) == 10
 
@@ -862,7 +879,7 @@ def test_run_calls_advance_once_per_step_through_the_module_name(grid2, monkeypa
 
     monkeypatch.setattr(integrator, "_advance", counted)
     cfg = config(grid2, _P, dt=7e-3, t_end=0.1, init=init)
-    run(cfg, on_snapshot=lambda w, t: None)
+    drain(cfg)
     assert len(calls) == _steps(0.1, 7e-3)[0] == 15
 
 
@@ -922,10 +939,11 @@ def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
 
     monkeypatch.setattr(integrator, "_advance", faulty)
     cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=init)
+    diag = []
     with pytest.raises(DivergedError, match="field invariant broken at step 2") as info:
-        run(cfg, on_snapshot=lambda w, t: None)
+        drain(cfg, diag)
     assert (info.value.step, info.value.t) == (2, 2e-2)
-    assert [rec.t for rec in info.value.diag] == [0.0, 1e-2, 2e-2]  # through the failing state
+    assert [rec.t for rec in diag] == [0.0, 1e-2, 2e-2]  # through the failing state
 
 
 def _identity_projection(self, a, out, part=None):
@@ -939,8 +957,8 @@ def test_every_divergence_carries_its_step_and_records(monkeypatch, plant):
     # a fault in step 2 fails the audit of step 2's state: a fault in that
     # state, in its f (the fifth kernel call: ETD2RK evaluates f once per
     # state and once per stage) or in f of its stage (the fourth call), which
-    # reaches the state. The error names the step and its end time, and
-    # carries the records through the failing state.
+    # reaches the state. The error names the step and its end time, and the
+    # caller's list holds the records through the failing state.
     grid = make_grid(2, 16)
     calls = []
     if plant == "state":
@@ -967,10 +985,11 @@ def test_every_divergence_carries_its_step_and_records(monkeypatch, plant):
     what = "field invariant broken"
     if plant == "f(u)":
         what = r"the nonlinearity f\(u, u\) is not solenoidal"
+    diag = []
     with pytest.raises(DivergedError, match=f"{what} at step 2") as info:
-        run(cfg, on_snapshot=lambda w, t: None)
+        drain(cfg, diag)
     assert (info.value.step, info.value.t) == (2, 2e-2)
-    assert [rec.t for rec in info.value.diag] == [0.0, 1e-2, 2e-2]
+    assert [rec.t for rec in diag] == [0.0, 1e-2, 2e-2]
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (3, 40)])
@@ -984,9 +1003,10 @@ def test_a_broken_projection_fails_run_and_picard(monkeypatch, dim, n):
                         _identity_projection)
     for amplitude in (1.0, 1e-6):
         init = InitialData(kind="random-spectrum", amplitude=amplitude, seed=45)
+        diag = []
         with pytest.raises(DivergedError, match="nonlinearity f.* at step 0") as info:
-            run(config(grid, _P, dt=1e-2, t_end=0.05, init=init))
-        assert (info.value.step, info.value.t, len(info.value.diag)) == (0, 0.0, 1)
+            drain(config(grid, _P, dt=1e-2, t_end=0.05, init=init), diag)
+        assert (info.value.step, info.value.t, len(diag)) == (0, 0.0, 1)
         with pytest.raises(DivergedError, match="Picard node invariant broken") as info:
             picard_solve(make_initial(init, grid), _P, 0.01, mesh_size=4, max_iter=3)
         assert (info.value.step, info.value.t) == (None, 0.0025)
@@ -1004,11 +1024,11 @@ def test_planted_start_fault_raises_at_step_0(dim, init, fault):
     grid = make_grid(dim, 16)
     u0 = make_initial(init, grid)
     bad = SpectralField.from_coeffs(grid, _plant(fault, grid)(u0.coeffs))
-    snaps = []
+    states = []
     cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=init)
     with pytest.raises(DivergedError, match="field invariant broken at step 0") as info:
-        run(cfg, initial_field=bad, on_snapshot=lambda w, t: snaps.append(t))
-    assert (info.value.step, info.value.t, snaps) == (0, 0.0, [])
+        states.extend(integrator.march(cfg, [], bad))
+    assert (info.value.step, info.value.t, states) == (0, 0.0, [])
 
 
 _SIZES = (0.0, 1e-15, 1e-9, 1e-3)  # planted faults well below or above the 1e-12 tolerances
@@ -1221,7 +1241,7 @@ def test_band_run_holds_only_blocks_while_it_steps(grid3, monkeypatch):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run(cfg, initial_field=u0, on_snapshot=lambda w, t: None)
+            drain(cfg, initial_field=u0)
             return max(held) - base, tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 """The kernel's helper process (``operators.kernel_helper``): same bits, no
 shared buffer left behind, and no process or descriptor left on any exit."""
 
+import errno
 import hashlib
 import json
 import os
@@ -260,6 +261,33 @@ def test_an_unwritable_output_reaps_the_helper(tmp_path, capsys):
     assert main(["simulate", _config(tmp_path), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines()[0].startswith("error: ")
     assert json.loads((out / "manifest.json").read_text())["status"]["state"] == "error"
+
+
+def test_a_failed_snapshot_write_mid_run_reaps_the_helper(tmp_path, capsys, monkeypatch):
+    # The second snapshot (step 5 of 10) has a directory at its path: its
+    # write fails inside the march, while the helper runs. The command exits
+    # 2 with one line, the helper is reaped (the autouse fixtures) and this
+    # process gets its CPUs back.
+    import lansfrac.io
+
+    grid, writes, real = make_grid(3, 32), [], lansfrac.io.write_snapshot
+
+    def write_snapshot(*args):
+        writes.append(_kernel_workspace(grid, 0.5).helper is not None)
+        return real(*args)
+
+    monkeypatch.setattr(lansfrac.io, "write_snapshot", write_snapshot)
+    out = tmp_path / "out"
+    (out / "snapshot_000001.flns").mkdir(parents=True)
+    cpus = os.sched_getaffinity(0)
+    cfg = _config(tmp_path, init="random-spectrum", amplitude=0.5)
+    assert main(["simulate", cfg, "--out-dir", str(out)]) == 2
+    message = f"cannot write {str(out / 'snapshot_000001.flns')!r}: {os.strerror(errno.EISDIR)}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == {
+        "state": "error", "message": message}
+    assert writes == [True, True]
+    assert os.sched_getaffinity(0) == cpus
 
 
 def _long_simulate(tmp_path):
