@@ -171,7 +171,7 @@ def _cmd_simulate(args) -> int:
                         path = out / f"snapshot_{written:06d}.flns"
                         meta = SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=state.t)
                         # io.write_snapshot is looked up at each call: the benchmark patches it
-                        manifest.add_output(path, *io.write_snapshot(state.field(), meta, path))
+                        manifest.add_output(path, *io.write_snapshot(state, meta, path))
                         written += 1
         except DivergedError as exc:
             diverged = exc  # a diverged run leaves its records up to the failure
@@ -298,17 +298,15 @@ def _cmd_oracle_compare(args) -> int:
         # read; the worker makes f(u0) itself, so nothing new runs here before
         # the first step. Each state is held as its band block, in the
         # worker's shared states, and its values on u0's tail modes, the only
-        # modes outside the block where a state is non-zero ((dim, 0) when
-        # there are none); no field is built.
+        # modes outside the block where a state is non-zero; no field is built.
         from . import picard_fork  # here: the other commands need not compile it
 
         grid, p = config.grid, config.params
         tails: list[np.ndarray] = []
-        no_tail = np.empty((grid.dim, 0), np.complex128)
         with picard_fork.picard_worker(u0, p, T, mesh_size=n * m, max_iter=10, seeds=n) as picard:
             for state in march(stepper_cfg, [], u0):
                 picard.seed(state.step, state.block, state.f)
-                tails.append(no_tail if state.tail is None else state.tail.copy())
+                tails.append(state.tail.copy())
             oracle_traj, picard_state = picard.result()
             # the rows are taken while the worker's process ends
             tables = diagnostics.audit_tables(grid, p.alpha, p.s)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _kernel_workspace, band_plan, phase, rhs_f
+from .operators import _kernel_workspace, phase, rhs_f
 from .spectral import (
     GridSpec,
     Params,
@@ -68,7 +68,7 @@ def _record_rows(
 
 @dataclass(frozen=True, eq=False)
 class AuditTables:
-    """The per-mode tables ``audit`` reads on the band block (``band_plan``).
+    """The per-mode tables ``audit`` reads on the band block (``GridSpec.layout``).
 
     rows holds the record's five weights per mode (its E0 row is the measure
     times the multiplicity) and k the wavevectors, the kernel workspace's
@@ -82,10 +82,10 @@ class AuditTables:
 
 
 def audit_tables(grid: GridSpec, alpha: float, s: float) -> AuditTables:
-    """The audit's tables on the band block of ``band_plan(grid, alpha)``, built
-    on each call, so that their k is the cached workspace's own."""
+    """The audit's tables on the band block of ``grid.layout``, built on each
+    call, so that their k is the cached kernel workspace's own."""
     ws = _kernel_workspace(grid, alpha)
-    rows = _record_rows(ws.k2, ws.plan.gather(grid.weight), grid.measure, alpha, s)
+    rows = _record_rows(ws.k2, grid.layout.gather(grid.weight), grid.measure, alpha, s)
     rows.setflags(write=False)
     return AuditTables(rows=rows, k=ws.k)
 
@@ -101,16 +101,16 @@ def audit(
     f: np.ndarray,
     tables: AuditTables,
     t: float,
-    tail: tuple[np.ndarray, np.ndarray] | None = None,
+    tail: tuple[np.ndarray, np.ndarray],
     per_mode: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[tuple[bool, ...], DiagRecord]:
     """One pass over a state and its f: the invariant flags of both and the record.
 
     This is the run's one check of a state and its f. u and f = f(u, u) are
-    band blocks. tail, when given, holds the ``tail_rows`` and the (dim, n)
-    values of the state's modes outside the block (``BandPlan.split``), where
-    f is zero: their energies are added to the block's, and the pairing is
-    the block's.
+    band blocks. tail holds the ``tail_rows`` and the (dim, n) values of the
+    state's modes outside the block (``BandLayout.split``), where f is zero:
+    their energies are added to the block's (none when n = 0), and the
+    pairing is the block's.
 
     It runs in two passes. The per-mode pass (``_per_mode``) forms |uhat|^2,
     Re conj(uhat) fhat and the maxima the flags compare. per_mode, when
@@ -133,8 +133,8 @@ def audit(
         products, maxima = per_mode
     u_max, herm, sol, mean, f_max, f_div = map(float, np.max(maxima, axis=0))
     energies = np.einsum("ij,j->i", tables.rows, products[0].ravel())
-    if tail is not None:
-        rows, values = tail
+    rows, values = tail
+    if values.size:
         energies += np.einsum("ij,j->i", rows, mode_dot(values, values))
     e0, e1, diss, nda_sq, n1ps2_sq = map(float, energies)
     nda, n1ps2 = math.sqrt(nda_sq), math.sqrt(n1ps2_sq)
@@ -210,10 +210,7 @@ def f_flags(f: np.ndarray, tables: AuditTables, scale: float | None = None,
 
 
 def record(
-    u: SpectralField,
-    params: Params,
-    t: float,
-    f: SpectralField | None = None,
+    u: SpectralField, params: Params, t: float, f: SpectralField | None = None
 ) -> DiagRecord:
     """Diagnostics for one state; pass f = f(u, u) if already evaluated.
 
@@ -221,13 +218,11 @@ def record(
     without its flags. f is read on the band block, the only modes f(u, u)
     reaches. u is read as solenoidal, as every field the solver makes is.
     """
-    if f is None:
-        f = rhs_f(u, params)
     grid, alpha, s = u.grid, params.alpha, params.s
-    plan = band_plan(grid, alpha)
-    block, modes, values = plan.split(u.coeffs)
-    tail = None if values is None else (tail_rows(grid, alpha, s, modes), values)
-    return audit(block, plan.gather(f.coeffs), audit_tables(grid, alpha, s), t, tail)[1]
+    block, modes, values = grid.layout.split(u.coeffs)
+    f_block = grid.layout.gather((rhs_f(u, params) if f is None else f).coeffs)
+    tail = (tail_rows(grid, alpha, s, modes), values)
+    return audit(block, f_block, audit_tables(grid, alpha, s), t, tail)[1]
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -377,30 +377,31 @@ class State:
     """One checked state of a ``march``.
 
     step counts the steps made (0 for the start) and t is the state's time.
-    block is its band block, f = f(state) on the block, modes the flat
-    indices of the tail and tail its (dim, n) values there, or None when the
-    start has none (``BandPlan.split``). The arrays are views of the march's
-    own buffers, and the state is valid until the next one is asked for, so
-    a consumer copies what it keeps. snapshot says whether the snapshot
-    cadence takes the state: step 0, every ``snapshot_every`` steps and the
-    last step.
+    On the grid's layout (``grid.layout``), block is its band block, f =
+    f(state) on the block, modes the flat indices of the tail and tail its
+    (dim, n) values there, n = 0 when the start has none
+    (``BandLayout.split``). The arrays are views of the march's own
+    buffers, and the state is valid until the next one is asked for, so a
+    consumer copies what it keeps; ``io.write_snapshot`` writes the state
+    from them. snapshot says whether the snapshot cadence takes the state:
+    step 0, every ``snapshot_every`` steps and the last step.
     """
 
-    __slots__ = ("step", "t", "block", "f", "modes", "tail", "snapshot", "_plan", "_start")
+    __slots__ = ("step", "t", "block", "f", "modes", "tail", "snapshot", "grid", "_start")
 
-    def __init__(self, step, t, block, f, modes, tail, snapshot, plan, start=None):
+    def __init__(self, step, t, block, f, modes, tail, snapshot, grid, start=None):
         self.step, self.t, self.block, self.f = step, t, block, f
         self.modes, self.tail, self.snapshot = modes, tail, snapshot
-        self._plan, self._start = plan, start
+        self.grid, self._start = grid, start
 
     def field(self) -> SpectralField:
         """The state as a full field: at step 0 the start itself, every byte
-        of it, -0.0 included; else a new ``BandPlan.join`` of block and tail,
-        the bytes a whole-spectrum step gives."""
+        of it, -0.0 included; else a new ``BandLayout.join`` of block and
+        tail, the bytes a whole-spectrum step gives."""
         if self._start is not None:
             return self._start
-        plan = self._plan
-        return SpectralField.from_coeffs(plan.grid, plan.join(self.block, self.modes, self.tail))
+        coeffs = self.grid.layout.join(self.block, self.modes, self.tail)
+        return SpectralField.from_coeffs(self.grid, coeffs)
 
 
 def run(
@@ -441,17 +442,17 @@ def march(
     nor evaluate f there between two states: any kernel call, ``rhs_f`` and
     ``diagnostics.record`` included, overwrites the state.
 
-    The march has one layout: the band block of its start state, plus a
-    linear tail. The 2/3-dealiased f(u, u) reads and writes only the band
-    block (see ``BandPlan``; Orszag 1971), so on every other mode the
+    The march has one layout, the grid's (``BandLayout``): the band block
+    of its start state, plus a linear tail. The 2/3-dealiased f(u, u) reads
+    and writes only the band block (Orszag 1971), so on every other mode the
     exponential step is E u + w1 0 + w2 0, the exact linear semigroup. The
     march steps the block: the state, f, the step's arrays, the propagator
     weights, the Galerkin mask, the v-form factor and the audit's tables
     hold just the band modes. The tail is the start's non-zero modes outside
-    the block (``BandPlan.split``; the Galerkin cutoff is taken before, so
+    the block (``BandLayout.split``; the Galerkin cutoff is taken before, so
     it keeps them all), and only the propagator touches it, as tail = E tail
-    + 0.0. A Galerkin cutoff sets its cut modes to +0.0. Each step calls
-    the module's ``_advance`` once.
+    + 0.0, a step that an empty tail skips. A Galerkin cutoff sets its cut
+    modes to +0.0. Each step calls the module's ``_advance`` once.
 
     The block's state, f(state) and the step's weights live in the kernel
     workspace (``operators._KernelWorkspace``), where the step is formed in
@@ -481,19 +482,17 @@ def march(
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
     if start is None:
         start = start_field(config, form=form)
-    grid, params = config.grid, config.params
-    alpha = params.alpha
-    ws = _kernel_workspace(grid, alpha)
-    plan = ws.plan
-    state, modes, tail = plan.split(start.coeffs, out=ws.state)
+    grid, params, alpha = config.grid, config.params, config.params.alpha
+    ws, layout = _kernel_workspace(grid, alpha), grid.layout
+    state, modes, tail = layout.split(start.coeffs, out=ws.state)
     tables = diagnostics.audit_tables(grid, alpha, params.s)
     # f(state) into ws.f_state, f(stage) into ws.product (see _advance)
     if config.linear_only:
         f_new, f_step = (lambda w: ws.f_state.fill(0.0)), (lambda w: ws.product.fill(0.0))
     elif form == "v":
         def f_of(w: np.ndarray, out: np.ndarray) -> None:
-            v = SpectralField.from_coeffs(grid, plan.join(w))
-            plan.gather(v_nonlinearity(u_from_v(v, alpha), v).coeffs, out=out)
+            v = SpectralField.from_coeffs(grid, layout.join(w))
+            layout.gather(v_nonlinearity(u_from_v(v, alpha), v).coeffs, out=out)
 
         f_new, f_step = (lambda w: f_of(w, ws.f_state)), (lambda w: f_of(w, ws.product))
     else:
@@ -502,25 +501,23 @@ def march(
     helm = 1.0 + alpha**2 * ws.k2 if form == "v" else None
     cut = None
     if config.galerkin_N is not None:  # the block's modes the Galerkin cutoff sets to +0.0
-        cut = plan.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
-    k2_block, k2_tail = ws.k2.astype(np.intp), None  # _weights' table indices
-    audit_tail = None
-    if tail is not None:
-        k2_tail = grid.k2.ravel()[modes].astype(np.intp)
-        rows = diagnostics.tail_rows(grid, alpha, params.s, modes)
-        if form == "v":  # the energies of u = v / (1 + alpha^2 |k|^2)
-            rows = rows / (1.0 + alpha**2 * k2_tail) ** 2
-        audit_tail = (rows, tail)  # the tail is stepped in place
-    size = 1 + int(k2_block.max() if tail is None else max(k2_block.max(), k2_tail.max()))
+        cut = layout.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
+    # _weights' table indices
+    k2_block, k2_tail = ws.k2.astype(np.intp), grid.k2.ravel()[modes].astype(np.intp)
+    rows = diagnostics.tail_rows(grid, alpha, params.s, modes)
+    if form == "v":  # the energies of u = v / (1 + alpha^2 |k|^2)
+        rows = rows / (1.0 + alpha**2 * k2_tail) ** 2
+    audit_tail = (rows, tail)  # the tail is stepped in place
+    size = 1 + int(max(k2_block.max(), k2_tail.max(initial=0)))
 
     dt, every = config.scheme.dt, config.snapshot_every
     n_steps, last = _steps(config.t_end, dt)
 
-    def load(h: float) -> np.ndarray | None:
+    def load(h: float) -> np.ndarray:
         """Put the weights of a step of length h into ws.weights; the tail's E."""
         table = _weights(size, params.nu, params.s, h)
         np.copyto(ws.weights, table[:, k2_block])
-        return None if tail is None else table[0, k2_tail]
+        return table[0, k2_tail]
 
     def audit(t: float) -> tuple[bool, ...]:
         if helm is None:
@@ -536,12 +533,12 @@ def march(
     with np.errstate(**_QUIET):
         f_new(state)
         flags = audit(0.0)
-        if tail is not None:
+        if tail.size:
             flags += measure_flags(grid, start.coeffs)
     if not all(flags):
         raise _broken(flags, 0, 0.0)
     guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-    yield State(0, 0.0, state, ws.f_state, modes, tail, True, plan, start)
+    yield State(0, 0.0, state, ws.f_state, modes, tail, True, grid, start)
     del start  # the t = 0 state holds the start until its consumer drops it
 
     e_tail = load(dt)
@@ -551,7 +548,7 @@ def march(
             e_tail = load(last)
         with np.errstate(**_QUIET):
             state = _advance(ws, config.scheme.kind, f_step)
-            if tail is not None:
+            if tail.size:
                 np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
             if cut is not None:
                 np.copyto(state, 0.0, where=cut)
@@ -563,4 +560,4 @@ def march(
         if diag[-1].nDA > guard:
             raise DivergedError(f"D(A) norm blew up at step {step}", step=step, t=t)
         yield State(step, t, state, ws.f_state, modes, tail,
-                    step % every == 0 or step == n_steps, plan)
+                    step % every == 0 or step == n_steps, grid)

@@ -1,11 +1,12 @@
 """Config parsing, binary snapshot persistence, CSV emission, run manifests.
 
 The config grammar is deliberately line-oriented ``key = value`` with ``#``
-comments: zero-dependency parsing and diff-friendly experiment records. The
-snapshot format is a fixed little-endian header (magic "FLNS", version 2)
-followed by the raw complex coefficient payload: the stored ``rfftn`` half
-spectrum ``SpectralField.coeffs`` as it is, shape (dim, N, ..., N, N/2 + 1),
-components outermost, k-indices in FFT-standard order.
+comments: zero-dependency parsing and diff-friendly experiment records. A
+snapshot (format v3, little-endian) holds a state in the layout the march
+steps (``BandLayout``): a fixed header (magic "FLNS", version, dim, N,
+alpha, nu, s, t), the band block, shape (dim,) + block_shape, as complex128,
+then the tail: its mode count n and its n strictly increasing flat indices
+into ``grid.spectral_shape`` as int64, and its (dim, n) complex128 values.
 
 Every output file is written to a temporary file beside it and renamed over
 it, so a failed write leaves the previous file untouched.
@@ -37,7 +38,7 @@ from .errors import (
     SnapshotError,
     VersionMismatchError,
 )
-from .integrator import InitialData, SchemeKind, SimConfig, StepScheme
+from .integrator import InitialData, SchemeKind, SimConfig, State, StepScheme
 from .spectral import (
     Params,
     SpectralField,
@@ -47,7 +48,7 @@ from .spectral import (
 )
 
 SNAPSHOT_MAGIC = b"FLNS"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 _HEADER = struct.Struct("<4s3I4d")  # magic, version, dim, N, alpha, nu, s, t
 
 
@@ -86,25 +87,28 @@ def _write_atomic(path: str | Path, chunks: Iterable[bytes | memoryview]) -> tup
 
 
 def write_snapshot(
-    field: SpectralField, meta: SnapshotMeta, path: str | Path
+    state: SpectralField | State, meta: SnapshotMeta, path: str | Path
 ) -> tuple[str, int]:
-    """Write header + half-spectrum complex128 payload; bit-exact round trip.
+    """Write header, band block and tail (format v3); bit-exact round trip.
 
-    The payload is ``field.coeffs`` itself, written from its own buffer.
-    Returns the file's hex sha256 and byte count.
+    state is a march's ``integrator.State``, written from its own block and
+    tail, or a ``SpectralField``, split through its grid's layout
+    (``BandLayout.split``: a -0.0 outside the block reads back as +0.0).
+    Neither builds a field or a kernel workspace. A state's tail keeps every
+    mode of its start's, also one whose value has decayed to zero, so its
+    bytes are its field's unless they hold such a mode. Returns the file's
+    hex sha256 and byte count.
     """
-    grid = field.grid
-    header = _HEADER.pack(
-        SNAPSHOT_MAGIC,
-        SNAPSHOT_VERSION,
-        grid.dim,
-        grid.N,
-        meta.alpha,
-        meta.nu,
-        meta.s,
-        meta.t,
-    )
-    return _write_atomic(path, (header, np.ascontiguousarray(field.coeffs, dtype="<c16").data))
+    if isinstance(state, SpectralField):
+        grid = state.grid
+        block, modes, tail = grid.layout.split(state.coeffs)
+    else:
+        grid, block, modes, tail = state.grid, state.block, state.modes, state.tail
+    header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.N,
+                          meta.alpha, meta.nu, meta.s, meta.t)
+    return _write_atomic(path, (header, np.ascontiguousarray(block, dtype="<c16").data,
+                                np.r_[len(modes), modes].astype("<i8").data,
+                                np.ascontiguousarray(tail, dtype="<c16").data))
 
 
 def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
@@ -120,15 +124,28 @@ def _read_input(path: str | Path, what: str, error: type[Exception]) -> bytes:
         raise error(f"cannot read {what} {str(path)!r}: {reason}") from None
 
 
-def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
-    """Read and validate a snapshot: magic, version, grid, payload size, and a state.
+def _section(
+    blob: bytes, at: int, dtype: str, count: int, what: str, path
+) -> tuple[np.ndarray, int]:
+    """count items of dtype in blob from offset at, and the offset after them;
+    CorruptPayloadError naming what if the file ends first."""
+    end = at + count * np.dtype(dtype).itemsize
+    if len(blob) < end:
+        raise CorruptPayloadError(f"{path}: file ends inside the {what}")
+    return np.frombuffer(blob, dtype, count, at), end
 
-    The field must be a solver state: finite, real (hermitian), solenoidal
-    and mean-free, each to ``measure_flags``' tolerances; a payload that
-    breaks one raises CorruptPayloadError naming it. A half spectrum is real
-    iff its k_last = 0 and Nyquist planes match their own conjugate mirrors,
-    which is what the hermitian flag compares. The field's coefficients are
-    a view into the file's bytes.
+
+def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
+    """Read and validate a snapshot: magic, version, grid, framing, and a state.
+
+    The framing must hold exactly: the band block, a tail count n in [0,
+    modes outside the block], n strictly increasing indices of modes
+    outside the block, n values per component and nothing after them. The
+    joined field must be a solver state: finite, real (hermitian),
+    solenoidal and mean-free, each to ``measure_flags``' tolerances. A file
+    that breaks one raises CorruptPayloadError naming it. A half spectrum
+    is real iff its k_last = 0 and Nyquist planes match their own conjugate
+    mirrors, which is what the hermitian flag compares.
     """
     blob = _read_input(path, "snapshot", SnapshotError)
     if len(blob) < _HEADER.size:
@@ -140,17 +157,30 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         raise VersionMismatchError(f"{path}: format version {version} != {SNAPSHOT_VERSION}")
     if dim not in (2, 3):
         raise CorruptPayloadError(f"{path}: header dim {dim} is not 2 or 3")
-    expected = dim * n ** (dim - 1) * (n // 2 + 1) * 16
-    if len(blob) - _HEADER.size != expected:
-        raise CorruptPayloadError(
-            f"{path}: payload is {len(blob) - _HEADER.size} bytes, expected {expected}"
-        )
+    b = -(-n // 3) - 1  # the band limit, taken before the grid: a huge N's tables would not fit
+    block, at = _section(blob, _HEADER.size, "<c16", dim * (2 * b + 1) ** (dim - 1) * (b + 1),
+                         "band block", path)
     try:
         grid = make_grid(dim, n)
     except GridError as exc:
         raise CorruptPayloadError(f"{path}: header grid: {exc}") from None
-    coeffs = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    coeffs = coeffs.astype(np.complex128, copy=False).reshape((dim,) + grid.spectral_shape)
+    (count,), at = _section(blob, at, "<i8", 1, "tail's mode count", path)
+    modes_all = grid.dealias_mask.size
+    outside = modes_all - block.size // dim
+    if not 0 <= count <= outside:
+        raise CorruptPayloadError(f"{path}: tail mode count {count} is not in [0, {outside}]")
+    modes, at = _section(blob, at, "<i8", int(count), "tail's mode indices", path)
+    tail, at = _section(blob, at, "<c16", dim * int(count), "tail's values", path)
+    if at != len(blob):
+        raise CorruptPayloadError(f"{path}: {len(blob) - at} bytes after the tail")
+    if np.any(np.diff(modes) <= 0):
+        raise CorruptPayloadError(f"{path}: tail mode indices are not strictly increasing")
+    if count and (modes[0] < 0 or modes[-1] >= modes_all):
+        raise CorruptPayloadError(f"{path}: tail mode index out of range [0, {modes_all})")
+    if grid.dealias_mask.ravel()[modes].any():
+        raise CorruptPayloadError(f"{path}: tail mode index inside the band block")
+    block = block.reshape((dim,) + grid.layout.block_shape)
+    coeffs = grid.layout.join(block, modes, tail.reshape(dim, -1))
     herm, sol, mean = measure_flags(grid, coeffs)
     # measure_flags fails all three flags of a non-finite field
     if not (herm or sol or mean) and not np.isfinite(coeffs).all():

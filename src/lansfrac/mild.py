@@ -45,9 +45,8 @@ import numpy as np
 from . import diagnostics
 from .errors import DivergedError, NoContractionError
 from .integrator import Trajectory
-from .operators import band_plan, rhs_f, rhs_f_band  # noqa: F401  the tracer patches rhs_f
+from .operators import rhs_f, rhs_f_band  # noqa: F401  the tracer patches rhs_f
 from .spectral import (
-    BandPlan,
     GridSpec,
     Params,
     SpectralField,
@@ -95,7 +94,7 @@ class PicardState:
 class _BandSolve:
     """u0, f at node 0, the mesh and the tables of one Picard solve, on the band block.
 
-    f has no modes outside the band block (see ``BandPlan``), so there every
+    f has no modes outside the band block (see ``BandLayout``), so there every
     Picard node is the free field u0 e^{-t nu A^s}, and only the block is
     iterated. Each table is gathered once per solve; node 0 is u0 in every
     iterate, so its f is taken once: a copy of f0 when given (a seed's, see
@@ -107,13 +106,13 @@ class _BandSolve:
                  f0: np.ndarray | None = None):
         grid = u0.grid
         self.grid, self.params, self.t_mesh = grid, params, t_mesh
-        self.plan = plan = band_plan(grid, params.alpha)
-        self.u0 = plan.gather(u0.coeffs)
+        layout = grid.layout
+        self.u0 = layout.gather(u0.coeffs)
         if f0 is None:
             self.f0 = rhs_f_band(grid, self.u0, params, out=np.empty_like(self.u0))
         else:  # every level's first half step reads it, long after its seed was taken
             self.f0 = np.array(f0, dtype=np.complex128)
-        self.stokes = plan.gather(_stokes_table(grid, params.s))
+        self.stokes = layout.gather(_stokes_table(grid, params.s))
         self.tables = diagnostics.audit_tables(grid, params.alpha, params.s)
         self.steps: dict[float, np.ndarray] = {}  # factor(h) of each mesh step h met
         self.work, self.diff = np.empty_like(self.u0), np.empty_like(self.u0)
@@ -306,38 +305,29 @@ class PicardNodes(Sequence[SpectralField]):
 
     Outside the band block every node is the free field u0 e^{-t_i nu A^s}
     (see ``_BandSolve``), which is non-zero only on u0's tail modes
-    (``BandPlan.split`` of u0, found once). So node i is ``BandPlan.join``
-    of its own ``split``: the iterate's block, and u0's tail times the
-    semigroup factor at t_i. An int index, negative too, builds one field
-    per access, so no full-spectrum node list is ever held. Each node's
-    coefficients are a view of a read-only buffer of its own.
+    (``BandLayout.split`` of u0, taken once). So node i is
+    ``BandLayout.join`` of its own ``split``: the iterate's block, and u0's
+    tail times the semigroup factor at t_i. An int index, negative too,
+    builds one field per access, so no full-spectrum node list is ever held.
+    Each node's coefficients are a view of a read-only buffer of its own.
     """
 
-    def __init__(
-        self,
-        u0: SpectralField,
-        params: Params,
-        times: np.ndarray,
-        stack: np.ndarray,
-        plan: BandPlan,
-    ):
+    def __init__(self, u0: SpectralField, params: Params, times: np.ndarray, stack: np.ndarray):
         grid = u0.grid
-        self._grid, self._nu, self._times = grid, params.nu, times
-        self._stack, self._plan = stack, plan
-        _, self._modes, _ = plan.split(u0.coeffs)
-        self._u0_tail = u0.coeffs.reshape(grid.dim, -1)[:, self._modes]
+        self._grid, self._nu, self._times, self._stack = grid, params.nu, times, stack
+        _, self._modes, self._u0_tail = grid.layout.split(u0.coeffs)
         self._stokes_tail = _stokes_table(grid, params.s).ravel()[self._modes]
 
     def __len__(self) -> int:
         return len(self._times)
 
     def __getitem__(self, i: int) -> SpectralField:
-        coeffs = self._plan.join(*self.split(i))
+        coeffs = self._grid.layout.join(*self.split(i))
         coeffs.setflags(write=False)
         return SpectralField.from_coeffs(self._grid, coeffs[...])
 
     def split(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``BandPlan.split`` of node i, building no full field: a read-only view
+        """``BandLayout.split`` of node i, building no full field: a read-only view
         of the stack's block, u0's tail modes, and the free field's values there,
         shape (dim, n) with n = 0 when u0 has no tail."""
         decay = np.exp(-self._nu * float(self._times[i]) * self._stokes_tail)
@@ -389,7 +379,7 @@ def picard_solve(
     to u* only takes fewer sweeps there.
 
     out, when given, is the complex128 iterate stack to iterate in, of shape
-    ``picard_stack_shape(u0.grid, params, mesh_size)``; the solve writes every
+    ``picard_stack_shape(u0.grid, mesh_size)``; the solve writes every
     element of it and leaves it read-only. feed, when given, runs the
     schedule in place of the one-process one (``_Here``), with its seeds,
     f0 and run: ``picard_fork.picard_worker``'s ``_RingNodes`` takes its
@@ -406,7 +396,7 @@ def picard_solve(
     m = mesh_size // n if n else 0
     t_mesh = np.linspace(0.0, T, mesh_size + 1)
     band = _BandSolve(u0, params, t_mesh, feed.f0)
-    shape = picard_stack_shape(u0.grid, params, mesh_size)
+    shape = picard_stack_shape(u0.grid, mesh_size)
     if out is None:
         stack = np.empty(shape, dtype=np.complex128)
     elif out.shape != shape or out.dtype != np.complex128:
@@ -427,9 +417,9 @@ def picard_solve(
     return _solution(u0, params, t_mesh, stack, wave.increments, wave.converged)
 
 
-def picard_stack_shape(grid: GridSpec, params: Params, mesh_size: int) -> tuple[int, ...]:
+def picard_stack_shape(grid: GridSpec, mesh_size: int) -> tuple[int, ...]:
     """Shape of the iterate stack of ``picard_solve``: (mesh_size + 1, dim) + band block."""
-    return (mesh_size + 1, grid.dim) + band_plan(grid, params.alpha).block_shape
+    return (mesh_size + 1, grid.dim) + grid.layout.block_shape
 
 
 def _solution(
@@ -442,7 +432,7 @@ def _solution(
 ) -> tuple[Trajectory, PicardState]:
     """The trajectory and state of a finished solve, read-only nodes over its stack."""
     stack.setflags(write=False)
-    nodes = PicardNodes(u0, params, t_mesh, stack, band_plan(u0.grid, params.alpha))
+    nodes = PicardNodes(u0, params, t_mesh, stack)
     state = PicardState(
         iterates=[nodes],
         increments_linf=increments,

@@ -88,8 +88,8 @@ class _KernelWorkspace:
     """Multipliers and buffers of the rotational kernel for one (grid, alpha),
     and of the time step that ``integrator.march`` makes on it.
 
-    Everything lives on the band block (see ``BandPlan``): the dealiased band
-    is the whole block, so dealiasing is the gather itself. Every call of
+    Everything lives on the band block (see ``BandLayout``): the dealiased
+    band is the whole block, so dealiasing is the gather itself. Every call of
     ``rhs_f_band`` on this (grid, alpha) reuses the same buffers, so the workspace
     is not re-entrant. lansfrac starts no threads of its own, and forks two
     kinds of process, both through ``forks.fork``. The helper
@@ -115,8 +115,8 @@ class _KernelWorkspace:
     def __init__(self, grid: GridSpec, alpha: float):
         dim = grid.dim
         n_curl = 1 if dim == 2 else 3
-        self.plan = plan = BandPlan(grid, inverse_fields=dim + n_curl, forward_fields=dim)
-        k, self.k2 = plan.gather(grid.k), plan.gather(grid.k2)
+        self.plan = BandPlan(grid, inverse_fields=dim + n_curl, forward_fields=dim)
+        k, self.k2 = grid.layout.gather(grid.k), grid.layout.gather(grid.k2)
         helm = 1.0 + alpha**2 * self.k2
         self.ikv = 1j * k * helm  # curl of v read off u
         # the output filter over the |k|^2 of the projection, mean pinned to zero
@@ -128,7 +128,7 @@ class _KernelWorkspace:
         for table in (self.ikv, self.filter, self.k, self.k2):
             table.setflags(write=False)
 
-        block = plan.block_shape
+        block = grid.layout.block_shape
         self.k_cross = np.empty((n_curl,) + block, np.complex128)  # k x a in the projection
         self.dot = np.empty(block, np.complex128)
         self.allocate(np.empty)
@@ -143,7 +143,7 @@ class _KernelWorkspace:
         """New buffers, alloc(shape, dtype), for the arrays a helper's process
         shares: the stack (whose u is the state), the product block, f(state),
         the weights, the audit's outputs and the plan's (``BandPlan.allocate``)."""
-        dim, block = self.plan.grid.dim, self.plan.block_shape
+        dim, block = self.plan.grid.dim, self.plan.layout.block_shape
         vector, cplx = (dim,) + block, np.complex128
         self.stack = alloc((dim + len(self.k_cross),) + block, cplx)  # dealiased u, curl v
         self.state = self.stack[:dim]  # the kernel's u: the march's state, the stage in place
@@ -278,13 +278,13 @@ def rhs_f(u: SpectralField, params: Params) -> SpectralField:
     This is the production nonlinearity, in rotational filtered-momentum form:
     u.grad(v) + (grad u)^T v = (curl v) x u + grad(u.v), and the gradient is
     removed by the projection. It gathers u's band block into the workspace's
-    state, runs ``rhs_f_band`` on it and joins the result (``BandPlan.join``), so it
-    allocates only the f it returns. f is +0.0 outside the band block.
+    state, runs ``rhs_f_band`` on it and joins the result (``BandLayout.join``),
+    so it allocates only the f it returns. f is +0.0 outside the band block.
     """
     grid = u.grid
     ws = _kernel_workspace(grid, params.alpha)
-    ws.plan.gather(u.coeffs, out=ws.state)
-    return SpectralField.from_coeffs(grid, ws.plan.join(rhs_f_band(grid, ws.state, params)))
+    grid.layout.gather(u.coeffs, out=ws.state)
+    return SpectralField.from_coeffs(grid, grid.layout.join(rhs_f_band(grid, ws.state, params)))
 
 
 @contextmanager
@@ -319,7 +319,7 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
     (``picard_fork.picard_worker``) shares none of them.
     """
     ws = _kernel_workspace(grid, alpha)
-    if not ws.plan.gemm or ws.plan.S >= ws.plan.M or len(os.sched_getaffinity(0)) < 2:
+    if not grid.layout.gemm or ws.plan.S >= ws.plan.M or len(os.sched_getaffinity(0)) < 2:
         yield
         return
     ws.allocate(forks.shared_array)
@@ -331,11 +331,6 @@ def kernel_helper(grid: GridSpec, alpha: float) -> Iterator[None]:
         ws.allocate(np.empty)
 
 
-def band_plan(grid: GridSpec, alpha: float) -> BandPlan:
-    """The plan ``rhs_f_band`` runs on; its gather, split and join fix the block layout."""
-    return _kernel_workspace(grid, alpha).plan
-
-
 def rhs_f_band(
     grid: GridSpec,
     u: np.ndarray,
@@ -344,7 +339,7 @@ def rhs_f_band(
 ) -> np.ndarray:
     """The kernel of ``rhs_f``: f(u, u) from and to band blocks.
 
-    u is the band block (see ``BandPlan``) of the field. One call makes one
+    u is the band block (see ``BandLayout``) of the field. One call makes one
     stacked inverse transform of the dealiased u and of curl v, and forward
     transforms of the cross product: 3 + 2 fields in 2D (the curl is a
     scalar), 6 + 3 in 3D, in the plan's four phases (``BandPlan.share``),

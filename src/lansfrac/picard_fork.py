@@ -170,7 +170,7 @@ class PicardWorker:
         self._u0, self._params, self._args = u0, params, (T, mesh_size, max_iter)
         self._m = mesh_size // seeds if seeds else 0
         self._passed = 0  # the nodes level 0 has updated, by the worker's notes
-        shape = mild.picard_stack_shape(u0.grid, params, mesh_size)
+        shape = mild.picard_stack_shape(u0.grid, mesh_size)
         # the iterate stack, and the ring, of which the handle holds the parent's only view
         self._stack, self._ring = shared_array(shape), shared_array((RING_SLOTS,) + shape[1:])
         # the band blocks of the stepper's states 0..seeds, as seed wrote them
@@ -318,7 +318,7 @@ def picard_worker(
     (``operators.kernel_helper``) beside it: the worker owns the second core.
     """
     mild._check_horizon(T)
-    with one_blas_thread() if mild.band_plan(u0.grid, params.alpha).gemm else nullcontext():
+    with one_blas_thread() if u0.grid.layout.gemm else nullcontext():
         worker = PicardWorker(u0, params, T, mesh_size, max_iter, seeds)
         # the reply; the tokens, which both take and must not wait for; the
         # reports and seeds; the notes of level 0's updates

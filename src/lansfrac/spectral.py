@@ -12,6 +12,8 @@ shape (dim, N, ..., N, N/2+1), with the last wavevector component running over
 0..N/2. Each stored mode with 0 < k_last < N/2 stands for itself and its
 conjugate mirror -k, so every sum over modes carries the multiplicity
 ``GridSpec.weight`` (2 there, 1 on the k_last = 0 and k_last = N/2 planes).
+A solver state is stepped and stored in the grid's band layout
+(``GridSpec.layout``): the band block the 2/3 rule keeps, plus a tail.
 
 Everything is a pure function of its inputs; fields are immutable (the
 coefficient buffers are write-protected). Only the whole-field transforms
@@ -96,7 +98,8 @@ class GridSpec:
 
     k2, dealias_mask, weight and each component of k have the half-spectrum
     shape ``spectral_shape``; ``shape`` and x describe the physical grid. x is
-    built on first use: only analytic initial data reads it.
+    built on first use: only analytic initial data reads it. layout is the
+    grid's ``BandLayout``.
     """
 
     dim: int
@@ -105,6 +108,7 @@ class GridSpec:
     k2: np.ndarray = _field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = _field(init=False, repr=False, compare=False)
     weight: np.ndarray = _field(init=False, repr=False, compare=False)
+    layout: BandLayout = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
@@ -129,6 +133,7 @@ class GridSpec:
         for name, arr in tables:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "layout", BandLayout(self))
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -220,19 +225,93 @@ def _along(axis: int, index) -> tuple:
     return (Ellipsis, index) + (slice(None),) * (-axis - 1)
 
 
+class BandLayout:
+    """The band layout of one grid's half spectrum: ``GridSpec.layout``.
+
+    The band block of a half-spectrum array holds the modes with every
+    |k_i| <= b = ``grid.band_limit``, the only ones the 2/3 rule keeps (those
+    of ``grid.dealias_mask``). It has shape ``block_shape`` = (2b+1,) *
+    (dim-1) + (b+1,), and each complex axis runs over k = 0..b, -b..-1. A
+    state is its block plus its tail: its other non-zero modes, as
+    increasing flat indices into ``grid.spectral_shape``, and their (dim, n)
+    values, n = 0 for a band-limited state (``split``). The march steps
+    this layout, a ``BandPlan`` transforms its blocks and a snapshot stores
+    it (``io``). It depends on the grid alone, as does ``gemm``, the
+    algorithm a ``BandPlan`` runs on the grid.
+    """
+
+    def __init__(self, grid: GridSpec):
+        N, b, dim = grid.N, grid.band_limit, grid.dim
+        self.grid = grid
+        self.block_shape = (2 * b + 1,) * (dim - 1) + (b + 1,)
+        self.gemm = dim == 3 or N <= GEMM_MAX_N
+        # (block, full) index pairs of the two halves of a complex axis.
+        halves = (
+            (slice(0, b + 1), slice(0, b + 1)),
+            (slice(b + 1, 2 * b + 1), slice(N - b, N)),
+        )
+        last = slice(0, b + 1)
+        self._slabs = []  # (block, full) index pairs of the band's 2^(dim-1) slabs
+        for pairs in itertools.product(halves, repeat=dim - 1):
+            blk, full = zip(*pairs)
+            self._slabs.append(((Ellipsis,) + blk + (last,), (Ellipsis,) + full + (last,)))
+
+    def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The band block of a half-spectrum array (any leading axes)."""
+        if out is None:
+            out = np.empty(full.shape[: -self.grid.dim] + self.block_shape, full.dtype)
+        for blk, src in self._slabs:
+            out[blk] = full[src]
+        return out
+
+    def scatter(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write a band block into the band modes of a half-spectrum array."""
+        for blk, dst in self._slabs:
+            out[dst] = block[blk]
+        return out
+
+    def split(
+        self, full: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The band block of a (dim,) + spectral_shape array (into out, if given), and its tail.
+
+        The tail is full's modes outside the block that are non-zero by value
+        (so -0.0 counts as zero and nan does not): their flat indices into
+        ``grid.spectral_shape``, increasing, and their values, shape (dim, n),
+        n = 0 when there are none. ``np.count_nonzero`` of full and of its
+        block decides that first, so a band-limited array costs no full-size
+        temporary.
+        """
+        block = self.gather(full, out)
+        if np.count_nonzero(full) == np.count_nonzero(block):
+            return block, np.empty(0, np.intp), np.empty((len(full), 0), full.dtype)
+        modes = np.flatnonzero(np.any(full != 0, axis=0) & ~self.grid.dealias_mask)
+        return block, modes, full.reshape(len(full), -1)[:, modes]
+
+    def join(
+        self, block: np.ndarray, modes: np.ndarray | None = None, tail: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The inverse of ``split``: a new (dim,) + spectral_shape array that is
+        block on the band, tail at the flat indices modes and +0.0 elsewhere;
+        a block alone when no tail is given."""
+        grid = self.grid
+        full = self.scatter(block, np.zeros((grid.dim,) + grid.spectral_shape, block.dtype))
+        if tail is not None:
+            full.reshape(grid.dim, -1)[:, modes] = tail
+        return full
+
+
 class BandPlan:
     """Band-pruned transforms of stacked fields on one grid, with their buffers.
 
-    The band block of a half-spectrum array holds the modes with every
-    |k_i| <= b = ``grid.band_limit``, the only ones the 2/3 rule keeps. It has
-    shape ``block_shape`` = (2b+1,) * (dim-1) + (b+1,), and each complex axis
-    runs over k = 0..b, -b..-1. ``share`` is the one transform entry: its
+    The plan transforms band blocks of the grid's layout (``BandLayout``,
+    ``GridSpec.layout``). ``share`` is the one transform entry: its
     phases (``PHASES``), run in order, sample a stack of band blocks, let a
     pointwise step form the samples of a product from them, and transform
     those back into band blocks. It runs one of two algorithms, picked from
     the grid, on samples of ``shape`` = (M,) * dim:
 
-    - **Matrix products** (``gemm``: every 3D grid, and 2D grids with
+    - **Matrix products** (``layout.gemm``: every 3D grid, and 2D grids with
       N <= ``GEMM_MAX_N``) on the exact dealiasing grid, M = 3b + 1 points
       per axis (46 at N=48, 31 at N=32, N at N=16 and 64). A product of
       two fields of the band has modes |k_i| <= 2b, and on M points a mode
@@ -330,23 +409,11 @@ class BandPlan:
     PHASES = 4  # of a product (share): a GEMM plan's fused pass; an FFT plan's is phase 0
 
     def __init__(self, grid: GridSpec, inverse_fields: int, forward_fields: int):
-        N, b, dim = grid.N, grid.band_limit, grid.dim
-        self.grid = grid
-        self.block_shape = (2 * b + 1,) * (dim - 1) + (b + 1,)
-        # (block, full) index pairs of the two halves of a complex axis.
-        self._halves = (
-            (slice(0, b + 1), slice(0, b + 1)),
-            (slice(b + 1, 2 * b + 1), slice(N - b, N)),
-        )
-        last = slice(0, b + 1)
-        self._slabs = []  # (block, full) index pairs of the band's 2^(dim-1) slabs
-        for pairs in itertools.product(self._halves, repeat=dim - 1):
-            blk, full = zip(*pairs)
-            self._slabs.append(((Ellipsis,) + blk + (last,), (Ellipsis,) + full + (last,)))
-        self.gemm = dim == 3 or N <= GEMM_MAX_N
-        self.M = 3 * b + 1 if self.gemm else N
-        self.shape = (self.M,) * dim
-        if self.gemm:
+        N, b = grid.N, grid.band_limit
+        self.grid, self.layout = grid, grid.layout
+        self.M = 3 * b + 1 if self.layout.gemm else N
+        self.shape = (self.M,) * grid.dim
+        if self.layout.gemm:
             self._init_gemm(inverse_fields, forward_fields)
             return
         cplx, lines = np.complex128, (N, b + 1)
@@ -401,53 +468,8 @@ class BandPlan:
 
     def allocate(self, alloc) -> None:
         """Give ``_mid`` (GEMM plans) a new buffer, alloc(shape); see ``share``."""
-        if self.gemm:
+        if self.layout.gemm:
             self._mid = alloc(self._mid.shape)
-
-    def gather(self, full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The band block of a half-spectrum array (any leading axes)."""
-        if out is None:
-            out = np.empty(full.shape[: -self.grid.dim] + self.block_shape, full.dtype)
-        for blk, src in self._slabs:
-            out[blk] = full[src]
-        return out
-
-    def scatter(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write a band block into the band modes of a half-spectrum array."""
-        for blk, dst in self._slabs:
-            out[dst] = block[blk]
-        return out
-
-    def split(
-        self, full: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The band block of a (dim,) + spectral_shape array (into out, if given), and its tail.
-
-        The tail is full's modes outside the block that are non-zero by value
-        (so -0.0 counts as zero and nan does not): their flat indices into
-        ``grid.spectral_shape``, and their values, shape (dim, n), or None
-        when there are none. ``np.count_nonzero`` of full and of its block
-        decides that first, so a band-limited array costs no full-size
-        temporary.
-        """
-        block = self.gather(full, out)
-        if np.count_nonzero(full) == np.count_nonzero(block):
-            return block, np.empty(0, np.intp), None
-        outside = np.any(full != 0, axis=0)
-        self.scatter(np.zeros(self.block_shape, bool), outside)
-        modes = np.flatnonzero(outside)
-        return block, modes, full.reshape(len(full), -1)[:, modes]
-
-    def join(
-        self, block: np.ndarray, modes: np.ndarray | None = None, tail: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The inverse of ``split``: a new (dim,) + spectral_shape array that is
-        block on the band, tail at the flat indices modes and +0.0 elsewhere."""
-        grid = self.grid
-        full = self.scatter(block, np.zeros((grid.dim,) + grid.spectral_shape, block.dtype))
-        if tail is not None:
-            full.reshape(grid.dim, -1)[:, modes] = tail
-        return full
 
     def bounds(self, phase: int, fields_in: int, fields_out: int) -> tuple[int, int]:
         """(cut, end) of a phase of ``share`` on fields_in fields in and
@@ -499,7 +521,7 @@ class BandPlan:
         product's bits, and other split points changed them. So how a phase
         is split over processes changes no bit.
         """
-        if not self.gemm:
+        if not self.layout.gemm:
             if phase == 0:
                 rows = self._rows[: len(out)]
                 pointwise(self._inverse(block), rows, self._scratch)
@@ -577,8 +599,7 @@ class BandPlan:
         """Samples of block's fields on the N grid (FFT plans), in the plan's buffer."""
         F, N, b = len(block), self.grid.N, self.grid.band_limit
         pad, half = self._pad[:F], self._half[:F]
-        for blk, full in self._halves:
-            pad[:, full] = block[:, blk]
+        self.layout.scatter(block, pad)  # its b + 1 columns are the band's k_last
         half[..., b + 1 :] = 0.0
         np.fft.ifft(pad, axis=-2, norm="forward", out=half[..., : b + 1])
         return np.fft.irfft(half, n=N, axis=-1, norm="forward", out=self._phys[:F])
@@ -588,9 +609,7 @@ class BandPlan:
         F, b = len(phys), self.grid.band_limit
         half = np.fft.rfft(phys, axis=-1, norm="forward", out=self._half[:F])
         lines = np.fft.fft(half[..., : b + 1], axis=-2, norm="forward", out=self._fwd[:F])
-        for blk, full in self._halves:
-            out[:, blk] = lines[:, full]
-        return out
+        return self.layout.gather(lines, out)
 
 
 def _chunks(start: int, end: int, size: int) -> list[tuple[int, int]]:

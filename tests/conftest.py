@@ -1,5 +1,6 @@
 import os
 import signal
+import struct
 import time
 from pathlib import Path
 
@@ -147,6 +148,11 @@ def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> Spect
     coeffs = np.array(out.coeffs)
     coeffs[(slice(None),) + (0,) * dim] = 0.0
     return SpectralField.from_coeffs(grid, coeffs)
+
+
+def no_tail(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The ``diagnostics.audit`` tail of a band-limited state: no rows, no values."""
+    return np.empty((5, 0)), np.empty((grid.dim, 0), np.complex128)
 
 
 def random_field(grid: GridSpec, seed: int = 0, amplitude: float = 1.0, band=None, decay=2.0):
@@ -324,3 +330,71 @@ def exit_and_stderr(proc) -> tuple[int, str]:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+
+
+# The faults of a format-v3 snapshot's framing that read_snapshot names: a
+# truncation inside each section, a bad tail count, bad tail indices and
+# trailing bytes.
+V3_FAULTS = (
+    "cut in header", "cut in block", "cut in count", "cut in indices", "cut in values",
+    "negative count", "oversized count", "unsorted", "duplicate", "below range",
+    "above range", "in block", "trailing",
+)
+
+
+def malformed_v3(blob: bytes, fault: str, pick) -> tuple[bytes, str]:
+    """blob, a format-v3 snapshot with a tail of at least two modes, with one
+    fault of ``V3_FAULTS`` planted, and a pattern of the message that names it.
+
+    pick(lo, hi) chooses an integer in [lo, hi): where the cut falls, which
+    index moves, by how much a count or an index is off.
+    """
+    dim, n = struct.unpack_from("<2I", blob, 8)
+    grid = make_grid(dim, n)
+    layout = grid.layout
+    modes_all = int(np.prod(grid.spectral_shape))
+    block_end = 48 + 16 * dim * int(np.prod(layout.block_shape))
+    (count,) = struct.unpack_from("<q", blob, block_end)
+    modes = np.frombuffer(blob, "<i8", count, block_end + 8).copy()
+    values_at = block_end + 8 + 8 * count
+    assert count >= 2 and values_at + 16 * dim * count == len(blob)
+    cuts = {"header": (0, 48, "file shorter than header"),
+            "block": (48, block_end, "the band block"),
+            "count": (block_end, block_end + 8, "the tail's mode count"),
+            "indices": (block_end + 8, values_at, "the tail's mode indices"),
+            "values": (values_at, len(blob), "the tail's values")}
+    kind = fault.split()[-1]
+    if fault.startswith("cut in "):
+        lo, hi, what = cuts[kind]
+        message = what if kind == "header" else f"file ends inside {what}"
+        return blob[: pick(lo, hi)], message
+    if fault == "trailing":
+        extra = pick(1, 64)
+        return blob + bytes(extra), f"{extra} bytes after the tail"
+    head, tail = bytearray(blob[: block_end]), blob[values_at:]
+    if fault.endswith("count"):
+        outside = modes_all - int(np.prod(layout.block_shape))
+        bad = -pick(1, 2**62) if fault == "negative count" else outside + pick(1, 2**20)
+        head += struct.pack("<q", bad)
+        return bytes(head) + blob[block_end + 8 :], rf"tail mode count {bad} is not in \[0, "
+    i = pick(0, count - 1)
+    if fault == "unsorted":
+        modes[i], modes[i + 1] = modes[i + 1], modes[i]
+        message = "not strictly increasing"
+    elif fault == "duplicate":
+        modes[i + 1] = modes[i]
+        message = "not strictly increasing"
+    elif fault == "below range":
+        modes[0] = -pick(1, 2**62)
+        message = "out of range"
+    elif fault == "above range":
+        modes[-1] = modes_all + pick(0, 2**20)
+        message = "out of range"
+    else:  # a mode of the block below the first tail mode, which keeps the order
+        inside = np.flatnonzero(layout.scatter(np.ones(layout.block_shape, bool),
+                                               np.zeros(grid.spectral_shape, bool)))
+        below = inside[inside < modes[0]]
+        modes[0] = below[pick(0, len(below))]
+        message = "inside the band block"
+    head += struct.pack("<q", count)
+    return bytes(head) + modes.astype("<i8").tobytes() + tail, message

@@ -6,7 +6,9 @@ import hashlib
 import json
 import os
 import platform
+import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -25,7 +27,9 @@ from lansfrac.diagnostics import DiagRecord
 from lansfrac.integrator import make_initial
 
 from conftest import (
+    V3_FAULTS,
     exit_and_stderr,
+    malformed_v3,
     nan_at_last_picard_node,
     no_process_left,
     process_group,
@@ -630,15 +634,15 @@ def full_field_oracle_rows(config, T: float, u0=None) -> tuple[list[dict], list]
     """
     from lansfrac import mild
     from lansfrac.integrator import _steps, run
-    from lansfrac.operators import band_plan, rhs_f_band
+    from lansfrac.operators import rhs_f_band
     from lansfrac.spectral import norm_DAr
 
     traj = run(dataclasses.replace(config, t_end=T, snapshot_every=1), initial_field=u0)
     n, _ = _steps(T, config.scheme.dt)
     m = -(-8 // n)
     u0 = traj.snapshots[0]
-    plan = band_plan(config.grid, config.params.alpha)
-    blocks = [plan.gather(u.coeffs) for u in traj.snapshots]
+    layout = config.grid.layout
+    blocks = [layout.gather(u.coeffs) for u in traj.snapshots]
     seeds = [(b, rhs_f_band(config.grid, b, config.params).copy()) for b in blocks]
     oracle, _ = mild.picard_solve(u0, config.params, T, mesh_size=n * m, max_iter=10, seeds=seeds)
     rows = []
@@ -698,15 +702,15 @@ def oracle_compare_holding(monkeypatch, argv: list[str]) -> tuple[list, int]:
     return norms[0::2], len(builds)
 
 
-def assert_held_whole(held: list, snapshots: list, plan, modes) -> None:
+def assert_held_whole(held: list, snapshots: list, layout, modes) -> None:
     """Each held pair keeps every bit of its snapshot's block and tail, and the snapshot
     is zero by value everywhere else."""
     assert len(held) == len(snapshots)
     for (block, tail), u in zip(held, snapshots):
         flat = u.coeffs.reshape(len(u.coeffs), -1)
-        assert block.tobytes() == plan.gather(u.coeffs).tobytes()
+        assert block.tobytes() == layout.gather(u.coeffs).tobytes()
         assert tail.tobytes() == flat[:, modes].tobytes()
-        assert np.array_equal(plan.join(block, modes, tail), u.coeffs)
+        assert np.array_equal(layout.join(block, modes, tail), u.coeffs)
 
 
 @pytest.mark.parametrize("init,band_limited", [
@@ -720,7 +724,6 @@ def test_oracle_compare_rows_equal_a_held_run(tmp_path, monkeypatch, init, band_
     # CSV is the one the whole fields give, the hold keeps every bit of each
     # snapshot's block and tail, and the comparison builds no full field.
     from lansfrac.io import parse_config
-    from lansfrac.operators import band_plan
 
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3")
                 .replace("random-spectrum", init))
@@ -732,10 +735,10 @@ def test_oracle_compare_rows_equal_a_held_run(tmp_path, monkeypatch, init, band_
     assert_oracle_csv_matches(out / "oracle.csv", rows)
     assert builds == 0
 
-    plan = band_plan(config.grid, config.params.alpha)
-    _, modes, tail = plan.split(snapshots[0].coeffs)
-    assert (tail is None) == band_limited
-    assert_held_whole(held, snapshots, plan, modes)
+    layout = config.grid.layout
+    _, modes, tail = layout.split(snapshots[0].coeffs)
+    assert (tail.size == 0) == band_limited
+    assert_held_whole(held, snapshots, layout, modes)
 
 
 @pytest.mark.parametrize("T", ["0.02", "0.004"])  # 20 steps, m = 1; 4 steps, m = 2
@@ -840,7 +843,6 @@ def test_a_snapshot_with_anything_but_plus_zero_outside_the_band_is_held_whole(
     # value and is not.
     from lansfrac import integrator
     from lansfrac.io import parse_config
-    from lansfrac.operators import band_plan
     from lansfrac.spectral import SpectralField
 
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
@@ -858,10 +860,10 @@ def test_a_snapshot_with_anything_but_plus_zero_outside_the_band_is_held_whole(
     rows, snapshots = full_field_oracle_rows(config, 0.004, u0)
     assert_oracle_csv_matches(out / "oracle.csv", rows)
 
-    plan = band_plan(grid, config.params.alpha)
-    _, modes, _ = plan.split(u0.coeffs)
+    layout = grid.layout
+    _, modes, _ = layout.split(u0.coeffs)
     assert list(modes) == ([] if value == 0.0 else [grid.band_limit + 2])
-    assert_held_whole(held, snapshots, plan, modes)
+    assert_held_whole(held, snapshots, layout, modes)
 
 
 def test_oracle_compare_holds_band_blocks(tmp_path):
@@ -869,7 +871,6 @@ def test_oracle_compare_holds_band_blocks(tmp_path):
     # 1), so the peak grows by the 4 added stepper snapshots alone. Each is
     # held as its band block, a share of one field; a whole field per
     # snapshot would add 1.
-    from lansfrac.operators import band_plan
     from lansfrac.spectral import make_grid
 
     cfg = write(tmp_path, SMALL_CFG.replace("N = 32", "N = 64").replace("dt = 2e-3", "dt = 1e-3"))
@@ -884,7 +885,7 @@ def test_oracle_compare_holds_band_blocks(tmp_path):
 
     peak("0.004")  # warm the grid, kernel and propagator caches
     grid = make_grid(2, 64)
-    share = np.prod(band_plan(grid, 0.5).block_shape) / np.prod(grid.spectral_shape)
+    share = np.prod(grid.layout.block_shape) / np.prod(grid.spectral_shape)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
     per_snapshot = (peak("0.008") - peak("0.004")) / 4 / field
     assert per_snapshot <= share + 0.1, (per_snapshot, share)
@@ -1318,7 +1319,30 @@ def test_restart_from_a_format_v1_snapshot_exits_two(tmp_path, capsys):
     restart = restart.replace("init = random-spectrum", f"init = snapshot:{snap}")
     out = tmp_path / "out"
     assert main(["simulate", write(tmp_path, restart, "restart.cfg"), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {snap}: format version 1 != 2\n"
+    assert capsys.readouterr().err == f"error: {snap}: format version 1 != 3\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("fault", V3_FAULTS + ("v2",))
+def test_restart_from_a_malformed_snapshot_exits_two_with_one_line(tmp_path, capsys, fault):
+    # each framing fault of a v3 file, and a v2 file (v1: the test above):
+    # exit 2, one error line that names the fault, and nothing written
+    data = Path(__file__).parent / "data"
+    snap = tmp_path / "malformed.flns"
+    if fault == "v2":
+        snap.write_bytes((data / "v2_2d_n8.flns").read_bytes())
+        message = "format version 2 != 3"
+    else:
+        blob, message = malformed_v3((data / "v3_2d_n8.flns").read_bytes(), fault,
+                                     lambda lo, hi: (lo + hi) // 2)
+        snap.write_bytes(blob)
+    restart = SMALL_CFG.replace("N = 32", "N = 8").replace("nu = 0.5", "nu = 0.1")
+    restart = restart.replace("init = random-spectrum", f"init = snapshot:{snap}")
+    out = tmp_path / "out"
+    assert main(["simulate", write(tmp_path, restart, "restart.cfg"), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {snap}: "), err
+    assert re.search(message, err[0]), (message, err)
     assert not list(out.iterdir())
 
 
@@ -1342,8 +1366,12 @@ def test_restart_from_snapshot_on_other_grid(tmp_path):
 def test_a_restart_continues_the_run_bit_for_bit(tmp_path, dim, n, init, extra):
     # A run to t = 0.02 with a snapshot every 5 steps, and a restart from its
     # snapshot 2 (t = 0.01) to t_end = 0.01. The restart's three snapshots
-    # hold the payload bytes of snapshots 2-4, and its records equal rows
-    # 10-20 in every column but t, which starts again at 0.
+    # hold the payload bytes of snapshots 2-4, band block and tail (which
+    # taylor-green's dust and band = 15 fill, and galerkin_N = 9 empties),
+    # and its records equal rows 10-20 in every column but t, which starts
+    # again at 0.
+    from lansfrac.spectral import make_grid
+
     base = (f"dim = {dim}\nN = {n}\nalpha = 0.5\nnu = 0.1\ns = {dim / 4}\ndt = 1e-3\n"
             f"snapshot_every = 5\n{extra}")
     full, again = tmp_path / "full", tmp_path / "again"
@@ -1354,16 +1382,51 @@ def test_a_restart_continues_the_run_bit_for_bit(tmp_path, dim, n, init, extra):
     assert main(["simulate", cfg, "--out-dir", str(again)]) == 0
 
     header = 48  # the snapshot header's bytes, which hold t
+    count_at = header + 16 * dim * int(np.prod(make_grid(dim, n).layout.block_shape))
     assert len(list(full.glob("*.flns"))) == 5 and len(list(again.glob("*.flns"))) == 3
     for k in range(3):
         before = (full / f"snapshot_{k + 2:06d}.flns").read_bytes()
         assert (again / f"snapshot_{k:06d}.flns").read_bytes()[header:] == before[header:]
+        (tail,) = struct.unpack_from("<q", before, count_at)
+        assert (tail > 0) == (init == "taylor-green" or extra == "band = 15\n")
     rows = [line.split(",") for line in (full / "diagnostics.csv").read_text().splitlines()]
     later = [line.split(",") for line in (again / "diagnostics.csv").read_text().splitlines()]
     t = rows[0].index("t")
     assert later[0] == rows[0] and len(rows) == 22 and len(later) == 12
     for row, restarted in zip(rows[11:], later[1:]):
         assert row[:t] + row[t + 1:] == restarted[:t] + restarted[t + 1:]
+
+
+@pytest.mark.parametrize("dim,n,init,extra,tail", [
+    (2, 64, "random-spectrum", "", False),  # a GEMM plan
+    (2, 128, "random-spectrum", "band = 63\n", True),  # an FFT plan; data on the tail
+    (3, 32, "taylor-green", "", True),  # the kernel helper; rounding dust on the tail
+])
+def test_every_snapshot_decodes_to_the_runs_state(
+    tmp_path, monkeypatch, dim, n, init, extra, tail
+):
+    # simulate writes each state from the march's block and tail, joining no
+    # field; each file reads back as the bytes of run's snapshot at its t. At
+    # t = 0 run keeps the start itself, whose -0.0 outside the band block
+    # reads back as +0.0.
+    from lansfrac.integrator import State, run
+    from lansfrac.io import parse_config, read_snapshot
+
+    text = (f"dim = {dim}\nN = {n}\nalpha = 0.5\nnu = 0.1\ns = {dim / 4}\ndt = 1e-3\n"
+            f"t_end = 0.005\nsnapshot_every = 2\ninit = {init}\n{extra}")
+    cfg, out = write(tmp_path, text), tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(State, "field", lambda state: pytest.fail("simulate joined a state"))
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+    traj = run(parse_config(cfg))
+    paths = sorted(out.glob("snapshot_*.flns"))
+    assert len(paths) == len(traj.snapshots) == 4
+    layout = traj.snapshots[0].grid.layout
+    for path, t, u in zip(paths, traj.times, traj.snapshots):
+        field, meta = read_snapshot(path)
+        want = layout.join(*layout.split(u.coeffs)) if t == 0.0 else u.coeffs
+        assert meta.t == t and field.coeffs.tobytes() == want.tobytes()
+        assert (layout.split(u.coeffs)[1].size > 0) == tail
 
 
 # Random config text: a valid config in which lines for its keys take the

@@ -25,7 +25,7 @@ from lansfrac.cli import main
 from lansfrac.diagnostics import audit_tables, norm_DA, record, tail_rows
 from lansfrac.integrator import Trajectory
 from lansfrac.mild import semigroup_class_check
-from lansfrac.operators import band_plan, h1_alpha_pairing, rhs_f, v_from_u
+from lansfrac.operators import h1_alpha_pairing, rhs_f, v_from_u
 from lansfrac.spectral import frac_stokes_apply, l2_norm, to_physical
 
 from conftest import random_field, zero_field
@@ -92,9 +92,9 @@ def test_norm_DA_of_a_block_and_its_tail_is_the_whole_fields_norm(dim, n, band):
     g = make_grid(dim, n)
     p = Params(alpha=0.7, nu=1.0, s=0.6)
     u = random_field(g, seed=29, decay=1.5, band=band)
-    block, modes, values = band_plan(g, p.alpha).split(u.coeffs)
-    assert (values is None) == (band is None)
-    tail = None if values is None else (tail_rows(g, p.alpha, p.s, modes), values)
+    block, modes, values = g.layout.split(u.coeffs)
+    assert (values.size == 0) == (band is None)
+    tail = (tail_rows(g, p.alpha, p.s, modes), values)
     ref = norm_DAr(u, 1.0)
     assert abs(norm_DA(block, audit_tables(g, p.alpha, p.s), tail) - ref) <= 1e-14 * ref
 

@@ -35,7 +35,7 @@ from lansfrac.integrator import (
     galerkin_truncate,
     phi_functions,
 )
-from lansfrac.operators import band_plan, rhs_f_band, u_from_v, v_from_u, v_nonlinearity
+from lansfrac.operators import rhs_f_band, u_from_v, v_from_u, v_nonlinearity
 from lansfrac.spectral import (
     GridSpec,
     SpectralField,
@@ -46,7 +46,7 @@ from lansfrac.spectral import (
     to_spectral,
 )
 
-from conftest import SCALE_FAULTS, random_field, rel_err, scaled_plant
+from conftest import SCALE_FAULTS, no_tail, random_field, rel_err, scaled_plant
 
 
 def config(grid, p, dt=1e-3, t_end=1.0, init=None, **kw):
@@ -120,9 +120,9 @@ def test_weights_once_per_k2_are_the_per_mode_bits(dim, n, s):
     # per-mode formula's bits on the band block, and E's on the tail (every
     # mode outside the block), at dt and at a shorter last step
     grid, nu, dt, t_end = make_grid(dim, n), 0.1, 1e-3, 0.0125
-    plan = band_plan(grid, 0.5)
-    _, modes, _ = plan.split(np.ones((1,) + grid.spectral_shape))
-    k2_block, k2_tail = plan.gather(grid.k2), grid.k2.ravel()[modes]
+    layout = grid.layout
+    _, modes, _ = layout.split(np.ones((1,) + grid.spectral_shape))
+    k2_block, k2_tail = layout.gather(grid.k2), grid.k2.ravel()[modes]
     _, last = _steps(t_end, dt)
     assert last < dt and len(modes) > 0
     for h in (dt, last):
@@ -215,16 +215,14 @@ def _step(u, params, dt, kind=SchemeKind.ETD2RK):
     """One step of the u-form equation on the whole half spectrum, as ``run``
     makes it: the band block in the kernel workspace, the tail by E alone."""
     grid = u.grid
-    ws = operators._kernel_workspace(grid, params.alpha)
-    plan = ws.plan
-    _, modes, tail = plan.split(u.coeffs, out=ws.state)
+    ws, layout = operators._kernel_workspace(grid, params.alpha), grid.layout
+    _, modes, tail = layout.split(u.coeffs, out=ws.state)
     rhs_f_band(grid, ws.state, params, out=ws.f_state)
     table = _weights(int(grid.k2.max()) + 1, params.nu, params.s, dt)
-    np.copyto(ws.weights, table[:, plan.gather(grid.k2).astype(np.intp)])
+    np.copyto(ws.weights, table[:, layout.gather(grid.k2).astype(np.intp)])
     _advance(ws, kind, lambda w: rhs_f_band(grid, w, params))
-    if tail is not None:
-        tail = tail * table[0, grid.k2.ravel()[modes].astype(np.intp)]
-    return u.copy_with(plan.join(ws.state, modes, tail))
+    tail = tail * table[0, grid.k2.ravel()[modes].astype(np.intp)]
+    return u.copy_with(layout.join(ws.state, modes, tail))
 
 
 def test_step_shear_exact_any_dt(grid2):
@@ -728,8 +726,8 @@ def _check_against_reference(cfg, u0, form="u", tail=False):
     to 1e-13 absolute. tail says whether u0 has non-zero modes outside the
     band.
     """
-    plan = band_plan(cfg.grid, cfg.params.alpha)
-    assert bool(np.count_nonzero(u0.coeffs) != np.count_nonzero(plan.gather(u0.coeffs))) == tail
+    layout = cfg.grid.layout
+    assert bool(np.count_nonzero(u0.coeffs) != np.count_nonzero(layout.gather(u0.coeffs))) == tail
     times, snaps, diag = _full_spectrum_run(cfg, u0, form)
     traj = run(cfg, initial_field=u0, form=form)
     assert list(traj.times) == times
@@ -812,10 +810,10 @@ def test_tail_run_matches_the_whole_spectrum_loop(dim, seed, size, kind, galerki
     # a random band-limited field plus a random solenoidal hermitian tail
     # outside the band, scaled down as far as subnormal
     grid = make_grid(dim, 16 if dim == 2 else 8)
-    plan, b = band_plan(grid, _P.alpha), grid.band_limit
+    layout, b = grid.layout, grid.band_limit
     body = random_field(grid, seed=seed, band=b).coeffs
     wide = random_field(grid, seed=seed + 1, band=grid.N // 2 - 1).coeffs * size
-    plan.scatter(np.zeros((dim,) + plan.block_shape, complex), wide)
+    layout.scatter(np.zeros((dim,) + layout.block_shape, complex), wide)
     u0 = SpectralField.from_coeffs(grid, body + wide)
     options = {"galerkin_N": b + 1} if galerkin else {}
     cfg = config(grid, _P, dt=1e-2, t_end=0.03, kind=kind, snapshot_every=1, **options)
@@ -834,30 +832,30 @@ def test_tail_run_matches_the_whole_spectrum_loop(dim, seed, size, kind, galerki
 # ------------------------------------------------------------ the run's tail
 
 def test_tail_holds_the_start_modes_outside_the_band_that_are_non_zero(grid2):
-    plan = band_plan(grid2, _P.alpha)
+    layout = grid2.layout
     outside = ~np.broadcast_to(grid2.dealias_mask, (grid2.dim,) + grid2.spectral_shape)
     u0 = make_initial(_RANDOM, grid2)
-    block, modes, tail = plan.split(u0.coeffs)
-    assert np.array_equal(block, plan.gather(u0.coeffs))
-    assert tail is None and modes.size == 0
-    assert plan.join(block, modes, tail).tobytes() == u0.coeffs.tobytes()
+    block, modes, tail = layout.split(u0.coeffs)
+    assert np.array_equal(block, layout.gather(u0.coeffs))
+    assert tail.shape == (grid2.dim, 0) and modes.size == 0
+    assert layout.join(block, modes, tail).tobytes() == u0.coeffs.tobytes()
     # -0.0 outside the band counts as zero
     dealiased = dealias(random_field(grid2, seed=25, band=15))
     assert np.signbit(dealiased.coeffs[outside].real).any()
-    assert plan.split(dealiased.coeffs)[2] is None
+    assert layout.split(dealiased.coeffs)[2].shape == (grid2.dim, 0)
     # the rounding dust of taylor-green data is the tail, and the field is
     # the block and the tail written into zeros
     tg = make_initial(InitialData(kind="taylor-green"), grid2)
-    block, modes, tail = plan.split(tg.coeffs)
+    block, modes, tail = layout.split(tg.coeffs)
     dust = np.flatnonzero(np.any((tg.coeffs != 0) & outside, axis=0))
     assert dust.size > 0 and np.array_equal(modes, dust)
     assert np.array_equal(tail, tg.coeffs.reshape(2, -1)[:, dust])
-    assert plan.join(block, modes, tail).tobytes() == tg.coeffs.tobytes()
+    assert layout.join(block, modes, tail).tobytes() == tg.coeffs.tobytes()
     # a nan outside the band lands in the tail, and the run raises at step 0
     coeffs = np.array(u0.coeffs)
     coeffs[0, 1, grid2.N // 2] = np.nan
     nan_start = SpectralField.from_coeffs(grid2, coeffs)
-    _, modes, tail = plan.split(nan_start.coeffs)
+    _, modes, tail = layout.split(nan_start.coeffs)
     assert modes.size == 1 and np.isnan(tail[0, 0])
     with pytest.raises(DivergedError, match="field invariant broken at step 0") as info:
         run(config(grid2, _P, dt=1e-2, t_end=0.05), initial_field=nan_start)
@@ -1044,7 +1042,7 @@ def _planted_f(ws, rng, fault, size, modes, exponent):
     [0.001, 1] (hypothesis would favour the ends). "unprojected" is the
     block itself.
     """
-    shape = (ws.k.shape[0],) + ws.plan.block_shape
+    shape = (ws.k.shape[0],) + ws.plan.layout.block_shape
     noise = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a = 10.0**exponent * noise()
     if modes:
@@ -1092,7 +1090,7 @@ def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault,
     # non-finite values pass (the next state carries them)
     dim, n = case
     grid = make_grid(dim, n)
-    plan = band_plan(grid, _P.alpha)
+    layout = grid.layout
     u = np.array(random_field(grid, seed=seed).coeffs)
     c = size * float(np.max(np.abs(u)))
     k = mode[-dim:]
@@ -1111,10 +1109,10 @@ def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault,
         u[...] = 0.0
     ws = operators._kernel_workspace(grid, _P.alpha)
     f = _planted_f(ws, np.random.default_rng(seed), f_fault, size, f_modes, exponent)
-    block = plan.gather(u)
-    flags, _ = audit(block, f, audit_tables(grid, _P.alpha, _P.s), 0.0)
-    assert flags[:3] == measure_flags(grid, plan.join(block))
-    f_joined = plan.join(f)
+    block = layout.gather(u)
+    flags, _ = audit(block, f, audit_tables(grid, _P.alpha, _P.s), 0.0, no_tail(grid))
+    assert flags[:3] == measure_flags(grid, layout.join(block))
+    f_joined = layout.join(f)
     assert flags[3:] == ((True, True) if f_fault == "nan" else measure_flags(grid, f_joined)[1:])
     if f_fault == "unprojected":
         assert not flags[3]  # the check is not vacuous
@@ -1124,20 +1122,21 @@ def _every_check(grid, u, f):
     """The flags every check gives the band blocks u and f: the audit's,
     ``state_flags`` then ``f_flags``, and ``measure_flags`` of the fields
     that are the blocks on the band (f's solenoidal and zero_mean)."""
-    plan, tables = band_plan(grid, _P.alpha), audit_tables(grid, _P.alpha, _P.s)
+    layout, tables = grid.layout, audit_tables(grid, _P.alpha, _P.s)
     with np.errstate(over="ignore", invalid="ignore"):  # the record's energies may overflow
-        flags, _ = audit(u, f, tables, 0.0)
+        flags, _ = audit(u, f, tables, 0.0, no_tail(grid))
     return (flags, state_flags(u, tables) + f_flags(f, tables),
-            measure_flags(grid, plan.join(u)) + measure_flags(grid, plan.join(f))[1:])
+            measure_flags(grid, layout.join(u)) + measure_flags(grid, layout.join(f))[1:])
 
 
 def _state_and_f(grid, seed):
     """A valid band block state and a projected band block f, of size about 1."""
     ws = operators._kernel_workspace(grid, _P.alpha)
     rng = np.random.default_rng(seed)
-    shape = (grid.dim,) + ws.plan.block_shape
+    shape = (grid.dim,) + grid.layout.block_shape
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ws.plan.gather(random_field(grid, seed=seed).coeffs), ws.project(a, np.empty_like(a)), ws.k
+    u = grid.layout.gather(random_field(grid, seed=seed).coeffs)
+    return u, ws.project(a, np.empty_like(a)), ws.k
 
 
 def _power_to(block, top: int) -> int:
@@ -1193,7 +1192,7 @@ def test_a_non_finite_state_fails_all_three_flags(value, top):
     u[0, 1, 2] = value
     f[1, 2, 1] = value
     assert _every_check(grid, u, f)[:2] == ((False,) * 3 + (True,) * 2,) * 2
-    assert measure_flags(grid, band_plan(grid, _P.alpha).join(u)) == (False,) * 3
+    assert measure_flags(grid, grid.layout.join(u)) == (False,) * 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -1226,9 +1225,9 @@ def test_band_run_holds_only_blocks_while_it_steps(grid3, monkeypatch):
     p = Params(alpha=0.5, nu=0.1, s=0.75)
     init = InitialData(kind="random-spectrum", amplitude=0.5, seed=3)
     u0 = make_initial(init, grid3)
-    plan = band_plan(grid3, p.alpha)
+    layout = grid3.layout
     field = 16 * grid3.dim * np.prod(grid3.spectral_shape)
-    block = 16 * grid3.dim * np.prod(plan.block_shape)
+    block = 16 * grid3.dim * np.prod(layout.block_shape)
     real, held = integrator._advance, []
 
     def traced(*args, **kwargs):

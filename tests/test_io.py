@@ -2,6 +2,8 @@
 
 import hashlib
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -37,18 +39,21 @@ from lansfrac.io import (
 )
 from lansfrac.spectral import GridSpec, SpectralField, to_physical
 
-from conftest import random_field, scaled_plant
+from conftest import V3_FAULTS, malformed_v3, random_field, scaled_plant
 
 META = SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=1.25)
 
 # Format-v1 snapshots (full spectrum) written by the full-spectrum code that
 # preceded the half-spectrum layout: N = 8, the coefficients of seeded
 # standard-normal samples (np.random.default_rng(dim).standard_normal((dim,)
-# + (8,) * dim)). The format-v2 fixtures (half spectrum) are the same
-# snapshots, converted by README's recipe.
+# + (8,) * dim)). The format-v2 fixtures (half spectrum) and the format-v3
+# fixtures (band block and tail) are the same snapshots, converted by
+# README's recipes. Their modes with |k_i| = 3 lie outside the band block of
+# N = 8 (b = 2), so the v3 fixtures carry a tail.
 DATA = Path(__file__).parent / "data"
 V1_FIXTURES = {2: DATA / "v1_2d_n8.flns", 3: DATA / "v1_3d_n8.flns"}
 V2_FIXTURES = {2: DATA / "v2_2d_n8.flns", 3: DATA / "v2_3d_n8.flns"}
+V3_FIXTURES = {2: DATA / "v3_2d_n8.flns", 3: DATA / "v3_3d_n8.flns"}
 
 
 # ---------------------------------------------------------------- snapshots
@@ -77,11 +82,14 @@ def test_snapshot_header_layout(tmp_path, grid2):
     write_snapshot(u, META, path)
     blob = path.read_bytes()
     magic, version, dim, n = struct.unpack_from("<4s3I", blob)
-    assert magic == b"FLNS" and version == 2 and dim == 2 and n == 32
+    assert magic == b"FLNS" and version == 3 and dim == 2 and n == 32
     alpha, nu, s, t = struct.unpack_from("<4d", blob, 16)
     assert (alpha, nu, s, t) == (0.5, 0.1, 0.75, 1.25)
-    assert len(blob) == 16 + 32 + 2 * 32 * (32 // 2 + 1) * 16  # the half spectrum
-    assert blob[48:] == u.coeffs.astype("<c16").tobytes()
+    # the band block of b = 10, then an empty tail: a count of 0
+    block = 2 * 21 * 11 * 16
+    assert len(blob) == 16 + 32 + block + 8
+    assert blob[48 : 48 + block] == grid2.layout.gather(u.coeffs).astype("<c16").tobytes()
+    assert struct.unpack_from("<q", blob, 48 + block) == (0,)
 
 
 def test_snapshot_truncated_payload(tmp_path, grid2):
@@ -121,45 +129,60 @@ def test_snapshot_hermitian_violation(tmp_path, grid2):
     path = tmp_path / "field.flns"
     write_snapshot(u, META, path)
     blob = bytearray(path.read_bytes())
-    # corrupt one coefficient so conjugate symmetry breaks: the last one, on
-    # the Nyquist plane, whose mirror (k_0 = 1) is kept unchanged
-    off = len(blob) - 16
-    struct.pack_into("<2d", blob, off, 1e6, -1e6)
+    # corrupt one coefficient of the band block so conjugate symmetry breaks:
+    # k = (3, 0) of component 0, on the k_last = 0 plane, whose mirror
+    # (-3, 0) is kept unchanged
+    index = np.ravel_multi_index((0, 3, 0), (2,) + grid2.layout.block_shape)
+    struct.pack_into("<2d", blob, 48 + 16 * int(index), 1e6, -1e6)
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptPayloadError, match="hermitian"):
         read_snapshot(path)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_v2_fixture_round_trips_byte_for_byte(tmp_path, dim):
-    field, meta = read_snapshot(V2_FIXTURES[dim])
+def test_v3_fixture_round_trips_byte_for_byte(tmp_path, dim):
+    field, meta = read_snapshot(V3_FIXTURES[dim])
     assert field.grid == make_grid(dim, 8) and field.hermitian
+    assert field.grid.layout.split(field.coeffs)[1].size > 0  # it has a tail
     path = tmp_path / "again.flns"
     write_snapshot(field, meta, path)
-    assert path.read_bytes() == V2_FIXTURES[dim].read_bytes()
+    assert path.read_bytes() == V3_FIXTURES[dim].read_bytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_v1_fixture_raises_version_mismatch(dim):
-    with pytest.raises(VersionMismatchError, match="format version 1 != 2"):
+    with pytest.raises(VersionMismatchError, match="format version 1 != 3"):
         read_snapshot(V1_FIXTURES[dim])
 
 
-def _readme_recipe():
-    """The v1 -> v2 conversion function of README's snapshot section, defined here."""
+@pytest.mark.parametrize("dim", [2, 3])
+def test_v2_fixture_raises_version_mismatch(dim):
+    with pytest.raises(VersionMismatchError, match="format version 2 != 3"):
+        read_snapshot(V2_FIXTURES[dim])
+
+
+def _readme_recipe(name: str):
+    """A conversion function of README's snapshot section, defined here."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     code = next(block.split("```", 1)[0] for block in text.split("```python\n")[1:]
-                if "def v1_to_v2(" in block)
+                if f"def {name}(" in block)
     scope: dict = {}
     exec(code, scope)
-    return scope["v1_to_v2"]
+    return scope[name]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_readme_recipe_converts_the_v1_fixtures_to_the_v2_ones(tmp_path, dim):
     path = tmp_path / "converted.flns"
-    _readme_recipe()(V1_FIXTURES[dim], path)
+    _readme_recipe("v1_to_v2")(V1_FIXTURES[dim], path)
     assert path.read_bytes() == V2_FIXTURES[dim].read_bytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_readme_recipe_converts_the_v2_fixtures_to_the_v3_ones(tmp_path, dim):
+    path = tmp_path / "converted.flns"
+    _readme_recipe("v2_to_v3")(V2_FIXTURES[dim], path)
+    assert path.read_bytes() == V3_FIXTURES[dim].read_bytes()
     field, _ = read_snapshot(path)
     assert field.grid == make_grid(dim, 8)
 
@@ -177,24 +200,22 @@ def _solenoidal_samples(samples: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_v2_fixture_holds_its_seeded_samples(dim):
+def test_v3_fixture_holds_its_seeded_samples(dim):
     # the fixture holds seeded standard-normal samples, made a solver state:
     # Leray-projected, without mean and Nyquist modes
-    field, meta = read_snapshot(V2_FIXTURES[dim])
+    field, meta = read_snapshot(V3_FIXTURES[dim])
     samples = np.random.default_rng(dim).standard_normal((dim,) + (8,) * dim)
     assert np.max(np.abs(to_physical(field) - _solenoidal_samples(samples))) < 1e-13
     assert (meta.alpha, meta.nu) == (0.5, 0.1)
 
 
 def _corrupt(path, index, delta):
-    """Add delta to one coefficient of a snapshot's half-spectrum payload."""
-    field, _ = read_snapshot(path)
-    shape = (field.grid.dim,) + field.grid.spectral_shape
-    blob = bytearray(path.read_bytes())
-    off = 48 + 16 * int(np.ravel_multi_index(index, shape))
-    re, im = struct.unpack_from("<2d", blob, off)
-    struct.pack_into("<2d", blob, off, re + delta.real, im + delta.imag)
-    path.write_bytes(bytes(blob))
+    """Add delta to one coefficient of a snapshot's half spectrum (a tail
+    mode, if it lies outside the band block)."""
+    field, meta = read_snapshot(path)
+    coeffs = np.array(field.coeffs)
+    coeffs[index] += delta
+    write_snapshot(field.copy_with(coeffs), meta, path)
 
 
 @pytest.mark.parametrize(
@@ -261,7 +282,8 @@ _HEADER_BYTES = 48
 
 @settings(max_examples=200, deadline=None)
 @given(
-    fixture=st.sampled_from([*V1_FIXTURES.values(), *V2_FIXTURES.values()]),
+    fixture=st.sampled_from([*V1_FIXTURES.values(), *V2_FIXTURES.values(),
+                             *V3_FIXTURES.values()]),
     edits=st.lists(
         st.tuples(
             st.one_of(st.integers(0, _HEADER_BYTES - 1), st.integers(0, 2**20)),
@@ -285,6 +307,24 @@ def test_mutated_or_truncated_snapshot_raises_only_snapshot_error(fixture, edits
         except SnapshotError:
             return
     assert field.hermitian  # whatever is accepted is a real field
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixture=st.sampled_from(sorted(V3_FIXTURES.values())), fault=st.sampled_from(V3_FAULTS),
+       data=st.data())
+def test_a_malformed_v3_payload_raises_a_corrupt_payload_error_naming_its_fault(
+    fixture, fault, data
+):
+    # each fault of the framing, wherever it falls: a truncation inside each
+    # section, a negative or oversized tail count, unsorted, duplicate,
+    # out-of-range or in-block tail indices, and trailing bytes
+    blob, message = malformed_v3(fixture.read_bytes(), fault,
+                                 lambda lo, hi: data.draw(st.integers(lo, hi - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "malformed.flns"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptPayloadError, match=message):
+            read_snapshot(path)
 
 
 # ---------------------------------------------------------------------- CSV
@@ -498,19 +538,66 @@ def _traced_peak(fn) -> int:
 
 
 def test_snapshot_io_makes_no_whole_payload_copies(tmp_path):
-    # Traced peaks in units of the payload (a 2.76 MB half spectrum at 3D
-    # N=48): the read holds the file's bytes, which the field views, and the
-    # flags' temporaries; the write holds the header, and it hashes the
-    # payload from the field's own buffer.
-    u = random_field(make_grid(3, 48), seed=5)
+    # Traced peaks in units of the half spectrum (2.76 MB at 3D N=48; the
+    # payload is its 0.27 share, the band block): the read holds the file's
+    # bytes, the joined field and the flags' temporaries; the write of a
+    # field holds the band block its split gathers, and it hashes every
+    # array from its own buffer.
+    grid = make_grid(3, 48)
+    u = random_field(grid, seed=5)
     path = tmp_path / "big.flns"
     write_snapshot(u, META, path)
-    payload = path.stat().st_size - struct.calcsize("<4s3I4d")
-    assert _traced_peak(lambda: write_snapshot(u, META, path)) <= 1.0 * payload
-    assert _traced_peak(lambda: read_snapshot(path)) <= 2.5 * payload
+    half = 16 * grid.dim * np.prod(grid.spectral_shape)
+    assert path.stat().st_size == 48 + 16 * grid.dim * np.prod(grid.layout.block_shape) + 8
+    assert _traced_peak(lambda: write_snapshot(u, META, path)) <= 0.3 * half
+    assert _traced_peak(lambda: read_snapshot(path)) <= 2.5 * half
     data = path.read_bytes()
     assert write_snapshot(u, META, path) == (hashlib.sha256(data).hexdigest(), len(data))
     assert np.array_equal(read_snapshot(path)[0].coeffs, u.coeffs)
+
+
+# A 3D N=48 field written and read back in a fresh interpreter, with the
+# number of kernel workspaces cached before and after.
+_FIELD_PATH = """\
+import sys
+from lansfrac import InitialData, make_grid, make_initial, operators
+from lansfrac.io import SnapshotMeta, read_snapshot, write_snapshot
+
+u = make_initial(InitialData(kind="random-spectrum", seed=0), make_grid(3, 48))
+before = operators._kernel_workspace.cache_info().currsize
+write_snapshot(u, SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=0.0), sys.argv[1])
+back, _ = read_snapshot(sys.argv[1])
+after = operators._kernel_workspace.cache_info().currsize
+print(before, after, back.coeffs.tobytes() == u.coeffs.tobytes())
+"""
+
+
+def test_the_field_path_builds_no_kernel_workspace_and_writes_the_states_bytes(tmp_path):
+    # A field's write splits it through the grid's layout and its read joins
+    # it, so neither builds a kernel workspace: a process that writes the
+    # benchmark's seed restart keeps its peak. A march's state, written from
+    # its block and tail, gives the bytes of its field's write, on band data
+    # and on taylor-green data, whose tail is rounding dust.
+    path = tmp_path / "field.flns"
+    out = subprocess.run([sys.executable, "-c", _FIELD_PATH, str(path)], capture_output=True,
+                         text=True, timeout=300, check=True,
+                         env={"PYTHONPATH": str(Path(lio.__file__).parents[1]), "PATH": "",
+                              "PYTHONDONTWRITEBYTECODE": "1"})
+    assert out.stdout.split() == ["0", "0", "True"]
+
+    from lansfrac.integrator import march
+
+    for init, n in (("random-spectrum", 48), ("taylor-green", 16)):
+        config = SimConfig(grid=make_grid(3, n), params=Params(alpha=0.5, nu=0.1, s=0.75),
+                           scheme=StepScheme(dt=1e-3), t_end=2e-3, initial=InitialData(kind=init))
+        tails = []
+        for state in march(config, []):
+            meta = SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=state.t)
+            write_snapshot(state, meta, tmp_path / "state.flns")
+            write_snapshot(state.field(), meta, path)
+            assert (tmp_path / "state.flns").read_bytes() == path.read_bytes()
+            tails.append(state.modes.size)
+        assert len(tails) == 3 and (max(tails) == 0) == (init == "random-spectrum")
 
 
 # ----------------------------------------------------------------- manifest

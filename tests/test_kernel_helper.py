@@ -20,9 +20,9 @@ from lansfrac import InitialData, Params, forks, make_grid, make_initial
 from lansfrac.cli import main
 from lansfrac.diagnostics import PER_MODE, audit, audit_tables
 from lansfrac.errors import WorkerError
-from lansfrac.operators import _kernel_workspace, band_plan, kernel_helper, rhs_f_band
+from lansfrac.operators import _kernel_workspace, kernel_helper, rhs_f_band
 
-from conftest import exit_and_stderr, no_process_left, process_group, stopped_by_ctrl_c
+from conftest import exit_and_stderr, no_process_left, no_tail, process_group, stopped_by_ctrl_c
 
 pytestmark = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="the helper needs a second CPU"
@@ -67,7 +67,7 @@ def _config(tmp_path, t_end=0.01, init="taylor-green", amplitude=1.0, every=5, n
 def _band_u(n: int):
     grid, p = make_grid(3, n), Params(alpha=0.5, nu=1.0, s=0.75)
     u = make_initial(InitialData(kind="random-spectrum", seed=7), grid)
-    return grid, p, band_plan(grid, p.alpha).gather(u.coeffs)
+    return grid, p, grid.layout.gather(u.coeffs)
 
 
 @pytest.mark.parametrize("n", [26, 32, 48, 64])
@@ -136,12 +136,12 @@ _ISOLATION = """\
 import hashlib, sys
 from lansfrac import InitialData, Params, make_grid, make_initial, picard_solve
 from lansfrac.cli import main
-from lansfrac.operators import band_plan, kernel_helper, rhs_f_band
+from lansfrac.operators import kernel_helper, rhs_f_band
 grid, p = make_grid(3, 32), Params(alpha=0.5, nu=0.1, s=0.75)
 u0 = make_initial(InitialData(kind="random-spectrum", amplitude=0.05, seed=3), grid)
 if sys.argv[1] == "helper":
     with kernel_helper(grid, p.alpha):
-        rhs_f_band(grid, band_plan(grid, p.alpha).gather(u0.coeffs), p)
+        rhs_f_band(grid, grid.layout.gather(u0.coeffs), p)
 traj, _ = picard_solve(u0, p, 0.02, mesh_size=8)
 print(hashlib.sha256(b"".join(node.coeffs.tobytes() for node in traj.snapshots)).hexdigest())
 assert main(["oracle-compare", sys.argv[2], "--T", "0.004", "--out-dir", sys.argv[3]]) == 0
@@ -412,12 +412,13 @@ def test_the_split_audit_gives_the_whole_audits_flags_and_record(where):
         u[(1, rows.start + 1, 2, 3)] = np.nan
     with np.errstate(invalid="ignore"):
         f = rhs_f_band(grid, u, p, out=np.empty_like(u))
-        whole = audit(u, f, tables, 0.5)
+        whole = audit(u, f, tables, 0.5, no_tail(grid))
         with kernel_helper(grid, p.alpha):
             np.copyto(ws.state, u)
             np.copyto(ws.f_state, f)
             ws.split(PER_MODE)
-            split = audit(ws.state, ws.f_state, tables, 0.5, per_mode=(ws.per_mode, ws.maxima))
+            split = audit(ws.state, ws.f_state, tables, 0.5, no_tail(grid),
+                          per_mode=(ws.per_mode, ws.maxima))
     assert split[0] == whole[0]
     assert all(split[0]) == (where is None)
     assert repr(split[1]) == repr(whole[1])

@@ -35,7 +35,7 @@ from lansfrac.mild import (
     picard_stack_shape,
     semigroup_class_check,
 )
-from lansfrac.operators import band_plan, kernel_helper, rhs_f_band
+from lansfrac.operators import kernel_helper, rhs_f_band
 from lansfrac.picard_fork import RING_SLOTS, _RingNodes, picard_worker
 from lansfrac.spectral import SpectralField, l2_norm, semigroup_factor
 
@@ -152,8 +152,8 @@ def stepper_seeds(u0, params, T, n):
 
 def free_seeds(u0, params, mesh):
     """The free trajectory as seeds: each node's block and f there."""
-    plan = band_plan(u0.grid, params.alpha)
-    blocks = [plan.gather(semigroup_apply(u0, float(t), params).coeffs) for t in mesh]
+    layout = u0.grid.layout
+    blocks = [layout.gather(semigroup_apply(u0, float(t), params).coeffs) for t in mesh]
     return [(b, rhs_f_band(u0.grid, b, params).copy()) for b in blocks]
 
 
@@ -163,7 +163,7 @@ def test_duhamel_sweep_matches_direct(grid2, params):
     # the bits of the cold start's first sweep
     u0 = dealias(random_field(grid2, seed=70, amplitude=2.0))
     mesh = np.linspace(0.0, 0.3, 13)
-    plan = band_plan(grid2, params.alpha)
+    layout = grid2.layout
     traj, state = picard_solve(u0, params, 0.3, mesh_size=12, max_iter=1,
                                seeds=free_seeds(u0, params, mesh))
     cold, cold_state = picard_solve(u0, params, 0.3, mesh_size=12, max_iter=1)
@@ -175,7 +175,7 @@ def test_duhamel_sweep_matches_direct(grid2, params):
         node = traj.snapshots.split(i)[0]
         assert node.tobytes() == cold.snapshots.split(i)[0].tobytes()
         direct = free[i].coeffs + duhamel_integral(fs, mesh, float(t), params).coeffs
-        assert rel_err(node, plan.gather(direct)) < 1e-12
+        assert rel_err(node, layout.gather(direct)) < 1e-12
 
 
 class RingedSeeds:
@@ -224,10 +224,10 @@ def sweep_major_picard(u0, params, T, mesh_size, seeds=None, tol=1e-12, max_iter
     increments.
     """
     grid = u0.grid
-    plan = band_plan(grid, params.alpha)
+    layout = grid.layout
     tables = diagnostics.audit_tables(grid, params.alpha, params.s)
     t_mesh = np.linspace(0.0, T, mesh_size + 1)
-    free = [plan.gather(u0.coeffs * semigroup_factor(grid, float(t), params)) for t in t_mesh]
+    free = [layout.gather(u0.coeffs * semigroup_factor(grid, float(t), params)) for t in t_mesh]
     stack, seeded = np.stack(free), {}
     f0 = rhs_f_band(grid, free[0], params).copy()
     if seeds is not None:
@@ -247,7 +247,7 @@ def sweep_major_picard(u0, params, T, mesh_size, seeds=None, tol=1e-12, max_iter
             else:
                 f_i = rhs_f_band(grid, stack[i], params).copy()
             np.add(acc, np.multiply(0.5 * h, f_prev, out=work), out=acc)
-            np.multiply(plan.gather(semigroup_factor(grid, h, params)), acc, out=acc)
+            np.multiply(layout.gather(semigroup_factor(grid, h, params)), acc, out=acc)
             np.add(acc, np.multiply(0.5 * h, f_i, out=work), out=acc)
             nxt = free[i] + acc
             sup = max(sup, diagnostics.norm_DA(nxt - stack[i], tables))
@@ -386,7 +386,7 @@ def test_picard_holds_one_iterate_stack(grid2):
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
     picard_solve(u0, p, 0.1, mesh_size=4)  # warm the kernel workspace and tables
     mesh = 32
-    block = band_plan(grid2, p.alpha).block_shape
+    block = grid2.layout.block_shape
     stack_bytes = (mesh + 1) * grid2.dim * int(np.prod(block)) * 16
     tracemalloc.start()
     try:
@@ -415,15 +415,15 @@ def test_picard_nodes_index_like_a_sequence(grid2, params):
     # field u0 e^{-t nu A^s} with the block written into its band
     u0 = random_field(grid2, seed=7, amplitude=1e-2, band=grid2.N // 2 - 1)
     traj, _ = picard_solve(u0, params, 0.1, mesh_size=8)
-    nodes, plan = traj.snapshots, band_plan(grid2, params.alpha)
-    _, u0_modes, _ = plan.split(u0.coeffs)
+    nodes, layout = traj.snapshots, grid2.layout
+    _, u0_modes, _ = layout.split(u0.coeffs)
     assert len(nodes) == 9 and u0_modes.size > 0
     for i, t in enumerate(traj.times):
         block, modes, tail = nodes.split(i)
         assert np.array_equal(modes, u0_modes) and not block.flags.writeable
-        assert nodes[i].coeffs.tobytes() == plan.join(block, modes, tail).tobytes()
+        assert nodes[i].coeffs.tobytes() == layout.join(block, modes, tail).tobytes()
         free = u0.coeffs * semigroup_factor(grid2, float(t), params)
-        assert np.array_equal(nodes[i].coeffs, plan.scatter(block, free))
+        assert np.array_equal(nodes[i].coeffs, layout.scatter(block, free))
     assert np.array_equal(nodes[-1].coeffs, nodes[8].coeffs)
     assert np.array_equal(nodes[-9].coeffs, u0.coeffs)
     assert len(list(nodes)) == 9
@@ -436,13 +436,13 @@ def test_picard_nodes_index_like_a_sequence(grid2, params):
 def test_picard_solve_into_a_callers_buffer_is_bit_identical(grid2, params):
     u0 = random_field(grid2, seed=7, amplitude=1e-2)
     traj, state = picard_solve(u0, params, 0.1, mesh_size=8)
-    out = np.full(picard_stack_shape(grid2, params, 8), np.nan, complex)
+    out = np.full(picard_stack_shape(grid2, 8), np.nan, complex)
     _, state_out = picard_solve(u0, params, 0.1, mesh_size=8, out=out)
-    plan = band_plan(grid2, params.alpha)
-    own = np.stack([plan.gather(w.coeffs) for w in traj.snapshots])
+    layout = grid2.layout
+    own = np.stack([layout.gather(w.coeffs) for w in traj.snapshots])
     assert out.tobytes() == own.tobytes() and not out.flags.writeable
     assert state_out.increments_linf == state.increments_linf
-    nodes = PicardNodes(u0, params, traj.times, out, plan)
+    nodes = PicardNodes(u0, params, traj.times, out)
     for mine, theirs in zip(nodes, traj.snapshots, strict=True):
         assert mine.coeffs.tobytes() == theirs.coeffs.tobytes()
     with pytest.raises(ValueError, match="shape"):
@@ -501,7 +501,7 @@ def test_picard_worker_gives_the_in_process_bits_whoever_evaluates(monkeypatch, 
     u0 = random_field(grid, seed=8, amplitude=0.05)
     mesh = 12
     traj, state = picard_solve(u0, p, 0.1, mesh_size=mesh, max_iter=10)
-    assert band_plan(grid, p.alpha).gemm == (dim == 3)
+    assert grid.layout.gemm == (dim == 3)
     helped = _parent_evaluations(monkeypatch, worker_delay=0.01 if parent_helps else 0.0)
     with picard_worker(u0, p, 0.1, mesh_size=mesh, max_iter=10) as worker:
         ring = weakref.ref(worker._ring.base)
@@ -737,7 +737,7 @@ def test_picard_worker_holds_blas_at_one_thread_on_a_gemm_plan(monkeypatch, dim,
     grid = make_grid(dim, n)
     p = Params(alpha=0.5, nu=0.5, s=0.75 if dim == 3 else 0.5)
     u0 = random_field(grid, seed=8, amplitude=0.05)
-    gemm = band_plan(grid, p.alpha).gemm
+    gemm = grid.layout.gemm
     assert gemm == (dim == 3)
 
     def report(*args, **kwargs):

@@ -313,7 +313,8 @@ def test_rhs_f_matches_both_oracles_on_the_diagonal(dim, n, alpha):
 
 def _block_norm(ws, block) -> float:
     """||field|| / sqrt(measure) of the field that is a band block on the band."""
-    weight = ws.plan.gather(ws.plan.grid.weight)
+    grid = ws.plan.grid
+    weight = grid.layout.gather(grid.weight)
     return math.sqrt(np.sum(weight * np.sum(np.abs(block) ** 2, axis=0)))
 
 
@@ -333,7 +334,7 @@ def test_rhs_f_near_oblique_shear_stays_solenoidal(dim, n):
         u = base + eps * dealias(random_field(grid, seed=3))
         f = rhs_f(u, p)
         assert f.solenoidal and f.zero_mean
-        block = rhs_f_band(grid, ws.plan.gather(u.coeffs), p)
+        block = rhs_f_band(grid, grid.layout.gather(u.coeffs), p)
         norm = _block_norm(ws, block)
         if norm > 0.0:
             assert np.max(np.abs(np.sum(ws.k * block, axis=0))) <= SOLENOIDAL_TOL * norm
@@ -387,18 +388,18 @@ def _whole_stack_rhs_f_band(grid, u, params):
     the N grid."""
     dim = grid.dim
     ws = _kernel_workspace(grid, params.alpha)
-    plan = ws.plan
-    stack = np.empty((dim + (1 if dim == 2 else 3),) + plan.block_shape, np.complex128)
+    plan, layout = ws.plan, grid.layout
+    stack = np.empty((dim + (1 if dim == 2 else 3),) + layout.block_shape, np.complex128)
     stack[:dim] = u
-    _cross(ws.ikv, u, stack[dim:], np.empty(plan.block_shape, np.complex128))
-    if plan.gemm:
-        spectra = plan.scatter(stack, np.zeros((len(stack),) + grid.spectral_shape, complex))
+    _cross(ws.ikv, u, stack[dim:], np.empty(layout.block_shape, np.complex128))
+    if plan.layout.gemm:
+        spectra = layout.scatter(stack, np.zeros((len(stack),) + grid.spectral_shape, complex))
         phys = coeffs_to_phys(spectra, dim)
     else:
         phys = np.array(plan._inverse(stack))
     prod = _cross(phys[dim:], phys[:dim], np.empty((dim,) + grid.shape), np.empty(grid.shape))
-    if plan.gemm:
-        product = plan.gather(phys_to_coeffs(prod, dim))
+    if plan.layout.gemm:
+        product = layout.gather(phys_to_coeffs(prod, dim))
     else:
         product = plan._forward(prod, np.empty_like(u))
     return ws.project(product, np.empty_like(product))
@@ -412,7 +413,8 @@ def _kernel_and_whole_stack(grid, alpha, seed):
     """The workspace, f from rhs_f_band into its buffer and into out, and the reference."""
     p = Params(alpha=alpha, nu=1.0, s=0.75)
     ws = _kernel_workspace(grid, alpha)
-    u = ws.plan.gather(make_initial(InitialData(kind="random-spectrum", seed=seed), grid).coeffs)
+    u0 = make_initial(InitialData(kind="random-spectrum", seed=seed), grid)
+    u = grid.layout.gather(u0.coeffs)
     ref = _whole_stack_rhs_f_band(grid, u, p)
     calls = [np.array(rhs_f_band(grid, u, p)), rhs_f_band(grid, u, p, out=np.empty_like(u))]
     return ws, calls, ref
@@ -426,8 +428,8 @@ def test_streamed_cross_product_equals_the_whole_stack(dim, n):
     grid = make_grid(dim, n)
     for alpha, seed in ((0.0, 3), (0.5, 4)):
         ws, calls, ref = _kernel_and_whole_stack(grid, alpha, seed)
-        assert ws.plan.gemm == (dim == 3)
-        if ws.plan.gemm:
+        assert ws.plan.layout.gemm == (dim == 3)
+        if ws.plan.layout.gemm:
             assert all(rel_err(f, ref) <= 1e-14 for f in calls)
         else:
             assert all(f.tobytes() == ref.tobytes() for f in calls)
@@ -448,11 +450,11 @@ def test_the_fused_product_matches_the_whole_grid(dim, n, m):
     grid = make_grid(dim, n)
     ws = _kernel_workspace(grid, 0.5)
     plan, n_curl = ws.plan, 1 if dim == 2 else 3
-    assert plan.gemm and plan.M == m
+    assert plan.layout.gemm and plan.M == m
     rng = np.random.default_rng(n + dim)
 
     def fused(block):
-        out = np.empty((dim,) + plan.block_shape, np.complex128)
+        out = np.empty((dim,) + grid.layout.block_shape, np.complex128)
         for phase in range(BandPlan.PHASES):
             plan.share(block, out, _curl_v_cross_u, phase)
         return out
@@ -463,9 +465,9 @@ def test_the_fused_product_matches_the_whole_grid(dim, n, m):
         spectra = phys_to_coeffs(samples, dim) * grid.dealias_mask
         full = coeffs_to_phys(spectra, dim)
         product = _cross(full[dim:], full[:dim], np.empty((dim,) + grid.shape), np.empty(grid.shape))
-        blocks.append(plan.gather(spectra))
+        blocks.append(grid.layout.gather(spectra))
         firsts.append(fused(blocks[-1]))
-        assert rel_err(firsts[-1], plan.gather(phys_to_coeffs(product, dim))) <= 1e-14
+        assert rel_err(firsts[-1], grid.layout.gather(phys_to_coeffs(product, dim))) <= 1e-14
     assert fused(blocks[0]).tobytes() == firsts[0].tobytes()  # again, after the second call
 
 
@@ -480,7 +482,7 @@ def test_the_kernel_reads_the_state_in_place_and_never_writes_it(dim, n):
     with kernel_helper(grid, p.alpha):
         assert (ws.helper is not None) == helped
         assert np.shares_memory(ws.state, ws.stack)
-        ws.plan.gather(u.coeffs, out=ws.state)
+        grid.layout.gather(u.coeffs, out=ws.state)
         before = ws.state.copy()
         f = rhs_f_band(grid, ws.state, p).copy()
         assert ws.state.tobytes() == before.tobytes()
@@ -512,7 +514,7 @@ def test_kernel_workspace_holds_a_few_fields():
     grid = make_grid(3, 48)
     ws = _kernel_workspace(grid, 0.5)
     field = 16 * grid.dim * np.prod(grid.spectral_shape)
-    assert ws.plan.gemm and ws.plan.M == 46
+    assert ws.plan.layout.gemm and ws.plan.M == 46
     assert not hasattr(ws.plan, "_phys") and not hasattr(ws.plan, "_rows")
     assert _live_bytes(ws, ws.plan) <= 5 * field
 
@@ -520,11 +522,11 @@ def test_kernel_workspace_holds_a_few_fields():
 _KERNEL_DIGEST = """\
 import hashlib
 from lansfrac import InitialData, Params, make_grid, make_initial
-from lansfrac.operators import band_plan, rhs_f_band
+from lansfrac.operators import rhs_f_band
 for n in (16, 48):
     grid, p = make_grid(3, n), Params(alpha=0.5, nu=1.0, s=0.75)
     u = make_initial(InitialData(kind="random-spectrum", seed=7), grid)
-    f = rhs_f_band(grid, band_plan(grid, p.alpha).gather(u.coeffs), p)
+    f = rhs_f_band(grid, grid.layout.gather(u.coeffs), p)
     print(n, hashlib.sha256(f.tobytes()).hexdigest())
 """
 
@@ -589,7 +591,7 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
     ws = _kernel_workspace(grid, 0.5)
     tables = audit_tables(grid, 0.5, 0.75)
     rng = np.random.default_rng(seed)
-    shape = (dim,) + ws.plan.block_shape
+    shape = (dim,) + grid.layout.block_shape
     product = 10.0**exponent * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     block = ws.project(product, np.empty_like(product))
     if kind == "divergent":
@@ -599,7 +601,7 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
     mean = (slice(None),) + (0,) * dim
     block[mean] = product[mean] if kind == "mean" else 0.0
 
-    _herm, sol, mean_free = measure_flags(grid, ws.plan.join(block))
+    _herm, sol, mean_free = measure_flags(grid, grid.layout.join(block))
     assert f_flags(block, tables) == (sol, mean_free)
     assert (sol and mean_free) == (kind in ("solenoidal", "zero"))
 
@@ -624,7 +626,7 @@ def test_the_f_flag_holds_max_k_dot_f_against_max_f(case, seed, modes, planted, 
     ws = _kernel_workspace(grid, 0.5)
     tables = audit_tables(grid, 0.5, 0.75)
     rng = np.random.default_rng(seed)
-    shape = (dim,) + ws.plan.block_shape
+    shape = (dim,) + grid.layout.block_shape
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if modes:  # keep a few modes, never the mean
         kept = np.zeros(a[0].size, bool)
@@ -655,9 +657,9 @@ def test_the_single_projection_pass(case, alpha, seed, exponent):
     dim, n = case
     grid = make_grid(dim, n)
     ws = _kernel_workspace(grid, alpha)
-    plan, mean = ws.plan, (slice(None),) + (0,) * dim
+    layout, mean = grid.layout, (slice(None),) + (0,) * dim
     rng = np.random.default_rng(seed)
-    shape = (dim,) + plan.block_shape
+    shape = (dim,) + layout.block_shape
     a = 10.0**exponent * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     norm = lambda block: _block_norm(ws, block)
 
@@ -671,8 +673,8 @@ def test_the_single_projection_pass(case, alpha, seed, exponent):
     near = ws.project(grad + 1e-9 * a, np.empty_like(a))
     assert np.max(np.abs(np.sum(ws.k * near, axis=0))) <= 1e-15 * norm(near)
 
-    twice = leray_project(leray_project(SpectralField.from_coeffs(grid, plan.join(a))))
-    expect = -plan.gather(twice.coeffs) / (1.0 + alpha**2 * plan.gather(grid.k2))
+    twice = leray_project(leray_project(SpectralField.from_coeffs(grid, layout.join(a))))
+    expect = -layout.gather(twice.coeffs) / (1.0 + alpha**2 * layout.gather(grid.k2))
     expect[mean] = 0.0
     assert rel_err(f, expect) <= 1e-14
 

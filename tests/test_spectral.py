@@ -198,13 +198,13 @@ def test_the_mirror_index_gives_the_roll_flip_flags(dim, n, on_block):
     # on full half spectra (planes k_last = 0 and N/2) and on band blocks
     # (k_last = 0), random and with a defect planted near the tolerance
     grid = make_grid(dim, n)
-    plan = BandPlan(grid, inverse_fields=1, forward_fields=1)
+    layout = grid.layout
     planes = (0,) if on_block else (0, -1)
-    k = plan.gather(grid.k) if on_block else grid.k
+    k = layout.gather(grid.k) if on_block else grid.k
     rng = np.random.default_rng(n + dim)
     for trial in range(12):
         coeffs = np.array(random_hermitian_field(grid, seed=trial).coeffs)
-        u = plan.gather(coeffs) if on_block else coeffs
+        u = layout.gather(coeffs) if on_block else coeffs
         scale = float(np.max(np.abs(u)))
         if trial:
             mode = tuple(int(rng.integers(m)) for m in u.shape[1:-1]) + (planes[trial % len(planes)],)
@@ -240,7 +240,7 @@ def _product_passes(plan, block, samples):
     block's samples and writes samples as the rows of the product: the
     inverse's samples (irfftn's axis order) and the band block of samples,
     which has that order too."""
-    swap = plan.gemm and plan.grid.dim == 3  # the fused pass holds (n_1, n_0, n_2)
+    swap = plan.layout.gemm and plan.grid.dim == 3  # the fused pass holds (n_1, n_0, n_2)
     seen = np.empty((len(block),) + plan.shape)
     read, write = (seen.swapaxes(1, 2), samples.swapaxes(1, 2)) if swap else (seen, samples)
     slab = [0, 0]  # first plane and number of planes of the current slab
@@ -251,7 +251,7 @@ def _product_passes(plan, block, samples):
         read[:, planes] = phys
         rows[...] = write[:, planes]
 
-    out = np.empty((len(samples),) + plan.block_shape, np.complex128)
+    out = np.empty((len(samples),) + plan.layout.block_shape, np.complex128)
     for phase in range(BandPlan.PHASES):
         plan.share(block, out, pointwise, phase)
     return seen, out
@@ -266,7 +266,7 @@ def test_band_plan_matches_full_transforms(dim, n):
     plan = BandPlan(grid, inverse_fields=fields, forward_fields=dim)
     single = BandPlan(grid, inverse_fields=1, forward_fields=1)
     gemm = (dim, n) in _GEMM_GRIDS
-    assert plan.gemm == gemm
+    assert plan.layout.gemm == gemm
     m = _GEMM_GRIDS.get((dim, n), n)
     assert plan.M == m and plan.shape == (m,) * dim
     if gemm:
@@ -276,8 +276,8 @@ def test_band_plan_matches_full_transforms(dim, n):
     for _ in range(2):  # the second round reads buffers the first one wrote
         spectra = phys_to_coeffs(rng.standard_normal((fields,) + grid.shape), dim)
         spectra *= grid.dealias_mask  # random dealiased hermitian half spectra
-        block = plan.gather(spectra)
-        assert np.array_equal(plan.scatter(block, np.zeros_like(spectra)), spectra)
+        block = grid.layout.gather(spectra)
+        assert np.array_equal(grid.layout.scatter(block, np.zeros_like(spectra)), spectra)
         samples = rng.standard_normal((dim,) + plan.shape)
         pruned, band = _product_passes(plan, block, samples)
         if gemm:
@@ -293,7 +293,7 @@ def test_band_plan_matches_full_transforms(dim, n):
         full = np.fft.rfftn(samples, axes=axes, norm="forward")
         assert rel_err(band, full[band_modes]) <= 1e-14
         if gemm:  # its passes write into reshaped rows of out, never a copy
-            strided = np.empty((2 * dim,) + plan.block_shape, np.complex128)[::2]
+            strided = np.empty((2 * dim,) + grid.layout.block_shape, np.complex128)[::2]
             for phase in range(BandPlan.PHASES):
                 with pytest.raises(ValueError, match="C-contiguous"):
                     plan.share(block, strided, lambda *args: None, phase)
@@ -305,12 +305,12 @@ def test_band_plan_matches_full_transforms(dim, n):
             assert np.array_equal(alone[1][0], band[j])
 
 
-_JOIN_PLANS = {case: BandPlan(make_grid(*case), 1, 1) for case in ((2, 32), (2, 96), (3, 16))}
+_JOIN_GRIDS = {case: make_grid(*case) for case in ((2, 32), (2, 96), (3, 16))}
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    case=st.sampled_from(sorted(_JOIN_PLANS)),
+    case=st.sampled_from(sorted(_JOIN_GRIDS)),
     seed=st.integers(0, 2**32 - 1),
     zero_share=st.floats(0.0, 1.0),
     nan_share=st.sampled_from([0.0, 1e-3, 0.05]),
@@ -318,9 +318,10 @@ _JOIN_PLANS = {case: BandPlan(make_grid(*case), 1, 1) for case in ((2, 32), (2, 
 def test_join_inverts_split(case, seed, zero_share, nan_share):
     # Arrays with +-0.0 and nan inside and outside the band come back byte for
     # byte, apart from the modes outside the band that are zero by value: those
-    # are not in the tail, so they come back +0.0. The (2, 96) plan runs FFT passes.
-    plan = _JOIN_PLANS[case]
-    grid = plan.grid
+    # are not in the tail, so they come back +0.0. A band-limited array's tail
+    # has no modes, shape (dim, 0).
+    grid = _JOIN_GRIDS[case]
+    layout = grid.layout
     rng = np.random.default_rng(seed)
     shape = (2, grid.dim) + grid.spectral_shape  # real and imaginary parts
     parts = rng.standard_normal(shape)
@@ -333,12 +334,12 @@ def test_join_inverts_split(case, seed, zero_share, nan_share):
     a = np.empty(shape[1:], complex)
     a.real, a.imag = parts
 
-    block, modes, tail = plan.split(a)
+    block, modes, tail = layout.split(a)
     zero_outside = ~grid.dealias_mask & ~np.any(a != 0, axis=0)
     expect = a.copy()
     expect[:, zero_outside] = 0.0
-    assert plan.join(block, modes, tail).tobytes() == expect.tobytes()
-    assert (tail is None) == (modes.size == 0)
+    assert layout.join(block, modes, tail).tobytes() == expect.tobytes()
+    assert tail.shape == (grid.dim, modes.size) and np.all(np.diff(modes) > 0)
 
 
 @pytest.mark.parametrize("dim,n,gemm", [
@@ -348,7 +349,7 @@ def test_the_gemm_crossover_depends_on_the_dimension(dim, n, gemm):
     # 2D grids run the products up to N=64 and FFT passes above; every 3D
     # grid runs the products, which beat FFT passes up to N=192 (BandPlan
     # gives the timings)
-    assert BandPlan(make_grid(dim, n), inverse_fields=1, forward_fields=1).gemm == gemm
+    assert make_grid(dim, n).layout.gemm == gemm
 
 
 # ---------------------------------------------------------- Leray projection
