@@ -11,27 +11,25 @@ directly on the model's analytic properties.
 Four commands fork (POSIX ``os.fork``, through ``forks.fork``) and leave no
 process behind on any exit. simulate, verify-energy and smoothing read the
 states of the one time loop, ``integrator.march``, inside
-``operators.kernel_helper`` in their own frame (Linux, 3D grids from N=26
-up), whose forked helper runs half of each kernel call, of the step's stage
-and update and of the audit's per-mode pass, with the same output bytes as
-without it; each step length's weights, a Galerkin cut and the audit's sums
-stay in this process. simulate writes the states its snapshot cadence
-takes. verify-energy reads only the records, and refuses data whose E1(0),
-the base of its relative residuals, is not a positive normal float64 (exit
-2): an underflow on the start's record, before the first step, and an
-overflow the march did not report as a blow-up after it. smoothing keeps one D(A^{1+r}) norm of each state in its fit window. oracle-compare
-always runs the Picard oracle in a forked worker process beside the
-stepper, and opens no kernel helper: the worker owns the second core. It
-reads the march's states as band blocks and tails, and seeds Picard with
-each state and its f (a warm start: on oracle2d-n128 3 sweeps in place of
-5, and 242 kernel calls in place of 422), while the worker runs its sweeps
-as a wavefront behind the stepper (``mild._Wavefront``). The seed changes
-how many sweeps Picard takes, not where it ends (``mild.picard_solve``). It
-compares the two with ``diagnostics.norm_DA`` on the band block and u0's
-tail, building no field. holder runs Picard in this process alone. A
-command that diverges still writes its manifest, and simulate its
-diagnostics. A command whose output cannot be written, or whose forked
-process ended early, still writes its manifest where it can
+``operators.kernel_helper`` (Linux, 3D grids from N=26 up), whose forked
+helper runs half of each kernel call, stage, update and audit pass, with the
+same output bytes as without it. simulate writes the states its snapshot
+cadence takes. verify-energy reads only the records, and refuses data whose
+E1(0), the base of its relative residuals, is not a positive normal float64
+(exit 2): an underflow on the start's record, before the first step, and an
+overflow the march did not report as a blow-up after it. smoothing keeps one
+D(A^{1+r}) norm of each state in its fit window. oracle-compare runs the
+Picard oracle in a forked worker beside the stepper, and no kernel helper:
+the worker owns the second core. Picard reads the start joined into one
+field, and is seeded with each of the march's states and its f (a warm
+start, 3 sweeps in place of 5 on oracle2d-n128) while the worker runs its
+sweeps as a wavefront behind the stepper (``mild._Wavefront``). The seed
+changes how many sweeps Picard takes, not where it ends
+(``mild.picard_solve``). The two are compared with ``diagnostics.norm_DA``
+on band block and tail, building no field. holder runs Picard in this
+process alone. A command that diverges still writes its manifest, and
+simulate its diagnostics. A command whose output cannot be written, or whose
+forked process ended early, still writes its manifest where it can
 (``_Manifest``).
 """
 
@@ -71,6 +69,7 @@ from .operators import kernel_helper, rhs_f, u_from_v, v_from_u, v_nonlinearity
 from .spectral import (
     Params,
     Regime,
+    SpectralField,
     dealias,
     frac_stokes_apply,
     infer_regime,
@@ -290,21 +289,21 @@ def _cmd_oracle_compare(args) -> int:
     # intervals, so that every stepper time is a mesh node.
     m = -(-8 // n)
     with _Manifest(config, out) as manifest:
-        # Both sides start from the state the stepper steps: u0 with its
-        # Galerkin cutoff taken.
-        u0 = start_field(config)
-        # Picard runs in a forked worker, a wavefront behind the stepper here,
-        # seeded with each stepper state and its f, which the audit has just
-        # read; the worker makes f(u0) itself, so nothing new runs here before
-        # the first step. Each state is held as its band block, in the
-        # worker's shared states, and its values on u0's tail modes, the only
-        # modes outside the block where a state is non-zero; no field is built.
+        # Both sides start from the stepper's start, its Galerkin cutoff taken;
+        # Picard, the independent oracle, reads it joined into one field.
+        start = start_field(config)
+        grid, p = config.grid, config.params
+        u0 = SpectralField.from_coeffs(grid, grid.layout.join(*start))
+        # The worker is seeded with each state and its f, which the audit has
+        # just read, and makes f(u0) itself. Each state is held as its band
+        # block, in the worker's shared states, and its tail; no field is built.
         from . import picard_fork  # here: the other commands need not compile it
 
-        grid, p = config.grid, config.params
         tails: list[np.ndarray] = []
+        states = march(stepper_cfg, [], start)
+        del start  # the march copies the block into its workspace: hold no second copy
         with picard_fork.picard_worker(u0, p, T, mesh_size=n * m, max_iter=10, seeds=n) as picard:
-            for state in march(stepper_cfg, [], u0):
+            for state in states:
                 picard.seed(state.step, state.block, state.f)
                 tails.append(state.tail.copy())
             oracle_traj, picard_state = picard.result()

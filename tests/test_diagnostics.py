@@ -22,11 +22,11 @@ from lansfrac import (
     smoothing_rate,
 )
 from lansfrac.cli import main
-from lansfrac.diagnostics import audit_tables, norm_DA, record, tail_rows
+from lansfrac.diagnostics import audit_tables, norm_DA, record, start_flags, tail_rows
 from lansfrac.integrator import Trajectory
 from lansfrac.mild import semigroup_class_check
 from lansfrac.operators import h1_alpha_pairing, rhs_f, v_from_u
-from lansfrac.spectral import frac_stokes_apply, l2_norm, to_physical
+from lansfrac.spectral import frac_stokes_apply, l2_norm, measure_flags, to_physical
 
 from conftest import random_field, zero_field
 
@@ -273,3 +273,62 @@ def test_holder_quotients_wrong_regime(tmp_path, capsys):
         )
         assert main(["holder", str(cfg), "--beta", "0.25", "--out-dir", str(tmp_path)]) == 2
         assert "critical case dim=2, s=1/2" in capsys.readouterr().err
+
+
+_FLAG_GRIDS = {case: make_grid(*case) for case in ((2, 16), (2, 32), (3, 8), (3, 16))}
+_FLAG_FAULTS = ("none", "k_last = 0 mirror", "Nyquist mirror", "divergent tail mode", "mean",
+                "nan in the tail", "inf in the tail", "divergent block mode", "block mirror")
+
+
+def _plant_flag_fault(u: np.ndarray, grid, fault: str, rng, size: float) -> None:
+    """Plant fault in the half spectrum u (wide-band data) at size times max |u|."""
+    c = size * float(np.max(np.abs(u)))
+    b, half = grid.band_limit, grid.N // 2
+    outside = np.flatnonzero(~grid.dealias_mask)
+    index = np.unravel_index(outside, grid.spectral_shape)
+    on_zero, on_nyquist = outside[index[-1] == 0], outside[index[-1] == half]
+    flat = u.reshape(grid.dim, -1)
+    component = int(rng.integers(grid.dim))
+    if fault == "k_last = 0 mirror":  # its mirror -k keeps its value
+        flat[component, rng.choice(on_zero)] += 1j * c
+    elif fault == "Nyquist mirror":
+        flat[component, rng.choice(on_nyquist)] += 1j * c
+    elif fault == "divergent tail mode":  # u(k) += c k breaks k . u = 0
+        mode = rng.choice(outside)
+        flat[:, mode] += c * grid.k.reshape(grid.dim, -1)[:, mode]
+    elif fault == "mean":
+        u[(component,) + (0,) * grid.dim] += c
+    elif fault in ("nan in the tail", "inf in the tail"):
+        flat[component, rng.choice(outside)] = np.nan if fault[0] == "n" else -np.inf
+    elif fault == "divergent block mode":
+        k = (1, 1, 1)[: grid.dim]
+        u[(slice(None),) + k] += c * np.array(k)
+    elif fault == "block mirror":
+        u[(component, int(rng.integers(1, b + 1))) + (0,) * (grid.dim - 1)] += 1j * c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_FLAG_GRIDS)),
+    seed=st.integers(0, 2**16),
+    fault=st.sampled_from(_FLAG_FAULTS),
+    size=st.sampled_from([1e-15, 1e-13, 1e-11, 1e-9, 1e-3, 1.0]),
+    tail_scale=st.sampled_from([1e-8, 1.0, 1e3]),
+)
+def test_band_flags_are_measure_flags_of_the_joined_field(case, seed, fault, size, tail_scale):
+    # The one start check (start_flags, run by the snapshot reader and by the
+    # march at step 0) reads block and tail, and decides as measure_flags
+    # of their join, faults planted inside the block or on the tail included:
+    # a broken mirror on the k_last = 0 or the Nyquist plane, k . u != 0 on a
+    # tail mode, a mean, a nan or inf in the tail. The scale is max |u| over
+    # both, so a tail larger than the block sets it.
+    grid = _FLAG_GRIDS[case]
+    layout = grid.layout
+    u = np.array(random_field(grid, seed=seed, band=grid.N // 2 - 1).coeffs)
+    u[:, ~grid.dealias_mask] *= tail_scale
+    _plant_flag_fault(u, grid, fault, np.random.default_rng(seed), size)
+    block, modes, tail = layout.split(u)
+    joined = layout.join(block, modes, tail)
+    assert start_flags(grid, block, modes, tail) == measure_flags(grid, joined)
+    if fault != "none" and size == 1.0:
+        assert not all(start_flags(grid, block, modes, tail))  # the check is not vacuous

@@ -32,7 +32,6 @@ from lansfrac.integrator import (
     _step_time,
     _steps,
     _weights,
-    galerkin_truncate,
     phi_functions,
 )
 from lansfrac.operators import rhs_f_band, u_from_v, v_from_u, v_nonlinearity
@@ -46,7 +45,15 @@ from lansfrac.spectral import (
     to_spectral,
 )
 
-from conftest import SCALE_FAULTS, no_tail, random_field, rel_err, scaled_plant
+from conftest import (
+    SCALE_FAULTS,
+    galerkin_truncate,
+    no_tail,
+    random_field,
+    rel_err,
+    scaled_plant,
+    with_tail,
+)
 
 
 def config(grid, p, dt=1e-3, t_end=1.0, init=None, **kw):
@@ -216,7 +223,8 @@ def _step(u, params, dt, kind=SchemeKind.ETD2RK):
     makes it: the band block in the kernel workspace, the tail by E alone."""
     grid = u.grid
     ws, layout = operators._kernel_workspace(grid, params.alpha), grid.layout
-    _, modes, tail = layout.split(u.coeffs, out=ws.state)
+    block, modes, tail = layout.split(u.coeffs)
+    np.copyto(ws.state, block)
     rhs_f_band(grid, ws.state, params, out=ws.f_state)
     table = _weights(int(grid.k2.max()) + 1, params.nu, params.s, dt)
     np.copyto(ws.weights, table[:, layout.gather(grid.k2).astype(np.intp)])
@@ -304,6 +312,51 @@ def test_taylor_green_flags(grid2, grid3):
         assert tg.hermitian and tg.solenoidal and tg.zero_mean
 
 
+def _sampled_profile(kind: str, grid: GridSpec, amp: float) -> np.ndarray:
+    """Reference: the analytic profile's samples on the grid's points."""
+    x = grid.x
+    phys = np.zeros((grid.dim,) + grid.shape)
+    if kind == "shear":
+        phys[0] = amp * np.sin(x[1])
+    else:
+        z = np.cos(x[2]) if grid.dim == 3 else 1.0
+        phys[0] = amp * np.sin(x[0]) * np.cos(x[1]) * z
+        phys[1] = -amp * np.cos(x[0]) * np.sin(x[1]) * z
+    return phys
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    half=st.integers(4, 32),
+    kind=st.sampled_from(["shear", "taylor-green"]),
+    amp=st.floats(1e-3, 1e3),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_analytic_data_are_their_exact_fourier_coefficients(dim, half, kind, amp, sign):
+    # shear and taylor-green are a few Fourier modes each: make_initial writes
+    # them, within 1e-15 |amp| of the transform of the sampled profile, and
+    # every other coefficient, the mean included, is exactly +0.0; so the
+    # field has no tail
+    amp *= sign
+    grid = make_grid(dim, 2 * half)
+    u = make_initial(InitialData(kind=kind, amplitude=amp), grid).coeffs
+    ref = to_spectral(_sampled_profile(kind, grid, amp), grid).coeffs
+    assert np.max(np.abs(u - ref)) <= 1e-15 * abs(amp)
+    k = grid.k
+    if kind == "shear":
+        support = np.zeros(u.shape, bool)
+        support[0] = (k[0] == 0) & (np.abs(k[1]) == 1) & np.all(k[2:] == 0, axis=0)
+    else:
+        support = np.broadcast_to(np.all(np.abs(k) == 1, axis=0), u.shape).copy()
+        support[2:] = False
+    plus_zero = lambda a: not np.ascontiguousarray(a).view(np.uint64).any()  # both parts +0.0
+    assert np.all(u[support] != 0)
+    assert plus_zero(u[~support]) and plus_zero(u[(slice(None),) + (0,) * dim])
+    _, modes, tail = grid.layout.split(u)
+    assert modes.size == 0 and tail.shape == (dim, 0)
+
+
 def test_random_spectrum_properties(grid2_64):
     init = InitialData(kind="random-spectrum", amplitude=0.3, seed=9, decay_exponent=3.0, band=12)
     u = make_initial(init, grid2_64)
@@ -373,12 +426,13 @@ def test_run_snapshot_cadence(grid2, params):
 
 @pytest.mark.parametrize(
     "init",
-    [InitialData(kind="random-spectrum", amplitude=0.5, seed=21), InitialData(kind="taylor-green")],
+    [InitialData(kind="random-spectrum", amplitude=0.5, seed=21),
+     InitialData(kind="random-spectrum", amplitude=0.5, seed=21, band=15)],
     ids=["band", "whole"],
 )
 def test_the_march_cadenced_fields_are_the_run_snapshots(grid2, params, init):
-    # the cadence takes step 0 (the start itself), every third step and the
-    # last; each field has the bytes of run's snapshot, t = 0 included
+    # the cadence takes step 0 (the start), every third step and the last;
+    # each field has the bytes of run's snapshot, t = 0 included
     cfg = config(grid2, params, dt=0.1, t_end=1.0, init=init, snapshot_every=3)
     diag, seen = [], []
     for state in integrator.march(cfg, diag):
@@ -718,7 +772,9 @@ _RECORD_FIELDS = ("E0", "E1", "D", "nDA", "n1ps2")
 
 
 def _check_against_reference(cfg, u0, form="u", tail=False):
-    """run matches ``_full_spectrum_run``: the same snapshot bytes, t = 0 included.
+    """run matches ``_full_spectrum_run``: the same snapshot bytes, t = 0 included,
+    where run's start is the reference start split and joined (+0.0 off the
+    block and the tail, where the reference may hold -0.0).
 
     The records sum over the band block and the tail, in another order than
     the whole half spectrum's sums, so the five energies agree to 1e-13
@@ -729,6 +785,7 @@ def _check_against_reference(cfg, u0, form="u", tail=False):
     layout = cfg.grid.layout
     assert bool(np.count_nonzero(u0.coeffs) != np.count_nonzero(layout.gather(u0.coeffs))) == tail
     times, snaps, diag = _full_spectrum_run(cfg, u0, form)
+    snaps[0] = snaps[0].copy_with(layout.join(*layout.split(snaps[0].coeffs)))
     traj = run(cfg, initial_field=u0, form=form)
     assert list(traj.times) == times
     assert [w.coeffs.tobytes() for w in traj.snapshots] == [w.coeffs.tobytes() for w in snaps]
@@ -760,8 +817,9 @@ def test_band_run_matches_the_whole_spectrum_loop(grid2, kind, options):
 
 @pytest.mark.parametrize("form", ["u", "v"])
 def test_band_run_of_dealiased_data_matches_the_whole_spectrum_loop(grid2, form):
-    # dealias leaves -0.0 on modes outside the band; they count as zero, and
-    # the first step turns them into +0.0 on both sides
+    # dealias leaves -0.0 on modes outside the band; they count as zero: the
+    # start's join holds +0.0 there, and the first step turns them into +0.0
+    # on both sides
     u0 = dealias(random_field(grid2, seed=22, band=grid2.N // 2 - 1))
     assert np.signbit(u0.coeffs[~np.broadcast_to(grid2.dealias_mask, u0.coeffs.shape)].real).any()
     cfg = config(grid2, _P, dt=5e-3, t_end=0.04, snapshot_every=1)
@@ -784,14 +842,18 @@ def test_band_run_3d_matches_the_whole_spectrum_loop(grid3):
     ids=["taylor-green", "shear", "wide-band"],
 )
 def test_whole_spectrum_run_matches_the_old_loop(grid2, init):
+    # the analytic profiles are band-limited, so they get a planted tail
     cfg = config(grid2, _P, dt=7e-3, t_end=0.05, init=init, snapshot_every=3)
-    _check_against_reference(cfg, make_initial(init, grid2), tail=True)
+    u0 = make_initial(init, grid2)
+    if init.kind != "random-spectrum":
+        u0 = with_tail(u0, seed=24)
+    _check_against_reference(cfg, u0, tail=True)
 
 
 def test_whole_spectrum_run_3d_matches_the_old_loop(grid3):
     init = InitialData(kind="taylor-green", amplitude=2.0)
     cfg = config(grid3, _P, dt=1e-2, t_end=0.04, init=init)
-    _check_against_reference(cfg, make_initial(init, grid3), tail=True)
+    _check_against_reference(cfg, with_tail(make_initial(init, grid3), seed=25), tail=True)
 
 
 _TAIL_SIZES = [1.0, 1e-8, 1e-300, 5e-324]  # down to the smallest subnormal
@@ -810,11 +872,8 @@ def test_tail_run_matches_the_whole_spectrum_loop(dim, seed, size, kind, galerki
     # a random band-limited field plus a random solenoidal hermitian tail
     # outside the band, scaled down as far as subnormal
     grid = make_grid(dim, 16 if dim == 2 else 8)
-    layout, b = grid.layout, grid.band_limit
-    body = random_field(grid, seed=seed, band=b).coeffs
-    wide = random_field(grid, seed=seed + 1, band=grid.N // 2 - 1).coeffs * size
-    layout.scatter(np.zeros((dim,) + layout.block_shape, complex), wide)
-    u0 = SpectralField.from_coeffs(grid, body + wide)
+    b = grid.band_limit
+    u0 = with_tail(random_field(grid, seed=seed, band=b), seed=seed + 1, size=size)
     options = {"galerkin_N": b + 1} if galerkin else {}
     cfg = config(grid, _P, dt=1e-2, t_end=0.03, kind=kind, snapshot_every=1, **options)
     times, snaps, _ = _full_spectrum_run(cfg, u0, form)
@@ -843,13 +902,15 @@ def test_tail_holds_the_start_modes_outside_the_band_that_are_non_zero(grid2):
     dealiased = dealias(random_field(grid2, seed=25, band=15))
     assert np.signbit(dealiased.coeffs[outside].real).any()
     assert layout.split(dealiased.coeffs)[2].shape == (grid2.dim, 0)
-    # the rounding dust of taylor-green data is the tail, and the field is
-    # the block and the tail written into zeros
+    # taylor-green data have no tail; a planted one is the tail, and the
+    # field is the block and the tail written into zeros
     tg = make_initial(InitialData(kind="taylor-green"), grid2)
+    assert layout.split(tg.coeffs)[1].size == 0
+    tg = with_tail(tg, seed=26)
     block, modes, tail = layout.split(tg.coeffs)
-    dust = np.flatnonzero(np.any((tg.coeffs != 0) & outside, axis=0))
-    assert dust.size > 0 and np.array_equal(modes, dust)
-    assert np.array_equal(tail, tg.coeffs.reshape(2, -1)[:, dust])
+    planted = np.flatnonzero(np.any((tg.coeffs != 0) & outside, axis=0))
+    assert planted.size > 0 and np.array_equal(modes, planted)
+    assert np.array_equal(tail, tg.coeffs.reshape(2, -1)[:, planted])
     assert layout.join(block, modes, tail).tobytes() == tg.coeffs.tobytes()
     # a nan outside the band lands in the tail, and the run raises at step 0
     coeffs = np.array(u0.coeffs)
@@ -862,8 +923,52 @@ def test_tail_holds_the_start_modes_outside_the_band_that_are_non_zero(grid2):
     assert (info.value.step, info.value.t) == (0, 0.0)
 
 
+def test_a_restart_starts_from_the_tail_modes_that_are_non_zero(tmp_path):
+    # A state's tail keeps every mode of its start, also one whose value has
+    # decayed to 0, and its snapshot stores them; a restart starts from the
+    # others, the tail of the file's field split, as a start from a field does
+    from lansfrac.io import SnapshotMeta, read_snapshot, write_snapshot
+
+    grid = make_grid(2, 16)
+    block, modes, tail = grid.layout.split(random_field(grid, seed=5, band=7).coeffs)
+    decayed = grid.k2.ravel()[modes] > 60  # a set of whole |k| shells, so still real
+    tail[:, decayed] = 0.0
+    path = tmp_path / "decayed.flns"
+    meta = SnapshotMeta(alpha=_P.alpha, nu=_P.nu, s=_P.s, t=0.5)
+    write_snapshot(integrator.State(0, 0.5, block, None, modes, tail, True, grid), meta, path)
+    cfg = config(grid, _P, init=InitialData(kind="snapshot", path=str(path)))
+    start = integrator.start_field(cfg)
+    want = grid.layout.split(read_snapshot(path)[0].coeffs)
+    assert [a.tobytes() for a in start] == [a.tobytes() for a in want]
+    assert 0 < start[1].size == np.count_nonzero(~decayed) < modes.size
+
+
+def test_a_band_limited_restart_builds_no_full_field(tmp_path):
+    # start_field reads a restart as its file's block and tail, so at 3D N=48
+    # its traced peak stays below one full half spectrum (2.64 MiB): the
+    # file's bytes and the block times the amplitude. Reading the file as a
+    # field and splitting it took two (5.27 MiB).
+    from lansfrac.io import SnapshotMeta, write_snapshot
+
+    grid, p = make_grid(3, 48), Params(alpha=0.5, nu=0.1, s=0.75)
+    path = tmp_path / "u0.flns"
+    u0 = make_initial(InitialData(kind="random-spectrum", seed=0), grid)
+    write_snapshot(u0, SnapshotMeta(alpha=p.alpha, nu=p.nu, s=p.s, t=0.0), path)
+    cfg = config(grid, p, init=InitialData(kind="snapshot", path=str(path)))
+    field = 16 * grid.dim * np.prod(grid.spectral_shape)
+    tracemalloc.start()
+    try:
+        block, modes, tail = integrator.start_field(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.tobytes() == grid.layout.gather(u0.coeffs).tobytes() and modes.size == 0
+    assert peak < field, peak / field
+
+
 @pytest.mark.parametrize(
-    "init", [_RANDOM, InitialData(kind="taylor-green")], ids=["band", "whole"]
+    "init", [_RANDOM, InitialData(kind="random-spectrum", amplitude=0.5, seed=21, band=15)],
+    ids=["band", "whole"],
 )
 def test_run_calls_advance_once_per_step_through_the_module_name(grid2, monkeypatch, init):
     # the benchmark takes its set-up/solve boundary at the first call of
@@ -913,13 +1018,14 @@ def _plant(fault, grid):
 
 
 _FAULTS = ["nan", "inf", "mean", "divergent mode", "k_last = 0 plane"]
-_TG = InitialData(kind="taylor-green")
+# data of band N/2 - 1 on the N = 16 grids below: a start with a tail
+_WIDE = InitialData(kind="random-spectrum", amplitude=0.5, seed=21, band=7)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "init,fault",
-    [(_RANDOM, f) for f in _FAULTS] + [(_TG, f) for f in _FAULTS],
+    [(_RANDOM, f) for f in _FAULTS] + [(_WIDE, f) for f in _FAULTS],
     ids=[f"band-{f}" for f in _FAULTS] + [f"whole-{f}" for f in _FAULTS],
 )
 def test_planted_fault_raises_at_its_step(monkeypatch, dim, init, fault):
@@ -1013,7 +1119,7 @@ def test_a_broken_projection_fails_run_and_picard(monkeypatch, dim, n):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "init,fault",
-    [(i, f) for i in (_RANDOM, _TG) for f in _FAULTS + ["Nyquist plane"]],
+    [(i, f) for i in (_RANDOM, _WIDE) for f in _FAULTS + ["Nyquist plane"]],
     ids=[f"{i}-{f}" for i in ("band", "whole") for f in _FAULTS + ["Nyquist plane"]],
 )
 def test_planted_start_fault_raises_at_step_0(dim, init, fault):
@@ -1025,7 +1131,7 @@ def test_planted_start_fault_raises_at_step_0(dim, init, fault):
     states = []
     cfg = config(grid, _P, dt=1e-2, t_end=0.05, init=init)
     with pytest.raises(DivergedError, match="field invariant broken at step 0") as info:
-        states.extend(integrator.march(cfg, [], bad))
+        states.extend(integrator.march(cfg, [], integrator.start_field(cfg, bad)))
     assert (info.value.step, info.value.t, states) == (0, 0.0, [])
 
 
@@ -1252,13 +1358,10 @@ def test_band_run_holds_only_blocks_while_it_steps(grid3, monkeypatch):
     assert peak < field + 3.5 * block, (peak - field) / block
 
 
-@pytest.mark.parametrize(
-    "kind,builds_x",
-    [("snapshot", False), ("random-spectrum", False), ("taylor-green", True), ("shear", True)],
-)
-def test_only_analytic_initial_data_build_the_sample_points(tmp_path, kind, builds_x):
-    # grid.x (2.5 MiB at 3D N=48) is built on first use; only the analytic
-    # profiles read it
+@pytest.mark.parametrize("kind", ["snapshot", "random-spectrum", "taylor-green", "shear"])
+def test_no_initial_data_builds_the_sample_points(tmp_path, kind):
+    # grid.x (2.5 MiB at 3D N=48) is built on first use; the analytic
+    # profiles are written as coefficients, so no initial data read it
     from lansfrac.io import SnapshotMeta, write_snapshot
 
     grid = GridSpec(3, 16)  # not the cached make_grid(3, 16), whose x other tests build
@@ -1266,5 +1369,4 @@ def test_only_analytic_initial_data_build_the_sample_points(tmp_path, kind, buil
     u0 = make_initial(InitialData(kind="random-spectrum", seed=2), make_grid(3, 16))
     write_snapshot(u0, SnapshotMeta(alpha=0.5, nu=0.1, s=0.75, t=0.0), path)
     make_initial(InitialData(kind=kind, path=str(path)), grid)
-    built = "x" in vars(grid)
-    assert built == builds_x
+    assert "x" not in vars(grid)

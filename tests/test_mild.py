@@ -141,11 +141,12 @@ def test_duhamel_linearity(grid2, params):
 def stepper_seeds(u0, params, T, n):
     """The (band block, f) pairs of a stepper's n + 1 states over [0, T], as
     ``oracle-compare`` seeds its Picard worker with them."""
-    from lansfrac.integrator import march
+    from lansfrac.integrator import march, start_field
 
     cfg = SimConfig(grid=u0.grid, params=params, scheme=StepScheme(dt=T / n), t_end=T,
                     initial=InitialData(kind="shear"))
-    seeds = [(state.block.copy(), state.f.copy()) for state in march(cfg, [], u0)]
+    start = start_field(cfg, u0)
+    seeds = [(state.block.copy(), state.f.copy()) for state in march(cfg, [], start)]
     assert len(seeds) == n + 1
     return seeds
 
