@@ -72,9 +72,7 @@ class AuditTables:
 
     rows holds the record's five weights per mode (its E0 row is the measure
     times the multiplicity) and k the wavevectors, the kernel workspace's
-    complex k (``_KernelWorkspace``), the one k table of every check. Only
-    the k_last = 0 plane of a block must match its own conjugate mirror: a
-    block holds no Nyquist plane.
+    complex k (``_KernelWorkspace``), which the checks of a block read.
     """
 
     rows: np.ndarray
@@ -123,8 +121,10 @@ def audit(
     gives all five energies. The energy pairing <(1 + alpha^2 A) u, f> is
     the E1 row's sum over Re conj(uhat) fhat. The sums run in
     ``np.einsum``'s own loops, not through BLAS. The flags are
-    ``state_flags`` of u, then ``f_flags`` of f, fed the maxima: each
-    residual held against max |u| or max |f|, and no energy.
+    ``spectral.invariant_flags`` of u's maxima, then its (solenoidal,
+    zero_mean) of f's: each residual held against max |u| or max |f|, and
+    no energy. A non-finite f passes: the next state carries it, and the
+    march reports one at its last state.
     """
     if per_mode is None:
         products, maxima = np.empty((2,) + u.shape[1:]), np.empty((1, _MAXIMA))
@@ -142,8 +142,9 @@ def audit(
     # numpy's power gives inf where Python's raises OverflowError
     cancel = abs(pairing) / float(np.float64(nda) ** 3 + _TINY)
     rec = DiagRecord(t=t, E0=e0, E1=e1, D=diss, nDA=nda, n1ps2=n1ps2, cancel=cancel)
-    flags = state_flags(u, tables, u_max, (herm, sol, mean))
-    return flags + f_flags(f, tables, f_max, f_div), rec
+    f_mean = float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)])))
+    f_ok = invariant_flags(f_max, 0.0, f_div, f_mean)[1:] if math.isfinite(f_max) else (True, True)
+    return invariant_flags(u_max, herm, sol, mean) + f_ok, rec
 
 
 # max |u|, the three invariant_residuals of u, max |f| and max |k . f|
@@ -159,7 +160,7 @@ def _per_mode(u: np.ndarray, f: np.ndarray, k: np.ndarray, rows: slice, products
     u_rows, f_rows = u[:, rows], f[:, rows]
     products[0, rows] = mode_dot(u_rows, u_rows)
     products[1, rows] = mode_dot(u_rows, f_rows)
-    maxima[:] = (np.max(np.abs(u_rows)), *invariant_residuals(u, k, (0,), rows),
+    maxima[:] = (np.max(np.abs(u_rows)), *invariant_residuals(u, k, rows),
                  np.max(np.abs(f_rows)), np.max(np.abs(np.sum(k[:, rows] * f_rows, axis=0))))
 
 
@@ -184,49 +185,6 @@ def norm_DA(
         rows, values = tail
         sq += float(np.einsum("i,i->", rows[3], mode_dot(values, values)))
     return math.sqrt(sq)
-
-
-def state_flags(u: np.ndarray, tables: AuditTables, scale: float | None = None,
-                residuals: tuple[float, float, float] | None = None) -> tuple[bool, bool, bool]:
-    """``measure_flags`` of the band block u: ``invariant_flags`` on its
-    k_last = 0 plane, the only one a block holds. scale = max |u| and the
-    ``invariant_residuals`` are taken from u unless given."""
-    return invariant_flags(u, tables.k, (0,), scale, residuals)
-
-
-def f_flags(f: np.ndarray, tables: AuditTables, scale: float | None = None,
-            div: float | None = None) -> tuple[bool, bool]:
-    """``invariant_flags``' (solenoidal, zero_mean) of the band block f, but a
-    non-finite f passes: the next state carries it. scale = max |f| and
-    div = max |k . f| are taken from f unless given."""
-    if scale is None:
-        scale = float(np.max(np.abs(f)))
-    if not math.isfinite(scale):
-        return True, True
-    if div is None:
-        div = float(np.max(np.abs(np.sum(tables.k * f, axis=0))))
-    mean = float(np.max(np.abs(f[(slice(None),) + (0,) * (f.ndim - 1)])))
-    return invariant_flags(f, tables.k, (), scale, (0.0, div, mean))[1:]
-
-
-@np.errstate(invalid="ignore", over="ignore")  # a non-finite state fails quietly
-def start_flags(grid: GridSpec, block: np.ndarray, modes: np.ndarray, tail: np.ndarray) -> tuple:
-    """``measure_flags`` of the join of a start's block and tail, read off both: the
-    one start check (the snapshot reader's, the march's at step 0). The scale is
-    max |u| over both; a tail mode on the k_last = 0 or Nyquist plane meets its
-    mirror's tail value (+0.0 where there is none); k . u takes the tail's own k."""
-    herm, sol, mean = invariant_residuals(block, grid.layout.gather(grid.k), (0,))
-    *axes, last = np.unravel_index(modes, grid.spectral_shape)
-    on = (last == 0) | (last == grid.N // 2)
-    mirrors = np.ravel_multi_index([-i[on] % grid.N for i in axes] + [last[on]],
-                                   grid.spectral_shape)
-    at = np.minimum(np.searchsorted(modes, mirrors), len(modes) - 1)
-    mirrored = np.where(modes[at] == mirrors, tail[:, at], 0.0)
-    k = grid.k.reshape(grid.dim, -1)[:, modes]
-    herm = max(herm, float(np.max(np.abs(np.conj(mirrored) - tail[:, on]), initial=0.0)))
-    sol = max(sol, float(np.max(np.abs(np.einsum("i...,i...->...", k, tail)), initial=0.0)))
-    scale = float(np.max([np.max(np.abs(block)), np.max(np.abs(tail), initial=0.0)]))
-    return invariant_flags(tail, k, (), scale, (herm, sol, mean))
 
 
 def record(

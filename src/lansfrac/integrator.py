@@ -38,6 +38,7 @@ from .spectral import (
     GridSpec,
     Params,
     SpectralField,
+    band_flags,
     half_spectrum,
     leray_project,
     norm_DAr,
@@ -340,12 +341,18 @@ def _step_time(i: int, n: int, t_end: float, dt: float) -> float:
     return t_end if i == n else dt * i
 
 
-def _broken(flags: tuple[bool, ...], step: int, t: float) -> DivergedError:
-    """The error of a state whose flags (u's, f's, the tail's) are not all set."""
-    what = "field invariant broken"
-    if all(flags[:3] + flags[5:]):
+def _check(flags: tuple[bool, ...], step: int, t: float, f: np.ndarray | None = None) -> None:
+    """Raise DivergedError for a state whose flags (u's, f's, the tail's) are not all
+    set, or whose f, given at the last state, which no step follows, is not finite."""
+    what = None
+    if not all(flags[:3] + flags[5:]):
+        what = "field invariant broken"
+    elif not all(flags[3:5]):
         what = f"the nonlinearity f(u, u) {'is not solenoidal' if flags[4] else 'carries a mean'}"
-    return DivergedError(f"{what} at step {step}", step=step, t=t)
+    elif f is not None and not np.isfinite(f).all():
+        what = "the nonlinearity f(u, u) is not finite"
+    if what:
+        raise DivergedError(f"{what} at step {step}", step=step, t=t)
 
 
 def _mode_tables(config: SimConfig, form: str, modes: np.ndarray) -> list:
@@ -479,11 +486,12 @@ def march(
     invariant flag (real / solenoidal / zero-mean) of the state's block or
     the solenoidal or zero-mean flag of its f breaks, which a non-finite
     state does, or if the D(A) norm exceeds 1e6 times its initial value;
-    f(stage) is checked through the state it makes. No energy enters the
-    flags, so a finite start whose E0 overflows passes and its first step
-    reports the blow-up. A start with a tail is also checked whole
-    (``diagnostics.start_flags``: ``measure_flags`` of its join). E is real and
-    even, so the tail stays real, solenoidal and mean-free.
+    f(stage) is checked through the state it makes, and a non-finite f
+    through the next state, or at the last state, which none follows. No
+    energy enters the flags, so a finite start whose E0 overflows passes
+    and its first step reports the blow-up. A start with a tail is also
+    checked whole (``spectral.band_flags``). E is real and even, so the
+    tail stays real, solenoidal and mean-free.
     """
     if form not in ("u", "v"):
         raise ValueError(f"form must be 'u' or 'v', got {form!r}")
@@ -540,9 +548,8 @@ def march(
         f_new(state)
         flags = audit(0.0)
         if tail.size:
-            flags += diagnostics.start_flags(grid, state, modes, tail)
-    if not all(flags):
-        raise _broken(flags, 0, 0.0)
+            flags += band_flags(grid, state, modes, tail)
+    _check(flags, 0, 0.0, ws.f_state if n_steps == 0 else None)
     guard = BLOWUP_FACTOR * max(diag[0].nDA, 1e-300)
     yield State(0, 0.0, state, ws.f_state, modes, tail, True, grid)
 
@@ -560,8 +567,7 @@ def march(
             f_new(state)
             flags = audit(t)
 
-        if not all(flags):
-            raise _broken(flags, step, t)
+        _check(flags, step, t, ws.f_state if step == n_steps else None)
         if diag[-1].nDA > guard:
             raise DivergedError(f"D(A) norm blew up at step {step}", step=step, t=t)
         yield State(step, t, state, ws.f_state, modes, tail,

@@ -38,9 +38,8 @@ from .errors import (
     SnapshotError,
     VersionMismatchError,
 )
-from .diagnostics import start_flags
 from .integrator import InitialData, SchemeKind, SimConfig, State, StepScheme
-from .spectral import GridSpec, Params, SpectralField, infer_regime, make_grid
+from .spectral import GridSpec, Params, SpectralField, band_flags, infer_regime, make_grid
 from .spectral import measure_flags  # noqa: F401  the benchmark's tracer patches io.measure_flags
 
 SNAPSHOT_MAGIC = b"FLNS"
@@ -139,9 +138,8 @@ def read_band(path: str | Path) -> tuple[tuple[np.ndarray, ...], GridSpec, Snaps
     modes outside the block], n strictly increasing indices of modes
     outside the block, n values per component and nothing after them.
     Block and tail must be a solver state: finite, real (hermitian),
-    solenoidal and mean-free, as ``measure_flags`` finds their join
-    (``diagnostics.start_flags``, which builds no join). A file that breaks one
-    raises CorruptPayloadError naming it.
+    solenoidal and mean-free, as ``spectral.band_flags`` finds them. A file
+    that breaks one raises CorruptPayloadError naming it.
     """
     blob = _read_input(path, "snapshot", SnapshotError)
     if len(blob) < _HEADER.size:
@@ -176,7 +174,7 @@ def read_band(path: str | Path) -> tuple[tuple[np.ndarray, ...], GridSpec, Snaps
     if grid.dealias_mask.ravel()[modes].any():
         raise CorruptPayloadError(f"{path}: tail mode index inside the band block")
     block, tail = block.reshape((dim,) + grid.layout.block_shape), tail.reshape(dim, -1)
-    herm, sol, mean = start_flags(grid, block, modes, tail)
+    herm, sol, mean = band_flags(grid, block, modes, tail)
     # the flags all fail on a non-finite state
     if not (herm or sol or mean) and not (np.isfinite(block).all() and np.isfinite(tail).all()):
         raise CorruptPayloadError(f"{path}: field is not finite")

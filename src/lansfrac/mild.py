@@ -52,6 +52,8 @@ from .spectral import (
     SpectralField,
     _stokes_table,
     frac_stokes_apply,
+    invariant_flags,
+    invariant_residuals,
     norm_DAr,
     semigroup_apply,
 )
@@ -360,9 +362,9 @@ def picard_solve(
     u0 = 0) or after max_iter sweeps. Raises NoContractionError if an
     increment is non-finite or fails to decrease three times in a row,
     which is the observable signature of data too large for the contraction.
-    The kernel checks nothing, so a last iterate's node that fails the audit's
-    ``diagnostics.state_flags``, each residual held against the node's own
-    largest coefficient, raises DivergedError with the node's t.
+    The kernel checks nothing, so a last iterate's node that fails
+    ``spectral.invariant_flags`` of its block's ``invariant_residuals``
+    raises DivergedError with the node's t.
     The returned trajectory carries no diagnostics records; its snapshots are
     a ``PicardNodes`` sequence, which builds each full node on access.
 
@@ -411,9 +413,11 @@ def picard_solve(
     wave = _Wavefront(stack, band, stop, max_iter, m)
     feed.run(wave)
 
-    for node, t in zip(stack, t_mesh):
-        if not all(diagnostics.state_flags(node, band.tables)):
-            raise DivergedError(f"Picard node invariant broken at t = {t:g}", t=float(t))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite node fails quietly
+        for node, t in zip(stack, t_mesh):
+            scale = float(np.max(np.abs(node)))
+            if not all(invariant_flags(scale, *invariant_residuals(node, band.tables.k))):
+                raise DivergedError(f"Picard node invariant broken at t = {t:g}", t=float(t))
     return _solution(u0, params, t_mesh, stack, wave.increments, wave.converged)
 
 

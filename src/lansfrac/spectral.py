@@ -14,6 +14,9 @@ conjugate mirror -k, so every sum over modes carries the multiplicity
 ``GridSpec.weight`` (2 there, 1 on the k_last = 0 and k_last = N/2 planes).
 A solver state is stepped and stored in the grid's band layout
 (``GridSpec.layout``): the band block the 2/3 rule keeps, plus a tail.
+The solver's fields are real, solenoidal and mean-free, and every check of
+that is one verdict, ``invariant_flags``, of the residuals of a band block
+(``invariant_residuals``) or of a block and its tail (``band_flags``).
 
 Everything is a pure function of its inputs; fields are immutable (the
 coefficient buffers are write-protected). Only the whole-field transforms
@@ -50,7 +53,8 @@ from .errors import GridError, MeanModeError
 
 TWO_PI = 2.0 * np.pi
 
-# Tolerances of the invariant flags, relative to the largest coefficient of the block checked.
+# Tolerances of the invariant flags, relative to the largest coefficient of the
+# block checked; invariant_flags alone reads them.
 HERMITIAN_TOL = 1e-12
 SOLENOIDAL_TOL = 1e-12
 MEAN_TOL = 1e-12
@@ -117,18 +121,22 @@ class GridSpec:
             raise GridError(f"N must be even, got {self.N}")
         if self.N < 8:
             raise GridError(f"N must be at least 8, got {self.N}")
-
-        half = self.N // 2
-        k1 = np.r_[0:half, -half:0]  # 0, 1, ..., N/2-1, -N/2, ..., -1
-        axes = np.meshgrid(*([k1] * (self.dim - 1)), np.arange(half + 1), indexing="ij")
-        k = np.stack(axes).astype(np.float64)  # integers, so k2 is too
-        k2 = np.sum(k * k, axis=0)
-        # 2/3 rule: zero every mode with any |k_i| >= N/3.
-        mask = np.all(np.abs(k) < self.N / 3.0, axis=0)
-        w_last = np.full(half + 1, 2.0)
-        w_last[[0, -1]] = 1.0  # the k_last = 0 and Nyquist planes hold their own mirrors
-        weight = np.ascontiguousarray(np.broadcast_to(w_last, k2.shape))
-
+        # numpy indexes no array of more than intp's largest number of bytes
+        if 16 * self.dim * math.prod(self.spectral_shape) > np.iinfo(np.intp).max:
+            raise GridError(f"N = {self.N} is too large: a field on its grid cannot be indexed")
+        try:
+            half = self.N // 2
+            k1 = np.r_[0:half, -half:0]  # 0, 1, ..., N/2-1, -N/2, ..., -1
+            axes = np.meshgrid(*([k1] * (self.dim - 1)), np.arange(half + 1), indexing="ij")
+            k = np.stack(axes).astype(np.float64)  # integers, so k2 is too
+            k2 = np.sum(k * k, axis=0)
+            # 2/3 rule: zero every mode with any |k_i| >= N/3.
+            mask = np.all(np.abs(k) < self.N / 3.0, axis=0)
+            w_last = np.full(half + 1, 2.0)
+            w_last[[0, -1]] = 1.0  # the k_last = 0 and Nyquist planes hold their own mirrors
+            weight = np.ascontiguousarray(np.broadcast_to(w_last, k2.shape))
+        except MemoryError as exc:
+            raise GridError(f"N = {self.N} is too large: {exc}") from None
         tables = (("k", k), ("k2", k2), ("dealias_mask", mask), ("weight", weight))
         for name, arr in tables:
             arr.setflags(write=False)
@@ -640,9 +648,8 @@ class SpectralField:
     """Divergence-free vector field stored as Fourier coefficients.
 
     coeffs has the half-spectrum shape (dim,) + grid.spectral_shape. The
-    boolean flags (hermitian, solenoidal, zero_mean) are measured from the
-    coefficients, not declared; measurement is deferred to first access and
-    cached, so reading a flag is always a checked invariant.
+    flags (hermitian, solenoidal, zero_mean) are ``measure_flags`` of the
+    coefficients, measured on first access and cached, not declared.
     """
 
     grid: GridSpec
@@ -696,75 +703,77 @@ class SpectralField:
 
 
 def measure_flags(grid: GridSpec, coeffs: np.ndarray) -> tuple[bool, bool, bool]:
-    """Measure (hermitian, solenoidal, zero_mean) for a coefficient array:
-    ``invariant_flags`` on its k_last = 0 and Nyquist planes.
+    """(hermitian, solenoidal, zero_mean) of a half-spectrum coefficient array:
+    ``band_flags`` of its band block and tail (``BandLayout.split``)."""
+    return band_flags(grid, *grid.layout.split(coeffs))
 
-    A half spectrum can hold a non-real part only on those two planes, each
-    of which must match its own conjugate mirror, so the hermitian flag
-    compares them alone.
+
+def invariant_flags(scale: float, herm: float, sol: float, mean: float) -> tuple[bool, bool, bool]:
+    """(hermitian, solenoidal, zero_mean): the one verdict of every invariant check.
+
+    Each residual (``invariant_residuals``) is held against its tolerance
+    times scale, the largest coefficient of the block checked, so a block
+    times a power of two keeps its flags while tolerance x scale is normal.
+    A scale below 2^-1022 passes, as the zero state it has decayed to: each
+    coefficient is rounded to the 2^-1074 quantum on its own, so no relative
+    invariant is resolved. A nan or inf in the block makes scale fail all three.
     """
-    return invariant_flags(coeffs, grid.k, (0, -1))
-
-
-@lru_cache(maxsize=16)
-def _mirror(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat index of each mode's mirror -k in one component of planes of this shape.
-
-    The shape is (complex axes..., planes); the mirror reflects the complex
-    axes (fftn order) of each plane, as ``_reflect`` does.
-    """
-    index = np.arange(math.prod(shape)).reshape(shape)
-    mirror = np.ascontiguousarray(_reflect(index, range(-len(shape), -1))).ravel()
-    mirror.setflags(write=False)
-    return mirror
-
-
-def invariant_flags(
-    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], scale: float | None = None,
-    residuals: tuple[float, float, float] | None = None,
-) -> tuple[bool, bool, bool]:
-    """(hermitian, solenoidal, zero_mean) of coefficients u, in any layout.
-
-    k holds u's wavevectors, and planes the last-axis indices of the planes
-    that must match their own conjugate mirrors. Each residual
-    (``invariant_residuals``) is held against its tolerance times scale =
-    max |u|, so u times a power of two keeps its flags while tolerance x
-    scale is normal. A u with no normal coefficient (scale < 2^-1022) passes
-    as the zero state it has decayed to: each coefficient is rounded to the
-    2^-1074 quantum on its own, so no relative invariant of it is resolved.
-    A nan or inf makes scale nan or inf and fails all three. scale and the
-    residuals are taken from u unless given.
-    """
-    if scale is None:
-        scale = float(np.max(np.abs(u)))
     if scale < 2.0**-1022:
         return True, True, True
     if not math.isfinite(scale):
         return False, False, False
-    herm, sol, mean = invariant_residuals(u, k, planes) if residuals is None else residuals
-    return (
-        herm <= HERMITIAN_TOL * scale,
-        sol <= SOLENOIDAL_TOL * scale,
-        mean <= MEAN_TOL * scale,
-    )
+    return herm <= HERMITIAN_TOL * scale, sol <= SOLENOIDAL_TOL * scale, mean <= MEAN_TOL * scale
 
 
-def invariant_residuals(
-    u: np.ndarray, k: np.ndarray, planes: tuple[int, ...], rows: slice = slice(None)
-) -> tuple[float, float, float]:
-    """The maxima ``invariant_flags`` compares, over the modes on rows of u's
-    first wavevector axis: |conj(u(-k)) - u(k)| on the planes (whose mirrors
-    may lie on other rows), |k . u|, and |u| of the mean mode, 0.0 unless
-    rows holds it. Each is a maximum of per-mode terms, so the maxima over
-    disjoint rows combine with ``np.max`` into those over their union."""
-    p = u[..., list(planes)]
-    flat = p.reshape(len(p), -1)
-    first, end, _ = rows.indices(p.shape[1])
-    span = slice(first * flat.shape[1] // p.shape[1], end * flat.shape[1] // p.shape[1])
-    herm = float(np.max(np.abs(np.conj(flat[:, _mirror(p.shape[1:])[span]]) - flat[:, span])))
-    sol = float(np.max(np.abs(np.einsum("i...,i...->...", k[:, rows], u[:, rows]))))
-    mean = float(np.max(np.abs(u[(slice(None),) + (0,) * (u.ndim - 1)]))) if first == 0 else 0.0
+@lru_cache(maxsize=16)
+def _mirror(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index of each mode's mirror -k on a k_last = 0 plane of this shape,
+    whose axes are in fftn order, as ``_reflect`` reflects them."""
+    index = np.arange(math.prod(shape)).reshape(shape)
+    mirror = np.ascontiguousarray(_reflect(index, range(len(shape)))).ravel()
+    mirror.setflags(write=False)
+    return mirror
+
+
+def invariant_residuals(block: np.ndarray, k: np.ndarray, rows: slice = slice(None)) -> tuple:
+    """The maxima ``invariant_flags`` compares, over the modes of the band
+    block on rows of its first wavevector axis, k being its wavevectors:
+    |conj(u(-k)) - u(k)| on the k_last = 0 plane, the only one that must
+    match its own conjugate mirror (whose mirrors may lie on other rows),
+    |k . u|, and |u| of the mean mode, 0.0 unless rows holds it. Each is a
+    maximum of per-mode terms, so the maxima over disjoint rows combine with
+    ``np.max`` into those over their union."""
+    plane = block[..., 0]
+    flat = plane.reshape(len(plane), -1)
+    first, end, _ = rows.indices(plane.shape[1])
+    width = flat.shape[1] // plane.shape[1]
+    span = slice(first * width, end * width)
+    herm = float(np.max(np.abs(np.conj(flat[:, _mirror(plane.shape[1:])[span]]) - flat[:, span])))
+    sol = float(np.max(np.abs(np.einsum("i...,i...->...", k[:, rows], block[:, rows]))))
+    mean = 0.0 if first else float(np.max(np.abs(block[(slice(None),) + (0,) * (block.ndim - 1)])))
     return herm, sol, mean
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite state fails quietly
+def band_flags(grid: GridSpec, block: np.ndarray, modes: np.ndarray, tail: np.ndarray) -> tuple:
+    """(hermitian, solenoidal, zero_mean) of a state in the band layout, its
+    block and its tail (``BandLayout.split``), read off both: the whole-field
+    check, the snapshot reader's and the march's at step 0. The scale is
+    max |u| over both; a tail mode on the k_last = 0 or Nyquist plane meets
+    its mirror's tail value (+0.0 where there is none); k . u takes the
+    tail's own k, and the block's residuals are ``invariant_residuals``."""
+    herm, sol, mean = invariant_residuals(block, grid.layout.gather(grid.k))
+    *axes, last = np.unravel_index(modes, grid.spectral_shape)
+    on = (last == 0) | (last == grid.N // 2)
+    mirrors = np.ravel_multi_index([-i[on] % grid.N for i in axes] + [last[on]],
+                                   grid.spectral_shape)
+    at = np.minimum(np.searchsorted(modes, mirrors), len(modes) - 1)
+    mirrored = np.where(modes[at] == mirrors, tail[:, at], 0.0)
+    k = grid.k.reshape(grid.dim, -1)[:, modes]
+    herm = max(herm, float(np.max(np.abs(np.conj(mirrored) - tail[:, on]), initial=0.0)))
+    sol = max(sol, float(np.max(np.abs(np.einsum("i...,i...->...", k, tail)), initial=0.0)))
+    scale = float(np.max([np.max(np.abs(block)), np.max(np.abs(tail), initial=0.0)]))
+    return invariant_flags(scale, herm, sol, mean)
 
 
 def _check_same_grid(a: SpectralField, b: SpectralField) -> None:

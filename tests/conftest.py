@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import struct
@@ -10,6 +11,9 @@ import pytest
 from lansfrac import InitialData, Params, make_grid, make_initial, spectral
 from lansfrac.operators import _vel_grad_phys
 from lansfrac.spectral import (
+    HERMITIAN_TOL,
+    MEAN_TOL,
+    SOLENOIDAL_TOL,
     GridSpec,
     SpectralField,
     _check_same_grid,
@@ -162,6 +166,33 @@ def galerkin_truncate(field: SpectralField, N_cut: int) -> SpectralField:
     return field.copy_with(np.where(mask, field.coeffs, 0.0))
 
 
+def roll_flip(p: np.ndarray) -> np.ndarray:
+    """Planes (components, complex axes..., planes) at -k on every complex axis,
+    reflected by np.flip and np.roll."""
+    for ax in range(-(p.ndim - 1), -1):
+        p = np.roll(np.flip(p, axis=ax), 1, axis=ax)
+    return p
+
+
+def whole_field_flags(grid: GridSpec, coeffs: np.ndarray) -> tuple[bool, bool, bool]:
+    """Reference: (hermitian, solenoidal, zero_mean) of a half spectrum checked
+    whole. The k_last = 0 and Nyquist planes are held against their conjugate
+    mirrors (``roll_flip``), k . u is taken on every mode, and each residual
+    against its tolerance times max |u|. A scale below 2^-1022 passes, a
+    non-finite one fails. ``spectral.band_flags`` reads a state as its band
+    block and tail instead, and the audit as its block's maxima."""
+    scale = float(np.max(np.abs(coeffs)))
+    if scale < 2.0**-1022:
+        return True, True, True
+    if not math.isfinite(scale):
+        return False, False, False
+    planes = coeffs[..., [0, -1]]
+    herm = float(np.max(np.abs(np.conj(roll_flip(planes)) - planes)))
+    sol = float(np.max(np.abs(np.einsum("i...,i...->...", grid.k, coeffs))))
+    mean = float(np.max(np.abs(coeffs[(slice(None),) + (0,) * grid.dim])))
+    return herm <= HERMITIAN_TOL * scale, sol <= SOLENOIDAL_TOL * scale, mean <= MEAN_TOL * scale
+
+
 def no_tail(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ``diagnostics.audit`` tail of a band-limited state: no rows, no values."""
     return np.empty((5, 0)), np.empty((grid.dim, 0), np.complex128)
@@ -190,24 +221,24 @@ def with_tail(u: SpectralField, seed: int = 0, size: float = 1e-3) -> SpectralFi
     return u.copy_with(u.coeffs + wide)
 
 
-def nan_at_last_picard_node(monkeypatch, nodes: int) -> None:
-    """Make Picard's f return nan at the last of its mesh nodes, every sweep.
+def nan_at_last_picard_node(monkeypatch) -> None:
+    """Make Picard's f nan at the last of its mesh nodes, every sweep.
 
-    A solve calls the band kernel once for node 0, whose f it takes once,
-    then once per later node in every sweep.
+    The Duhamel sweep reads a nan f there, whichever process evaluated it:
+    the sweeps run in the solve's own process, while ``oracle-compare``'s
+    parent shares the f evaluations with its Picard worker in an order the
+    scheduler decides, so counting kernel calls would not find the node.
     """
     import lansfrac.mild as mild
 
-    real, calls = mild.rhs_f_band, []
+    real = mild._duhamel_sweep
 
-    def f(*args, **kwargs):
-        calls.append(None)
-        out = real(*args, **kwargs)
-        if len(calls) > 1 and (len(calls) - 1) % (nodes - 1) == 0:
-            out[...] = np.nan
-        return out
+    def sweep(band, stack, level, f):
+        if level.node == len(stack) - 1:
+            f = np.full_like(f, np.nan)
+        return real(band, stack, level, f)
 
-    monkeypatch.setattr(mild, "rhs_f_band", f)
+    monkeypatch.setattr(mild, "_duhamel_sweep", sweep)
 
 
 def random_hermitian_field(grid: GridSpec, seed: int = 0) -> SpectralField:

@@ -446,7 +446,7 @@ def test_oracle_compare_rejects_a_horizon_off_the_step_grid(tmp_path, capsys):
 
 def test_oracle_compare_non_finite_picard_node_fails(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, SMALL_CFG.replace("dt = 2e-3", "dt = 1e-3"))
-    nan_at_last_picard_node(monkeypatch, nodes=21)  # --T 0.02 at dt = 1e-3: 20 intervals
+    nan_at_last_picard_node(monkeypatch)
     assert main(["oracle-compare", cfg, "--T", "0.02", "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("check failed:") and "non-finite" in err[0]
@@ -1598,3 +1598,32 @@ def test_random_config_text_exits_zero_or_two(lines):
             code = main(["simulate", str(cfg), "--out-dir", str(Path(tmp) / "out")])
     event(f"exit code {code}")  # --hypothesis-show-statistics counts the accepted examples
     assert code in (0, 2)
+
+
+def test_a_non_finite_f_at_the_last_state_exits_three_with_one_line(tmp_path, capsys):
+    # a non-finite f passes the audit because the next state carries it; at
+    # the last state no step follows, so the march reports it there. At
+    # t_end = 0 the start is the last state: amplitude 1e155 makes E0 and f
+    # overflow on a finite start, and its record is still written.
+    cfg = write(tmp_path, "dim = 2\nN = 16\nalpha = 0.5\nnu = 0.1\ns = 0.75\ndt = 1e-3\n"
+                          "t_end = 0\ninit = random\namplitude = 1e155\nseed = 0\n")
+    out = tmp_path / "out"
+    code, lines, err = _run_quietly(capsys, ["simulate", cfg, "--out-dir", str(out)])
+    assert (code, err) == (3, ["diverged: the nonlinearity f(u, u) is not finite at step 0"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == {"state": "diverged", "step": 0, "t": 0.0}
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,inf,")
+    assert not list(out.glob("snapshot_*"))
+
+
+@pytest.mark.parametrize("dim,n", [(3, 2**40), (2, 2**32), (3, 2**22)])
+def test_a_grid_too_large_to_index_is_blamed_on_n(tmp_path, capsys, dim, n):
+    # a field on such a grid has more bytes than numpy can index, so the grid
+    # refuses N before it allocates any table
+    cfg = write(tmp_path, f"dim = {dim}\nN = {n}\nalpha = 0.5\nnu = 0.1\ns = 0.75\n"
+                          "dt = 1e-3\nt_end = 0\ninit = random\n")
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: bad value for 'N' (line 2): N = {n} is too large: "
+                                       "a field on its grid cannot be indexed\n")
+    assert not (tmp_path / "out").exists()

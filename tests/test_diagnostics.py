@@ -22,13 +22,13 @@ from lansfrac import (
     smoothing_rate,
 )
 from lansfrac.cli import main
-from lansfrac.diagnostics import audit_tables, norm_DA, record, start_flags, tail_rows
+from lansfrac.diagnostics import audit_tables, norm_DA, record, tail_rows
 from lansfrac.integrator import Trajectory
 from lansfrac.mild import semigroup_class_check
 from lansfrac.operators import h1_alpha_pairing, rhs_f, v_from_u
-from lansfrac.spectral import frac_stokes_apply, l2_norm, measure_flags, to_physical
+from lansfrac.spectral import band_flags, frac_stokes_apply, l2_norm, measure_flags, to_physical
 
-from conftest import random_field, zero_field
+from conftest import random_field, whole_field_flags, zero_field
 
 
 def config(grid, p, dt=1e-3, t_end=1.0, init=None, **kw):
@@ -316,9 +316,10 @@ def _plant_flag_fault(u: np.ndarray, grid, fault: str, rng, size: float) -> None
     tail_scale=st.sampled_from([1e-8, 1.0, 1e3]),
 )
 def test_band_flags_are_measure_flags_of_the_joined_field(case, seed, fault, size, tail_scale):
-    # The one start check (start_flags, run by the snapshot reader and by the
-    # march at step 0) reads block and tail, and decides as measure_flags
-    # of their join, faults planted inside the block or on the tail included:
+    # The band check (band_flags, run by the snapshot reader, by the march at
+    # step 0 and by measure_flags) reads block and tail, and decides as the
+    # whole-field reference of their join, faults planted inside the block or
+    # on the tail included:
     # a broken mirror on the k_last = 0 or the Nyquist plane, k . u != 0 on a
     # tail mode, a mean, a nan or inf in the tail. The scale is max |u| over
     # both, so a tail larger than the block sets it.
@@ -329,6 +330,7 @@ def test_band_flags_are_measure_flags_of_the_joined_field(case, seed, fault, siz
     _plant_flag_fault(u, grid, fault, np.random.default_rng(seed), size)
     block, modes, tail = layout.split(u)
     joined = layout.join(block, modes, tail)
-    assert start_flags(grid, block, modes, tail) == measure_flags(grid, joined)
+    flags = band_flags(grid, block, modes, tail)
+    assert flags == whole_field_flags(grid, joined) == measure_flags(grid, joined)
     if fault != "none" and size == 1.0:
-        assert not all(start_flags(grid, block, modes, tail))  # the check is not vacuous
+        assert not all(flags)  # the check is not vacuous

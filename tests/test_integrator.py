@@ -25,7 +25,7 @@ from lansfrac import (
     semigroup_apply,
 )
 from lansfrac import integrator, operators
-from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables, f_flags, state_flags
+from lansfrac.diagnostics import DiagRecord, _cumtrapz, audit, audit_tables
 from lansfrac.errors import DivergedError
 from lansfrac.integrator import (
     _advance,
@@ -52,6 +52,7 @@ from conftest import (
     random_field,
     rel_err,
     scaled_plant,
+    whole_field_flags,
     with_tail,
 )
 
@@ -708,7 +709,7 @@ def _full_spectrum_run(cfg, start, form="u"):
 
     Each step is formed on SpectralFields over the half spectrum, the
     Galerkin cutoff is ``galerkin_truncate``, every new state's flags are the
-    field's ``measure_flags``, and the record is ``_reference_record``.
+    field's ``whole_field_flags``, and the record is ``_reference_record``.
     Returns the snapshot times, the snapshots and the records.
     """
     grid, params, kind = cfg.grid, cfg.params, cfg.scheme.kind
@@ -758,7 +759,7 @@ def _full_spectrum_run(cfg, start, form="u"):
         if cfg.galerkin_N is not None:
             state = galerkin_truncate(state, cfg.galerkin_N)
         t = _step_time(i + 1, n, cfg.t_end, dt)
-        if not (state.hermitian and state.solenoidal and state.zero_mean):
+        if not all(whole_field_flags(grid, state.coeffs)):
             raise DivergedError(f"field invariant broken at step {i + 1}", step=i + 1, t=t)
         f_cur = f_eval(state)
         diag.append(record(state, f_cur, t))
@@ -1190,10 +1191,10 @@ def _planted_f(ws, rng, fault, size, modes, exponent):
 )
 def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault, f_modes,
                                          exponent):
-    # the audit's flags of u and of f decide as measure_flags of the fields
-    # that are the blocks on the band and zero elsewhere: (hermitian,
-    # solenoidal, zero_mean) of u, then (solenoidal, zero_mean) of f, whose
-    # non-finite values pass (the next state carries them)
+    # the audit's flags of u and of f decide as the whole-field reference and
+    # measure_flags of the fields that are the blocks on the band and zero
+    # elsewhere: (hermitian, solenoidal, zero_mean) of u, then (solenoidal,
+    # zero_mean) of f, whose non-finite values pass (the next state carries them)
     dim, n = case
     grid = make_grid(dim, n)
     layout = grid.layout
@@ -1217,22 +1218,26 @@ def test_audit_flags_equal_measure_flags(case, seed, fault, size, mode, f_fault,
     f = _planted_f(ws, np.random.default_rng(seed), f_fault, size, f_modes, exponent)
     block = layout.gather(u)
     flags, _ = audit(block, f, audit_tables(grid, _P.alpha, _P.s), 0.0, no_tail(grid))
-    assert flags[:3] == measure_flags(grid, layout.join(block))
-    f_joined = layout.join(f)
-    assert flags[3:] == ((True, True) if f_fault == "nan" else measure_flags(grid, f_joined)[1:])
+    u_joined, f_joined = layout.join(block), layout.join(f)
+    assert flags[:3] == whole_field_flags(grid, u_joined) == measure_flags(grid, u_joined)
+    if f_fault != "nan":
+        assert flags[3:] == whole_field_flags(grid, f_joined)[1:] == measure_flags(grid, f_joined)[1:]
+    else:
+        assert flags[3:] == (True, True)
     if f_fault == "unprojected":
         assert not flags[3]  # the check is not vacuous
 
 
 def _every_check(grid, u, f):
-    """The flags every check gives the band blocks u and f: the audit's,
-    ``state_flags`` then ``f_flags``, and ``measure_flags`` of the fields
-    that are the blocks on the band (f's solenoidal and zero_mean)."""
+    """The flags every check gives the band blocks u and f: the audit's, then
+    ``measure_flags`` and the whole-field reference of the fields that are
+    the blocks on the band (f's solenoidal and zero_mean)."""
     layout, tables = grid.layout, audit_tables(grid, _P.alpha, _P.s)
     with np.errstate(over="ignore", invalid="ignore"):  # the record's energies may overflow
         flags, _ = audit(u, f, tables, 0.0, no_tail(grid))
-    return (flags, state_flags(u, tables) + f_flags(f, tables),
-            measure_flags(grid, layout.join(u)) + measure_flags(grid, layout.join(f))[1:])
+    u, f = layout.join(u), layout.join(f)
+    return (flags, measure_flags(grid, u) + measure_flags(grid, f)[1:],
+            whole_field_flags(grid, u) + whole_field_flags(grid, f)[1:])
 
 
 def _state_and_f(grid, seed):
@@ -1290,15 +1295,16 @@ def test_a_state_with_no_normal_coefficient_passes_as_zero(case, fault, top):
 @pytest.mark.parametrize("top", [0, -1060])
 def test_a_non_finite_state_fails_all_three_flags(value, top):
     # a nan or inf coefficient makes max |u| nan or inf, also beside
-    # coefficients that are subnormal; a non-finite f passes, as the state it
-    # makes carries the fault
+    # coefficients that are subnormal; the audit passes a non-finite f, as the
+    # state it makes carries the fault, and the whole-field checks fail it
     grid = make_grid(2, 32)
     u, f, k = _state_and_f(grid, 3)
     u = scaled_plant(u, k, _power_to(u, top))
     u[0, 1, 2] = value
     f[1, 2, 1] = value
-    assert _every_check(grid, u, f)[:2] == ((False,) * 3 + (True,) * 2,) * 2
-    assert measure_flags(grid, grid.layout.join(u)) == (False,) * 3
+    audited, measured, reference = _every_check(grid, u, f)
+    assert audited == (False,) * 3 + (True,) * 2
+    assert measured == reference == (False,) * 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -1310,7 +1316,8 @@ def test_a_non_finite_state_fails_all_three_flags(value, top):
 )
 def test_start_check_equals_measure_flags_on_the_nyquist_plane(seed, size, row, component):
     # only the tail reaches the Nyquist plane; run checks a start with a
-    # tail whole, so it raises at step 0 exactly when measure_flags fails
+    # tail whole, so it raises at step 0 exactly when the whole-field
+    # reference and measure_flags fail
     grid = make_grid(2, 16)
     u = np.array(make_initial(InitialData(kind="random-spectrum", seed=seed, band=7), grid).coeffs)
     u[component, row, -1] += 1j * size * float(np.max(np.abs(u)))
@@ -1319,7 +1326,7 @@ def test_start_check_equals_measure_flags_on_the_nyquist_plane(seed, size, row, 
         broken = False
     except DivergedError as exc:
         broken = (exc.step, exc.t) == (0, 0.0)
-    assert broken == (not all(measure_flags(grid, u)))
+    assert broken == (not all(whole_field_flags(grid, u))) == (not all(measure_flags(grid, u)))
 
 
 def test_band_run_holds_only_blocks_while_it_steps(grid3, monkeypatch):

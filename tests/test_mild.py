@@ -373,7 +373,7 @@ def test_picard_non_finite_node_is_no_contraction(grid2, monkeypatch):
     # later nan through as convergence
     p = Params(alpha=0.5, nu=0.5, s=0.5)
     u0 = dealias(random_field(grid2, seed=7, amplitude=1e-2))
-    nan_at_last_picard_node(monkeypatch, nodes=17)
+    nan_at_last_picard_node(monkeypatch)
     with pytest.raises(NoContractionError, match="non-finite"):
         picard_solve(u0, p, 0.1, mesh_size=16)
 

@@ -28,7 +28,7 @@ from lansfrac import (
     rhs_f,
     u_from_v,
 )
-from lansfrac.diagnostics import audit_tables, f_flags
+from lansfrac.diagnostics import audit, audit_tables
 from lansfrac.errors import GridError
 from lansfrac.operators import (
     _cross,
@@ -56,10 +56,12 @@ from lansfrac.spectral import (
 
 from conftest import (
     embed_band_coeffs,
+    no_tail,
     random_band_block,
     random_field,
     rel_err,
     stress_form_f,
+    whole_field_flags,
     zero_field,
 )
 
@@ -601,9 +603,15 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
     mean = (slice(None),) + (0,) * dim
     block[mean] = product[mean] if kind == "mean" else 0.0
 
-    _herm, sol, mean_free = measure_flags(grid, grid.layout.join(block))
-    assert f_flags(block, tables) == (sol, mean_free)
+    joined = grid.layout.join(block)
+    _herm, sol, mean_free = whole_field_flags(grid, joined)
+    assert _f_flags(grid, block, tables) == (sol, mean_free) == measure_flags(grid, joined)[1:]
     assert (sol and mean_free) == (kind in ("solenoidal", "zero"))
+
+
+def _f_flags(grid, f, tables) -> tuple[bool, bool]:
+    """The audit's (solenoidal, zero_mean) flags of the band block f, beside a zero state."""
+    return audit(np.zeros_like(f), f, tables, 0.0, no_tail(grid))[0][3:]
 
 
 @settings(max_examples=120, deadline=None)
@@ -616,7 +624,7 @@ def test_band_block_check_agrees_with_measure_flags(case, seed, kind, exponent):
 )
 @example(case=(2, 32), seed=0, modes=0, planted=-13.0, share=1.0)
 def test_the_f_flag_holds_max_k_dot_f_against_max_f(case, seed, modes, planted, share):
-    # f_flags holds max |k . f| against SOLENOIDAL_TOL max |f|, the reference
+    # the audit holds max |k . f| against SOLENOIDAL_TOL max |f|, the reference
     # of its mean flag, never against ||f||, which no multiplicity keeps below
     # max |f|. f is projected from a block on a few modes (0: on every mode,
     # where ||f|| is far above max |f|), and a divergence of 10^planted
@@ -639,7 +647,7 @@ def test_the_f_flag_holds_max_k_dot_f_against_max_f(case, seed, modes, planted, 
     f[(slice(None),) + (0,) * dim] = 0.0
     div = float(np.max(np.abs(np.sum(ws.k * f, axis=0))))
     passes = div <= SOLENOIDAL_TOL * float(np.max(np.abs(f)))
-    assert f_flags(f, tables) == (passes, True)
+    assert _f_flags(grid, f, tables) == (passes, True)
 
 
 @settings(max_examples=60, deadline=None)

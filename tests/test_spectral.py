@@ -9,7 +9,6 @@ from lansfrac.errors import GridError, MeanModeError
 from lansfrac.io import config_echo, parse_config
 from lansfrac.operators import u_from_v
 from lansfrac.spectral import (
-    HERMITIAN_TOL,
     BandPlan,
     GridSpec,
     Regime,
@@ -19,9 +18,11 @@ from lansfrac.spectral import (
     frac_stokes_apply,
     infer_regime,
     invariant_flags,
+    invariant_residuals,
     inner,
     l2_norm,
     leray_project,
+    measure_flags,
     phys_to_coeffs,
     stokes_multiplier,
     to_physical,
@@ -33,7 +34,9 @@ from conftest import (
     random_field,
     random_hermitian_field,
     rel_err,
+    roll_flip,
     single_mode_field,
+    whole_field_flags,
     zero_field,
 )
 
@@ -184,23 +187,17 @@ def test_hermitian_flag_checks_both_self_mirrored_planes(dim):
     assert SpectralField.from_coeffs(g, coeffs).hermitian
 
 
-def _roll_flip(p: np.ndarray) -> np.ndarray:
-    """Planes (components, complex axes..., planes) reflected by np.flip and np.roll."""
-    for ax in range(-(p.ndim - 1), -1):
-        p = np.roll(np.flip(p, axis=ax), 1, axis=ax)
-    return p
-
-
 @pytest.mark.parametrize("dim,n,on_block", [(2, 16, False), (2, 32, True), (3, 16, False), (3, 48, True)])
 def test_the_mirror_index_gives_the_roll_flip_flags(dim, n, on_block):
-    # the hermitian flag reads each plane's mirror through one cached index;
-    # it takes the values that flip and roll give, and so decides as they do,
-    # on full half spectra (planes k_last = 0 and N/2) and on band blocks
-    # (k_last = 0), random and with a defect planted near the tolerance
+    # the hermitian flag reads the k_last = 0 plane's mirrors through one
+    # cached index; it takes the values that flip and roll give, and so
+    # decides as the whole-field reference does, on band blocks (the audit's
+    # residuals) and on full half spectra (measure_flags, the k_last = 0 and
+    # N/2 planes), random and with a defect planted near the tolerance
     grid = make_grid(dim, n)
     layout = grid.layout
     planes = (0,) if on_block else (0, -1)
-    k = layout.gather(grid.k) if on_block else grid.k
+    k = layout.gather(grid.k)
     rng = np.random.default_rng(n + dim)
     for trial in range(12):
         coeffs = np.array(random_hermitian_field(grid, seed=trial).coeffs)
@@ -209,11 +206,14 @@ def test_the_mirror_index_gives_the_roll_flip_flags(dim, n, on_block):
         if trial:
             mode = tuple(int(rng.integers(m)) for m in u.shape[1:-1]) + (planes[trial % len(planes)],)
             u[(int(rng.integers(dim)),) + mode] += 10.0 ** rng.uniform(-13.5, -10.5) * scale * 1j
-        p = u[..., list(planes)]
-        mirrored = p.reshape(dim, -1)[:, _mirror(p.shape[1:])].reshape(p.shape)
-        assert np.array_equal(mirrored, _roll_flip(p))
-        herm = float(np.max(np.abs(np.conj(_roll_flip(p)) - p))) <= HERMITIAN_TOL * scale
-        assert invariant_flags(u, k, planes, scale)[0] == herm
+        herm = whole_field_flags(grid, layout.join(u) if on_block else u)[0]
+        if on_block:
+            plane = u[..., 0]
+            mirrored = plane.reshape(dim, -1)[:, _mirror(plane.shape[1:])].reshape(plane.shape)
+            assert np.array_equal(mirrored, roll_flip(u[..., :1])[..., 0])
+            assert invariant_flags(scale, *invariant_residuals(u, k))[0] == herm
+        else:
+            assert measure_flags(grid, u)[0] == herm
 
 
 def test_to_spectral_shape_mismatch(grid2):
